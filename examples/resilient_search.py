@@ -91,9 +91,9 @@ def main() -> None:
     print(f"  [{kernel.now:5.2f}s] yielded {len(got)}/{ARTICLES}: {got}")
     print(f"  outcome: {result.outcome}")
     stats = net.transport.stats
-    print(f"  recovery effort: retries={stats.retries} "
-          f"failovers={stats.failovers} hedges={stats.hedges} "
-          f"(wins: {stats.hedge_wins})")
+    print(f"  recovery effort: retries={stats.retries.value} "
+          f"failovers={stats.failovers.value} hedges={stats.hedges.value} "
+          f"(wins: {stats.hedge_wins.value})")
     print("  every lost article was served by its shelf2 mirror — here the "
           "hedged\n  replica read won the race outright; a mirror is never "
           "believed about\n  removal, so nothing stale can sneak in\n")
@@ -120,8 +120,8 @@ def main() -> None:
     sent = stats.node("shelf1").addressed - before
     print(f"  10 probes at the dead shelf: {sent} reached the wire, "
           f"{shed} failed fast\n  (the breaker already tripped during the "
-          f"search — trips={stats.breaker_trips}, fast-fails so far: "
-          f"{stats.breaker_fast_fails})")
+          f"search — trips={stats.breaker_trips.value}, fast-fails so far: "
+          f"{stats.breaker_fast_fails.value})")
 
 
 if __name__ == "__main__":

@@ -109,10 +109,10 @@ def one_run(make_resilience: Callable[[Network], Optional[ResilientClient]],
         "coverage": len(drained.yields) / members,
         "latency": drained.total_time,
         "sound": not violations,
-        "retries": stats.retries,
-        "hedges": stats.hedges,
-        "failovers": stats.failovers,
-        "breaker_trips": stats.breaker_trips,
+        "retries": stats.retries.value,
+        "hedges": stats.hedges.value,
+        "failovers": stats.failovers.value,
+        "breaker_trips": stats.breaker_trips.value,
     }
 
 

@@ -12,7 +12,6 @@ from .fileops import StatResult, read_file, stat
 from .filesystem import FileMeta, FileSystem, dir_collection_id
 from .find import FindMatch, FindResult, weak_find
 from .ls import LsEntry, LsResult, strict_ls, weak_ls
-from .prefetch import PrefetchEngine, PrefetchResult
 
 __all__ = [
     "DynSetHandle",
@@ -22,8 +21,6 @@ __all__ = [
     "FileSystem",
     "LsEntry",
     "LsResult",
-    "PrefetchEngine",
-    "PrefetchResult",
     "StatResult",
     "dir_collection_id",
     "namespace",

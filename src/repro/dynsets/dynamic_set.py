@@ -9,9 +9,18 @@ prefetcher, close when done — possibly early, which is the whole point
 of streaming ("We can return information to the user more quickly by
 yielding partial information").
 
+This is where dynamic sets earn their keep: "(2) we can implement such
+file system commands more efficiently by fetching files in parallel,
+fetching 'closer' files first, and fetching all accessible files
+despite network failures."
+
 Semantically this layer implements the paper's weakest design point
-(Figure 6's optimistic behaviour), backed by the prefetch engine for
-performance.
+(Figure 6's optimistic behaviour).  The prefetcher is the shared
+:class:`~repro.store.fetchplan.FetchPipeline` in *engine mode*:
+failures retry internally on a timer (until ``give_up_after``, if set)
+and the consumer only ever sees final results, in arrival order — so
+the first yield happens after roughly *one* fetch, not after all of
+them.
 """
 
 from __future__ import annotations
@@ -20,10 +29,10 @@ from typing import Any, Generator, Optional
 
 from ..errors import SimulationError
 from ..net.address import NodeId
+from ..store.fetchplan import FetchPipeline, FetchResult
 from ..store.repository import Repository
 from ..store.world import World
 from .filesystem import FileSystem
-from .prefetch import PrefetchEngine, PrefetchResult
 
 __all__ = ["DynSetHandle", "set_open", "set_open_dir"]
 
@@ -49,11 +58,11 @@ class DynSetHandle:
         # historical behaviour; use_cache is never a default's accident).
         self.batch_size = batch_size
         self.use_cache = use_cache
-        self.engine: Optional[PrefetchEngine] = None
+        self.engine: Optional[FetchPipeline] = None
         self.opened_at: Optional[float] = None
         self.first_result_at: Optional[float] = None
         self.closed = False
-        self.results: list[PrefetchResult] = []
+        self.results: list[FetchResult] = []
 
     # ------------------------------------------------------------------
     def open(self) -> Generator[Any, Any, "DynSetHandle"]:
@@ -67,25 +76,27 @@ class DynSetHandle:
         # name order, not raw frozenset order: the set's iteration order
         # leaks the process-global oid counter and hash seed, which made
         # the closest_first=False ablation nondeterministic across runs
-        self.engine = PrefetchEngine(
-            self.repo, sorted(view.members, key=lambda e: e.name),
-            parallelism=self.parallelism,
+        self.engine = FetchPipeline(
+            self.repo, use_cache=self.use_cache,
+            window=self.parallelism, batch_size=self.batch_size,
+            validation="none", in_order=False,
+            closest_first=self.closest_first,
             retry_interval=self.retry_interval,
             give_up_after=self.give_up_after,
-            closest_first=self.closest_first,
-            batch_size=self.batch_size,
-            use_cache=self.use_cache,
-        )
+            name=f"prefetch-{self.repo.client}")
+        self.engine.submit(sorted(view.members, key=lambda e: e.name))
+        self.engine.seal()         # fixed work-list: workers exit when done
         self.engine.start()
         return self
 
-    def iterate(self) -> Generator[Any, Any, Optional[PrefetchResult]]:
+    def iterate(self) -> Generator[Any, Any, Optional[FetchResult]]:
         """Next member as soon as one is available (setIterate).
 
-        Returns None once every member has been fetched, skipped, or
-        given up on.  Skipped/gave-up results are filtered out — the
-        caller sees only successfully materialized members (use
-        ``engine.skipped`` / ``engine.gave_up`` for the accounting).
+        Returns None once every member has been fetched, found gone
+        (removed), or given up on.  Gone/unreachable results are
+        filtered out — the caller sees only successfully materialized
+        members (``results`` keeps every :class:`FetchResult`, and
+        ``engine.gone`` / ``engine.gave_up`` the accounting).
         """
         if self.engine is None:
             raise SimulationError("setIterate before setOpen")
@@ -101,9 +112,9 @@ class DynSetHandle:
                     self.first_result_at = self.repo.world.now
                 return result
 
-    def iterate_all(self, limit: Optional[int] = None) -> Generator[Any, Any, list[PrefetchResult]]:
+    def iterate_all(self, limit: Optional[int] = None) -> Generator[Any, Any, list[FetchResult]]:
         """Drain the set (optionally the first ``limit`` members)."""
-        out: list[PrefetchResult] = []
+        out: list[FetchResult] = []
         while limit is None or len(out) < limit:
             result = yield from self.iterate()
             if result is None:
@@ -143,6 +154,5 @@ def set_open(world: World, client: NodeId, coll_id: str,
 def set_open_dir(fs: FileSystem, client: NodeId, path: str,
                  **kwargs: Any) -> Generator[Any, Any, DynSetHandle]:
     """setOpen over a file-system directory."""
-    coll_id = fs.directory_collection(path)
-    handle = DynSetHandle(Repository(fs.world, client), coll_id, **kwargs)
-    return (yield from handle.open())
+    return (yield from set_open(fs.world, client,
+                                fs.directory_collection(path), **kwargs))

@@ -98,7 +98,7 @@ def weak_find(fs: FileSystem, client: NodeId, root: str,
                         queue.clear()
                         break
             for r in handle.results:
-                if r.gave_up:
+                if r.unreachable:
                     result.unreachable.append(
                         ns.join(dir_path, r.element.name))
         finally:

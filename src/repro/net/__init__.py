@@ -45,7 +45,6 @@ from .wire import (
     CompactCodec,
     NaiveCodec,
     WireFormat,
-    apply_bandwidth_preset,
     codec_by_name,
     method_family,
     unwrap,
@@ -58,7 +57,6 @@ __all__ = [
     "CompactCodec",
     "NaiveCodec",
     "WireFormat",
-    "apply_bandwidth_preset",
     "codec_by_name",
     "method_family",
     "unwrap",

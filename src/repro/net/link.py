@@ -2,7 +2,7 @@
 
 The paper's setting is a wide-area system where "fetching 'closer' files
 first" is a meaningful optimization, so links carry an explicit latency
-model; the dynamic-sets prefetcher (``repro.dynsets.prefetch``) uses
+model; the dynamic-sets prefetcher (``repro.store.fetchplan``) uses
 estimated latency as its proximity metric.
 """
 

@@ -424,7 +424,7 @@ class ResilientClient:
         """Breaker gate: returns the breaker, or raises CircuitOpenFailure."""
         breaker = self.breaker_for(src, dst)
         if breaker is not None and not breaker.allow(self.net.now):
-            self.stats.breaker_fast_fails += 1
+            self.stats.breaker_fast_fails.value += 1
             raise CircuitOpenFailure(f"circuit {src}->{dst} is open")
         return breaker
 
@@ -437,7 +437,7 @@ class ResilientClient:
             breaker.record_success()
         elif isinstance(exc, TRANSPORT_FAILURES):
             if breaker.record_failure(self.net.now):
-                self.stats.breaker_trips += 1
+                self.stats.breaker_trips.value += 1
         else:
             # The destination answered (with an application error):
             # that's evidence of health, not failure.
@@ -500,7 +500,7 @@ class ResilientClient:
                 if self.retry_budget is not None and not self.retry_budget.withdraw():
                     # Out of retry tokens: surface the failure instead of
                     # piling more load onto a struggling server.
-                    self.stats.retry_budget_exhausted += 1
+                    self.stats.retry_budget_exhausted.value += 1
                     raise last_exc
                 delay = self.policy.backoff(attempt, self.stream)
                 # A shedding server tells us when it expects capacity;
@@ -513,7 +513,7 @@ class ResilientClient:
                     if remaining <= 0:
                         raise last_exc
                     delay = min(delay, remaining)
-                self.stats.retries += 1
+                self.stats.retries.value += 1
                 yield Sleep(delay)
         except BaseException as exc:
             if not span.finished:
@@ -588,7 +588,7 @@ class ResilientClient:
                 if not sig.fired:
                     self.last_winner = dst
                     if hedged:
-                        stats.hedge_wins += 1
+                        stats.hedge_wins.value += 1
                     sig.fire(value)
                 state["pending"] -= 1
 
@@ -603,7 +603,7 @@ class ResilientClient:
                     continue
                 launched += 1
                 if launched > 1:
-                    stats.hedges += 1
+                    stats.hedges.value += 1
                 state["pending"] += 1
                 if last:
                     state["done_launching"] = True

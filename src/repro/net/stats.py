@@ -1,16 +1,16 @@
-"""Per-node message accounting, backed by the metrics registry.
+"""Per-node message accounting, stored in the metrics registry.
 
 The experiments argue about *cost* as well as latency (e.g. quorum
 reads buy availability with extra messages); these counters put numbers
 on it.  Maintained by the transport for every message.
 
-Since the observability layer landed, :class:`NetworkStats` is a thin
-facade over :class:`~repro.obs.metrics.MetricsRegistry` counters: the
-attribute API (``stats.retries``, ``stats.total_sent``, …) is unchanged
-— reads and ``+=`` writes still work — but every count is stored once,
-in the registry, under the ``net.*`` / ``rpc.*`` names documented in
-``docs/observability.md``.  Anything the stats object reports therefore
-agrees with the exported JSONL artifact by construction.
+Every aggregate count is a :class:`~repro.obs.metrics.Counter` of the
+kernel's :class:`~repro.obs.metrics.MetricsRegistry`, resolved once and
+held as a plain attribute: ``stats.retries`` *is* the registry's
+``rpc.retries`` counter (read ``.value``, bump ``.value += 1``), so
+whatever the stats object reports agrees with the exported JSONL
+artifact by construction.  Names are documented in
+``docs/observability.md``.
 """
 
 from __future__ import annotations
@@ -43,69 +43,35 @@ class NodeStats:
                 f"bytes_out={self.bytes_sent} bytes_in={self.bytes_received}")
 
 
-def _registry_counter(metric_name: str) -> property:
-    """An int-like attribute stored in the shared registry counter."""
-
-    def fget(self: "NetworkStats") -> int:
-        return int(self._counters[metric_name].value)
-
-    def fset(self: "NetworkStats", value: int) -> None:
-        self._counters[metric_name].value = value
-
-    return property(fget, fset, doc=f"registry counter {metric_name!r}")
-
-
 class NetworkStats:
-    """Counters for the whole network, per node and aggregate.
-
-    All aggregate counters live in a :class:`MetricsRegistry` (one per
-    kernel when constructed by the transport); the attributes below are
-    registry-backed properties so legacy ``stats.retries += 1`` call
-    sites keep working while the registry stays the single source of
-    truth.
-    """
-
-    #: attribute name → registry metric name
-    METRIC_NAMES: dict[str, str] = {
-        "total_sent": "net.messages_sent",
-        "total_delivered": "net.messages_delivered",
-        "total_dropped": "net.messages_dropped",
-        "retries": "rpc.retries",
-        "hedges": "rpc.hedges",
-        "hedge_wins": "rpc.hedge_wins",
-        "breaker_trips": "rpc.breaker_trips",
-        "breaker_fast_fails": "rpc.breaker_fast_fails",
-        "failovers": "rpc.failovers",
-        "retry_budget_exhausted": "overload.retry_budget_exhausted",
-        "bytes_sent": "net.bytes_sent",
-        "bytes_received": "net.bytes_received",
-    }
+    """Counters for the whole network, per node and aggregate."""
 
     def __init__(self, registry: Optional[MetricsRegistry] = None):
         self.registry = registry if registry is not None else MetricsRegistry()
-        self._counters: dict[str, Counter] = {
-            metric: self.registry.counter(metric)
-            for metric in self.METRIC_NAMES.values()
-        }
+        counter = self.registry.counter
+        # -- transport-level counters ------------------------------------
+        self.total_sent = counter("net.messages_sent")
+        self.total_delivered = counter("net.messages_delivered")
+        self.total_dropped = counter("net.messages_dropped")
+        # -- resilience-layer counters (maintained by ResilientClient and
+        #    Repository failover, not by the transport itself) ----------
+        self.retries = counter("rpc.retries")
+        self.hedges = counter("rpc.hedges")
+        self.hedge_wins = counter("rpc.hedge_wins")
+        self.breaker_trips = counter("rpc.breaker_trips")
+        self.breaker_fast_fails = counter("rpc.breaker_fast_fails")
+        self.failovers = counter("rpc.failovers")
+        self.retry_budget_exhausted = counter("overload.retry_budget_exhausted")
+        # -- wire-level byte accounting (``Message.wire_size``, stamped by
+        #    the transport's WireFormat at send time) --------------------
+        self.bytes_sent = counter("net.bytes_sent")
+        self.bytes_received = counter("net.bytes_received")
+        # Per-method-family byte counters (``net.bytes_sent.object``,
+        # ``net.bytes_received.sync``, …), created on a family's first
+        # byte and cached per *method* so the hot path is one dict hit.
+        self._sent_by_method: dict[str, Counter] = {}
+        self._received_by_method: dict[str, Counter] = {}
         self.per_node: dict[NodeId, NodeStats] = {}
-
-    # -- transport-level counters ----------------------------------------
-    total_sent = _registry_counter("net.messages_sent")
-    total_delivered = _registry_counter("net.messages_delivered")
-    total_dropped = _registry_counter("net.messages_dropped")
-    # -- resilience-layer counters (maintained by ResilientClient and
-    #    Repository failover, not by the transport itself) --------------
-    retries = _registry_counter("rpc.retries")
-    hedges = _registry_counter("rpc.hedges")
-    hedge_wins = _registry_counter("rpc.hedge_wins")
-    breaker_trips = _registry_counter("rpc.breaker_trips")
-    breaker_fast_fails = _registry_counter("rpc.breaker_fast_fails")
-    failovers = _registry_counter("rpc.failovers")
-    retry_budget_exhausted = _registry_counter("overload.retry_budget_exhausted")
-    # -- wire-level byte accounting (``Message.wire_size``, stamped by
-    #    the transport's WireFormat at send time) ------------------------
-    bytes_sent = _registry_counter("net.bytes_sent")
-    bytes_received = _registry_counter("net.bytes_received")
 
     def node(self, name: NodeId) -> NodeStats:
         stats = self.per_node.get(name)
@@ -115,44 +81,51 @@ class NetworkStats:
         return stats
 
     def record_send(self, msg: Message) -> None:
-        self._counters["net.messages_sent"].value += 1
+        self.total_sent.value += 1
         sender = self.node(msg.src.node)
         sender.sent += 1
         self.node(msg.dst.node).addressed += 1
         size = msg.wire_size or 0
         if size:
-            self._counters["net.bytes_sent"].value += size
+            self.bytes_sent.value += size
             sender.bytes_sent += size
-            self._family_counter("net.bytes_sent", msg.method).value += size
+            family = self._sent_by_method.get(msg.method)
+            if family is None:
+                family = self._family_counter(
+                    self._sent_by_method, "net.bytes_sent", msg.method)
+            family.value += size
 
     def record_delivery(self, msg: Message) -> None:
-        self._counters["net.messages_delivered"].value += 1
+        self.total_delivered.value += 1
         receiver = self.node(msg.dst.node)
         receiver.received += 1
         if not msg.is_reply:
             receiver.requests_handled += 1
         size = msg.wire_size or 0
         if size:
-            self._counters["net.bytes_received"].value += size
+            self.bytes_received.value += size
             receiver.bytes_received += size
-            self._family_counter("net.bytes_received", msg.method).value += size
+            family = self._received_by_method.get(msg.method)
+            if family is None:
+                family = self._family_counter(
+                    self._received_by_method, "net.bytes_received", msg.method)
+            family.value += size
 
-    def _family_counter(self, base: str, method: str) -> Counter:
-        """Lazy per-method-family byte counter (``net.bytes_sent.object``,
-        ``net.bytes_received.sync``, …)."""
-        name = f"{base}.{method_family(method)}"
-        counter = self._counters.get(name)
-        if counter is None:
-            counter = self.registry.counter(name)
-            self._counters[name] = counter
+    def _family_counter(self, cache: dict[str, Counter], base: str,
+                        method: str) -> Counter:
+        """First message of ``method``: resolve its family's byte counter
+        in the registry and remember it under the method name."""
+        counter = self.registry.counter(f"{base}.{method_family(method)}")
+        cache[method] = counter
         return counter
 
     def record_drop(self, msg: Message) -> None:
-        self._counters["net.messages_dropped"].value += 1
+        self.total_dropped.value += 1
 
     @property
     def delivery_rate(self) -> float:
-        return self.total_delivered / self.total_sent if self.total_sent else 0.0
+        sent = self.total_sent.value
+        return self.total_delivered.value / sent if sent else 0.0
 
     def busiest_nodes(self, k: int = 5) -> list[tuple[NodeId, int]]:
         """Top-k nodes by requests handled (the hot servers)."""
@@ -163,10 +136,12 @@ class NetworkStats:
 
     def __str__(self) -> str:
         extras = ""
-        if self.retries or self.hedges or self.breaker_trips or self.failovers:
-            extras = (f", retries={self.retries}, hedges={self.hedges}, "
-                      f"breaker_trips={self.breaker_trips}, "
-                      f"failovers={self.failovers}")
-        return (f"NetworkStats(sent={self.total_sent}, "
-                f"delivered={self.total_delivered}, "
-                f"dropped={self.total_dropped}{extras})")
+        if (self.retries.value or self.hedges.value
+                or self.breaker_trips.value or self.failovers.value):
+            extras = (f", retries={self.retries.value}, "
+                      f"hedges={self.hedges.value}, "
+                      f"breaker_trips={self.breaker_trips.value}, "
+                      f"failovers={self.failovers.value}")
+        return (f"NetworkStats(sent={self.total_sent.value}, "
+                f"delivered={self.total_delivered.value}, "
+                f"dropped={self.total_dropped.value}{extras})")

@@ -48,10 +48,8 @@ class Transport:
         self.wire = wire if wire is not None else WireFormat()
         self._pending_replies: dict[int, Signal] = {}
         self._latency_stream = kernel.stream("net.latency")
-        self.messages_sent = 0
-        self.messages_dropped = 0
         # Counters live on the kernel's metrics registry, so the stats
-        # facade and any exported artifact are the same numbers.
+        # object and any exported artifact are the same numbers.
         self.stats = NetworkStats(registry=kernel.obs.metrics)
         self._m_delivery_delay = kernel.obs.metrics.histogram("net.delivery_delay")
         self._m_queue_delay = kernel.obs.metrics.histogram("net.link.queue_delay")
@@ -96,20 +94,22 @@ class Transport:
         """
         if msg.wire_size is None:
             object.__setattr__(msg, "wire_size", self.wire.measure(msg))
-        self.messages_sent += 1
         self.stats.record_send(msg)
+        # Message.__str__ is three nested formats: only pay for it when
+        # the trace log will keep (or hand on) the record.
+        trace = self.kernel.trace
         if self.unreachable_reason(msg.src.node, msg.dst.node) is not None:
-            self.messages_dropped += 1
             self.stats.record_drop(msg)
-            self.kernel.trace.record("drop", msg=str(msg), at="send")
+            if trace.active:
+                trace.record("drop", msg=str(msg), at="send")
             return False
         route = self.topology.route(msg.src.node, msg.dst.node) or []
         for link in route:
             if link.loss_rate > 0.0 and self._latency_stream.bernoulli(link.loss_rate):
-                self.messages_dropped += 1
                 self.stats.record_drop(msg)
-                self.kernel.trace.record("drop", msg=str(msg), at="loss",
-                                         link=f"{link.a}<->{link.b}")
+                if trace.active:
+                    trace.record("drop", msg=str(msg), at="loss",
+                                 link=f"{link.a}<->{link.b}")
                 return False
         now = self.kernel.now
         t = now + self.wire.serialize_delay(msg.wire_size)
@@ -131,19 +131,22 @@ class Transport:
                     f"net.link.queue_delay.{family}")
                 self._queue_delay_by_family[family] = hist
             hist.observe(queue_wait)
-        self.kernel.trace.record("send", msg=str(msg), delay=round(delay, 6),
-                                 size=msg.wire_size)
+        if trace.active:
+            trace.record("send", msg=str(msg), delay=round(delay, 6),
+                         size=msg.wire_size)
         self.kernel.call_soon(lambda: self._deliver(msg), delay=delay)
         return True
 
     def _deliver(self, msg: Message) -> None:
+        trace = self.kernel.trace
         if self.unreachable_reason(msg.src.node, msg.dst.node) is not None:
-            self.messages_dropped += 1
             self.stats.record_drop(msg)
-            self.kernel.trace.record("drop", msg=str(msg), at="delivery")
+            if trace.active:
+                trace.record("drop", msg=str(msg), at="delivery")
             return
         self.stats.record_delivery(msg)
-        self.kernel.trace.record("recv", msg=str(msg))
+        if trace.active:
+            trace.record("recv", msg=str(msg))
         if msg.is_reply:
             self._complete_reply(msg)
         else:

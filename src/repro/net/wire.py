@@ -40,8 +40,7 @@ message an honest size:
     the first bit hits the first link).
 
 Bandwidth presets (``lan`` / ``wan`` / ``mobile``) give scenarios a
-one-word dial for constrained links; :func:`apply_bandwidth_preset`
-retro-fits an existing topology.
+one-word dial for constrained links (``ScenarioSpec.bandwidth_preset``).
 """
 
 from __future__ import annotations
@@ -49,7 +48,7 @@ from __future__ import annotations
 import pickle
 import struct
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Any, Optional
+from typing import Any, Optional
 
 from ..errors import (
     CircuitOpenFailure,
@@ -81,9 +80,6 @@ from .address import Address
 from .executor import PRIORITY_NORMAL
 from .message import Message
 
-if TYPE_CHECKING:  # pragma: no cover
-    from .topology import Topology
-
 __all__ = [
     "Blob",
     "unwrap",
@@ -94,7 +90,6 @@ __all__ = [
     "method_family",
     "BandwidthPreset",
     "BANDWIDTH_PRESETS",
-    "apply_bandwidth_preset",
     "encode_uvarint",
     "decode_uvarint",
 ]
@@ -853,27 +848,3 @@ BANDWIDTH_PRESETS: dict[str, BandwidthPreset] = {
                               access=250_000.0,
                               serialize_rate=50_000_000.0),
 }
-
-
-def apply_bandwidth_preset(topology: "Topology", preset: "str | BandwidthPreset",
-                           *, access_nodes: tuple[str, ...] = ("client",),
-                           inter_threshold: float = 0.02) -> "BandwidthPreset":
-    """Retro-fit a built topology with a named bandwidth preset.
-
-    Links touching an ``access_nodes`` member get the access rate;
-    links whose expected latency reaches ``inter_threshold`` are
-    classed as WAN (inter); everything else is intra.  Builders accept
-    bandwidth dials directly — this helper is for topologies built
-    before the preset was chosen (e.g. a population run constraining a
-    scenario it did not build).
-    """
-    if isinstance(preset, str):
-        preset = BANDWIDTH_PRESETS[preset]
-    for link in topology.links():
-        if link.a in access_nodes or link.b in access_nodes:
-            link.bandwidth = preset.access
-        elif link.latency.expected() >= inter_threshold:
-            link.bandwidth = preset.inter
-        else:
-            link.bandwidth = preset.intra
-    return preset

@@ -34,7 +34,6 @@ the semantic reference for what one step means.
 from __future__ import annotations
 
 import itertools
-import os
 import time
 from typing import Any, Callable, Generator, Optional, Union
 
@@ -62,8 +61,6 @@ class Kernel:
         self.clock = Clock()
         self.random = RandomRouter(seed)
         self.trace = TraceLog(enabled=trace, clock=self.clock)
-        if scheduler is None:
-            scheduler = os.environ.get("REPRO_SIM_SCHED") or None
         self._sched: EventScheduler = make_scheduler(scheduler)
         self._seq = itertools.count()
         self._processes: list[Process] = []

@@ -46,7 +46,15 @@ class TraceLog:
         self._records: list[TraceRecord] = []
         self._subscribers: list[Callable[[TraceRecord], None]] = []
 
+    @property
+    def active(self) -> bool:
+        """Will :meth:`record` keep (or hand on) a record right now?
+        Hot callers check this before *formatting* a record's fields."""
+        return self.enabled or bool(self._subscribers)
+
     def record(self, kind: str, **fields: Any) -> None:
+        # ``not self.active``, spelled out: the kernel calls this once per
+        # process finish, where a property call would show in calls/op.
         if not self.enabled and not self._subscribers:
             return
         now = self._clock.now if self._clock is not None else 0.0

@@ -14,8 +14,7 @@ Two pieces:
 :class:`FetchPlanner`
     Orders candidate elements (closest-first, or an application
     priority hint) and ranks hosts by expected latency — the one shared
-    home/replica-ranking helper (``Repository._rank`` and the old
-    prefetch engine each had a private copy).
+    home/replica-ranking helper.
 
 :class:`FetchPipeline`
     A sliding window of in-flight fetches that overlaps RPCs with
@@ -57,13 +56,12 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Generator, Iterable, Optional
 
 from ..errors import (CircuitOpenFailure, DisconnectedError, FailureException,
-                      NoSuchObjectError, ServerBusyFailure, TimeoutFailure)
+                      NoSuchObjectError, ServerBusyFailure)
 from ..net.address import NodeId
 from ..net.resilience import TRANSPORT_FAILURES
 from ..net.wire import unwrap
 from ..sim.events import Signal, Sleep, Wait
 from .elements import Element, ObjectId
-from .server import ObjectServer
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .repository import Repository
@@ -183,7 +181,7 @@ class FetchPipeline:
     ``window`` bounds in-flight *elements*; ``batch_size`` bounds how
     many same-home elements one ``get_objects`` RPC may carry.  With
     ``batch_size=1`` the pipeline degenerates to pure parallel
-    pipelining — exactly the old dynamic-sets prefetch engine.
+    pipelining — the dynamic-sets prefetcher's default.
 
     Two consumption modes:
 
@@ -320,7 +318,7 @@ class FetchPipeline:
 
     def seal(self) -> None:
         """Promise no further :meth:`submit`; lets engine-mode workers
-        exit once everything has settled (prefetch-engine contract)."""
+        exit once everything has settled (the dynamic-sets contract)."""
         self._sealed = True
 
     def _on_world_change(self) -> None:
@@ -356,18 +354,14 @@ class FetchPipeline:
                         element, value=cached, fetched_at=self.world.now,
                         issue_epoch=self._epoch, from_cache=True))
                     continue
-            if self.repo.disconnected and self.repo.cache is not None:
+            if self.repo.disconnected:
                 # DISCONNECTED client: a stale cached value (past its
                 # TTL, with its age accounted for) beats an RPC that is
                 # known to fail — the only other option offline.
-                peeked = self.repo.cache.peek(("object", element.oid),
-                                              self.world.now)
+                peeked = self.repo._serve_stale(("object", element.oid))
                 if peeked is not None:
-                    value, age = peeked
-                    self.repo._m_stale_served.value += 1
-                    self.repo._m_stale_age.observe(age)
                     self._settle(FetchResult(
-                        element, value=value, fetched_at=self.world.now,
+                        element, value=peeked[0], fetched_at=self.world.now,
                         issue_epoch=self._epoch, from_cache=True))
                     continue
             self._todo.append(element)
@@ -382,10 +376,6 @@ class FetchPipeline:
     def pending(self) -> bool:
         """Anything submitted but not yet delivered?"""
         return bool(self._live)
-
-    @property
-    def exhausted(self) -> bool:
-        return not self._live
 
     def next_result(self) -> Generator[Any, Any, Optional[FetchResult]]:
         """Deliver the next result (validated); ``None`` when nothing is
@@ -492,8 +482,7 @@ class FetchPipeline:
                         and self._in_flight == 0):
                     return
                 if self.retry_interval is not None:
-                    # Engine mode polls (retries are time-based) — the
-                    # same cadence the old prefetch engine used.
+                    # Engine mode polls (retries are time-based).
                     yield Sleep(self.retry_interval / 2)
                 else:
                     signal = Signal(name="fetch-work")
@@ -573,11 +562,11 @@ class FetchPipeline:
             outcomes = yield from self.repo._call(home, "get_objects", oids)
         except FailureException as exc:
             self._tracer.finish(span, outcome=type(exc).__name__)
-            self._feed_limiter(exc, span.duration)
+            self.repo._feed_limiter(exc, span.duration)
             yield from self._batch_failed(batch, exc, issue_epoch, issued_at)
             return
         self._tracer.finish(span, outcome="ok")
-        self._feed_limiter(None, span.duration)
+        self.repo._feed_limiter(None, span.duration)
         self._m_latency.observe(span.duration)
         for element, (status, value) in zip(batch, outcomes):
             self._m_fetch_latency.observe(self.world.now - issued_at)
@@ -592,11 +581,10 @@ class FetchPipeline:
     def _execute_hedged(self, element: Element, issue_epoch: int,
                         issued_at: float) -> Generator:
         """Tail-latency insurance for singleton batches: race the home's
-        authoritative read against the element's replica copies — the
-        same race ``Repository._fetch_value`` runs for point lookups.
+        authoritative read against the element's replica copies
+        (``Repository._hedged_get``, the race point lookups run too).
         A replica can win only with a live copy (the safe direction),
         while the home's "removed" answer settles the race as gone."""
-        repo = self.repo
         ranked = self.planner.rank_replicas(element)
         self._m_calls.value += 1
         self._m_elements.value += 1
@@ -604,11 +592,7 @@ class FetchPipeline:
         span = self._tracer.start("fetch.batch", host=str(element.home),
                                   n=1, hedged=True)
         try:
-            value = yield from repo.resilience.hedged_call(
-                repo.client, (element.home,) + ranked,
-                ObjectServer.SERVICE, "get_object", element.oid,
-                timeout=repo.rpc_timeout,
-                method_for={r: "get_object_replica" for r in ranked})
+            value = yield from self.repo._hedged_get(element, ranked)
         except NoSuchObjectError:
             self._tracer.finish(span, outcome="NoSuchObjectError")
             self._m_fetch_latency.observe(self.world.now - issued_at)
@@ -619,14 +603,14 @@ class FetchPipeline:
             return
         except FailureException as exc:
             self._tracer.finish(span, outcome=type(exc).__name__)
-            self._feed_limiter(exc, span.duration)
+            self.repo._feed_limiter(exc, span.duration)
             # Every racer lost to a fault, not to latency: the patient
             # failover sweep / retry bookkeeping takes over.
             yield from self._batch_failed([element], exc, issue_epoch,
                                           issued_at)
             return
         self._tracer.finish(span, outcome="ok")
-        self._feed_limiter(None, span.duration)
+        self.repo._feed_limiter(None, span.duration)
         self._m_latency.observe(span.duration)
         self._m_fetch_latency.observe(self.world.now - issued_at)
         self._settle_ok(element, value, issue_epoch)
@@ -663,8 +647,8 @@ class FetchPipeline:
                 span = self._tracer.start("fetch.batch", host=str(replica),
                                           n=len(oids), failover=True)
                 try:
-                    outcomes = yield from self.repo._call_once(
-                        replica, "get_objects_replica", oids)
+                    outcomes = yield from self.repo._call(
+                        replica, "get_objects_replica", oids, max_attempts=1)
                 except FailureException as failure:
                     self._tracer.finish(span, outcome=type(failure).__name__)
                     continue
@@ -673,7 +657,7 @@ class FetchPipeline:
                 still: list[Element] = []
                 for element, (status, value) in zip(remaining, outcomes):
                     if status == "ok":
-                        self.repo.net.transport.stats.failovers += 1
+                        self.repo.net.transport.stats.failovers.value += 1
                         self._m_failovers.value += 1
                         self._m_fetch_latency.observe(self.world.now - issued_at)
                         self._settle_ok(element, value, issue_epoch)
@@ -683,29 +667,10 @@ class FetchPipeline:
             unresolved.extend(remaining)
         return unresolved
 
-    def _feed_limiter(self, exc: Optional[FailureException],
-                      latency: float) -> None:
-        """Report one batch outcome to the client's AIMD window.
-
-        Sheds and timeouts are congestion evidence (multiplicative
-        decrease); clean completions are room-to-grow evidence
-        (additive increase).  Other failures — crash, partition,
-        application errors — say nothing about *load* and feed nothing.
-        """
-        limiter = self.repo.limiter
-        if limiter is None:
-            return
-        if exc is None:
-            limiter.on_success(latency, self.world.now)
-        elif isinstance(exc, (ServerBusyFailure, TimeoutFailure)):
-            limiter.on_overload(self.world.now)
-
     def _element_failed(self, element: Element, exc: FailureException) -> None:
         if self.retry_interval is None:
             # Iterator mode: the iterator owns the retry policy.
-            self._settle(FetchResult(
-                element, status="unreachable", fetched_at=self.world.now,
-                issue_epoch=self._epoch, detail=str(exc)))
+            self._settle_unreachable(element, str(exc))
             return
         now = self.world.now
         if isinstance(exc, DisconnectedError):
@@ -713,17 +678,13 @@ class FetchPipeline:
             # retrying reaches anything until reconnect, so don't burn
             # the give_up_after budget in simulated retry time.
             self.gave_up += 1
-            self._settle(FetchResult(
-                element, status="unreachable", fetched_at=now,
-                issue_epoch=self._epoch, detail=f"disconnected: {exc}"))
+            self._settle_unreachable(element, f"disconnected: {exc}")
             return
         first = self._first_failure.setdefault(element.oid, now)
         if (self.give_up_after is not None
                 and now - first >= self.give_up_after):
             self.gave_up += 1
-            self._settle(FetchResult(
-                element, status="unreachable", fetched_at=now,
-                issue_epoch=self._epoch, detail=f"gave up: {exc}"))
+            self._settle_unreachable(element, f"gave up: {exc}")
         else:
             self.retries += 1
             self._m_retries.value += 1
@@ -734,6 +695,11 @@ class FetchPipeline:
             wait = max(self.retry_interval,
                        getattr(exc, "retry_after", 0.0) or 0.0)
             self._retry.append((now + wait, element))
+
+    def _settle_unreachable(self, element: Element, detail: str) -> None:
+        self._settle(FetchResult(
+            element, status="unreachable", fetched_at=self.world.now,
+            issue_epoch=self._epoch, detail=detail))
 
     # ------------------------------------------------------------------
     def _settle_ok(self, element: Element, value: Any, issue_epoch: int) -> None:

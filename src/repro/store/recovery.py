@@ -127,33 +127,28 @@ class RecoveryManager:
                 server._finish_add_batch(state, record)
                 self._m_replayed.inc()
                 return True
-            if record.kind == "erase-batch":
-                if state is None or not record.elements:
-                    server.wal.abort(record)
-                    return True
-                for item in record.elements:
-                    ok = yield from self._erase_copies(
-                        server, record, item, step_of=batch_erase_step)
-                    if not ok:
-                        return False
-                server._finish_erase_batch(state, record.elements, record)
-                self._m_replayed.inc()
-                return True
-            element = record.element
-            if state is None or element is None:
+            # "erase" and "erase-batch" are one engine: a single erase is
+            # a batch of one that keeps the bare (un-namespaced) step names.
+            items = record.elements
+            step_of = batch_erase_step
+            if record.kind == "erase":
+                items = (record.element,) if record.element is not None else ()
+                step_of = erase_step
+            if state is None or not items:
                 server.wal.abort(record)
                 return True
-            ok = yield from self._erase_copies(server, record, element)
-            if not ok:
-                return False
-            server._finish_erase(state, element, record)
+            for item in items:
+                ok = yield from self._erase_copies(server, record, item, step_of)
+                if not ok:
+                    return False
+            server._finish_erase_batch(state, items, record)
             self._m_replayed.inc()
             return True
         finally:
             record.in_flight = False
 
     def _erase_copies(self, server: ObjectServer, record: IntentRecord,
-                      element, step_of=erase_step) -> Generator[object, object, bool]:
+                      element, step_of) -> Generator[object, object, bool]:
         """Idempotently re-delete one element's unmarked copies.
 
         ``step_of`` picks the step namespace: plain erase intents use

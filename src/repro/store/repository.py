@@ -12,6 +12,7 @@ from __future__ import annotations
 from typing import Any, Generator, Iterable, Optional
 
 from ..errors import (CircuitOpenFailure, DisconnectedError, FailureException,
+                      ServerBusyFailure, TimeoutFailure,
                       UnreachableObjectFailure, WrongShardFailure)
 from ..net.address import NodeId
 from ..net.resilience import TRANSPORT_FAILURES, AdaptiveLimiter, ResilientClient
@@ -206,17 +207,17 @@ class Repository:
                 reply = yield from self.resilience.hedged_call(
                     self.client, ranked[:2], ObjectServer.SERVICE,
                     "list_members", coll_id, timeout=self.rpc_timeout)
-                version, members, degraded = _unpack_snapshot(reply)
                 host = self.resilience.last_winner or ranked[0]
-                view = MembershipView(coll_id, version, frozenset(members),
-                                      host, self.world.now, stale=degraded)
-                if self.cache is not None:
-                    self.cache.put(("membership", coll_id), view, self.world.now)
-                return view
+                return self._membership_view(coll_id, reply, host)
             host = ranked[0]
         else:
             host = source
         reply = yield from self._call(host, "list_members", coll_id)
+        return self._membership_view(coll_id, reply, host)
+
+    def _membership_view(self, coll_id: str, reply,
+                         host: NodeId) -> MembershipView:
+        """Turn one host's ``list_members`` reply into the (cached) view."""
         version, members, degraded = _unpack_snapshot(reply)
         view = MembershipView(coll_id, version, frozenset(members), host,
                               self.world.now, stale=degraded)
@@ -352,6 +353,18 @@ class Repository:
                               self.world.now, stale=degraded)
 
     # -- stale-while-offline serving -----------------------------------
+    def _serve_stale(self, key: tuple) -> Optional[tuple[Any, float]]:
+        """DISCONNECTED read of cache entry ``key``, however old it is:
+        ``(value, age)`` with the staleness accounted for, or ``None``
+        when nothing is cached."""
+        if self.cache is None:
+            return None
+        peeked = self.cache.peek(key, self.world.now)
+        if peeked is not None:
+            self._m_stale_served.value += 1
+            self._m_stale_age.observe(peeked[1])
+        return peeked
+
     def _stale_membership(self, coll_id: str) -> MembershipView:
         """DISCONNECTED read: serve the cached view however old it is.
 
@@ -360,27 +373,20 @@ class Repository:
         absent, so the only alternatives are a stale answer (with its
         age accounted for) or an immediate :class:`DisconnectedError`.
         """
-        if self.cache is not None:
-            peeked = self.cache.peek(("membership", coll_id), self.world.now)
-            if peeked is not None:
-                view, age = peeked
-                self._m_stale_served.value += 1
-                self._m_stale_age.observe(age)
-                self._m_membership_age.observe(age)
-                return view
-        raise DisconnectedError(
-            f"disconnected and no cached membership for {coll_id!r}")
+        peeked = self._serve_stale(("membership", coll_id))
+        if peeked is None:
+            raise DisconnectedError(
+                f"disconnected and no cached membership for {coll_id!r}")
+        view, age = peeked
+        self._m_membership_age.observe(age)
+        return view
 
     def _stale_object(self, element: Element) -> Any:
-        if self.cache is not None:
-            peeked = self.cache.peek(("object", element.oid), self.world.now)
-            if peeked is not None:
-                value, age = peeked
-                self._m_stale_served.value += 1
-                self._m_stale_age.observe(age)
-                return value
-        raise DisconnectedError(
-            f"disconnected and no cached value for {element.name!r}")
+        peeked = self._serve_stale(("object", element.oid))
+        if peeked is None:
+            raise DisconnectedError(
+                f"disconnected and no cached value for {element.name!r}")
+        return peeked[0]
 
     def fetch(self, element: Element, *, use_cache: bool = False,
               failover: bool = False) -> Generator[Any, Any, Any]:
@@ -436,11 +442,7 @@ class Repository:
                 # home's "removed" answer (NoSuchObjectError) settles the
                 # race immediately and still propagates.
                 try:
-                    return (yield from self.resilience.hedged_call(
-                        self.client, (element.home,) + ranked,
-                        ObjectServer.SERVICE, "get_object", element.oid,
-                        timeout=self.rpc_timeout,
-                        method_for={r: "get_object_replica" for r in ranked}))
+                    return (yield from self._hedged_get(element, ranked))
                 except FailureException as exc:
                     if not isinstance(exc, divertable):
                         raise
@@ -454,6 +456,19 @@ class Repository:
                 raise
             return (yield from self._fetch_from_replicas(element, exc))
 
+    def _hedged_get(self, element: Element,
+                    ranked: tuple[NodeId, ...]) -> Generator[Any, Any, Any]:
+        """The hedged read of one element — stated once, for point
+        lookups here and the fetch pipeline's singleton batches: the
+        home's authoritative ``get_object`` first, then each ``ranked``
+        replica's non-authoritative ``get_object_replica`` as the hedge
+        delay expires; first reply wins."""
+        return (yield from self.resilience.hedged_call(
+            self.client, (element.home,) + ranked,
+            ObjectServer.SERVICE, "get_object", element.oid,
+            timeout=self.rpc_timeout,
+            method_for={r: "get_object_replica" for r in ranked}))
+
     def _fetch_from_replicas(self, element: Element,
                              home_exc: FailureException) -> Generator[Any, Any, Any]:
         """Closest-first sweep of replica copies; re-raise ``home_exc`` if
@@ -464,11 +479,11 @@ class Repository:
         weak set, which may omit but must never invent."""
         for replica in self._rank(element.replicas):
             try:
-                value = yield from self._call_once(
-                    replica, "get_object_replica", element.oid)
+                value = yield from self._call(
+                    replica, "get_object_replica", element.oid, max_attempts=1)
             except FailureException:
                 continue
-            self.net.transport.stats.failovers += 1
+            self.net.transport.stats.failovers.value += 1
             return value
         raise home_exc
 
@@ -523,7 +538,8 @@ class Repository:
         for dest in placed:
             self._m_orphan_cleanups.value += 1
             try:
-                yield from self._call_once(dest, "delete_object", element.oid)
+                yield from self._call(dest, "delete_object", element.oid,
+                                      max_attempts=1)
             except FailureException:
                 pass
 
@@ -665,8 +681,8 @@ class Repository:
             # that did hear us: best-effort deregister, then propagate.
             for node in registered:
                 try:
-                    yield from self._call_once(node, "end_iteration",
-                                               coll_id, token)
+                    yield from self._call(node, "end_iteration",
+                                          coll_id, token, max_attempts=1)
                 except FailureException:
                     pass
             raise
@@ -679,7 +695,12 @@ class Repository:
         return purged
 
     # ------------------------------------------------------------------
-    def _call(self, host: NodeId, method: str, *args: Any) -> Generator[Any, Any, Any]:
+    def _call(self, host: NodeId, method: str, *args: Any,
+              max_attempts: Optional[int] = None) -> Generator[Any, Any, Any]:
+        """The one RPC funnel.  ``max_attempts=1`` is the single-attempt
+        form failover sweeps and best-effort cleanups use: their
+        alternates *are* the retry, and backing off between replicas
+        would burn the budget (``None`` = the resilience policy's count)."""
         if self.disconnected:
             # Fail fast in zero simulated time: while DISCONNECTED, no
             # retry/backoff budget is worth burning — the client *chose*
@@ -689,28 +710,30 @@ class Repository:
         if self.resilience is not None:
             return (yield from self.resilience.call(
                 self.client, host, ObjectServer.SERVICE, method, *args,
-                timeout=self.rpc_timeout,
+                timeout=self.rpc_timeout, max_attempts=max_attempts,
             ))
         return (yield from self.net.call(
             self.client, host, ObjectServer.SERVICE, method, *args,
             timeout=self.rpc_timeout,
         ))
 
-    def _call_once(self, host: NodeId, method: str, *args: Any) -> Generator[Any, Any, Any]:
-        """Single-attempt call (the failover loop's alternates *are* the
-        retry; backing off between replicas would burn the budget)."""
-        if self.disconnected:
-            raise DisconnectedError(
-                f"{self.client} is disconnected (call to {host}.{method})")
-        if self.resilience is not None:
-            return (yield from self.resilience.call(
-                self.client, host, ObjectServer.SERVICE, method, *args,
-                timeout=self.rpc_timeout, max_attempts=1,
-            ))
-        return (yield from self.net.call(
-            self.client, host, ObjectServer.SERVICE, method, *args,
-            timeout=self.rpc_timeout,
-        ))
+    def _feed_limiter(self, exc: Optional[BaseException],
+                      latency: float) -> None:
+        """Report one batch-RPC outcome of either pipeline to this
+        client's AIMD window.
+
+        Sheds and timeouts are congestion evidence (multiplicative
+        decrease); clean completions are room-to-grow evidence
+        (additive increase).  Other failures — crash, partition,
+        application errors — say nothing about *load* and feed nothing.
+        """
+        limiter = self.limiter
+        if limiter is None:
+            return
+        if exc is None:
+            limiter.on_success(latency, self.world.now)
+        elif isinstance(exc, (ServerBusyFailure, TimeoutFailure)):
+            limiter.on_overload(self.world.now)
 
     def __repr__(self) -> str:
         return f"Repository(client={self.client!r})"

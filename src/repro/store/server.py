@@ -198,17 +198,7 @@ class ObjectServer:
         what lets a client treat the whole reply as one membership
         sample.
         """
-        if not oids:
-            return ()
-        yield Sleep(self.world.service_time)
-        outcomes = []
-        for oid in oids:
-            obj = self.objects.get(oid)
-            if obj is None or obj.deleted:
-                outcomes.append(("gone", None))
-            else:
-                outcomes.append(("ok", Blob(obj.value, obj.size)))
-        return tuple(outcomes)
+        return (yield from self._read_batch(oids, "gone"))
 
     def get_objects_replica(
         self, oids: Sequence[ObjectId]
@@ -217,6 +207,10 @@ class ObjectServer:
         None)`` per oid.  As with :meth:`get_object_replica`, a missing
         copy is never authoritative about removal — "miss" only means
         "no usable copy here, try elsewhere"."""
+        return (yield from self._read_batch(oids, "miss"))
+
+    def _read_batch(self, oids: Sequence[ObjectId], missing: str
+                    ) -> Generator[Any, Any, tuple[tuple[str, Any], ...]]:
         if not oids:
             return ()
         yield Sleep(self.world.service_time)
@@ -224,7 +218,7 @@ class ObjectServer:
         for oid in oids:
             obj = self.objects.get(oid)
             if obj is None or obj.deleted:
-                outcomes.append(("miss", None))
+                outcomes.append((missing, None))
             else:
                 outcomes.append(("ok", Blob(obj.value, obj.size)))
         return tuple(outcomes)
@@ -455,45 +449,13 @@ class ObjectServer:
         try:
             yield from self.wal.step(record, "begin")
             try:
-                for holder in element.replicas + (element.home,):
-                    step = erase_step(element, holder)
-                    if record.done(step):
-                        continue
-                    if holder == self.node_id:
-                        yield from self.delete_object(element.oid)
-                    else:
-                        yield from self.world.net.call(
-                            self.node_id, holder, self.SERVICE, "delete_object",
-                            element.oid
-                        )
-                    yield from self.wal.step(record, step)
+                yield from self._erase_copies(record, element, erase_step)
             except FailureException:
                 self.wal.abort(record)
                 raise
-            self._finish_erase(state, element, record)
+            self._finish_erase_batch(state, (element,), record)
         finally:
             record.in_flight = False
-
-    def _finish_erase(self, state: CollectionState, element: Element,
-                      record: IntentRecord) -> None:
-        """The final, purely local erase step: pop membership, tombstone.
-
-        Idempotent (recovery and scrub may race a resumed handler): the
-        pop happens only if this exact element is still listed, and the
-        intent commits either way.
-        """
-        if state.members.get(element.name) == element:
-            state.members.pop(element.name, None)
-            state.ghosts.discard(element.name)
-            state.member_versions.pop(element.name, None)
-            state.version += 1
-            state.removed[element.name] = (state.version, element)
-            state.unverified_removals.add(element.name)
-            self.wal.mark(record, "membership")
-            self.wal.commit(record)
-            self.world._membership_changed(state.coll_id)
-        else:
-            self.wal.commit(record)
 
     # ------------------------------------------------------------------
     # collections: batched mutation (primary only, group commit)
@@ -608,7 +570,8 @@ class ObjectServer:
             failure: Optional[FailureException] = None
             for element in targets:
                 try:
-                    yield from self._erase_copies(record, element)
+                    yield from self._erase_copies(record, element,
+                                                  batch_erase_step)
                 except FailureException as exc:
                     failure = exc
                     break
@@ -625,11 +588,14 @@ class ObjectServer:
             record.in_flight = False
         return state.version
 
-    def _erase_copies(self, record: IntentRecord, element: Element) -> Generator:
-        """Delete one element's copies (replicas before home), marking
-        the batch-namespaced step after each delete lands."""
+    def _erase_copies(self, record: IntentRecord, element: Element,
+                      step_of) -> Generator:
+        """The one erase engine: delete one element's copies (replicas
+        before home), marking the step ``step_of(element, holder)``
+        names after each delete lands — :func:`erase_step` for a single
+        ``erase`` intent, :func:`batch_erase_step` inside a batch."""
         for holder in element.replicas + (element.home,):
-            step = batch_erase_step(element, holder)
+            step = step_of(element, holder)
             if record.done(step):
                 continue
             if holder == self.node_id:
@@ -644,11 +610,15 @@ class ObjectServer:
     def _finish_erase_batch(self, state: CollectionState,
                             elements: Sequence[Element],
                             record: IntentRecord) -> None:
-        """Pop a batch's memberships under one coalesced version bump.
+        """The final, purely local erase step: pop the memberships and
+        tombstone them under one coalesced version bump (a single erase
+        is a batch of one).
 
-        Idempotent, like :meth:`_finish_erase`; every tombstone carries
-        the single post-batch version, so a replica syncs the whole
-        group of removals as one jump.
+        Idempotent (recovery and scrub may race a resumed handler): an
+        element is popped only if that exact element is still listed,
+        and the intent commits either way.  Every tombstone carries the
+        single post-batch version, so a replica syncs the whole group of
+        removals as one jump.
         """
         popped = [e for e in elements if state.members.get(e.name) == e]
         if popped:

@@ -23,7 +23,6 @@ RPC (:class:`~repro.store.repository.Repository`) like honest clients.
 from __future__ import annotations
 
 import itertools
-import warnings
 from dataclasses import dataclass, field
 from typing import Any, Callable, Generator, Iterable, Optional
 
@@ -76,19 +75,13 @@ class World:
     """Object servers + collections + ground truth over one network."""
 
     def __init__(self, net: Network, *, service_time: float = 0.002,
-                 bandwidth: Optional[float] = None, replica_lag: float = 0.5,
-                 recovery_enabled: bool = True, scrub_interval: float = 2.0,
+                 replica_lag: float = 0.5, recovery_enabled: bool = True,
+                 scrub_interval: float = 2.0,
                  executor: Optional[ExecutorPolicy] = None):
         """
         Args:
             net: the simulated network to install servers on.
             service_time: per-request server-side processing delay.
-            bandwidth: **deprecated** — object transfers are now charged
-                by the wire model (``Link.bandwidth`` + the transport's
-                codec), not as server service time.  Passing a value
-                warns and configures it as the default bandwidth on
-                every topology link that has none, which approximates
-                the old cost model without double-charging.
             replica_lag: anti-entropy period for collection replicas;
                 bounds how stale a reachable replica can be while the
                 primary is reachable.
@@ -104,19 +97,6 @@ class World:
         self.net = net
         self.kernel = net.kernel
         self.service_time = service_time
-        if bandwidth is not None:
-            warnings.warn(
-                "World(bandwidth=...) is deprecated: object transfer cost "
-                "moved onto the wire model; the value now sets the default "
-                "Link.bandwidth on links that have none. Set bandwidths on "
-                "the topology (or a ScenarioSpec bandwidth preset) instead.",
-                DeprecationWarning, stacklevel=2,
-            )
-            if bandwidth > 0:
-                for link in net.topology.links():
-                    if link.bandwidth <= 0:
-                        link.bandwidth = bandwidth
-        self.bandwidth = bandwidth if bandwidth is not None else 0.0
         self.replica_lag = replica_lag
         self.recovery_enabled = recovery_enabled
         self.scrub_interval = scrub_interval

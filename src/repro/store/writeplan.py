@@ -56,8 +56,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Generator, Optional, Sequence
 
-from ..errors import (FailureException, ServerBusyFailure, StoreError,
-                      TimeoutFailure, WrongShardFailure)
+from ..errors import FailureException, StoreError, WrongShardFailure
 from ..net.address import NodeId
 from ..net.wire import Blob
 from ..sim.events import Fork, Join, Signal, Wait
@@ -399,24 +398,11 @@ class WritePipeline:
         try:
             yield from self.repo._call(dest, "put_objects", tuple(entries))
         except FailureException as exc:
-            self._feed_limiter(exc, self.world.now - issued_at)
+            self.repo._feed_limiter(exc, self.world.now - issued_at)
             outcomes[dest] = exc
             return
-        self._feed_limiter(None, self.world.now - issued_at)
+        self.repo._feed_limiter(None, self.world.now - issued_at)
         outcomes[dest] = None
-
-    def _feed_limiter(self, exc: Optional[BaseException],
-                      latency: float) -> None:
-        """Report one batch-RPC outcome to the client's AIMD window
-        (the fetch pipeline's congestion-evidence rule: sheds and
-        timeouts shrink it, clean completions grow it)."""
-        limiter = self.repo.limiter
-        if limiter is None:
-            return
-        if exc is None:
-            limiter.on_success(latency, self.world.now)
-        elif isinstance(exc, (ServerBusyFailure, TimeoutFailure)):
-            limiter.on_overload(self.world.now)
 
     # -- stage 2: membership registration, group-committed ----------------
     def _execute_add_members(self, ops: list[_WriteOp]) -> Generator:
@@ -504,11 +490,11 @@ class WritePipeline:
             yield from self.repo._call(owner, rpc, self.coll_id, elements)
         except (FailureException, StoreError) as exc:
             self._tracer.finish(span, outcome=type(exc).__name__)
-            self._feed_limiter(exc, span.duration)
+            self.repo._feed_limiter(exc, span.duration)
             outcomes[owner] = exc
             return
         self._tracer.finish(span, outcome="ok")
-        self._feed_limiter(None, span.duration)
+        self.repo._feed_limiter(None, span.duration)
         self._m_latency.observe(span.duration)
         outcomes[owner] = None
 

@@ -33,10 +33,9 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Generator, Optional, Sequence
+from typing import Callable, Generator, Optional
 
 from ..errors import FailureException, SimulationError, StoreError
-from ..net.wire import BANDWIDTH_PRESETS, apply_bandwidth_preset
 from ..sim.events import Sleep
 from ..sim.rng import Stream
 from ..spec import check_conformance, spec_by_id
@@ -98,15 +97,9 @@ class PopulationSpec:
     pareto_alpha: float = 1.5               # tail index of Pareto gaps (>1)
     audit_fraction: float = 0.0             # sessions running a recorded,
                                             # conformance-checked iteration
-    audit_semantics: str = "dynamic"        # weak-set impl audited sessions use
-    audit_figure: str = "fig6"              # spec the audit trace is checked against
+                                            # (a dynamic-set drain vs fig6)
     drain_grace: float = 10.0               # extra virtual seconds for
                                             # in-flight sessions to finish
-    bandwidth_preset: Optional[str] = None  # retro-fit the scenario's links
-                                            # with a named bandwidth preset
-                                            # ("lan" | "wan" | "mobile") so
-                                            # population runs can load a
-                                            # constrained wire
 
     def __post_init__(self) -> None:
         if not self.behaviors:
@@ -121,11 +114,6 @@ class PopulationSpec:
                 "known: lognormal, pareto, exponential")
         if self.pareto_alpha <= 1.0:
             raise SimulationError("pareto_alpha must exceed 1 (finite mean)")
-        if (self.bandwidth_preset is not None
-                and self.bandwidth_preset not in BANDWIDTH_PRESETS):
-            raise SimulationError(
-                f"unknown bandwidth preset {self.bandwidth_preset!r}; "
-                f"known: {sorted(BANDWIDTH_PRESETS)}")
 
     @property
     def total_duration(self) -> float:
@@ -227,10 +215,6 @@ class PopulationEngine:
         self.scenario = scenario
         self.spec = spec
         self.kernel = scenario.kernel
-        if spec.bandwidth_preset is not None:
-            apply_bandwidth_preset(scenario.net.topology,
-                                   spec.bandwidth_preset,
-                                   access_nodes=(scenario.client,))
         self.stream = self.kernel.stream("population.arrivals")
         self.stage_results: list[StageResult] = [
             StageResult(index=i, name=s.name or f"stage-{i}",
@@ -239,7 +223,7 @@ class PopulationEngine:
         ]
         self.active = 0
         self.peak_active = 0
-        self._audit_spec = spec_by_id(spec.audit_figure)
+        self._audit_spec = spec_by_id("fig6")
         # Weighted-choice table (few behaviours: linear scan is fine).
         self._cum_weights: list[float] = list(
             itertools.accumulate(b.weight for b in spec.behaviors))
@@ -368,7 +352,7 @@ class PopulationEngine:
         """A recorded full iteration, conformance-checked on the spot."""
         ws = make_weak_set(self.scenario.world, self.scenario.client,
                            self.scenario.coll_id,
-                           semantics=self.spec.audit_semantics, record=True)
+                           semantics="dynamic", record=True)
         yield from ws.elements().drain()
         self._m_audits.inc()
         report = check_conformance(ws.last_trace, self._audit_spec,

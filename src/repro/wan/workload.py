@@ -58,11 +58,6 @@ class ScenarioSpec:
     rpc_timeout: float = 5.0                # the timeout backstop
     recovery_enabled: bool = True           # WAL + replay + scrub (E18 ablation)
     scrub_interval: float = 2.0             # repair daemon period
-    rpc_populate: bool = False              # seed members over RPC from the
-                                            # client (batched write pipeline)
-                                            # instead of God-mode seeding
-    populate_window: int = 4                # write-pipeline dials used when
-    populate_batch: int = 8                 # rpc_populate is on
     # -- disconnected operation (E21) ----------------------------------
     disconnect_rate: float = 0.0            # client disconnects per second
                                             # (the mobile client flapping)
@@ -89,7 +84,6 @@ class ScenarioSpec:
                                             # first N nodes (slot-major,
                                             # so shards spread across
                                             # clusters before doubling up)
-    ring_vnodes: int = 16                   # virtual nodes per shard
 
     @property
     def client(self) -> NodeId:
@@ -195,25 +189,17 @@ def build_scenario(spec: ScenarioSpec, seed: int = 0) -> Scenario:
         shard_nodes = spec.shard_nodes
         world.create_collection(spec.coll_id, primary=shard_nodes[0],
                                 replicas=replica_nodes, policy=spec.policy,
-                                shards=shard_nodes, vnodes=spec.ring_vnodes)
+                                shards=shard_nodes)
     else:
         world.create_collection(spec.coll_id, primary=spec.primary,
                                 replicas=replica_nodes, policy=spec.policy)
-    plan = member_plan(spec, kernel)
-    if spec.rpc_populate:
-        # Populate like an honest client would: batched multi-puts with
-        # concurrent replica fan-out, group-committed registrations.
-        repo = Repository(world, spec.client)
-        elements = kernel.run_process(repo.add_many(
-            spec.coll_id, plan, window=spec.populate_window,
-            batch_size=spec.populate_batch))
-    else:
-        # God-mode: instant, free — the default, so experiments that
-        # measure *other* phases keep their calibrated timings.
-        elements = [world.seed_member(
-            spec.coll_id, s.name, value=s.value,
-            home=s.home, size=s.size, replicas=s.replicas,
-        ) for s in plan]
+    # God-mode seeding: instant and free, so experiments that measure
+    # *other* phases keep their calibrated timings (a benchmark of the
+    # write path populates through ``add_many`` itself — see E20).
+    elements = [world.seed_member(
+        spec.coll_id, s.name, value=s.value,
+        home=s.home, size=s.size, replicas=s.replicas,
+    ) for s in member_plan(spec, kernel)]
     if spec.policy == "immutable":
         world.seal(spec.coll_id)
     scenario = Scenario(spec=spec, kernel=kernel, net=net, world=world,
@@ -278,28 +264,29 @@ def member_plan(spec: ScenarioSpec, kernel: Kernel) -> list[AddSpec]:
 
     Draws from the kernel's ``"workload.placement"`` stream in exactly
     the order the God-mode seeder always has, so the same seed yields
-    the same placements whether a world is seeded instantly, populated
-    over RPC (``rpc_populate``), or populated by a benchmark measuring
-    the write path itself.
+    the same placements whether a world is seeded instantly or
+    populated over RPC by a benchmark measuring the write path itself.
     """
     stream = kernel.stream("workload.placement")
     plan: list[AddSpec] = []
     for i in range(spec.n_members):
         cluster = stream.zipf_index(spec.n_clusters, spec.placement_skew)
         node_index = stream.randint(0, spec.cluster_size - 1)
-        home = f"n{cluster}.{node_index}"
-        # Object replicas go to the same node slot in the next clusters
-        # around the ring — deterministic, and never on the home cluster,
-        # so a whole-cluster outage still leaves a copy elsewhere.
-        object_replicas = tuple(
-            f"n{(cluster + k) % spec.n_clusters}.{node_index}"
-            for k in range(1, 1 + min(spec.object_replicas,
-                                      spec.n_clusters - 1))
-        )
         plan.append(AddSpec(name=f"m{i:04d}", value=f"payload-{i}",
-                            home=home, size=spec.member_size,
-                            replicas=object_replicas))
+                            home=f"n{cluster}.{node_index}",
+                            size=spec.member_size,
+                            replicas=_object_replicas(spec, cluster, node_index)))
     return plan
+
+
+def _object_replicas(spec: ScenarioSpec, cluster: int,
+                     node_index: int) -> tuple[NodeId, ...]:
+    """Object replicas go to the same node slot in the next clusters
+    around the ring — deterministic, and never on the home cluster, so a
+    whole-cluster outage still leaves a copy elsewhere."""
+    return tuple(
+        f"n{(cluster + k) % spec.n_clusters}.{node_index}"
+        for k in range(1, 1 + min(spec.object_replicas, spec.n_clusters - 1)))
 
 
 class Mutator:
@@ -342,11 +329,7 @@ class Mutator:
                                                      spec.placement_skew)
                     node_index = self.stream.randint(0, spec.cluster_size - 1)
                     node = f"n{cluster}.{node_index}"
-                    replicas = tuple(
-                        f"n{(cluster + k) % spec.n_clusters}.{node_index}"
-                        for k in range(1, 1 + min(spec.object_replicas,
-                                                  spec.n_clusters - 1))
-                    )
+                    replicas = _object_replicas(spec, cluster, node_index)
                     # One-spec batch through the write pipeline: same
                     # RPC sequence as repo.add, but with the replica
                     # fan-out concurrent and the registration group-

@@ -94,20 +94,9 @@ class DynamicIterator(ElementsIterator):
                         # No membership host reachable: blocked at the
                         # view layer.  Optimism waits here too, on the
                         # same give_up_after budget as blocked fetches.
-                        if self.repo.disconnected:
-                            return self._disconnected_failure()
-                        now = self.repo.world.now
-                        if blocked_since is None:
-                            blocked_since = now
-                        if (self.give_up_after is not None
-                                and now - blocked_since >= self.give_up_after):
-                            return Failed(
-                                f"gave up after blocking {self.give_up_after}s "
-                                "(give_up_after escape hatch; Figure 6 proper "
-                                "never fails)"
-                            )
-                        self.retries += 1
-                        yield Sleep(self.retry_interval)
+                        failed, blocked_since = yield from self._block(blocked_since)
+                        if failed is not None:
+                            return failed
                         continue
                 pipe.submit(view_members - self.yielded - self.stale_entries)
             result, unreachable = yield from self._next_from_pipeline()
@@ -132,19 +121,9 @@ class DynamicIterator(ElementsIterator):
             # Optimistic blocking: members exist but cannot be reached.
             # Sleeping with the pipeline empty means the next lap re-reads
             # a view and resubmits the blocked members — a fresh attempt.
-            if self.repo.disconnected:
-                return self._disconnected_failure()
-            now = self.repo.world.now
-            if blocked_since is None:
-                blocked_since = now
-            if (self.give_up_after is not None
-                    and now - blocked_since >= self.give_up_after):
-                return Failed(
-                    f"gave up after blocking {self.give_up_after}s "
-                    "(give_up_after escape hatch; Figure 6 proper never fails)"
-                )
-            self.retries += 1
-            yield Sleep(self.retry_interval)
+            failed, blocked_since = yield from self._block(blocked_since)
+            if failed is not None:
+                return failed
 
     def _step_probe_only(self) -> Generator[Any, Any, Outcome]:
         """Membership-only iteration (``fetch_values=False``): validate
@@ -160,20 +139,9 @@ class DynamicIterator(ElementsIterator):
                 except FailureException:
                     # Blocked at the view layer: wait it out on the same
                     # give_up_after budget as blocked probes below.
-                    if self.repo.disconnected:
-                        return self._disconnected_failure()
-                    now = self.repo.world.now
-                    if blocked_since is None:
-                        blocked_since = now
-                    if (self.give_up_after is not None
-                            and now - blocked_since >= self.give_up_after):
-                        return Failed(
-                            f"gave up after blocking {self.give_up_after}s "
-                            "(give_up_after escape hatch; Figure 6 proper "
-                            "never fails)"
-                        )
-                    self.retries += 1
-                    yield Sleep(self.retry_interval)
+                    failed, blocked_since = yield from self._block(blocked_since)
+                    if failed is not None:
+                        return failed
                     continue
             remaining = view_members - self.yielded - self.stale_entries
             saw_unreachable = False
@@ -193,51 +161,49 @@ class DynamicIterator(ElementsIterator):
                     return Returned()
                 forced_view = fresh_remaining
                 continue
-            if self.repo.disconnected:
-                return self._disconnected_failure()
-            now = self.repo.world.now
-            if blocked_since is None:
-                blocked_since = now
-            if (self.give_up_after is not None
-                    and now - blocked_since >= self.give_up_after):
-                return Failed(
-                    f"gave up after blocking {self.give_up_after}s "
-                    "(give_up_after escape hatch; Figure 6 proper never fails)"
-                )
-            self.retries += 1
-            yield Sleep(self.retry_interval)
+            failed, blocked_since = yield from self._block(blocked_since)
+            if failed is not None:
+                return failed
 
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _disconnected_failure() -> Failed:
-        """Fail fast while the client is DISCONNECTED: the network is
-        *known* absent (an explicit client state, not a suspected
-        fault), so optimistic retrying can only burn simulated time —
-        no later invocation can reach anything until reconnect."""
-        return Failed("client disconnected: offline read failed fast "
-                      "instead of retrying until give_up_after")
+    def _block(self, blocked_since: Optional[float]
+               ) -> Generator[Any, Any, tuple[Optional[Failed], Optional[float]]]:
+        """One lap of Figure 6's optimistic blocking — the only place the
+        rule is written.  Returns ``(failure, blocked_since)``: a
+        ``Failed`` outcome when the invocation must stop waiting (the
+        client is DISCONNECTED, or this invocation has been blocked for
+        ``give_up_after``), else ``None`` after sleeping one
+        ``retry_interval``; ``blocked_since`` is when this invocation
+        first blocked, threaded back through the caller's loop."""
+        if self.repo.disconnected:
+            # Fail fast: the network is *known* absent (an explicit client
+            # state, not a suspected fault), so optimistic retrying can
+            # only burn simulated time — no later invocation can reach
+            # anything until reconnect.
+            return Failed("client disconnected: offline read failed fast "
+                          "instead of retrying until give_up_after"), blocked_since
+        now = self.repo.world.now
+        if blocked_since is None:
+            blocked_since = now
+        if (self.give_up_after is not None
+                and now - blocked_since >= self.give_up_after):
+            return Failed(
+                f"gave up after blocking {self.give_up_after}s "
+                "(give_up_after escape hatch; Figure 6 proper never fails)"
+            ), blocked_since
+        self.retries += 1
+        yield Sleep(self.retry_interval)
+        return None, blocked_since
 
     def _best_view(self) -> Generator[Any, Any, frozenset[Element]]:
         """Membership from the nearest reachable host (optimistic read).
 
-        With no host reachable at all, optimism means *wait*, not fail:
-        retry until one comes back (bounded by ``give_up_after`` via the
-        caller's loop when it never does — modelled here as an empty
-        view plus blocking, so the outer loop's backoff applies).
+        With no host reachable at all the read raises, and optimism
+        means *wait*, not fail: the caller's loop blocks (``_block``)
+        and asks again.
         """
-        while True:
-            try:
-                view = yield from self.repo.read_membership(
-                    self.coll_id, source="nearest", use_cache=self.use_cache)
-                return view.members
-            except FailureException:
-                if self.give_up_after is not None or self.repo.disconnected:
-                    # Bounded mode (or an explicitly DISCONNECTED client,
-                    # which never benefits from waiting): surface the
-                    # block to the outer loop by raising.
-                    raise
-                self.retries += 1
-                yield Sleep(self.retry_interval)
+        view = yield from self.repo.read_membership(
+            self.coll_id, source="nearest", use_cache=self.use_cache)
+        return view.members
 
     def _fresh_remaining(self, stale_entries: set[Element]) -> Generator[Any, Any, frozenset[Element]]:
         """Unyielded members per the primary (empty set on best effort).

@@ -31,7 +31,7 @@ from __future__ import annotations
 from typing import Any, Generator, Optional
 
 from ..errors import FailureException
-from ..spec.termination import Failed, Outcome, Returned, Yielded
+from ..spec.termination import Outcome
 from .base import WeakSet
 from .iterator import ElementsIterator
 
@@ -63,31 +63,11 @@ class GrowOnlyIterator(ElementsIterator):
 
     def _step(self) -> Generator[Any, Any, Outcome]:
         members = yield from self._read_view()
-        remaining = members - self.yielded
-        if not remaining:
-            return Returned()
-        if not self.fetch_values:
-            return Yielded(self.closest_first(remaining)[0], None)
-        pipe = self._ensure_pipeline()
-        # Pre-state semantics: every invocation submits the *current*
-        # remainder, so members added mid-run join the pipeline here
-        # (already-pending elements are deduplicated; previously failed
-        # ones are accepted again — a fresh per-invocation attempt).
-        pipe.submit(remaining)
-        retried = False
-        while True:
-            result, unreachable = yield from self._next_from_pipeline()
-            if result is not None:
-                if result.ok:
-                    return Yielded(result.element, result.value)
-                return Yielded(result.element, None)
-            if unreachable and not retried:
-                retried = True
-                pipe.submit(unreachable)
-                continue
-            return Failed(
-                f"{len(remaining)} member(s) known but unreachable (pessimistic)"
-            )
+        # Pre-state semantics: every invocation works from the *current*
+        # remainder, so members added mid-run join the pipeline here.
+        return (yield from self._yield_reachable(
+            members - self.yielded,
+            "{n} member(s) known but unreachable (pessimistic)"))
 
 
 class GrowOnlySet(WeakSet):

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from typing import Any, Generator, Optional
 
-from ..spec.termination import Outcome, Returned, Yielded
+from ..spec.termination import Outcome, Yielded
 from .base import WeakSet
 from .locking import (
     LockClient,
@@ -57,17 +57,12 @@ class Figure1Iterator(SnapshotIterator):
 
     impl_name = "figure1"
 
-    def _step(self) -> Generator[Any, Any, Outcome]:
-        if self.snapshot is None:
-            view = yield from self.repo.read_membership(self.coll_id, source="primary")
-            self.snapshot = view.members
-        remaining = self.snapshot - self.yielded
-        if not remaining:
-            return Returned()
+    def __init__(self, *args: Any, **kwargs: Any):
         # No reachability check, no failure branch: Figure 1's world has
-        # no failures, so e ∈ s_first − yielded is all that is required.
-        element = self.closest_first(remaining)[0]
-        return Yielded(element, None)
+        # no failures, so e ∈ s_first − yielded is all that is required —
+        # which is the snapshot iterator's membership-only mode.
+        super().__init__(*args, **kwargs)
+        self.fetch_values = False
 
 
 class Figure1Set(WeakSet):

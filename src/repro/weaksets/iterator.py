@@ -29,13 +29,13 @@ from typing import Any, Generator, Optional
 
 from ..errors import FailureException, IteratorProtocolError
 from ..net.address import NodeId
-from ..spec.termination import Failed, Outcome, Yielded
+from ..spec.termination import Failed, Outcome, Returned, Yielded
 from ..spec.trace import TraceRecorder
 from ..store.elements import Element
 from ..store.fetchplan import FetchPipeline, FetchResult, order_closest_first
 from ..store.repository import Repository
 
-__all__ = ["ElementsIterator", "DrainResult"]
+__all__ = ["ElementsIterator", "DrainResult", "drain_loop"]
 
 
 class DrainResult:
@@ -78,6 +78,26 @@ class DrainResult:
                 f"{self.total_time:.3f}s)")
 
 
+def drain_loop(invoke, now, max_yields: Optional[int] = None
+               ) -> Generator[Any, Any, DrainResult]:
+    """Invoke to termination (or ``max_yields``) and time it: the one
+    drain loop behind every iterator shape (plain, union, query).
+    ``invoke`` starts one invocation; ``now`` reads the virtual clock."""
+    started_at = now()
+    first_yield_at: Optional[float] = None
+    yields: list[Yielded] = []
+    while True:
+        outcome = yield from invoke()
+        if not isinstance(outcome, Yielded):
+            break
+        if first_yield_at is None:
+            first_yield_at = now()
+        yields.append(outcome)
+        if max_yields is not None and len(yields) >= max_yields:
+            break
+    return DrainResult(yields, outcome, started_at, first_yield_at, now())
+
+
 class ElementsIterator:
     """Base class: one suspended/resumable iteration over a collection."""
 
@@ -89,6 +109,9 @@ class ElementsIterator:
     #: Whether the variant's pipeline falls back to replica copies on
     #: transport failure at the home.
     pipeline_failover = False
+    #: ``False`` = membership-only iteration (bare descriptors, no value
+    #: fetch); variants that offer the dial set it per instance.
+    fetch_values = True
 
     def __init__(self, repo: Repository, coll_id: str,
                  recorder: Optional[TraceRecorder] = None,
@@ -155,7 +178,8 @@ class ElementsIterator:
         span = obs.tracer.start("drain", impl=self.impl_name,
                                 coll=self.coll_id, client=str(self.client))
         try:
-            result = yield from self._drain_loop(max_yields)
+            result = yield from drain_loop(
+                self.invoke, lambda: self.repo.world.now, max_yields)
         except BaseException as exc:
             obs.tracer.finish(span, outcome=type(exc).__name__)
             raise
@@ -163,23 +187,6 @@ class ElementsIterator:
                           yields=len(result.yields))
         self._record_drain_metrics(result)
         return result
-
-    def _drain_loop(self, max_yields: Optional[int]) -> Generator[Any, Any, DrainResult]:
-        started_at = self.repo.world.now
-        first_yield_at: Optional[float] = None
-        yields: list[Yielded] = []
-        while True:
-            outcome = yield from self.invoke()
-            if isinstance(outcome, Yielded):
-                if first_yield_at is None:
-                    first_yield_at = self.repo.world.now
-                yields.append(outcome)
-                if max_yields is not None and len(yields) >= max_yields:
-                    return DrainResult(yields, outcome, started_at,
-                                       first_yield_at, self.repo.world.now)
-            else:
-                return DrainResult(yields, outcome, started_at,
-                                   first_yield_at, self.repo.world.now)
 
     def _record_drain_metrics(self, result: DrainResult) -> None:
         metrics = self.repo.obs.metrics
@@ -234,6 +241,43 @@ class ElementsIterator:
     def _stop_pipeline(self) -> None:
         if self.pipeline is not None:
             self.pipeline.stop()
+
+    def _yield_reachable(self, remaining: frozenset[Element],
+                         unreachable_reason: str) -> Generator[Any, Any, Outcome]:
+        """The pessimistic invocation body Figures 4 and 5 share.
+
+        The figures differ only in their basis state (``s_first`` vs
+        ``s_pre``), which the caller has already read: ``remaining`` is
+        that basis minus ``yielded``.  Nothing left returns; otherwise
+        the remainder is (re)submitted — pending elements deduplicate,
+        previously failed ones get a fresh per-invocation attempt, and
+        under pre-state semantics members added mid-run join here — and
+        the first element whose home answers is yielded.  A ``gone``
+        answer still yields the descriptor (``value=None``): the home
+        answered, so the element is reachable in the basis state.  Only
+        when *every* remaining element stays unreachable after one
+        in-invocation resubmit does the iterator fail, with
+        ``unreachable_reason`` (``{n}`` = size of the remainder).
+        """
+        if not remaining:
+            return Returned()
+        if not self.fetch_values:
+            return Yielded(self.closest_first(remaining)[0], None)
+        pipe = self._ensure_pipeline()
+        pipe.submit(remaining)
+        retried = False
+        while True:
+            result, unreachable = yield from self._next_from_pipeline()
+            if result is not None:
+                return Yielded(result.element,
+                               result.value if result.ok else None)
+            if unreachable and not retried:
+                # One fresh attempt within this invocation — connectivity
+                # may have changed since those fetches were issued.
+                retried = True
+                pipe.submit(unreachable)
+                continue
+            return Failed(unreachable_reason.format(n=len(remaining)))
 
     def _next_from_pipeline(
         self,

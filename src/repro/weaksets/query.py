@@ -19,7 +19,7 @@ from typing import Any, Callable, Generator, Optional
 from ..spec.termination import Outcome, Yielded
 from ..store.elements import Element
 from .base import WeakSet
-from .iterator import DrainResult
+from .iterator import DrainResult, drain_loop
 
 __all__ = ["QueryIterator", "select"]
 
@@ -64,21 +64,7 @@ class QueryIterator:
                 return outcome
 
     def drain(self, max_yields: Optional[int] = None) -> Generator[Any, Any, DrainResult]:
-        started_at = self._now()
-        first_yield_at: Optional[float] = None
-        yields: list[Yielded] = []
-        while True:
-            outcome = yield from self.invoke()
-            if isinstance(outcome, Yielded):
-                if first_yield_at is None:
-                    first_yield_at = self._now()
-                yields.append(outcome)
-                if max_yields is not None and len(yields) >= max_yields:
-                    break
-            else:
-                break
-        return DrainResult(yields, outcome, started_at, first_yield_at,
-                           self._now())
+        return (yield from drain_loop(self.invoke, self._now, max_yields))
 
 
 def select(weakset: WeakSet, predicate: Predicate) -> QueryIterator:

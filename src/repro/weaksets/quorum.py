@@ -45,70 +45,57 @@ class QuorumGrowOnlyIterator(GrowOnlyIterator):
     pipeline_validation = "none"
     pipeline_failover = True
 
-    def _read_quorum(self) -> Generator[Any, Any, frozenset[Element]]:
-        if self.repo.shard_map_of(self.coll_id) is not None:
-            return (yield from self._read_sharded_quorum())
-        hosts = self.repo.hosts_of(self.coll_id)
+    def _read_view(self) -> Generator[Any, Any, frozenset[Element]]:
+        """s_pre as the union of majority reads.
+
+        Flat collection: one majority among the collection's hosts.
+        Sharded: each shard owns a disjoint key range, so a *collection*
+        quorum is meaningless — a majority of all partitions could miss
+        one shard entirely and silently drop its range.  Instead every
+        shard must independently assemble a majority among its own
+        copies (the shard itself plus each mirror replica); the union of
+        per-shard unions is then a lower bound on true membership, by
+        the same grow-only monotonicity argument as the flat case.  If
+        any single shard cannot reach a majority, the whole read fails:
+        a partial union would violate Figure 5's "yields every
+        pre-existing, reachable member" obligation for the missing range.
+        """
+        repo, coll_id = self.repo, self.coll_id
+        smap = repo.shard_map_of(coll_id)
+        if smap is None:
+            return frozenset((yield from self._majority_union(
+                repo.hosts_of(coll_id),
+                lambda host: repo.read_membership(coll_id, source=host),
+                f"hosts of {coll_id}")))
+        merged: set[Element] = set()
+        for shard in smap.shards:
+            merged |= yield from self._majority_union(
+                repo.shard_hosts(coll_id, shard),
+                lambda host: repo.read_shard_membership(coll_id, shard, host),
+                f"copies of shard {shard} of {coll_id}")
+        return frozenset(merged)
+
+    @staticmethod
+    def _majority_union(hosts, read_from,
+                        what: str) -> Generator[Any, Any, set[Element]]:
+        """Ask every host; union the views of those that answer; fail
+        short of a majority (``what`` names the hosts in the message)."""
         needed = len(hosts) // 2 + 1
         merged: set[Element] = set()
         reached = 0
         last_error: FailureException = FailureException("no hosts")
         for host in hosts:
             try:
-                view = yield from self.repo.read_membership(
-                    self.coll_id, source=host)
+                view = yield from read_from(host)
                 merged |= view.members
                 reached += 1
-                if reached >= needed and reached == len(hosts):
-                    break
             except FailureException as exc:
                 last_error = exc
         if reached < needed:
             raise FailureException(
-                f"no quorum: reached {reached}/{len(hosts)} hosts of "
-                f"{self.coll_id} (need {needed}); last error: {last_error}"
-            )
-        return frozenset(merged)
-
-    def _read_sharded_quorum(self) -> Generator[Any, Any, frozenset[Element]]:
-        """Per-shard majorities, unioned across shards.
-
-        Each shard owns a disjoint key range, so a *collection* quorum
-        is meaningless — a majority of all partitions could miss one
-        shard entirely and silently drop its range.  Instead every shard
-        must independently assemble a majority among its own copies (the
-        shard itself plus each mirror replica); the union of per-shard
-        unions is then a lower bound on true membership, by the same
-        grow-only monotonicity argument as the flat case.  If any single
-        shard cannot reach a majority, the whole read fails: a partial
-        union would violate Figure 5's "yields every pre-existing,
-        reachable member" obligation for the missing range.
-        """
-        smap = self.repo.shard_map_of(self.coll_id)
-        merged: set[Element] = set()
-        for shard in smap.shards:
-            hosts = self.repo.shard_hosts(self.coll_id, shard)
-            needed = len(hosts) // 2 + 1
-            reached = 0
-            last_error: FailureException = FailureException("no hosts")
-            for host in hosts:
-                try:
-                    view = yield from self.repo.read_shard_membership(
-                        self.coll_id, shard, host)
-                    merged |= view.members
-                    reached += 1
-                except FailureException as exc:
-                    last_error = exc
-            if reached < needed:
-                raise FailureException(
-                    f"no quorum for shard {shard} of {self.coll_id}: reached "
-                    f"{reached}/{len(hosts)} (need {needed}); "
-                    f"last error: {last_error}"
-                )
-        return frozenset(merged)
-
-    def _read_view(self) -> Generator[Any, Any, frozenset[Element]]:
-        return (yield from self._read_quorum())
+                f"no quorum: reached {reached}/{len(hosts)} {what} "
+                f"(need {needed}); last error: {last_error}")
+        return merged
 
 
 class QuorumGrowOnlySet(WeakSet):

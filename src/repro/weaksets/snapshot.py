@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from typing import Any, Generator, Optional
 
-from ..spec.termination import Failed, Outcome, Returned, Yielded
+from ..spec.termination import Outcome
 from ..store.elements import Element
 from .base import WeakSet
 from .iterator import ElementsIterator
@@ -58,31 +58,9 @@ class SnapshotIterator(ElementsIterator):
             # iterator fails before yielding anything.
             view = yield from self.repo.read_membership(self.coll_id, source="primary")
             self.snapshot = view.members
-        remaining = self.snapshot - self.yielded
-        if not remaining:
-            return Returned()
-        if not self.fetch_values:
-            return Yielded(self.closest_first(remaining)[0], None)
-        pipe = self._ensure_pipeline()
-        pipe.submit(remaining)
-        retried = False
-        while True:
-            result, unreachable = yield from self._next_from_pipeline()
-            if result is not None:
-                if result.ok:
-                    return Yielded(result.element, result.value)
-                # Removed since the snapshot: yield it anyway (a "lost"
-                # mutation the client may observe).
-                return Yielded(result.element, None)
-            if unreachable and not retried:
-                # One fresh attempt within this invocation — connectivity
-                # may have changed since those fetches were issued.
-                retried = True
-                pipe.submit(unreachable)
-                continue
-            return Failed(
-                f"{len(remaining)} snapshot element(s) unreachable and none yieldable"
-            )
+        return (yield from self._yield_reachable(
+            self.snapshot - self.yielded,
+            "{n} snapshot element(s) unreachable and none yieldable"))
 
 
 class SnapshotSet(WeakSet):

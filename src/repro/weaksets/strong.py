@@ -65,8 +65,6 @@ class StrongIterator(ElementsIterator):
         if self._cursor < len(self._loaded):
             element, value = self._loaded[self._cursor]
             self._cursor += 1
-            if self._cursor == len(self._loaded) and not self.hold_lock_while_yielding:
-                pass  # lock already dropped after load
             return Yielded(element, value)
         if self._locks:
             locks, self._locks = self._locks, []

@@ -24,7 +24,7 @@ from __future__ import annotations
 from typing import Any, Generator, Optional, Sequence
 
 from ..spec.termination import Failed, Outcome, Returned, Yielded
-from .iterator import DrainResult, ElementsIterator
+from .iterator import DrainResult, ElementsIterator, drain_loop
 
 __all__ = ["UnionIterator", "union"]
 
@@ -76,23 +76,8 @@ class UnionIterator:
 
     def drain(self, max_yields: Optional[int] = None) -> Generator[Any, Any, DrainResult]:
         world = self.world
-        started_at = world.now if world else 0.0
-        first_yield_at: Optional[float] = None
-        yields: list[Yielded] = []
-        while True:
-            outcome = yield from self.invoke()
-            if isinstance(outcome, Yielded):
-                now = world.now if world else 0.0
-                if first_yield_at is None:
-                    first_yield_at = now
-                yields.append(outcome)
-                if max_yields is not None and len(yields) >= max_yields:
-                    break
-            else:
-                break
-        finished_at = world.now if world else 0.0
-        return DrainResult(yields, outcome, started_at, first_yield_at,
-                           finished_at)
+        return (yield from drain_loop(
+            self.invoke, lambda: world.now if world else 0.0, max_yields))
 
 
 def union(*weaksets, on_failure: str = "skip", dedupe: bool = True) -> UnionIterator:

@@ -17,15 +17,17 @@ def standard_world(n_servers: int = 4, policy: str = "any", seed: int = 0,
                    latency: float = 0.01, members: int = 0,
                    replicas: int = 0, with_locks: bool = False,
                    replica_lag: float = 0.5, coll_id: str = "coll",
-                   **world_kwargs):
+                   bandwidth: float = 0.0, **world_kwargs):
     """A client plus ``n_servers`` object servers in a full mesh.
 
-    Members are spread round-robin over the servers.  Returns
+    Members are spread round-robin over the servers; ``bandwidth``
+    (bytes/s, 0 = infinite) is set on every link.  Returns
     (kernel, net, world, elements) where elements is the seeded list.
     """
     nodes = [CLIENT] + [f"s{i}" for i in range(n_servers)]
     kernel = Kernel(seed=seed)
-    net = Network(kernel, full_mesh(nodes, FixedLatency(latency)))
+    net = Network(kernel, full_mesh(nodes, FixedLatency(latency),
+                                    bandwidth=bandwidth))
     world = World(net, replica_lag=replica_lag, **world_kwargs)
     replica_nodes = [f"s{i}" for i in range(1, 1 + replicas)]
     world.create_collection(coll_id, primary=PRIMARY, replicas=replica_nodes,

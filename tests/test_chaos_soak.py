@@ -64,9 +64,9 @@ def soak_once(seed, rounds=3):
     violations = [v for trace in ws.traces
                   for v in weak_guarantee_violations(trace, history)]
     stats = scenario.net.transport.stats
-    counters = (stats.retries, stats.hedges, stats.failovers,
-                stats.breaker_trips, stats.breaker_fast_fails,
-                stats.total_sent, stats.total_dropped)
+    counters = (stats.retries.value, stats.hedges.value, stats.failovers.value,
+                stats.breaker_trips.value, stats.breaker_fast_fails.value,
+                stats.total_sent.value, stats.total_dropped.value)
     return rounds_out, counters, violations, completions
 
 

@@ -1,19 +1,32 @@
-"""Tests for the prefetch engine and the setOpen/setIterate/setClose API."""
+"""Tests for the dynamic-sets prefetcher — the shared ``FetchPipeline`` in
+engine mode — and the setOpen/setIterate/setClose API on top of it."""
 
 
-from repro.dynsets import PrefetchEngine, set_open
+from repro.dynsets import set_open
 from repro.net import FixedLatency, Network, wan_clusters
 from repro.sim import Kernel, Sleep
-from repro.store import Repository, World
+from repro.store import FetchPipeline, Repository, World
 
 from helpers import CLIENT, standard_world
+
+
+def prefetcher(repo, elements, *, parallelism=4, retry_interval=0.5, **kwargs):
+    """A started engine-mode pipeline over a fixed work-list, configured
+    the way ``DynSetHandle.open`` configures its own (plus any extra
+    pipeline keyword, e.g. the ``priority`` hint)."""
+    pipe = FetchPipeline(repo, use_cache=False, window=parallelism,
+                         batch_size=1, validation="none", in_order=False,
+                         retry_interval=retry_interval, **kwargs)
+    pipe.submit(elements)
+    pipe.seal()
+    pipe.start()
+    return pipe
 
 
 def test_prefetch_fetches_everything():
     kernel, net, world, elements = standard_world(members=8)
     repo = Repository(world, CLIENT)
-    engine = PrefetchEngine(repo, elements, parallelism=4)
-    engine.start()
+    engine = prefetcher(repo, elements, parallelism=4)
 
     def consume():
         out = []
@@ -34,8 +47,7 @@ def test_parallelism_speeds_up_fetching():
         kernel, net, world, elements = standard_world(
             members=12, service_time=0.05)
         repo = Repository(world, CLIENT)
-        engine = PrefetchEngine(repo, elements, parallelism=parallelism)
-        engine.start()
+        engine = prefetcher(repo, elements, parallelism=parallelism)
 
         def consume():
             while True:
@@ -59,8 +71,7 @@ def test_closest_first_ordering():
     near = world.seed_member("c", "near", value=1, home="n0.1")
     far = world.seed_member("c", "far", value=2, home="n1.1")
     repo = Repository(world, "n0.2")
-    engine = PrefetchEngine(repo, [far, near], parallelism=1)
-    engine.start()
+    engine = prefetcher(repo, [far, near], parallelism=1)
 
     def consume():
         first = yield from engine.next_result()
@@ -75,8 +86,7 @@ def test_retry_recovers_after_heal():
     kernel, net, world, elements = standard_world(n_servers=3, members=6)
     net.isolate("s1")
     repo = Repository(world, CLIENT)
-    engine = PrefetchEngine(repo, elements, parallelism=3, retry_interval=0.2)
-    engine.start()
+    engine = prefetcher(repo, elements, parallelism=3, retry_interval=0.2)
 
     def healer():
         yield Sleep(2.0)
@@ -101,9 +111,8 @@ def test_give_up_reports_unreachable():
     kernel, net, world, elements = standard_world(n_servers=3, members=6)
     net.crash("s1")
     repo = Repository(world, CLIENT)
-    engine = PrefetchEngine(repo, elements, parallelism=3,
-                            retry_interval=0.2, give_up_after=1.5)
-    engine.start()
+    engine = prefetcher(repo, elements, parallelism=3,
+                        retry_interval=0.2, give_up_after=1.5)
 
     def consume():
         out = []
@@ -116,9 +125,10 @@ def test_give_up_reports_unreachable():
     results = kernel.run_process(consume())
     assert len(results) == 6
     ok = [r for r in results if r.ok]
-    gave_up = [r for r in results if r.gave_up]
+    gave_up = [r for r in results if r.unreachable]
     assert {r.element.home for r in gave_up} == {"s1"}
     assert len(ok) == 4
+    assert engine.gave_up == 2
 
 
 def test_skipped_for_removed_members():
@@ -128,8 +138,7 @@ def test_skipped_for_removed_members():
     def proc():
         # remove one member, then prefetch from the (now stale) list
         yield from repo.remove("coll", elements[0])
-        engine = PrefetchEngine(repo, elements, parallelism=2)
-        engine.start()
+        engine = prefetcher(repo, elements, parallelism=2)
         out = []
         while True:
             r = yield from engine.next_result()
@@ -138,9 +147,9 @@ def test_skipped_for_removed_members():
             out.append(r)
 
     results, engine = kernel.run_process(proc())
-    skipped = [r for r in results if r.skipped]
+    skipped = [r for r in results if r.gone]
     assert [r.element for r in skipped] == [elements[0]]
-    assert engine.skipped == 1
+    assert engine.gone == 1
 
 
 # ---------------------------------------------------------------------------
@@ -175,6 +184,23 @@ def test_early_close_stops_workers():
     assert count == 3
     # closing early means we did not pay for all 20 fetches
     assert t < 1.0
+
+
+def test_set_open_batches_same_home_fetches():
+    kernel, net, world, elements = standard_world(n_servers=2, members=8)
+
+    def proc():
+        handle = yield from set_open(world, CLIENT, "coll", parallelism=8,
+                                     batch_size=4)
+        got = yield from handle.iterate_all()
+        handle.close()
+        return got
+
+    got = kernel.run_process(proc())
+    assert {r.element for r in got} == set(elements)
+    metrics = kernel.obs.metrics
+    assert metrics.value("fetch.batch.coalesced") > 0
+    assert metrics.value("fetch.batch.calls") < len(elements)
 
 
 def test_iterate_after_close_is_error():
@@ -212,9 +238,8 @@ def test_priority_hint_overrides_ordering():
     kernel, net, world, elements = standard_world(members=6)
     repo = Repository(world, CLIENT)
     # hint: reverse-alphabetical
-    engine = PrefetchEngine(repo, elements, parallelism=1,
-                            priority=lambda e: tuple(-ord(c) for c in e.name))
-    engine.start()
+    engine = prefetcher(repo, elements, parallelism=1,
+                        priority=lambda e: tuple(-ord(c) for c in e.name))
 
     def consume():
         out = []
@@ -238,9 +263,8 @@ def test_priority_hint_smallest_first():
         sizes[e.oid] = size
         elements.append(e)
     repo = Repository(world, CLIENT)
-    engine = PrefetchEngine(repo, elements, parallelism=1,
-                            priority=lambda e: sizes[e.oid])
-    engine.start()
+    engine = prefetcher(repo, elements, parallelism=1,
+                        priority=lambda e: sizes[e.oid])
 
     def consume():
         out = []

@@ -1,28 +1,19 @@
 """Finite-bandwidth links: FIFO queuing, byte-capped batching, presets.
 
-Satellites of E25: the wire model replaces the old
-``World(bandwidth=...)`` server-side transfer charge, byte counters and
-queue delay are first-class metrics, and both pipelines respect
-``max_batch_bytes``.
+Satellites of E25: object transfers are charged by the wire model
+(``Link.bandwidth``), byte counters and queue delay are first-class
+metrics, and both pipelines respect ``max_batch_bytes``.
 """
 
 from collections import deque
 
 import pytest
 
-from repro.net import (
-    BANDWIDTH_PRESETS,
-    FixedLatency,
-    Network,
-    WireFormat,
-    apply_bandwidth_preset,
-    full_mesh,
-)
+from repro.net import BANDWIDTH_PRESETS, WireFormat
 from repro.net.link import Link
-from repro.net.topology import wan_clusters
-from repro.sim import Kernel
-from repro.store import Repository, World
+from repro.store import Repository
 from repro.store.writeplan import AddSpec, WritePlanner, _WriteOp
+from repro.wan import ScenarioSpec, build_scenario
 from repro.weaksets import DynamicSet
 
 from helpers import CLIENT, PRIMARY, standard_world
@@ -69,29 +60,6 @@ def test_repr_includes_loss_and_bandwidth():
     assert "bw=inf" in repr(Link("a", "b"))
 
 
-# -- the deprecated World(bandwidth=...) alias ------------------------------
-
-def test_world_bandwidth_is_deprecated_but_works():
-    kernel = Kernel(seed=0)
-    topo = full_mesh(["client", "s0"], FixedLatency(0.01))
-    net = Network(kernel, topo)
-    with pytest.deprecated_call():
-        World(net, bandwidth=1_000_000.0)
-    link = next(iter(topo.links()))
-    assert link.bandwidth == 1_000_000.0
-
-
-def test_world_bandwidth_respects_explicit_link_settings():
-    kernel = Kernel(seed=0)
-    topo = full_mesh(["client", "s0"], FixedLatency(0.01))
-    link = next(iter(topo.links()))
-    link.bandwidth = 250.0
-    net = Network(kernel, topo)
-    with pytest.deprecated_call():
-        World(net, bandwidth=1_000_000.0)
-    assert link.bandwidth == 250.0      # the explicit dial wins
-
-
 # -- WireFormat -------------------------------------------------------------
 
 def test_serialize_delay():
@@ -111,13 +79,10 @@ def test_presets_exist_and_are_ordered():
 
 
 def test_apply_preset_classifies_links():
-    topo = wan_clusters([2, 2], intra_latency=FixedLatency(0.002),
-                        inter_latency=FixedLatency(0.080))
-    topo.add_node("client")
-    topo.add_link("client", "n0.0", FixedLatency(0.002))
-    apply_bandwidth_preset(topo, "wan", access_nodes=("client",))
+    scenario = build_scenario(ScenarioSpec(
+        n_clusters=2, cluster_size=2, n_members=0, bandwidth_preset="wan"))
     preset = BANDWIDTH_PRESETS["wan"]
-    for link in topo.links():
+    for link in scenario.net.topology.links():
         if "client" in link.endpoints():
             assert link.bandwidth == preset.access
         elif link.latency.expected() >= 0.02:
@@ -127,9 +92,8 @@ def test_apply_preset_classifies_links():
 
 
 def test_apply_preset_rejects_unknown_name():
-    topo = full_mesh(["a", "b"], FixedLatency(0.01))
     with pytest.raises(KeyError):
-        apply_bandwidth_preset(topo, "dialup")
+        build_scenario(ScenarioSpec(n_members=0, bandwidth_preset="dialup"))
 
 
 # -- byte-capped batch forming ----------------------------------------------

@@ -23,9 +23,9 @@ def test_counts_per_node_and_aggregate():
 
     kernel.run_process(proc())
     stats = net.transport.stats
-    assert stats.total_sent == 8              # 4 requests + 4 replies
-    assert stats.total_delivered == 8
-    assert stats.total_dropped == 0
+    assert stats.total_sent.value == 8              # 4 requests + 4 replies
+    assert stats.total_delivered.value == 8
+    assert stats.total_dropped.value == 0
     assert stats.delivery_rate == 1.0
     assert stats.node("a").sent == 4
     assert stats.node("b").requests_handled == 3
@@ -49,7 +49,7 @@ def test_drops_counted():
 
     kernel.run_process(proc())
     stats = net.transport.stats
-    assert stats.total_dropped == 1
+    assert stats.total_dropped.value == 1
     assert stats.delivery_rate == 0.0
 
 

@@ -27,16 +27,35 @@ def resilient_drain(crash=None, members=6, give_up_after=3.0):
 
 
 # ---------------------------------------------------------------------------
-# facade agreement: NetworkStats-era counters == registry metrics
+# one surface: NetworkStats attributes *are* the registry's counters
 # ---------------------------------------------------------------------------
+
+#: attribute -> registry name (the names docs/observability.md documents
+#: and perf/workloads.py reads)
+STATS_METRICS = {
+    "total_sent": "net.messages_sent",
+    "total_delivered": "net.messages_delivered",
+    "total_dropped": "net.messages_dropped",
+    "retries": "rpc.retries",
+    "hedges": "rpc.hedges",
+    "hedge_wins": "rpc.hedge_wins",
+    "breaker_trips": "rpc.breaker_trips",
+    "breaker_fast_fails": "rpc.breaker_fast_fails",
+    "failovers": "rpc.failovers",
+    "retry_budget_exhausted": "overload.retry_budget_exhausted",
+    "bytes_sent": "net.bytes_sent",
+    "bytes_received": "net.bytes_received",
+}
+
 
 def test_network_stats_facade_reads_registry_counters():
     kernel, net, result = resilient_drain()
     registry = kernel.obs.metrics
     stats = net.transport.stats
-    for attr, metric in NetworkStats.METRIC_NAMES.items():
-        assert getattr(stats, attr) == registry.value(metric), (attr, metric)
-    assert stats.total_sent > 0
+    assert isinstance(stats, NetworkStats)
+    for attr, metric in STATS_METRICS.items():
+        assert getattr(stats, attr) is registry.counter(metric), (attr, metric)
+    assert stats.total_sent.value > 0
     assert isinstance(result.outcome, Returned)
 
 
@@ -45,18 +64,18 @@ def test_facade_agreement_survives_faults_and_retries():
     registry = kernel.obs.metrics
     stats = net.transport.stats
     # the crash engaged the retry machinery; both views saw it
-    assert stats.retries > 0
-    assert stats.retries == registry.value("rpc.retries")
-    assert stats.total_dropped == registry.value("net.messages_dropped")
-    for attr, metric in NetworkStats.METRIC_NAMES.items():
-        assert getattr(stats, attr) == registry.value(metric), (attr, metric)
+    assert stats.retries.value > 0
+    assert stats.retries.value == registry.value("rpc.retries")
+    assert stats.total_dropped.value == registry.value("net.messages_dropped")
+    for attr, metric in STATS_METRICS.items():
+        assert getattr(stats, attr).value == registry.value(metric), (attr, metric)
 
 
 def test_facade_writes_reach_the_registry():
     kernel, net, _ = resilient_drain()
     registry = kernel.obs.metrics
     before = registry.value("rpc.retries")
-    net.transport.stats.retries += 3                      # legacy-style write
+    net.transport.stats.retries.value += 3
     assert registry.value("rpc.retries") == before + 3
 
 

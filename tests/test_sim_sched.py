@@ -276,10 +276,6 @@ def test_make_scheduler_resolution():
         WheelScheduler(width=0.0)
 
 
-def test_kernel_scheduler_selection_and_env(monkeypatch):
+def test_kernel_scheduler_selection():
     assert Kernel().scheduler_name == "wheel"
     assert Kernel(scheduler="heap").scheduler_name == "heap"
-    monkeypatch.setenv("REPRO_SIM_SCHED", "heap")
-    assert Kernel().scheduler_name == "heap"
-    monkeypatch.setenv("REPRO_SIM_SCHED", "")
-    assert Kernel().scheduler_name == "wheel"

@@ -128,6 +128,56 @@ def test_crash_at_begin_rolls_whole_erase_forward():
     assert world.check_invariants() == []
 
 
+def crash_recover_erase(step, batched):
+    """Crash the primary at ``step`` of removing a replicated member,
+    recover it, let replay + scrub settle; returns (world, victim)."""
+    kernel, net, world, _ = standard_world(members=3, scrub_interval=1.0)
+    victim = world.seed_member("coll", "victim", value="v", home="s1",
+                               replicas=("s2",))
+    world.server(PRIMARY).wal.arm_crash(step)
+    schedule = FaultSchedule().recover_at(2.0, PRIMARY)
+    kernel.spawn(schedule.run(net), name="schedule", daemon=True)
+    repo = Repository(world, CLIENT)
+
+    def proc():
+        try:
+            if batched:
+                yield from repo.remove_many("coll", [victim])
+            else:
+                yield from repo.remove("coll", victim)
+        except FailureException:
+            pass
+        yield Sleep(10.0)
+
+    kernel.run_process(proc())
+    return world, victim
+
+
+@pytest.mark.parametrize("step", ["begin", "deleted:s2", "home-deleted"])
+def test_single_and_batch_erase_recover_to_identical_state(step):
+    """The property that licenses one erase engine: crash ``remove_member``
+    and ``remove_members([e])`` at the same WAL step and recovery leaves
+    the same CollectionState behind (and no invariant violation)."""
+    states = []
+    for batched in (False, True):
+        world, victim = crash_recover_erase(step, batched)
+        server = world.server(PRIMARY)
+        [record] = server.wal.records
+        assert record.kind == ("erase-batch" if batched else "erase")
+        assert world.kernel.obs.metrics.value("wal.crash_points") == 1
+        assert world.kernel.obs.metrics.value("recovery.intents_replayed") == 1
+        assert record.status is APPLIED
+        assert world.check_invariants() == []
+        assert victim not in world.true_members("coll")
+        for holder in victim.locations:
+            assert not world.server(holder).has_object(victim.oid)
+        state = server.collections["coll"]
+        states.append((dict(state.members), state.version,
+                       dict(state.removed), set(state.unverified_removals)))
+    assert states[0] == states[1]
+    assert states[0][2]["victim"][1] == victim        # tombstoned, not lost
+
+
 def test_wal_disabled_crash_leaves_dangling_member():
     """The ablation: same crash, no recovery protocol, lasting violation."""
     kernel, net, world, elements = standard_world(members=4, recovery_enabled=False)
