@@ -3,13 +3,14 @@
 Usage::
 
     python -m repro.bench                     # all experiments, ASCII tables
-    python -m repro.bench E1 E4               # a subset
+    python -m repro.bench E1 e4a              # a subset (ids in any case)
     python -m repro.bench --markdown E8       # markdown tables (EXPERIMENTS.md)
     python -m repro.bench --obs BENCH_obs.json E16 E17
                                               # also write the BENCH_obs artifact
     python -m repro.bench compare old.json new.json --tolerance 0.1
                                               # regression gate over two artifacts
-                                              # (--warn-only, --ignore key[,key…])
+                                              # (--warn-only, --ignore key[,key…],
+                                              #  a key may be <experiment>.<key>)
 """
 
 from __future__ import annotations
@@ -46,8 +47,11 @@ def main(argv: list[str]) -> int:
             print(f"experiments: {', '.join(ALL_EXPERIMENTS)}")
             return 0
         else:
-            ids.append(arg.upper())
-    wanted = ids or list(ALL_EXPERIMENTS)
+            ids.append(arg)
+    # Ids are mixed-case ("E22a"): match whatever case the user typed.
+    by_folded = {eid.casefold(): eid for eid in ALL_EXPERIMENTS}
+    wanted = ([by_folded.get(arg.casefold(), arg) for arg in ids]
+              or list(ALL_EXPERIMENTS))
     unknown = [w for w in wanted if w not in ALL_EXPERIMENTS]
     if unknown:
         print(f"unknown experiment id(s): {unknown}; "

@@ -12,6 +12,8 @@ compares every experiment's table, row by row and field by field:
 * wall-clock keys (``elapsed_wall_s`` and ``wall_ms`` by default) are
   ignored — the artifact's simulation numbers are seed-deterministic,
   wall time is not, and gating on CI-machine noise helps nobody.
+  ``--ignore`` adds keys; ``<experiment>.<key>`` (``E22a.speedup``)
+  ignores a key in that experiment's rows only.
 
 Numeric deviations beyond tolerance are classified by the field's
 *direction* (:func:`metric_direction`): a latency that shrank or a
@@ -108,7 +110,7 @@ def compare_rows(exp_id: str, index: int, old_row: dict, new_row: dict,
                  regressions: list[str],
                  improvements: list[str] | None = None) -> None:
     for key in old_row:
-        if key in ignore:
+        if key in ignore or f"{exp_id}.{key}" in ignore:
             continue
         if key not in new_row:
             regressions.append(

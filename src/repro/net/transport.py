@@ -11,7 +11,7 @@ paper's "failures signaled from the lower network and transport layers".
 from __future__ import annotations
 
 import types
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Optional, Union
 
 from ..errors import (
     FailureException,
@@ -22,6 +22,7 @@ from ..errors import (
 )
 from ..sim.events import Signal
 from .address import NodeId
+from .link import Link
 from .message import Message
 from .node import Node
 from .partitions import PartitionManager
@@ -56,12 +57,11 @@ class Transport:
         self._queue_delay_by_family: dict[str, object] = {}
 
     # -- reachability -----------------------------------------------------
-    def unreachable_reason(self, src: NodeId, dst: NodeId) -> Optional[FailureException]:
-        """Why ``dst`` cannot be reached from ``src`` (None if it can).
-
-        The returned exception instance is ready to raise; its concrete
-        class tells callers what kind of failure the transport detected.
-        """
+    def _route_or_reason(self, src: NodeId, dst: NodeId
+                         ) -> Union[list[Link], FailureException]:
+        """The up route from ``src`` to ``dst`` — or, when there is
+        none, the failure saying why.  One topology lookup answers both
+        "can it travel" and "along which links"."""
         dst_node = self.nodes.get(dst)
         if dst_node is None:
             raise SimulationError(f"unknown destination node {dst!r}")
@@ -69,9 +69,19 @@ class Transport:
             return NodeCrashFailure(f"node {dst} is crashed")
         if not self.partitions.same_partition(src, dst):
             return PartitionFailure(f"{src} and {dst} are in different partitions")
-        if not self.topology.connected(src, dst):
+        route = self.topology.route(src, dst)
+        if route is None:
             return LinkDownFailure(f"no up path from {src} to {dst}")
-        return None
+        return route
+
+    def unreachable_reason(self, src: NodeId, dst: NodeId) -> Optional[FailureException]:
+        """Why ``dst`` cannot be reached from ``src`` (None if it can).
+
+        The returned exception instance is ready to raise; its concrete
+        class tells callers what kind of failure the transport detected.
+        """
+        found = self._route_or_reason(src, dst)
+        return found if isinstance(found, FailureException) else None
 
     def can_reach(self, src: NodeId, dst: NodeId) -> bool:
         return self.unreachable_reason(src, dst) is None
@@ -98,12 +108,12 @@ class Transport:
         # Message.__str__ is three nested formats: only pay for it when
         # the trace log will keep (or hand on) the record.
         trace = self.kernel.trace
-        if self.unreachable_reason(msg.src.node, msg.dst.node) is not None:
+        route = self._route_or_reason(msg.src.node, msg.dst.node)
+        if isinstance(route, FailureException):
             self.stats.record_drop(msg)
             if trace.active:
                 trace.record("drop", msg=str(msg), at="send")
             return False
-        route = self.topology.route(msg.src.node, msg.dst.node) or []
         for link in route:
             if link.loss_rate > 0.0 and self._latency_stream.bernoulli(link.loss_rate):
                 self.stats.record_drop(msg)

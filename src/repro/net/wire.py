@@ -17,7 +17,9 @@ message an honest size:
     delta, and only those go on the wire — the flag-serialiser idiom.
     Every failure type the servers can answer with has a one-byte tag;
     anything the schema does not know falls back to a length-prefixed
-    pickle so encoding stays total.
+    pickle so encoding stays total.  Sizing never encodes: a size-only
+    walk of the same grammar sums what the encoder would append, which
+    is all ``Transport.send`` needs of the codec.
 
 :class:`NaiveCodec`
     The honesty baseline: a pickle-size estimator standing in for
@@ -134,6 +136,15 @@ def encode_uvarint(n: int, out: bytearray) -> None:
         else:
             out.append(b)
             return
+
+
+def _uvarint_len(n: int) -> int:
+    """How many bytes :func:`encode_uvarint` appends for ``n``."""
+    if n < 128:
+        if n < 0:
+            raise ValueError(f"uvarint cannot encode negative {n}")
+        return 1
+    return (n.bit_length() + 6) // 7
 
 
 def decode_uvarint(data: bytes, pos: int) -> tuple[int, int]:
@@ -295,20 +306,41 @@ _XF_INVOCATION = 4
 class CompactCodec:
     """Tag-dispatched compact binary encoding with size accounting.
 
-    Stateless and shareable: the per-message string-intern table lives
-    on the stack of each ``encode_message``/``decode_message`` call.
+    Two walks over the same grammar: ``encode_message`` is the only
+    producer of bytes, ``message_size``/``payload_size`` sum the sizes
+    those bytes would have without building them — what every
+    ``Transport.send`` pays.  The per-message string-intern table lives
+    on the stack of each call.  The one piece of instance state is the
+    sizer's per-``Element`` memo, so an instance (and the elements it
+    has sized) lives and dies with the transport that owns it.
     """
 
     name = "compact"
 
+    def __init__(self) -> None:
+        # id(element) -> (element, fixed bytes, ((string, first-use
+        # cost), ...)): the part of an element's size that does not
+        # depend on what the message interned before it.  Keyed by
+        # identity because Element equality ignores replicas; the entry
+        # holds its element, so the id cannot be reused while it is here.
+        self._element_sizes: dict[int, tuple] = {}
+
     # -- public API ------------------------------------------------------
     def message_size(self, msg: Message) -> int:
-        return len(self.encode_message(msg))
+        """Exactly ``len(encode_message(msg))``, without encoding."""
+        ids = _uvarint_len(msg.msg_id)
+        if msg.reply_to is not None:
+            ids += _uvarint_len(msg.reply_to)
+        return ids + self._size_sans_ids(msg)
+
+    def canonical_size(self, msg: Message) -> int:
+        """``message_size`` as if ``msg_id`` (and ``reply_to``, when
+        present) were 1: each is then a one-byte varint."""
+        return (1 if msg.reply_to is None else 2) + self._size_sans_ids(msg)
 
     def payload_size(self, obj: Any) -> int:
-        out = bytearray()
-        self._encode_value(obj, out, {})
-        return len(out)
+        """Bytes ``obj`` encodes to on its own (empty intern table)."""
+        return self._size_value(obj, {})
 
     def encode_message(self, msg: Message) -> bytes:
         out = bytearray()
@@ -589,10 +621,7 @@ class CompactCodec:
     def _encode_delta(self, delta: dict, out: bytearray,
                       interns: dict[str, int]) -> None:
         out.append(_T_DELTA)
-        flags = 0
-        for bit, (key, default) in enumerate(DELTA_SCHEMA):
-            if delta[key] != default:
-                flags |= 1 << bit
+        flags = _delta_flags(delta)
         encode_uvarint(flags, out)
         for bit, (key, default) in enumerate(DELTA_SCHEMA):
             if not flags & (1 << bit):
@@ -680,16 +709,7 @@ class CompactCodec:
             return
         out.append(_T_FAILURE)
         encode_uvarint(index, out)
-        flags = 0
-        retry_after = getattr(exc, "retry_after", None)
-        owner = getattr(exc, "owner", None)
-        invocation = getattr(exc, "invocation_index", None)
-        if retry_after:
-            flags |= _XF_RETRY_AFTER
-        if owner is not None:
-            flags |= _XF_OWNER
-        if invocation is not None:
-            flags |= _XF_INVOCATION
+        flags, retry_after, owner, invocation = _failure_shape(exc)
         out.append(flags)
         self._encode_str(str(exc), out, interns)
         if flags & _XF_RETRY_AFTER:
@@ -724,6 +744,195 @@ class CompactCodec:
             return cls(message, invocation_index=invocation), pos
         return cls(message), pos
 
+    # -- sizes: the encoder's walk, summing instead of appending ----------
+    # The envelope and element rules are written out again here rather
+    # than shared: a helper call per message and per element cost the
+    # encoder 3-6%.  The rare shapes (delta flags, failure extras) are
+    # shared.  tests/test_net_wire_sizing.py holds the two walks equal.
+    def _size_sans_ids(self, msg: Message) -> int:
+        """The message's bytes other than its ``msg_id``/``reply_to``."""
+        interns: dict[str, int] = {}
+        base = msg.method
+        if msg.is_reply:
+            if base.endswith("!ok"):
+                base = base[:-3]
+            elif base.endswith("!error"):
+                base = base[:-6]
+        method_id = _METHOD_IDS.get(base)
+        total = 1                          # the flags byte
+        if msg.priority != PRIORITY_NORMAL:
+            total += _uvarint_len(msg.priority)
+        for part in (msg.src.node, msg.src.service,
+                     msg.dst.node, msg.dst.service):
+            total += self._size_str(part, interns)
+        if method_id is not None:
+            total += _uvarint_len(method_id)
+        else:
+            total += self._size_str(base, interns)
+        return total + self._size_value(msg.payload, interns)
+
+    def _size_str(self, s: str, interns: dict[str, int]) -> int:
+        if s in interns:
+            return 1 + _uvarint_len(interns[s])
+        interns[s] = len(interns)
+        return _str_cost(s)
+
+    def _size_value(self, obj: Any, interns: dict[str, int]) -> int:
+        if obj is None or obj is True or obj is False:
+            return 1
+        cls = type(obj)
+        if cls is int:
+            return 1 + _uvarint_len(_zigzag(obj))
+        if cls is float:
+            return 9
+        if cls is str:
+            return self._size_str(obj, interns)
+        if cls is bytes:
+            n = len(obj)
+            return 1 + _uvarint_len(n) + n
+        if cls is tuple or cls is list:
+            total = 1 + _uvarint_len(len(obj))
+            for item in obj:
+                total += self._size_value(item, interns)
+            return total
+        if cls is dict:
+            if obj.keys() == _DELTA_KEYS and _delta_shaped(obj):
+                return self._size_delta(obj, interns)
+            total = 1 + _uvarint_len(len(obj))
+            for key, value in obj.items():
+                total += self._size_value(key, interns)
+                total += self._size_value(value, interns)
+            return total
+        if cls is set or cls is frozenset:
+            total = 1 + _uvarint_len(len(obj))
+            for item in _stable_order(obj):
+                total += self._size_value(item, interns)
+            return total
+        # A memo hit is an element: entries are only made below, after
+        # the Blob test failed for that very object.
+        key = id(obj)
+        if key in self._element_sizes:
+            entry = self._element_sizes[key]
+        elif isinstance(obj, Blob):
+            # The declared body dominates; no padding is allocated.
+            return (1 + _uvarint_len(max(0, obj.size))
+                    + max(obj.size, self._size_value(obj.value, interns)))
+        elif _is_element(obj):
+            entry = self._element_sizes[key] = _element_entry(obj)
+        else:
+            return self._size_fallback(obj, interns)
+        _element, total, strings = entry
+        for s, first_use in strings:
+            if s in interns:
+                index = interns[s]
+                total += 2 if index < 128 else 1 + _uvarint_len(index)
+            else:
+                interns[s] = len(interns)
+                total += first_use
+        return total
+
+    def _size_delta(self, delta: dict, interns: dict[str, int]) -> int:
+        flags = _delta_flags(delta)
+        total = 1 + _uvarint_len(flags)
+        for bit, (key, _default) in enumerate(DELTA_SCHEMA):
+            if not flags & (1 << bit):
+                continue
+            value = delta[key]
+            if key == "version" or key == "epoch":
+                total += _uvarint_len(value)
+            elif key == "sealed":
+                pass                       # presence == True
+            elif key == "ghosts":
+                total += _uvarint_len(len(value))
+                for ghost in value:
+                    total += self._size_str(ghost, interns)
+            elif key == "adds":
+                total += _uvarint_len(len(value))
+                for name, element, version in value:
+                    total += self._size_str(name, interns)
+                    total += self._size_value(element, interns)
+                    total += _uvarint_len(version)
+            elif key == "removes":
+                total += _uvarint_len(len(value))
+                for name, version, element in value:
+                    total += self._size_str(name, interns)
+                    total += _uvarint_len(version)
+                    total += self._size_value(element, interns)
+            else:                          # active_iterations
+                total += _uvarint_len(len(value))
+                for item in value:
+                    total += self._size_value(item, interns)
+        return total
+
+    def _size_fallback(self, obj: Any, interns: dict[str, int]) -> int:
+        """Failures by their schema; anything else, and a failure class
+        without a tag, by the pickle it would travel as (the one place
+        sizing still serialises)."""
+        index = _EXC_IDS.get(type(obj))
+        if index is None:
+            raw = len(pickle.dumps(obj, protocol=4))
+            return 1 + _uvarint_len(raw) + raw
+        flags, _retry_after, owner, invocation = _failure_shape(obj)
+        total = 2 + _uvarint_len(index)
+        total += self._size_str(str(obj), interns)
+        if flags & _XF_RETRY_AFTER:
+            total += 8
+        if flags & _XF_OWNER:
+            total += self._size_str(owner, interns)
+        if flags & _XF_INVOCATION:
+            total += _uvarint_len(invocation)
+        return total
+
+
+def _element_entry(element: Any) -> tuple:
+    """An element's memo entry: itself, its bytes that are the same in
+    every message, and its strings in wire order with what each costs
+    where it is the message's first use of that string."""
+    fixed = 2                              # tag + flags
+    strings = [element.name]
+    prefix = element.name + "-"
+    rest = element.oid[len(prefix):]
+    if element.oid.startswith(prefix) and rest.isdigit() \
+            and (rest == "0" or not rest.startswith("0")):
+        fixed += _uvarint_len(int(rest))   # derived oid: the counter only
+    else:
+        strings.append(element.oid)
+    strings.append(element.home)
+    if element.replicas:
+        fixed += _uvarint_len(len(element.replicas))
+        strings.extend(element.replicas)
+    return element, fixed, tuple((s, _str_cost(s)) for s in strings)
+
+
+def _delta_flags(delta: dict) -> int:
+    """Presence bitfield: which fields differ from the schema default."""
+    flags = 0
+    for bit, (key, default) in enumerate(DELTA_SCHEMA):
+        if delta[key] != default:
+            flags |= 1 << bit
+    return flags
+
+
+def _failure_shape(exc: BaseException) -> tuple[int, Any, Any, Any]:
+    """(failure flags, retry_after, owner, invocation_index)."""
+    flags = 0
+    retry_after = getattr(exc, "retry_after", None)
+    owner = getattr(exc, "owner", None)
+    invocation = getattr(exc, "invocation_index", None)
+    if retry_after:
+        flags |= _XF_RETRY_AFTER
+    if owner is not None:
+        flags |= _XF_OWNER
+    if invocation is not None:
+        flags |= _XF_INVOCATION
+    return flags, retry_after, owner, invocation
+
+
+def _str_cost(s: str) -> int:
+    """Bytes of a string's first use in a message: tag, length, UTF-8."""
+    n = len(s) if s.isascii() else len(s.encode("utf-8"))
+    return 1 + _uvarint_len(n) + n
+
 
 def _is_element(obj: Any) -> bool:
     # Structural check instead of an import: net must stay importable
@@ -757,6 +966,15 @@ class NaiveCodec:
 
     def message_size(self, msg: Message) -> int:
         return len(self.encode_message(msg)) + _blob_extra(msg.payload)
+
+    def canonical_size(self, msg: Message) -> int:
+        """``message_size`` as if ``msg_id`` (and ``reply_to``, when
+        present) were 1; a pickled int's width is not worth deriving,
+        so this codec measures a copy."""
+        return self.message_size(replace(
+            msg, msg_id=1,
+            reply_to=None if msg.reply_to is None else 1,
+            wire_size=None))
 
     def payload_size(self, obj: Any) -> int:
         return len(pickle.dumps(obj, protocol=4)) + _blob_extra(obj)
@@ -811,11 +1029,7 @@ class WireFormat:
         # *process* — not the scenario — had already sent, breaking
         # seed-deterministic byte counts.  A real wire's message ids
         # are per-connection sequence numbers of fixed small width.
-        canonical = replace(
-            msg, msg_id=1,
-            reply_to=None if msg.reply_to is None else 1,
-            wire_size=None)
-        return self.codec.message_size(canonical)
+        return self.codec.canonical_size(msg)
 
     def serialize_delay(self, size: int) -> float:
         if self.serialize_rate <= 0 or size <= 0:

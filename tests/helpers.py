@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Optional
 
-from repro.net import FixedLatency, Network, full_mesh
+from repro.net import CompactCodec, FixedLatency, Network, WireFormat, full_mesh
 from repro.sim import Kernel
 from repro.store import World
 from repro.weaksets import install_lock_service
@@ -78,3 +79,21 @@ def drain_all(kernel, weakset, max_yields: Optional[int] = None):
         return (yield from iterator.drain(max_yields=max_yields))
 
     return kernel.run_process(proc())
+
+
+def assert_sized_exactly(msg, codec: Optional[CompactCodec] = None) -> None:
+    """The compact codec's size-only walk against its encoder, for one
+    message: whole message, bare payload, and the transport's measure
+    (canonical envelope ids).  ``codec`` defaults to a fresh one — an
+    empty element memo; pass a long-lived one to exercise memo hits."""
+    codec = codec if codec is not None else CompactCodec()
+    encoded = len(codec.encode_message(msg))
+    payload = bytearray()
+    codec._encode_value(msg.payload, payload, {})
+    canonical = replace(msg, msg_id=1,
+                        reply_to=None if msg.reply_to is None else 1)
+    for _memo in ("cold", "warm"):
+        assert codec.message_size(msg) == encoded
+        assert codec.payload_size(msg.payload) == len(payload)
+        assert WireFormat(codec=codec).measure(msg) == \
+            len(codec.encode_message(canonical))

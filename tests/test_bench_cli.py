@@ -1,5 +1,6 @@
 """The `python -m repro.bench` CLI."""
 
+import pytest
 
 from repro.bench.__main__ import main
 
@@ -15,6 +16,13 @@ def test_cli_runs_selected_experiments(capsys):
 def test_cli_accepts_lowercase_ids(capsys):
     assert main(["e9"]) == 0
     assert "[E9]" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("typed", ["E2a", "e2a", "E2A"])
+def test_cli_matches_mixed_case_ids_in_any_case(typed, capsys):
+    # "E2a" itself used to be rejected: the CLI upper-cased every id
+    assert main([typed]) == 0
+    assert "[E2a]" in capsys.readouterr().out
 
 
 def test_cli_runs_multiple(capsys):
@@ -165,6 +173,15 @@ def test_compare_extra_ignore_keys(tmp_path):
     old = write_fake_artifact(tmp_path / "old.json", latency=1.0)
     new = write_fake_artifact(tmp_path / "new.json", latency=9.0)
     assert main(["compare", old, new, "--ignore", "latency"]) == 0
+
+
+def test_compare_ignore_scoped_to_one_experiment(tmp_path):
+    old = write_fake_artifact(tmp_path / "old.json", latency=1.0)
+    new = write_fake_artifact(tmp_path / "new.json", latency=9.0)
+    # the fake rows live in E98: the scoped key silences them there ...
+    assert main(["compare", old, new, "--ignore", "E98.latency"]) == 0
+    # ... and nowhere else
+    assert main(["compare", old, new, "--ignore=E99.latency"]) == 1
 
 
 def test_compare_unreadable_file_exits_two(tmp_path, capsys):

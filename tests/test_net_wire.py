@@ -32,6 +32,8 @@ from repro.net.wire import (
 )
 from repro.store.elements import Element
 
+from helpers import assert_sized_exactly
+
 COMPACT = CompactCodec()
 NAIVE = NaiveCodec()
 SRC = Address("client", "app")
@@ -49,10 +51,16 @@ class Odd:
 
 
 def call(payload, method="get_objects"):
-    return Message(src=SRC, dst=DST, method=method, payload=payload)
+    msg = Message(src=SRC, dst=DST, method=method, payload=payload)
+    # every message this module builds is also a sizing case: the
+    # size-only walk must agree with the encoder, memo cold and warm
+    assert_sized_exactly(msg)
+    assert_sized_exactly(msg, COMPACT)
+    return msg
 
 
 def roundtrip(msg: Message) -> Message:
+    assert_sized_exactly(msg, COMPACT)        # replies bypass call()
     return COMPACT.decode_message(COMPACT.encode_message(msg))
 
 
