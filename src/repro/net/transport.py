@@ -106,18 +106,18 @@ class Transport:
             object.__setattr__(msg, "wire_size", self.wire.measure(msg))
         self.stats.record_send(msg)
         # Message.__str__ is three nested formats: only pay for it when
-        # the trace log will keep (or hand on) the record.
+        # the trace log will keep the record.
         trace = self.kernel.trace
         route = self._route_or_reason(msg.src.node, msg.dst.node)
         if isinstance(route, FailureException):
             self.stats.record_drop(msg)
-            if trace.active:
+            if trace.enabled:
                 trace.record("drop", msg=str(msg), at="send")
             return False
         for link in route:
             if link.loss_rate > 0.0 and self._latency_stream.bernoulli(link.loss_rate):
                 self.stats.record_drop(msg)
-                if trace.active:
+                if trace.enabled:
                     trace.record("drop", msg=str(msg), at="loss",
                                  link=f"{link.a}<->{link.b}")
                 return False
@@ -141,7 +141,7 @@ class Transport:
                     f"net.link.queue_delay.{family}")
                 self._queue_delay_by_family[family] = hist
             hist.observe(queue_wait)
-        if trace.active:
+        if trace.enabled:
             trace.record("send", msg=str(msg), delay=round(delay, 6),
                          size=msg.wire_size)
         self.kernel.call_soon(lambda: self._deliver(msg), delay=delay)
@@ -151,11 +151,11 @@ class Transport:
         trace = self.kernel.trace
         if self.unreachable_reason(msg.src.node, msg.dst.node) is not None:
             self.stats.record_drop(msg)
-            if trace.active:
+            if trace.enabled:
                 trace.record("drop", msg=str(msg), at="delivery")
             return
         self.stats.record_delivery(msg)
-        if trace.active:
+        if trace.enabled:
             trace.record("recv", msg=str(msg))
         if msg.is_reply:
             self._complete_reply(msg)

@@ -406,9 +406,6 @@ class Kernel:
 
             timer.append(self._schedule(timeout, on_timeout))
 
-    def _resume(self, proc: Process) -> None:
-        self._step(proc)
-
     def __repr__(self) -> str:
         return (f"Kernel(now={self.now:.3f}, queued={len(self._sched)}, "
                 f"procs={len(self._processes)})")

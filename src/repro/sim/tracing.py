@@ -11,7 +11,7 @@ The trace is a list of timestamped records.  It serves two purposes:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Iterator, Optional
+from typing import TYPE_CHECKING, Any, Iterator, Optional
 
 if TYPE_CHECKING:  # pragma: no cover
     from .clock import Clock
@@ -35,46 +35,19 @@ class TraceRecord:
 class TraceLog:
     """Append-only event log; cheap no-op when disabled.
 
-    Subscribers (e.g., the spec framework's constraint monitors) can
-    register callbacks that see every record as it is appended,
-    regardless of whether recording-for-dump is enabled.
+    Hot callers check ``enabled`` before *formatting* a record's fields.
     """
 
     def __init__(self, enabled: bool = False, clock: Optional["Clock"] = None):
         self.enabled = enabled
         self._clock = clock
         self._records: list[TraceRecord] = []
-        self._subscribers: list[Callable[[TraceRecord], None]] = []
-
-    @property
-    def active(self) -> bool:
-        """Will :meth:`record` keep (or hand on) a record right now?
-        Hot callers check this before *formatting* a record's fields."""
-        return self.enabled or bool(self._subscribers)
 
     def record(self, kind: str, **fields: Any) -> None:
-        # ``not self.active``, spelled out: the kernel calls this once per
-        # process finish, where a property call would show in calls/op.
-        if not self.enabled and not self._subscribers:
+        if not self.enabled:
             return
         now = self._clock.now if self._clock is not None else 0.0
-        rec = TraceRecord(time=now, kind=kind, fields=fields)
-        if self.enabled:
-            self._records.append(rec)
-        for callback in self._subscribers:
-            callback(rec)
-
-    def subscribe(self, callback: Callable[[TraceRecord], None]) -> Callable[[], None]:
-        """Register a live subscriber; returns an unsubscribe function."""
-        self._subscribers.append(callback)
-
-        def unsubscribe() -> None:
-            try:
-                self._subscribers.remove(callback)
-            except ValueError:
-                pass
-
-        return unsubscribe
+        self._records.append(TraceRecord(time=now, kind=kind, fields=fields))
 
     def records(self, kind: Optional[str] = None) -> Iterator[TraceRecord]:
         for rec in self._records:

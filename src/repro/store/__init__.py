@@ -26,7 +26,7 @@ from .server import (
     ObjectServer,
     POLICIES,
     batch_add_step,
-    batch_erase_step,
+    erase_plan,
     erase_step,
 )
 from .sharding import HashRing, ShardMap, shard_state_id
@@ -67,7 +67,7 @@ __all__ = [
     "WriteResult",
     "apply_delta",
     "batch_add_step",
-    "batch_erase_step",
+    "erase_plan",
     "erase_step",
     "figure2_world",
     "fresh_oid",

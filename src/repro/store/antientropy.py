@@ -50,8 +50,7 @@ def apply_delta(state: CollectionState, delta: dict) -> int:
         known = state.member_versions.get(name)
         if known is not None and known > version:
             continue
-        state.members.pop(name, None)
-        state.member_versions.pop(name, None)
+        state.forget(name)
         state.removed[name] = (version, element)
     for name, element, version in delta["adds"]:
         state.members[name] = element
@@ -63,14 +62,15 @@ def apply_delta(state: CollectionState, delta: dict) -> int:
 
 
 class AntiEntropySyncer:
-    """One replica's pull loop for one collection (or one shard of one).
+    """One replica's pull loop for one partition of one collection.
 
-    For an unsharded collection the syncer pulls from the primary and
-    applies to the replica's state under the plain collection id.  For a
-    sharded collection each mirror node runs one syncer *per shard*:
-    ``source`` is the shard server and ``state_id`` the namespaced
-    mirror id (:func:`~repro.store.sharding.shard_state_id`), so one
-    mirror follows every partition through the identical pull protocol.
+    The syncer pulls from ``source`` — the partition's owner: the
+    primary of a classic collection, one shard of a sharded one — and
+    applies to the replica's own state, filed under the collection's
+    :meth:`~repro.store.world.CollectionInfo.mirror_id` for that
+    partition.  A mirror of a sharded collection runs one syncer *per
+    shard*, so it follows every partition through the identical pull
+    protocol.
 
     A rebalance that drops a migrated range does so without tombstones
     (see :meth:`~repro.store.server.ObjectServer.drop_range`), bumping
@@ -80,13 +80,12 @@ class AntiEntropySyncer:
     """
 
     def __init__(self, world: "World", info: "CollectionInfo", replica: NodeId,
-                 source: "NodeId | None" = None,
-                 state_id: "str | None" = None):
+                 source: NodeId):
         self.world = world
         self.info = info
         self.replica = replica
-        self.source = source if source is not None else info.primary
-        self.state_id = state_id if state_id is not None else info.coll_id
+        self.source = source
+        self.state_id = info.mirror_id(source)
         metrics = world.kernel.obs.metrics
         self._m_rounds = metrics.counter("sync.rounds")
         self._m_failures = metrics.counter("sync.failures")
@@ -97,38 +96,22 @@ class AntiEntropySyncer:
         """The syncer process (spawned as a daemon by the world)."""
         net = self.world.net
         tracer = self.world.kernel.obs.tracer
-        period = self.world.replica_lag
         server = self.world.servers[self.replica]
         while True:
-            yield Sleep(period)
+            yield Sleep(self.world.replica_lag)
             if not net.node(self.replica).up:
                 continue   # a crashed replica cannot pull; it catches up on recovery
             state = server.collections[self.state_id]
             span = tracer.start("sync.round", coll=self.info.coll_id,
                                 replica=str(self.replica),
                                 source=str(self.source))
-            try:
-                # Background-class admission priority: under overload,
-                # anti-entropy yields to client reads rather than
-                # competing with them (aging still prevents starvation).
-                delta = yield from self.world.sync_client.call(
-                    self.replica, self.source, "store", "sync_delta",
-                    self.info.coll_id, state.version, timeout=period,
-                    priority=PRIORITY_LOW,
-                )
-            except (FailureException, SimulationError) as exc:
-                # FailureException: the primary was unreachable (retries
-                # exhausted).  SimulationError: *we* crashed between the
-                # liveness check and an attempt — skip the round; the
-                # loop re-checks liveness next period.
-                self._m_failures.inc()
-                tracer.finish(span, outcome=type(exc).__name__)
-                continue
-            epoch = delta.get("epoch", 0)
-            if epoch != state.epoch:
+            delta = yield from self._pull(state.version, span)
+            if delta is not None and delta.get("epoch", 0) != state.epoch:
                 # The source dropped a migrated range without tombstones;
                 # our copy may list members it no longer owns.  Discard
-                # and re-pull from scratch under the new epoch.
+                # and re-pull from scratch under the new epoch.  If that
+                # pull fails we retry next period; the cleared state is
+                # safe (empty is always a legal stale view).
                 self._m_resyncs.inc()
                 state.members.clear()
                 state.member_versions.clear()
@@ -136,22 +119,37 @@ class AntiEntropySyncer:
                 state.unverified_removals.clear()
                 state.ghosts = set()
                 state.version = 0
-                state.epoch = epoch
-                try:
-                    delta = yield from self.world.sync_client.call(
-                        self.replica, self.source, "store", "sync_delta",
-                        self.info.coll_id, 0, timeout=period,
-                        priority=PRIORITY_LOW,
-                    )
-                except (FailureException, SimulationError) as exc:
-                    # Re-pull next period; the cleared state is safe
-                    # (empty is always a legal stale view).
-                    self._m_failures.inc()
-                    tracer.finish(span, outcome=type(exc).__name__)
-                    continue
                 state.epoch = delta.get("epoch", 0)
+                delta = yield from self._pull(0, span)
+            if delta is None:
+                continue
+            state.epoch = delta.get("epoch", 0)
             applied = apply_delta(state, delta)
             self._m_rounds.inc()
             if applied:
                 self._m_entries.inc(applied)
             tracer.finish(span, outcome="ok", entries=applied)
+
+    def _pull(self, since_version: int,
+              span) -> Generator[object, object, "dict | None"]:
+        """One ``sync_delta`` pull; None (counted, ``span`` closed) when
+        it failed.
+
+        Background-class admission priority: under overload,
+        anti-entropy yields to client reads rather than competing with
+        them (aging still prevents starvation).
+        """
+        try:
+            return (yield from self.world.sync_client.call(
+                self.replica, self.source, "store", "sync_delta",
+                self.info.coll_id, since_version,
+                timeout=self.world.replica_lag, priority=PRIORITY_LOW,
+            ))
+        except (FailureException, SimulationError) as exc:
+            # FailureException: the source was unreachable (retries
+            # exhausted).  SimulationError: *we* crashed between the
+            # liveness check and an attempt — skip the round; the loop
+            # re-checks liveness next period.
+            self._m_failures.inc()
+            self.world.kernel.obs.tracer.finish(span, outcome=type(exc).__name__)
+            return None

@@ -28,19 +28,47 @@ shows in ``rpc.attempts``, its progress in the ``recovery.*`` and
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Generator
+from types import GeneratorType
+from typing import TYPE_CHECKING, Any, Generator, Iterator
 
 from ..errors import FailureException, SimulationError
+from ..net.address import NodeId
 from ..net.executor import PRIORITY_LOW
 from ..net.resilience import ResilientClient, RetryPolicy
 from ..sim.events import Sleep
-from .server import ObjectServer, batch_add_step, batch_erase_step, erase_step
+from .elements import ObjectId
+from .server import ObjectServer, batch_add_step, erase_plan
 from .wal import PENDING, IntentRecord
 
 if TYPE_CHECKING:  # pragma: no cover
     from .world import World
 
 __all__ = ["RecoveryManager", "RepairDaemon"]
+
+
+def _at_holder(client: ResilientClient, server: ObjectServer, holder: NodeId,
+               method: str, oid: ObjectId) -> Generator[Any, Any, Any]:
+    """Run ``method(oid)`` at ``holder`` on ``server``'s behalf.
+
+    A direct call when the holder is ``server`` itself, else a resilient
+    RPC in the background admission class: repair traffic must not crowd
+    out client work on an already-struggling server.  Returns the
+    method's answer, or None when nobody could be asked — the holder is
+    unreachable, or ``server``'s own node went down meanwhile.
+    """
+    try:
+        if holder == server.node_id:
+            answer = getattr(server, method)(oid)
+            if isinstance(answer, GeneratorType):
+                answer = yield from answer
+            return answer
+        if not server.world.net.node(server.node_id).up:
+            return None
+        return (yield from client.call(
+            server.node_id, holder, ObjectServer.SERVICE, method, oid,
+            priority=PRIORITY_LOW))
+    except (FailureException, SimulationError):
+        return None
 
 
 class RecoveryManager:
@@ -67,8 +95,8 @@ class RecoveryManager:
         recovery kills it mid-replay — and the *next* recovery resumes
         from the steps it managed to mark.
         """
-        if not self.world.recovery_enabled:
-            return
+        # A disabled log (the E18 ablation) retains nothing, so it never
+        # has a pending intent either.
         if not server.wal.pending():
             return
         proc = self.world.kernel.spawn(
@@ -111,74 +139,31 @@ class RecoveryManager:
                     state.sealed = True
                 server.wal.commit(record)
                 return True
-            if record.kind == "add-batch":
-                if state is None or not record.elements:
-                    server.wal.abort(record)
-                    return True
-                for item in record.elements:
-                    existing = state.members.get(item.name)
-                    if existing is None:
-                        state.members[item.name] = item
-                        server.wal.mark(record, batch_add_step(item))
-                    elif existing == item:
-                        server.wal.mark(record, batch_add_step(item))
-                    # else: a different element claimed the name after the
-                    # crash — leave it; _finish_add_batch skips this item.
-                server._finish_add_batch(state, record)
-                self._m_replayed.inc()
-                return True
-            # "erase" and "erase-batch" are one engine: a single erase is
-            # a batch of one that keeps the bare (un-namespaced) step names.
-            items = record.elements
-            step_of = batch_erase_step
-            if record.kind == "erase":
-                items = (record.element,) if record.element is not None else ()
-                step_of = erase_step
-            if state is None or not items:
+            if state is None or not record.elements:
                 server.wal.abort(record)
                 return True
-            for item in items:
-                ok = yield from self._erase_copies(server, record, item, step_of)
-                if not ok:
-                    return False
-            server._finish_erase_batch(state, items, record)
+            if record.kind == "add-batch":
+                for item in record.elements:
+                    # A different element may have claimed the name after
+                    # the crash — leave it; _finish_add_batch skips it.
+                    if state.members.setdefault(item.name, item) == item:
+                        server.wal.mark(record, batch_add_step(item))
+                server._finish_add_batch(state, record)
+            else:
+                for item in record.elements:
+                    for holder, step in erase_plan(record, item):
+                        deleted = yield from _at_holder(
+                            self.client, server, holder, "delete_object",
+                            item.oid)
+                        if deleted is None:
+                            self._m_blocked.inc()
+                            return False
+                        server.wal.mark(record, step)
+                server._finish_erase(state, record.elements, record)
             self._m_replayed.inc()
             return True
         finally:
             record.in_flight = False
-
-    def _erase_copies(self, server: ObjectServer, record: IntentRecord,
-                      element, step_of) -> Generator[object, object, bool]:
-        """Idempotently re-delete one element's unmarked copies.
-
-        ``step_of`` picks the step namespace: plain erase intents use
-        ``erase_step`` names, batch intents the per-item
-        ``batch_erase_step`` names.  Returns False (intent stays
-        pending) when a holder is unreachable or this node goes down.
-        """
-        net = self.world.net
-        for holder in element.replicas + (element.home,):
-            step = step_of(element, holder)
-            if record.done(step):
-                continue
-            try:
-                if holder == server.node_id:
-                    yield from server.delete_object(element.oid)
-                else:
-                    if not net.node(server.node_id).up:
-                        return False
-                    # Repair traffic rides the background admission
-                    # class: it must not crowd out client work on an
-                    # already-struggling server.
-                    yield from self.client.call(
-                        server.node_id, holder, ObjectServer.SERVICE,
-                        "delete_object", element.oid, priority=PRIORITY_LOW,
-                    )
-            except (FailureException, SimulationError):
-                self._m_blocked.inc()
-                return False
-            server.wal.mark(record, step)
-        return True
 
 
 class RepairDaemon:
@@ -235,13 +220,17 @@ class RepairDaemon:
             tracer.finish(span, retried=retried, healed=healed, orphans=orphans,
                           gcd=gcd)
 
+    def _up_servers(self) -> Iterator[ObjectServer]:
+        """Servers in node order, each checked for liveness only when the
+        sweep reaches it (earlier work in the same pass takes time)."""
+        for node in sorted(self.world.servers):
+            if self.world.net.node(node).up:
+                yield self.world.servers[node]
+
     # -- pass 1: retry pending intents everywhere -------------------------
     def _retry_pending(self) -> Generator[object, object, int]:
         retried = 0
-        for node in sorted(self.world.servers):
-            if not self.world.net.node(node).up:
-                continue
-            server = self.world.servers[node]
+        for server in self._up_servers():
             for record in server.wal.pending():
                 done = yield from self.world.recovery.roll_forward(server, record)
                 if done:
@@ -264,11 +253,10 @@ class RepairDaemon:
         if remote:
             cursor_key = f"{state.coll_id}@{server.node_id}"
             cursor = self._cursors.get(cursor_key, 0)
-            window = local + [
-                remote[(cursor + i) % len(remote)]
-                for i in range(min(self.PROBE_BUDGET, len(remote)))]
-            self._cursors[cursor_key] = (cursor + min(
-                self.PROBE_BUDGET, len(remote))) % len(remote)
+            budget = min(self.PROBE_BUDGET, len(remote))
+            window = local + [remote[(cursor + i) % len(remote)]
+                              for i in range(budget)]
+            self._cursors[cursor_key] = (cursor + budget) % len(remote)
         healed = 0
         for name in window:
             element = state.members.get(name)
@@ -279,9 +267,10 @@ class RepairDaemon:
                 # The home *answered* and the object is dead: a removal
                 # outran its log (or there was no log).  Complete it by
                 # logging a fresh intent and rolling it forward (not via
-                # _erase_member — the scrub daemon is not a node-tracked
-                # handler, so it must never execute armed crash points).
-                record = server.wal.append("erase", state.coll_id, element,
+                # the handler's _erase — the scrub daemon is not a
+                # node-tracked handler, so it must never execute armed
+                # crash points).
+                record = server.wal.append("erase", state.coll_id, (element,),
                                            origin="scrub")
                 done = yield from self.world.recovery.roll_forward(server, record)
                 if done:
@@ -304,12 +293,14 @@ class RepairDaemon:
                 if alive is None:
                     verified = False     # holder unreachable; retry next round
                 elif alive:
-                    deleted = yield from self._delete(server, holder, element.oid)
-                    if deleted:
+                    deleted = yield from _at_holder(
+                        self.client, server, holder, "delete_object",
+                        element.oid)
+                    if deleted is None:
+                        verified = False
+                    else:
                         orphans += 1
                         self._m_orphans.inc()
-                    else:
-                        verified = False
             if verified:
                 state.unverified_removals.discard(name)
         return orphans
@@ -328,24 +319,9 @@ class RepairDaemon:
         rounds keeps freshly-written objects of in-flight adds safe.
         """
         grace = self.world.scrub_interval * self.ORPHAN_GRACE_ROUNDS
-        referenced: set = set()
-        for coll_id in self.world.collections:
-            for _, state in self.world.partition_states(coll_id):
-                for element in state.members.values():
-                    referenced.add(element.oid)
-                for _, element in state.removed.values():
-                    referenced.add(element.oid)
-        for server in self.world.servers.values():
-            for record in server.wal.pending():
-                if record.element is not None:
-                    referenced.add(record.element.oid)
-                for element in record.elements:
-                    referenced.add(element.oid)
+        referenced = self.world.referenced_oids()
         collected = 0
-        for node in sorted(self.world.servers):
-            if not self.world.net.node(node).up:
-                continue
-            server = self.world.servers[node]
+        for server in self._up_servers():
             doomed = [obj.oid for obj in server.objects.values()
                       if not obj.deleted and obj.oid not in referenced
                       and self.world.now - obj.created_at >= grace]
@@ -355,34 +331,8 @@ class RepairDaemon:
                 self._m_gc.inc()
         return collected
 
-    # -- RPC helpers ------------------------------------------------------
     def _probe(self, server: ObjectServer, holder, oid) -> Generator[object, object, object]:
         """True/False = holder answered (object live/dead); None = unreachable."""
         self._m_probes.inc()
-        try:
-            if holder == server.node_id:
-                return server.has_object(oid)
-            if not self.world.net.node(server.node_id).up:
-                return None
-            alive = yield from self.client.call(
-                server.node_id, holder, ObjectServer.SERVICE, "has_object", oid,
-                priority=PRIORITY_LOW,
-            )
-            return bool(alive)
-        except (FailureException, SimulationError):
-            return None
-
-    def _delete(self, server: ObjectServer, holder, oid) -> Generator[object, object, bool]:
-        try:
-            if holder == server.node_id:
-                yield from server.delete_object(oid)
-                return True
-            if not self.world.net.node(server.node_id).up:
-                return False
-            yield from self.client.call(
-                server.node_id, holder, ObjectServer.SERVICE, "delete_object", oid,
-                priority=PRIORITY_LOW,
-            )
-            return True
-        except (FailureException, SimulationError):
-            return False
+        return (yield from _at_holder(self.client, server, holder,
+                                      "has_object", oid))

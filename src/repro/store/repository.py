@@ -22,8 +22,7 @@ from .cache import ClientCache
 from .elements import Element
 from .fetchplan import rank_hosts
 from .server import ObjectServer
-from .sharding import shard_state_id
-from .world import World
+from .world import CollectionInfo, World
 from .writeplan import AddSpec, WritePipeline, WriteResult
 
 __all__ = ["Repository", "MembershipView"]
@@ -114,42 +113,17 @@ class Repository:
     # ------------------------------------------------------------------
     # host selection
     # ------------------------------------------------------------------
+    def placement(self, coll_id: str) -> CollectionInfo:
+        """Who owns, holds and mirrors what — assumed to be client-known
+        metadata, resolved live (a rebalance cutover is visible to the
+        next call)."""
+        return self.world.collection_info(coll_id)
+
     def hosts_of(self, coll_id: str) -> tuple[NodeId, ...]:
-        """Host placement is assumed to be client-known metadata."""
         return self.world.collection_info(coll_id).hosts
 
     def primary_of(self, coll_id: str) -> NodeId:
         return self.world.collection_info(coll_id).primary
-
-    def shard_map_of(self, coll_id: str):
-        """The collection's :class:`~repro.store.sharding.ShardMap`
-        (None when it has a single home)."""
-        return self.world.collection_info(coll_id).shard_map
-
-    def owner_of(self, coll_id: str, name: str) -> NodeId:
-        """The node owning ``name``'s registry entry — the shard the
-        current ring maps it to, or the single primary."""
-        smap = self.shard_map_of(coll_id)
-        if smap is not None:
-            return smap.shard_of(name)
-        return self.primary_of(coll_id)
-
-    def lock_nodes(self, coll_id: str) -> tuple[NodeId, ...]:
-        """Nodes whose locks guard this collection, in canonical *ring
-        order* — every client walks the same cycle, so cross-shard lock
-        acquisition is deadlock-free.  A single home means one lock."""
-        smap = self.shard_map_of(coll_id)
-        if smap is not None:
-            return smap.ring.ordered_nodes()
-        return (self.primary_of(coll_id),)
-
-    def shard_hosts(self, coll_id: str, shard: NodeId) -> tuple[NodeId, ...]:
-        """Hosts serving ``shard``'s partition: the shard itself plus
-        every mirror node (used by the quorum read protocol)."""
-        info = self.world.collection_info(coll_id)
-        if info.shard_map is None:
-            return info.hosts
-        return (shard,) + info.replicas
 
     def nearest_host(self, coll_id: str) -> Optional[NodeId]:
         """The reachable host with the lowest expected latency, if any."""
@@ -188,7 +162,7 @@ class Repository:
                 # view is at the moment a drain consumes it.
                 self._m_membership_age.observe(self.world.now - cached.read_at)
                 return cached
-        if self.shard_map_of(coll_id) is not None:
+        if self.placement(coll_id).is_sharded:
             return (yield from self._read_sharded(coll_id, source))
         if source == "primary":
             host = self.primary_of(coll_id)
@@ -244,8 +218,7 @@ class Repository:
           authoritative re-read from the shard itself, so one client's
           view of any single shard never travels backwards.
         """
-        info = self.world.collection_info(coll_id)
-        smap = info.shard_map
+        smap = self.placement(coll_id).shard_map
         self._m_scatter_reads.value += 1
         last_failure: Optional[FailureException] = None
         for _ in range(4):
@@ -305,24 +278,20 @@ class Repository:
     def _read_one_shard(
         self, coll_id: str, shard: NodeId, source: str
     ) -> Generator[Any, Any, tuple[int, tuple, bool]]:
-        info = self.world.collection_info(coll_id)
-        if source == "primary" or source == shard:
-            host, state_id = shard, coll_id
-        elif source == "nearest":
-            ranked = self._rank((shard,) + info.replicas)
+        info = self.placement(coll_id)
+        # The authoritative owner serves "primary", itself by name, and
+        # any explicit node that holds no copy of this partition.
+        host = shard
+        if source == "nearest":
+            ranked = self._rank(info.partition_hosts(shard))
             if not ranked:
                 raise UnreachableObjectFailure(
                     f"no host of {coll_id!r}'s shard {shard} is reachable "
                     f"from {self.client}")
             host = ranked[0]
-            state_id = (coll_id if host == shard
-                        else shard_state_id(coll_id, shard))
         elif source in info.replicas:
-            host, state_id = source, shard_state_id(coll_id, shard)
-        else:
-            # An explicit node that serves no partition of this shard:
-            # fall back to the authoritative owner.
-            host, state_id = shard, coll_id
+            host = source
+        state_id = info.state_id(shard, host)
         reply = yield from self._call(host, "list_members", state_id)
         version, members, degraded = _unpack_snapshot(reply)
         fences = self._shard_fences.setdefault(coll_id, {})
@@ -344,9 +313,7 @@ class Repository:
         """Read one shard's partition from one specific host — the shard
         itself (authoritative) or a mirror (its namespaced alias state).
         The quorum protocol builds its per-shard majorities from these."""
-        info = self.world.collection_info(coll_id)
-        state_id = (coll_id if (info.shard_map is None or host == shard)
-                    else shard_state_id(coll_id, shard))
+        state_id = self.placement(coll_id).state_id(shard, host)
         reply = yield from self._call(host, "list_members", state_id)
         version, members, degraded = _unpack_snapshot(reply)
         return MembershipView(coll_id, version, frozenset(members), host,
@@ -501,7 +468,8 @@ class Repository:
         then register membership.  Replica copies are written before the
         member becomes visible, so the failover invariant — live copy
         implies member — holds from the element's first instant."""
-        home = home if home is not None else self.owner_of(coll_id, name)
+        home = home if home is not None \
+            else self.placement(coll_id).owner_of(name)
         replicas = tuple(r for r in replicas if r != home)
         element = Element(name=name, oid=self.world.fresh_oid(name), home=home,
                           replicas=replicas)
@@ -557,7 +525,7 @@ class Repository:
         live map and re-routes — one extra hop per cutover raced."""
         last: Optional[WrongShardFailure] = None
         for _ in range(4):
-            owner = self.owner_of(coll_id, element.name)
+            owner = self.placement(coll_id).owner_of(element.name)
             try:
                 return (yield from self._call(owner, method, coll_id, element))
             except WrongShardFailure as exc:
@@ -655,25 +623,17 @@ class Repository:
     def seal(self, coll_id: str) -> Generator[Any, Any, None]:
         """Seal the collection — every shard of a sharded one, in ring
         order (one home otherwise)."""
-        for node in self.lock_nodes(coll_id):
+        for node in self.placement(coll_id).lock_nodes():
             yield from self._call(node, "seal_collection", coll_id)
 
     # ------------------------------------------------------------------
     # §3.3 iteration registration
     # ------------------------------------------------------------------
-    def _registration_nodes(self, coll_id: str) -> tuple[NodeId, ...]:
-        """Where iteration tokens must be registered: every node holding
-        an authoritative partition (including a migration target, which
-        must keep deferring removals for in-flight runs)."""
-        if self.shard_map_of(coll_id) is None:
-            return (self.primary_of(coll_id),)
-        return self.world.partition_nodes(coll_id)
-
     def begin_iteration(self, coll_id: str) -> Generator[Any, Any, str]:
         token = self.world.fresh_iter_token(self.client)
         registered: list[NodeId] = []
         try:
-            for node in self._registration_nodes(coll_id):
+            for node in self.placement(coll_id).partition_nodes():
                 yield from self._call(node, "begin_iteration", coll_id, token)
                 registered.append(node)
         except FailureException:
@@ -690,7 +650,7 @@ class Repository:
 
     def end_iteration(self, coll_id: str, token: str) -> Generator[Any, Any, int]:
         purged = 0
-        for node in self._registration_nodes(coll_id):
+        for node in self.placement(coll_id).partition_nodes():
             purged += yield from self._call(node, "end_iteration", coll_id, token)
         return purged
 

@@ -32,7 +32,7 @@ model file servers, not RAM caches).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Generator, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Generator, Iterator, Optional, Sequence
 
 from ..errors import (
     FailureException,
@@ -55,7 +55,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from .world import World
 
 __all__ = ["ObjectServer", "CollectionState", "POLICIES", "erase_step",
-           "batch_erase_step", "batch_add_step"]
+           "erase_plan", "batch_add_step"]
 
 POLICIES = ("any", "grow-only", "grow-during-run", "immutable")
 
@@ -63,21 +63,30 @@ POLICIES = ("any", "grow-only", "grow-during-run", "immutable")
 def erase_step(element: Element, holder: NodeId) -> str:
     """The WAL step name for deleting ``element``'s copy at ``holder``.
 
-    The home delete gets the distinguished name ``"home-deleted"`` —
-    it is the step crash-injection cares about most, being the last
-    remote action before the membership pop.
+    Namespaced by oid so one record tracks every item's progress.  The
+    home delete gets the distinguished base name ``"home-deleted"`` — it
+    is the step crash-injection cares about most, being the last remote
+    action before the membership pop — and a crash point armed at a bare
+    base step fires via the log's suffix matching.
     """
-    return "home-deleted" if holder == element.home else f"deleted:{holder}"
+    base = "home-deleted" if holder == element.home else f"deleted:{holder}"
+    return f"{element.oid}:{base}"
 
 
-def batch_erase_step(element: Element, holder: NodeId) -> str:
-    """Per-item WAL step inside an ``erase-batch`` intent.
+def erase_plan(record: IntentRecord,
+               element: Element) -> Iterator[tuple[NodeId, str]]:
+    """The ``(holder, step)`` deletes ``record`` still owes ``element``.
 
-    Namespaced by oid so one record can track every item's progress;
-    crash points armed at the bare base step (``"home-deleted"``) still
-    fire via the log's suffix matching.
+    This is the removal discipline, stated once for the handler and the
+    replay: replica copies strictly before the home.  A live replica
+    copy must always imply "still a member" (the failover path relies on
+    it), so copies disappear before the authoritative home does, and the
+    membership entry is popped only after every delete landed.
     """
-    return f"{element.oid}:{erase_step(element, holder)}"
+    for holder in element.replicas + (element.home,):
+        step = erase_step(element, holder)
+        if not record.done(step):
+            yield holder, step
 
 
 def batch_add_step(element: Element) -> str:
@@ -121,6 +130,18 @@ class CollectionState:
 
     def snapshot(self) -> tuple[int, tuple[Element, ...]]:
         return self.version, tuple(sorted(self.members.values()))
+
+    def forget(self, name: str) -> None:
+        """Drop ``name``'s entry and everything keyed on its being listed
+        (whether a tombstone replaces it is the caller's decision)."""
+        self.members.pop(name, None)
+        self.member_versions.pop(name, None)
+        self.ghosts.discard(name)
+
+    def tombstone(self, name: str, version: int, element: Element) -> None:
+        """Record a removal the scrubber has yet to verify orphan-free."""
+        self.removed[name] = (version, element)
+        self.unverified_removals.add(name)
 
 
 class ObjectServer:
@@ -347,11 +368,11 @@ class ObjectServer:
     MIGRATION_RETRY_AFTER = 0.05
 
     def _shard_guard(self, state: CollectionState,
-                     names: Iterable[str]) -> None:
-        """Reject mutations this shard must not apply.
+                     names: Sequence[str]) -> None:
+        """Reject mutations this node must not apply.
 
-        For a sharded collection a mutation is legal here only if this
-        node owns every named key under the current ring
+        A mutation is legal here only if this node owns every named key
+        under the collection's current placement
         (:class:`WrongShardFailure` otherwise — the client's map is
         stale and must be re-resolved, never retried in place).  While a
         rebalance is cutting over, keys this node is *losing* under
@@ -359,15 +380,13 @@ class ObjectServer:
         range is quiesced for its final delta, and the retried write
         will land on the new owner right after the ring swap.
         """
-        info = self.world.collections.get(state.coll_id)
-        smap = getattr(info, "shard_map", None)
-        if smap is not None:
-            for name in names:
-                owner = smap.shard_of(name)
-                if owner != self.node_id:
-                    raise WrongShardFailure(
-                        f"{state.coll_id}:{name!r} is owned by {owner}, "
-                        f"not {self.node_id}", owner=owner)
+        info = self.world.collection_info(state.coll_id)
+        for name in names:
+            owner = info.owner_of(name)
+            if owner != self.node_id:
+                raise WrongShardFailure(
+                    f"{state.coll_id}:{name!r} is owned by {owner}, "
+                    f"not {self.node_id}", owner=owner)
         ring = state.freeze_ring
         if ring is not None:
             for name in names:
@@ -377,96 +396,44 @@ class ObjectServer:
                         f"{self.node_id}",
                         retry_after=self.MIGRATION_RETRY_AFTER)
 
-    def add_member(self, coll_id: str, element: Element) -> Generator[Any, Any, int]:
-        yield Sleep(self.world.service_time)
-        state = self._primary(coll_id)
-        self._shard_guard(state, (element.name,))
-        if state.sealed:
-            raise MutationNotAllowed(f"{coll_id} is sealed (immutable)")
-        if element.name in state.members:
-            existing = state.members[element.name]
-            if existing == element:
-                return state.version  # idempotent re-add
-            raise MutationNotAllowed(
-                f"{coll_id} already has a member named {element.name!r}"
-            )
-        state.members[element.name] = element
-        state.version += 1
-        state.member_versions[element.name] = state.version
-        self.world._membership_changed(coll_id)
-        return state.version
+    def _addable(self, state: CollectionState,
+                 elements: Sequence[Element]) -> list[Element]:
+        """The one add validation: placement, the seal, name conflicts.
 
-    def remove_member(self, coll_id: str, element: Element) -> Generator[Any, Any, int]:
-        """Remove a member (policy permitting).
-
-        The member's *data object* is deleted at its home first, then the
-        membership entry is dropped, so "object exists at its home"
-        implies "still a member" — the invariant the optimistic iterator
-        relies on to avoid yielding elements stale replicas still list.
+        Everything is checked before anything mutates, so a rejected
+        batch changed nothing.  Returns the elements not yet listed (an
+        identical existing member is an idempotent re-add and drops out).
         """
+        self._shard_guard(state, [e.name for e in elements])
+        if state.sealed:
+            raise MutationNotAllowed(f"{state.coll_id} is sealed (immutable)")
+        fresh: list[Element] = []
+        for element in elements:
+            existing = state.members.get(element.name)
+            if existing is None:
+                fresh.append(element)
+            elif existing != element:
+                raise MutationNotAllowed(
+                    f"{state.coll_id} already has a member named "
+                    f"{element.name!r}")
+        return fresh
+
+    def add_member(self, coll_id: str, element: Element) -> Generator[Any, Any, int]:
+        """Register one member: a single local step, so no intent."""
         yield Sleep(self.world.service_time)
         state = self._primary(coll_id)
-        self._shard_guard(state, (element.name,))
-        if state.policy == "grow-only":
-            raise MutationNotAllowed(f"{coll_id} is grow-only; remove rejected")
-        if state.sealed or state.policy == "immutable":
-            raise MutationNotAllowed(f"{coll_id} is immutable; remove rejected")
-        current = state.members.get(element.name)
-        if current is None or current != element:
-            return state.version  # already gone: removal is idempotent
-        if state.policy == "grow-during-run" and state.active_iterations:
-            # §3.3 ghost protocol: defer the removal until no iteration
-            # is in progress; the member remains visible (the set only
-            # grows during a run).
-            state.ghosts.add(element.name)
-            return state.version
-        yield from self._erase_member(state, element)
+        if self._addable(state, (element,)):
+            state.members[element.name] = element
+            state.version += 1
+            state.member_versions[element.name] = state.version
+            self.world._membership_changed(coll_id)
         return state.version
 
-    def _erase_member(self, state: CollectionState, element: Element,
-                      origin: str = "remove") -> Generator:
-        # Delete the data objects first (possibly remote calls), replica
-        # copies before the home.  Ordering matters for the failover
-        # path: a live replica copy must always imply "still a member",
-        # so copies disappear strictly before the authoritative home
-        # does, and membership is popped only after every delete
-        # succeeded.  If any holder is unreachable from the primary, the
-        # failure propagates and the membership is left intact.
-        #
-        # The whole sequence is write-ahead logged: the intent lands
-        # before the first delete, each completed step is marked, and a
-        # crash at any point leaves a pending record recovery can roll
-        # forward.  A clean failure (unreachable holder) aborts the
-        # intent — the client saw the error and membership is untouched,
-        # so there is nothing to recover.
-        record = self.wal.append("erase", state.coll_id, element, origin=origin)
-        # While this handler lives, it owns the intent: the scrub daemon
-        # skips in-flight records, so a half-done erase is never doubly
-        # executed.  A crash kills the handler, whose generator close
-        # runs this ``finally`` — the record reverts to plain pending
-        # and recovery takes over.
-        record.in_flight = True
-        try:
-            yield from self.wal.step(record, "begin")
-            try:
-                yield from self._erase_copies(record, element, erase_step)
-            except FailureException:
-                self.wal.abort(record)
-                raise
-            self._finish_erase_batch(state, (element,), record)
-        finally:
-            record.in_flight = False
-
-    # ------------------------------------------------------------------
-    # collections: batched mutation (primary only, group commit)
-    # ------------------------------------------------------------------
     def add_members(self, coll_id: str,
                     elements: Sequence[Element]) -> Generator[Any, Any, int]:
         """Register a batch of members under one WAL intent (group commit).
 
-        Validation happens up front — a sealed collection or a name
-        conflict fails the whole batch before anything mutates.  Each
-        accepted element is inserted and then step-marked
+        Each accepted element is inserted and then step-marked
         (``"<name>:added"``), so a crash mid-batch leaves an intent
         recovery can finish item-precisely: marked items are skipped,
         unmarked ones re-inserted idempotently.  The version bump is
@@ -476,23 +443,11 @@ class ObjectServer:
         """
         yield Sleep(self.world.service_time)
         state = self._primary(coll_id)
-        self._shard_guard(state, [e.name for e in elements])
-        if state.sealed:
-            raise MutationNotAllowed(f"{coll_id} is sealed (immutable)")
-        to_add: list[Element] = []
-        for element in elements:
-            existing = state.members.get(element.name)
-            if existing is not None:
-                if existing == element:
-                    continue                     # idempotent re-add
-                raise MutationNotAllowed(
-                    f"{coll_id} already has a member named {element.name!r}"
-                )
-            to_add.append(element)
+        to_add = self._addable(state, elements)
         if not to_add:
             return state.version
-        record = self.wal.append("add-batch", coll_id, origin="add_many",
-                                 elements=tuple(to_add))
+        record = self.wal.append("add-batch", coll_id, tuple(to_add),
+                                 origin="add_many")
         record.in_flight = True
         try:
             yield from self.wal.step(record, "begin")
@@ -527,21 +482,24 @@ class ObjectServer:
         else:
             self.wal.commit(record)
 
+    def remove_member(self, coll_id: str, element: Element) -> Generator[Any, Any, int]:
+        """Remove a member (policy permitting): a batch of one."""
+        return self._remove(coll_id, (element,), "remove")
+
     def remove_members(self, coll_id: str,
                        elements: Sequence[Element]) -> Generator[Any, Any, int]:
-        """Remove a batch of members under one WAL intent (group commit).
+        """Remove a batch of members under one WAL intent (group commit)."""
+        return self._remove(coll_id, elements, "remove_many")
 
-        Policy checks and idempotent/ghost filtering happen up front;
-        the surviving targets share one ``erase-batch`` record whose
-        per-item steps (``"<oid>:deleted:<node>"``,
-        ``"<oid>:home-deleted"``) are marked as each copy dies — replica
-        copies strictly before the home, the same order the single
-        erase keeps, so "live copy implies member" survives batching.
-        Membership pops are deferred to the end and coalesced into one
-        version bump.  A clean failure mid-batch (unreachable holder)
-        commits the fully-erased prefix, leaves the rest members, and
-        propagates the failure — item-precise partial application;
-        removal is idempotent, so the client may simply retry.
+    def _remove(self, coll_id: str, elements: Sequence[Element],
+                origin: str) -> Generator[Any, Any, int]:
+        """Validate a removal and filter it down to what must be erased.
+
+        Policy is checked up front; an element that is already gone
+        drops out (removal is idempotent), and under ``grow-during-run``
+        with an iteration registered it becomes a *ghost* instead —
+        §3.3 defers the removal until no iteration is in progress, and
+        the member remains visible (the set only grows during a run).
         """
         yield Sleep(self.world.service_time)
         state = self._primary(coll_id)
@@ -552,17 +510,43 @@ class ObjectServer:
             raise MutationNotAllowed(f"{coll_id} is immutable; remove rejected")
         targets: list[Element] = []
         for element in elements:
-            current = state.members.get(element.name)
-            if current is None or current != element:
-                continue                         # already gone: idempotent
-            if state.policy == "grow-during-run" and state.active_iterations:
-                state.ghosts.add(element.name)   # §3.3 deferral, per item
+            if state.members.get(element.name) != element:
                 continue
-            targets.append(element)
-        if not targets:
-            return state.version
-        record = self.wal.append("erase-batch", coll_id, origin="remove_many",
-                                 elements=tuple(targets))
+            if state.policy == "grow-during-run" and state.active_iterations:
+                state.ghosts.add(element.name)
+            else:
+                targets.append(element)
+        if targets:
+            yield from self._erase(state, targets, origin)
+        return state.version
+
+    def _erase(self, state: CollectionState, targets: Sequence[Element],
+               origin: str) -> Generator:
+        """The one erase engine: removals, ghost purges, any batch size.
+
+        Each target's data object dies along :func:`erase_plan` — so
+        "object exists at its home" implies "still a member", the
+        invariant the optimistic iterator relies on to avoid yielding
+        elements stale replicas still list — and only then are the
+        memberships popped, under one coalesced version bump.
+
+        The whole sequence is write-ahead logged: the intent lands
+        before the first delete, each completed step is marked, and a
+        crash at any point leaves a pending record recovery can roll
+        forward.  A clean failure (unreachable holder) commits the
+        fully-erased prefix, leaves the rest members, and propagates —
+        item-precise partial application; removal is idempotent, so the
+        client may simply retry.  With no item fully erased the intent
+        aborts instead: the client saw the error and membership is
+        untouched, so there is nothing to recover.
+        """
+        record = self.wal.append("erase", state.coll_id, tuple(targets),
+                                 origin=origin)
+        # While this handler lives, it owns the intent: the scrub daemon
+        # skips in-flight records, so a half-done erase is never doubly
+        # executed.  A crash kills the handler, whose generator close
+        # runs this ``finally`` — the record reverts to plain pending
+        # and recovery takes over.
         record.in_flight = True
         try:
             yield from self.wal.step(record, "begin")
@@ -570,49 +554,32 @@ class ObjectServer:
             failure: Optional[FailureException] = None
             for element in targets:
                 try:
-                    yield from self._erase_copies(record, element,
-                                                  batch_erase_step)
+                    for holder, step in erase_plan(record, element):
+                        if holder == self.node_id:
+                            yield from self.delete_object(element.oid)
+                        else:
+                            yield from self.world.net.call(
+                                self.node_id, holder, self.SERVICE,
+                                "delete_object", element.oid)
+                        yield from self.wal.step(record, step)
                 except FailureException as exc:
                     failure = exc
                     break
                 erased.append(element)
-            if failure is not None and not erased:
-                # Nothing irreversible for any completed item: behave
-                # like the single erase's clean failure.
+            if erased:
+                self._finish_erase(state, erased, record)
+            else:
                 self.wal.abort(record)
-                raise failure
-            self._finish_erase_batch(state, erased, record)
             if failure is not None:
                 raise failure
         finally:
             record.in_flight = False
-        return state.version
 
-    def _erase_copies(self, record: IntentRecord, element: Element,
-                      step_of) -> Generator:
-        """The one erase engine: delete one element's copies (replicas
-        before home), marking the step ``step_of(element, holder)``
-        names after each delete lands — :func:`erase_step` for a single
-        ``erase`` intent, :func:`batch_erase_step` inside a batch."""
-        for holder in element.replicas + (element.home,):
-            step = step_of(element, holder)
-            if record.done(step):
-                continue
-            if holder == self.node_id:
-                yield from self.delete_object(element.oid)
-            else:
-                yield from self.world.net.call(
-                    self.node_id, holder, self.SERVICE, "delete_object",
-                    element.oid
-                )
-            yield from self.wal.step(record, step)
-
-    def _finish_erase_batch(self, state: CollectionState,
-                            elements: Sequence[Element],
-                            record: IntentRecord) -> None:
+    def _finish_erase(self, state: CollectionState,
+                      elements: Sequence[Element],
+                      record: IntentRecord) -> None:
         """The final, purely local erase step: pop the memberships and
-        tombstone them under one coalesced version bump (a single erase
-        is a batch of one).
+        tombstone them under one coalesced version bump.
 
         Idempotent (recovery and scrub may race a resumed handler): an
         element is popped only if that exact element is still listed,
@@ -624,11 +591,8 @@ class ObjectServer:
         if popped:
             state.version += 1
             for element in popped:
-                state.members.pop(element.name, None)
-                state.ghosts.discard(element.name)
-                state.member_versions.pop(element.name, None)
-                state.removed[element.name] = (state.version, element)
-                state.unverified_removals.add(element.name)
+                state.forget(element.name)
+                state.tombstone(element.name, state.version, element)
             self.wal.mark(record, "membership")
             self.wal.commit(record)
             self.world._membership_changed(state.coll_id)
@@ -667,7 +631,7 @@ class ObjectServer:
                 if element is None:
                     continue
                 try:
-                    yield from self._erase_member(state, element, origin="purge")
+                    yield from self._erase(state, (element,), "purge")
                     purged += 1
                 except FailureException:
                     # The ghost's home is unreachable right now; leave it
@@ -705,11 +669,8 @@ class ObjectServer:
             if name in state.removed:
                 continue
             if state.members.get(name) == element:
-                state.members.pop(name, None)
-                state.member_versions.pop(name, None)
-                state.ghosts.discard(name)
-            state.removed[name] = (incoming, element)
-            state.unverified_removals.add(name)
+                state.forget(name)
+            state.tombstone(name, incoming, element)
             applied += 1
         for name, element in adds:
             if state.members.get(name) == element:
@@ -726,8 +687,8 @@ class ObjectServer:
             self.world._membership_changed(coll_id)
         return applied
 
-    def freeze_range(self, coll_id: str,
-                     ring: "HashRing") -> Generator[Any, Any, None]:
+    def freeze_range(self, coll_id: str, ring: Optional["HashRing"]
+                     ) -> Generator[Any, Any, None]:
         """Quiesce the keys this node loses under ``ring`` (the target
         ring of an in-flight rebalance): mutations on them answer
         ``ServerBusyFailure`` until cutover, so the final delta the
@@ -738,9 +699,7 @@ class ObjectServer:
 
     def unfreeze_range(self, coll_id: str) -> Generator[Any, Any, None]:
         """Lift a freeze (rebalance aborted and will be retried)."""
-        yield Sleep(self.world.service_time)
-        state = self._primary(coll_id)
-        state.freeze_ring = None
+        return self.freeze_range(coll_id, None)
 
     def drop_range(self, coll_id: str,
                    ring: "HashRing") -> Generator[Any, Any, int]:
@@ -759,9 +718,7 @@ class ObjectServer:
         dropped = 0
         for name in [n for n in state.members
                      if ring.owner(n) != self.node_id]:
-            state.members.pop(name, None)
-            state.member_versions.pop(name, None)
-            state.ghosts.discard(name)
+            state.forget(name)
             dropped += 1
         for name in [n for n in state.removed
                      if ring.owner(n) != self.node_id]:

@@ -1,9 +1,9 @@
 """Per-server write-ahead intent logs.
 
 The servers are durable (objects and membership survive a crash), but
-multi-step mutations are not atomic: ``ObjectServer._erase_member``
-deletes replica copies, then the home object, then pops the membership
-entry — and a crash between any two steps used to leave the collection
+multi-step mutations are not atomic: ``ObjectServer._erase`` deletes
+replica copies, then the home object, then pops the membership entry —
+and a crash between any two steps used to leave the collection
 silently inconsistent (a member with no live home object, or a live
 copy of an element nobody lists).  The intent log closes that window
 the way a file server would: the primary *logs the intent* before
@@ -15,9 +15,10 @@ idempotent re-deletes.
 The log also doubles as the crash-*injection* surface: a test or the
 :class:`~repro.net.failures.FaultInjector` can *arm* a one-shot crash
 point at a named step (``"begin"``, ``"deleted:<node>"``,
-``"home-deleted"``), and the node crashes exactly when its next intent
-reaches that step — deterministic crash-mid-operation, something
-wall-clock fault injection can only approximate.
+``"home-deleted"``, ``"added"``), and the node crashes exactly when its
+next intent reaches that step for any item — deterministic
+crash-mid-operation, something wall-clock fault injection can only
+approximate.
 
 Intents are in-memory Python objects on the server (which models a
 durable disk log); "disabled" WAL (``World(recovery_enabled=False)``)
@@ -50,18 +51,19 @@ ABORTED = "aborted"
 class IntentRecord:
     """One logged multi-step mutation on one server.
 
-    ``steps`` records completed step names in order; a step that is in
-    the list genuinely happened (the mark lands before any crash point
-    fires), so recovery can skip it and re-execute only the rest.
+    There is one record shape: a single mutation is a batch of one.
+    ``steps`` records completed step names in order — ``"begin"``,
+    then per-item steps namespaced ``"<item>:<base-step>"``, then
+    ``"membership"``; a step that is in the list genuinely happened
+    (the mark lands before any crash point fires), so recovery can skip
+    it and re-execute only the rest.
     """
 
     intent_id: int
-    kind: str                       # "erase" | "seal" | "add-batch" | "erase-batch"
-    origin: str                     # "remove" | "purge" | "scrub" | "seal" | ...
+    kind: str                       # "erase" | "add-batch" | "seal"
+    origin: str                     # "remove" | "remove_many" | "purge" | "scrub" | ...
     coll_id: str
-    element: Optional[Element] = None
-    #: batch intents (group commit): every element covered by this one
-    #: record, each with its own per-item steps.
+    #: every element this record covers (group commit); empty for "seal".
     elements: tuple[Element, ...] = ()
     status: str = PENDING
     steps: list[str] = field(default_factory=list)
@@ -73,7 +75,7 @@ class IntentRecord:
         return step in self.steps
 
     def __repr__(self) -> str:
-        what = self.element.name if self.element is not None else self.coll_id
+        what = ",".join(e.name for e in self.elements) or self.coll_id
         return (f"Intent#{self.intent_id}({self.kind}/{self.origin} {what!r}, "
                 f"{self.status}, steps={self.steps})")
 
@@ -86,28 +88,24 @@ class IntentLog:
         self.world = world
         self.records: list[IntentRecord] = []
         self._ids = itertools.count(1)
-        self._armed: list[tuple[str, Optional[Callable[[], None]]]] = []
+        self._armed: list[tuple[str, Callable[[], None]]] = []
         metrics = world.kernel.obs.metrics
         self._m_intents = metrics.counter("wal.intents")
         self._m_commits = metrics.counter("wal.commits")
         self._m_aborts = metrics.counter("wal.aborts")
         self._m_crash_points = metrics.counter("wal.crash_points")
 
-    @property
-    def enabled(self) -> bool:
-        return self.world.recovery_enabled
-
     # -- logging ----------------------------------------------------------
-    def append(self, kind: str, coll_id: str, element: Optional[Element] = None,
-               origin: str = "remove",
-               elements: tuple[Element, ...] = ()) -> IntentRecord:
+    def append(self, kind: str, coll_id: str,
+               elements: tuple[Element, ...] = (), *,
+               origin: str) -> IntentRecord:
         """Log an intent *before* its first step executes."""
         record = IntentRecord(
             intent_id=next(self._ids), kind=kind, origin=origin,
-            coll_id=coll_id, element=element, elements=tuple(elements),
+            coll_id=coll_id, elements=tuple(elements),
             logged_at=self.world.now,
         )
-        if self.enabled:
+        if self.world.recovery_enabled:
             self.records.append(record)
             self._m_intents.inc()
         return record
@@ -133,12 +131,7 @@ class IntentLog:
         if trigger is None:
             return
         self._m_crash_points.inc()
-        if trigger is _CRASH_SELF:
-            node_id = self.node_id
-            net = self.world.net
-            self.world.kernel.call_soon(lambda: net.crash(node_id))
-        else:
-            self.world.kernel.call_soon(trigger)
+        self.world.kernel.call_soon(trigger)
         # Park until the crash lands; the kill never resumes us.
         yield Wait(Signal(name=f"crash-point:{self.node_id}:{step}"))
 
@@ -169,7 +162,11 @@ class IntentLog:
         must crash this node — the interrupted handler stays parked
         until the crash kills it.
         """
-        self._armed.append((step, trigger if trigger is not None else _CRASH_SELF))
+        self._armed.append(
+            (step, trigger if trigger is not None else self._crash_self))
+
+    def _crash_self(self) -> None:
+        self.world.net.crash(self.node_id)
 
     def armed(self) -> list[str]:
         return [step for step, _ in self._armed]
@@ -183,12 +180,12 @@ class IntentLog:
 
     @staticmethod
     def _step_matches(armed: str, step: str) -> bool:
-        """Exact match, or per-item match inside a batch intent.
+        """Exact match, or a per-item step's base name.
 
-        Batch steps are namespaced ``"<item>:<base-step>"`` (e.g.
+        Per-item steps are namespaced ``"<item>:<base-step>"`` (e.g.
         ``"oid-7:home-deleted"``, ``"m0003:added"``), so arming the bare
         base step — the only name a fault plan can know ahead of time —
-        fires on any item of any batch that reaches it.
+        fires on any item of any intent that reaches it.
         """
         return armed == step or step.endswith(":" + armed)
 
@@ -196,6 +193,3 @@ class IntentLog:
         return (f"IntentLog({self.node_id}, {len(self.records)} records, "
                 f"{len(self.pending())} pending)")
 
-
-#: Sentinel: the default crash-point trigger ("crash my own node").
-_CRASH_SELF: Callable[[], None] = lambda: None  # noqa: E731

@@ -43,7 +43,13 @@ __all__ = ["World", "CollectionInfo"]
 
 @dataclass
 class CollectionInfo:
-    """World-level record of one distributed collection."""
+    """World-level record of one distributed collection — and the one
+    place that knows its *placement*: which node owns a name's registry
+    entry, which nodes hold partitions, and under which id a mirror
+    files a partition.  A classic collection is the one-partition case
+    (its primary owns every name), so callers ask these questions
+    without first asking whether the collection is sharded.
+    """
 
     coll_id: str
     primary: NodeId
@@ -65,10 +71,52 @@ class CollectionInfo:
 
     @property
     def shards(self) -> tuple[NodeId, ...]:
-        """Current shard servers (just the primary when unsharded)."""
+        """Current partition owners (just the primary when unsharded)."""
         if self.shard_map is None:
             return (self.primary,)
         return self.shard_map.shards
+
+    def owner_of(self, name: str) -> NodeId:
+        """The node owning ``name``'s registry entry right now."""
+        if self.shard_map is None:
+            return self.primary
+        return self.shard_map.ring.owner(name)
+
+    def partition_nodes(self) -> tuple[NodeId, ...]:
+        """The nodes holding authoritative registry partitions right now:
+        the shards, plus a migration target while one is pre-copying.
+        Iteration tokens are registered at each of them (a target must
+        keep deferring removals for in-flight runs)."""
+        nodes = self.shards
+        if self.shard_map is not None and self.shard_map.migration is not None:
+            nodes += tuple(n for n in self.shard_map.migration.nodes
+                           if n not in nodes)
+        return nodes
+
+    def lock_nodes(self) -> tuple[NodeId, ...]:
+        """Nodes whose locks guard this collection, in canonical *ring
+        order* — every client walks the same cycle, so cross-shard lock
+        acquisition is deadlock-free.  A single home means one lock."""
+        if self.shard_map is None:
+            return (self.primary,)
+        return self.shard_map.ring.ordered_nodes()
+
+    def partition_hosts(self, shard: NodeId) -> tuple[NodeId, ...]:
+        """Hosts serving ``shard``'s partition: the shard itself plus
+        every mirror node."""
+        return (shard,) + self.replicas
+
+    def mirror_id(self, shard: NodeId) -> str:
+        """The state id a mirror node files ``shard``'s partition under
+        (a classic replica mirrors its one partition under the plain id)."""
+        if self.shard_map is None:
+            return self.coll_id
+        return shard_state_id(self.coll_id, shard)
+
+    def state_id(self, shard: NodeId, host: NodeId) -> str:
+        """The id ``host`` serves ``shard``'s partition under: the plain
+        collection id at the shard itself, the mirror id anywhere else."""
+        return self.coll_id if host == shard else self.mirror_id(shard)
 
 
 class World:
@@ -140,11 +188,6 @@ class World:
     def now(self) -> float:
         return self.kernel.now
 
-    @property
-    def obs(self):
-        """The kernel's observability surface (metrics + tracer)."""
-        return self.kernel.obs
-
     # ------------------------------------------------------------------
     # collection management
     # ------------------------------------------------------------------
@@ -190,28 +233,15 @@ class World:
             raise SimulationError("create_collection needs a primary or shards")
         if primary in replicas:
             raise SimulationError("primary must not also be listed as a replica")
-        if shard_map is not None:
-            for shard in shard_map.shards:
-                self.servers[shard].host_collection(
-                    coll_id, policy, is_primary=True)
-        else:
-            self.servers[primary].host_collection(coll_id, policy, is_primary=True)
-            for node in replicas:
-                self.servers[node].host_collection(coll_id, policy, is_primary=False)
         info = CollectionInfo(coll_id, primary, replicas, policy,
                               shard_map=shard_map)
+        for shard in info.shards:
+            self.servers[shard].host_collection(coll_id, policy, is_primary=True)
         info.history.append((self.now, frozenset()))
         self.collections[coll_id] = info
-        if shard_map is not None:
-            for node in replicas:
-                for shard in shard_map.shards:
-                    self._host_mirror(info, node, shard)
-        else:
-            for node in replicas:
-                syncer = AntiEntropySyncer(self, info, node)
-                self.kernel.spawn(
-                    syncer.run(), name=f"sync:{coll_id}:{node}", daemon=True
-                )
+        for node in replicas:
+            for shard in info.shards:
+                self._host_mirror(info, node, shard)
         if self.recovery_enabled and self.repair is None:
             self.repair = RepairDaemon(self)
             self.kernel.spawn(self.repair.run(), name="repair-scrub", daemon=True)
@@ -219,18 +249,14 @@ class World:
 
     def _host_mirror(self, info: CollectionInfo, node: NodeId,
                      shard: NodeId) -> None:
-        """Host shard ``shard``'s mirror partition on ``node`` and start
-        its per-shard anti-entropy pull loop."""
-        alias = shard_state_id(info.coll_id, shard)
+        """Host ``shard``'s mirror partition on ``node`` and start its
+        anti-entropy pull loop (one per mirrored partition)."""
+        alias = info.mirror_id(shard)
         if alias in self.servers[node].collections:
             return
         self.servers[node].host_collection(alias, info.policy, is_primary=False)
-        syncer = AntiEntropySyncer(self, info, node, source=shard,
-                                   state_id=alias)
-        self.kernel.spawn(
-            syncer.run(), name=f"sync:{info.coll_id}:{node}:{shard}",
-            daemon=True,
-        )
+        syncer = AntiEntropySyncer(self, info, node, shard)
+        self.kernel.spawn(syncer.run(), name=f"sync:{alias}:{node}", daemon=True)
 
     def seed_member(self, coll_id: str, name: str, value: Any = None,
                     home: Optional[NodeId] = None, size: int = 0,
@@ -243,9 +269,8 @@ class World:
         primary and pushed to all collection replicas, so the world
         starts consistent.
         """
-        info = self._info(coll_id)
-        owner = (info.shard_map.shard_of(name) if info.shard_map is not None
-                 else info.primary)
+        info = self.collection_info(coll_id)
+        owner = info.owner_of(name)
         home = home if home is not None else owner
         object_replicas = tuple(r for r in replicas if r != home)
         element = Element(name=name, oid=self.fresh_oid(name), home=home,
@@ -253,34 +278,26 @@ class World:
         self.servers[home].store_direct(element, value, size)
         for node in object_replicas:
             self.servers[node].store_direct(element, value, size)
-        primary_state = self.servers[owner].collections[coll_id]
-        if name in primary_state.members:
+        # The owner's state first, then every mirror of its partition.
+        states = [self.servers[host].collections[info.state_id(owner, host)]
+                  for host in info.partition_hosts(owner)]
+        if name in states[0].members:
             raise SimulationError(f"{coll_id} already has member {name!r}")
-        primary_state.members[name] = element
-        primary_state.version += 1
-        primary_state.member_versions[name] = primary_state.version
-        mirror_id = (shard_state_id(coll_id, owner)
-                     if info.shard_map is not None else coll_id)
-        for node in info.replicas:
-            replica_state = self.servers[node].collections[mirror_id]
-            replica_state.members[name] = element
-            replica_state.member_versions[name] = primary_state.version
-            replica_state.version = primary_state.version
+        version = states[0].version + 1
+        for state in states:
+            state.members[name] = element
+            state.member_versions[name] = version
+            state.version = version
         self._membership_changed(coll_id)
         return element
 
     def seal(self, coll_id: str) -> None:
         """Instantly seal an immutable collection after seeding."""
-        info = self._info(coll_id)
-        if info.shard_map is not None:
-            for shard in info.shard_map.shards:
-                self.servers[shard].collections[coll_id].sealed = True
-                for node in info.replicas:
-                    alias = shard_state_id(coll_id, shard)
-                    self.servers[node].collections[alias].sealed = True
-            return
-        for node in info.hosts:
-            self.servers[node].collections[coll_id].sealed = True
+        info = self.collection_info(coll_id)
+        for shard in info.shards:
+            for host in info.partition_hosts(shard):
+                state_id = info.state_id(shard, host)
+                self.servers[host].collections[state_id].sealed = True
 
     # ------------------------------------------------------------------
     # live rebalancing (sharded collections)
@@ -300,8 +317,8 @@ class World:
         until it lands; ``check_invariants`` holds at every quiescent
         point in between.
         """
-        info = self._info(coll_id)
-        if info.shard_map is None:
+        info = self.collection_info(coll_id)
+        if not info.is_sharded:
             raise SimulationError(f"{coll_id!r} is not sharded")
         if node not in self.servers:
             raise SimulationError(f"no server on node {node!r}")
@@ -312,8 +329,8 @@ class World:
         inverse of :meth:`add_shard`; same protocol, the leaving node is
         a source for every key it holds).  The coordinator shard itself
         cannot be removed."""
-        info = self._info(coll_id)
-        if info.shard_map is None:
+        info = self.collection_info(coll_id)
+        if not info.is_sharded:
             raise SimulationError(f"{coll_id!r} is not sharded")
         if node == info.primary:
             raise SimulationError(
@@ -323,7 +340,6 @@ class World:
 
     def _start_rebalance(self, info: CollectionInfo, target: HashRing):
         smap = info.shard_map
-        assert smap is not None
         if smap.migration is not None:
             raise SimulationError(
                 f"a rebalance of {info.coll_id!r} is already in flight")
@@ -362,92 +378,86 @@ class World:
                 metrics.counter("shard.rebalance_retries").inc()
                 for source in old_ring.nodes:
                     try:
-                        yield from self.sync_client.call(
-                            info.primary, source, "store", "unfreeze_range",
-                            coll_id, timeout=1.0)
+                        yield from self._coordinate(
+                            info, source, "unfreeze_range", timeout=1.0)
                     except FailureException:
                         pass
                 yield Sleep(min(2.0, 0.1 * (2 ** min(attempt, 4))))
         # Post-cutover cleanup: drop the moved ranges at their sources.
         # Retried independently — the ring has already cut over, so a
         # crashed source just delays its drop until it recovers.
-        remaining = [n for n in old_ring.nodes]
-        while remaining:
-            source = remaining[0]
-            try:
-                yield from self.sync_client.call(
-                    info.primary, source, "store", "drop_range",
-                    coll_id, target, timeout=5.0)
-            except FailureException:
-                yield Sleep(0.25)
-                continue
-            remaining.pop(0)
+        for source in old_ring.nodes:
+            while True:
+                try:
+                    yield from self._coordinate(info, source, "drop_range",
+                                                target)
+                    break
+                except FailureException:
+                    yield Sleep(0.25)
         metrics.counter("shard.rebalances").inc()
         tracer.finish(span, outcome="ok", attempts=attempt)
 
+    def _coordinate(self, info: CollectionInfo, node: NodeId, method: str,
+                    *args: Any, timeout: float = 5.0) -> Generator:
+        """One coordinator RPC: ``method(coll_id, *args)`` at ``node``,
+        issued from the collection's primary."""
+        return self.sync_client.call(info.primary, node, "store", method,
+                                     info.coll_id, *args, timeout=timeout)
+
     def _rebalance_once(self, info: CollectionInfo, old_ring: HashRing,
                         target: HashRing) -> Generator:
-        coll_id = info.coll_id
         smap = info.shard_map
-        assert smap is not None
         # Phase 1: pre-copy every source's full state, filtered to the
         # keys it loses, while writes continue unimpeded.
         precopy_version: dict[NodeId, int] = {}
         for source in old_ring.ordered_nodes():
-            delta = yield from self.sync_client.call(
-                info.primary, source, "store", "sync_delta", coll_id, 0,
-                timeout=5.0)
-            precopy_version[source] = delta["version"]
-            yield from self._ship_handoff(info, source, delta, target)
+            precopy_version[source] = yield from self._ship_handoff(
+                info, source, 0, target)
         # Phase 2: per source — quiesce the WAL, freeze the moving keys,
         # re-check quiescence (an intent admitted before the freeze may
         # still be mid-flight), then ship the final delta: provably the
         # last word on the moving range.
         for source in old_ring.ordered_nodes():
             yield from self._wait_quiescent(info, source)
-            yield from self.sync_client.call(
-                info.primary, source, "store", "freeze_range", coll_id,
-                target, timeout=5.0)
+            yield from self._coordinate(info, source, "freeze_range", target)
             yield from self._wait_quiescent(info, source)
-            delta = yield from self.sync_client.call(
-                info.primary, source, "store", "sync_delta", coll_id,
-                precopy_version[source], timeout=5.0)
-            yield from self._ship_handoff(info, source, delta, target)
+            yield from self._ship_handoff(
+                info, source, precopy_version[source], target)
         # Phase 3: atomic cutover — one assignment visible to every
         # client's next map resolution, fenced by the generation bump.
         smap.ring = target
         smap.generation += 1
         smap.migration = None
-        self._membership_changed(coll_id)
+        self._membership_changed(info.coll_id)
 
     def _ship_handoff(self, info: CollectionInfo, source: NodeId,
-                      delta: dict, target: HashRing) -> Generator:
-        """Ship the parts of ``source``'s delta that move under ``target``
-        to their gaining shards (idempotent keyed upserts)."""
-        coll_id = info.coll_id
+                      since_version: int,
+                      target: HashRing) -> Generator[Any, Any, int]:
+        """Pull ``source``'s delta since ``since_version`` and ship the
+        parts that move under ``target`` to their gaining shards
+        (idempotent keyed upserts); returns the version pulled."""
+        delta = yield from self._coordinate(info, source, "sync_delta",
+                                            since_version)
+        moving = ([("adds", name, element)
+                   for name, element, _version in delta["adds"]]
+                  + [("removes", name, element)
+                     for name, _version, element in delta["removes"]])
         gains: dict[NodeId, dict] = {}
-
-        def _bucket(node: NodeId) -> dict:
-            return gains.setdefault(node, {"adds": [], "removes": []})
-
-        for name, element, _version in delta["adds"]:
+        for kind, name, element in moving:
             new_owner = target.owner(name)
             if new_owner != source:
-                _bucket(new_owner)["adds"].append((name, element))
-        for name, _version, element in delta["removes"]:
-            new_owner = target.owner(name)
-            if new_owner != source:
-                _bucket(new_owner)["removes"].append((name, element))
+                bucket = gains.setdefault(new_owner, {"adds": [], "removes": []})
+                bucket[kind].append((name, element))
         ghosts = set(delta["ghosts"])
         iterations = tuple(delta.get("active_iterations", ()))
         for gaining in sorted(gains):
             payload = gains[gaining]
             moved_ghosts = tuple(sorted(
                 g for g in ghosts if target.owner(g) == gaining))
-            yield from self.sync_client.call(
-                info.primary, gaining, "store", "absorb_handoff", coll_id,
-                tuple(payload["adds"]), tuple(payload["removes"]),
-                moved_ghosts, iterations, timeout=5.0)
+            yield from self._coordinate(
+                info, gaining, "absorb_handoff", tuple(payload["adds"]),
+                tuple(payload["removes"]), moved_ghosts, iterations)
+        return delta["version"]
 
     def _wait_quiescent(self, info: CollectionInfo,
                         shard: NodeId) -> Generator:
@@ -455,9 +465,8 @@ class World:
         pending (bounded; raises FailureException so the coordinator's
         retry loop takes over)."""
         for _ in range(80):
-            pending = yield from self.sync_client.call(
-                info.primary, shard, "store", "pending_intents",
-                info.coll_id, timeout=2.0)
+            pending = yield from self._coordinate(
+                info, shard, "pending_intents", timeout=2.0)
             if pending == 0:
                 return
             yield Sleep(0.05)
@@ -476,10 +485,13 @@ class World:
         never authoritative — so a remove acknowledged by the owner is
         never resurrected by a stale partition mid-rebalance.
         """
-        return self._current_value(self._info(coll_id))
+        return self._current_value(self.collection_info(coll_id))
 
     def _current_value(self, info: CollectionInfo) -> frozenset[Element]:
-        if info.shard_map is None:
+        # The ground-truth twin of the client's single-home vs
+        # scatter-gather read: one home's value is the value; a sharded
+        # registry's is merged owner by owner.
+        if not info.is_sharded:
             return self.servers[info.primary].collections[info.coll_id].value()
         ring = info.shard_map.ring
         merged: dict[str, Element] = {}
@@ -492,31 +504,31 @@ class World:
                     merged[name] = element
         return frozenset(merged.values())
 
-    def partition_nodes(self, coll_id: str) -> tuple[NodeId, ...]:
-        """The nodes holding authoritative registry partitions right now:
-        the current ring, plus a migration target while one is pre-copying
-        (just the primary for an unsharded collection)."""
-        info = self._info(coll_id)
-        if info.shard_map is None:
-            return (info.primary,)
-        nodes = list(info.shard_map.ring.nodes)
-        if info.shard_map.migration is not None:
-            for node in info.shard_map.migration.nodes:
-                if node not in nodes:
-                    nodes.append(node)
-        return tuple(nodes)
-
     def partition_states(
         self, coll_id: str
     ) -> list[tuple[NodeId, "CollectionState"]]:
         """``(node, state)`` for every authoritative partition currently
         hosted — the iteration surface for repair, scrub, and invariants."""
         pairs = []
-        for node in self.partition_nodes(coll_id):
+        for node in self.collection_info(coll_id).partition_nodes():
             state = self.servers[node].collections.get(coll_id)
             if state is not None:
                 pairs.append((node, state))
         return pairs
+
+    def referenced_oids(self) -> set:
+        """Every oid some collection still answers for — as a member, a
+        tombstoned removal, or an element of a pending intent.  A live
+        object outside this set is the debris of a failed add."""
+        referenced: set = set()
+        for coll_id in self.collections:
+            for _, state in self.partition_states(coll_id):
+                referenced |= {e.oid for e in state.members.values()}
+                referenced |= {e.oid for _, e in state.removed.values()}
+        for server in self.servers.values():
+            for record in server.wal.pending():
+                referenced |= {e.oid for e in record.elements}
+        return referenced
 
     def reachable_members(self, coll_id: str, observer: NodeId) -> frozenset[Element]:
         """The paper's reachable(s_σ): members whose data ``observer`` can reach."""
@@ -546,10 +558,7 @@ class World:
         return server is not None and server.has_object(element.oid)
 
     def membership_history(self, coll_id: str) -> list[tuple[float, frozenset[Element]]]:
-        return list(self._info(coll_id).history)
-
-    def collection_info(self, coll_id: str) -> CollectionInfo:
-        return self._info(coll_id)
+        return list(self.collection_info(coll_id).history)
 
     # ------------------------------------------------------------------
     # change notification
@@ -567,7 +576,7 @@ class World:
         return unsubscribe
 
     def _membership_changed(self, coll_id: str) -> None:
-        info = self._info(coll_id)
+        info = self.collection_info(coll_id)
         value = self._current_value(info)
         if not info.history or info.history[-1][1] != value:
             info.history.append((self.now, value))
@@ -591,7 +600,7 @@ class World:
         problems: list[str] = []
         for coll_id, info in self.collections.items():
             partitions = self.partition_states(coll_id)
-            smap = info.shard_map
+            current = self._current_value(info)
             for shard, state in partitions:
                 # 1. every member's data object exists at its home
                 for name, element in state.members.items():
@@ -610,7 +619,6 @@ class World:
                 #    exact element is currently a member again (a handoff
                 #    keeps the old tombstone next to the re-absorbed
                 #    member) — that element is alive, not an orphan.
-                current = self._current_value(info)
                 for name, (_, element) in state.removed.items():
                     if element in current:
                         continue
@@ -624,9 +632,8 @@ class World:
             #    up-to-date one agrees exactly
             for node in info.replicas:
                 for shard, state in partitions:
-                    source_id = (shard_state_id(coll_id, shard)
-                                 if smap is not None else coll_id)
-                    replica_state = self.servers[node].collections.get(source_id)
+                    replica_state = self.servers[node].collections.get(
+                        info.mirror_id(shard))
                     if replica_state is None:
                         continue
                     if (replica_state.version > state.version
@@ -641,14 +648,15 @@ class World:
                             f"{coll_id}: replica {node} disagrees with {shard} "
                             "at the same version")
             # 4. the recorded history ends at the current truth
-            if info.history and info.history[-1][1] != self._current_value(info):
+            if info.history and info.history[-1][1] != current:
                 problems.append(
                     f"{coll_id}: membership history is stale")
             # 8. shard placement: every listed member sits at a shard the
             #    map legitimizes (its current owner, or the pending owner
             #    while a migration is pre-copying) — no orphaned entries,
             #    no key owned by a node off the ring.
-            if smap is not None:
+            if info.is_sharded:
+                smap = info.shard_map
                 holders: dict[str, list[NodeId]] = {}
                 for shard, state in partitions:
                     for name, element in state.members.items():
@@ -682,8 +690,9 @@ class World:
                         problems.append(
                             f"{coll_id}: ring node {shard} hosts no partition "
                             "(orphaned key range)")
+                on_ring = info.partition_nodes()
                 for node, server in sorted(self.servers.items()):
-                    if node in self.partition_nodes(coll_id):
+                    if node in on_ring:
                         continue
                     stale = server.collections.get(coll_id)
                     if stale is not None and stale.is_primary and stale.members:
@@ -706,19 +715,7 @@ class World:
         #    landed must not leak its copies forever (the client's
         #    best-effort cleanup or the scrub daemon's GC pass reclaims
         #    them).
-        referenced: set = set()
-        for coll_id, info in self.collections.items():
-            for _, state in self.partition_states(coll_id):
-                for element in state.members.values():
-                    referenced.add(element.oid)
-                for _, element in state.removed.values():
-                    referenced.add(element.oid)
-        for node, server in sorted(self.servers.items()):
-            for record in server.wal.pending():
-                if record.element is not None:
-                    referenced.add(record.element.oid)
-                for element in record.elements:
-                    referenced.add(element.oid)
+        referenced = self.referenced_oids()
         for node, server in sorted(self.servers.items()):
             for oid in sorted(server.objects):
                 obj = server.objects[oid]
@@ -735,7 +732,7 @@ class World:
         except KeyError:
             raise SimulationError(f"no server on node {node!r}") from None
 
-    def _info(self, coll_id: str) -> CollectionInfo:
+    def collection_info(self, coll_id: str) -> CollectionInfo:
         info = self.collections.get(coll_id)
         if info is None:
             raise NoSuchCollectionError(f"unknown collection {coll_id!r}")

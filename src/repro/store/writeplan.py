@@ -22,7 +22,7 @@ Two pieces:
     loop — and only once every copy has acked does the element advance
     to the membership stage, where same-primary registrations coalesce
     into one ``add_members`` batch RPC.  A *remove* goes straight to a
-    ``remove_members`` batch (the primary owns copy deletion, under its
+    ``remove_members`` batch (the owner deletes the copies, under its
     own WAL intent).  On the server each batch RPC executes under a
     single WAL intent with per-item steps (group commit): a crash
     mid-batch is replayed item-precisely by the existing
@@ -267,7 +267,7 @@ class WritePipeline:
     def submit_add(self, spec: AddSpec) -> Element:
         """Enqueue one add; returns its (not yet registered) element."""
         home = spec.home if spec.home is not None \
-            else self.repo.owner_of(self.coll_id, spec.name)
+            else self.repo.placement(self.coll_id).owner_of(spec.name)
         replicas = tuple(r for r in spec.replicas if r != home)
         oid = spec.oid if spec.oid is not None \
             else self.repo.world.fresh_oid(spec.name)
@@ -318,10 +318,8 @@ class WritePipeline:
             try:
                 if kind == "put":
                     yield from self._execute_puts(ops)
-                elif kind == "add":
-                    yield from self._execute_add_members(ops)
                 else:
-                    yield from self._execute_remove_members(ops)
+                    yield from self._execute_member_batches(ops, kind)
             finally:
                 self._active -= len(ops)
             self._kick_workers()
@@ -405,15 +403,10 @@ class WritePipeline:
         outcomes[dest] = None
 
     # -- stage 2: membership registration, group-committed ----------------
-    def _execute_add_members(self, ops: list[_WriteOp]) -> Generator:
-        yield from self._execute_member_batches(ops, "add_members", "add")
-
-    def _execute_remove_members(self, ops: list[_WriteOp]) -> Generator:
-        yield from self._execute_member_batches(ops, "remove_members", "remove")
-
-    def _execute_member_batches(self, ops: list[_WriteOp], rpc: str,
+    def _execute_member_batches(self, ops: list[_WriteOp],
                                 kind: str) -> Generator:
-        """Register (or remove) a batch's memberships, grouped by owner.
+        """Register (``kind="add"``) or remove a batch's memberships,
+        grouped by owner, through the ``<kind>_members`` batch RPC.
 
         Against a single home this is exactly one group-committed batch
         RPC — the pre-sharding behaviour.  Against a sharded registry
@@ -427,20 +420,20 @@ class WritePipeline:
         pending = list(ops)
         last_bounce: Optional[WrongShardFailure] = None
         for _ in range(3):
+            placement = self.repo.placement(self.coll_id)
             groups: dict[NodeId, list[_WriteOp]] = {}
             for op in pending:
-                owner = self.repo.owner_of(self.coll_id, op.element.name)
+                owner = placement.owner_of(op.element.name)
                 groups.setdefault(owner, []).append(op)
             outcomes: dict[NodeId, Optional[BaseException]] = {}
             if len(groups) == 1:
                 owner, group = next(iter(groups.items()))
-                yield from self._member_child(owner, group, rpc, kind,
-                                              outcomes)
+                yield from self._member_child(owner, group, kind, outcomes)
             else:
                 children = []
                 for owner, group in sorted(groups.items()):
                     child = yield Fork(
-                        self._member_child(owner, group, rpc, kind, outcomes),
+                        self._member_child(owner, group, kind, outcomes),
                         name=f"{self.name}-{kind}-{owner}", daemon=True)
                     children.append(child)
                 for child in children:          # the barrier
@@ -455,29 +448,28 @@ class WritePipeline:
                     self.repo._m_reroutes.value += 1
                     last_bounce = exc
                     pending.extend(group)
-                elif kind == "add":
-                    # Ambiguous (lost ack) or rejected (name conflict
-                    # fails its sub-batch): resolve toward deletion —
-                    # see module docstring for why cleanup-vs-rollforward
-                    # races converge.
-                    for op in group:
-                        yield from self.repo._cleanup_orphans(
-                            op.element, op.element.locations)
-                        self._settle(op, ok=False, error=exc)
                 else:
-                    # Removal is idempotent; the server commits any
-                    # fully-erased prefix, so a plain retry is safe.
-                    for op in group:
-                        self._settle(op, ok=False, error=exc)
+                    yield from self._fail_members(group, kind, exc)
             if not pending:
                 return
-        for op in pending:
+        yield from self._fail_members(pending, kind, last_bounce)
+
+    def _fail_members(self, ops: list[_WriteOp], kind: str,
+                      exc: Optional[BaseException]) -> Generator:
+        """Settle a failed membership sub-batch."""
+        for op in ops:
             if kind == "add":
+                # Ambiguous (lost ack) or rejected (name conflict fails
+                # its sub-batch): resolve toward deletion — see module
+                # docstring for why cleanup-vs-rollforward races
+                # converge.  (Removal is idempotent and the server
+                # commits any fully-erased prefix, so its failure just
+                # surfaces; a plain retry is safe.)
                 yield from self.repo._cleanup_orphans(
                     op.element, op.element.locations)
-            self._settle(op, ok=False, error=last_bounce)
+            self._settle(op, ok=False, error=exc)
 
-    def _member_child(self, owner: NodeId, group: list[_WriteOp], rpc: str,
+    def _member_child(self, owner: NodeId, group: list[_WriteOp],
                       kind: str, outcomes: dict) -> Generator:
         elements = tuple(op.element for op in group)
         self._m_calls.value += 1
@@ -487,7 +479,8 @@ class WritePipeline:
         span = self._tracer.start("write.batch", kind=kind,
                                   host=str(owner), n=len(group))
         try:
-            yield from self.repo._call(owner, rpc, self.coll_id, elements)
+            yield from self.repo._call(owner, f"{kind}_members", self.coll_id,
+                                       elements)
         except (FailureException, StoreError) as exc:
             self._tracer.finish(span, outcome=type(exc).__name__)
             self.repo._feed_limiter(exc, span.duration)

@@ -276,7 +276,7 @@ def acquire_collection_locks(
     """
     held: list[LockClient] = []
     try:
-        for node in repo.lock_nodes(coll_id):
+        for node in repo.placement(coll_id).lock_nodes():
             lock = LockClient(repo, coll_id, node=node)
             yield from lock.acquire(mode, wait_timeout=wait_timeout,
                                     rpc_timeout=rpc_timeout)

@@ -61,16 +61,16 @@ class QuorumGrowOnlyIterator(GrowOnlyIterator):
         pre-existing, reachable member" obligation for the missing range.
         """
         repo, coll_id = self.repo, self.coll_id
-        smap = repo.shard_map_of(coll_id)
-        if smap is None:
+        placement = repo.placement(coll_id)
+        if not placement.is_sharded:
             return frozenset((yield from self._majority_union(
-                repo.hosts_of(coll_id),
+                placement.hosts,
                 lambda host: repo.read_membership(coll_id, source=host),
                 f"hosts of {coll_id}")))
         merged: set[Element] = set()
-        for shard in smap.shards:
+        for shard in placement.shards:
             merged |= yield from self._majority_union(
-                repo.shard_hosts(coll_id, shard),
+                placement.partition_hosts(shard),
                 lambda host: repo.read_shard_membership(coll_id, shard, host),
                 f"copies of shard {shard} of {coll_id}")
         return frozenset(merged)

@@ -73,7 +73,8 @@ def test_wal_recovery_survives_mid_erase_crash(seed):
     # the interrupted removal was rolled forward, not lost
     wal = world.server(PRIMARY).wal
     assert wal.pending() == []
-    assert any(r.done("home-deleted") for r in wal.records)
+    assert any(step.endswith(":home-deleted")
+               for r in wal.records for step in r.steps)
 
 
 @pytest.mark.parametrize("seed", range(N_SCHEDULES))

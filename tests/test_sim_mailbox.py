@@ -147,18 +147,6 @@ def test_tracelog_disabled_records_nothing():
     assert len(log) == 0
 
 
-def test_tracelog_subscribers_see_records_even_when_disabled():
-    log = TraceLog(enabled=False)
-    seen = []
-    unsubscribe = log.subscribe(seen.append)
-    log.record("event", x=1)
-    assert len(seen) == 1 and seen[0].kind == "event"
-    assert len(log) == 0            # still not stored
-    unsubscribe()
-    log.record("event", x=2)
-    assert len(seen) == 1
-
-
 def test_tracelog_filter_and_dump():
     log = TraceLog(enabled=True)
     log.record("a", v=1)

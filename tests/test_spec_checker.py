@@ -223,3 +223,31 @@ def test_minimal_prefix_shrinks_long_traces():
     assert len(minimal.invocations) == 2          # up to the failure only
     from repro.spec import check_conformance as cc
     assert not cc(minimal, spec_by_id("fig6"), history=history).conformant
+
+
+# ---------------------------------------------------------------------------
+# one definition of ``reachable`` (pinned defect; fix belongs to the checker PR)
+# ---------------------------------------------------------------------------
+
+@pytest.mark.xfail(strict=True, reason=(
+    "the paper's `reachable` has two definitions: World.reachable_of counts "
+    "any reachable live copy, StateSnapshot.reachable_of the home only, so a "
+    "correct failover yield from a replica reads as a fig6 violation"))
+def test_failover_yield_from_replica_conforms_to_fig6():
+    from helpers import CLIENT, drain_all, standard_world
+    from repro.weaksets import DynamicSet
+
+    kernel, net, world, _ = standard_world(n_servers=3)
+    element = world.seed_member("coll", "m", value="v", home="s1",
+                                replicas=("s2",))
+    net.crash("s1")
+    ws = DynamicSet(world, CLIENT, "coll")          # failover on by default
+    result = drain_all(kernel, ws)
+    # The world's ground truth and the iterator agree: the data is
+    # reachable through its replica copy, and it is yielded from there.
+    assert world.reachable_members("coll", CLIENT) == {element}
+    assert result.elements == [element]
+    # The checker's snapshot disagrees ("requires suspends yielding one
+    # of {}"): its reachable set is empty while the home is down.
+    report = check_conformance(ws.last_trace, spec_by_id("fig6"), world)
+    assert report.conformant, report.counterexample()

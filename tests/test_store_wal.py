@@ -5,7 +5,7 @@ import pytest
 from repro.errors import FailureException
 from repro.net.failures import FaultSchedule
 from repro.sim.events import Sleep
-from repro.store import Repository
+from repro.store import Repository, erase_step
 from repro.store.wal import ABORTED, APPLIED, PENDING
 
 from helpers import CLIENT, PRIMARY, standard_world
@@ -23,10 +23,9 @@ def test_erase_is_intent_logged_and_committed():
     wal = world.server(PRIMARY).wal
     [record] = wal.records
     assert record.kind == "erase" and record.origin == "remove"
+    assert record.elements == (victim,)     # a single erase is a batch of one
     assert record.status is APPLIED
-    assert record.done("begin")
-    assert record.done("home-deleted")
-    assert record.done("membership")
+    assert record.steps == ["begin", f"{victim.oid}:home-deleted", "membership"]
     assert world.check_invariants() == []
 
 
@@ -46,7 +45,7 @@ def test_failed_erase_aborts_intent_and_keeps_member():
     wal = world.server(PRIMARY).wal
     [record] = wal.records
     assert record.status is ABORTED
-    assert not record.done("home-deleted")
+    assert record.steps == ["begin"]
     assert victim in world.true_members("coll")   # deviation #3: remove fails whole
     net.rejoin("s2")
     assert world.check_invariants() == []
@@ -72,7 +71,8 @@ def test_crash_point_freezes_intent_mid_erase():
     assert not net.node(PRIMARY).up
     [record] = server.wal.pending()
     assert record.status is PENDING
-    assert record.done("home-deleted") and not record.done("membership")
+    assert record.done(erase_step(victim, victim.home))
+    assert not record.done("membership")
     # the inconsistent window is real: member listed, home object dead
     assert victim.name in server.collections["coll"].members
     assert not server.has_object(victim.oid)
@@ -155,15 +155,22 @@ def crash_recover_erase(step, batched):
 
 @pytest.mark.parametrize("step", ["begin", "deleted:s2", "home-deleted"])
 def test_single_and_batch_erase_recover_to_identical_state(step):
-    """The property that licenses one erase engine: crash ``remove_member``
-    and ``remove_members([e])`` at the same WAL step and recovery leaves
-    the same CollectionState behind (and no invariant violation)."""
+    """A single mutation is a batch of one: crash ``remove_member`` and
+    ``remove_members([e])`` at every WAL step — each armed by its bare
+    base name, which the suffix match finds on the namespaced step — and
+    both leave the same record shape and the same recovered
+    CollectionState behind (and no invariant violation)."""
     states = []
     for batched in (False, True):
         world, victim = crash_recover_erase(step, batched)
         server = world.server(PRIMARY)
         [record] = server.wal.records
-        assert record.kind == ("erase-batch" if batched else "erase")
+        assert record.kind == "erase"
+        assert record.origin == ("remove_many" if batched else "remove")
+        assert record.elements == (victim,)
+        assert record.steps == [
+            "begin", f"{victim.oid}:deleted:s2", f"{victim.oid}:home-deleted",
+            "membership"]
         assert world.kernel.obs.metrics.value("wal.crash_points") == 1
         assert world.kernel.obs.metrics.value("recovery.intents_replayed") == 1
         assert record.status is APPLIED

@@ -177,8 +177,10 @@ def test_erase_batch_is_one_intent_one_version_bump():
     kernel.run_process(
         repo.remove_many("coll", elements[:4], window=1, batch_size=4))
     wal = world.server(PRIMARY).wal
-    batches = [r for r in wal.records if r.kind == "erase-batch"]
-    assert len(batches) == 1 and batches[0].status is APPLIED
+    [record] = wal.records
+    assert record.kind == "erase" and record.origin == "remove_many"
+    assert record.elements == tuple(elements[:4])
+    assert record.status is APPLIED
     assert state.version == before + 1
 
 
@@ -392,7 +394,10 @@ def test_crash_mid_erase_batch_rolls_forward():
 
     kernel.run_process(proc())
     [record] = server.wal.pending()
-    assert record.kind == "erase-batch" and record.status is PENDING
+    assert record.kind == "erase" and record.status is PENDING
+    assert len(record.elements) == 4
+    # frozen at the first item's home delete, before any membership pop
+    assert record.steps == ["begin", f"{elements[0].oid}:home-deleted"]
     kernel.run(until=kernel.now + 10.0)
     assert server.wal.pending() == []
     # acked-or-crashed removals are rolled forward, never resurrected
@@ -402,7 +407,7 @@ def test_crash_mid_erase_batch_rolls_forward():
 
 
 def test_clean_failure_mid_erase_batch_commits_prefix():
-    """A *clean* RPC failure (no crash) mid erase-batch commits the
+    """A *clean* RPC failure (no crash) mid erase batch commits the
     fully-erased prefix and leaves the rest members — removal is
     idempotent, the caller just retries."""
     kernel, net, world, elements = standard_world(members=4)
