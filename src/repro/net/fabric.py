@@ -66,22 +66,21 @@ class Network:
         self.transport = Transport(kernel, topology, self.partitions, self.nodes,
                                    wire=wire)
         self._listeners: list = []
-        #: bumped on every connectivity mutation (crash/recover/split/
-        #: isolate/rejoin/heal/cut_link/restore_link — everything that
-        #: can change ``expected_latency``); memoized host rankings are
-        #: valid exactly as long as the generation stands still.
-        self.generation = 0
-        self._rank_cache: dict = {}
         self._m_attempts = kernel.obs.metrics.counter("rpc.attempts")
         self._m_attempt_latency = kernel.obs.metrics.histogram("rpc.attempt_latency")
-        self._m_rank_cache_hits = kernel.obs.metrics.counter("fetch.rank_cache_hits")
 
     # -- change notification -------------------------------------------------
     def on_connectivity_change(self, callback) -> "callable":
-        """Subscribe to connectivity changes (crash/recover/partition/link).
+        """Subscribe to the facade's fault-control calls (crash/recover/
+        partition/link); returns an unsubscribe function.
 
-        Used by the specification checker to re-sample ``reachable``
-        whenever the world changes.  Returns an unsubscribe function.
+        The one subscriber is :class:`~repro.store.world.World`, which
+        relays to ``World.on_change`` — where trace recorders and fetch
+        pipelines listen.  This is a notification, not an invalidation:
+        derived answers (routes, latencies, reachable sets, host
+        rankings) are valid while ``(topology.version,
+        partitions.version)`` stands still, which also covers mutating
+        ``net.topology`` / ``net.partitions`` directly.
         """
         self._listeners.append(callback)
 
@@ -94,8 +93,6 @@ class Network:
         return unsubscribe
 
     def _notify(self) -> None:
-        self.generation += 1
-        self._rank_cache.clear()
         for callback in list(self._listeners):
             callback()
 
@@ -241,20 +238,11 @@ class Network:
 
     def reachable_from(self, src: NodeId) -> set[NodeId]:
         """All nodes currently reachable from ``src`` (including itself)."""
-        if not self.node(src).up:
-            return set()
-        return {
-            n for n in self.nodes
-            if n == src or self.transport.can_reach(src, n)
-        }
+        return self.transport.reachable_from(src)
 
     def expected_latency(self, a: NodeId, b: NodeId) -> Optional[float]:
         """Closest-first proximity metric; None if currently unreachable."""
-        if not self.can_reach(a, b):
-            return None
-        if a == b:
-            return 0.0
-        return self.topology.expected_latency(a, b)
+        return self.transport.expected_latency(a, b)
 
     def __repr__(self) -> str:
         up = sum(1 for n in self.nodes.values() if n.up)

@@ -6,6 +6,12 @@ delivers it.  Undeliverable messages are silently dropped — callers
 observe the loss as a timeout, or fail fast via
 :meth:`Transport.unreachable_reason`, which plays the role of the
 paper's "failures signaled from the lower network and transport layers".
+
+"Can it travel, along which links, how far is it, who is reachable,
+which host is closest" are all answered from one table that lives as
+long as connectivity stands still (:class:`_ReachabilityTable`): the
+transport asks the topology once per pair per connectivity change, not
+once per question.
 """
 
 from __future__ import annotations
@@ -36,6 +42,35 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = ["Transport"]
 
 
+class _ReachabilityTable:
+    """Every answer derived from connectivity, for one epoch.
+
+    The one invalidation rule: an entry is valid while ``(topology.
+    version, partitions.version)`` stands still.  Every connectivity
+    mutator — the :class:`~repro.net.fabric.Network` facade's, or the
+    topology's and the partition manager's own — moves one of the two,
+    and the next question starts an empty table.  ``Node.up`` is not
+    part of the epoch (a crashing node is marked down before its
+    topology entry is), so no entry depends on it: each answer applies
+    the ``up`` test itself, in front of the table.
+    """
+
+    __slots__ = ("epoch", "routes", "latencies", "reachable", "rankings")
+
+    def __init__(self, epoch: tuple[int, int]):
+        self.epoch = epoch
+        #: (src, dst) -> the up route, or (failure class, message)
+        self.routes: dict[tuple[NodeId, NodeId],
+                          Union[list[Link], tuple[type, str]]] = {}
+        #: (src, dst) -> expected latency along that route (None: no route)
+        self.latencies: dict[tuple[NodeId, NodeId], Optional[float]] = {}
+        #: src -> every node with a route from src (src included)
+        self.reachable: dict[NodeId, frozenset[NodeId]] = {}
+        #: (origin, hosts) -> the routable hosts, closest first
+        self.rankings: dict[tuple[NodeId, tuple[NodeId, ...]],
+                            tuple[NodeId, ...]] = {}
+
+
 class Transport:
     """Delivers messages between nodes and dispatches RPC handlers."""
 
@@ -55,36 +90,133 @@ class Transport:
         self._m_delivery_delay = kernel.obs.metrics.histogram("net.delivery_delay")
         self._m_queue_delay = kernel.obs.metrics.histogram("net.link.queue_delay")
         self._queue_delay_by_family: dict[str, object] = {}
+        self._m_rank_hits = kernel.obs.metrics.counter("fetch.rank_cache_hits")
+        self._reachability = _ReachabilityTable(
+            (topology.version, partitions.version))
 
     # -- reachability -----------------------------------------------------
+    def _table(self) -> "_ReachabilityTable":
+        """The table of the current connectivity epoch (the one
+        invalidation rule — see :class:`_ReachabilityTable`)."""
+        epoch = (self.topology.version, self.partitions.version)
+        table = self._reachability
+        if table.epoch != epoch:
+            table = self._reachability = _ReachabilityTable(epoch)
+        return table
+
+    def _connection(self, src: NodeId, dst: NodeId
+                    ) -> Union[list[Link], tuple[type, str]]:
+        """The table's answer for ``src → dst``, node liveness aside:
+        the up route within one partition group, or the ``(failure
+        class, message)`` saying why there is none."""
+        routes = self._table().routes
+        key = (src, dst)
+        try:
+            return routes[key]
+        except KeyError:
+            pass
+        if not self.partitions.same_partition(src, dst):
+            found = (PartitionFailure,
+                     f"{src} and {dst} are in different partitions")
+        else:
+            found = self.topology.route(src, dst)
+            if found is None:
+                found = (LinkDownFailure, f"no up path from {src} to {dst}")
+        routes[key] = found
+        return found
+
     def _route_or_reason(self, src: NodeId, dst: NodeId
-                         ) -> Union[list[Link], FailureException]:
+                         ) -> Union[list[Link], tuple[type, str]]:
         """The up route from ``src`` to ``dst`` — or, when there is
-        none, the failure saying why.  One topology lookup answers both
-        "can it travel" and "along which links"."""
+        none, the reason as ``(failure class, message)``.  One lookup
+        answers both "can it travel" and "along which links".
+
+        A reason is kept as its parts, never as an instance, so every
+        caller that raises one builds its own exception (a shared
+        instance would drag one ``__traceback__`` through every raise).
+        """
         dst_node = self.nodes.get(dst)
         if dst_node is None:
             raise SimulationError(f"unknown destination node {dst!r}")
         if not dst_node.up:
-            return NodeCrashFailure(f"node {dst} is crashed")
-        if not self.partitions.same_partition(src, dst):
-            return PartitionFailure(f"{src} and {dst} are in different partitions")
-        route = self.topology.route(src, dst)
-        if route is None:
-            return LinkDownFailure(f"no up path from {src} to {dst}")
-        return route
+            return NodeCrashFailure, f"node {dst} is crashed"
+        return self._connection(src, dst)
 
     def unreachable_reason(self, src: NodeId, dst: NodeId) -> Optional[FailureException]:
         """Why ``dst`` cannot be reached from ``src`` (None if it can).
 
-        The returned exception instance is ready to raise; its concrete
-        class tells callers what kind of failure the transport detected.
+        The returned exception instance is a new one, ready to raise;
+        its concrete class tells callers what kind of failure the
+        transport detected.
         """
         found = self._route_or_reason(src, dst)
-        return found if isinstance(found, FailureException) else None
+        if type(found) is tuple:
+            failure, message = found
+            return failure(message)
+        return None
 
     def can_reach(self, src: NodeId, dst: NodeId) -> bool:
-        return self.unreachable_reason(src, dst) is None
+        return type(self._route_or_reason(src, dst)) is not tuple
+
+    def _latency(self, src: NodeId, dst: NodeId) -> Optional[float]:
+        """Expected latency of the table's route (None without one)."""
+        latencies = self._table().latencies
+        key = (src, dst)
+        try:
+            return latencies[key]
+        except KeyError:
+            pass
+        route = self._connection(src, dst)
+        latency = None
+        if type(route) is not tuple:
+            # Summed in route order, as on every question before the
+            # table: the same float to the last bit.
+            latency = (sum(link.latency.expected() for link in route)
+                       if route else 0.0)
+        latencies[key] = latency
+        return latency
+
+    def expected_latency(self, src: NodeId, dst: NodeId) -> Optional[float]:
+        """Closest-first proximity metric; None if currently unreachable."""
+        if not self.can_reach(src, dst):
+            return None
+        return self._latency(src, dst)
+
+    def reachable_from(self, src: NodeId) -> set[NodeId]:
+        """All nodes currently reachable from ``src`` (including itself);
+        a new set each time, the caller's to keep or change."""
+        nodes = self.nodes
+        src_node = nodes.get(src)
+        if src_node is None:
+            raise SimulationError(f"unknown node {src!r}")
+        if not src_node.up:
+            return set()
+        reachable = self._table().reachable
+        connected = reachable.get(src)
+        if connected is None:
+            connected = reachable[src] = frozenset({
+                n for n in nodes
+                if n == src or type(self._connection(src, n)) is not tuple})
+        return {n for n in connected if nodes[n].up}
+
+    def rank(self, origin: NodeId, hosts: tuple[NodeId, ...]) -> tuple[NodeId, ...]:
+        """Reachable ``hosts`` by expected latency from ``origin``, then
+        node id (see :func:`repro.store.fetchplan.rank_hosts`)."""
+        rankings = self._table().rankings
+        key = (origin, hosts)
+        ranked = rankings.get(key)
+        if ranked is None:
+            with_latency = []
+            for host in hosts:
+                latency = self._latency(origin, host)
+                if latency is not None:
+                    with_latency.append((latency, host))
+            ranked = rankings[key] = tuple(
+                [host for _, host in sorted(with_latency)])
+        else:
+            self._m_rank_hits.value += 1
+        nodes = self.nodes
+        return tuple([host for host in ranked if nodes[host].up])
 
     # -- sending ---------------------------------------------------------
     def send(self, msg: Message) -> bool:
@@ -109,7 +241,7 @@ class Transport:
         # the trace log will keep the record.
         trace = self.kernel.trace
         route = self._route_or_reason(msg.src.node, msg.dst.node)
-        if isinstance(route, FailureException):
+        if type(route) is tuple:
             self.stats.record_drop(msg)
             if trace.enabled:
                 trace.record("drop", msg=str(msg), at="send")
@@ -149,7 +281,7 @@ class Transport:
 
     def _deliver(self, msg: Message) -> None:
         trace = self.kernel.trace
-        if self.unreachable_reason(msg.src.node, msg.dst.node) is not None:
+        if not self.can_reach(msg.src.node, msg.dst.node):
             self.stats.record_drop(msg)
             if trace.enabled:
                 trace.record("drop", msg=str(msg), at="delivery")

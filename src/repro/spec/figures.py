@@ -9,7 +9,6 @@ whole point of the reproduction is that these *are* the specifications.
 
 from __future__ import annotations
 
-from ..store.elements import Element
 from .constraints import (
     Constraint,
     GrowOnlyConstraint,
@@ -18,7 +17,7 @@ from .constraints import (
     per_run_grow_only,
     per_run_immutable,
 )
-from .iterspec import IteratorSpec
+from .iterspec import IteratorSpec, Members
 
 __all__ = [
     "Figure1ImmutableNoFailures",
@@ -32,9 +31,6 @@ __all__ = [
     "RELAXED_VARIANTS",
     "spec_by_id",
 ]
-
-Members = frozenset[Element]
-
 
 class Figure1ImmutableNoFailures(IteratorSpec):
     """Figure 1: immutable set, failures ignored.

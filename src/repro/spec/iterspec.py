@@ -19,15 +19,19 @@ conforms if **some** state from the first invocation's window, fixed as
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from ..store.elements import Element
 from .constraints import Constraint
-from .state import InvocationRecord
+from .state import InvocationRecord, StateSnapshot
 from .termination import Failed, Returned, Yielded
 from .trace import IterationTrace
 
 __all__ = ["IteratorSpec", "SpecViolationDetail", "structural_violations"]
+
+Members = frozenset[Element]
+#: ``reachable(x_σ)`` for a sampled state σ and a member set x
+Reachable = Callable[[StateSnapshot, Members], Members]
 
 
 @dataclass(frozen=True)
@@ -108,26 +112,42 @@ class IteratorSpec:
         violations use the existential window semantics.
         """
         violations = structural_violations(trace)
+        # reachable(x_σ), once per distinct (reachable nodes, x) of this
+        # check: a drain's windows revisit the same few states hundreds
+        # of times.  Keyed by value, and gone when the check returns.
+        memo: dict[tuple[frozenset, Members], Members] = {}
+
+        def reachable(snap: StateSnapshot, x: Members) -> Members:
+            key = (snap.reachable_nodes, x)
+            found = memo.get(key)
+            if found is None:
+                found = memo[key] = snap.reachable_of(x)
+            return found
+
         if self.membership_basis == "first":
-            violations.extend(self._check_first_basis(trace))
+            violations.extend(self._check_first_basis(trace, reachable))
         else:
-            violations.extend(self._check_pre_basis(trace))
+            violations.extend(self._check_pre_basis(trace, reachable))
         return violations
 
-    def _check_pre_basis(self, trace: IterationTrace) -> list[SpecViolationDetail]:
+    def _check_pre_basis(self, trace: IterationTrace,
+                         reachable: Reachable) -> list[SpecViolationDetail]:
         violations = []
         for inv in trace.invocations:
             ok = any(
-                self._invocation_matches(inv, snap.members, snap.reachable_members)
+                self._invocation_matches(inv, snap.members,
+                                         reachable(snap, snap.members))
                 for snap in inv.snapshots
             )
             if not ok:
+                snap = inv.exit_snapshot
                 violations.append(SpecViolationDetail(
-                    inv.index, self._mismatch_message(inv, inv.exit_snapshot.members,
-                                                      inv.exit_snapshot.reachable_members)))
+                    inv.index, self._mismatch_message(
+                        inv, snap.members, reachable(snap, snap.members))))
         return violations
 
-    def _check_first_basis(self, trace: IterationTrace) -> list[SpecViolationDetail]:
+    def _check_first_basis(self, trace: IterationTrace,
+                           reachable: Reachable) -> list[SpecViolationDetail]:
         if not trace.invocations:
             return []
         candidates = trace.first_candidates or trace.invocations[0].snapshots
@@ -137,14 +157,14 @@ class IteratorSpec:
             current = []
             for inv in trace.invocations:
                 ok = any(
-                    self._invocation_matches(inv, s_first, snap.reachable_of(s_first))
+                    self._invocation_matches(inv, s_first, reachable(snap, s_first))
                     for snap in inv.snapshots
                 )
                 if not ok:
                     snap = inv.exit_snapshot
                     current.append(SpecViolationDetail(
                         inv.index,
-                        self._mismatch_message(inv, s_first, snap.reachable_of(s_first))))
+                        self._mismatch_message(inv, s_first, reachable(snap, s_first))))
             if not current:
                 return []
             if best is None or len(current) < len(best):

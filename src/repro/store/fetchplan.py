@@ -86,39 +86,25 @@ def rank_hosts(net, origin: NodeId, hosts: Iterable[NodeId]) -> tuple[NodeId, ..
     planner all use it (deterministic: latency, then node id).
 
     Hot on every membership read, failover sweep, and plan, so the
-    result is memoized on the network per ``(origin, hosts)``; the
-    network clears the cache (and bumps its ``generation``) on every
-    connectivity change, so a hit is always current.
+    answer comes from the transport's reachability table, memoized per
+    ``(origin, hosts)`` for as long as connectivity stands still (hits
+    are counted as ``fetch.rank_cache_hits``).
     """
-    hosts = tuple(hosts)
-    cache = getattr(net, "_rank_cache", None)
-    key = (origin, hosts)
-    if cache is not None:
-        hit = cache.get(key)
-        if hit is not None:
-            net._m_rank_cache_hits.value += 1
-            return hit
-    with_latency = []
-    for host in hosts:
-        latency = net.expected_latency(origin, host)
-        if latency is not None:
-            with_latency.append((latency, host))
-    ranked = tuple(host for _, host in sorted(with_latency))
-    if cache is not None:
-        cache[key] = ranked
-    return ranked
+    return net.transport.rank(origin, tuple(hosts))
 
 
 def order_closest_first(net, origin: NodeId,
                         elements: Iterable[Element]) -> list[Element]:
     """The paper's "fetching 'closer' files first": sort candidates by
     expected latency to their home, then name; unreachable homes sort
-    last (infinite estimated latency)."""
-    def key(e: Element) -> tuple[float, str]:
-        latency = net.expected_latency(origin, e.home)
-        return (latency if latency is not None else float("inf"), e.name)
-
-    return sorted(elements, key=key)
+    last (infinite estimated latency).  The network is asked once per
+    distinct home, not once per element."""
+    elements = list(elements)
+    latency: dict[NodeId, float] = {}
+    for home in {e.home for e in elements}:
+        estimate = net.expected_latency(origin, home)
+        latency[home] = estimate if estimate is not None else float("inf")
+    return sorted(elements, key=lambda e: (latency[e.home], e.name))
 
 
 class FetchPlanner:
@@ -336,11 +322,16 @@ class FetchPipeline:
         accepted again, which is how iterators express "try that one
         again this invocation".
         """
+        # Only the new candidates are planned: a drain resubmits its
+        # whole remainder every invocation, and ordering is a stable
+        # sort, so dropping the pending ones first changes no position.
+        live = self._live
         accepted = 0
-        for element in self.planner.order(elements):
-            if element.oid in self._live:
+        for element in self.planner.order(
+                [e for e in elements if e.oid not in live]):
+            if element.oid in live:         # a duplicate within this call
                 continue
-            self._live[element.oid] = element
+            live[element.oid] = element
             self._order.append(element.oid)
             accepted += 1
             if self.use_cache and self.repo.cache is not None:

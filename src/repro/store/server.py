@@ -94,6 +94,74 @@ def batch_add_step(element: Element) -> str:
     return f"{element.name}:added"
 
 
+class MemberMap(dict):
+    """A membership map (name → element) that keeps the two views read
+    from it — the value ``s_σ`` and the sorted listing — until the next
+    write to the map itself.
+
+    Invalidation sits on the container, not on a version compare,
+    because writes do not move ``CollectionState.version`` in step: a
+    batch add writes members and then yields on the WAL before it bumps
+    the version, recovery, anti-entropy and handoff write on their own
+    schedules, and tests write ``state.members[...]`` directly.  Every
+    dict mutator drops the views, so no write site can bypass it.
+    """
+
+    __slots__ = ("_value", "_listing")
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._value: Optional[frozenset[Element]] = None
+        self._listing: Optional[tuple[Element, ...]] = None
+
+    def value(self) -> frozenset[Element]:
+        if self._value is None:
+            self._value = frozenset(self.values())
+        return self._value
+
+    def listing(self) -> tuple[Element, ...]:
+        if self._listing is None:
+            self._listing = tuple(sorted(self.values()))
+        return self._listing
+
+    # -- every way a dict can be written drops the views ----------------
+    def __setitem__(self, name, element):
+        self._value = self._listing = None
+        super().__setitem__(name, element)
+
+    def __delitem__(self, name):
+        self._value = self._listing = None
+        super().__delitem__(name)
+
+    def __ior__(self, other):
+        self.update(other)
+        return self
+
+    def pop(self, *args):
+        self._value = self._listing = None
+        return super().pop(*args)
+
+    def popitem(self):
+        self._value = self._listing = None
+        return super().popitem()
+
+    def setdefault(self, *args):
+        self._value = self._listing = None
+        return super().setdefault(*args)
+
+    def update(self, *args, **kwargs):
+        # ``args`` may be a lazy iterable that reads the views half way
+        # through: drop them once the whole update has been applied.
+        try:
+            super().update(*args, **kwargs)
+        finally:
+            self._value = self._listing = None
+
+    def clear(self):
+        self._value = self._listing = None
+        super().clear()
+
+
 @dataclass
 class CollectionState:
     """One collection as seen by one server (primary or replica)."""
@@ -101,7 +169,7 @@ class CollectionState:
     coll_id: str
     policy: str
     is_primary: bool
-    members: dict[str, Element] = field(default_factory=dict)
+    members: MemberMap = field(default_factory=MemberMap)
     ghosts: set[str] = field(default_factory=set)        # names pending removal
     version: int = 0
     sealed: bool = False
@@ -124,12 +192,17 @@ class CollectionState:
     #: against the new owner) instead of mutating a doomed range.
     freeze_ring: Optional["HashRing"] = None
 
+    def __post_init__(self) -> None:
+        if not isinstance(self.members, MemberMap):
+            self.members = MemberMap(self.members)
+
     def value(self) -> frozenset[Element]:
-        """The set's current value (ghosts are still members until purged)."""
-        return frozenset(self.members.values())
+        """The set's current value (ghosts are still members until
+        purged); the same object until ``members`` is next written."""
+        return self.members.value()
 
     def snapshot(self) -> tuple[int, tuple[Element, ...]]:
-        return self.version, tuple(sorted(self.members.values()))
+        return self.version, self.members.listing()
 
     def forget(self, name: str) -> None:
         """Drop ``name``'s entry and everything keyed on its being listed

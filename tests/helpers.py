@@ -97,3 +97,35 @@ def assert_sized_exactly(msg, codec: Optional[CompactCodec] = None) -> None:
         assert codec.payload_size(msg.payload) == len(payload)
         assert WireFormat(codec=codec).measure(msg) == \
             len(codec.encode_message(canonical))
+
+
+def check_trace_without_memo(spec, trace):
+    """``IteratorSpec.check_trace`` with ``reachable(x_σ)`` recomputed
+    from the snapshot on every question — the reference the memoized
+    check must agree with, violation for violation."""
+    from repro.spec.iterspec import SpecViolationDetail, structural_violations
+
+    def unjustified(basis):
+        found = []
+        for inv in trace.invocations:
+            if not any(spec._invocation_matches(
+                           inv, basis(snap), snap.reachable_of(basis(snap)))
+                       for snap in inv.snapshots):
+                snap = inv.exit_snapshot
+                found.append(SpecViolationDetail(inv.index, spec._mismatch_message(
+                    inv, basis(snap), snap.reachable_of(basis(snap)))))
+        return found
+
+    violations = structural_violations(trace)
+    if spec.membership_basis != "first":
+        return violations + unjustified(lambda snap: snap.members)
+    if not trace.invocations:
+        return violations
+    best = None
+    for first in trace.first_candidates or trace.invocations[0].snapshots:
+        current = unjustified(lambda snap: first.members)
+        if not current:
+            return violations
+        if best is None or len(current) < len(best):
+            best = current
+    return violations + (best or [])

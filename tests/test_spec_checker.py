@@ -16,6 +16,7 @@ from repro.spec.state import InvocationRecord, StateSnapshot
 from repro.spec.trace import IterationTrace
 from repro.store import Element
 
+from helpers import check_trace_without_memo
 
 
 def elem(name):
@@ -140,19 +141,14 @@ def test_check_conformance_requires_world_or_history():
         check_conformance(trace, spec_by_id("fig6"))
 
 
-def test_returning_early_violates_fig6():
-    trace = simple_trace([
+def returns_early():
+    return simple_trace([
         (frozenset(), Yielded(A), {A, B}),
         (frozenset({A}), Returned(), {A, B}),   # B never yielded!
     ])
-    history = [(0.0, frozenset({A, B}))]
-    report = check_conformance(trace, spec_by_id("fig6"), history=history)
-    assert not report.conformant
-    assert any("returns" in str(v) or "suspends" in str(v)
-               for v in report.ensures_violations)
 
 
-def test_failing_violates_fig6_but_not_fig5():
+def fails_with_an_unreachable_remainder():
     from repro.spec import Failed
     trace = simple_trace([
         (frozenset(), Yielded(A), {A, B}),
@@ -165,6 +161,40 @@ def test_failing_violates_fig6_but_not_fig5():
         snapshots=(StateSnapshot(time=1.0, members=frozenset({A, B}),
                                  reachable_nodes=frozenset({"client"})),),
     ))
+    return trace
+
+
+def fails_then_junk():
+    from repro.spec import Failed
+    # a fig6-forbidden failure at index 1, followed by junk that the
+    # structural checker would also flag
+    trace = simple_trace([
+        (frozenset(), Yielded(A), {A, B}),
+    ])
+    trace.invocations.append(InvocationRecord(
+        index=1, t_invoke=1.0, t_complete=1.5,
+        yielded_pre=frozenset({A}), yielded_post=frozenset({A}),
+        outcome=Failed("boom"), snapshots=(snapshot(1.0, {A, B}),),
+    ))
+    trace.invocations.append(InvocationRecord(
+        index=2, t_invoke=2.0, t_complete=2.5,
+        yielded_pre=frozenset({A}), yielded_post=frozenset({A, B}),
+        outcome=Yielded(B), snapshots=(snapshot(2.0, {A, B}),),
+    ))
+    return trace
+
+
+def test_returning_early_violates_fig6():
+    trace = returns_early()
+    history = [(0.0, frozenset({A, B}))]
+    report = check_conformance(trace, spec_by_id("fig6"), history=history)
+    assert not report.conformant
+    assert any("returns" in str(v) or "suspends" in str(v)
+               for v in report.ensures_violations)
+
+
+def test_failing_violates_fig6_but_not_fig5():
+    trace = fails_with_an_unreachable_remainder()
     history = [(0.0, frozenset({A, B}))]
     fig5 = check_conformance(trace, spec_by_id("fig5"), history=history)
     assert fig5.conformant, fig5.counterexample()
@@ -188,12 +218,8 @@ def test_minimal_prefix_of_conformant_trace_is_none():
 
 def test_minimal_prefix_finds_first_bad_invocation():
     from repro.spec import minimal_violating_prefix
-    # invocation 1 returns early (B unyielded) — the violation; the
-    # trailing invocations are noise the minimizer should drop
-    trace = simple_trace([
-        (frozenset(), Yielded(A), {A, B}),
-        (frozenset({A}), Returned(), {A, B}),
-    ])
+    # invocation 1 returns early (B unyielded) — the violation
+    trace = returns_early()
     history = [(0.0, frozenset({A, B}))]
     minimal = minimal_violating_prefix(trace, spec_by_id("fig6"), history)
     assert minimal is not None
@@ -201,28 +227,33 @@ def test_minimal_prefix_finds_first_bad_invocation():
 
 
 def test_minimal_prefix_shrinks_long_traces():
-    from repro.spec import Failed, minimal_violating_prefix
-    # a fig6-forbidden failure at index 1, followed by junk that the
-    # structural checker would also flag — minimization cuts it all off
-    trace = simple_trace([
-        (frozenset(), Yielded(A), {A, B}),
-    ])
-    trace.invocations.append(InvocationRecord(
-        index=1, t_invoke=1.0, t_complete=1.5,
-        yielded_pre=frozenset({A}), yielded_post=frozenset({A}),
-        outcome=Failed("boom"), snapshots=(snapshot(1.0, {A, B}),),
-    ))
-    trace.invocations.append(InvocationRecord(
-        index=2, t_invoke=2.0, t_complete=2.5,
-        yielded_pre=frozenset({A}), yielded_post=frozenset({A, B}),
-        outcome=Yielded(B), snapshots=(snapshot(2.0, {A, B}),),
-    ))
+    from repro.spec import minimal_violating_prefix
+    # minimization cuts off everything after the failure
+    trace = fails_then_junk()
     history = [(0.0, frozenset({A, B}))]
     minimal = minimal_violating_prefix(trace, spec_by_id("fig6"), history)
     assert minimal is not None
     assert len(minimal.invocations) == 2          # up to the failure only
     from repro.spec import check_conformance as cc
     assert not cc(minimal, spec_by_id("fig6"), history=history).conformant
+
+
+# ---------------------------------------------------------------------------
+# check_trace memoizes reachable(x_σ) per check: same verdicts, word for word
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("build", [returns_early,
+                                   fails_with_an_unreachable_remainder,
+                                   fails_then_junk])
+def test_memoized_check_reports_the_same_violations(build):
+    from repro.spec import ALL_FIGURES, RELAXED_VARIANTS
+    trace = build()
+    violating = 0
+    for spec in ALL_FIGURES + RELAXED_VARIANTS:
+        got = spec.check_trace(trace)
+        assert got == check_trace_without_memo(spec, trace), spec.spec_id
+        violating += bool(got)
+    assert violating                    # these traces do violate something
 
 
 # ---------------------------------------------------------------------------

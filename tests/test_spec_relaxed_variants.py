@@ -4,7 +4,7 @@
 from repro.spec import check_conformance, spec_by_id
 from repro.weaksets import PerRunGrowOnlySet, PerRunImmutableSet, SnapshotSet, StrongSet
 
-from helpers import CLIENT, drain_all, standard_world
+from helpers import CLIENT, check_trace_without_memo, drain_all, standard_world
 
 
 def test_per_run_immutable_impl_conforms_to_relaxed_fig3():
@@ -51,6 +51,13 @@ def test_relaxed_fig3_rejects_mid_run_mutation():
     report = check_conformance(ws.last_trace, spec_by_id("fig3-per-run"), world)
     assert not report.conformant
     assert report.constraint_violations
+    # the per-check reachable(x_σ) memo changes no verdict on this trace
+    from repro.spec import ALL_FIGURES, RELAXED_VARIANTS
+    verdicts = {spec.spec_id: spec.check_trace(ws.last_trace)
+                for spec in ALL_FIGURES + RELAXED_VARIANTS}
+    assert verdicts == {spec.spec_id: check_trace_without_memo(spec, ws.last_trace)
+                        for spec in ALL_FIGURES + RELAXED_VARIANTS}
+    assert any(verdicts.values())
 
 
 def test_per_run_grow_only_impl_conforms_to_relaxed_fig5():

@@ -507,7 +507,7 @@ def test_rank_hosts_memoized_per_topology_generation():
     again = rank_hosts(net, CLIENT, hosts)
     assert again == first
     assert kernel.obs.metrics.value("fetch.rank_cache_hits") == 1
-    # any connectivity mutation bumps the generation and drops the cache
+    # any connectivity mutation moves the epoch: the next ranking recomputes
     net.isolate("s1")
     after = rank_hosts(net, CLIENT, hosts)
     assert kernel.obs.metrics.value("fetch.rank_cache_hits") == 1
