@@ -4,8 +4,8 @@ from repro.bench import run_availability, run_availability_ablation
 from repro.bench.artifact import record_result
 
 
-def test_e4_availability(benchmark):
-    result = benchmark.pedantic(run_availability, rounds=1, iterations=1)
+def test_e4_availability():
+    result = run_availability()
     record_result(result)
     print()
     print(result)
@@ -41,8 +41,8 @@ def test_e4_availability(benchmark):
     assert row(worst, "fig6")["mean_latency_ok"] > row(0.0, "fig6")["mean_latency_ok"]
 
 
-def test_e4a_ablations(benchmark):
-    result = benchmark.pedantic(run_availability_ablation, rounds=1, iterations=1)
+def test_e4a_ablations():
+    result = run_availability_ablation()
     record_result(result)
     print()
     print(result)

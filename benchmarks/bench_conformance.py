@@ -15,8 +15,8 @@ def _cell(rows, impl, spec_id):
     return int(conforming), int(total)
 
 
-def test_e1_conformance_matrix(benchmark):
-    result = benchmark.pedantic(run_conformance_matrix, rounds=1, iterations=1)
+def test_e1_conformance_matrix():
+    result = run_conformance_matrix()
     record_result(result)
     print()
     print(result)

@@ -4,8 +4,8 @@ from repro.bench import run_convergence
 from repro.bench.artifact import record_result
 
 
-def test_e14_convergence(benchmark):
-    result = benchmark.pedantic(run_convergence, rounds=1, iterations=1)
+def test_e14_convergence():
+    result = run_convergence()
     record_result(result)
     print()
     print(result)

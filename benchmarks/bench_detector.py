@@ -4,8 +4,8 @@ from repro.bench import run_detector
 from repro.bench.artifact import record_result
 
 
-def test_e15_detector_tradeoff(benchmark):
-    result = benchmark.pedantic(run_detector, rounds=1, iterations=1)
+def test_e15_detector_tradeoff():
+    result = run_detector()
     record_result(result)
     print()
     print(result)

@@ -10,8 +10,8 @@ from repro.bench.artifact import record_result
 from repro.bench.exp_disconnected import _IMPLS
 
 
-def test_e21_offline_availability(benchmark):
-    result = benchmark.pedantic(run_disconnected, rounds=1, iterations=1)
+def test_e21_offline_availability():
+    result = run_disconnected()
     record_result(result)
     print()
     print(result)
@@ -41,8 +41,8 @@ def test_e21_offline_availability(benchmark):
         assert offline["mean_latency"] < 0.1, impl
 
 
-def test_e21a_reconcile_cost(benchmark):
-    result = benchmark.pedantic(run_reconcile_cost, rounds=1, iterations=1)
+def test_e21a_reconcile_cost():
+    result = run_reconcile_cost()
     record_result(result)
     print()
     print(result)
@@ -62,8 +62,8 @@ def test_e21a_reconcile_cost(benchmark):
     assert last["drain_s"] < 8 * first["drain_s"] * 2
 
 
-def test_e21b_outbox_crash(benchmark):
-    result = benchmark.pedantic(run_outbox_crash, rounds=1, iterations=1)
+def test_e21b_outbox_crash():
+    result = run_outbox_crash()
     record_result(result)
     print()
     print(result)
@@ -87,8 +87,8 @@ def test_e21b_outbox_crash(benchmark):
     assert volatile["double_applied"] == 0
 
 
-def test_e21c_geo_flap(benchmark):
-    result = benchmark.pedantic(run_geo_flap, rounds=1, iterations=1)
+def test_e21c_geo_flap():
+    result = run_geo_flap()
     record_result(result)
     print()
     print(result)

@@ -4,8 +4,8 @@ from repro.bench import run_federation
 from repro.bench.artifact import record_result
 
 
-def test_e11_federation(benchmark):
-    result = benchmark.pedantic(run_federation, rounds=1, iterations=1)
+def test_e11_federation():
+    result = run_federation()
     record_result(result)
     print()
     print(result)

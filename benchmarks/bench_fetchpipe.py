@@ -4,8 +4,8 @@ from repro.bench import run_fetchpipe
 from repro.bench.artifact import record_result
 
 
-def test_e19_fetchpipe(benchmark):
-    result = benchmark.pedantic(run_fetchpipe, rounds=1, iterations=1)
+def test_e19_fetchpipe():
+    result = run_fetchpipe()
     rows = result.rows
     serial = next(r for r in rows if r["mode"] == "serial")
     # surface the headline batched-vs-serial ratios in the artifact's

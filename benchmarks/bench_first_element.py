@@ -4,8 +4,8 @@ from repro.bench import run_time_to_first
 from repro.bench.artifact import record_result
 
 
-def test_e2_time_to_first(benchmark):
-    result = benchmark.pedantic(run_time_to_first, rounds=1, iterations=1)
+def test_e2_time_to_first():
+    result = run_time_to_first()
     record_result(result)
     print()
     print(result)
@@ -36,10 +36,10 @@ def test_e2_time_to_first(benchmark):
     assert weak_large < 3 * weak_small
 
 
-def test_e2a_early_exit(benchmark):
+def test_e2a_early_exit():
     from repro.bench import run_early_exit
 
-    result = benchmark.pedantic(run_early_exit, rounds=1, iterations=1)
+    result = run_early_exit()
     record_result(result)
     print()
     print(result)

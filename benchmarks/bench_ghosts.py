@@ -4,8 +4,8 @@ from repro.bench import run_ghosts
 from repro.bench.artifact import record_result
 
 
-def test_e10_ghosts(benchmark):
-    result = benchmark.pedantic(run_ghosts, rounds=1, iterations=1)
+def test_e10_ghosts():
+    result = run_ghosts()
     record_result(result)
     print()
     print(result)

@@ -6,8 +6,8 @@ from repro.bench import run_disconnection, run_lock_cost
 from repro.bench.artifact import record_result
 
 
-def test_e6_lock_cost(benchmark):
-    result = benchmark.pedantic(run_lock_cost, rounds=1, iterations=1)
+def test_e6_lock_cost():
+    result = run_lock_cost()
     record_result(result)
     print()
     print(result)
@@ -24,8 +24,8 @@ def test_e6_lock_cost(benchmark):
         assert r["writer_waited"] >= r["lock_hold_time"] * 0.8
 
 
-def test_e6b_disconnection(benchmark):
-    result = benchmark.pedantic(run_disconnection, rounds=1, iterations=1)
+def test_e6b_disconnection():
+    result = run_disconnection()
     record_result(result)
     print()
     print(result)

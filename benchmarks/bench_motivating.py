@@ -4,8 +4,8 @@ from repro.bench import run_motivating
 from repro.bench.artifact import record_result
 
 
-def test_e7_motivating_queries(benchmark):
-    result = benchmark.pedantic(run_motivating, rounds=1, iterations=1)
+def test_e7_motivating_queries():
+    result = run_motivating()
     record_result(result)
     print()
     print(result)

@@ -19,10 +19,9 @@ from repro.bench.exp_obs import ROOT_SPANS
 from repro.obs import read_jsonl, spans_from_records
 
 
-def test_e17_observability(benchmark):
+def test_e17_observability():
     trace_path = os.environ.get("REPRO_TRACE_JSONL")
-    result = benchmark.pedantic(run_obs, kwargs={"export_trace": trace_path},
-                                rounds=1, iterations=1)
+    result = run_obs(export_trace=trace_path)
     record_result(result)
     print()
     print(result)

@@ -4,8 +4,8 @@ from repro.bench import run_prefetch
 from repro.bench.artifact import record_result
 
 
-def test_e3_prefetch(benchmark):
-    result = benchmark.pedantic(run_prefetch, rounds=1, iterations=1)
+def test_e3_prefetch():
+    result = run_prefetch()
     record_result(result)
     print()
     print(result)

@@ -4,8 +4,8 @@ from repro.bench import run_reachability
 from repro.bench.artifact import record_result
 
 
-def test_e9_reachability(benchmark):
-    result = benchmark.pedantic(run_reachability, rounds=1, iterations=1)
+def test_e9_reachability():
+    result = run_reachability()
     record_result(result)
     print()
     print(result)

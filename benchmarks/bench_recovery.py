@@ -4,8 +4,8 @@ from repro.bench import run_recovery
 from repro.bench.artifact import record_result
 
 
-def test_e18_recovery(benchmark):
-    result = benchmark.pedantic(run_recovery, rounds=1, iterations=1)
+def test_e18_recovery():
+    result = run_recovery()
     record_result(result)
     print()
     print(result)

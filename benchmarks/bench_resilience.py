@@ -4,8 +4,8 @@ from repro.bench import run_resilience
 from repro.bench.artifact import record_result
 
 
-def test_e16_resilience(benchmark):
-    result = benchmark.pedantic(run_resilience, rounds=1, iterations=1)
+def test_e16_resilience():
+    result = run_resilience()
     record_result(result)
     print()
     print(result)

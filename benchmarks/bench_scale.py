@@ -4,8 +4,8 @@ from repro.bench import run_scale
 from repro.bench.artifact import record_result
 
 
-def test_e12_scale(benchmark):
-    result = benchmark.pedantic(run_scale, rounds=1, iterations=1)
+def test_e12_scale():
+    result = run_scale()
     record_result(result)
     print()
     print(result)

@@ -21,8 +21,8 @@ from repro.bench.artifact import record_result
 MIN_SPEEDUP_4X = 2.5
 
 
-def test_e24_sharding(benchmark):
-    result = benchmark.pedantic(run_sharding, rounds=1, iterations=1)
+def test_e24_sharding():
+    result = run_sharding()
     record_result(result, metrics=result.sharding_metrics)
     print()
     print(result)

@@ -4,8 +4,8 @@ from repro.bench import run_cache_ablation, run_staleness
 from repro.bench.artifact import record_result
 
 
-def test_e5_staleness(benchmark):
-    result = benchmark.pedantic(run_staleness, rounds=1, iterations=1)
+def test_e5_staleness():
+    result = run_staleness()
     record_result(result)
     print()
     print(result)
@@ -40,8 +40,8 @@ def test_e5_staleness(benchmark):
     assert row(top, "fig6")["mean_yields"] > row(top, "fig4")["mean_yields"]
 
 
-def test_e5a_cache_ablation(benchmark):
-    result = benchmark.pedantic(run_cache_ablation, rounds=1, iterations=1)
+def test_e5a_cache_ablation():
+    result = run_cache_ablation()
     record_result(result)
     print()
     print(result)

@@ -4,8 +4,8 @@ from repro.bench import PAPER_TAXONOMY, run_taxonomy
 from repro.bench.artifact import record_result
 
 
-def test_e8_taxonomy(benchmark):
-    result = benchmark.pedantic(run_taxonomy, rounds=3, iterations=1)
+def test_e8_taxonomy():
+    result = run_taxonomy()
     record_result(result)
     print()
     print(result)

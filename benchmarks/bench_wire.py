@@ -4,8 +4,8 @@ from repro.bench import run_wire
 from repro.bench.artifact import record_result
 
 
-def test_e25_wire(benchmark):
-    result = benchmark.pedantic(run_wire, rounds=1, iterations=1)
+def test_e25_wire():
+    result = run_wire()
     rows = result.rows
     by_mode = {}
     for r in rows:

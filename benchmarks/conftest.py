@@ -5,7 +5,7 @@ Every ``bench_*.py`` registers its :class:`ExperimentResult` via
 an output path, the whole session's results are written as one
 schema-versioned artifact at exit::
 
-    REPRO_BENCH_OBS=BENCH_obs.json pytest benchmarks -q --benchmark-disable
+    REPRO_BENCH_OBS=BENCH_obs.json pytest benchmarks -q
 
 This is how the CI bench-smoke job produces the artifact it uploads and
 diffs against the committed baseline (``python -m repro.bench compare``).

@@ -3,7 +3,9 @@
 Each ``run_*`` function builds its worlds, runs the simulation, and
 returns an :class:`~repro.bench.report.ExperimentResult` whose ``str()``
 is the table recorded in EXPERIMENTS.md.  The ``benchmarks/`` directory
-wraps each one in a pytest-benchmark target with shape assertions.
+wraps each one in a pytest test with shape assertions.  Every number an
+experiment reports is a simulated one — host time is measured by
+``perf/`` only — so a table is a pure function of (code, seed).
 """
 
 from .exp_availability import run_availability, run_availability_ablation
@@ -30,7 +32,7 @@ from .exp_locking import run_disconnection, run_lock_cost
 from .exp_motivating import run_motivating
 from .exp_obs import run_obs
 from .exp_overload import run_overload
-from .exp_population import run_kernel_throughput, run_population
+from .exp_population import run_population
 from .exp_recovery import run_recovery
 from .exp_resilience import run_resilience
 from .exp_scale import run_scale
@@ -63,7 +65,6 @@ __all__ = [
     "run_early_exit",
     "run_geo_flap",
     "run_fetchpipe",
-    "run_kernel_throughput",
     "run_ghosts",
     "run_lock_cost",
     "run_motivating",
@@ -117,7 +118,6 @@ ALL_EXPERIMENTS = {
     "E21b": run_outbox_crash,
     "E21c": run_geo_flap,
     "E22": run_population,
-    "E22a": run_kernel_throughput,
     "E23": run_overload,
     "E24": run_sharding,
     "E25": run_wire,

@@ -9,14 +9,12 @@ Usage::
                                               # also write the BENCH_obs artifact
     python -m repro.bench compare old.json new.json --tolerance 0.1
                                               # regression gate over two artifacts
-                                              # (--warn-only, --ignore key[,key…],
-                                              #  a key may be <experiment>.<key>)
+                                              # (--warn-only)
 """
 
 from __future__ import annotations
 
 import sys
-import time
 from typing import Optional
 
 from . import ALL_EXPERIMENTS
@@ -48,7 +46,7 @@ def main(argv: list[str]) -> int:
             return 0
         else:
             ids.append(arg)
-    # Ids are mixed-case ("E22a"): match whatever case the user typed.
+    # Ids are mixed-case ("E21a"): match whatever case the user typed.
     by_folded = {eid.casefold(): eid for eid in ALL_EXPERIMENTS}
     wanted = ([by_folded.get(arg.casefold(), arg) for arg in ids]
               or list(ALL_EXPERIMENTS))
@@ -59,18 +57,10 @@ def main(argv: list[str]) -> int:
         return 2
     records: list[dict] = []
     for eid in wanted:
-        started = time.perf_counter()
         result: ExperimentResult = ALL_EXPERIMENTS[eid]()
-        elapsed = time.perf_counter() - started
-        if markdown:
-            print(result.to_markdown())
-        else:
-            print(result)
-            print(f"  ({elapsed:.2f}s wall clock)")
+        print(result.to_markdown() if markdown else result)
         print()
-        record = result.to_obs()
-        record["elapsed_wall_s"] = elapsed
-        records.append(record)
+        records.append(result.to_obs())
     if obs_path is not None:
         path = write_artifact(obs_path, records,
                               meta={"source": "python -m repro.bench",

@@ -17,16 +17,14 @@ The schema (version ``repro.bench_obs/1``)::
       "experiments": [
         {"id": "E16", "title": "...", "columns": [...],
          "rows": [{...}, ...], "notes": "...",
-         "elapsed_wall_s": 1.23}           # optional, never gated on
+         "metrics": {...}}                 # optional registry view
       ]
     }
 
-Rows are the experiment's own table — seeded simulation numbers, so a
-given (code, seed) produces identical artifacts on any machine.  That
-determinism is what lets ``python -m repro.bench compare`` (see
-:mod:`repro.bench.compare`) gate regressions with a real tolerance
-instead of hand-waving at CI noise; only ``elapsed_wall_s`` is
-machine-dependent, and the comparator ignores it by default.
+Rows and metrics are seeded simulation numbers and nothing else, so a
+given (code, seed) produces a byte-identical artifact on any machine.
+That determinism is what lets ``python -m repro.bench compare`` (see
+:mod:`repro.bench.compare`) gate every table at ``--tolerance 0``.
 """
 
 from __future__ import annotations
@@ -47,17 +45,13 @@ _RECORDS: list[dict] = []
 
 
 def record_result(result: ExperimentResult,
-                  elapsed_wall_s: Optional[float] = None,
                   metrics: Optional[dict[str, Any]] = None) -> dict:
     """Register one experiment result for the session artifact.
 
     ``metrics`` attaches a registry snapshot (or any JSON-safe mapping)
-    when the caller has one; ``elapsed_wall_s`` is advisory only.
-    Returns the record appended.
+    when the caller has one.  Returns the record appended.
     """
     record = result.to_obs()
-    if elapsed_wall_s is not None:
-        record["elapsed_wall_s"] = elapsed_wall_s
     if metrics:
         record["metrics"] = dict(metrics)
     _RECORDS.append(record)

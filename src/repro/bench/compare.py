@@ -8,12 +8,10 @@ compares every experiment's table, row by row and field by field:
   at any tolerance;
 * numeric fields may deviate by at most ``tolerance`` as a fraction of
   the old value (``|new - old| / |old|``); a value appearing where the
-  baseline had 0 is treated as an unbounded deviation;
-* wall-clock keys (``elapsed_wall_s`` and ``wall_ms`` by default) are
-  ignored — the artifact's simulation numbers are seed-deterministic,
-  wall time is not, and gating on CI-machine noise helps nobody.
-  ``--ignore`` adds keys; ``<experiment>.<key>`` (``E22a.speedup``)
-  ignores a key in that experiment's rows only.
+  baseline had 0 is treated as an unbounded deviation.
+
+Every field of every row is gated: a table holds simulated numbers
+only, so there is nothing machine-dependent to look past.
 
 Numeric deviations beyond tolerance are classified by the field's
 *direction* (:func:`metric_direction`): a latency that shrank or a
@@ -31,16 +29,11 @@ the new artifact are reported as info and pass.
 from __future__ import annotations
 
 import numbers
-from typing import Iterable
 
 from .artifact import load_artifact
 
 __all__ = ["compare_artifacts", "compare_files", "main",
-           "metric_direction", "DEFAULT_IGNORED_KEYS",
-           "EXPLICIT_DIRECTIONS"]
-
-#: Machine-dependent keys never gated on.
-DEFAULT_IGNORED_KEYS = frozenset({"elapsed_wall_s", "wall_ms"})
+           "metric_direction", "EXPLICIT_DIRECTIONS"]
 
 #: Substrings marking a field where *smaller* is better.
 _LOWER_BETTER = ("time", "latency", "cost", "staleness", "lag", "viol",
@@ -106,12 +99,9 @@ def _deviation(old: float, new: float) -> float:
 
 
 def compare_rows(exp_id: str, index: int, old_row: dict, new_row: dict,
-                 tolerance: float, ignore: frozenset[str],
-                 regressions: list[str],
+                 tolerance: float, regressions: list[str],
                  improvements: list[str] | None = None) -> None:
     for key in old_row:
-        if key in ignore or f"{exp_id}.{key}" in ignore:
-            continue
         if key not in new_row:
             regressions.append(
                 f"{exp_id} row {index}: field {key!r} disappeared")
@@ -136,8 +126,7 @@ def compare_rows(exp_id: str, index: int, old_row: dict, new_row: dict,
                 f"{exp_id} row {index}: {key} {old_value!r} -> {new_value!r}")
 
 
-def compare_artifacts(old: dict, new: dict, tolerance: float = 0.1,
-                      ignore: Iterable[str] = DEFAULT_IGNORED_KEYS,
+def compare_artifacts(old: dict, new: dict, tolerance: float = 0.1
                       ) -> tuple[list[str], list[str], list[str]]:
     """Diff two artifacts; returns (regressions, improvements, info).
 
@@ -146,7 +135,6 @@ def compare_artifacts(old: dict, new: dict, tolerance: float = 0.1,
     :func:`metric_direction`) — pass it, but signal the baseline has
     rotted and should be regenerated.
     """
-    ignored = frozenset(ignore)
     regressions: list[str] = []
     improvements: list[str] = []
     info: list[str] = []
@@ -164,26 +152,24 @@ def compare_artifacts(old: dict, new: dict, tolerance: float = 0.1,
             continue
         for index, (old_row, new_row) in enumerate(zip(old_rows, new_rows)):
             compare_rows(exp_id, index, old_row, new_row, tolerance,
-                         ignored, regressions, improvements)
+                         regressions, improvements)
     for exp_id in new_experiments:
         if exp_id not in old_experiments:
             info.append(f"{exp_id}: new experiment (not in baseline), skipped")
     return regressions, improvements, info
 
 
-def compare_files(old_path: str, new_path: str, tolerance: float = 0.1,
-                  ignore: Iterable[str] = DEFAULT_IGNORED_KEYS,
+def compare_files(old_path: str, new_path: str, tolerance: float = 0.1
                   ) -> tuple[list[str], list[str], list[str]]:
     return compare_artifacts(load_artifact(old_path), load_artifact(new_path),
-                             tolerance=tolerance, ignore=ignore)
+                             tolerance=tolerance)
 
 
 def main(argv: list[str]) -> int:
     """``python -m repro.bench compare OLD NEW [--tolerance F]
-    [--warn-only] [--ignore key[,key…]]``."""
+    [--warn-only]``."""
     tolerance = 0.1
     warn_only = False
-    ignore = set(DEFAULT_IGNORED_KEYS)
     paths: list[str] = []
     it = iter(argv)
     for arg in it:
@@ -197,14 +183,6 @@ def main(argv: list[str]) -> int:
             tolerance = float(arg.split("=", 1)[1])
         elif arg == "--warn-only":
             warn_only = True
-        elif arg == "--ignore":
-            value = next(it, None)
-            if value is None:
-                print("--ignore needs a value", flush=True)
-                return 2
-            ignore.update(k for k in value.split(",") if k)
-        elif arg.startswith("--ignore="):
-            ignore.update(k for k in arg.split("=", 1)[1].split(",") if k)
         elif arg.startswith("-"):
             print(f"unknown compare option {arg!r}", flush=True)
             return 2
@@ -212,12 +190,11 @@ def main(argv: list[str]) -> int:
             paths.append(arg)
     if len(paths) != 2 or tolerance < 0:
         print("usage: python -m repro.bench compare OLD.json NEW.json "
-              "[--tolerance F] [--warn-only] [--ignore key[,key…]]",
-              flush=True)
+              "[--tolerance F] [--warn-only]", flush=True)
         return 2
     try:
         regressions, improvements, info = compare_files(
-            paths[0], paths[1], tolerance=tolerance, ignore=ignore)
+            paths[0], paths[1], tolerance=tolerance)
     except (OSError, ValueError) as exc:
         print(f"compare: {exc}", flush=True)
         return 2

@@ -30,9 +30,7 @@ from .report import ExperimentResult
 
 __all__ = ["run_obs"]
 
-#: Counters reported in the table.  ``kernel.wall_seconds`` is the one
-#: deliberately absent aggregate: wall time is machine noise, and this
-#: table must stay byte-stable for the regression gate.
+#: Counters reported in the table.
 _COUNTERS = (
     "kernel.events", "kernel.sim_seconds",
     "net.messages_sent", "net.messages_delivered", "net.messages_dropped",

@@ -31,7 +31,6 @@ machine.
 
 from __future__ import annotations
 
-import time
 from typing import Generator
 
 from ..net.executor import ExecutorPolicy
@@ -208,7 +207,6 @@ def _run_crash_leg(seed: int, duration_scale: float):
 
 def run_overload(seed: int = 0, duration_scale: float = 1.0) -> ExperimentResult:
     """E23: protected vs unprotected saturation, plus the crash leg."""
-    t0 = time.perf_counter()
     result = ExperimentResult(
         "E23",
         "Overload protection: identical capacity "
@@ -273,7 +271,6 @@ def run_overload(seed: int = 0, duration_scale: float = 1.0) -> ExperimentResult
     metrics["crash.invariant_leaks"] = len(problems)
     metrics["crash.conformant"] = int(report.conformant)
     metrics["crash.shed"] = crash_counters["shed"]
-    metrics["elapsed_wall_s"] = round(time.perf_counter() - t0, 3)
     result.overload_metrics = metrics
     if problems:  # pragma: no cover - the gate this experiment exists for
         result.notes += f" | INVARIANT LEAKS: {problems}"

@@ -1,4 +1,4 @@
-"""E22 — population-scale load, and E22a — raw kernel throughput.
+"""E22 — population-scale load.
 
 The paper's environment is "thousands of workstations" querying shared
 collections.  E22 makes that literal: an open-loop, heavy-tailed
@@ -7,25 +7,10 @@ simulated client sessions through ramp/steady/cool-down stages against
 one wide-area world, with per-stage SLOs and sampled spec-conformance
 audits.  The gate: every stage meets its SLO and not one audited
 iteration violates Figure 6.
-
-E22a isolates the substrate those populations run on: the same wake
-storm — 10⁵ clients, quantized think-time ticks — is replayed through
-the frozen seed kernel (:mod:`repro.sim._seed_kernel`, one heapq pop
-per event) and the current kernel (timer-wheel scheduler, batched
-same-instant dispatch, zero-allocation resume path).  The ``speedup``
-column is the events/sec ratio over the seed loop; CI pins it ≥ 3x.
-
-Wall-clock columns are named ``wall_ms`` so the artifact comparator
-ignores them; ``events`` counts are seed-deterministic and gated
-exactly, ``speedup`` is machine-relative and gated directionally.
 """
 
 from __future__ import annotations
 
-import time
-
-from ..sim import Kernel, Sleep
-from ..sim._seed_kernel import Kernel as SeedKernel
 from ..wan.population import (
     PopulationEngine,
     PopulationSpec,
@@ -35,8 +20,7 @@ from ..wan.population import (
 from ..wan.workload import ScenarioSpec, build_scenario
 from .report import ExperimentResult
 
-__all__ = ["run_population", "run_kernel_throughput",
-           "population_spec", "wake_storm"]
+__all__ = ["run_population", "population_spec"]
 
 
 def population_spec(scenario, scale: float = 1.0,
@@ -70,9 +54,7 @@ def run_population(seed: int = 0, scale: float = 1.0) -> ExperimentResult:
     scenario = build_scenario(ScenarioSpec(), seed=seed)
     spec = population_spec(scenario, scale=scale)
     engine = PopulationEngine(scenario, spec)
-    t0 = time.perf_counter()
     stages = engine.run()
-    wall = time.perf_counter() - t0
     metrics = scenario.kernel.obs.metrics
     result = ExperimentResult(
         "E22",
@@ -111,76 +93,5 @@ def run_population(seed: int = 0, scale: float = 1.0) -> ExperimentResult:
         "population.audit_violations":
             metrics.value("population.audit_violations"),
         "kernel.events": metrics.value("kernel.events"),
-        "elapsed_wall_s": round(wall, 3),
     }
-    return result
-
-
-# -- E22a: kernel throughput ------------------------------------------
-
-#: The wake-storm think-time quantum: population sessions pace on
-#: tens-of-milliseconds ticks, which is also where same-instant batch
-#: dispatch matters (coincident wakes).
-_TICK = 0.010
-
-
-def wake_storm(kernel, n_clients: int, wakes: int,
-               transient: bool = True) -> float:
-    """Spawn the E22a storm on ``kernel`` and run it; returns wall secs.
-
-    ``n_clients`` generators each sleep a deterministic stagger, then
-    ``wakes`` fixed ticks drawn from a 7-value quantized mix — the
-    shape of an idling population.  Works on both the current kernel
-    and the frozen seed kernel (which predates ``transient=``).
-    """
-    sleeps = [Sleep(_TICK * (1 + k)) for k in range(7)]
-    stagger = [Sleep(k * (_TICK / 64.0)) for k in range(64)]
-
-    def client(i: int):
-        yield stagger[i % 64]
-        tick = sleeps[(i * 31) % 7]
-        for _ in range(wakes):
-            yield tick
-
-    for i in range(n_clients):
-        if transient:
-            kernel.spawn(client(i), transient=True)
-        else:
-            kernel.spawn(client(i))
-    t0 = time.perf_counter()
-    kernel.run()
-    return time.perf_counter() - t0
-
-
-def run_kernel_throughput(n_clients: int = 100_000,
-                          wakes: int = 4) -> ExperimentResult:
-    """E22a: events/sec through seed, heap-mode, and wheel kernels."""
-    variants = (
-        ("seed", lambda: SeedKernel(seed=1), False),
-        ("heap", lambda: Kernel(seed=1, scheduler="heap"), True),
-        ("wheel", lambda: Kernel(seed=1, scheduler="wheel"), True),
-    )
-    result = ExperimentResult(
-        "E22a",
-        f"Kernel throughput: {n_clients} clients x {wakes + 2} events "
-        "(events/sec vs the frozen seed heapq loop)",
-        columns=["kernel", "events", "speedup", "wall_ms"],
-        notes="seed = pre-refactor kernel kept verbatim in "
-              "repro.sim._seed_kernel; speedup = events/sec over seed; "
-              "wall_ms is machine-dependent and ignored by the gate",
-    )
-    rates: dict[str, float] = {}
-    # Per client: the spawn step, the stagger wake, then one wake per tick.
-    expected = n_clients * (wakes + 2)
-    for name, factory, transient in variants:
-        kernel = factory()
-        wall = wake_storm(kernel, n_clients, wakes, transient=transient)
-        events = int(kernel.obs.metrics.value("kernel.events"))
-        assert events == expected, (name, events, expected)
-        rates[name] = events / wall
-        result.add(kernel=name, events=events,
-                   speedup=round(rates[name] / rates["seed"], 2),
-                   wall_ms=round(wall * 1000.0, 1))
-    result.throughput_metrics = {f"{k}_ev_per_s": round(v, 0)
-                                 for k, v in rates.items()}
     return result

@@ -10,7 +10,6 @@ member) for every design point.
 
 from __future__ import annotations
 
-import time
 from typing import Iterable
 
 from ..wan.workload import ScenarioSpec, build_scenario
@@ -33,7 +32,7 @@ def run_scale(sizes: Iterable[int] = (20, 80, 320),
     result = ExperimentResult(
         "E12", "Scale sweep: cost vs set size (fixed 4x3 WAN topology)",
         columns=["members", "impl", "sim_time", "messages",
-                 "msgs_per_member", "wall_ms"],
+                 "msgs_per_member"],
         notes="messages/member is the per-element protocol overhead; "
               "flat means O(1) per member for every design point",
     )
@@ -51,9 +50,7 @@ def run_scale(sizes: Iterable[int] = (20, 80, 320),
             def proc():
                 return (yield from iterator.drain())
 
-            wall_start = time.perf_counter()
             drained = scenario.kernel.run_process(proc())
-            wall_ms = (time.perf_counter() - wall_start) * 1000.0
             messages = scenario.net.transport.stats.total_sent.value
             result.add(
                 members=size,
@@ -61,6 +58,5 @@ def run_scale(sizes: Iterable[int] = (20, 80, 320),
                 sim_time=drained.total_time,
                 messages=messages,
                 msgs_per_member=messages / size,
-                wall_ms=wall_ms,
             )
     return result

@@ -28,7 +28,6 @@ All quantities are virtual-time, seed-deterministic; the gates travel.
 
 from __future__ import annotations
 
-import time
 from typing import Generator, Iterable
 
 from ..errors import FailureException
@@ -288,7 +287,6 @@ def run_sharding(seed: int = 0, shard_counts: Iterable[int] = SHARD_COUNTS,
                  churn_seeds: Iterable[int] = range(3)) -> ExperimentResult:
     """E24: registration throughput vs ring size, the conformance
     matrix over scatter-gather reads, and rebalancing under churn."""
-    t0 = time.perf_counter()
     shard_counts = list(shard_counts)
     conf_seeds = list(conf_seeds)
     churn_seeds = list(churn_seeds)
@@ -355,6 +353,5 @@ def run_sharding(seed: int = 0, shard_counts: Iterable[int] = SHARD_COUNTS,
                           f"scatter {'ok' if r['scatter_matches'] else 'MISMATCH'}"))
     for key, total in totals.items():
         metrics[f"rebalance.{key}"] = total
-    metrics["elapsed_wall_s"] = round(time.perf_counter() - t0, 3)
     result.sharding_metrics = metrics
     return result

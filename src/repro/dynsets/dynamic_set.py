@@ -44,7 +44,6 @@ class DynSetHandle:
                  parallelism: int = 4, retry_interval: float = 0.5,
                  give_up_after: Optional[float] = None,
                  closest_first: bool = True,
-                 membership_source: str = "nearest",
                  batch_size: int = 1, use_cache: bool = False):
         self.repo = repo
         self.coll_id = coll_id
@@ -52,7 +51,6 @@ class DynSetHandle:
         self.retry_interval = retry_interval
         self.give_up_after = give_up_after
         self.closest_first = closest_first
-        self.membership_source = membership_source
         # Explicit cache/batch policy, threaded through to the shared
         # fetch pipeline (batch_size=1 = one RPC per element, the
         # historical behaviour; use_cache is never a default's accident).
@@ -70,9 +68,8 @@ class DynSetHandle:
         if self.engine is not None:
             raise SimulationError("dynamic set opened twice")
         self.opened_at = self.repo.world.now
-        view = yield from self.repo.read_membership(
-            self.coll_id, source=self.membership_source
-        )
+        view = yield from self.repo.read_membership(self.coll_id,
+                                                    source="nearest")
         # name order, not raw frozenset order: the set's iteration order
         # leaks the process-global oid counter and hash seed, which made
         # the closest_first=False ablation nondeterministic across runs

@@ -31,13 +31,17 @@ from .wire import WireFormat
 
 __all__ = ["Network"]
 
+#: Virtual time the transport layer takes to signal an unreachable
+#: destination (models the "failures signaled from the lower network and
+#: transport layers").
+DETECTION_DELAY = 0.02
+
 
 class Network:
     """A complete simulated distributed system."""
 
     def __init__(self, kernel: Kernel, topology: Topology,
                  default_timeout: float = 5.0,
-                 detection_delay: float = 0.02,
                  fail_fast: bool = True,
                  wire: Optional["WireFormat"] = None):
         """
@@ -45,11 +49,10 @@ class Network:
             kernel: the discrete-event kernel to run on.
             topology: the physical network graph.
             default_timeout: RPC timeout when the caller gives none.
-            detection_delay: virtual time the transport layer takes to
-                signal an unreachable destination (models the "failures
-                signaled from the lower network and transport layers").
             fail_fast: if False, unreachable destinations are only ever
-                detected by timeout — the purely pessimistic transport.
+                detected by timeout — the purely pessimistic transport;
+                if True the transport signals them after
+                ``DETECTION_DELAY``.
             wire: the wire format (codec + serialisation rate) the
                 transport measures and charges messages with; defaults
                 to the compact codec with free serialisation.
@@ -57,7 +60,6 @@ class Network:
         self.kernel = kernel
         self.topology = topology
         self.default_timeout = default_timeout
-        self.detection_delay = detection_delay
         self.fail_fast = fail_fast
         self.partitions = PartitionManager(topology.nodes())
         self.nodes: dict[NodeId, Node] = {
@@ -162,7 +164,7 @@ class Network:
         if reason is not None and self.fail_fast:
             # The transport layer detects and signals the failure after a
             # short detection delay, instead of burning the full timeout.
-            yield Sleep(min(self.detection_delay, timeout))
+            yield Sleep(min(DETECTION_DELAY, timeout))
             raise reason
         request = Message(
             src=Address(src, "client"),

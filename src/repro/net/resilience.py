@@ -74,30 +74,29 @@ __all__ = [
 TRANSPORT_FAILURES = (TimeoutFailure, NodeCrashFailure,
                       LinkDownFailure, PartitionFailure)
 
+#: What another attempt can help with: transport failures, an open
+#: circuit (waiting out the cooldown) and a busy server.  Application
+#: failures — a reply saying "no such object here" — propagate at once.
+RETRYABLE_FAILURES = TRANSPORT_FAILURES + (CircuitOpenFailure,
+                                           ServerBusyFailure)
+
 
 # ---------------------------------------------------------------------------
 # retry policy
 # ---------------------------------------------------------------------------
 @dataclass(frozen=True)
 class RetryPolicy:
-    """Exponential backoff with deterministic jitter.
-
-    ``retry_on`` classifies which :class:`FailureException` subclasses
-    are worth another attempt.  The default retries transport failures
-    and open circuits (waiting out the cooldown); application failures
-    — a reply saying "no such object here" — propagate immediately.
-    """
+    """Exponential backoff with deterministic jitter, for
+    :data:`RETRYABLE_FAILURES`."""
 
     max_attempts: int = 3
     base_delay: float = 0.05
     multiplier: float = 2.0
     max_delay: float = 2.0
     jitter: float = 0.5                  # > 0 enables full jitter
-    retry_on: tuple[type, ...] = TRANSPORT_FAILURES + (
-        CircuitOpenFailure, ServerBusyFailure)
 
     def is_retryable(self, exc: BaseException) -> bool:
-        return isinstance(exc, self.retry_on)
+        return isinstance(exc, RETRYABLE_FAILURES)
 
     def backoff(self, attempt: int, stream: Stream) -> float:
         """Delay before retry number ``attempt`` (1-based): full jitter.

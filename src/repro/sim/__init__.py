@@ -22,18 +22,16 @@ from .kernel import Kernel
 from .mailbox import CLOSED, Mailbox
 from .process import Process, ProcessState
 from .rng import RandomRouter, Stream
-from .sched import HeapScheduler, WheelScheduler, make_scheduler
+from .sched import WheelScheduler
 from .tracing import TraceLog, TraceRecord
 
 __all__ = [
     "Clock",
     "Fork",
-    "HeapScheduler",
     "Join",
     "CLOSED",
     "Kernel",
     "WheelScheduler",
-    "make_scheduler",
     "Mailbox",
     "Now",
     "Process",

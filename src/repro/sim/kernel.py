@@ -9,10 +9,8 @@ reproducible given (code, seed).
 Tie-breaking is by a monotonically increasing sequence number, so two
 actions scheduled for the same instant run in scheduling order —
 determinism does not depend on container internals.  The scheduler
-structure itself is pluggable (see :mod:`repro.sim.sched`): the default
-is the timer-wheel/slotted-heap hybrid; ``Kernel(scheduler="heap")``
-selects the original binary heap, kept as the reference for
-differential determinism tests and throughput baselines.
+structure is the timer-wheel/slotted-heap hybrid of
+:mod:`repro.sim.sched`.
 
 The event loop dispatches same-instant events as one *batch*: the
 scheduler surfaces every entry stamped with the next virtual time at
@@ -34,7 +32,6 @@ the semantic reference for what one step means.
 from __future__ import annotations
 
 import itertools
-import time
 from typing import Any, Callable, Generator, Optional, Union
 
 from ..errors import SimulationError, TimeoutFailure
@@ -43,7 +40,7 @@ from .clock import Clock
 from .events import Fork, Join, Now, Signal, Sleep, Wait
 from .process import Process, ProcessState
 from .rng import RandomRouter, Stream
-from .sched import EventScheduler, _Scheduled, make_scheduler
+from .sched import WheelScheduler, _Scheduled
 from .tracing import TraceLog
 
 __all__ = ["Kernel"]
@@ -56,12 +53,11 @@ _WAITING = ProcessState.WAITING
 class Kernel:
     """Discrete-event scheduler driving generator-based processes."""
 
-    def __init__(self, seed: int = 0, trace: bool = False,
-                 scheduler: Union[str, EventScheduler, None] = None):
+    def __init__(self, seed: int = 0, trace: bool = False):
         self.clock = Clock()
         self.random = RandomRouter(seed)
         self.trace = TraceLog(enabled=trace, clock=self.clock)
-        self._sched: EventScheduler = make_scheduler(scheduler)
+        self._sched = WheelScheduler()
         self._seq = itertools.count()
         self._processes: list[Process] = []
         self._running: Optional[Process] = None
@@ -76,7 +72,6 @@ class Kernel:
         # Hot path: instruments are resolved once, not per event.
         self._m_events = self.obs.metrics.counter("kernel.events")
         self._m_queue_depth = self.obs.metrics.gauge("kernel.queue_depth")
-        self._m_wall = self.obs.metrics.counter("kernel.wall_seconds")
         self._m_sim = self.obs.metrics.counter("kernel.sim_seconds")
 
     # ------------------------------------------------------------------
@@ -85,10 +80,6 @@ class Kernel:
     @property
     def now(self) -> float:
         return self.clock.now
-
-    @property
-    def scheduler_name(self) -> str:
-        return self._sched.name
 
     @property
     def current_process(self) -> Optional["Process"]:
@@ -139,7 +130,6 @@ class Kernel:
             stop_when: Optional[Callable[[], bool]] = None) -> None:
         """Run scheduled actions until the queue empties (or ``until``,
         or ``stop_when()`` turns true between actions)."""
-        wall_start = time.perf_counter()
         sim_start = self.clock.now
         sched = self._sched
         sched_push = sched.push
@@ -245,9 +235,6 @@ class Kernel:
                 clock.advance_to(until)
         finally:
             self._m_events.value += executed
-            # Wall-per-sim-time: how much real time one virtual second
-            # costs (the simulator's own efficiency, tracked per run).
-            self._m_wall.value += time.perf_counter() - wall_start
             self._m_sim.value += clock.now - sim_start
 
     def run_process(self, generator: Generator, name: str = "main", until: Optional[float] = None) -> Any:

@@ -1,40 +1,29 @@
-"""Event schedulers: the data structure under the kernel's event loop.
+"""The event scheduler: the data structure under the kernel's event loop.
 
 The kernel's ordering contract is strict ``(time, seq)`` order — two
 actions scheduled for the same instant run in scheduling order, and
-determinism never depends on container internals.  This module provides
-two interchangeable structures honouring that contract:
+determinism never depends on container internals.
 
-* :class:`HeapScheduler` — the original design: one global binary heap
-  of :class:`_Scheduled` entries.  Correct and simple, but every push
-  and pop funnels O(log n) comparisons through the Python-level
-  ``_Scheduled.__lt__``, which dominates kernel time once populations
-  reach 10⁵ clients.  Kept verbatim as (a) the reference
-  implementation differential determinism tests compare against and
-  (b) the baseline the kernel-throughput benchmark (E22a) measures
-  speedups over.
+:class:`WheelScheduler` is a timer-wheel/slotted-heap hybrid (a
+calendar queue with heap-ordered slots).  Entries hash into fixed-width
+time slots (O(1) list append, no per-push allocation); slots are
+ordered by a small heap of integer keys (C-speed comparisons); a slot
+is stably sorted lazily by time — C-speed via ``attrgetter``, with seq
+order riding on sort stability — when the clock reaches it.
+Same-instant runs are surfaced as whole batches so the kernel can
+dispatch them without per-event queue traffic.  Slotting is a pure
+performance choice: every slot is sorted by ``(time, seq)`` before
+dispatch and slots are visited in key order, so the observable event
+order is that of one global ``(time, seq)``-ordered queue for any
+schedule (property-tested in ``tests/test_sim_sched.py`` against a
+sorted-list reference and the frozen seed kernel's binary heap).
 
-* :class:`WheelScheduler` — a timer-wheel/slotted-heap hybrid (a
-  calendar queue with heap-ordered slots).  Entries hash into
-  fixed-width time slots (O(1) list append, no per-push allocation);
-  slots are ordered by a small heap of integer keys (C-speed
-  comparisons); a slot is stably sorted lazily by time — C-speed via
-  ``attrgetter``, with seq order riding on sort stability — when the
-  clock reaches it.  Same-instant runs are
-  surfaced as whole batches so the kernel can dispatch them without
-  per-event queue traffic.  Slotting is a pure performance choice:
-  every slot is sorted by ``(time, seq)`` before dispatch and slots are
-  visited in key order, so the observable event order is identical to
-  the heap's for any schedule (property-tested in
-  ``tests/test_sim_sched.py``).
-
-Both expose the same four-method protocol the kernel drives:
-``push(entry)``, ``peek_time()`` (drop cancelled heads, return the next
-event time or ``None``), ``pop_batch(out)`` (move every live entry at
-exactly that time into ``out``, in seq order — only valid immediately
-after a successful ``peek_time``), and ``requeue(entries)`` (put
-not-yet-run entries back, preserving their stamps, when ``run()`` stops
-mid-batch).
+The kernel drives four methods: ``push(entry)``, ``peek_time()`` (drop
+cancelled heads, return the next event time or ``None``),
+``pop_batch(out)`` (move every live entry at exactly that time into
+``out``, in seq order — only valid immediately after a successful
+``peek_time``), and ``requeue(entries)`` (put not-yet-run entries back,
+preserving their stamps, when ``run()`` stops mid-batch).
 """
 
 from __future__ import annotations
@@ -42,12 +31,11 @@ from __future__ import annotations
 import heapq
 from bisect import insort
 from operator import attrgetter
-from typing import Callable, Iterable, Optional, Protocol, Sequence, Union
+from typing import Callable, Iterable, Optional
 
 from ..errors import SimulationError
 
-__all__ = ["_Scheduled", "EventScheduler", "HeapScheduler", "WheelScheduler",
-           "make_scheduler", "DEFAULT_SLOT_WIDTH"]
+__all__ = ["_Scheduled", "WheelScheduler", "DEFAULT_SLOT_WIDTH"]
 
 
 class _Scheduled:
@@ -65,64 +53,9 @@ class _Scheduled:
         self.cancelled = True
 
     def __lt__(self, other: "_Scheduled") -> bool:
-        # Used by the heap reference on every sift, and by the wheel
-        # only on the rare insort-into-active-slot path; bulk slot
+        # Used only on the rare insort-into-active-slot path; bulk slot
         # sorting goes through the stable C-speed time key instead.
         return (self.time, self.seq) < (other.time, other.seq)
-
-
-class EventScheduler(Protocol):
-    """The protocol both schedulers implement (see module docstring)."""
-
-    name: str
-
-    def push(self, entry: _Scheduled) -> None: ...
-    def peek_time(self) -> Optional[float]: ...
-    def pop_batch(self, out: list) -> None: ...
-    def requeue(self, entries: Sequence[_Scheduled]) -> None: ...
-    def __len__(self) -> int: ...
-
-
-class HeapScheduler:
-    """The seed structure: a single binary heap of entries."""
-
-    name = "heap"
-
-    __slots__ = ("_queue",)
-
-    def __init__(self) -> None:
-        self._queue: list[_Scheduled] = []
-
-    def push(self, entry: _Scheduled) -> None:
-        heapq.heappush(self._queue, entry)
-
-    def requeue(self, entries: Iterable[_Scheduled]) -> None:
-        for entry in entries:
-            heapq.heappush(self._queue, entry)
-
-    def peek_time(self) -> Optional[float]:
-        queue = self._queue
-        while queue:
-            head = queue[0]
-            if head.cancelled:
-                heapq.heappop(queue)
-                continue
-            return head.time
-        return None
-
-    def pop_batch(self, out: list) -> None:
-        queue = self._queue
-        when = queue[0].time
-        while queue and queue[0].time == when:
-            entry = heapq.heappop(queue)
-            if not entry.cancelled:
-                out.append(entry)
-
-    def __len__(self) -> int:
-        return len(self._queue)
-
-    def __repr__(self) -> str:
-        return f"HeapScheduler(pending={len(self._queue)})"
 
 
 #: Slot width in virtual seconds.  Simulated RPC latencies sit in the
@@ -162,8 +95,6 @@ class WheelScheduler:
     ``insort`` (full ``(time, seq)`` comparison) and a pre-sorted
     prefix respectively, so the invariant survives both.
     """
-
-    name = "wheel"
 
     __slots__ = ("width", "_inv_width", "_buckets", "_keys",
                  "_active", "_active_pos", "_active_key", "_count")
@@ -267,24 +198,3 @@ class WheelScheduler:
     def __repr__(self) -> str:
         return (f"WheelScheduler(pending={self._count}, "
                 f"slots={len(self._buckets)}, width={self.width})")
-
-
-_SCHEDULERS = {
-    "heap": HeapScheduler,
-    "wheel": WheelScheduler,
-}
-
-
-def make_scheduler(spec: Union[str, EventScheduler, None]) -> EventScheduler:
-    """Resolve a scheduler choice: a name, an instance, or ``None``
-    (the default wheel)."""
-    if spec is None:
-        return WheelScheduler()
-    if isinstance(spec, str):
-        try:
-            return _SCHEDULERS[spec]()
-        except KeyError:
-            raise SimulationError(
-                f"unknown scheduler {spec!r}; known: {sorted(_SCHEDULERS)}"
-            ) from None
-    return spec

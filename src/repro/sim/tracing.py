@@ -1,11 +1,11 @@
 """Structured trace log for simulations.
 
-The trace is a list of timestamped records.  It serves two purposes:
-
-* debugging (human-readable dump of what the simulation did), and
-* the specification checker's *computation history* — the sequence of
-  states the paper calls σ₀ S₁ σ₁ … is reconstructed from mutation
-  records emitted by the object store.
+The trace is a list of timestamped records of what the kernel and the
+transport did (spawn, finish, fail, kill; send, recv, drop): a
+human-readable dump for debugging, and the event stream the
+differential scheduler tests compare.  It is not the specification
+checker's computation history σ₀ S₁ σ₁ … — that is
+:class:`repro.spec.trace.TraceRecorder`.
 """
 
 from __future__ import annotations

@@ -71,11 +71,12 @@ class ScenarioSpec:
     # -- the wire (E25) --------------------------------------------------
     codec: str = "compact"                  # wire codec: "compact" | "naive"
     bandwidth_preset: Optional[str] = None  # "lan" | "wan" | "mobile";
-                                            # fills the three bandwidth
-                                            # dials below where they are 0
+                                            # sets the client's access
+                                            # link and fills the
+                                            # bandwidth dials below
+                                            # where they are 0
     intra_bandwidth: float = 0.0            # bytes/s inside a cluster
     inter_bandwidth: float = 0.0            # bytes/s between cluster heads
-    access_bandwidth: float = 0.0           # bytes/s on the client's link
     serialize_rate: float = 0.0             # sender-CPU bytes/s (0 = free)
     # -- sharded membership (E24) --------------------------------------
     shards: int = 0                         # 0 = classic single-primary
@@ -93,15 +94,16 @@ class ScenarioSpec:
         """Resolved (intra, inter, access, serialize_rate) in bytes/s.
 
         The named preset fills any dial left at 0; explicit non-zero
-        dials win over the preset.
+        dials win over the preset.  The client's access link has no
+        dial: it is the preset's, or infinite without one.
         """
         intra, inter = self.intra_bandwidth, self.inter_bandwidth
-        access, srate = self.access_bandwidth, self.serialize_rate
+        access, srate = 0.0, self.serialize_rate
         if self.bandwidth_preset is not None:
             preset = BANDWIDTH_PRESETS[self.bandwidth_preset]
             intra = intra or preset.intra
             inter = inter or preset.inter
-            access = access or preset.access
+            access = preset.access
             srate = srate or preset.serialize_rate
         return intra, inter, access, srate
 

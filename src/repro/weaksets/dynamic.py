@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from typing import Any, Generator, Optional
 
-from ..errors import FailureException, NoSuchObjectError
+from ..errors import FailureException
 from ..sim.events import Sleep
 from ..spec.termination import Failed, Outcome, Returned, Yielded
 from ..store.elements import Element
@@ -52,14 +52,12 @@ class DynamicIterator(ElementsIterator):
 
     def __init__(self, *args: Any, retry_interval: float = 0.25,
                  give_up_after: Optional[float] = None,
-                 use_cache: bool = False, fetch_values: bool = True,
-                 failover: bool = True,
+                 use_cache: bool = False, failover: bool = True,
                  **kwargs: Any):
         super().__init__(*args, **kwargs)
         self.retry_interval = retry_interval
         self.give_up_after = give_up_after
         self.use_cache = use_cache
-        self.fetch_values = fetch_values
         #: Try an element's replica copies when its home is unreachable,
         #: before treating it as blocked.  Safe under Figure 6: replicas
         #: can only restore visibility of live members, never resurrect
@@ -75,8 +73,6 @@ class DynamicIterator(ElementsIterator):
         self.stale_entries: set[Element] = set()
 
     def _step(self) -> Generator[Any, Any, Outcome]:
-        if not self.fetch_values:
-            return (yield from self._step_probe_only())
         blocked_since: Optional[float] = None
         forced_view: Optional[frozenset[Element]] = None
         pipe = self._ensure_pipeline(use_cache=self.use_cache)
@@ -121,46 +117,6 @@ class DynamicIterator(ElementsIterator):
             # Optimistic blocking: members exist but cannot be reached.
             # Sleeping with the pipeline empty means the next lap re-reads
             # a view and resubmits the blocked members — a fresh attempt.
-            failed, blocked_since = yield from self._block(blocked_since)
-            if failed is not None:
-                return failed
-
-    def _step_probe_only(self) -> Generator[Any, Any, Outcome]:
-        """Membership-only iteration (``fetch_values=False``): validate
-        candidates by probing their home instead of fetching values."""
-        blocked_since: Optional[float] = None
-        forced_view: Optional[frozenset[Element]] = None
-        while True:
-            if forced_view is not None:
-                view_members, forced_view = forced_view, None
-            else:
-                try:
-                    view_members = yield from self._best_view()
-                except FailureException:
-                    # Blocked at the view layer: wait it out on the same
-                    # give_up_after budget as blocked probes below.
-                    failed, blocked_since = yield from self._block(blocked_since)
-                    if failed is not None:
-                        return failed
-                    continue
-            remaining = view_members - self.yielded - self.stale_entries
-            saw_unreachable = False
-            for element in self.closest_first(remaining):
-                try:
-                    exists = yield from self.repo.probe(element)
-                    if not exists:
-                        raise NoSuchObjectError(element.oid)
-                    return Yielded(element, None)
-                except NoSuchObjectError:
-                    self.stale_entries.add(element)
-                except FailureException:
-                    saw_unreachable = True
-            if not saw_unreachable:
-                fresh_remaining = yield from self._fresh_remaining(self.stale_entries)
-                if not fresh_remaining:
-                    return Returned()
-                forced_view = fresh_remaining
-                continue
             failed, blocked_since = yield from self._block(blocked_since)
             if failed is not None:
                 return failed

@@ -51,10 +51,6 @@ class GrowOnlyIterator(ElementsIterator):
     impl_name = "grow-only"
     pipeline_validation = "probe"
 
-    def __init__(self, *args: Any, fetch_values: bool = True, **kwargs: Any):
-        super().__init__(*args, **kwargs)
-        self.fetch_values = fetch_values
-
     def _read_view(self) -> Generator[Any, Any, frozenset]:
         # s_pre: the authoritative current membership.  An unreachable
         # primary is itself a failure (pessimism all the way down).

@@ -56,13 +56,10 @@ class Figure1Iterator(SnapshotIterator):
     """Figure 1: failures ignored (yields without reachability checks)."""
 
     impl_name = "figure1"
-
-    def __init__(self, *args: Any, **kwargs: Any):
-        # No reachability check, no failure branch: Figure 1's world has
-        # no failures, so e ∈ s_first − yielded is all that is required —
-        # which is the snapshot iterator's membership-only mode.
-        super().__init__(*args, **kwargs)
-        self.fetch_values = False
+    # No reachability check, no failure branch: Figure 1's world has
+    # no failures, so e ∈ s_first − yielded is all that is required —
+    # which is the snapshot iterator's membership-only mode.
+    fetch_values = False
 
 
 class Figure1Set(WeakSet):

@@ -110,7 +110,7 @@ class ElementsIterator:
     #: transport failure at the home.
     pipeline_failover = False
     #: ``False`` = membership-only iteration (bare descriptors, no value
-    #: fetch); variants that offer the dial set it per instance.
+    #: fetch): Figure 1's iterator.
     fetch_values = True
 
     def __init__(self, repo: Repository, coll_id: str,

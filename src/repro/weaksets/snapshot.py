@@ -46,9 +46,8 @@ class SnapshotIterator(ElementsIterator):
     impl_name = "snapshot"
     pipeline_validation = "probe"
 
-    def __init__(self, *args: Any, fetch_values: bool = True, **kwargs: Any):
+    def __init__(self, *args: Any, **kwargs: Any):
         super().__init__(*args, **kwargs)
-        self.fetch_values = fetch_values
         self.snapshot: Optional[frozenset[Element]] = None
 
     def _step(self) -> Generator[Any, Any, Outcome]:

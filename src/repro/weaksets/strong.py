@@ -46,12 +46,11 @@ class StrongIterator(ElementsIterator):
     pipeline_validation = "none"
 
     def __init__(self, *args: Any, lock_wait_timeout: Optional[float] = None,
-                 hold_lock_while_yielding: bool = True, **kwargs: Any):
+                 **kwargs: Any):
         kwargs.setdefault("fetch_window", 1)
         kwargs.setdefault("fetch_batch", 1)
         super().__init__(*args, **kwargs)
         self.lock_wait_timeout = lock_wait_timeout
-        self.hold_lock_while_yielding = hold_lock_while_yielding
         self._locks: list[LockClient] = []
         self._loaded: Optional[list[tuple[Element, Any]]] = None
         self._cursor = 0
@@ -110,9 +109,6 @@ class StrongIterator(ElementsIterator):
             yield from release_collection_locks(locks, quiet=True)
             return Failed(f"strong iteration aborted: {failure}")
         self._loaded = loaded
-        if not self.hold_lock_while_yielding:
-            locks, self._locks = self._locks, []
-            yield from release_collection_locks(locks, quiet=True)
         return None
 
 

@@ -2,17 +2,12 @@
 
 This is the seed implementation of :class:`repro.sim.Kernel`, kept
 verbatim (one global binary heap, one event dispatched per loop
-iteration, a fresh resume closure per wake).  It exists for two jobs:
-
-* **Differential determinism tests** — ``tests/test_sim_sched.py``
-  replays randomized schedules through this kernel and the current one
-  and asserts identical event order, timestamps, and traces.  Any
-  divergence is a bug in the new scheduler, by definition.
-
-* **Throughput baseline** — the kernel-throughput benchmark (E22a,
-  ``benchmarks/bench_population.py``) measures the shipped kernel's
-  events/sec against this loop at 10\u2075-client populations; the \u22653x
-  speedup gate in CI compares against numbers produced here.
+iteration, a fresh resume closure per wake, and the host-clock counter
+the shipped kernel has since dropped).  It is the differential oracle
+``tests/test_sim_sched.py`` replays randomized schedules through: this
+kernel and the shipped one must agree on event order, timestamps and
+traces, and any divergence is a bug in the shipped kernel, by
+definition.
 
 Do not modernise this file; its value is that it does not change.
 """
@@ -24,13 +19,13 @@ import itertools
 import time
 from typing import Any, Callable, Generator, Optional
 
-from ..errors import SimulationError, TimeoutFailure
-from ..obs import Observability
-from .clock import Clock
-from .events import Fork, Join, Now, Signal, Sleep, Wait
-from .process import Process, ProcessState
-from .rng import RandomRouter, Stream
-from .tracing import TraceLog
+from repro.errors import SimulationError, TimeoutFailure
+from repro.obs import Observability
+from repro.sim.clock import Clock
+from repro.sim.events import Fork, Join, Now, Signal, Sleep, Wait
+from repro.sim.process import Process, ProcessState
+from repro.sim.rng import RandomRouter, Stream
+from repro.sim.tracing import TraceLog
 
 __all__ = ["Kernel"]
 

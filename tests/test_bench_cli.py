@@ -10,7 +10,6 @@ def test_cli_runs_selected_experiments(capsys):
     out = capsys.readouterr().out
     assert "[E8]" in out
     assert "Garcia-Molina" in out
-    assert "wall clock" in out
 
 
 def test_cli_accepts_lowercase_ids(capsys):
@@ -84,8 +83,18 @@ def test_cli_obs_writes_schema_versioned_artifact(tmp_path, capsys):
     (exp,) = artifact["experiments"]
     assert exp["id"] == "E8"
     assert exp["rows"] and exp["columns"]
-    assert exp["elapsed_wall_s"] > 0
     assert "wrote" in capsys.readouterr().out
+
+
+def test_cli_obs_artifact_and_stdout_are_reproducible(tmp_path, capsys):
+    """A committed number is a simulated number: the same experiments
+    run twice write the same bytes and print the same text."""
+    path = tmp_path / "BENCH_obs.json"
+    runs = []
+    for _ in range(2):
+        assert main(["--obs", str(path), "E8", "E12"]) == 0
+        runs.append((path.read_bytes(), capsys.readouterr().out))
+    assert runs[0] == runs[1]
 
 
 def test_cli_obs_flag_requires_path(capsys):
@@ -119,6 +128,8 @@ def test_compare_identical_inputs_exit_zero(tmp_path, capsys):
 
 
 def test_compare_ignores_wall_clock_noise(tmp_path, capsys):
+    """Only ``rows`` are gated, so an artifact written by an older tree
+    (whose records carry ``elapsed_wall_s``) still compares clean."""
     old = write_fake_artifact(tmp_path / "old.json", elapsed=0.5)
     new = write_fake_artifact(tmp_path / "new.json", elapsed=50.0)
     assert main(["compare", old, new, "--tolerance", "0.01"]) == 0
@@ -167,21 +178,6 @@ def test_compare_row_count_mismatch_is_a_regression(tmp_path):
     old = write_fake_artifact(tmp_path / "old.json")
     new = write_fake_artifact(tmp_path / "new.json", drop_row=True)
     assert main(["compare", old, new]) == 1
-
-
-def test_compare_extra_ignore_keys(tmp_path):
-    old = write_fake_artifact(tmp_path / "old.json", latency=1.0)
-    new = write_fake_artifact(tmp_path / "new.json", latency=9.0)
-    assert main(["compare", old, new, "--ignore", "latency"]) == 0
-
-
-def test_compare_ignore_scoped_to_one_experiment(tmp_path):
-    old = write_fake_artifact(tmp_path / "old.json", latency=1.0)
-    new = write_fake_artifact(tmp_path / "new.json", latency=9.0)
-    # the fake rows live in E98: the scoped key silences them there ...
-    assert main(["compare", old, new, "--ignore", "E98.latency"]) == 0
-    # ... and nowhere else
-    assert main(["compare", old, new, "--ignore=E99.latency"]) == 1
 
 
 def test_compare_unreadable_file_exits_two(tmp_path, capsys):

@@ -93,9 +93,7 @@ def test_soak_is_deterministic():
     runs = []
     for _ in range(2):
         world, offline, _, _ = run_schedule(0, durable=True)
-        snapshot = world.net.kernel.obs.metrics.snapshot()
-        snapshot.pop("kernel.wall_seconds", None)
         runs.append((sorted(e.name for e in world.true_members("coll")),
                      [e.status for e in offline.outbox.entries],
-                     snapshot))
+                     world.net.kernel.obs.metrics.snapshot()))
     assert runs[0] == runs[1]

@@ -45,11 +45,12 @@ def test_counters_track_sends_and_drops():
     kernel, net = make_net()
 
     def proc():
-        yield from net.call("a", "b", "echo", "echo", 1)
+        for i in range(500):
+            yield from net.call("a", "b", "echo", "echo", i)
 
     kernel.run_process(proc())
     sent_before_failures = net.transport.stats.total_sent.value
-    assert sent_before_failures >= 2        # request + reply
+    assert sent_before_failures == 1000     # 500 requests + 500 replies
     assert net.transport.stats.total_dropped.value == 0
 
     net.crash("b")

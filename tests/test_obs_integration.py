@@ -151,10 +151,7 @@ def test_trace_exports_and_reimports_with_nesting_intact(tmp_path):
 def test_runs_are_deterministic_functions_of_the_seed():
     kernel1, _, _ = resilient_drain(crash="s2")
     kernel2, _, _ = resilient_drain(crash="s2")
-    snap1 = kernel1.obs.metrics.snapshot()
-    snap2 = kernel2.obs.metrics.snapshot()
-    snap1.pop("kernel.wall_seconds"), snap2.pop("kernel.wall_seconds")
-    assert snap1 == snap2
+    assert kernel1.obs.metrics.snapshot() == kernel2.obs.metrics.snapshot()
     spans1 = [s.to_dict() for s in kernel1.obs.tracer]
     spans2 = [s.to_dict() for s in kernel2.obs.tracer]
     assert spans1 == spans2

@@ -62,8 +62,4 @@ def test_overload_soak_is_deterministic():
     """Same seed, same schedule — bit-identical verdict metrics."""
     first = run_overload(seed=0, duration_scale=SOAK_SCALE)
     second = run_overload(seed=0, duration_scale=SOAK_SCALE)
-    m1 = {k: v for k, v in first.overload_metrics.items()
-          if k != "elapsed_wall_s"}
-    m2 = {k: v for k, v in second.overload_metrics.items()
-          if k != "elapsed_wall_s"}
-    assert m1 == m2
+    assert first.overload_metrics == second.overload_metrics

@@ -88,7 +88,5 @@ def test_soak_schedules_are_deterministic():
     w1, p1 = run_schedule(0, recovery_enabled=True)
     w2, p2 = run_schedule(0, recovery_enabled=True)
     assert p1 == p2 == []
-    snap1 = w1.kernel.obs.metrics.snapshot()
-    snap2 = w2.kernel.obs.metrics.snapshot()
-    snap1.pop("kernel.wall_seconds"), snap2.pop("kernel.wall_seconds")
-    assert snap1 == snap2
+    assert (w1.kernel.obs.metrics.snapshot()
+            == w2.kernel.obs.metrics.snapshot())

@@ -3,10 +3,11 @@
 The kernel's contract is strict ``(time, seq)`` event order.  The
 timer-wheel scheduler reorganises storage (slots, lazy stable sorts,
 batch draining) but must never reorganise *observable order*.  These
-tests are differential: the same randomized schedule runs under the
-heap scheduler, the wheel scheduler, and the frozen seed kernel
-(:mod:`repro.sim._seed_kernel`), and every observable — execution
-order, timestamps, trace records, final RNG draws — must be identical.
+tests are differential: the same randomized schedule runs through the
+shipped kernel and the frozen seed kernel (``tests/seed_kernel.py``: one
+binary heap, one event per loop iteration), and every observable —
+execution order, timestamps, trace records, final RNG draws — must be
+identical.
 
 The randomized programs deliberately cover the wheel's hard cases:
 same-instant ties (batch dispatch), cancellations (lazy removal),
@@ -23,7 +24,6 @@ import pytest
 from repro.errors import SimulationError
 from repro.sim import (
     Fork,
-    HeapScheduler,
     Join,
     Kernel,
     Now,
@@ -31,10 +31,10 @@ from repro.sim import (
     Sleep,
     Wait,
     WheelScheduler,
-    make_scheduler,
 )
-from repro.sim._seed_kernel import Kernel as SeedKernel
 from repro.sim.sched import _Scheduled
+
+from seed_kernel import Kernel as SeedKernel
 
 
 # ---------------------------------------------------------------------------
@@ -106,7 +106,8 @@ def _random_program(kernel, rng_seed: int, log: list):
     cancel()
 
 
-def _observe(kernel_factory, rng_seed: int, split: float = None):
+def _observe(kernel_factory, rng_seed: int, split: float = None,
+             stop_after: int = None):
     kernel = kernel_factory()
     log = []
     _random_program(kernel, rng_seed, log)
@@ -115,6 +116,11 @@ def _observe(kernel_factory, rng_seed: int, split: float = None):
         # must shelve its half-drained slot correctly.
         kernel.run(until=split)
         log.append((kernel.now, "--split--"))
+    if stop_after is not None:
+        # Stop between two actions (possibly mid-instant), then resume:
+        # the rest of the interrupted batch must be requeued in order.
+        kernel.run(stop_when=lambda: len(log) >= stop_after)
+        log.append((kernel.now, "--stopped--"))
     kernel.run()
     draws = kernel.stream("after").random()
     return log, kernel.now, draws
@@ -122,45 +128,46 @@ def _observe(kernel_factory, rng_seed: int, split: float = None):
 
 @pytest.mark.parametrize("rng_seed", range(8))
 def test_wheel_matches_heap_on_randomized_schedules(rng_seed):
-    heap_obs = _observe(lambda: Kernel(seed=3, scheduler="heap"), rng_seed)
-    wheel_obs = _observe(lambda: Kernel(seed=3, scheduler="wheel"), rng_seed)
+    heap_obs = _observe(lambda: SeedKernel(seed=3), rng_seed)
+    wheel_obs = _observe(lambda: Kernel(seed=3), rng_seed)
     assert heap_obs == wheel_obs
 
 
 @pytest.mark.parametrize("rng_seed", range(4))
 def test_new_kernel_matches_frozen_seed_kernel(rng_seed):
-    seed_obs = _observe(lambda: SeedKernel(seed=3), rng_seed)
-    wheel_obs = _observe(lambda: Kernel(seed=3, scheduler="wheel"), rng_seed)
-    assert seed_obs == wheel_obs
+    """The ``stop_when`` dispatch loop (``run_process``'s) is a second
+    loop in the shipped kernel and the same one in the seed kernel;
+    twelve log entries in, every seed here is stopped mid-instant."""
+    seed_obs = _observe(lambda: SeedKernel(seed=3), rng_seed, stop_after=12)
+    new_obs = _observe(lambda: Kernel(seed=3), rng_seed, stop_after=12)
+    assert seed_obs == new_obs
 
 
 @pytest.mark.parametrize("rng_seed", range(4))
 @pytest.mark.parametrize("split", [0.0105, 0.02])
 def test_until_split_mid_slot_preserves_order(rng_seed, split):
     """run(until=...) then resume: identical to an uninterrupted run."""
-    whole = _observe(lambda: Kernel(seed=3, scheduler="wheel"), rng_seed)
-    parts = _observe(lambda: Kernel(seed=3, scheduler="wheel"), rng_seed,
-                     split=split)
+    whole = _observe(lambda: Kernel(seed=3), rng_seed)
+    parts = _observe(lambda: Kernel(seed=3), rng_seed, split=split)
     # Drop the split marker; everything else must line up exactly.
     split_log = [e for e in parts[0] if e[1] != "--split--"]
     assert split_log == whole[0]
     assert parts[1] == whole[1]
     # And the split run still matches the heap run split the same way.
-    heap_parts = _observe(lambda: Kernel(seed=3, scheduler="heap"), rng_seed,
-                          split=split)
+    heap_parts = _observe(lambda: SeedKernel(seed=3), rng_seed, split=split)
     assert parts == heap_parts
 
 
 def test_traces_identical_across_schedulers():
-    def observe(sched):
-        kernel = Kernel(seed=9, trace=True, scheduler=sched)
+    def observe(kernel_cls):
+        kernel = kernel_cls(seed=9, trace=True)
         log = []
         _random_program(kernel, 42, log)
         kernel.run()
         return [(r.time, r.kind, tuple(sorted(r.fields.items())))
                 for r in kernel.trace.records()]
 
-    assert observe("heap") == observe("wheel")
+    assert observe(SeedKernel) == observe(Kernel)
 
 
 # ---------------------------------------------------------------------------
@@ -180,17 +187,15 @@ def _drain(sched):
 
 def test_wheel_orders_ties_and_slots_like_heap():
     rng = random.Random(5)
-    heap, wheel = HeapScheduler(), WheelScheduler()
-    entries = []
+    wheel = WheelScheduler()
+    stamps = []
     for seq in range(500):
         when = rng.choice([0.0, 0.001, 0.0010000001, 0.5, 7.25,
                            rng.random() * 3.0])
-        entries.append(_Scheduled(when, seq, None))
-    for e in entries:
-        heap.push(e)
-        wheel.push(_Scheduled(e.time, e.seq, None))
-    assert [(e.time, e.seq) for e in _drain(heap)] == \
-           [(e.time, e.seq) for e in _drain(wheel)]
+        stamps.append((when, seq))
+        wheel.push(_Scheduled(when, seq, None))
+    # The ordering contract, written down: one (time, seq)-sorted list.
+    assert [(e.time, e.seq) for e in _drain(wheel)] == sorted(stamps)
 
 
 def test_wheel_far_future_and_infinite_times_share_the_far_slot():
@@ -264,18 +269,6 @@ def test_wheel_shelves_half_drained_slot_when_earlier_work_arrives():
     assert len(wheel) == 0
 
 
-def test_make_scheduler_resolution():
-    assert isinstance(make_scheduler(None), WheelScheduler)
-    assert isinstance(make_scheduler("heap"), HeapScheduler)
-    assert isinstance(make_scheduler("wheel"), WheelScheduler)
-    custom = WheelScheduler(width=0.5)
-    assert make_scheduler(custom) is custom
-    with pytest.raises(SimulationError):
-        make_scheduler("btree")
+def test_wheel_rejects_nonpositive_slot_width():
     with pytest.raises(SimulationError):
         WheelScheduler(width=0.0)
-
-
-def test_kernel_scheduler_selection():
-    assert Kernel().scheduler_name == "wheel"
-    assert Kernel(scheduler="heap").scheduler_name == "heap"

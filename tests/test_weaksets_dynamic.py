@@ -9,7 +9,7 @@ from helpers import CLIENT, drain_all, standard_world
 
 
 def test_yields_everything_on_quiet_world():
-    kernel, net, world, elements = standard_world(members=6)
+    kernel, net, world, elements = standard_world(members=100)
     ws = DynamicSet(world, CLIENT, "coll")
     result = drain_all(kernel, ws)
     assert frozenset(result.elements) == frozenset(elements)
