@@ -2,7 +2,7 @@
 """The refactor protocol as one command.
 
     python3 ci/check_digests.py            # compare against ci/sim_digests.json
-    python3 ci/check_digests.py --update   # rewrite it (behaviour meant to move)
+    python3 ci/check_digests.py --update   # rewrite it, saying what is accepted
 
 Runs ``python3 perf/run.py --workload W --seed S --seconds 2`` for every
 workload ``BENCHMARK.json`` declares at seeds 0 and 1, and compares what
@@ -16,6 +16,11 @@ What the simulator costs us is held too, from above: each run's exact
 bound ``BENCHMARK.json`` sets for it.  A ceiling, not an equality — a
 cheaper tree passes, and ``--update`` lowers the ceiling to it.  The
 counts are those of the Python the CI job pins (3.11).
+
+``--update`` runs the same comparison before it writes and prints every
+``MOVED`` line plus one ``LOWERED`` (or ``RAISED``) line per ceiling it
+changes, so its log tells "I only lowered a ceiling" from "I accepted a
+behaviour move".
 
 The runs are independent processes and nothing compared here depends on
 load, so they run ``os.cpu_count()`` at a time.
@@ -80,12 +85,6 @@ def main() -> int:
             measured[f"{workload}@{seed}"] = row
             print(f"{workload}@{seed} {row['sim_digest']} "
                   f"{row[CALLS]} calls/op", flush=True)
-    if args.update:
-        with open(DIGESTS, "w") as fh:
-            json.dump(measured, fh, indent=1, sort_keys=True)
-            fh.write("\n")
-        print(f"wrote {os.path.relpath(DIGESTS, ROOT)}")
-        return 0
     with open(DIGESTS) as fh:
         expected = json.load(fh)
     moved = [f"{run} {key}: {expected.get(run, {}).get(key)} -> {row[key]}"
@@ -95,6 +94,20 @@ def main() -> int:
               for run in expected if run not in measured]
     for line in moved:
         print(f"MOVED {line}")
+    if args.update:
+        # the log of an update says what it accepted: every behaviour
+        # move above, and every ceiling it changes
+        for run, row in measured.items():
+            old = expected.get(run, {}).get(CALLS)
+            if old != row[CALLS]:
+                lowered = old is not None and float(row[CALLS]) < float(old)
+                print(f"{'LOWERED' if lowered else 'RAISED'} {run} {CALLS}: "
+                      f"{old} -> {row[CALLS]}")
+        with open(DIGESTS, "w") as fh:
+            json.dump(measured, fh, indent=1, sort_keys=True)
+            fh.write("\n")
+        print(f"wrote {os.path.relpath(DIGESTS, ROOT)}")
+        return 0
     # a run with no committed count has no ceiling to be under
     crept = [f"{run} {CALLS}: {expected.get(run, {}).get(CALLS)} -> {row[CALLS]} "
              f"(ceiling +{calls_bound:.0%})"

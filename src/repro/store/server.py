@@ -95,9 +95,10 @@ def batch_add_step(element: Element) -> str:
 
 
 class MemberMap(dict):
-    """A membership map (name → element) that keeps the two views read
-    from it — the value ``s_σ`` and the sorted listing — until the next
-    write to the map itself.
+    """A membership map (name → element) that keeps the three views read
+    from it — the value ``s_σ``, the sorted listing, and the part of the
+    value a hash ring assigns to one shard — until the next write to the
+    map itself.
 
     Invalidation sits on the container, not on a version compare,
     because writes do not move ``CollectionState.version`` in step: a
@@ -107,12 +108,14 @@ class MemberMap(dict):
     dict mutator drops the views, so no write site can bypass it.
     """
 
-    __slots__ = ("_value", "_listing")
+    __slots__ = ("_value", "_listing", "_owned")
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._value: Optional[frozenset[Element]] = None
         self._listing: Optional[tuple[Element, ...]] = None
+        self._owned: Optional[
+            tuple["HashRing", NodeId, frozenset[Element]]] = None
 
     def value(self) -> frozenset[Element]:
         if self._value is None:
@@ -124,13 +127,25 @@ class MemberMap(dict):
             self._listing = tuple(sorted(self.values()))
         return self._listing
 
+    def owned(self, ring: "HashRing", shard: NodeId) -> frozenset[Element]:
+        """The listed elements whose names ``ring`` assigns to ``shard``
+        — this partition's share of a sharded ``s_σ`` (a pre-copied or
+        not-yet-dropped entry of a migration is listed, never owned).
+        Kept per ring *identity*: a cutover swaps the ring object."""
+        view = self._owned
+        if view is None or view[0] is not ring or view[1] != shard:
+            owner = ring.owner
+            view = self._owned = (ring, shard, frozenset(
+                [e for name, e in self.items() if owner(name) == shard]))
+        return view[2]
+
     # -- every way a dict can be written drops the views ----------------
     def __setitem__(self, name, element):
-        self._value = self._listing = None
+        self._value = self._listing = self._owned = None
         super().__setitem__(name, element)
 
     def __delitem__(self, name):
-        self._value = self._listing = None
+        self._value = self._listing = self._owned = None
         super().__delitem__(name)
 
     def __ior__(self, other):
@@ -138,15 +153,15 @@ class MemberMap(dict):
         return self
 
     def pop(self, *args):
-        self._value = self._listing = None
+        self._value = self._listing = self._owned = None
         return super().pop(*args)
 
     def popitem(self):
-        self._value = self._listing = None
+        self._value = self._listing = self._owned = None
         return super().popitem()
 
     def setdefault(self, *args):
-        self._value = self._listing = None
+        self._value = self._listing = self._owned = None
         return super().setdefault(*args)
 
     def update(self, *args, **kwargs):
@@ -155,10 +170,10 @@ class MemberMap(dict):
         try:
             super().update(*args, **kwargs)
         finally:
-            self._value = self._listing = None
+            self._value = self._listing = self._owned = None
 
     def clear(self):
-        self._value = self._listing = None
+        self._value = self._listing = self._owned = None
         super().clear()
 
 

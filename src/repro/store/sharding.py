@@ -65,9 +65,15 @@ class HashRing:
     at cutover.  Placement depends only on ``(seed, node ids, vnodes)``,
     so every process — clients, servers, the invariant checker — derives
     the identical key→shard mapping.
+
+    Being immutable, a ring remembers each ``owner(name)`` it has worked
+    out, so a name is hashed at most once per ring instance; successor
+    rings and unpickled copies start with nothing remembered.
     """
 
-    __slots__ = ("nodes", "vnodes", "seed", "_points", "_keys")
+    #: the ring's pickled form (see ``__getstate__``)
+    _WIRE = ("nodes", "vnodes", "seed", "_points", "_keys")
+    __slots__ = _WIRE + ("_ordered", "_owners")
 
     def __init__(self, nodes: Iterable[NodeId], *, vnodes: int = 16,
                  seed: int = 0):
@@ -88,13 +94,32 @@ class HashRing:
         points.sort()
         self._points = tuple(points)
         self._keys = [p for p, _ in points]
+        # ``points`` is sorted, so first occurrence = first virtual point
+        self._ordered = tuple(dict.fromkeys(node for _, node in points))
+        self._owners: dict[str, NodeId] = {}
+
+    # -- the wire --------------------------------------------------------
+    def __getstate__(self):
+        # A ring crosses the wire (``freeze_range`` / ``drop_range``) and
+        # the codec sizes it by pickling: what has been asked of it must
+        # not move ``net.bytes_sent``, so the pickled form is exactly the
+        # five slots it always was, in ``object.__getstate__``'s shape.
+        return None, {slot: getattr(self, slot) for slot in self._WIRE}
+
+    def __setstate__(self, state) -> None:
+        wire = state[1]
+        self.__init__(wire["nodes"], vnodes=wire["vnodes"], seed=wire["seed"])
 
     # -- lookup ----------------------------------------------------------
     def owner(self, name: str) -> NodeId:
         """The shard owning ``name``'s registry entry (clockwise successor)."""
-        pos = _position(f"{self.seed}|{name}")
-        index = bisect_right(self._keys, pos) % len(self._points)
-        return self._points[index][1]
+        try:
+            return self._owners[name]
+        except KeyError:
+            pos = _position(f"{self.seed}|{name}")
+            index = bisect_right(self._keys, pos) % len(self._points)
+            owner = self._owners[name] = self._points[index][1]
+            return owner
 
     def ordered_nodes(self) -> tuple[NodeId, ...]:
         """Nodes by their first virtual point — the canonical *ring order*.
@@ -104,11 +129,7 @@ class HashRing:
         (every client walks the cycle from the same fixed starting
         point).
         """
-        first: dict[NodeId, int] = {}
-        for pos, node in self._points:
-            if node not in first:
-                first[node] = pos
-        return tuple(sorted(first, key=lambda n: (first[n], n)))
+        return self._ordered
 
     # -- successor rings -------------------------------------------------
     def with_node(self, node: NodeId) -> "HashRing":

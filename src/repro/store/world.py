@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from operator import is_
 from typing import Any, Callable, Generator, Iterable, Optional
 
 from ..errors import FailureException, NoSuchCollectionError, SimulationError
@@ -60,6 +61,10 @@ class CollectionInfo:
     #: The primary of a sharded collection is its first shard — the
     #: rebalance coordinator and the anchor for iteration registration.
     shard_map: Optional[ShardMap] = None
+    #: a sharded collection's last merged value, with the per-shard
+    #: owned views it was merged from (``World._current_value``)
+    _merged: Optional[tuple[list, frozenset[Element]]] = field(
+        default=None, init=False, repr=False, compare=False)
 
     @property
     def hosts(self) -> tuple[NodeId, ...]:
@@ -493,16 +498,19 @@ class World:
         # registry's is merged owner by owner.
         if not info.is_sharded:
             return self.servers[info.primary].collections[info.coll_id].value()
+        # Each shard's owned view stands until that shard is written or
+        # the ring is swapped, and the views are disjoint (a name has one
+        # owner), so while all of them are the objects last merged, the
+        # merged value is the object last returned.
         ring = info.shard_map.ring
-        merged: dict[str, Element] = {}
-        for shard in ring.nodes:
-            state = self.servers[shard].collections.get(info.coll_id)
-            if state is None:
-                continue
-            for name, element in state.members.items():
-                if ring.owner(name) == shard:
-                    merged[name] = element
-        return frozenset(merged.values())
+        views = [state.members.owned(ring, shard) for shard in ring.nodes
+                 if (state := self.servers[shard].collections.get(
+                     info.coll_id)) is not None]
+        merged = info._merged
+        if (merged is None or len(merged[0]) != len(views)
+                or not all(map(is_, merged[0], views))):
+            merged = info._merged = (views, frozenset().union(*views))
+        return merged[1]
 
     def partition_states(
         self, coll_id: str

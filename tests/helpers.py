@@ -71,6 +71,18 @@ def sharded_world(n_shards: int = 3, mirrors: int = 0, policy: str = "any",
     return kernel, net, world, elements
 
 
+def count_ring_hashes(monkeypatch) -> list[str]:
+    """Every token ``sharding._position`` hashes from here on — the
+    ring's one expensive step, so its length counts placement work."""
+    from repro.store import sharding
+
+    hashed: list[str] = []
+    position = sharding._position
+    monkeypatch.setattr(sharding, "_position",
+                        lambda token: hashed.append(token) or position(token))
+    return hashed
+
+
 def drain_all(kernel, weakset, max_yields: Optional[int] = None):
     """Run one full iteration of ``weakset`` and return its DrainResult."""
     iterator = weakset.elements()

@@ -1,6 +1,7 @@
 """Ground-truth freshness: ``CollectionState.value()`` / ``.snapshot()``
-are remembered views of ``members``, and the ``members`` container
-itself drops them on every write.
+and ``members.owned(ring, shard)`` — a partition's share of a sharded
+``s_σ`` — are remembered views of ``members``, and the ``members``
+container itself drops them on every write.
 
 A ``version`` compare could not do this job — a batch add writes
 ``members`` and then parks on the WAL with ``version`` unmoved, and
@@ -14,7 +15,7 @@ import pytest
 
 from repro.net.failures import FaultSchedule
 from repro.sim.events import Sleep
-from repro.store import AddSpec, Element, Repository
+from repro.store import AddSpec, Element, HashRing, Repository
 from repro.store.antientropy import apply_delta
 from repro.store.server import CollectionState
 from repro.weaksets import DynamicSet
@@ -26,25 +27,48 @@ def _element(name: str, home: str = "s0") -> Element:
     return Element(name=name, oid=f"{name}-oid", home=home)
 
 
-def _fill(state: CollectionState):
-    """Read both views (so a write that failed to drop them would leave
-    them stale) and check they are remembered."""
+#: the placement a bare state's owned view is read under
+RING, SHARD = HashRing(("s0", "s1")), "s0"
+
+
+def _fill(state: CollectionState, ring: HashRing = RING, shard: str = SHARD):
+    """Read all three views (so a write that failed to drop them would
+    leave them stale) and check they are remembered."""
     value, listing = state.value(), state.snapshot()[1]
+    owned = state.members.owned(ring, shard)
     assert state.value() is value
     assert state.snapshot()[1] is listing
-    return value, listing
+    assert state.members.owned(ring, shard) is owned
+    return value, listing, owned
 
 
-def assert_fresh(state: CollectionState) -> None:
+def assert_fresh(state: CollectionState, ring: HashRing = RING,
+                 shard: str = SHARD) -> None:
     members = dict.values(state.members)        # the raw container, no views
     assert state.value() == frozenset(members)
     assert state.snapshot() == (state.version, tuple(sorted(members)))
-    _fill(state)
+    assert state.members.owned(ring, shard) == frozenset(
+        e for e in members if ring.owner(e.name) == shard)
+    _fill(state, ring, shard)
 
 
 def _all_states(world):
     return [state for server in world.servers.values()
             for state in server.collections.values()]
+
+
+def _placed_states(world):
+    """``(state, ring, shard)`` for every state on every server: a
+    sharded collection's partition is read under the placement ground
+    truth reads it under *right now* (so the watchdog shares, and would
+    see, the very view ``true_members`` is merged from)."""
+    for node, server in world.servers.items():
+        for state in server.collections.values():
+            info = world.collections.get(state.coll_id)
+            if info is not None and info.is_sharded:
+                yield state, info.shard_map.ring, node
+            else:
+                yield state, RING, SHARD
 
 
 def _watch(kernel, world, period: float):
@@ -58,9 +82,9 @@ def _watch(kernel, world, period: float):
 
     def watchdog():
         while True:
-            for state in _all_states(world):
+            for state, ring, shard in _placed_states(world):
                 try:
-                    assert_fresh(state)
+                    assert_fresh(state, ring, shard)
                 except AssertionError as exc:
                     stale.append((kernel.now, state.coll_id, exc))
             ticks.append(kernel.now)
@@ -73,6 +97,7 @@ def _watch(kernel, world, period: float):
 # -- the container: every raw dict mutator ----------------------------------
 
 A, B, C = _element("a"), _element("b"), _element("c")
+assert RING.owner("a") != RING.owner("b")       # one member on each side
 
 MUTATORS = {
     "__setitem__": lambda m: m.__setitem__("c", C),
@@ -92,13 +117,16 @@ MUTATORS = {
 
 @pytest.mark.parametrize("mutator", MUTATORS)
 def test_every_dict_mutator_drops_the_views(mutator):
-    # built from a plain dict, as a test fixture would
-    state = CollectionState(coll_id="c", policy="any", is_primary=True,
-                            members={"a": A, "b": B})
-    value, listing = _fill(state)
-    assert value == {A, B} and listing == (A, B)
-    MUTATORS[mutator](state.members)
-    assert_fresh(state)
+    # every mutator changes what one of the two shards owns
+    for shard in RING.nodes:
+        # built from a plain dict, as a test fixture would
+        state = CollectionState(coll_id="c", policy="any", is_primary=True,
+                                members={"a": A, "b": B})
+        value, listing, owned = _fill(state, RING, shard)
+        assert value == {A, B} and listing == (A, B)
+        assert owned == ({A} if shard == RING.owner("a") else {B})
+        MUTATORS[mutator](state.members)
+        assert_fresh(state, RING, shard)
 
 
 def test_augmented_assignment_keeps_the_container():
@@ -148,6 +176,37 @@ def test_views_are_shared_between_writes_and_replaced_by_one():
     assert world.true_members("coll") is not value
     assert value == frozenset(elements)             # the old view is intact
     assert_fresh(state)
+
+
+def test_a_ring_swap_with_no_member_write_yields_the_new_rings_answer():
+    state = CollectionState(coll_id="c", policy="any", is_primary=True,
+                            members={n: _element(n) for n in "abcdefgh"})
+    other = HashRing(("s0", "s1"), seed=1)
+    mine, theirs = (frozenset(e for e in state.members.values()
+                              if ring.owner(e.name) == SHARD)
+                    for ring in (RING, other))
+    assert mine != theirs
+    assert state.members.owned(RING, SHARD) == mine
+    assert state.members.owned(other, SHARD) == theirs      # nothing written
+    assert state.members.owned(RING, "s1") == state.value() - mine
+    # identity, not equality, is the key: an equal ring is a new placement
+    # object (a cutover back to an old ring shape), and is asked afresh
+    twin = HashRing(RING.nodes)
+    assert twin == RING and twin._owners == {}
+    assert state.members.owned(twin, SHARD) == mine
+    assert set(twin._owners) == set("abcdefgh")
+
+    # the world: a cutover by hand, no partition written
+    kernel, net, world, elements = sharded_world(n_shards=3, members=24)
+    smap = world.collection_info("coll").shard_map
+    before = world.true_members("coll")
+    assert before == frozenset(elements)
+    smap.ring = shrunk = smap.ring.without_node("s2")
+    after = world.true_members("coll")
+    assert after == frozenset(
+        e for node, state in world.partition_states("coll")
+        for e in dict.values(state.members) if shrunk.owner(e.name) == node)
+    assert after < before and world.true_members("coll") is after
 
 
 # -- the write sites in src/ ------------------------------------------------
@@ -200,7 +259,7 @@ def test_add_members_parked_mid_wal_step_and_recoverys_setdefault(step):
     server = world.server(PRIMARY)
     state = server.collections["coll"]
     before_version = state.version
-    before_value, _ = _fill(state)
+    before_value = _fill(state)[0]
     server.wal.arm_crash(step)
     kernel.spawn(FaultSchedule().recover_at(8.0, PRIMARY).run(net),
                  name="schedule", daemon=True)
@@ -261,8 +320,8 @@ def test_rebalance_handoff_drop_and_mirror_resync_under_a_watchdog():
     assert len(ticks) > 100 and stale == []
     assert world.true_members("coll") == frozenset(elements)
     assert world.check_invariants() == []
-    for state in _all_states(world):
-        assert_fresh(state)
+    for state, ring, shard in _placed_states(world):
+        assert_fresh(state, ring, shard)
 
 
 # -- the recorder sees what a version-keyed view would hide -----------------

@@ -1,5 +1,8 @@
 """The sharded membership registry: ring, routing, reads, rebalance."""
 
+import pickle
+import sys
+
 import pytest
 
 from repro.errors import (
@@ -8,6 +11,7 @@ from repro.errors import (
     SimulationError,
     WrongShardFailure,
 )
+from repro.net import CompactCodec
 from repro.sim.events import Join, Sleep
 from repro.store import (
     Element,
@@ -18,7 +22,7 @@ from repro.store import (
     shard_state_id,
 )
 
-from helpers import CLIENT, sharded_world, standard_world
+from helpers import CLIENT, count_ring_hashes, sharded_world, standard_world
 
 
 # ---------------------------------------------------------------------------
@@ -79,6 +83,103 @@ def test_shard_map_legitimate_holders_during_migration():
 
 def test_shard_state_id_namespaces_mirrors():
     assert shard_state_id("coll", "s1") == "coll@s1"
+
+
+# -- what a ring remembers: once per name, never on the wire ----------------
+
+#: the ring's pickled form at the parent of the memo, which must not move
+WIRE_SLOTS = ["nodes", "vnodes", "seed", "_points", "_keys"]
+
+
+def test_ring_hashes_a_name_at_most_once(monkeypatch):
+    hashed = count_ring_hashes(monkeypatch)
+    ring = HashRing(("s0", "s1", "s2"), vnodes=8, seed=3)
+    assert len(hashed) == 3 * 8                 # construction: the points
+    names = [f"k{i}" for i in range(50)]
+    first = [ring.owner(n) for n in names]
+    assert sorted(hashed[24:]) == sorted(f"3|{n}" for n in names)
+    for _ in range(3):
+        assert [ring.owner(n) for n in names] == first
+        assert ring.moved_names(names, ring) == {}
+        ShardMap(ring=ring, migration=ring).legitimate_holders("k7")
+    assert len(hashed) == 24 + 50
+
+
+def test_successor_rings_share_no_remembered_name(monkeypatch):
+    ring = HashRing(("s0", "s1", "s2"))
+    names = [f"k{i}" for i in range(40)]
+    for n in names:
+        ring.owner(n)
+    grown, shrunk = ring.with_node("s3"), ring.without_node("s1")
+    hashed = count_ring_hashes(monkeypatch)
+    for successor in (grown, shrunk):
+        assert successor._owners == {} and successor._owners is not ring._owners
+        before = len(hashed)
+        moved = ring.moved_names(names, successor)
+        assert len(hashed) == before + 40       # the successor's, not ring's
+        assert moved and all(successor.owner(n) == to for n, to in moved.items())
+        assert len(hashed) == before + 40       # re-asking hashes nothing
+    assert "s1" not in {shrunk.owner(n) for n in names}
+
+
+def test_ordered_nodes_is_derived_once():
+    ring = HashRing(("s2", "s0", "s1", "s3"), vnodes=4, seed=5)
+    first: dict = {}
+    for pos, node in ring._points:
+        first.setdefault(node, pos)
+    order = ring.ordered_nodes()
+    assert order == tuple(sorted(first, key=lambda n: (first[n], n)))
+    ring._points = None                         # a walk would now raise
+    assert ring.ordered_nodes() is order
+    with pytest.raises(TypeError):
+        ring.owner("unasked")                   # ...as this one does
+
+
+def test_ring_pickle_is_unmoved_by_what_was_asked():
+    ring = HashRing(["a", "b", "c"])
+    payload = (("coll", ring), {})
+    pickled = pickle.dumps(ring, protocol=4)
+    sized = CompactCodec().payload_size(payload)
+    if sys.version_info[:2] == (3, 11):         # the Python CI pins
+        assert len(pickled) == 1318
+    for i in range(1000):
+        ring.owner(f"k{i}")
+    assert len(ring._owners) == 1000
+    assert pickle.dumps(ring, protocol=4) == pickled
+    assert CompactCodec().payload_size(payload) == sized
+    none, state = ring.__reduce_ex__(4)[2]
+    assert none is None and list(state) == WIRE_SLOTS
+
+
+def test_round_tripped_ring_still_answers_and_remembers_nothing(monkeypatch):
+    ring = HashRing(("s0", "s1", "s2"), vnodes=4, seed=9)
+    names = [f"k{i}" for i in range(200)]
+    owners = [ring.owner(n) for n in names]
+    copy = pickle.loads(pickle.dumps(ring))
+    assert copy == ring and hash(copy) == hash(ring)
+    assert [getattr(copy, s) for s in WIRE_SLOTS] == \
+        [getattr(ring, s) for s in WIRE_SLOTS]
+    assert copy.ordered_nodes() == ring.ordered_nodes()
+    assert copy._owners == {}
+    hashed = count_ring_hashes(monkeypatch)
+    assert [copy.owner(n) for n in names] == owners
+    assert len(hashed) == 200
+    assert copy.with_node("s3").owner("k0") == ring.with_node("s3").owner("k0")
+
+
+def test_rebalance_sends_the_same_bytes_whatever_the_ring_was_asked():
+    def bytes_sent(asked: int) -> int:
+        kernel, net, world, elements = sharded_world(members=24, spare=1)
+        world.add_shard("coll", "x0")
+        target = world.collections["coll"].shard_map.migration
+        for i in range(asked):                  # before it is ever shipped
+            target.owner(f"asked-{i}")
+        kernel.run(until=10.0)
+        assert world.collections["coll"].shard_map.ring is target
+        assert world.true_members("coll") == frozenset(elements)
+        return kernel.obs.metrics.value("net.bytes_sent")
+
+    assert bytes_sent(0) == bytes_sent(500) > 0
 
 
 # ---------------------------------------------------------------------------
