@@ -21,7 +21,7 @@ def test_e21_offline_availability():
                     if r["impl"] == impl and r["state"] == state)
 
     # Everyone succeeds while connected.
-    for impl, _, _, _ in _IMPLS:
+    for impl, *_ in _IMPLS:
         assert row(impl, "connected")["success_rate"] == 1.0, impl
 
     # Figure 1 permits offline reads: full coverage from the warm cache,

@@ -30,7 +30,6 @@ from .spec import (
     ALL_FIGURES,
     FunctionalSet,
     check_conformance,
-    conformance_matrix,
     spec_by_id,
     taxonomy_table,
 )
@@ -70,7 +69,6 @@ __all__ = [
     "UniformLatency",
     "World",
     "check_conformance",
-    "conformance_matrix",
     "errors",
     "figure2_world",
     "full_mesh",

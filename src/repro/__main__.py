@@ -2,8 +2,8 @@
 
 Usage::
 
-    python -m repro            # overview: the five figures + pointers
-    python -m repro --specs    # the figure specifications, paper-style
+    python -m repro            # overview: the design-space table + pointers
+    python -m repro --specs    # the figures, paper-style, and the table
     python -m repro --demo     # run the quickstart scenario inline
 """
 
@@ -14,27 +14,41 @@ import sys
 from . import __version__
 
 
-def _overview() -> str:
-    from .spec import ALL_FIGURES
+def _design_space() -> str:
+    """The spec rows, and the ``repro.weaksets`` classes judged against
+    each (``-``: no class names that row as its own)."""
+    from . import weaksets
+    from .bench.report import format_table
+    from .spec import ALL_FIGURES, RELAXED_VARIANTS
 
-    lines = [
+    judged: dict[str, list[str]] = {}
+    for name in weaksets.__all__:
+        cls = getattr(weaksets, name)
+        if isinstance(cls, type) and issubclass(cls, weaksets.WeakSet):
+            judged.setdefault(cls.semantics, []).append(name)
+    columns = ("spec_by_id", "figure", "basis", "guard", "yields",
+               "guard set exhausted", "constraint", "judged against it")
+    table = format_table([dict(zip(columns, (
+        spec.spec_id, spec.paper_figure, f"s_{spec.membership_basis}",
+        spec.guard, spec.yields, spec.exhausted, spec.constraint.formula,
+        ", ".join(judged.get(spec.spec_id, "-")))))
+        for spec in ALL_FIGURES + RELAXED_VARIANTS], columns)
+    return "\n".join(line.rstrip() for line in table.splitlines())
+
+
+def _overview() -> str:
+    return "\n".join([
         f"repro {__version__} — 'Specifying Weak Sets' (Wing & Steere, ICDCS 1995)",
         "",
         "the design space:",
-    ]
-    for spec in ALL_FIGURES:
-        failure = "signals failure" if spec.allows_failure else "never fails"
-        lines.append(f"  {spec.spec_id:<5} {spec.paper_figure:<9} "
-                     f"{spec.title}  [{spec.constraint.formula}; {failure}]")
-    lines += [
+        _design_space(),
         "",
         "try:",
         "  python -m repro --specs          the figures, paper-style",
         "  python -m repro --demo           a simulated query, checked",
         "  python -m repro.bench            the evaluation (E1–E15)",
         "  python examples/quickstart.py    the guided tour",
-    ]
-    return "\n".join(lines)
+    ])
 
 
 def _demo() -> str:
@@ -44,9 +58,7 @@ def _demo() -> str:
         Kernel,
         Network,
         World,
-        check_conformance,
         full_mesh,
-        spec_by_id,
     )
     from .sim import Sleep
 
@@ -70,7 +82,7 @@ def _demo() -> str:
 
     kernel.spawn(blip(), daemon=True)
     result = kernel.run_process(query())
-    report = check_conformance(ws.last_trace, spec_by_id("fig6"), world)
+    report = ws.audit()
     lines = [
         f"ran a Figure 6 query over 4 scattered items with a mid-run partition:",
         f"  yielded {len(result.elements)} items in {result.total_time:.2f}s "
@@ -84,7 +96,7 @@ def _demo() -> str:
 def main(argv: list[str]) -> int:
     if "--specs" in argv:
         from .spec import render_all
-        print(render_all())
+        print(render_all(), _design_space(), sep="\n\n")
         return 0
     if "--demo" in argv:
         print(_demo())

@@ -37,7 +37,7 @@ _IMPLS = (
 
 def _one_run(impl_name, cls, kwargs, isolate_rate, seed, members=12,
              fail_fast=True, replicas=0):
-    policy = cls.expected_policy or "any"
+    policy = cls.expected_policy
     plan = FaultPlan(
         isolate_rate=isolate_rate,
         mean_downtime=1.0,

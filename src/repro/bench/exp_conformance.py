@@ -9,8 +9,8 @@ the cells mechanically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from dataclasses import dataclass, replace
+from typing import Iterable, Type
 
 from ..sim.events import Sleep
 from ..spec import ALL_FIGURES, RELAXED_VARIANTS, check_conformance
@@ -22,84 +22,81 @@ from ..weaksets import (
     PerRunGrowOnlySet,
     PerRunImmutableSet,
     SnapshotSet,
-    install_lock_service,
+    WeakSet,
+    install_lock_services,
 )
 from ..wan.workload import ScenarioSpec, build_scenario
 from .report import ExperimentResult
 
-__all__ = ["IMPL_CASES", "MATRIX_SPECS", "run_conformance_matrix"]
+__all__ = ["E1_WORLD", "IMPL_CASES", "MATRIX_SPECS", "ImplCase", "run_case",
+           "run_conformance_matrix"]
 
 MATRIX_SPECS = ALL_FIGURES + RELAXED_VARIANTS
 
 
 @dataclass(frozen=True)
 class ImplCase:
-    """One implementation plus the environment it is designed for."""
+    """One implementation plus what its intended environment permits;
+    its row id, collection policy and figure are the class's own."""
 
-    impl_id: str
-    cls: type
-    policy: str
+    cls: Type[WeakSet]
     mutate: str          # "none" | "grow" | "churn" | "between-runs"
     blip: bool           # inject a transient partition mid-run
 
 
 IMPL_CASES: tuple[ImplCase, ...] = (
-    ImplCase("figure1", Figure1Set, "immutable", "none", blip=False),
-    ImplCase("immutable", ImmutableSet, "immutable", "none", blip=True),
-    ImplCase("snapshot", SnapshotSet, "any", "churn", blip=True),
-    ImplCase("grow-only", GrowOnlySet, "grow-only", "grow", blip=True),
-    ImplCase("per-run-immutable", PerRunImmutableSet, "any",
-             "between-runs", blip=False),
-    ImplCase("per-run-grow-only", PerRunGrowOnlySet, "grow-during-run",
-             "churn", blip=True),
-    ImplCase("dynamic", DynamicSet, "any", "churn", blip=True),
+    ImplCase(Figure1Set, "none", blip=False),
+    ImplCase(ImmutableSet, "none", blip=True),
+    ImplCase(SnapshotSet, "churn", blip=True),
+    ImplCase(GrowOnlySet, "grow", blip=True),
+    ImplCase(PerRunImmutableSet, "between-runs", blip=False),
+    ImplCase(PerRunGrowOnlySet, "churn", blip=True),
+    ImplCase(DynamicSet, "churn", blip=True),
 )
 
+E1_WORLD = ScenarioSpec(n_clusters=3, cluster_size=2, n_members=10,
+                        coll_id="coll")
 
-def _run_case(case: ImplCase, seed: int):
-    spec = ScenarioSpec(n_clusters=3, cluster_size=2, n_members=10,
-                        policy=case.policy, coll_id="coll")
-    scenario = build_scenario(spec, seed=seed)
-    if case.policy == "immutable":
-        scenario.world.seal("coll")
-    install_lock_service(scenario.world, spec.primary)
-    ws = case.cls(scenario.world, scenario.client, "coll")
-    if case.mutate == "between-runs":
-        return _run_between_runs_case(scenario, ws)
-    iterator = ws.elements()
 
-    def proc():
+def run_case(case: ImplCase, spec: ScenarioSpec, seed: int) -> WeakSet:
+    """Drive ``case`` over a ``spec`` world under the policy its class
+    expects: mutate, blip, drain.  Returns the weak set; the run to judge
+    is its ``last_trace``."""
+    scenario = build_scenario(
+        replace(spec, policy=case.cls.expected_policy), seed=seed)
+    coll = scenario.coll_id
+    install_lock_services(scenario.world, coll)
+    ws = case.cls(scenario.world, scenario.client, coll)
+
+    def between_runs():
+        """Two runs with a mutation in between (§3.1's intended usage);
+        the second run's window saw only the between-runs world."""
+        first = yield from ws.elements().drain()
+        yield from ws.repo.add(coll, "between-runs", value="B")
+        yield from ws.repo.remove(coll, first.elements[0])
+        yield from ws.elements().drain()
+
+    def mid_run():
+        iterator = ws.elements()
         first = yield from iterator.invoke()
         if case.mutate in ("grow", "churn"):
-            yield from ws.repo.add("coll", "zz-mid-add", value="A")
+            yield from ws.repo.add(coll, "zz-mid-add", value="A")
         if case.mutate == "churn":
             victim = next(
                 (e for e in scenario.elements if e != first.element), None)
             if victim is not None:
-                yield from ws.repo.remove("coll", victim)
+                yield from ws.repo.remove(coll, victim)
         if case.blip:
+            # n1.1 hosts objects only — never the primary, a shard or a
+            # mirror in either experiment's layout
             scenario.net.isolate("n1.1")
             yield Sleep(0.3)
             scenario.net.rejoin("n1.1")
         yield from iterator.drain()
 
-    scenario.kernel.run_process(proc())
-    return ws.last_trace, scenario.world
-
-
-def _run_between_runs_case(scenario, ws):
-    """Two runs with a mutation in between (§3.1's intended usage)."""
-
-    def proc():
-        first = yield from ws.elements().drain()
-        yield from ws.repo.add("coll", "between-runs", value="B")
-        victim = first.elements[0]
-        yield from ws.repo.remove("coll", victim)
-        yield from ws.elements().drain()
-
-    scenario.kernel.run_process(proc())
-    # judge the second run: its window saw only the between-runs world
-    return ws.traces[-1], scenario.world
+    scenario.kernel.run_process(
+        between_runs() if case.mutate == "between-runs" else mid_run())
+    return ws
 
 
 def run_conformance_matrix(seeds: Iterable[int] = range(5)) -> ExperimentResult:
@@ -114,12 +111,12 @@ def run_conformance_matrix(seeds: Iterable[int] = range(5)) -> ExperimentResult:
     for case in IMPL_CASES:
         counts = {s.spec_id: 0 for s in MATRIX_SPECS}
         for seed in seeds:
-            trace, world = _run_case(case, seed)
+            ws = run_case(case, E1_WORLD, seed)
             for figure in MATRIX_SPECS:
-                report = check_conformance(trace, figure, world)
+                report = check_conformance(ws.last_trace, figure, ws.world)
                 if report.conformant:
                     counts[figure.spec_id] += 1
-        row = {"impl": case.impl_id}
+        row = {"impl": case.cls.impl_name}
         row.update({sid: f"{n}/{len(seeds)}" for sid, n in counts.items()})
         result.add(**row)
     return result

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from ..spec import check_conformance, spec_by_id
 from ..wan.workload import ScenarioSpec, build_scenario
 from ..weaksets import DynamicSet
 from .report import ExperimentResult
@@ -41,9 +40,7 @@ def _one_drain(window: int, batch: int, seed: int, members: int):
         return (yield from iterator.drain())
 
     drained = scenario.kernel.run_process(proc())
-    report = check_conformance(ws.last_trace, spec_by_id("fig6"),
-                               scenario.world)
-    return drained, (0 if report.conformant else 1)
+    return drained, (0 if ws.audit().conformant else 1)
 
 
 def run_fetchpipe(members: int = 24,

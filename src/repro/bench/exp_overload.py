@@ -42,7 +42,6 @@ from ..net.resilience import (
     RetryBudgetPolicy,
 )
 from ..sim.rng import Stream
-from ..spec import check_conformance, spec_by_id
 from ..store.repository import Repository
 from ..wan.population import Behavior, PopulationEngine, PopulationSpec, Stage
 from ..wan.workload import Scenario, ScenarioSpec, build_scenario
@@ -200,9 +199,7 @@ def _run_crash_leg(seed: int, duration_scale: float):
     ws = make_weak_set(scenario.world, scenario.client, scenario.coll_id,
                        semantics="dynamic", record=True)
     kernel.run_process(ws.elements().drain())
-    report = check_conformance(ws.last_trace, spec_by_id("fig6"),
-                               scenario.world)
-    return scenario, stages, _overload_counters(scenario), problems, report
+    return scenario, stages, _overload_counters(scenario), problems, ws.audit()
 
 
 def run_overload(seed: int = 0, duration_scale: float = 1.0) -> ExperimentResult:

@@ -38,7 +38,7 @@ def run_scale(sizes: Iterable[int] = (20, 80, 320),
     )
     for size in sizes:
         for impl_name, cls in _IMPLS:
-            policy = cls.expected_policy or "any"
+            policy = cls.expected_policy
             spec = ScenarioSpec(n_clusters=4, cluster_size=3, n_members=size,
                                 policy=policy)
             scenario = build_scenario(spec, seed=seed)

@@ -35,21 +35,10 @@ from ..net.executor import ExecutorPolicy
 from ..net.failures import FaultSchedule
 from ..net.resilience import ResilientClient
 from ..sim.events import Fork, Join, Sleep
-from ..spec import check_conformance, spec_by_id
 from ..store.repository import Repository
 from ..wan.workload import ScenarioSpec, build_scenario
-from ..weaksets import (
-    DynamicSet,
-    Figure1Set,
-    GrowOnlySet,
-    ImmutableSet,
-    PerRunGrowOnlySet,
-    PerRunImmutableSet,
-    QuorumGrowOnlySet,
-    SnapshotSet,
-    StrongSet,
-    install_lock_services,
-)
+from ..weaksets import QuorumGrowOnlySet, StrongSet
+from .exp_conformance import IMPL_CASES, ImplCase, run_case
 from .report import ExperimentResult
 
 __all__ = ["run_sharding", "throughput_spec", "SHARD_COUNTS", "WRITERS",
@@ -118,54 +107,15 @@ def _throughput_arm(shards: int, seed: int) -> tuple[int, float]:
 
 # -- conformance leg ------------------------------------------------------
 
-#: (impl id, class, policy, mutate, blip, judged-against figure).
-#: The first seven mirror E1's matrix cases; quorum and strong are the
-#: cross-shard read protocols the sharded store adds.
-CONF_CASES = (
-    ("figure1", Figure1Set, "immutable", "none", False, "fig1"),
-    ("immutable", ImmutableSet, "immutable", "none", True, "fig3"),
-    ("snapshot", SnapshotSet, "any", "churn", True, "fig4"),
-    ("grow-only", GrowOnlySet, "grow-only", "grow", True, "fig5"),
-    ("per-run-immutable", PerRunImmutableSet, "any", "none", False, "fig4"),
-    ("per-run-grow-only", PerRunGrowOnlySet, "grow-during-run", "churn",
-     True, "fig5"),
-    ("dynamic", DynamicSet, "any", "churn", True, "fig6"),
-    ("quorum", QuorumGrowOnlySet, "grow-only", "grow", True, "fig5"),
-    ("strong", StrongSet, "any", "none", False, "fig4"),
+#: the two cross-shard read protocols the sharded store adds to E1's
+#: matrix cases; every case is judged against its own class's figure
+_CROSS_SHARD_CASES = (
+    ImplCase(QuorumGrowOnlySet, "grow", blip=True),
+    ImplCase(StrongSet, "none", blip=False),
 )
 
-
-def _conformance_case(case, seed: int) -> bool:
-    impl_id, cls, policy, mutate, blip, figure = case
-    spec = ScenarioSpec(n_clusters=4, cluster_size=2, n_members=10,
-                        policy=policy, shards=3, replicas=2,
-                        coll_id="coll")
-    scenario = build_scenario(spec, seed=seed)
-    world, kernel = scenario.world, scenario.kernel
-    install_lock_services(world, "coll")
-    ws = cls(world, scenario.client, "coll")
-    iterator = ws.elements()
-
-    def proc():
-        first = yield from iterator.invoke()
-        if mutate in ("grow", "churn"):
-            yield from ws.repo.add("coll", "zz-mid-add", value="A")
-        if mutate == "churn":
-            victim = next(
-                (e for e in scenario.elements if e != first.element), None)
-            if victim is not None:
-                yield from ws.repo.remove("coll", victim)
-        if blip:
-            # n1.1 is neither a shard nor a mirror in this layout: a
-            # plain object host going dark mid-run, exactly E1's blip.
-            scenario.net.isolate("n1.1")
-            yield Sleep(0.3)
-            scenario.net.rejoin("n1.1")
-        yield from iterator.drain()
-
-    kernel.run_process(proc())
-    report = check_conformance(ws.last_trace, spec_by_id(figure), world)
-    return report.conformant
+_CONF_WORLD = ScenarioSpec(n_clusters=4, cluster_size=2, n_members=10,
+                           shards=3, replicas=2, coll_id="coll")
 
 
 # -- rebalance-under-churn leg --------------------------------------------
@@ -323,12 +273,13 @@ def run_sharding(seed: int = 0, shard_counts: Iterable[int] = SHARD_COUNTS,
                value=f"{metrics[f'speedup.{max(shard_counts)}_vs_{base}']}x")
 
     all_conformant = True
-    for case in CONF_CASES:
-        ok = sum(1 for s in conf_seeds if _conformance_case(case, s))
+    for case in IMPL_CASES + _CROSS_SHARD_CASES:
+        ok = sum(run_case(case, _CONF_WORLD, s).audit().conformant
+                 for s in conf_seeds)
         all_conformant &= ok == len(conf_seeds)
-        metrics[f"conformance.{case[0]}"] = ok
-        result.add(leg="conformance", arm=case[0],
-                   detail=f"vs {case[5]}, 3 shards + 2 mirrors",
+        metrics[f"conformance.{case.cls.impl_name}"] = ok
+        result.add(leg="conformance", arm=case.cls.impl_name,
+                   detail=f"vs {case.cls.semantics}, 3 shards + 2 mirrors",
                    value=f"{ok}/{len(conf_seeds)}")
     metrics["conformance.all"] = int(all_conformant)
 

@@ -34,7 +34,6 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Optional
 
-from ..spec import check_conformance, spec_by_id
 from ..wan.workload import ScenarioSpec, build_scenario
 from ..weaksets import DynamicSet, SnapshotSet
 from .report import ExperimentResult
@@ -71,15 +70,12 @@ def _drain(spec: ScenarioSpec, seed: int, *, window: int = 8,
         return (yield from iterator.drain())
 
     drained = scenario.kernel.run_process(proc())
-    fig = "fig4" if snapshot else "fig6"
-    report = check_conformance(ws.last_trace, spec_by_id(fig),
-                               scenario.world)
     metrics = scenario.kernel.obs.metrics
     return {
         "time_to_first": drained.time_to_first,
         "total_time": drained.total_time,
         "yielded": len(drained.yields),
-        "violations": 0 if report.conformant else 1,
+        "violations": 0 if ws.audit().conformant else 1,
         "bytes_sent": metrics.value("net.bytes_sent"),
         "object_bytes": metrics.value("net.bytes_sent.object"),
         "membership_bytes": metrics.value("net.bytes_sent.membership"),

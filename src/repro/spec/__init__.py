@@ -4,19 +4,13 @@ The paper's primary contribution, made runnable: the computation model
 (states, histories, the object/value distinction), the special
 constructs (``remembers`` history objects, ``constraint`` history
 properties, ``suspends``/``returns``/``fails``, and the novel
-``reachable`` function), the four figure specifications, and a trace
-conformance checker.  See DESIGN.md §3 for the construct-to-module map.
+``reachable`` function), the figure specifications as rows of one
+table, and a trace conformance checker.  See DESIGN.md §3 for the
+construct-to-module map.
 """
 
 from .explain import InvocationExplanation, explain_trace
-from .checker import (
-    ConformanceReport,
-    check_conformance,
-    check_constraint,
-    check_ensures,
-    conformance_matrix,
-    weak_guarantee_violations,
-)
+from .checker import ConformanceReport, check_conformance, weak_guarantee_violations
 from .constraints import (
     Constraint,
     GrowOnlyConstraint,
@@ -26,19 +20,13 @@ from .constraints import (
     per_run_grow_only,
     per_run_immutable,
 )
-from .figures import (
-    ALL_FIGURES,
-    RELAXED_VARIANTS,
-    Figure1ImmutableNoFailures,
-    Figure3ImmutableWithFailures,
-    Figure3PerRunImmutable,
-    Figure4SnapshotLossOfMutations,
-    Figure5GrowOnlyPessimistic,
-    Figure5PerRunGrowOnly,
-    Figure6OptimisticDynamic,
-    spec_by_id,
+from .figures import ALL_FIGURES, RELAXED_VARIANTS, spec_by_id
+from .iterspec import (
+    IteratorSpec,
+    Justification,
+    SpecViolationDetail,
+    structural_violations,
 )
-from .iterspec import IteratorSpec, SpecViolationDetail, structural_violations
 from .mathset import FunctionalSet
 from .minimize import minimal_violating_prefix, prefix_of
 from .procedures import CheckedProcedures, ProcedureViolation
@@ -57,13 +45,6 @@ __all__ = [
     "Constraint",
     "CheckedProcedures",
     "Failed",
-    "Figure1ImmutableNoFailures",
-    "Figure3ImmutableWithFailures",
-    "Figure3PerRunImmutable",
-    "Figure4SnapshotLossOfMutations",
-    "Figure5GrowOnlyPessimistic",
-    "Figure5PerRunGrowOnly",
-    "Figure6OptimisticDynamic",
     "FunctionalSet",
     "GrowOnlyConstraint",
     "ImmutableConstraint",
@@ -71,6 +52,7 @@ __all__ = [
     "InvocationRecord",
     "IterationTrace",
     "IteratorSpec",
+    "Justification",
     "Outcome",
     "PerRunConstraint",
     "ProcedureViolation",
@@ -81,10 +63,7 @@ __all__ = [
     "TrivialConstraint",
     "Yielded",
     "check_conformance",
-    "check_constraint",
-    "check_ensures",
     "classify",
-    "conformance_matrix",
     "explain_trace",
     "minimal_violating_prefix",
     "prefix_of",

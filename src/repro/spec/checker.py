@@ -13,19 +13,12 @@ from typing import Optional, Sequence
 
 from ..store.elements import Element
 from ..store.world import World
-from .constraints import Constraint, ConstraintViolationDetail, PerRunConstraint
+from .constraints import ConstraintViolationDetail, PerRunConstraint, clip_history
 from .iterspec import IteratorSpec, SpecViolationDetail
 from .termination import Yielded
 from .trace import IterationTrace
 
-__all__ = [
-    "ConformanceReport",
-    "check_conformance",
-    "check_ensures",
-    "check_constraint",
-    "weak_guarantee_violations",
-    "conformance_matrix",
-]
+__all__ = ["ConformanceReport", "check_conformance", "weak_guarantee_violations"]
 
 History = Sequence[tuple[float, frozenset[Element]]]
 
@@ -65,21 +58,6 @@ class ConformanceReport:
         return None
 
 
-def check_ensures(trace: IterationTrace, spec: IteratorSpec) -> list[SpecViolationDetail]:
-    """Just the ensures clause (structural + figure-specific)."""
-    return spec.check_trace(trace)
-
-
-def check_constraint(spec: IteratorSpec, history: History,
-                     windows: Optional[Sequence[tuple[float, float]]] = None
-                     ) -> list[ConstraintViolationDetail]:
-    """Just the constraint clause against a membership history."""
-    constraint: Constraint = spec.constraint
-    if isinstance(constraint, PerRunConstraint):
-        return constraint.check_windows(history, windows or [])
-    return constraint.check(list(history))
-
-
 def check_conformance(trace: IterationTrace, spec: IteratorSpec,
                       world: Optional[World] = None,
                       history: Optional[History] = None) -> ConformanceReport:
@@ -98,17 +76,20 @@ def check_conformance(trace: IterationTrace, spec: IteratorSpec,
         history = world.membership_history(trace.coll_id)
     window = trace.window()
     if window is not None:
-        history = _clip(history, window[0], window[1])
-    report = ConformanceReport(
+        history = clip_history(history, *window)
+    constraint = spec.constraint
+    if isinstance(constraint, PerRunConstraint):
+        constraint_violations = constraint.check_windows(
+            history, [window] if window else [])
+    else:
+        constraint_violations = constraint.check(list(history))
+    return ConformanceReport(
         spec_id=spec.spec_id,
         impl_name=trace.impl_name,
-        ensures_violations=check_ensures(trace, spec),
-        constraint_violations=check_constraint(
-            spec, history, windows=[window] if window else []
-        ),
+        ensures_violations=spec.check_trace(trace),
+        constraint_violations=constraint_violations,
         complete=trace.terminated,
     )
-    return report
 
 
 def weak_guarantee_violations(trace: IterationTrace, history: History) -> list[str]:
@@ -121,7 +102,7 @@ def weak_guarantee_violations(trace: IterationTrace, history: History) -> list[s
     window = trace.window()
     if window is None:
         return []
-    clipped = _clip(history, window[0], window[1])
+    clipped = clip_history(history, *window)
     union: set[Element] = set()
     for _, value in clipped:
         union |= value
@@ -133,22 +114,3 @@ def weak_guarantee_violations(trace: IterationTrace, history: History) -> list[s
                 "never a member between the first-state and last-state"
             )
     return problems
-
-
-def conformance_matrix(traces: dict[str, IterationTrace],
-                       specs: Sequence[IteratorSpec],
-                       world: World) -> dict[tuple[str, str], ConformanceReport]:
-    """Check every trace against every spec: the E1 matrix."""
-    matrix = {}
-    for impl_name, trace in traces.items():
-        for spec in specs:
-            matrix[(impl_name, spec.spec_id)] = check_conformance(trace, spec, world)
-    return matrix
-
-
-def _clip(history: History, t_first: float, t_last: float) -> list[tuple[float, frozenset[Element]]]:
-    """History entries in force during [t_first, t_last]."""
-    before = [entry for entry in history if entry[0] <= t_first]
-    inside = [entry for entry in history if t_first < entry[0] <= t_last]
-    start = [before[-1]] if before else []
-    return start + inside

@@ -25,6 +25,7 @@ from typing import Sequence
 from ..store.elements import Element
 
 __all__ = [
+    "clip_history",
     "Constraint",
     "TrivialConstraint",
     "ImmutableConstraint",
@@ -36,6 +37,15 @@ __all__ = [
 
 History = Sequence[tuple[float, frozenset[Element]]]
 Window = tuple[float, float]
+
+
+def clip_history(history: History, t_first: float,
+                 t_last: float) -> list[tuple[float, frozenset[Element]]]:
+    """History entries in force during [t_first, t_last]: the last one at
+    or before ``t_first``, then everything recorded up to ``t_last``."""
+    before = [entry for entry in history if entry[0] <= t_first]
+    inside = [entry for entry in history if t_first < entry[0] <= t_last]
+    return before[-1:] + inside
 
 
 @dataclass(frozen=True)
@@ -144,24 +154,12 @@ class PerRunConstraint(Constraint):
 
     def check_windows(self, history: History,
                       windows: Sequence[Window]) -> list[ConstraintViolationDetail]:
-        """Apply the inner constraint to each [t_first, t_last] window.
-
-        The state in force at a window's start is the last history entry
-        at or before t_first; everything recorded up to t_last is in
-        scope.
-        """
+        """Apply the inner constraint to each [t_first, t_last] window."""
         violations = []
         for (t_first, t_last) in windows:
-            in_window = self._slice(history, t_first, t_last)
-            violations.extend(self.inner.check(in_window))
+            violations.extend(self.inner.check(
+                clip_history(history, t_first, t_last)))
         return violations
-
-    @staticmethod
-    def _slice(history: History, t_first: float, t_last: float) -> list[tuple[float, frozenset[Element]]]:
-        before = [entry for entry in history if entry[0] <= t_first]
-        inside = [entry for entry in history if t_first < entry[0] <= t_last]
-        start = [before[-1]] if before else []
-        return start + inside
 
 
 def per_run_immutable() -> PerRunConstraint:

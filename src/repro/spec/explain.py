@@ -2,8 +2,11 @@
 
 ``check_conformance`` answers *whether*; :func:`explain_trace` answers
 *why* — for each invocation, which window state justifies the outcome
-under the given figure, or why none does.  Useful when developing a new
-implementation against the specs (and in ``examples/spec_playground.py``).
+under the given figure, or why none does.  Both read the same walk
+(:meth:`~repro.spec.iterspec.IteratorSpec.justify`): ``check_trace``
+reports its unjustified entries, this narrates all of them.  Useful when
+developing a new implementation against the specs (and in
+``examples/spec_playground.py``).
 """
 
 from __future__ import annotations
@@ -11,9 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .iterspec import IteratorSpec
-from .state import InvocationRecord, StateSnapshot
-from .termination import Failed, Returned, Yielded
+from .iterspec import IteratorSpec, names_of
 from .trace import IterationTrace
 
 __all__ = ["InvocationExplanation", "explain_trace"]
@@ -34,76 +35,19 @@ class InvocationExplanation:
         return f"  {mark} #{self.index} {self.outcome}: {self.detail}"
 
 
-def _names(members) -> str:
-    return "{" + ", ".join(sorted(e.name for e in members)) + "}"
-
-
-def _explain_invocation(spec: IteratorSpec, inv: InvocationRecord,
-                        s_first_members) -> InvocationExplanation:
-    justifying: Optional[StateSnapshot] = None
-    for snap in inv.snapshots:
-        if spec.membership_basis == "first":
-            s = s_first_members
-            reach = snap.reachable_of(s_first_members)
-        else:
-            s = snap.members
-            reach = snap.reachable_members
-        kind, allowed = spec.required_outcome(s, reach, inv.yielded_pre)
-        outcome = inv.outcome
-        ok = (
-            (kind == "suspends" and isinstance(outcome, Yielded)
-             and outcome.element in allowed)
-            or (kind == "returns" and isinstance(outcome, Returned))
-            or (kind == "fails" and spec.allows_failure
-                and isinstance(outcome, Failed))
-        )
-        if ok:
-            justifying = snap
-            break
-    if justifying is not None:
-        if spec.membership_basis == "first":
-            reach = justifying.reachable_of(s_first_members)
-            basis = f"s_first={_names(s_first_members)}"
-        else:
-            reach = justifying.reachable_members
-            basis = f"s_pre={_names(justifying.members)}"
-        detail = (f"justified by σ@{justifying.time:.3f} "
-                  f"({basis}, reachable={_names(reach)})")
-        return InvocationExplanation(inv.index, str(inv.outcome), True,
-                                     justifying.time, detail)
-    exit_snap = inv.exit_snapshot
-    s = s_first_members if spec.membership_basis == "first" else exit_snap.members
-    reach = exit_snap.reachable_of(s)
-    kind, allowed = spec.required_outcome(s, reach, inv.yielded_pre)
-    want = kind if kind != "suspends" else f"suspends from {_names(allowed)}"
-    detail = (f"NO window state justifies it; at exit the clause requires "
-              f"{want}")
-    return InvocationExplanation(inv.index, str(inv.outcome), False,
-                                 None, detail)
-
-
 def explain_trace(trace: IterationTrace, spec: IteratorSpec) -> list[InvocationExplanation]:
-    """Per-invocation justifications under ``spec``.
-
-    For first-basis specs the explanation fixes σ_first greedily: the
-    candidate that justifies the most invocations (ties to the earliest).
-    """
-    if not trace.invocations:
-        return []
-    if spec.membership_basis == "first":
-        candidates = trace.first_candidates or trace.invocations[0].snapshots
-        best_members = None
-        best_score = -1
-        for candidate in candidates:
-            score = sum(
-                1 for inv in trace.invocations
-                if _explain_invocation(spec, inv, candidate.members).justified
-            )
-            if score > best_score:
-                best_score = score
-                best_members = candidate.members
-        s_first = best_members if best_members is not None else frozenset()
-    else:
-        s_first = frozenset()
-    return [_explain_invocation(spec, inv, s_first)
-            for inv in trace.invocations]
+    """Per-invocation justifications under ``spec`` (σ_first fixed as the
+    walk fixes it); an unjustified entry carries the violation text
+    ``check_trace`` reports for it."""
+    explanations = []
+    for inv, justified, state, s, reach in spec.justify(trace):
+        if justified:
+            detail = (f"justified by σ@{state.time:.3f} "
+                      f"(s_{spec.membership_basis}={names_of(s)}, "
+                      f"reachable={names_of(reach)})")
+        else:
+            detail = spec.mismatch_message(inv, s, reach)
+        explanations.append(InvocationExplanation(
+            inv.index, str(inv.outcome), justified,
+            state.time if justified else None, detail))
+    return explanations

@@ -1,25 +1,36 @@
-"""The iterator-specification machinery shared by the four figures.
+"""An ``elements`` specification as data, and the one walk that judges a
+trace against it.
 
-A :class:`IteratorSpec` packages
+A :class:`IteratorSpec` is one point of the paper's design space — a
+row over a five-word vocabulary:
 
-* a ``constraint`` (history property on the set's value),
-* a *membership basis* — whether the ensures clause reads the set's
-  value at the **first-state** (``s_first``; Figs 1, 3, 4) or at each
-  invocation's **pre-state** (``s_pre``; Figs 5, 6),
-* an ``ensures`` clause, expressed as :meth:`check_branch`, which maps
-  (s, reach, yielded_pre) to the *required* outcome shape.
+* ``membership_basis`` — the ensures clause reads the set's value at
+  the **first-state** (``s_first``; Figs 1, 3, 4) or at each
+  invocation's **pre-state** (``s_pre``; Figs 5, 6);
+* ``guard`` — the set that must still hold an unyielded element for the
+  invocation to suspend: ``s`` or ``reachable(s)``;
+* ``yields`` — the set the yielded element is drawn from.  Fig 6 guards
+  on ``s`` but yields from ``reachable(s)``, which is exactly its
+  blocking rule; Fig 1 never mentions ``reachable``;
+* ``exhausted`` — what the clause requires once the guard set is used up;
+* ``constraint`` — the history property the environment upholds.
+
+``signals (failure)`` is not a sixth word: a specification signals
+failure iff one of its branches says ``fails``.
 
 Checking uses existential window semantics (see
 :mod:`repro.spec.state`): an invocation conforms if **some** state
 sampled during its window satisfies the clause; a first-basis trace
 conforms if **some** state from the first invocation's window, fixed as
-σ_first, makes every invocation conform.
+σ_first, makes every invocation conform.  :meth:`IteratorSpec.justify`
+is the only place that walks those windows and the only caller of
+``reachable(x_σ)``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import NamedTuple, Optional
 
 from ..store.elements import Element
 from .constraints import Constraint
@@ -27,11 +38,21 @@ from .state import InvocationRecord, StateSnapshot
 from .termination import Failed, Returned, Yielded
 from .trace import IterationTrace
 
-__all__ = ["IteratorSpec", "SpecViolationDetail", "structural_violations"]
+__all__ = ["IteratorSpec", "Justification", "SpecViolationDetail",
+           "structural_violations", "names_of", "S", "REACHABLE",
+           "RETURNS", "FAILS_IF_SHORT", "RETURNS_IF_ALL"]
 
 Members = frozenset[Element]
-#: ``reachable(x_σ)`` for a sampled state σ and a member set x
-Reachable = Callable[[StateSnapshot, Members], Members]
+
+#: the two sets a ``guard`` or ``yields`` entry can name
+S = "s"
+REACHABLE = "reachable(s)"
+#: the three ``exhausted`` rules.  The last two differ only when
+#: ``yielded ⊄ s`` (a yielded member has since been removed): Figs 3/4
+#: then return, Fig 5 fails.
+RETURNS = "returns"
+FAILS_IF_SHORT = "fails if yielded ⊊ s else returns"
+RETURNS_IF_ALL = "returns if yielded = s else fails"
 
 
 @dataclass(frozen=True)
@@ -63,8 +84,8 @@ def structural_violations(trace: IterationTrace) -> list[SpecViolationDetail]:
         if inv.yielded_pre != expected:
             violations.append(SpecViolationDetail(
                 inv.index,
-                f"yielded_pre {_names(inv.yielded_pre)} does not continue the "
-                f"history object (expected {_names(expected)})"))
+                f"yielded_pre {names_of(inv.yielded_pre)} does not continue the "
+                f"history object (expected {names_of(expected)})"))
         if isinstance(inv.outcome, Yielded):
             e = inv.outcome.element
             if e in inv.yielded_pre:
@@ -83,38 +104,114 @@ def structural_violations(trace: IterationTrace) -> list[SpecViolationDetail]:
     return violations
 
 
-class IteratorSpec:
-    """Base class for the figures' ``elements`` specifications."""
+class Justification(NamedTuple):
+    """How one invocation fares under the best σ_first.
 
-    spec_id = "spec"
-    title = "unnamed specification"
-    paper_figure = ""
-    membership_basis = "pre"          # "pre" (Figs 5, 6) or "first" (1, 3, 4)
-    allows_failure = True             # Figs 1, 6 have no signals(failure)
+    ``state`` is the first window state whose clause the outcome
+    satisfies — or, when none does (``justified`` false), the exit
+    state, where the counterexample is read.  ``s`` is the basis value
+    there (σ_first's, or the state's own) and ``reach`` is
+    ``reachable(s)`` in that state.
+    """
+
+    invocation: InvocationRecord
+    justified: bool
+    state: StateSnapshot
+    s: Members
+    reach: Members
+
+
+@dataclass(frozen=True)
+class IteratorSpec:
+    """One ``elements`` specification: a row of :mod:`repro.spec.figures`."""
+
+    spec_id: str
+    paper_figure: str
+    membership_basis: str     # "first" | "pre"
+    guard: str                # S | REACHABLE
+    yields: str               # S | REACHABLE
+    exhausted: str            # RETURNS | FAILS_IF_SHORT | RETURNS_IF_ALL
     constraint: Constraint
+    title: str
+
+    def __post_init__(self) -> None:
+        for word, known in ((self.membership_basis, ("first", "pre")),
+                            (self.guard, (S, REACHABLE)),
+                            (self.yields, (S, REACHABLE)),
+                            (self.exhausted,
+                             (RETURNS, FAILS_IF_SHORT, RETURNS_IF_ALL))):
+            if word not in known:
+                raise ValueError(
+                    f"{self.spec_id}: {word!r} is not one of {known}")
+
+    @property
+    def allows_failure(self) -> bool:
+        """Whether the signature carries ``signals (failure)``."""
+        return self.exhausted != RETURNS
 
     # -- the ensures clause -------------------------------------------------
-    def required_outcome(self, s: frozenset[Element], reach: frozenset[Element],
-                         yielded_pre: frozenset[Element]) -> tuple[str, frozenset[Element]]:
+    def required_outcome(self, s: Members, reach: Members,
+                         yielded_pre: Members) -> tuple[str, Members]:
         """Evaluate the ensures clause's condition at one state.
 
         Returns (kind, allowed) where kind is ``"suspends"``,
         ``"returns"``, or ``"fails"``, and — for suspends — ``allowed``
         is the set of elements the invocation may yield.
         """
-        raise NotImplementedError
+        # The conditions are read element-wise, following the prose ("if
+        # there are still elements to yield"; "a failure occurs if
+        # everything reachable has been yielded").  The figures' literal
+        # ``yielded ⊊ reachable(s)`` coincides with ``reachable −
+        # yielded ≠ ∅`` whenever yielded elements stay reachable — the
+        # paper's implicit assumption — but the literal form leaves no
+        # satisfiable branch once a yielded element's home later becomes
+        # unreachable, so the element-wise reading is the only checkable
+        # one.
+        if (s if self.guard == S else reach) - yielded_pre:
+            return "suspends", (s if self.yields == S else reach) - yielded_pre
+        if self.exhausted == FAILS_IF_SHORT and yielded_pre < s:
+            return "fails", frozenset()
+        if self.exhausted == RETURNS_IF_ALL and yielded_pre != s:
+            return "fails", frozenset()
+        return "returns", frozenset()
+
+    def permits(self, inv: InvocationRecord, s: Members, reach: Members) -> bool:
+        """Does the clause, evaluated at (s, reach), allow ``inv``'s outcome?"""
+        kind, allowed = self.required_outcome(s, reach, inv.yielded_pre)
+        outcome = inv.outcome
+        if kind == "suspends":
+            return isinstance(outcome, Yielded) and outcome.element in allowed
+        if kind == "returns":
+            return isinstance(outcome, Returned)
+        return isinstance(outcome, Failed)
+
+    def mismatch_message(self, inv: InvocationRecord, s: Members,
+                         reach: Members) -> str:
+        """The counterexample text for an unjustified ``inv``, read at
+        its exit state's (s, reach)."""
+        kind, allowed = self.required_outcome(s, reach, inv.yielded_pre)
+        want = kind if kind != "suspends" else (
+            f"suspends yielding one of {names_of(allowed)}"
+        )
+        return (f"no window state justifies outcome {inv.outcome}; e.g. at the exit "
+                f"state the clause requires {want} "
+                f"(s={names_of(s)}, reachable={names_of(reach)}, "
+                f"yielded={names_of(inv.yielded_pre)})")
 
     # -- checking --------------------------------------------------------
-    def check_trace(self, trace: IterationTrace) -> list[SpecViolationDetail]:
-        """Ensures-clause violations (empty list = conformant).
+    def justify(self, trace: IterationTrace) -> list[Justification]:
+        """Every invocation's :class:`Justification`, in order.
 
-        Structural violations are always included; figure-specific
-        violations use the existential window semantics.
+        A first-basis spec fixes σ_first as the candidate (a state of
+        invocation 0's window) that leaves the fewest invocations
+        unjustified, ties to the earliest; a pre-basis spec reads each
+        state's own value.
         """
-        violations = structural_violations(trace)
+        if not trace.invocations:
+            return []
         # reachable(x_σ), once per distinct (reachable nodes, x) of this
-        # check: a drain's windows revisit the same few states hundreds
-        # of times.  Keyed by value, and gone when the check returns.
+        # walk: a drain's windows revisit the same few states hundreds
+        # of times.  Keyed by value, and gone when the walk returns.
         memo: dict[tuple[frozenset, Members], Members] = {}
 
         def reachable(snap: StateSnapshot, x: Members) -> Members:
@@ -124,79 +221,46 @@ class IteratorSpec:
                 found = memo[key] = snap.reachable_of(x)
             return found
 
-        if self.membership_basis == "first":
-            violations.extend(self._check_first_basis(trace, reachable))
-        else:
-            violations.extend(self._check_pre_basis(trace, reachable))
-        return violations
-
-    def _check_pre_basis(self, trace: IterationTrace,
-                         reachable: Reachable) -> list[SpecViolationDetail]:
-        violations = []
-        for inv in trace.invocations:
-            ok = any(
-                self._invocation_matches(inv, snap.members,
-                                         reachable(snap, snap.members))
-                for snap in inv.snapshots
-            )
-            if not ok:
-                snap = inv.exit_snapshot
-                violations.append(SpecViolationDetail(
-                    inv.index, self._mismatch_message(
-                        inv, snap.members, reachable(snap, snap.members))))
-        return violations
-
-    def _check_first_basis(self, trace: IterationTrace,
-                           reachable: Reachable) -> list[SpecViolationDetail]:
-        if not trace.invocations:
-            return []
-        candidates = trace.first_candidates or trace.invocations[0].snapshots
-        best: Optional[list[SpecViolationDetail]] = None
-        for first in candidates:
-            s_first = first.members
-            current = []
+        def walk(s_first: Optional[Members]) -> tuple[list[Justification], int]:
+            found, unjustified = [], 0
             for inv in trace.invocations:
-                ok = any(
-                    self._invocation_matches(inv, s_first, reachable(snap, s_first))
-                    for snap in inv.snapshots
-                )
-                if not ok:
+                justified = True
+                for snap in inv.snapshots:
+                    s = snap.members if s_first is None else s_first
+                    reach = reachable(snap, s)
+                    if self.permits(inv, s, reach):
+                        break
+                else:
+                    justified = False
+                    unjustified += 1
                     snap = inv.exit_snapshot
-                    current.append(SpecViolationDetail(
-                        inv.index,
-                        self._mismatch_message(inv, s_first, reachable(snap, s_first))))
-            if not current:
-                return []
-            if best is None or len(current) < len(best):
+                    s = snap.members if s_first is None else s_first
+                    reach = reachable(snap, s)
+                found.append(Justification(inv, justified, snap, s, reach))
+            return found, unjustified
+
+        if self.membership_basis == "pre":
+            return walk(None)[0]
+        best: Optional[tuple[list[Justification], int]] = None
+        for first in trace.first_candidates or trace.invocations[0].snapshots:
+            current = walk(first.members)
+            if best is None or current[1] < best[1]:
                 best = current
-        return best or []
+            if not best[1]:
+                break
+        return best[0]
 
-    def _invocation_matches(self, inv: InvocationRecord, s: frozenset[Element],
-                            reach: frozenset[Element]) -> bool:
-        kind, allowed = self.required_outcome(s, reach, inv.yielded_pre)
-        outcome = inv.outcome
-        if kind == "suspends":
-            return isinstance(outcome, Yielded) and outcome.element in allowed
-        if kind == "returns":
-            return isinstance(outcome, Returned)
-        if kind == "fails":
-            return self.allows_failure and isinstance(outcome, Failed)
-        raise AssertionError(f"unknown outcome kind {kind!r}")
-
-    def _mismatch_message(self, inv: InvocationRecord, s: frozenset[Element],
-                          reach: frozenset[Element]) -> str:
-        kind, allowed = self.required_outcome(s, reach, inv.yielded_pre)
-        want = kind if kind != "suspends" else (
-            f"suspends yielding one of {_names(allowed)}"
-        )
-        return (f"no window state justifies outcome {inv.outcome}; e.g. at the exit "
-                f"state the clause requires {want} "
-                f"(s={_names(s)}, reachable={_names(reach)}, "
-                f"yielded={_names(inv.yielded_pre)})")
+    def check_trace(self, trace: IterationTrace) -> list[SpecViolationDetail]:
+        """Ensures-clause violations (empty list = conformant): the
+        structural ones, then the walk's unjustified invocations."""
+        return structural_violations(trace) + [
+            SpecViolationDetail(j.invocation.index, self.mismatch_message(
+                j.invocation, j.s, j.reach))
+            for j in self.justify(trace) if not j.justified]
 
     def __repr__(self) -> str:
-        return f"{type(self).__name__}({self.spec_id})"
+        return f"IteratorSpec({self.spec_id})"
 
 
-def _names(elements: frozenset[Element]) -> str:
+def names_of(elements: frozenset[Element]) -> str:
     return "{" + ", ".join(sorted(e.name for e in elements)) + "}"

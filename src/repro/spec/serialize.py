@@ -21,11 +21,14 @@ __all__ = ["trace_to_dict", "trace_from_dict", "trace_to_json", "trace_from_json
 
 
 def _element_to_dict(e: Element) -> dict:
-    return {"name": e.name, "oid": e.oid, "home": e.home}
+    return {"name": e.name, "oid": e.oid, "home": e.home,
+            "replicas": list(e.replicas)}
 
 
 def _element_from_dict(d: dict) -> Element:
-    return Element(name=d["name"], oid=d["oid"], home=d["home"])
+    # traces stored before replicas were written load with none
+    return Element(name=d["name"], oid=d["oid"], home=d["home"],
+                   replicas=tuple(d.get("replicas", ())))
 
 
 def _members_to_list(members: frozenset[Element]) -> list[dict]:

@@ -42,11 +42,6 @@ class StateSnapshot:
         """The paper's ``reachable``: accessible subset of ``members``."""
         return frozenset(e for e in members if e.home in self.reachable_nodes)
 
-    @property
-    def reachable_members(self) -> frozenset[Element]:
-        """``reachable(s_σ)`` — accessible subset of this state's value."""
-        return self.reachable_of(self.members)
-
 
 @dataclass
 class InvocationRecord:

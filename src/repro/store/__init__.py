@@ -9,7 +9,7 @@ lazily synchronized replicas, client caches, and the ground-truth
 
 from .antientropy import AntiEntropySyncer, apply_delta
 from .cache import ClientCache
-from .elements import Element, ObjectId, StoredObject, fresh_oid
+from .elements import Element, ObjectId, StoredObject
 from .fetchplan import (
     FetchPipeline,
     FetchPlanner,
@@ -70,7 +70,6 @@ __all__ = [
     "erase_plan",
     "erase_step",
     "figure2_world",
-    "fresh_oid",
     "order_closest_first",
     "rank_hosts",
     "shard_state_id",

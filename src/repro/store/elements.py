@@ -14,28 +14,14 @@ followed by the addition of a new item").
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Any
 
 from ..net.address import NodeId
 
-__all__ = ["ObjectId", "Element", "StoredObject", "fresh_oid"]
+__all__ = ["ObjectId", "Element", "StoredObject"]
 
 ObjectId = str
-
-_oid_counter = itertools.count(1)
-
-
-def fresh_oid(prefix: str = "obj") -> ObjectId:
-    """Process-unique object identifier (test-fixture convenience).
-
-    Simulation code must mint through ``World.fresh_oid`` instead: this
-    counter is process-global, so oid string widths — which go on the
-    wire inside elements — would depend on how many worlds the process
-    had built before, breaking seed-deterministic byte accounting.
-    """
-    return f"{prefix}-{next(_oid_counter)}"
 
 
 @dataclass(frozen=True, order=True)

@@ -156,12 +156,13 @@ class World:
         self.executor_policy = executor
         self.servers: dict[NodeId, ObjectServer] = {}
         self.collections: dict[str, CollectionInfo] = {}
-        #: per-world id minters: oids and iteration tokens appear inside
-        #: wire payloads, so their widths must be a function of the run,
-        #: not of how many other worlds this *process* built before
-        #: (byte counts are gated seed-deterministic in E25).
+        #: per-world id minters: oids, iteration tokens and lock owners
+        #: appear inside wire payloads, so their widths must be a function
+        #: of the run, not of how many other worlds this *process* built
+        #: before (byte counts are gated seed-deterministic in E25).
         self._oid_counter = itertools.count(1)
         self._iter_counter = itertools.count(1)
+        self._lock_owner_counter = itertools.count(1)
         self._listeners: list[Callable[[], None]] = []
         #: shared RPC client for the anti-entropy syncers (its own RNG
         #: stream so sync backoff never perturbs client-facing draws).
@@ -188,6 +189,10 @@ class World:
     def fresh_iter_token(self, client: NodeId) -> str:
         """This world's next per-run iteration token."""
         return f"iter-{client}-{next(self._iter_counter)}"
+
+    def fresh_lock_owner(self, client: NodeId) -> str:
+        """This world's next lock-holder identity."""
+        return f"{client}#{next(self._lock_owner_counter)}"
 
     @property
     def now(self) -> float:

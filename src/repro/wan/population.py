@@ -38,7 +38,6 @@ from typing import Callable, Generator, Optional
 from ..errors import FailureException, SimulationError, StoreError
 from ..sim.events import Sleep
 from ..sim.rng import Stream
-from ..spec import check_conformance, spec_by_id
 from ..weaksets import make_weak_set
 from .workload import Scenario
 
@@ -223,7 +222,6 @@ class PopulationEngine:
         ]
         self.active = 0
         self.peak_active = 0
-        self._audit_spec = spec_by_id("fig6")
         # Weighted-choice table (few behaviours: linear scan is fine).
         self._cum_weights: list[float] = list(
             itertools.accumulate(b.weight for b in spec.behaviors))
@@ -355,9 +353,7 @@ class PopulationEngine:
                            semantics="dynamic", record=True)
         yield from ws.elements().drain()
         self._m_audits.inc()
-        report = check_conformance(ws.last_trace, self._audit_spec,
-                                   self.scenario.world)
-        if not report.conformant:
+        if not ws.audit().conformant:
             self._m_violations.inc()
             result.audit_violations += 1
 

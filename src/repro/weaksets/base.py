@@ -10,12 +10,13 @@ the type interface of the paper's Figure 1 —
 procedures (simulated sub-generators, since they involve RPC), and
 ``elements`` produces a fresh :class:`~repro.weaksets.iterator.ElementsIterator`.
 
-Every iteration is recorded by default, so conformance checking is a
+Every iteration is recorded by default, and each class names the figure
+it is judged against (``semantics``), so conformance checking is a
 one-liner afterwards::
 
     ws = DynamicSet(world, client="laptop", coll_id="menus")
     result = yield from ws.elements().drain()
-    report = check_conformance(ws.last_trace, spec_by_id("fig6"), world)
+    report = ws.audit()          # vs spec_by_id("fig6")
 """
 
 from __future__ import annotations
@@ -24,6 +25,8 @@ from typing import Any, Generator, Optional, Type
 
 from ..net.address import NodeId
 from ..net.resilience import ResilientClient
+from ..spec.checker import ConformanceReport, check_conformance
+from ..spec.figures import spec_by_id
 from ..spec.trace import IterationTrace, TraceRecorder
 from ..store.cache import ClientCache
 from ..store.elements import Element
@@ -37,9 +40,14 @@ __all__ = ["WeakSet"]
 class WeakSet:
     """Base class for the design points; subclasses pick the iterator."""
 
-    semantics = "?"                     # spec id this implementation targets
+    #: what a design point states about itself, once: the ``spec_by_id``
+    #: id of the figure it is judged against, the collection policy its
+    #: environment upholds, and the name its traces, drain metrics and
+    #: experiment rows carry
+    semantics = "?"
+    expected_policy = "any"
+    impl_name = "elements"
     iterator_cls: Type[ElementsIterator] = ElementsIterator
-    expected_policy: Optional[str] = None  # collection policy this is meant for
 
     def __init__(self, world: World, client: NodeId, coll_id: str, *,
                  cache: Optional[ClientCache] = None,
@@ -63,12 +71,14 @@ class WeakSet:
         if self.record:
             recorder = TraceRecorder(
                 self.world, self.coll_id, self.client,
-                impl_name=type(self).__name__,
+                impl_name=self.impl_name,
             )
             self.traces.append(recorder.trace)
-        return self.iterator_cls(
+        iterator = self.iterator_cls(
             self.repo, self.coll_id, recorder=recorder, **self.iterator_kwargs
         )
+        iterator.impl_name = self.impl_name
+        return iterator
 
     def add(self, name: str, value: Any = None, home: Optional[NodeId] = None,
             size: int = 0) -> Generator[Any, Any, Element]:
@@ -100,6 +110,12 @@ class WeakSet:
     @property
     def last_trace(self) -> Optional[IterationTrace]:
         return self.traces[-1] if self.traces else None
+
+    def audit(self) -> ConformanceReport:
+        """The last recorded iteration, checked against this class's
+        figure: the one audit entry point."""
+        return check_conformance(self.last_trace, spec_by_id(self.semantics),
+                                 self.world)
 
     def __repr__(self) -> str:
         return (f"{type(self).__name__}({self.coll_id!r} from {self.client!r}, "

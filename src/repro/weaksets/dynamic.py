@@ -48,8 +48,6 @@ __all__ = ["DynamicIterator", "DynamicSet"]
 class DynamicIterator(ElementsIterator):
     """The optimistic iterator CMU shipped for Unix dynamic sets."""
 
-    impl_name = "dynamic"
-
     def __init__(self, *args: Any, retry_interval: float = 0.25,
                  give_up_after: Optional[float] = None,
                  use_cache: bool = False, failover: bool = True,
@@ -179,5 +177,5 @@ class DynamicSet(WeakSet):
     """Figure 6 semantics: no consistency, first-bound — dynamic sets."""
 
     semantics = "fig6"
+    impl_name = "dynamic"
     iterator_cls = DynamicIterator
-    expected_policy = "any"

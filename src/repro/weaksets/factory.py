@@ -50,7 +50,7 @@ def weak_set_class(semantics: str) -> Type[WeakSet]:
 def policy_for(semantics: str) -> str:
     """The collection policy a design point expects its world to uphold."""
     cls = weak_set_class(semantics)
-    return cls.expected_policy or "any"
+    return cls.expected_policy
 
 
 def make_weak_set(world: World, client: NodeId, coll_id: str,

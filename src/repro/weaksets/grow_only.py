@@ -48,7 +48,6 @@ class GrowOnlyIterator(ElementsIterator):
     home answering — so its descriptor is yielded with ``value=None``.
     """
 
-    impl_name = "grow-only"
     pipeline_validation = "probe"
 
     def _read_view(self) -> Generator[Any, Any, frozenset]:
@@ -70,14 +69,13 @@ class GrowOnlySet(WeakSet):
     """Figure 5 semantics, for collections with ``policy="grow-only"``."""
 
     semantics = "fig5"
-    iterator_cls = GrowOnlyIterator
     expected_policy = "grow-only"
+    impl_name = "grow-only"
+    iterator_cls = GrowOnlyIterator
 
 
 class PerRunGrowOnlyIterator(GrowOnlyIterator):
     """§3.3: registers the run so removals become ghosts until it ends."""
-
-    impl_name = "per-run-grow-only"
 
     def __init__(self, *args: Any, **kwargs: Any):
         super().__init__(*args, **kwargs)
@@ -106,5 +104,6 @@ class PerRunGrowOnlySet(WeakSet):
     """§3.3 semantics, for collections with ``policy="grow-during-run"``."""
 
     semantics = "fig5"
-    iterator_cls = PerRunGrowOnlyIterator
     expected_policy = "grow-during-run"
+    impl_name = "per-run-grow-only"
+    iterator_cls = PerRunGrowOnlyIterator

@@ -48,14 +48,14 @@ class ImmutableSet(WeakSet):
     """
 
     semantics = "fig3"
-    iterator_cls = SnapshotIterator
     expected_policy = "immutable"
+    impl_name = "immutable"
+    iterator_cls = SnapshotIterator
 
 
 class Figure1Iterator(SnapshotIterator):
     """Figure 1: failures ignored (yields without reachability checks)."""
 
-    impl_name = "figure1"
     # No reachability check, no failure branch: Figure 1's world has
     # no failures, so e ∈ s_first − yielded is all that is required —
     # which is the snapshot iterator's membership-only mode.
@@ -66,14 +66,13 @@ class Figure1Set(WeakSet):
     """Figure 1 semantics (only meaningful in a failure-free world)."""
 
     semantics = "fig1"
-    iterator_cls = Figure1Iterator
     expected_policy = "immutable"
+    impl_name = "figure1"
+    iterator_cls = Figure1Iterator
 
 
 class PerRunImmutableIterator(SnapshotIterator):
     """§3.1 relaxation: read-lock the collection for the run's duration."""
-
-    impl_name = "per-run-immutable"
 
     def __init__(self, *args: Any, **kwargs: Any):
         super().__init__(*args, **kwargs)
@@ -103,5 +102,5 @@ class PerRunImmutableSet(WeakSet):
     """
 
     semantics = "fig4"  # ensures clause is Fig 3/4's; constraint is per-run
+    impl_name = "per-run-immutable"
     iterator_cls = PerRunImmutableIterator
-    expected_policy = "any"

@@ -101,6 +101,7 @@ def drain_loop(invoke, now, max_yields: Optional[int] = None
 class ElementsIterator:
     """Base class: one suspended/resumable iteration over a collection."""
 
+    #: the owning weak set's ``impl_name``; ``WeakSet.elements`` sets it
     impl_name = "elements"
 
     #: Pop-time validation the variant's pipeline uses (see

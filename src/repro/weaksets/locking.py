@@ -15,7 +15,6 @@ comes back (§3.1's indefinite lock extension, measured in E6).  Passing
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Any, Generator, Optional
 
@@ -32,8 +31,6 @@ __all__ = [
     "acquire_collection_locks",
     "release_collection_locks",
 ]
-
-_owner_ids = itertools.count(1)
 
 
 @dataclass
@@ -222,7 +219,7 @@ class LockClient:
         self.repo = repo
         self.coll_id = coll_id
         self.node = node
-        self.owner = f"{repo.client}#{next(_owner_ids)}"
+        self.owner = repo.world.fresh_lock_owner(repo.client)
         self.mode: Optional[str] = None
 
     @property

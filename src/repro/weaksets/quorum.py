@@ -41,7 +41,6 @@ class QuorumGrowOnlyIterator(GrowOnlyIterator):
     unreachable verdicts for data already in hand.
     """
 
-    impl_name = "quorum-grow-only"
     pipeline_validation = "none"
     pipeline_failover = True
 
@@ -108,5 +107,6 @@ class QuorumGrowOnlySet(WeakSet):
     """
 
     semantics = "fig5"
-    iterator_cls = QuorumGrowOnlyIterator
     expected_policy = "grow-only"
+    impl_name = "quorum"
+    iterator_cls = QuorumGrowOnlyIterator

@@ -43,7 +43,6 @@ class SnapshotIterator(ElementsIterator):
     ``reachable(s_first)``, and Figure 4 says lost mutations may show.
     """
 
-    impl_name = "snapshot"
     pipeline_validation = "probe"
 
     def __init__(self, *args: Any, **kwargs: Any):
@@ -66,5 +65,5 @@ class SnapshotSet(WeakSet):
     """Figure 4 semantics: weak consistency, first-vintage."""
 
     semantics = "fig4"
+    impl_name = "snapshot"
     iterator_cls = SnapshotIterator
-    expected_policy = "any"

@@ -42,7 +42,6 @@ class StrongIterator(ElementsIterator):
     change, so pop-time validation is ``"none"``.
     """
 
-    impl_name = "strong"
     pipeline_validation = "none"
 
     def __init__(self, *args: Any, lock_wait_timeout: Optional[float] = None,
@@ -123,9 +122,9 @@ class StrongSet(WeakSet):
     plays by the same rules.
     """
 
-    semantics = "strong"
+    semantics = "fig4"  # a first-state snapshot, taken and drained under the lock
+    impl_name = "strong"
     iterator_cls = StrongIterator
-    expected_policy = "any"
 
     def add(self, name: str, value: Any = None, home: Optional[str] = None,
             size: int = 0) -> Generator[Any, Any, Element]:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import replace
 from typing import Optional
 
@@ -12,6 +13,15 @@ from repro.weaksets import install_lock_service
 
 CLIENT = "client"
 PRIMARY = "s0"
+
+_oid_counter = itertools.count(1)
+
+
+def fresh_oid(prefix: str = "obj") -> str:
+    """Process-unique object identifier, for hand-built elements only:
+    simulated code mints through ``World.fresh_oid`` so that oid widths —
+    which go on the wire — never depend on process history."""
+    return f"{prefix}-{next(_oid_counter)}"
 
 
 def standard_world(n_servers: int = 4, policy: str = "any", seed: int = 0,
@@ -120,11 +130,11 @@ def check_trace_without_memo(spec, trace):
     def unjustified(basis):
         found = []
         for inv in trace.invocations:
-            if not any(spec._invocation_matches(
+            if not any(spec.permits(
                            inv, basis(snap), snap.reachable_of(basis(snap)))
                        for snap in inv.snapshots):
                 snap = inv.exit_snapshot
-                found.append(SpecViolationDetail(inv.index, spec._mismatch_message(
+                found.append(SpecViolationDetail(inv.index, spec.mismatch_message(
                     inv, basis(snap), snap.reachable_of(basis(snap)))))
         return found
 

@@ -18,6 +18,18 @@ def test_specs_mode(capsys):
     assert "Figure 6" in out
 
 
+def test_readme_design_space_table_is_the_printed_one(capsys):
+    """README's Fig -> spec -> implementation table is printed from the
+    rows, not maintained beside them."""
+    from pathlib import Path
+
+    assert main(["--specs"]) == 0
+    table = capsys.readouterr().out.split("\n\n")[-1]
+    assert table.startswith("spec_by_id") and "fig5-per-run" in table
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    assert f"```\n{table}```" in readme.read_text(encoding="utf-8")
+
+
 def test_demo_mode(capsys):
     assert main(["--demo"]) == 0
     out = capsys.readouterr().out

@@ -10,7 +10,7 @@ from repro.spec import (
     spec_by_id,
     weak_guarantee_violations,
 )
-from repro.spec.checker import _clip
+from repro.spec.constraints import clip_history
 from repro.spec.iterspec import SpecViolationDetail
 from repro.spec.state import InvocationRecord, StateSnapshot
 from repro.spec.trace import IterationTrace
@@ -74,19 +74,19 @@ def test_report_summary_with_violations():
 
 def test_clip_keeps_value_in_force_at_window_start():
     history = [(0.0, frozenset({A})), (5.0, frozenset({A, B}))]
-    clipped = _clip(history, 2.0, 10.0)
+    clipped = clip_history(history, 2.0, 10.0)
     assert clipped == [(0.0, frozenset({A})), (5.0, frozenset({A, B}))]
 
 
 def test_clip_excludes_changes_after_window():
     history = [(0.0, frozenset({A})), (5.0, frozenset({A, B}))]
-    clipped = _clip(history, 0.0, 4.0)
+    clipped = clip_history(history, 0.0, 4.0)
     assert clipped == [(0.0, frozenset({A}))]
 
 
 def test_clip_empty_before_history():
     history = [(3.0, frozenset({A}))]
-    assert _clip(history, 0.0, 1.0) == []
+    assert clip_history(history, 0.0, 1.0) == []
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,187 @@
+"""The seven specs as rows: what no digest sees of "behaviour-preserving".
+
+* the Larch text `render_spec` prints from a row is, byte for byte, the
+  text the per-figure classes printed before they became rows;
+* `check_trace` and `explain_trace` are two views of one walk, and both
+  agree with the reference recomputation in `helpers`;
+* every weak set names a figure `spec_by_id` resolves, and `audit()` is
+  `check_conformance` against it.
+"""
+
+import pytest
+
+from repro.bench.exp_conformance import E1_WORLD, IMPL_CASES, ImplCase, run_case
+from repro.spec import (
+    ALL_FIGURES,
+    RELAXED_VARIANTS,
+    IteratorSpec,
+    check_conformance,
+    explain_trace,
+    render_all,
+    render_spec,
+    spec_by_id,
+    structural_violations,
+)
+from repro import weaksets
+from repro.weaksets import WeakSet
+
+from helpers import check_trace_without_memo
+
+SPECS = ALL_FIGURES + RELAXED_VARIANTS
+
+# captured from the parent of the rows refactor (PR 18), not from this tree
+GOLDEN_RENDER = {
+    "fig1": """\
+% Figure 1: Immutable set (failures ignored)
+constraint s_i = s_j
+elements = iter (s: set) yields (e: elem)
+  remembers yielded: set initially {}
+  ensures if yielded_pre ⊊ s_first
+          then yielded_post − yielded_pre = {e}
+               ∧ yielded_post ⊆ s_first
+               ∧ e ∈ s_first − yielded_pre ∧ suspends
+          else returns   % yielded_pre = s_first""",
+    "fig3": """\
+% Figure 3: Immutable set with failures
+constraint s_i = s_j
+elements = iter (s: set) yields (e: elem) signals (failure)
+  remembers yielded: set initially {}
+  ensures if yielded_pre ⊊ reachable(s_first)
+          then yielded_post − yielded_pre = {e}
+               ∧ yielded_post ⊆ s_first
+               ∧ e ∈ reachable(s_first) ∧ suspends
+          else if yielded_pre = reachable(s_first)
+                  ∧ yielded_pre ⊊ s_first
+          then fails
+          else returns   % yielded_pre = s_first""",
+    "fig4": """\
+% Figure 4: Mutable set, loss of some mutations (first-state snapshot)
+constraint true
+elements = iter (s: set) yields (e: elem) signals (failure)
+  remembers yielded: set initially {}
+  ensures if yielded_pre ⊊ reachable(s_first)
+          then yielded_post − yielded_pre = {e}
+               ∧ yielded_post ⊆ s_first
+               ∧ e ∈ reachable(s_first) ∧ suspends
+          else if yielded_pre = reachable(s_first)
+                  ∧ yielded_pre ⊊ s_first
+          then fails
+          else returns   % yielded_pre = s_first""",
+    "fig5": """\
+% Figure 5: Growing-only set, pessimistic
+constraint s_i ⊆ s_j
+elements = iter (s: set) yields (e: elem) signals (failure)
+  remembers yielded: set initially {}
+  ensures if yielded_pre ⊊ reachable(s_pre)
+          then yielded_post − yielded_pre = {e}
+               ∧ yielded_post ⊆ s_pre
+               ∧ e ∈ reachable(s_pre) ∧ suspends
+          else if yielded_pre = s_pre then returns
+          else fails""",
+    "fig6": """\
+% Figure 6: Growing and shrinking set, optimistic (dynamic sets)
+constraint true
+elements = iter (s: set) yields (e: elem)
+  remembers yielded: set initially {}
+  ensures if ∃ e ∈ s_pre : e ∉ yielded_pre
+          then yielded_post − yielded_pre = {e}
+               ∧ e ∈ reachable(s_pre) ∧ suspends
+          else returns""",
+    "fig3-per-run": """\
+% Figure 3 (relaxed, §3.1): Immutable during a run, mutable between runs (§3.1)
+constraint during any run: s_i = s_j
+elements = iter (s: set) yields (e: elem) signals (failure)
+  remembers yielded: set initially {}
+  ensures if yielded_pre ⊊ reachable(s_first)
+          then yielded_post − yielded_pre = {e}
+               ∧ yielded_post ⊆ s_first
+               ∧ e ∈ reachable(s_first) ∧ suspends
+          else if yielded_pre = reachable(s_first)
+                  ∧ yielded_pre ⊊ s_first
+          then fails
+          else returns   % yielded_pre = s_first""",
+    "fig5-per-run": """\
+% Figure 5 (relaxed, §3.3): Grow-only during a run, mutable between runs (§3.3)
+constraint during any run: s_i ⊆ s_j
+elements = iter (s: set) yields (e: elem) signals (failure)
+  remembers yielded: set initially {}
+  ensures if yielded_pre ⊊ reachable(s_pre)
+          then yielded_post − yielded_pre = {e}
+               ∧ yielded_post ⊆ s_pre
+               ∧ e ∈ reachable(s_pre) ∧ suspends
+          else if yielded_pre = s_pre then returns
+          else fails""",
+}
+
+
+@pytest.mark.parametrize("spec_id", sorted(GOLDEN_RENDER))
+def test_render_spec_matches_the_golden_text(spec_id):
+    assert render_spec(spec_by_id(spec_id)) == GOLDEN_RENDER[spec_id]
+
+
+def test_render_all_is_the_five_figures_in_paper_order():
+    assert render_all() == "\n\n".join(
+        GOLDEN_RENDER[spec.spec_id] for spec in ALL_FIGURES)
+
+
+def test_the_specs_are_rows_not_classes():
+    assert IteratorSpec.__subclasses__() == []
+    assert {type(spec) for spec in SPECS} == {IteratorSpec}
+    assert [spec.spec_id for spec in SPECS] == list(GOLDEN_RENDER)
+
+
+def test_a_row_outside_the_vocabulary_is_rejected():
+    from dataclasses import replace
+
+    fig6 = spec_by_id("fig6")
+    for field in ("membership_basis", "guard", "yields", "exhausted"):
+        with pytest.raises(ValueError, match="fig6"):
+            replace(fig6, **{field: "reachable"})
+
+
+@pytest.mark.parametrize("case", IMPL_CASES, ids=lambda c: c.cls.impl_name)
+def test_check_and_explain_are_two_views_of_one_walk(case):
+    """Over the E1 matrix traces x every spec: the invocations
+    `explain_trace` marks unjustified are exactly `check_trace`'s
+    non-structural violations, and both equal the reference."""
+    violating = 0
+    for seed in range(5):
+        trace = run_case(case, E1_WORLD, seed).last_trace
+        structural = structural_violations(trace)
+        for spec in SPECS:
+            violations = spec.check_trace(trace)
+            assert violations == check_trace_without_memo(spec, trace)
+            assert violations[:len(structural)] == structural
+            explanations = explain_trace(trace, spec)
+            assert [e.index for e in explanations] == [
+                inv.index for inv in trace.invocations]
+            assert ([(e.index, e.detail) for e in explanations if not e.justified]
+                    == [(v.invocation, v.message)
+                        for v in violations[len(structural):]])
+            violating += bool(violations)
+    # every implementation's churn breaks some figure, or its stillness none
+    assert violating or case.mutate in ("none", "between-runs")
+
+
+def weak_set_classes():
+    exported = (getattr(weaksets, name) for name in weaksets.__all__)
+    return [cls for cls in exported
+            if isinstance(cls, type) and issubclass(cls, WeakSet)
+            and cls is not WeakSet]
+
+
+@pytest.mark.parametrize("cls", weak_set_classes(), ids=lambda c: c.__name__)
+def test_every_weak_set_names_its_figure_and_audits_against_it(cls):
+    spec = spec_by_id(cls.semantics)          # resolves: no KeyError
+    ws = run_case(ImplCase(cls, "none", blip=True), E1_WORLD, seed=0)
+    assert ws.last_trace.impl_name == cls.impl_name
+    report = ws.audit()
+    expected = check_conformance(ws.last_trace, spec, ws.world)
+    assert report == expected
+    assert report.spec_id == cls.semantics
+    assert report.conformant, report.counterexample()
+
+
+def test_impl_names_are_distinct():
+    names = [cls.impl_name for cls in weak_set_classes()]
+    assert len(set(names)) == len(names) == 9

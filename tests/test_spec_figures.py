@@ -4,11 +4,6 @@ import pytest
 
 from repro.spec import (
     ALL_FIGURES,
-    Figure1ImmutableNoFailures,
-    Figure3ImmutableWithFailures,
-    Figure4SnapshotLossOfMutations,
-    Figure5GrowOnlyPessimistic,
-    Figure6OptimisticDynamic,
     spec_by_id,
 )
 from repro.store import Element
@@ -28,35 +23,35 @@ fs = frozenset
 # ---------------------------------------------------------------------------
 
 def test_fig1_suspends_while_unyielded_remain():
-    spec = Figure1ImmutableNoFailures()
+    spec = spec_by_id("fig1")
     kind, allowed = spec.required_outcome(S, S, fs({A}))
     assert kind == "suspends"
     assert allowed == fs({B, C})
 
 
 def test_fig1_returns_when_all_yielded():
-    spec = Figure1ImmutableNoFailures()
+    spec = spec_by_id("fig1")
     kind, _ = spec.required_outcome(S, S, S)
     assert kind == "returns"
 
 
 def test_fig1_ignores_reachability():
-    spec = Figure1ImmutableNoFailures()
+    spec = spec_by_id("fig1")
     kind, allowed = spec.required_outcome(S, fs(), fs())
     assert kind == "suspends"
     assert allowed == S  # unreachable elements still demanded
 
 
 def test_fig1_disallows_failure():
-    assert not Figure1ImmutableNoFailures().allows_failure
+    assert not spec_by_id("fig1").allows_failure
 
 
 # ---------------------------------------------------------------------------
 # Figures 3 and 4 (shared ensures clause)
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("spec", [Figure3ImmutableWithFailures(),
-                                  Figure4SnapshotLossOfMutations()])
+@pytest.mark.parametrize("spec", [spec_by_id("fig3"),
+                                  spec_by_id("fig4")])
 def test_fig34_suspends_on_reachable_unyielded(spec):
     reach = fs({A, B})
     kind, allowed = spec.required_outcome(S, reach, fs({A}))
@@ -64,16 +59,16 @@ def test_fig34_suspends_on_reachable_unyielded(spec):
     assert allowed == fs({B})
 
 
-@pytest.mark.parametrize("spec", [Figure3ImmutableWithFailures(),
-                                  Figure4SnapshotLossOfMutations()])
+@pytest.mark.parametrize("spec", [spec_by_id("fig3"),
+                                  spec_by_id("fig4")])
 def test_fig34_fails_when_reachables_exhausted_but_set_not(spec):
     reach = fs({A})
     kind, _ = spec.required_outcome(S, reach, fs({A}))
     assert kind == "fails"
 
 
-@pytest.mark.parametrize("spec", [Figure3ImmutableWithFailures(),
-                                  Figure4SnapshotLossOfMutations()])
+@pytest.mark.parametrize("spec", [spec_by_id("fig3"),
+                                  spec_by_id("fig4")])
 def test_fig34_returns_when_everything_yielded(spec):
     kind, _ = spec.required_outcome(S, S, S)
     assert kind == "returns"
@@ -92,20 +87,20 @@ def test_fig3_vs_fig4_differ_only_in_constraint():
 # ---------------------------------------------------------------------------
 
 def test_fig5_suspends_on_reachable_unyielded():
-    spec = Figure5GrowOnlyPessimistic()
+    spec = spec_by_id("fig5")
     kind, allowed = spec.required_outcome(S, fs({A, C}), fs({A}))
     assert kind == "suspends"
     assert allowed == fs({C})
 
 
 def test_fig5_returns_only_when_yielded_equals_s_pre():
-    spec = Figure5GrowOnlyPessimistic()
+    spec = spec_by_id("fig5")
     kind, _ = spec.required_outcome(S, S, S)
     assert kind == "returns"
 
 
 def test_fig5_fails_when_unyielded_member_unreachable():
-    spec = Figure5GrowOnlyPessimistic()
+    spec = spec_by_id("fig5")
     # yielded = {A}; B, C in the set but unreachable
     kind, _ = spec.required_outcome(S, fs({A}), fs({A}))
     assert kind == "fails"
@@ -113,7 +108,7 @@ def test_fig5_fails_when_unyielded_member_unreachable():
 
 def test_fig5_growth_demands_more_yields():
     """A set that grew after yields still demands the new elements."""
-    spec = Figure5GrowOnlyPessimistic()
+    spec = spec_by_id("fig5")
     kind, allowed = spec.required_outcome(S, S, fs({A, B}))
     assert kind == "suspends" and allowed == fs({C})
 
@@ -123,7 +118,7 @@ def test_fig5_growth_demands_more_yields():
 # ---------------------------------------------------------------------------
 
 def test_fig6_suspends_on_any_unyielded_member():
-    spec = Figure6OptimisticDynamic()
+    spec = spec_by_id("fig6")
     kind, allowed = spec.required_outcome(S, fs({B, C}), fs({B}))
     assert kind == "suspends"
     assert allowed == fs({C})  # must be reachable and unyielded
@@ -133,21 +128,21 @@ def test_fig6_blocks_rather_than_fails():
     """Unyielded members exist but none reachable: the required outcome
     is still 'suspends' — with an empty allowed set, no completed
     invocation can satisfy it, which is exactly the spec's blocking."""
-    spec = Figure6OptimisticDynamic()
+    spec = spec_by_id("fig6")
     kind, allowed = spec.required_outcome(S, fs(), fs({A}))
     assert kind == "suspends"
     assert allowed == fs()
 
 
 def test_fig6_returns_when_s_pre_subset_of_yielded():
-    spec = Figure6OptimisticDynamic()
+    spec = spec_by_id("fig6")
     # shrinkage may leave yielded ⊋ s_pre; still returns
     kind, _ = spec.required_outcome(fs({A}), fs({A}), fs({A, B}))
     assert kind == "returns"
 
 
 def test_fig6_disallows_failure():
-    assert not Figure6OptimisticDynamic().allows_failure
+    assert not spec_by_id("fig6").allows_failure
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,13 @@ def recorded_trace(cls=DynamicSet, **kwargs):
 
 
 def test_round_trip_dict():
-    trace, world = recorded_trace()
+    kernel, net, world, elements = standard_world(members=3)
+    for i in range(2):      # members whose objects have replica copies
+        world.seed_member("coll", f"r{i}", value=i, home="s1",
+                          replicas=("s2", "s3"))
+    ws = DynamicSet(world, CLIENT, "coll")
+    drain_all(kernel, ws)
+    trace = ws.last_trace
     data = trace_to_dict(trace)
     rebuilt = trace_from_dict(data)
     assert rebuilt.coll_id == trace.coll_id
@@ -36,6 +42,18 @@ def test_round_trip_dict():
         assert a.yielded_post == b.yielded_post
         assert type(a.outcome) is type(b.outcome)
         assert a.snapshots == b.snapshots
+        # replicas are compare=False, so equality cannot see them drop
+        for rebuilt_snap, snap in zip(a.snapshots, b.snapshots):
+            assert (sorted(e.locations for e in rebuilt_snap.members)
+                    == sorted(e.locations for e in snap.members))
+        assert ([e.locations for e in sorted(a.yielded_post)]
+                == [e.locations for e in sorted(b.yielded_post)])
+    assert any(e.replicas for e in rebuilt.yielded_last)
+    # a trace stored before replicas were written still loads
+    for inv in data["invocations"]:
+        for member in inv["yielded_post"]:
+            del member["replicas"]
+    assert trace_from_dict(data).yielded_last == trace.yielded_last
 
 
 def test_round_trip_json_is_valid_json():

@@ -11,7 +11,7 @@ from repro.errors import (
 from repro.net.wire import unwrap
 from repro.store import Repository
 
-from helpers import CLIENT, PRIMARY, standard_world
+from helpers import CLIENT, PRIMARY, fresh_oid, standard_world
 
 
 def test_put_object_update_bumps_version():
@@ -80,7 +80,7 @@ def test_transfer_time_scales_with_size():
 
 def test_mutation_via_replica_is_rejected():
     kernel, net, world, _ = standard_world(replicas=1)
-    from repro.store import Element, fresh_oid
+    from repro.store import Element
     e = Element("x", fresh_oid("x"), "s2")
 
     def proc():

@@ -18,11 +18,16 @@ from repro.store import (
     HashRing,
     Repository,
     ShardMap,
-    fresh_oid,
     shard_state_id,
 )
 
-from helpers import CLIENT, count_ring_hashes, sharded_world, standard_world
+from helpers import (
+    CLIENT,
+    count_ring_hashes,
+    fresh_oid,
+    sharded_world,
+    standard_world,
+)
 
 
 # ---------------------------------------------------------------------------

@@ -227,3 +227,25 @@ def test_collection_locks_roll_back_on_failure():
     for node in ring.ordered_nodes()[:-1]:
         service = net.node(node).services["locks"]
         assert service.holders("coll") == []        # earlier locks released
+
+
+def test_lock_owner_ids_are_minted_per_world():
+    """Owners travel in every acquire/release payload: wire bytes must be
+    a function of (code, seed), not of how many lock clients this
+    process built before."""
+    from repro.weaksets import StrongSet
+
+    from helpers import drain_all
+
+    def seeded_drain_bytes():
+        kernel, net, world, _ = standard_world(members=8, with_locks=True,
+                                               seed=3)
+        drain_all(kernel, StrongSet(world, CLIENT, "coll"))
+        return kernel.obs.metrics.value("net.bytes_sent")
+
+    first = seeded_drain_bytes()
+    _, _, other_world, _ = standard_world()
+    repo = Repository(other_world, CLIENT)
+    for _ in range(10 ** 5):
+        LockClient(repo, "coll")
+    assert seeded_drain_bytes() == first
