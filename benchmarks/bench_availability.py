@@ -1,12 +1,10 @@
 """E4 — availability under partitions (pessimistic vs optimistic vs strong)."""
 
 from repro.bench import run_availability, run_availability_ablation
-from repro.bench.artifact import record_result
 
 
 def test_e4_availability():
     result = run_availability()
-    record_result(result)
     print()
     print(result)
     rows = result.rows
@@ -43,7 +41,6 @@ def test_e4_availability():
 
 def test_e4a_ablations():
     result = run_availability_ablation()
-    record_result(result)
     print()
     print(result)
     rows = {r["variant"]: r for r in result.rows}

@@ -6,7 +6,6 @@ stricter figures.
 """
 
 from repro.bench import run_conformance_matrix
-from repro.bench.artifact import record_result
 
 
 def _cell(rows, impl, spec_id):
@@ -17,7 +16,6 @@ def _cell(rows, impl, spec_id):
 
 def test_e1_conformance_matrix():
     result = run_conformance_matrix()
-    record_result(result)
     print()
     print(result)
     rows = result.rows

@@ -1,12 +1,10 @@
 """E14 — re-run-until-agreement (§3.2) vs mutation rate."""
 
 from repro.bench import run_convergence
-from repro.bench.artifact import record_result
 
 
 def test_e14_convergence():
     result = run_convergence()
-    record_result(result)
     print()
     print(result)
     rows = sorted(result.rows, key=lambda r: r["mutation_rate"])

@@ -1,12 +1,10 @@
 """E15 — the failure detector's accuracy/latency trade-off."""
 
 from repro.bench import run_detector
-from repro.bench.artifact import record_result
 
 
 def test_e15_detector_tradeoff():
     result = run_detector()
-    record_result(result)
     print()
     print(result)
     rows = sorted(result.rows, key=lambda r: r["suspect_after"])

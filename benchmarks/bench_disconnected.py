@@ -6,13 +6,11 @@ from repro.bench import (
     run_outbox_crash,
     run_reconcile_cost,
 )
-from repro.bench.artifact import record_result
 from repro.bench.exp_disconnected import _IMPLS
 
 
 def test_e21_offline_availability():
     result = run_disconnected()
-    record_result(result)
     print()
     print(result)
 
@@ -43,7 +41,6 @@ def test_e21_offline_availability():
 
 def test_e21a_reconcile_cost():
     result = run_reconcile_cost()
-    record_result(result)
     print()
     print(result)
     rows = result.rows
@@ -64,7 +61,6 @@ def test_e21a_reconcile_cost():
 
 def test_e21b_outbox_crash():
     result = run_outbox_crash()
-    record_result(result)
     print()
     print(result)
 
@@ -89,7 +85,6 @@ def test_e21b_outbox_crash():
 
 def test_e21c_geo_flap():
     result = run_geo_flap()
-    record_result(result)
     print()
     print(result)
     for row in result.rows:

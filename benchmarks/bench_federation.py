@@ -1,12 +1,10 @@
 """E11 — federated search across independent repositories."""
 
 from repro.bench import run_federation
-from repro.bench.artifact import record_result
 
 
 def test_e11_federation():
     result = run_federation()
-    record_result(result)
     print()
     print(result)
     rows = {r["plan"]: r for r in result.rows}

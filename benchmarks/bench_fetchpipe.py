@@ -1,19 +1,12 @@
 """E19 — the batched fetch pipeline vs the serial read path."""
 
 from repro.bench import run_fetchpipe
-from repro.bench.artifact import record_result
 
 
 def test_e19_fetchpipe():
     result = run_fetchpipe()
     rows = result.rows
     serial = next(r for r in rows if r["mode"] == "serial")
-    # surface the headline batched-vs-serial ratios in the artifact's
-    # metrics block (they also live in every row's speedup_vs_serial)
-    record_result(result, metrics={
-        "batched_vs_serial_speedup": {
-            f"window{r['window']}_batch{r['batch']}": r["speedup_vs_serial"]
-            for r in rows if r["mode"] == "window-sweep"}})
     print()
     print(result)
 

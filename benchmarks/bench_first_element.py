@@ -1,12 +1,10 @@
 """E2 — time-to-first-element benchmark (§1.1 advantage 1)."""
 
 from repro.bench import run_time_to_first
-from repro.bench.artifact import record_result
 
 
 def test_e2_time_to_first():
     result = run_time_to_first()
-    record_result(result)
     print()
     print(result)
     rows = result.rows
@@ -40,7 +38,6 @@ def test_e2a_early_exit():
     from repro.bench import run_early_exit
 
     result = run_early_exit()
-    record_result(result)
     print()
     print(result)
     rows = result.rows

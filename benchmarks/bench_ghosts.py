@@ -1,12 +1,10 @@
 """E10 — §3.3's ghost protocol vs plain immediate removal."""
 
 from repro.bench import run_ghosts
-from repro.bench.artifact import record_result
 
 
 def test_e10_ghosts():
     result = run_ghosts()
-    record_result(result)
     print()
     print(result)
     rows = result.rows

@@ -3,12 +3,10 @@
 import math
 
 from repro.bench import run_disconnection, run_lock_cost
-from repro.bench.artifact import record_result
 
 
 def test_e6_lock_cost():
     result = run_lock_cost()
-    record_result(result)
     print()
     print(result)
     rows = sorted(result.rows, key=lambda r: r["consumer_think_time"])
@@ -26,7 +24,6 @@ def test_e6_lock_cost():
 
 def test_e6b_disconnection():
     result = run_disconnection()
-    record_result(result)
     print()
     print(result)
     rows = result.rows

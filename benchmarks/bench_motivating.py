@@ -1,12 +1,10 @@
 """E7 — the three §1 motivating queries, end-to-end under failures."""
 
 from repro.bench import run_motivating
-from repro.bench.artifact import record_result
 
 
 def test_e7_motivating_queries():
     result = run_motivating()
-    record_result(result)
     print()
     print(result)
     rows = result.rows

@@ -14,7 +14,6 @@ trace — the second artifact the CI bench-smoke job uploads.
 import os
 
 from repro.bench import run_obs
-from repro.bench.artifact import record_result
 from repro.bench.exp_obs import ROOT_SPANS
 from repro.obs import read_jsonl, spans_from_records
 
@@ -22,7 +21,6 @@ from repro.obs import read_jsonl, spans_from_records
 def test_e17_observability():
     trace_path = os.environ.get("REPRO_TRACE_JSONL")
     result = run_obs(export_trace=trace_path)
-    record_result(result)
     print()
     print(result)
     by_metric = {r["metric"]: r for r in result.rows}

@@ -16,7 +16,6 @@ seed-deterministic simulation (they travel to any runner):
 """
 
 from repro.bench import run_overload
-from repro.bench.artifact import record_result
 
 #: Protected final-stage goodput must stay within this fraction of the
 #: arm's best stage (no post-knee decline).
@@ -38,11 +37,10 @@ MAX_COLLAPSE_VS_PROTECTED = 0.3
 
 def test_e23_overload_protection():
     result = run_overload()
-    record_result(result, metrics=result.overload_metrics)
     print()
     print(result)
 
-    m = result.overload_metrics
+    m = result.metrics
     stages = {arm: [r for r in result.rows
                     if r["arm"] == arm and r["stage"] not in ("total",
                                                               "verdict")]

@@ -7,12 +7,10 @@ iteration checked inline).
 """
 
 from repro.bench import run_population
-from repro.bench.artifact import record_result
 
 
 def test_e22_population_slo():
     result = run_population()
-    record_result(result, metrics=result.population_metrics)
     print()
     print(result)
 
@@ -29,6 +27,6 @@ def test_e22_population_slo():
     for row in stages:
         assert row["slo_ok"], row
         assert row["audit_violations"] == 0, row
-    metrics = result.population_metrics
+    metrics = result.metrics
     assert metrics["population.audits"] > 0
     assert metrics["population.audit_violations"] == 0

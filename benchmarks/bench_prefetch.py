@@ -1,12 +1,10 @@
 """E3 — parallel, closest-first prefetch benchmark (§1.1 advantage 2)."""
 
 from repro.bench import run_prefetch
-from repro.bench.artifact import record_result
 
 
 def test_e3_prefetch():
     result = run_prefetch()
-    record_result(result)
     print()
     print(result)
     rows = result.rows

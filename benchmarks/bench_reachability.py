@@ -1,12 +1,10 @@
 """E9 — the reachability model (Figure 2) at small and larger scale."""
 
 from repro.bench import run_reachability
-from repro.bench.artifact import record_result
 
 
 def test_e9_reachability():
     result = run_reachability()
-    record_result(result)
     print()
     print(result)
     rows = result.rows

@@ -1,12 +1,10 @@
 """E18 — crash-consistent recovery: WAL + replay + scrub vs. the ablation."""
 
 from repro.bench import run_recovery
-from repro.bench.artifact import record_result
 
 
 def test_e18_recovery():
     result = run_recovery()
-    record_result(result)
     print()
     print(result)
     rows = result.rows

@@ -1,12 +1,10 @@
 """E16 — resilient RPC (retries, hedging, breakers, failover) under crash faults."""
 
 from repro.bench import run_resilience
-from repro.bench.artifact import record_result
 
 
 def test_e16_resilience():
     result = run_resilience()
-    record_result(result)
     print()
     print(result)
     rows = result.rows

@@ -1,12 +1,10 @@
 """E12 — scale sweep (simulated cost + message accounting)."""
 
 from repro.bench import run_scale
-from repro.bench.artifact import record_result
 
 
 def test_e12_scale():
     result = run_scale()
-    record_result(result)
     print()
     print(result)
     rows = result.rows

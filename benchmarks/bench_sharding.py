@@ -15,7 +15,6 @@ Gates, all on virtual-time quantities of seed-deterministic runs:
 """
 
 from repro.bench import run_sharding
-from repro.bench.artifact import record_result
 
 #: The tentpole gate: 4 shards vs 1 at identical per-server capacity.
 MIN_SPEEDUP_4X = 2.5
@@ -23,11 +22,10 @@ MIN_SPEEDUP_4X = 2.5
 
 def test_e24_sharding():
     result = run_sharding()
-    record_result(result, metrics=result.sharding_metrics)
     print()
     print(result)
 
-    m = result.sharding_metrics
+    m = result.metrics
 
     # Throughput scales with the ring, and the big arm clears the gate.
     assert m["speedup.4_vs_1"] >= MIN_SPEEDUP_4X, m

@@ -1,12 +1,10 @@
 """E5 — consistency cost vs mutation rate, plus the cache ablation."""
 
 from repro.bench import run_cache_ablation, run_staleness
-from repro.bench.artifact import record_result
 
 
 def test_e5_staleness():
     result = run_staleness()
-    record_result(result)
     print()
     print(result)
     rows = result.rows
@@ -42,7 +40,6 @@ def test_e5_staleness():
 
 def test_e5a_cache_ablation():
     result = run_cache_ablation()
-    record_result(result)
     print()
     print(result)
     rows = result.rows

@@ -1,12 +1,10 @@
 """E13 — the system under a user population."""
 
 from repro.bench import run_system
-from repro.bench.artifact import record_result
 
 
 def test_e13_system_under_load():
     result = run_system()
-    record_result(result)
     print()
     print(result)
     rows = {r["semantics"]: r for r in result.rows}

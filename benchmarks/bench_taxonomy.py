@@ -1,12 +1,10 @@
 """E8 — the Garcia-Molina & Wiederhold classification (§4)."""
 
 from repro.bench import PAPER_TAXONOMY, run_taxonomy
-from repro.bench.artifact import record_result
 
 
 def test_e8_taxonomy():
     result = run_taxonomy()
-    record_result(result)
     print()
     print(result)
     rows = {r["spec"]: r for r in result.rows}

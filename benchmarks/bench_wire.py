@@ -1,7 +1,6 @@
 """E25 — the real wire: codec bytes, bandwidth, byte-aware batching."""
 
 from repro.bench import run_wire
-from repro.bench.artifact import record_result
 
 
 def test_e25_wire():
@@ -14,16 +13,6 @@ def test_e25_wire():
     ratios = {r["member_size"]: r["naive_over_compact"]
               for r in by_mode["codec-ratio"]}
     caps = {r["max_bytes"]: r for r in by_mode["byte-cap"]}
-    record_result(result, metrics={
-        "naive_over_compact_bytes": {
-            f"member_size{size}": ratio for size, ratio in ratios.items()},
-        "wan_throughput": {
-            "uncapped_batch16": caps[0]["throughput"],
-            "byte_capped_batch16": caps[49152]["throughput"]},
-        "net.bytes_sent": {
-            f"{r['codec']}_size{r['member_size']}": r["bytes_sent"]
-            for r in by_mode["codec"]},
-    })
     print()
     print(result)
 

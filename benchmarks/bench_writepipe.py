@@ -1,18 +1,11 @@
 """E20 — the batched write pipeline vs the serial write path."""
 
 from repro.bench import run_writepipe
-from repro.bench.artifact import record_result
 
 
 def test_e20_writepipe():
     result = run_writepipe()
     rows = result.rows
-    # surface the headline batched-vs-serial ratios in the artifact's
-    # metrics block (they also live in every row's speedup_vs_serial)
-    record_result(result, metrics={
-        "batched_vs_serial_speedup": {
-            f"window{r['window']}_batch{r['batch']}": r["speedup_vs_serial"]
-            for r in rows if r["mode"] == "window-sweep"}})
     print()
     print(result)
 

@@ -15,7 +15,7 @@ depends on:
 * :mod:`repro.dynsets` — the dynamic-sets distributed file system layer;
 * :mod:`repro.wan` — the paper's motivating WWW/library/restaurant
   workloads;
-* :mod:`repro.bench` — the evaluation harness (experiments E1–E10).
+* :mod:`repro.bench` — the evaluation harness (experiments E1–E25).
 
 Quickstart: see ``examples/quickstart.py`` or README.md.
 """

@@ -46,7 +46,7 @@ def _overview() -> str:
         "try:",
         "  python -m repro --specs          the figures, paper-style",
         "  python -m repro --demo           a simulated query, checked",
-        "  python -m repro.bench            the evaluation (E1–E15)",
+        "  python -m repro.bench            the evaluation (E1–E25)",
         "  python examples/quickstart.py    the guided tour",
     ])
 

@@ -1,15 +1,16 @@
-"""Run experiments and gate regressions: ``python -m repro.bench``.
+"""Run experiments and gate their tables: ``python -m repro.bench``.
 
 Usage::
 
     python -m repro.bench                     # all experiments, ASCII tables
+                                              # (stdout is experiments_output.txt)
     python -m repro.bench E1 e4a              # a subset (ids in any case)
     python -m repro.bench --markdown E8       # markdown tables (EXPERIMENTS.md)
-    python -m repro.bench --obs BENCH_obs.json E16 E17
+    python -m repro.bench --obs BENCH_obs.json
                                               # also write the BENCH_obs artifact
-    python -m repro.bench compare old.json new.json --tolerance 0.1
-                                              # regression gate over two artifacts
-                                              # (--warn-only)
+                                              # (all ids: ci/bench_baseline.json)
+    python -m repro.bench compare old.json new.json
+                                              # the gate: exit 1 unless equal
 """
 
 from __future__ import annotations
@@ -63,9 +64,9 @@ def main(argv: list[str]) -> int:
         records.append(result.to_obs())
     if obs_path is not None:
         path = write_artifact(obs_path, records,
-                              meta={"source": "python -m repro.bench",
-                                    "experiments": wanted})
-        print(f"wrote {path} ({len(records)} experiments)")
+                              meta={"source": "python -m repro.bench"})
+        # stderr: stdout is the tables and nothing else, with or without --obs
+        print(f"wrote {path} ({len(records)} experiments)", file=sys.stderr)
     return 0
 
 

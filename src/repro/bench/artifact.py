@@ -1,15 +1,8 @@
-"""The ``BENCH_obs.json`` artifact: one schema for every bench run.
+"""The ``BENCH_obs.json`` artifact: the evaluation as one JSON file.
 
-Both entry points into the evaluation emit the same shape —
-
-* ``python -m repro.bench --obs BENCH_obs.json E1 E16 …`` writes it
-  directly, and
-* a pytest run of ``benchmarks/`` collects every experiment result a
-  ``bench_*.py`` registers via :func:`record_result` and (when
-  ``REPRO_BENCH_OBS`` names a path) writes it at session end — the CI
-  bench-smoke job's artifact.
-
-The schema (version ``repro.bench_obs/1``)::
+``python -m repro.bench --obs BENCH_obs.json [E1 E16 …]`` is the only
+producer: each experiment's :meth:`ExperimentResult.to_obs` record, in
+run order.  The schema (version ``repro.bench_obs/1``)::
 
     {
       "schema": "repro.bench_obs/1",
@@ -17,14 +10,14 @@ The schema (version ``repro.bench_obs/1``)::
       "experiments": [
         {"id": "E16", "title": "...", "columns": [...],
          "rows": [{...}, ...], "notes": "...",
-         "metrics": {...}}                 # optional registry view
-      ]
+         "metrics": {...}}                 # the experiment's headline
+      ]                                    # block; absent when empty
     }
 
 Rows and metrics are seeded simulation numbers and nothing else, so a
 given (code, seed) produces a byte-identical artifact on any machine.
 That determinism is what lets ``python -m repro.bench compare`` (see
-:mod:`repro.bench.compare`) gate every table at ``--tolerance 0``.
+:mod:`repro.bench.compare`) gate every field by equality.
 """
 
 from __future__ import annotations
@@ -33,54 +26,17 @@ import json
 from pathlib import Path
 from typing import Any, Optional, Union
 
-from .report import ExperimentResult
-
-__all__ = ["SCHEMA", "record_result", "recorded", "clear_recorded",
-           "make_artifact", "write_artifact", "load_artifact"]
+__all__ = ["SCHEMA", "write_artifact", "load_artifact"]
 
 SCHEMA = "repro.bench_obs/1"
 
-#: Experiment records registered by the current process's bench runs.
-_RECORDS: list[dict] = []
 
-
-def record_result(result: ExperimentResult,
-                  metrics: Optional[dict[str, Any]] = None) -> dict:
-    """Register one experiment result for the session artifact.
-
-    ``metrics`` attaches a registry snapshot (or any JSON-safe mapping)
-    when the caller has one.  Returns the record appended.
-    """
-    record = result.to_obs()
-    if metrics:
-        record["metrics"] = dict(metrics)
-    _RECORDS.append(record)
-    return record
-
-
-def recorded() -> list[dict]:
-    return list(_RECORDS)
-
-
-def clear_recorded() -> None:
-    _RECORDS.clear()
-
-
-def make_artifact(records: Optional[list[dict]] = None,
-                  meta: Optional[dict[str, Any]] = None) -> dict:
-    return {
-        "schema": SCHEMA,
-        "meta": dict(meta) if meta else {},
-        "experiments": records if records is not None else recorded(),
-    }
-
-
-def write_artifact(path: Union[str, Path],
-                   records: Optional[list[dict]] = None,
+def write_artifact(path: Union[str, Path], records: list[dict],
                    meta: Optional[dict[str, Any]] = None) -> Path:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    artifact = make_artifact(records, meta)
+    artifact = {"schema": SCHEMA, "meta": dict(meta) if meta else {},
+                "experiments": records}
     path.write_text(json.dumps(artifact, indent=2, sort_keys=True,
                                default=str) + "\n", encoding="utf-8")
     return path

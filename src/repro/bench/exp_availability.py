@@ -23,7 +23,8 @@ from ..net.failures import FaultPlan
 from ..spec import Returned
 from ..wan.workload import ScenarioSpec, build_scenario
 from ..weaksets import DynamicSet, GrowOnlySet, StrongSet, install_lock_service
-from .metrics import rate, summarize
+from .harness import drain, mean_or_nan
+from .metrics import rate
 from .report import ExperimentResult
 
 __all__ = ["run_availability"]
@@ -35,7 +36,7 @@ _IMPLS = (
 )
 
 
-def _one_run(impl_name, cls, kwargs, isolate_rate, seed, members=12,
+def _one_run(cls, kwargs, isolate_rate, seed, members=12,
              fail_fast=True, replicas=0):
     policy = cls.expected_policy
     plan = FaultPlan(
@@ -50,17 +51,25 @@ def _one_run(impl_name, cls, kwargs, isolate_rate, seed, members=12,
     install_lock_service(scenario.world, spec.primary)
     ws = cls(scenario.world, scenario.client, spec.coll_id,
              record=False, **kwargs)
-    iterator = ws.elements()
-
-    def proc():
-        return (yield from iterator.drain())
-
-    drained = scenario.kernel.run_process(proc())
-    if scenario.injector is not None:
-        scenario.injector.stop()
+    drained = drain(scenario, ws.elements())
     success = isinstance(drained.outcome, Returned)
     coverage = len(drained.yields) / members
     return success, coverage, drained.total_time
+
+
+def _point(cls, kwargs, isolate_rate, runs_per_point, **world) -> dict:
+    """One table point: ``cls`` at ``isolate_rate`` over the seeds."""
+    successes, coverages, latencies_ok = 0, [], []
+    for seed in range(runs_per_point):
+        success, coverage, latency = _one_run(cls, kwargs, isolate_rate, seed,
+                                              **world)
+        if success:
+            successes += 1
+            latencies_ok.append(latency)
+        coverages.append(coverage)
+    return {"success_rate": rate(successes, runs_per_point),
+            "mean_coverage": sum(coverages) / len(coverages),
+            "mean_latency_ok": mean_or_nan(latencies_ok)}
 
 
 def run_availability_ablation(isolate_rate: float = 0.1,
@@ -97,22 +106,9 @@ def run_availability_ablation(isolate_rate: float = 0.1,
               "out transient failures (slow pessimism drifts optimistic)",
     )
     for name, cls, kwargs, fail_fast, replicas in variants:
-        successes, coverages, latencies_ok = 0, [], []
-        for seed in range(runs_per_point):
-            success, coverage, latency = _one_run(
-                name, cls, kwargs, isolate_rate, seed,
-                fail_fast=fail_fast, replicas=replicas)
-            if success:
-                successes += 1
-                latencies_ok.append(latency)
-            coverages.append(coverage)
-        summary = summarize(latencies_ok)
-        result.add(
-            variant=name,
-            success_rate=rate(successes, runs_per_point),
-            mean_coverage=sum(coverages) / len(coverages),
-            mean_latency_ok=summary.mean if summary else float("nan"),
-        )
+        result.add(variant=name,
+                   **_point(cls, kwargs, isolate_rate, runs_per_point,
+                            fail_fast=fail_fast, replicas=replicas))
     return result
 
 
@@ -129,23 +125,6 @@ def run_availability(rates: Iterable[float] = (0.0, 0.02, 0.05, 0.1, 0.2),
     )
     for isolate_rate in rates:
         for impl_name, cls, kwargs in _IMPLS:
-            successes = 0
-            coverages = []
-            latencies_ok = []
-            for seed in range(runs_per_point):
-                success, coverage, latency = _one_run(
-                    impl_name, cls, kwargs, isolate_rate, seed)
-                if success:
-                    successes += 1
-                    latencies_ok.append(latency)
-                coverages.append(coverage)
-            latency_summary = summarize(latencies_ok)
-            result.add(
-                isolate_rate=isolate_rate,
-                impl=impl_name,
-                success_rate=rate(successes, runs_per_point),
-                mean_coverage=sum(coverages) / len(coverages),
-                mean_latency_ok=(latency_summary.mean
-                                 if latency_summary else float("nan")),
-            )
+            result.add(isolate_rate=isolate_rate, impl=impl_name,
+                       **_point(cls, kwargs, isolate_rate, runs_per_point))
     return result

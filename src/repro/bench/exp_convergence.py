@@ -16,7 +16,8 @@ from typing import Iterable
 
 from ..wan.workload import Mutator, ScenarioSpec, build_scenario
 from ..weaksets import DynamicSet, iterate_until_stable
-from .metrics import rate, summarize
+from .harness import mean_or_nan
+from .metrics import rate
 from .report import ExperimentResult
 
 __all__ = ["run_convergence"]
@@ -46,22 +47,16 @@ def run_convergence(mutation_rates: Iterable[float] = (0.0, 0.2, 1.0, 4.0),
                         remove_rate=mutation_rate / 2).start()
             ws = DynamicSet(scenario.world, scenario.client, spec.coll_id,
                             record=False)
-
-            def proc():
-                return (yield from iterate_until_stable(
-                    ws, max_rounds=max_rounds, pause_between=0.2))
-
-            outcome = scenario.kernel.run_process(proc())
+            outcome = scenario.kernel.run_process(iterate_until_stable(
+                ws, max_rounds=max_rounds, pause_between=0.2))
             stable_counts.append(1 if outcome.stable else 0)
             if outcome.stable:
                 rounds_when_stable.append(outcome.rounds)
             final_discrepancies.append(len(outcome.discrepancies))
-        rounds_summary = summarize(rounds_when_stable)
         result.add(
             mutation_rate=mutation_rate,
             stable_rate=rate(sum(stable_counts), runs_per_point),
-            mean_rounds_when_stable=(rounds_summary.mean
-                                     if rounds_summary else float("nan")),
+            mean_rounds_when_stable=mean_or_nan(rounds_when_stable),
             mean_final_discrepancy=(sum(final_discrepancies)
                                     / len(final_discrepancies)),
         )

@@ -18,7 +18,7 @@ from ..net.failure_detector import FailureDetector
 from ..net.link import FixedLatency
 from ..net.topology import full_mesh
 from ..sim.kernel import Kernel
-from .metrics import summarize
+from .harness import mean_or_nan
 from .report import ExperimentResult
 
 __all__ = ["run_detector"]
@@ -96,12 +96,10 @@ def run_detector(thresholds: Iterable[float] = (0.8, 1.5, 3.0, 6.0),
             if r is not None:
                 recovers.append(r)
             false_total += f
-        d_summary = summarize(detects)
-        r_summary = summarize(recovers)
         result.add(
             suspect_after=threshold,
-            mean_detect_latency=d_summary.mean if d_summary else float("nan"),
-            mean_recover_latency=r_summary.mean if r_summary else float("nan"),
+            mean_detect_latency=mean_or_nan(detects),
+            mean_recover_latency=mean_or_nan(recovers),
             false_suspicions_total=false_total,
         )
     return result

@@ -36,6 +36,7 @@ from ..store import ClientCache, OfflineClient, Repository, World
 from ..store.offline import CONNECTED, DISCONNECTED, LOST
 from ..wan.workload import Mutator, ScenarioSpec, build_scenario
 from ..weaksets import DynamicSet, Figure1Set, GrowOnlySet, StrongSet, install_lock_service
+from .harness import drain, heal_and_settle
 from .metrics import rate
 from .report import ExperimentResult
 
@@ -67,12 +68,7 @@ def _one_drain(cls, kwargs, offline_leg, seed, members=12):
         scenario.kernel.run_process(
             offline.repo.read_membership(spec.coll_id, source="primary"))
         offline.disconnect()
-    iterator = ws.elements()
-
-    def proc():
-        return (yield from iterator.drain())
-
-    drained = scenario.kernel.run_process(proc())
+    drained = drain(scenario, ws.elements())
     success = isinstance(drained.outcome, Returned)
     coverage = len(drained.yields) / members
     return success, coverage, drained.total_time, ws
@@ -272,13 +268,9 @@ def run_geo_flap(run_for: float = 30.0) -> ExperimentResult:
         kernel.spawn(_offline_writer(scenario, offline),
                      name="offline-writer", daemon=True)
         kernel.run(until=run_for)
-        if scenario.injector is not None:
-            scenario.injector.stop()
-        net = scenario.net
-        for node in sorted(net.nodes):
-            if not net.node(node).up:
-                net.recover(node)
-        net.heal()
+        # no settling time: the reconnect below is what settles this world
+        heal_and_settle(scenario, bound=0.0, step=0.0)
+        scenario.net.heal()
         if offline.state != CONNECTED:
             kernel.run_process(offline.reconnect())
         elif offline.outbox.depth() > 0:

@@ -63,11 +63,7 @@ def run_federation(per_repo: int = 8, overlap: int = 4,
         sets = [DynamicSet(world, "client", r, give_up_after=1.5, record=False)
                 for r in repos]
         u = union(*sets, on_failure=policy)
-
-        def proc():
-            return (yield from u.drain())
-
-        drained = kernel.run_process(proc())
+        drained = kernel.run_process(u.drain())
         result.add(
             plan=plan_name,
             success=isinstance(drained.outcome, Returned),
@@ -80,11 +76,7 @@ def run_federation(per_repo: int = 8, overlap: int = 4,
     sets = [DynamicSet(world, "client", r, record=False)
             for r in ("repo-a", "repo-b")]
     u = union(*sets)
-
-    def proc_healthy():
-        return (yield from u.drain())
-
-    drained = kernel.run_process(proc_healthy())
+    drained = kernel.run_process(u.drain())
     result.add(
         plan="union (healthy world)",
         success=isinstance(drained.outcome, Returned),

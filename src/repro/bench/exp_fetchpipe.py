@@ -22,6 +22,7 @@ from typing import Iterable
 
 from ..wan.workload import ScenarioSpec, build_scenario
 from ..weaksets import DynamicSet
+from .harness import drain
 from .report import ExperimentResult
 
 __all__ = ["run_fetchpipe"]
@@ -34,12 +35,7 @@ def _one_drain(window: int, batch: int, seed: int, members: int):
     scenario = build_scenario(spec, seed=seed)
     ws = DynamicSet(scenario.world, scenario.client, spec.coll_id,
                     fetch_window=window, fetch_batch=batch)
-    iterator = ws.elements()
-
-    def proc():
-        return (yield from iterator.drain())
-
-    drained = scenario.kernel.run_process(proc())
+    drained = drain(scenario, ws.elements())
     return drained, (0 if ws.audit().conformant else 1)
 
 
@@ -68,18 +64,18 @@ def run_fetchpipe(members: int = 24,
         n = len(seeds)
         return tt_first / n, total / n, violations
 
-    serial_first, serial_total, serial_bad = sweep_point(1, 1)
-    result.add(mode="serial", window=1, batch=1,
-               time_to_first=serial_first, total_time=serial_total,
-               speedup_vs_serial=1.0, violations=serial_bad)
-    for window in (2, 4, 8, 16):
-        first, total, bad = sweep_point(window, 4)
-        result.add(mode="window-sweep", window=window, batch=4,
+    # the serial row comes first: every speedup is against its total
+    points = ([("serial", 1, 1)]
+              + [("window-sweep", window, 4) for window in (2, 4, 8, 16)]
+              + [("batch-sweep", 8, batch) for batch in (1, 2, 8)])
+    for mode, window, batch in points:
+        first, total, bad = sweep_point(window, batch)
+        if mode == "serial":
+            serial_total = total
+        result.add(mode=mode, window=window, batch=batch,
                    time_to_first=first, total_time=total,
                    speedup_vs_serial=serial_total / total, violations=bad)
-    for batch in (1, 2, 8):
-        first, total, bad = sweep_point(8, batch)
-        result.add(mode="batch-sweep", window=8, batch=batch,
-                   time_to_first=first, total_time=total,
-                   speedup_vs_serial=serial_total / total, violations=bad)
+    result.metrics["batched_vs_serial_speedup"] = {
+        f"window{r['window']}_batch{r['batch']}": r["speedup_vs_serial"]
+        for r in result.rows if r["mode"] == "window-sweep"}
     return result

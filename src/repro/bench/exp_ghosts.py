@@ -15,6 +15,7 @@ we measure how long ghosts linger.
 
 from __future__ import annotations
 
+from ..errors import FailureException, MutationNotAllowed, StoreError
 from ..sim.events import Sleep
 from ..spec import per_run_grow_only
 from ..store.repository import Repository
@@ -44,7 +45,7 @@ def _one_run(policy: str, cls, seed: int = 0, members: int = 10,
             t0 = scenario.kernel.now
             try:
                 yield from primary_repo.remove(spec.coll_id, victim)
-            except Exception:
+            except (FailureException, MutationNotAllowed, StoreError):
                 continue
             removal_info["requested_at"].append(t0)
 
@@ -87,16 +88,13 @@ def run_ghosts(seed: int = 0) -> ExperimentResult:
         notes="ghosts keep the run growth-only (full coverage) and defer "
               "removals to run end; plain removal loses members mid-run",
     )
-    ghost = _one_run("grow-during-run", PerRunGrowOnlySet, seed=seed)
-    result.add(policy="grow-during-run", impl="per-run-grow-only",
-               yields=ghost["yields"],
-               coverage_of_initial=ghost["coverage_of_initial"],
-               grow_only_during_run=ghost["grow_only_during_run"],
-               final_size=ghost["final"])
-    plain = _one_run("any", DynamicSet, seed=seed)
-    result.add(policy="any (immediate remove)", impl="dynamic",
-               yields=plain["yields"],
-               coverage_of_initial=plain["coverage_of_initial"],
-               grow_only_during_run=plain["grow_only_during_run"],
-               final_size=plain["final"])
+    for label, policy, cls in (
+            ("grow-during-run", "grow-during-run", PerRunGrowOnlySet),
+            ("any (immediate remove)", "any", DynamicSet)):
+        run = _one_run(policy, cls, seed=seed)
+        result.add(policy=label, impl=cls.impl_name,
+                   yields=run["yields"],
+                   coverage_of_initial=run["coverage_of_initial"],
+                   grow_only_during_run=run["grow_only_during_run"],
+                   final_size=run["final"])
     return result

@@ -29,6 +29,7 @@ from ..weaksets import (
     StrongSet,
     install_lock_service,
 )
+from .harness import drain
 from .report import ExperimentResult
 
 __all__ = ["run_time_to_first", "run_prefetch", "run_early_exit",
@@ -60,12 +61,7 @@ def run_time_to_first(sizes: Iterable[int] = (10, 40, 160),
             install_lock_service(scenario.world, spec.primary)
             ws = cls(scenario.world, scenario.client, spec.coll_id,
                      record=False, **kwargs)
-            iterator = ws.elements()
-
-            def proc():
-                return (yield from iterator.drain())
-
-            drained = scenario.kernel.run_process(proc())
+            drained = drain(scenario, ws.elements())
             result.add(
                 members=size,
                 impl=impl_name,
@@ -91,37 +87,20 @@ def run_early_exit(set_size: int = 60, wanted: Iterable[int] = (1, 3, 10),
         notes="weak cost scales with K; strong cost is flat at the full "
               "prefetch price regardless of K",
     )
-    # full-drain costs for the denominator
     full_costs = {}
-    for impl_name, cls in (("strong", StrongSet), ("fig6 dynamic", DynamicSet)):
-        spec = ScenarioSpec(n_clusters=4, cluster_size=3, n_members=set_size)
-        scenario = build_scenario(spec, seed=seed)
-        install_lock_service(scenario.world, spec.primary)
-        ws = cls(scenario.world, scenario.client, spec.coll_id, record=False)
-
-        def proc(it=ws.elements()):
-            return (yield from it.drain())
-
-        drained = scenario.kernel.run_process(proc())
-        full_costs[impl_name] = drained.total_time
-    for k in wanted:
+    # k=None first: each impl's full-drain cost, the denominator
+    for k in (None, *wanted):
         for impl_name, cls in (("strong", StrongSet), ("fig6 dynamic", DynamicSet)):
             spec = ScenarioSpec(n_clusters=4, cluster_size=3, n_members=set_size)
             scenario = build_scenario(spec, seed=seed)
             install_lock_service(scenario.world, spec.primary)
             ws = cls(scenario.world, scenario.client, spec.coll_id, record=False)
-            iterator = ws.elements()
-
-            def proc():
-                return (yield from iterator.drain(max_yields=k))
-
-            drained = scenario.kernel.run_process(proc())
-            result.add(
-                wanted=k,
-                impl=impl_name,
-                time_to_K=drained.total_time,
-                fraction_of_full_cost=drained.total_time / full_costs[impl_name],
-            )
+            cost = drain(scenario, ws.elements(), max_yields=k).total_time
+            if k is None:
+                full_costs[impl_name] = cost
+            else:
+                result.add(wanted=k, impl=impl_name, time_to_K=cost,
+                           fraction_of_full_cost=cost / full_costs[impl_name])
     return result
 
 
@@ -172,15 +151,9 @@ def run_prefetch(sizes: Iterable[int] = (8, 32),
     for n_files in sizes:
         for name, kwargs in variants:
             kernel, net, world, fs = build_scattered_fs(n_files, seed=seed)
-
-            if kwargs is None:
-                def proc():
-                    return (yield from strict_ls(fs, "client", "/pub"))
-            else:
-                def proc(kw=kwargs):
-                    return (yield from weak_ls(fs, "client", "/pub", **kw))
-
-            ls_result = kernel.run_process(proc())
+            ls_result = kernel.run_process(
+                strict_ls(fs, "client", "/pub") if kwargs is None
+                else weak_ls(fs, "client", "/pub", **kwargs))
             result.add(
                 files=n_files,
                 variant=name,

@@ -13,35 +13,23 @@ from ..net.failures import FaultPlan
 from ..spec import Returned
 from ..wan import build_faces, build_library, build_restaurants
 from ..weaksets import install_lock_service, make_weak_set, select
+from .harness import drain
 from .report import ExperimentResult
 
 __all__ = ["run_motivating"]
 
 
-def _plan() -> FaultPlan:
-    return FaultPlan(crash_rate=0.01, isolate_rate=0.01, mean_downtime=1.5,
-                     protected=frozenset({"client", "n0.0"}))
+_PLAN = FaultPlan(crash_rate=0.01, isolate_rate=0.01, mean_downtime=1.5,
+                  protected=frozenset({"client", "n0.0"}))
 
-
-def _run_query(workload, coll_id, semantics, predicate=None, seed_kwargs=None):
-    world = workload.world
-    kernel = workload.kernel
-    install_lock_service(world, "n0.0")
-    kwargs = dict(seed_kwargs or {})
-    ws = make_weak_set(world, "client", coll_id, semantics,
-                       record=False, **kwargs)
-    if predicate is not None:
-        runner = select(ws, predicate)
-    else:
-        runner = ws.elements()
-
-    def proc():
-        return (yield from runner.drain())
-
-    result = kernel.run_process(proc())
-    if workload.scenario.injector is not None:
-        workload.scenario.injector.stop()
-    return result
+#: (query, world builder, its size, the query's predicate)
+_QUERIES = (
+    ("WWW .face display", build_faces, {"n_people": 30}, None),
+    ("LIS papers by author", build_library, {"n_entries": 40},
+     lambda e, v: v is not None and v.author == "wing"),
+    ("Chinese restaurant menus", build_restaurants, {"n_restaurants": 24},
+     lambda e, v: v is not None and v.cuisine == "chinese"),
+)
 
 
 def run_motivating(seed: int = 0) -> ExperimentResult:
@@ -53,41 +41,20 @@ def run_motivating(seed: int = 0) -> ExperimentResult:
         notes="dynamic completes with the full answer (waiting out "
               "failures); strong aborts when anything is unreachable",
     )
-    plan = _plan()
-    cases = []
-
-    faces_dyn = build_faces(seed=seed, n_people=30, fault_plan=plan)
-    cases.append(("WWW .face display", faces_dyn, "cmu-home-page",
-                  "dynamic", None))
-    faces_strong = build_faces(seed=seed, n_people=30, fault_plan=plan)
-    cases.append(("WWW .face display", faces_strong, "cmu-home-page",
-                  "strong", None))
-
-    lib_dyn = build_library(seed=seed, n_entries=40, fault_plan=plan)
-    cases.append(("LIS papers by author", lib_dyn, "lis-catalog", "dynamic",
-                  lambda e, v: v is not None and v.author == "wing"))
-    lib_strong = build_library(seed=seed, n_entries=40, fault_plan=plan)
-    cases.append(("LIS papers by author", lib_strong, "lis-catalog", "strong",
-                  lambda e, v: v is not None and v.author == "wing"))
-
-    rest_dyn = build_restaurants(seed=seed, n_restaurants=24, fault_plan=plan)
-    cases.append(("Chinese restaurant menus", rest_dyn, "pgh-restaurants",
-                  "dynamic",
-                  lambda e, v: v is not None and v.cuisine == "chinese"))
-    rest_strong = build_restaurants(seed=seed, n_restaurants=24,
-                                    fault_plan=plan)
-    cases.append(("Chinese restaurant menus", rest_strong, "pgh-restaurants",
-                  "strong",
-                  lambda e, v: v is not None and v.cuisine == "chinese"))
-
-    for query_name, workload, coll_id, semantics, predicate in cases:
-        drained = _run_query(workload, coll_id, semantics, predicate)
-        result.add(
-            query=query_name,
-            semantics=semantics,
-            success=isinstance(drained.outcome, Returned),
-            answers=len(drained.yields),
-            time_to_first=drained.time_to_first,
-            total_time=drained.total_time,
-        )
+    for query_name, build, size, predicate in _QUERIES:
+        for semantics in ("dynamic", "strong"):
+            scenario = build(seed=seed, fault_plan=_PLAN, **size).scenario
+            install_lock_service(scenario.world, scenario.spec.primary)
+            ws = make_weak_set(scenario.world, scenario.client,
+                               scenario.coll_id, semantics, record=False)
+            drained = drain(scenario, ws.elements() if predicate is None
+                            else select(ws, predicate))
+            result.add(
+                query=query_name,
+                semantics=semantics,
+                success=isinstance(drained.outcome, Returned),
+                answers=len(drained.yields),
+                time_to_first=drained.time_to_first,
+                total_time=drained.total_time,
+            )
     return result

@@ -21,11 +21,10 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Iterable, Optional, Union
 
-from ..net.failures import FaultPlan
-from ..net.resilience import BreakerPolicy, ResilientClient, RetryPolicy
 from ..obs import Histogram, MetricsRegistry, Observability, export_jsonl
-from ..wan.workload import ScenarioSpec, build_scenario
-from ..weaksets import DynamicSet
+from ..wan.workload import build_scenario
+from .exp_resilience import VARIANTS, crash_world, resilient_set
+from .harness import drain
 from .report import ExperimentResult
 
 __all__ = ["run_obs"]
@@ -54,33 +53,12 @@ _HISTOGRAMS = (
 
 
 def _one_run(seed: int, members: int, crash_rate: float) -> Observability:
-    """One seeded resilient drain; returns the kernel's observability."""
-    plan = None
-    if crash_rate > 0:
-        plan = FaultPlan(crash_rate=crash_rate, mean_downtime=2.0,
-                         protected=frozenset({"client"}))
-    spec = ScenarioSpec(n_clusters=3, cluster_size=3, n_members=members,
-                        policy="any", replicas=2, object_replicas=1,
-                        heavy_tail=True, fault_plan=plan, fail_fast=True,
-                        rpc_timeout=1.0)
-    scenario = build_scenario(spec, seed=seed)
-    resilience = ResilientClient(
-        scenario.net,
-        policy=RetryPolicy(max_attempts=4, base_delay=0.05, multiplier=2.0,
-                           max_delay=0.5, jitter=0.5),
-        breaker=BreakerPolicy(failure_threshold=3, cooldown=1.0),
-        hedge_delay=0.1)
-    ws = DynamicSet(scenario.world, scenario.client, spec.coll_id,
-                    resilience=resilience, rpc_timeout=spec.rpc_timeout,
-                    retry_interval=0.25, give_up_after=3.0, failover=True)
-    iterator = ws.elements()
-
-    def proc():
-        return (yield from iterator.drain())
-
-    scenario.kernel.run_process(proc())
-    if scenario.injector is not None:
-        scenario.injector.stop()
+    """One seeded drain of E16's full stack (``retry+hedge+breaker``) on
+    E16's world, without the churn; returns the kernel's observability."""
+    scenario = build_scenario(crash_world(crash_rate, members), seed=seed)
+    _, make_resilience, failover = VARIANTS[-1]
+    ws = resilient_set(scenario, make_resilience, failover)
+    drain(scenario, ws.elements())
     return scenario.kernel.obs
 
 
@@ -153,14 +131,10 @@ def run_obs(seeds: Iterable[int] = (0, 1, 2, 3), members: int = 10,
             continue
         result.add(metric=name, kind="histogram", value=hist.count,
                    mean=hist.mean, p95=hist.quantile(0.95))
-    result.add(metric="spans.total", kind="spans", value=spans_total,
-               mean=None, p95=None)
-    result.add(metric="spans.drain", kind="spans", value=drain_spans,
-               mean=None, p95=None)
-    result.add(metric="spans.rpc_attempt", kind="spans", value=attempt_spans,
-               mean=None, p95=None)
-    result.add(metric="spans.nested_attempts", kind="spans",
-               value=nested_attempts, mean=None, p95=None)
-    result.add(metric="spans.max_depth", kind="spans", value=max_depth,
-               mean=None, p95=None)
+    for name, value in (("total", spans_total), ("drain", drain_spans),
+                        ("rpc_attempt", attempt_spans),
+                        ("nested_attempts", nested_attempts),
+                        ("max_depth", max_depth)):
+        result.add(metric=f"spans.{name}", kind="spans", value=value,
+                   mean=None, p95=None)
     return result

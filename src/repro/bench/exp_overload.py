@@ -46,6 +46,7 @@ from ..store.repository import Repository
 from ..wan.population import Behavior, PopulationEngine, PopulationSpec, Stage
 from ..wan.workload import Scenario, ScenarioSpec, build_scenario
 from ..weaksets import make_weak_set
+from .harness import heal_and_settle
 from .report import ExperimentResult
 
 __all__ = ["run_overload", "overload_scenario_spec", "overload_stages",
@@ -191,8 +192,7 @@ def _run_crash_leg(seed: int, duration_scale: float):
     stages = engine.run()
     # Quiesce: stragglers, WAL replay, and a few scrub periods, so the
     # invariant check sees the repaired steady state.
-    kernel.run(until=kernel.now + 30.0)
-    problems = scenario.world.check_invariants()
+    problems = heal_and_settle(scenario, bound=30.0, step=30.0)
     # Post-recovery conformance: a recorded Figure-6 iteration over the
     # survivor state must be conformant — shedding and the crash never
     # produce an observably-wrong weak set.
@@ -217,11 +217,9 @@ def run_overload(seed: int = 0, duration_scale: float = 1.0) -> ExperimentResult
               "crash arm's verdict rows gate invariant leaks and "
               "post-recovery fig6 conformance",
     )
-    metrics: dict[str, float] = {}
-    arm_stages: dict[str, list] = {}
+    metrics = result.metrics
     for arm in ("protected", "ablation"):
         scenario, stages, counters = _run_arm(arm, seed, duration_scale)
-        arm_stages[arm] = stages
         for r in stages:
             result.add(arm=arm, stage=r.name,
                        target_rate=round(r.target_rate, 1),
@@ -268,7 +266,6 @@ def run_overload(seed: int = 0, duration_scale: float = 1.0) -> ExperimentResult
     metrics["crash.invariant_leaks"] = len(problems)
     metrics["crash.conformant"] = int(report.conformant)
     metrics["crash.shed"] = crash_counters["shed"]
-    result.overload_metrics = metrics
     if problems:  # pragma: no cover - the gate this experiment exists for
         result.notes += f" | INVARIANT LEAKS: {problems}"
     return result

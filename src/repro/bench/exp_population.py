@@ -82,9 +82,8 @@ def run_population(seed: int = 0, scale: float = 1.0) -> ExperimentResult:
                p95_s="",
                audit_violations=sum(r.audit_violations for r in stages),
                slo_ok=all(r.slo_ok for r in stages))
-    # The population.* registry view, for the BENCH_obs metrics
-    # attachment (benchmarks pass this to record_result) and for tests.
-    result.population_metrics = {
+    # The population.* registry view: what the E22 gate and the soak read.
+    result.metrics = {
         "population.arrivals": metrics.value("population.arrivals"),
         "population.completions": metrics.value("population.completions"),
         "population.failures": metrics.value("population.failures"),

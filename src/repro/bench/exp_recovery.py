@@ -31,6 +31,7 @@ from typing import Iterable
 
 from ..net.failures import FaultPlan
 from ..wan.workload import Mutator, ScenarioSpec, build_scenario
+from .harness import heal_and_settle
 from .report import ExperimentResult
 
 __all__ = ["run_recovery"]
@@ -58,20 +59,16 @@ def one_run(crash_rate: float, recovery: bool, seed: int) -> dict:
     mutator = Mutator(scenario, remove_rate=1.0)
     mutator.start()
     scenario.kernel.run(until=_RUN_FOR)
-    if scenario.injector is not None:
-        scenario.injector.stop()
-    net = scenario.net
-    for node in sorted(net.nodes):          # heal before judging quiescence
-        if not net.node(node).up:
-            net.recover(node)
-    scenario.kernel.run(until=scenario.kernel.now + 5 * _SCRUB)
+    # one fixed stretch of scrub rounds, clean or not: the effort columns
+    # below are read after it
+    problems = heal_and_settle(scenario, bound=5 * _SCRUB, step=5 * _SCRUB)
     fired = sum(1 for (_, kind, _) in
                 (scenario.injector.injected if scenario.injector else [])
                 if kind == "wal-crash")
     metrics = scenario.kernel.obs.metrics
     latency = metrics.get("recovery.latency")
     return {
-        "violations": len(scenario.world.check_invariants()),
+        "violations": len(problems),
         "crashes": fired,
         "removes": len(mutator.removed),
         "replays": metrics.value("recovery.replays"),

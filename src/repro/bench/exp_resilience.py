@@ -32,12 +32,16 @@ from ..net.fabric import Network
 from ..net.failures import FaultPlan
 from ..net.resilience import BreakerPolicy, ResilientClient, RetryPolicy
 from ..spec import Returned, weak_guarantee_violations
-from ..wan.workload import Mutator, ScenarioSpec, build_scenario
+from ..wan.workload import Mutator, Scenario, ScenarioSpec, build_scenario
 from ..weaksets import DynamicSet
+from .harness import drain
 from .metrics import rate
 from .report import ExperimentResult
 
-__all__ = ["run_resilience"]
+__all__ = ["VARIANTS", "crash_world", "resilient_set", "run_resilience"]
+
+#: builds a variant's client stack over a network (None: bare transport)
+MakeClient = Callable[[Network], Optional[ResilientClient]]
 
 _RETRY = RetryPolicy(max_attempts=4, base_delay=0.05, multiplier=2.0,
                      max_delay=0.5, jitter=0.5)
@@ -59,50 +63,53 @@ def _full(net: Network) -> Optional[ResilientClient]:
 
 
 #: (variant name, ResilientClient factory, iterator failover flag)
-VARIANTS: tuple[tuple[str, Callable[[Network], Optional[ResilientClient]], bool], ...] = (
+VARIANTS: tuple[tuple[str, MakeClient, bool], ...] = (
     ("no-retry", _bare, False),
     ("retry+failover", _retrying, True),
     ("retry+hedge+breaker", _full, True),
 )
 
 
-def one_run(make_resilience: Callable[[Network], Optional[ResilientClient]],
-            failover: bool, crash_rate: float, seed: int,
-            members: int = 12) -> dict:
-    """One seeded drain; returns outcome + counters for one variant."""
+def crash_world(crash_rate: float, members: int) -> ScenarioSpec:
+    """The E16/E17 world: replicated members on heavy-tailed links, every
+    node but the client crashing at ``crash_rate``."""
     plan = None
     if crash_rate > 0:
         plan = FaultPlan(crash_rate=crash_rate, mean_downtime=2.0,
                          protected=frozenset({"client"}))
-    spec = ScenarioSpec(n_clusters=3, cluster_size=3, n_members=members,
+    return ScenarioSpec(n_clusters=3, cluster_size=3, n_members=members,
                         policy="any", replicas=2, object_replicas=1,
                         heavy_tail=True, fault_plan=plan, fail_fast=True,
                         rpc_timeout=1.0)
-    scenario = build_scenario(spec, seed=seed)
+
+
+def resilient_set(scenario: Scenario, make_resilience: MakeClient,
+                  failover: bool) -> DynamicSet:
+    """A fig6 set on ``scenario`` behind one of the :data:`VARIANTS`."""
+    return DynamicSet(scenario.world, scenario.client, scenario.coll_id,
+                      resilience=make_resilience(scenario.net),
+                      rpc_timeout=scenario.spec.rpc_timeout,
+                      retry_interval=0.25, give_up_after=3.0,
+                      failover=failover)
+
+
+def one_run(make_resilience: MakeClient, failover: bool, crash_rate: float,
+            seed: int, members: int = 12) -> dict:
+    """One seeded drain; returns outcome + counters for one variant."""
+    scenario = build_scenario(crash_world(crash_rate, members), seed=seed)
     # Background churn makes conformance non-trivial: stale views now
     # list removed members, which failover must not resurrect.
     mutator = Mutator(scenario, add_rate=0.2, remove_rate=0.3)
     mutator.start()
-    ws = DynamicSet(scenario.world, scenario.client, spec.coll_id,
-                    resilience=make_resilience(scenario.net),
-                    rpc_timeout=spec.rpc_timeout,
-                    retry_interval=0.25, give_up_after=3.0,
-                    failover=failover)
-    iterator = ws.elements()
-
-    def proc():
-        return (yield from iterator.drain())
-
-    drained = scenario.kernel.run_process(proc())
-    if scenario.injector is not None:
-        scenario.injector.stop()
+    ws = resilient_set(scenario, make_resilience, failover)
+    drained = drain(scenario, ws.elements())
     # §3.4's weak guarantee is the safety bar resilience must clear:
     # every yielded element was a member at some point inside the run's
     # window.  (Full Figure 6 conformance additionally forbids the
     # Failed outcome, but give_up_after exists precisely to bound bench
     # runs, so blocked drains report as incomplete, not as unsound.)
     violations = weak_guarantee_violations(
-        ws.last_trace, scenario.world.membership_history(spec.coll_id))
+        ws.last_trace, scenario.world.membership_history(scenario.coll_id))
     stats = scenario.net.transport.stats
     return {
         "success": isinstance(drained.outcome, Returned),

@@ -14,6 +14,7 @@ from typing import Iterable
 
 from ..wan.workload import ScenarioSpec, build_scenario
 from ..weaksets import DynamicSet, GrowOnlySet, SnapshotSet, StrongSet, install_lock_service
+from .harness import drain
 from .report import ExperimentResult
 
 __all__ = ["run_scale"]
@@ -45,12 +46,7 @@ def run_scale(sizes: Iterable[int] = (20, 80, 320),
             install_lock_service(scenario.world, spec.primary)
             ws = cls(scenario.world, scenario.client, spec.coll_id,
                      record=False)
-            iterator = ws.elements()
-
-            def proc():
-                return (yield from iterator.drain())
-
-            drained = scenario.kernel.run_process(proc())
+            drained = drain(scenario, ws.elements())
             messages = scenario.net.transport.stats.total_sent.value
             result.add(
                 members=size,

@@ -39,6 +39,7 @@ from ..store.repository import Repository
 from ..wan.workload import ScenarioSpec, build_scenario
 from ..weaksets import QuorumGrowOnlySet, StrongSet
 from .exp_conformance import IMPL_CASES, ImplCase, run_case
+from .harness import heal_and_settle
 from .report import ExperimentResult
 
 __all__ = ["run_sharding", "throughput_spec", "SHARD_COUNTS", "WRITERS",
@@ -198,11 +199,7 @@ def _rebalance_arm(seed: int, crash: bool):
 
     kernel.run_process(driver())
     # Settle: WAL replay, scrub, and mirror rounds after the dust.
-    problems = ["not yet"]
-    deadline = kernel.now + 60.0
-    while problems and kernel.now < deadline:
-        kernel.run(until=kernel.now + 1.0)
-        problems = world.check_invariants()
+    problems = heal_and_settle(scenario, bound=60.0, step=1.0)
     truth = {e.name for e in world.true_members("coll")}
     seeded = {e.name for e in scenario.elements}
     live_acked = {n for n in ledger.acked_adds
@@ -253,7 +250,7 @@ def run_sharding(seed: int = 0, shard_counts: Iterable[int] = SHARD_COUNTS,
               "agreement over add_shard/remove_shard (some seeds crash "
               "the migration target mid-handoff)",
     )
-    metrics: dict[str, float] = {}
+    metrics = result.metrics
 
     throughput: dict[int, float] = {}
     for k in shard_counts:
@@ -304,5 +301,4 @@ def run_sharding(seed: int = 0, shard_counts: Iterable[int] = SHARD_COUNTS,
                           f"scatter {'ok' if r['scatter_matches'] else 'MISMATCH'}"))
     for key, total in totals.items():
         metrics[f"rebalance.{key}"] = total
-    result.sharding_metrics = metrics
     return result

@@ -10,10 +10,11 @@ per-query experiments.
 
 from __future__ import annotations
 
-
+from ..errors import FailureException, MutationNotAllowed, StoreError
 from ..sim.events import Sleep
 from ..wan.workload import ScenarioSpec, build_scenario
 from ..weaksets import StrongSet, install_lock_service, make_weak_set
+from .harness import mean_or_nan
 from .metrics import summarize
 from .report import ExperimentResult
 
@@ -54,7 +55,7 @@ def _run_population(semantics: str, *, n_users: int, queries_per_user: int,
             try:
                 yield from ws.add(f"published-{i}", value=i)
                 publish_latencies.append(kernel.now - t0)
-            except Exception:
+            except (FailureException, MutationNotAllowed, StoreError):
                 pass
 
     for i in range(n_users):
@@ -90,13 +91,12 @@ def run_system(n_users: int = 8, queries_per_user: int = 3,
             writer_priority=writer_priority,
         )
         q = summarize(queries)
-        p = summarize(publishes)
         result.add(
             semantics=label,
             queries_ok=len(queries),
-            query_mean=q.mean if q else float("nan"),
+            query_mean=mean_or_nan(queries),
             query_p95=q.p95 if q else float("nan"),
             publishes_ok=len(publishes),
-            publish_mean=p.mean if p else float("nan"),
+            publish_mean=mean_or_nan(publishes),
         )
     return result

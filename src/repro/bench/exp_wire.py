@@ -36,6 +36,7 @@ from typing import Optional
 
 from ..wan.workload import ScenarioSpec, build_scenario
 from ..weaksets import DynamicSet, SnapshotSet
+from .harness import drain
 from .report import ExperimentResult
 
 __all__ = ["run_wire"]
@@ -64,12 +65,7 @@ def _drain(spec: ScenarioSpec, seed: int, *, window: int = 8,
         kwargs.update(fetch_max_bytes=max_bytes, fetch_size_hint=size_hint)
     cls = SnapshotSet if snapshot else DynamicSet
     ws = cls(scenario.world, scenario.client, spec.coll_id, **kwargs)
-    iterator = ws.elements()
-
-    def proc():
-        return (yield from iterator.drain())
-
-    drained = scenario.kernel.run_process(proc())
+    drained = drain(scenario, ws.elements())
     metrics = scenario.kernel.obs.metrics
     return {
         "time_to_first": drained.time_to_first,
@@ -107,14 +103,17 @@ def run_wire(members: int = 32, seed: int = 0) -> ExperimentResult:
               "fig4) with zero violations.",
     )
     base = replace(_BASE, n_members=members)
+    # the headline block the E25 gate reads, filled as the legs run
+    ratios = result.metrics["naive_over_compact_bytes"] = {}
+    sent = result.metrics["net.bytes_sent"] = {}
+    throughput = result.metrics["wan_throughput"] = {}
 
     # -- codec leg: compact vs naive bytes on the same drains ----------
     for member_size in (0, 2048):
         sized = replace(base, member_size=member_size)
-        bytes_by_codec = {}
         for codec in ("compact", "naive"):
             r = _drain(replace(sized, codec=codec), seed)
-            bytes_by_codec[codec] = r["bytes_sent"]
+            sent[f"{codec}_size{member_size}"] = r["bytes_sent"]
             result.add(mode="codec", codec=codec, link="free",
                        member_size=member_size, batch=4,
                        bytes_sent=r["bytes_sent"],
@@ -123,10 +122,11 @@ def run_wire(members: int = 32, seed: int = 0) -> ExperimentResult:
                        time_to_first=r["time_to_first"],
                        total_time=r["total_time"],
                        violations=r["violations"])
+        ratio = (sent[f"naive_size{member_size}"]
+                 / sent[f"compact_size{member_size}"])
+        ratios[f"member_size{member_size}"] = ratio
         result.add(mode="codec-ratio", codec="naive/compact", link="free",
-                   member_size=member_size,
-                   naive_over_compact=(bytes_by_codec["naive"]
-                                       / bytes_by_codec["compact"]),
+                   member_size=member_size, naive_over_compact=ratio,
                    violations=0)
 
     # -- batch sweep: the sweet spot moves once the wire is real -------
@@ -146,16 +146,18 @@ def run_wire(members: int = 32, seed: int = 0) -> ExperimentResult:
 
     # -- byte-cap leg: capped vs uncapped under the WAN preset ---------
     wan = replace(_HEAVY, bandwidth_preset="wan")
-    for max_bytes in (None, 3 * _HEAVY.member_size):
+    for label, max_bytes in (("uncapped", None),
+                             ("byte_capped", 3 * _HEAVY.member_size)):
         r = _drain(wan, seed, batch=16, max_bytes=max_bytes,
                    size_hint=_HEAVY.member_size)
+        throughput[f"{label}_batch16"] = _HEAVY.n_members / r["total_time"]
         result.add(mode="byte-cap", codec="compact", link="wan",
                    member_size=_HEAVY.member_size, batch=16,
                    max_bytes=max_bytes or 0,
                    bytes_sent=r["bytes_sent"],
                    time_to_first=r["time_to_first"],
                    total_time=r["total_time"],
-                   throughput=_HEAVY.n_members / r["total_time"],
+                   throughput=throughput[f"{label}_batch16"],
                    queue_p95=r["queue_delay_p95"],
                    violations=r["violations"])
 

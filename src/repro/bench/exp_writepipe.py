@@ -33,10 +33,11 @@ exact placement sequence God-mode seeding uses):
 from __future__ import annotations
 
 import dataclasses
-from typing import Iterable
+from typing import Iterable, Optional
 
 from ..wan.workload import ScenarioSpec, build_scenario, member_plan
 from ..weaksets import DynamicSet, SnapshotSet
+from .harness import drain, heal_and_settle
 from .report import ExperimentResult
 
 __all__ = ["run_writepipe"]
@@ -84,36 +85,21 @@ def _conformance(scenario):
     violations = []
     for cls in (SnapshotSet, DynamicSet):
         ws = cls(scenario.world, scenario.client, scenario.coll_id)
-        iterator = ws.elements()
-
-        def proc():
-            return (yield from iterator.drain())
-
-        scenario.kernel.run_process(proc())
+        drain(scenario, ws.elements())
         violations.append(0 if ws.audit().conformant else 1)
     return violations
 
 
-def _sweep_point(replicas: int, window: int, batch: int, members: int,
-                 seeds: list[int]):
-    """Averaged batched population cost + summed conformance checks."""
+def _sweep_point(replicas: int, members: int, seeds: list[int],
+                 shape: Optional[tuple[int, int]] = None):
+    """Averaged population cost + summed conformance checks at one
+    pipeline ``shape`` (window, batch); ``None`` is the serial path."""
     total = 0.0
     bad4 = bad6 = 0
     for seed in seeds:
         scenario, plan = _build(replicas, seed, members)
-        total += _populate_batched(scenario, plan, window, batch)
-        v4, v6 = _conformance(scenario)
-        bad4 += v4
-        bad6 += v6
-    return total / len(seeds), bad4, bad6
-
-
-def _serial_point(replicas: int, members: int, seeds: list[int]):
-    total = 0.0
-    bad4 = bad6 = 0
-    for seed in seeds:
-        scenario, plan = _build(replicas, seed, members)
-        total += _populate_serial(scenario, plan)
+        total += (_populate_serial(scenario, plan) if shape is None
+                  else _populate_batched(scenario, plan, *shape))
         v4, v6 = _conformance(scenario)
         bad4 += v4
         bad6 += v6
@@ -130,24 +116,14 @@ def _crash_run(recovery: bool, seed: int, members: int) -> dict:
     repo = scenario.repo()
     added = scenario.kernel.run_process(repo.add_many(
         scenario.coll_id, plan, window=4, batch_size=4, on_failure="skip"))
-    net = scenario.net
-    for node in sorted(net.nodes):
-        if not net.node(node).up:
-            net.recover(node)
     # Settle in scrub-round increments until clean (or give up): the
     # orphan-GC pass only collects past its grace period, and the
     # WAL-off ablation never converges at all.
-    deadline = scenario.kernel.now + _SETTLE_BOUND
-    while True:
-        scenario.kernel.run(
-            until=min(scenario.kernel.now + 5.0, deadline))
-        violations = len(scenario.world.check_invariants())
-        if violations == 0 or scenario.kernel.now >= deadline:
-            break
+    problems = heal_and_settle(scenario, bound=_SETTLE_BOUND, step=5.0)
     metrics = scenario.kernel.obs.metrics
     return {
         "acked": len(added),
-        "violations": violations,
+        "violations": len(problems),
         "crashes": int(metrics.value("wal.crash_points")),
     }
 
@@ -170,32 +146,20 @@ def run_writepipe(members: int = 24,
               "must settle to 0 invariant violations, the wal=off "
               "ablation must leak",
     )
+    # (mode, object replicas, pipeline shape); the serial rows come first:
+    # each later point's speedup is against the serial cost at its replicas
+    points = ([("serial", replicas, None) for replicas in (0, 1, 2)]
+              + [("window-sweep", 2, (window, 4)) for window in (2, 4, 8)]
+              + [("batch-sweep", 2, (4, batch)) for batch in (1, 4, 8)]
+              + [("replica-sweep", replicas, (4, 4)) for replicas in (0, 1)])
     serial = {}
-    for replicas in (0, 1, 2):
-        total, bad4, bad6 = _serial_point(replicas, members, seeds)
-        serial[replicas] = total
-        result.add(mode="serial", window=1, batch=1, replicas=replicas,
-                   wal=None, total_time=total, speedup_vs_serial=1.0,
-                   fig4_viol=bad4, fig6_viol=bad6, recovery_viol=None,
-                   crashes=None)
-    for window in (2, 4, 8):
-        total, bad4, bad6 = _sweep_point(2, window, 4, members, seeds)
-        result.add(mode="window-sweep", window=window, batch=4, replicas=2,
+    for mode, replicas, shape in points:
+        total, bad4, bad6 = _sweep_point(replicas, members, seeds, shape)
+        if shape is None:
+            serial[replicas] = total
+        window, batch = shape or (1, 1)
+        result.add(mode=mode, window=window, batch=batch, replicas=replicas,
                    wal=None, total_time=total,
-                   speedup_vs_serial=serial[2] / total,
-                   fig4_viol=bad4, fig6_viol=bad6, recovery_viol=None,
-                   crashes=None)
-    for batch in (1, 4, 8):
-        total, bad4, bad6 = _sweep_point(2, 4, batch, members, seeds)
-        result.add(mode="batch-sweep", window=4, batch=batch, replicas=2,
-                   wal=None, total_time=total,
-                   speedup_vs_serial=serial[2] / total,
-                   fig4_viol=bad4, fig6_viol=bad6, recovery_viol=None,
-                   crashes=None)
-    for replicas in (0, 1):
-        total, bad4, bad6 = _sweep_point(replicas, 4, 4, members, seeds)
-        result.add(mode="replica-sweep", window=4, batch=4,
-                   replicas=replicas, wal=None, total_time=total,
                    speedup_vs_serial=serial[replicas] / total,
                    fig4_viol=bad4, fig6_viol=bad6, recovery_viol=None,
                    crashes=None)
@@ -206,4 +170,7 @@ def run_writepipe(members: int = 24,
                    speedup_vs_serial=None, fig4_viol=None, fig6_viol=None,
                    recovery_viol=sum(o["violations"] for o in outcomes),
                    crashes=sum(o["crashes"] for o in outcomes))
+    result.metrics["batched_vs_serial_speedup"] = {
+        f"window{r['window']}_batch{r['batch']}": r["speedup_vs_serial"]
+        for r in result.rows if r["mode"] == "window-sweep"}
     return result

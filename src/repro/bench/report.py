@@ -69,7 +69,12 @@ def format_markdown(rows: Sequence[Mapping[str, Any]],
 
 
 class ExperimentResult:
-    """Rows + metadata for one experiment, printable as the paper table."""
+    """Rows + metadata for one experiment, printable as the paper table.
+
+    ``metrics`` is the experiment's own headline block (JSON-safe, empty
+    unless its ``run_*`` fills it): the numbers its gate reads, written to
+    the artifact beside the rows and compared by the same gate.
+    """
 
     def __init__(self, experiment_id: str, title: str,
                  rows: Optional[list[dict]] = None,
@@ -80,6 +85,7 @@ class ExperimentResult:
         self.rows: list[dict] = rows if rows is not None else []
         self.columns = columns
         self.notes = notes
+        self.metrics: dict[str, Any] = {}
 
     def add(self, **fields: Any) -> None:
         self.rows.append(fields)
@@ -95,7 +101,7 @@ class ExperimentResult:
     def to_obs(self) -> dict:
         """The experiment as a BENCH_obs record (JSON-safe; see
         ``docs/observability.md`` for the schema)."""
-        return {
+        record = {
             "id": self.experiment_id,
             "title": self.title,
             "columns": list(self.columns) if self.columns else
@@ -103,6 +109,9 @@ class ExperimentResult:
             "rows": [dict(row) for row in self.rows],
             "notes": self.notes,
         }
+        if self.metrics:
+            record["metrics"] = dict(self.metrics)
+        return record
 
     def __str__(self) -> str:
         out = format_table(self.rows, self.columns,

@@ -1,8 +1,12 @@
 """The `python -m repro.bench` CLI."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.bench.__main__ import main
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_cli_runs_selected_experiments(capsys):
@@ -37,11 +41,27 @@ def test_cli_rejects_unknown_ids(capsys):
 
 
 def test_registry_covers_all_documented_experiments():
+    """An experiment cannot be added without a gate, a baseline entry and
+    a write-up: the registry, both committed renderings, EXPERIMENTS.md's
+    headings and the ``benchmarks/`` wrappers name the same experiments."""
+    import ast
+    import re
     from repro.bench import ALL_EXPERIMENTS
-    for eid in ["E1", "E2", "E2a", "E3", "E4", "E4a", "E5", "E5a",
-                "E6", "E6b", "E7", "E8", "E9", "E10", "E11",
-                "E12", "E13", "E14", "E15"]:
-        assert eid in ALL_EXPERIMENTS
+    from repro.bench.artifact import load_artifact
+    ids = list(ALL_EXPERIMENTS)
+    baseline = load_artifact(ROOT / "ci" / "bench_baseline.json")
+    assert [e["id"] for e in baseline["experiments"]] == ids
+    printed = (ROOT / "experiments_output.txt").read_text(encoding="utf-8")
+    assert re.findall(r"^\[(E\w+)\]", printed, flags=re.M) == ids
+    written_up = re.findall(r"^## (E\d+)\b",
+                            (ROOT / "EXPERIMENTS.md").read_text(encoding="utf-8"),
+                            flags=re.M)
+    assert set(written_up) == {eid.rstrip("abc") for eid in ids}
+    called = {node.func.id
+              for path in (ROOT / "benchmarks").glob("bench_*.py")
+              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+    assert {run.__name__ for run in ALL_EXPERIMENTS.values()} <= called
 
 
 def test_cli_markdown_mode(capsys):
@@ -83,18 +103,22 @@ def test_cli_obs_writes_schema_versioned_artifact(tmp_path, capsys):
     (exp,) = artifact["experiments"]
     assert exp["id"] == "E8"
     assert exp["rows"] and exp["columns"]
-    assert "wrote" in capsys.readouterr().out
+    captured = capsys.readouterr()
+    assert "wrote" in captured.err and "wrote" not in captured.out
 
 
 def test_cli_obs_artifact_and_stdout_are_reproducible(tmp_path, capsys):
     """A committed number is a simulated number: the same experiments
-    run twice write the same bytes and print the same text."""
+    run twice write the same bytes and print the same text — the text
+    they print without ``--obs``, so one run yields both renderings."""
     path = tmp_path / "BENCH_obs.json"
     runs = []
     for _ in range(2):
         assert main(["--obs", str(path), "E8", "E12"]) == 0
         runs.append((path.read_bytes(), capsys.readouterr().out))
     assert runs[0] == runs[1]
+    assert main(["E8", "E12"]) == 0
+    assert capsys.readouterr().out == runs[0][1]
 
 
 def test_cli_obs_flag_requires_path(capsys):
@@ -102,18 +126,24 @@ def test_cli_obs_flag_requires_path(capsys):
 
 
 # ---------------------------------------------------------------------------
-# the compare regression gate
+# the compare gate: equality
 # ---------------------------------------------------------------------------
 
 def write_fake_artifact(path, latency=1.0, spec="fig3", elapsed=0.5,
-                        extra_experiment=False, drop_row=False):
+                        extra_experiment=False, drop_row=False,
+                        metrics=None, notes="", columns=("impl", "latency", "spec"),
+                        title="fake", extra_key=False):
     from repro.bench.artifact import write_artifact
     rows = [{"impl": "DynamicSet", "latency": latency, "spec": spec},
             {"impl": "StrongSet", "latency": 2.0, "spec": "fig4"}]
     if drop_row:
         rows = rows[:1]
-    records = [{"id": "E98", "title": "fake", "columns": ["impl", "latency", "spec"],
-                "rows": rows, "notes": "", "elapsed_wall_s": elapsed}]
+    if extra_key:
+        rows[0]["retries"] = 3
+    records = [{"id": "E98", "title": title, "columns": list(columns),
+                "rows": rows, "notes": notes, "elapsed_wall_s": elapsed}]
+    if metrics is not None:
+        records[0]["metrics"] = metrics
     if extra_experiment:
         records.append({"id": "E99", "title": "new", "columns": ["x"],
                         "rows": [{"x": 1}], "notes": ""})
@@ -128,38 +158,76 @@ def test_compare_identical_inputs_exit_zero(tmp_path, capsys):
 
 
 def test_compare_ignores_wall_clock_noise(tmp_path, capsys):
-    """Only ``rows`` are gated, so an artifact written by an older tree
-    (whose records carry ``elapsed_wall_s``) still compares clean."""
+    """Record keys outside the five gated fields (title, columns, rows,
+    notes, metrics) are ignored: an experiment writes nothing else."""
     old = write_fake_artifact(tmp_path / "old.json", elapsed=0.5)
     new = write_fake_artifact(tmp_path / "new.json", elapsed=50.0)
-    assert main(["compare", old, new, "--tolerance", "0.01"]) == 0
+    assert main(["compare", old, new]) == 0
 
 
 def test_compare_flags_injected_latency_regression(tmp_path, capsys):
     old = write_fake_artifact(tmp_path / "old.json", latency=1.0)
     new = write_fake_artifact(tmp_path / "new.json", latency=1.5)
-    assert main(["compare", old, new, "--tolerance", "0.1"]) == 1
+    assert main(["compare", old, new]) == 1
     out = capsys.readouterr().out
     assert "FAIL" in out and "latency" in out
 
 
-def test_compare_within_tolerance_passes(tmp_path):
+def test_compare_row_value_moving_down_fails(tmp_path, capsys):
+    """The gate has no welcome direction: a refactor that moves a
+    simulated number *down* has still moved it."""
     old = write_fake_artifact(tmp_path / "old.json", latency=1.0)
-    new = write_fake_artifact(tmp_path / "new.json", latency=1.05)
-    assert main(["compare", old, new, "--tolerance", "0.1"]) == 0
+    new = write_fake_artifact(tmp_path / "new.json", latency=0.4)
+    assert main(["compare", old, new]) == 1
+    assert "E98 row 0: latency 1.0 -> 0.4" in capsys.readouterr().out
 
 
-def test_compare_warn_only_downgrades_exit(tmp_path, capsys):
-    old = write_fake_artifact(tmp_path / "old.json", latency=1.0)
-    new = write_fake_artifact(tmp_path / "new.json", latency=9.0)
-    assert main(["compare", old, new, "--tolerance", "0.1", "--warn-only"]) == 0
-    assert "WARN" in capsys.readouterr().out
+def test_compare_metrics_block_is_gated(tmp_path, capsys):
+    """``metrics`` is written by the experiment and compared like a row,
+    rows being equal or not."""
+    old = write_fake_artifact(tmp_path / "old.json",
+                              metrics={"speedup": {"window4": 3.0}, "shed": 7})
+    new = write_fake_artifact(tmp_path / "new.json",
+                              metrics={"speedup": {"window4": 1.0}, "shed": 7})
+    assert main(["compare", old, new]) == 1
+    out = capsys.readouterr().out
+    assert "E98 metrics: speedup" in out and "shed" not in out
+    gone = write_fake_artifact(tmp_path / "gone.json")
+    assert main(["compare", old, gone]) == 1
+
+
+def test_compare_row_key_only_in_new_fails(tmp_path, capsys):
+    old = write_fake_artifact(tmp_path / "old.json")
+    new = write_fake_artifact(tmp_path / "new.json", extra_key=True)
+    assert main(["compare", old, new]) == 1
+    assert "field 'retries' appeared" in capsys.readouterr().out
+    assert main(["compare", new, old]) == 1
+    assert "field 'retries' disappeared" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("field, value", [
+    ("notes", "reworded"),
+    ("columns", ("impl", "spec", "latency")),
+    ("title", "renamed"),
+], ids=["notes", "columns", "title"])
+def test_compare_names_the_differing_record_field(tmp_path, capsys, field, value):
+    old = write_fake_artifact(tmp_path / "old.json")
+    new = write_fake_artifact(tmp_path / "new.json", **{field: value})
+    assert main(["compare", old, new]) == 1
+    assert f"E98: {field} " in capsys.readouterr().out
+
+
+def test_compare_rejects_the_retired_flags(tmp_path, capsys):
+    """A script still passing a tolerance fails loudly, not open."""
+    a = write_fake_artifact(tmp_path / "a.json")
+    assert main(["compare", a, a, "--tolerance", "0"]) == 2
+    assert main(["compare", a, a, "--warn-only"]) == 2
 
 
 def test_compare_non_numeric_mismatch_fails_at_any_tolerance(tmp_path, capsys):
     old = write_fake_artifact(tmp_path / "old.json", spec="fig3")
     new = write_fake_artifact(tmp_path / "new.json", spec="fig4")
-    assert main(["compare", old, new, "--tolerance", "99"]) == 1
+    assert main(["compare", old, new]) == 1
 
 
 def test_compare_missing_experiment_is_a_regression(tmp_path):
@@ -194,68 +262,42 @@ def test_compare_bad_schema_exits_two(tmp_path):
 
 
 def test_compare_improvement_passes_but_is_flagged(tmp_path, capsys):
-    """A latency that *shrank* beyond tolerance is baseline rot, not a
-    regression: exit 0, but the gate says to regenerate the baseline."""
+    """Inverted with the comparator: a latency that *shrank* used to exit
+    0 under an IMPROVED banner; every table is simulated, so it is a
+    moved table like any other and fails."""
     old = write_fake_artifact(tmp_path / "old.json", latency=1.0)
     new = write_fake_artifact(tmp_path / "new.json", latency=0.4)
-    assert main(["compare", old, new, "--tolerance", "0.1"]) == 0
+    assert main(["compare", old, new]) == 1
     out = capsys.readouterr().out
-    assert "IMPROVED" in out
-    assert "regenerate the baseline" in out
-    assert "FAIL" not in out
-
-
-def test_compare_improvement_does_not_mask_regressions(tmp_path, capsys):
-    """One metric improving while another regresses still fails."""
-    old = write_fake_artifact(tmp_path / "old.json", latency=1.0, spec="fig3")
-    new = write_fake_artifact(tmp_path / "new.json", latency=0.4, spec="fig4")
-    assert main(["compare", old, new, "--tolerance", "0.1"]) == 1
-    out = capsys.readouterr().out
-    assert "IMPROVED" in out and "FAIL" in out
-
-
-def test_metric_direction_heuristic():
-    from repro.bench.compare import metric_direction
-    assert metric_direction("total_time") == "lower"
-    assert metric_direction("p99_latency") == "lower"
-    assert metric_direction("fig4_viol") == "lower"
-    assert metric_direction("speedup_vs_serial") == "higher"
-    # ambiguous names resolve lower-better first — a cost-ish marker must
-    # never be read as good just because 'yield' also appears
-    assert metric_direction("bytes_yielded") == "lower"
-    assert metric_direction("cache_hits") == "higher"
-    assert metric_direction("version") == "neutral"
-    # bare percentile columns are latencies by table convention, and the
-    # 'ok' in a successes-only percentile must not read as higher-better
-    assert metric_direction("p95_s") == "lower"
-    assert metric_direction("p95_ok_s") == "lower"
+    assert "FAIL: 1 field(s) differ" in out
+    assert "IMPROVED" not in out
 
 
 def test_compare_neutral_field_moves_are_regressions_both_ways(tmp_path):
-    """A direction-less numeric field failing tolerance regresses no
-    matter which way it moved."""
-    from repro.bench.artifact import write_artifact
-    from repro.bench.compare import compare_artifacts, load_artifact
+    """A numeric field differs no matter which way it moved — and a NaN
+    (a table's ``-``) equals the NaN beside it."""
+    from repro.bench.artifact import load_artifact, write_artifact
+    from repro.bench.compare import compare_artifacts
 
     def art(path, version):
         records = [{"id": "E98", "title": "fake", "columns": ["version"],
-                    "rows": [{"version": version}], "notes": ""}]
+                    "rows": [{"version": version, "mean": float("nan")}],
+                    "notes": ""}]
         write_artifact(path, records)
         return load_artifact(path)
 
     old = art(tmp_path / "old.json", 10)
+    assert compare_artifacts(old, art(tmp_path / "same.json", 10)) == ([], [])
     for new_value in (3, 30):
         new = art(tmp_path / f"new{new_value}.json", new_value)
-        regressions, improvements, _ = compare_artifacts(old, new,
-                                                         tolerance=0.1)
-        assert regressions and not improvements
+        differences, notes = compare_artifacts(old, new)
+        assert len(differences) == 1 and not notes
 
 
 def test_compare_baseline_against_current_e17_schema(tmp_path):
     """The committed CI baseline stays loadable and self-consistent."""
-    from pathlib import Path
     from repro.bench.artifact import load_artifact
-    baseline = Path(__file__).resolve().parent.parent / "ci" / "bench_baseline.json"
+    baseline = ROOT / "ci" / "bench_baseline.json"
     artifact = load_artifact(baseline)
     ids = {e["id"] for e in artifact["experiments"]}
     assert "E17" in ids

@@ -24,7 +24,7 @@ def test_overload_soak_protection_holds(seed):
     result = run_overload(seed=seed, duration_scale=SOAK_SCALE)
     print()
     print(result)
-    m = result.overload_metrics
+    m = result.metrics
 
     # Protected arm: no post-knee decline, bounded p95 for successes,
     # and the machinery demonstrably engaged.
@@ -62,4 +62,4 @@ def test_overload_soak_is_deterministic():
     """Same seed, same schedule — bit-identical verdict metrics."""
     first = run_overload(seed=0, duration_scale=SOAK_SCALE)
     second = run_overload(seed=0, duration_scale=SOAK_SCALE)
-    assert first.overload_metrics == second.overload_metrics
+    assert first.metrics == second.metrics

@@ -36,7 +36,7 @@ def test_population_soak_slo_and_conformance(seed):
         assert row["slo_ok"], row
         assert row["audit_violations"] == 0, row
 
-    metrics = result.population_metrics
+    metrics = result.metrics
     assert metrics["population.audit_violations"] == 0
     assert metrics["population.failures"] <= 0.05 * metrics[
         "population.completions"]
