@@ -37,6 +37,19 @@ __all__ = ["Network"]
 DETECTION_DELAY = 0.02
 
 
+class _Addresses(dict):
+    """One :class:`Address` per (node, service) a network has addressed.
+
+    A frozen dataclass is built field by field through
+    ``object.__setattr__``, and a run addresses a few dozen endpoints
+    thousands of times each.
+    """
+
+    def __missing__(self, key: tuple[NodeId, str]) -> Address:
+        address = self[key] = Address(*key)
+        return address
+
+
 class Network:
     """A complete simulated distributed system."""
 
@@ -68,6 +81,7 @@ class Network:
         self.transport = Transport(kernel, topology, self.partitions, self.nodes,
                                    wire=wire)
         self._listeners: list = []
+        self._addresses = _Addresses()
         self._m_attempts = kernel.obs.metrics.counter("rpc.attempts")
         self._m_attempt_latency = kernel.obs.metrics.histogram("rpc.attempt_latency")
 
@@ -111,7 +125,7 @@ class Network:
 
     @property
     def now(self) -> float:
-        return self.kernel.now
+        return self.kernel.clock.now
 
     @property
     def obs(self):
@@ -139,56 +153,49 @@ class Network:
         span = tracer.start("rpc.attempt", src=str(src), dst=str(dst),
                             method=f"{service}.{method}")
         self._m_attempts.value += 1
+        transport = self.transport
         try:
-            result = yield from self._call_raw(
-                src, dst, service, method, *args, timeout=timeout,
-                priority=priority, **kwargs)
+            if timeout is None:
+                timeout = self.default_timeout
+            if not self.node(src).up:
+                raise SimulationError(f"caller node {src} is crashed")
+            reason = transport.unreachable_reason(src, dst)
+            if reason is not None and self.fail_fast:
+                # The transport layer detects and signals the failure
+                # after a short detection delay, instead of burning the
+                # full timeout.
+                yield Sleep(min(DETECTION_DELAY, timeout))
+                raise reason
+            request = Message(
+                src=self._addresses[src, "client"],
+                dst=self._addresses[dst, service],
+                method=method,
+                payload=(args, kwargs),
+                priority=priority,
+            )
+            reply = transport.register_reply(request)
+            transport.send(request)
+            try:
+                # timeout=inf means "wait forever" (used by lock clients
+                # that are prepared to block indefinitely); Wait gets no
+                # timer at all.
+                result = yield Wait(
+                    reply, None if timeout == float("inf") else timeout)
+            except TimeoutFailure:
+                transport.forget_reply(request.msg_id)
+                # Classify the timeout if the transport now knows the cause.
+                reason = transport.unreachable_reason(src, dst)
+                if reason is not None:
+                    raise reason from None
+                raise TimeoutFailure(
+                    f"rpc {service}.{method} {src}->{dst} timed out after {timeout}s"
+                ) from None
         except BaseException as exc:
             tracer.finish(span, outcome=type(exc).__name__)
-            self._m_attempt_latency.observe(span.duration)
+            self._m_attempt_latency.observe(span.end - span.start)
             raise
         tracer.finish(span, outcome="ok")
-        self._m_attempt_latency.observe(span.duration)
-        return result
-
-    def _call_raw(self, src: NodeId, dst: NodeId, service: str, method: str,
-                  *args: Any, timeout: Optional[float] = None,
-                  priority: int = PRIORITY_NORMAL,
-                  **kwargs: Any) -> Generator[Any, Any, Any]:
-        if timeout is None:
-            timeout = self.default_timeout
-        src_node = self.node(src)
-        if not src_node.up:
-            raise SimulationError(f"caller node {src} is crashed")
-        reason = self.transport.unreachable_reason(src, dst)
-        if reason is not None and self.fail_fast:
-            # The transport layer detects and signals the failure after a
-            # short detection delay, instead of burning the full timeout.
-            yield Sleep(min(DETECTION_DELAY, timeout))
-            raise reason
-        request = Message(
-            src=Address(src, "client"),
-            dst=Address(dst, service),
-            method=method,
-            payload=(args, kwargs),
-            priority=priority,
-        )
-        reply = self.transport.register_reply(request)
-        self.transport.send(request)
-        # timeout=inf means "wait forever" (used by lock clients that are
-        # prepared to block indefinitely); Wait gets no timer at all.
-        wait_timeout: Optional[float] = None if timeout == float("inf") else timeout
-        try:
-            result = yield Wait(reply, timeout=wait_timeout)
-        except TimeoutFailure:
-            self.transport.forget_reply(request.msg_id)
-            # Classify the timeout if the transport now knows the cause.
-            reason = self.transport.unreachable_reason(src, dst)
-            if reason is not None:
-                raise reason from None
-            raise TimeoutFailure(
-                f"rpc {service}.{method} {src}->{dst} timed out after {timeout}s"
-            ) from None
+        self._m_attempt_latency.observe(span.end - span.start)
         return result
 
     # -- fault injection -------------------------------------------------

@@ -18,6 +18,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Optional
 
 from ..errors import SimulationError
+from ..sim.events import Signal
 from ..sim.process import Process
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -35,7 +36,8 @@ class Node:
         self.kernel = kernel
         self.up = True
         self.services: dict[str, Any] = {}
-        self._handlers: list[Process] = []
+        #: live handlers by completion signal, in spawn order
+        self._handlers: dict[Signal, Process] = {}
         self.crash_count = 0
         #: when set, inbound requests pass admission control (bounded
         #: worker pool + queue) instead of spawning unboundedly.
@@ -54,9 +56,13 @@ class Node:
             raise SimulationError(f"node {self.name}: no service {name!r}") from None
 
     def track_handler(self, proc: Process) -> None:
-        """Remember an in-flight handler process so crash can kill it."""
-        self._handlers = [p for p in self._handlers if not p.finished]
-        self._handlers.append(proc)
+        """Remember an in-flight handler process so crash can kill it;
+        it is forgotten (and its frame let go) the moment it finishes."""
+        self._handlers[proc.done] = proc
+        proc.done.add_waiter(self._forget_handler)
+
+    def _forget_handler(self, done: Signal) -> None:
+        self._handlers.pop(done, None)
 
     # -- crash / recovery ------------------------------------------------------
     def crash(self) -> None:
@@ -65,7 +71,8 @@ class Node:
             return
         self.up = False
         self.crash_count += 1
-        for proc in self._handlers:
+        # A killed handler forgets itself: iterate over a copy.
+        for proc in list(self._handlers.values()):
             proc._kill()
         self._handlers.clear()
         if self.executor is not None:

@@ -29,15 +29,11 @@ class PartitionManager:
     def __init__(self, nodes: Iterable[NodeId] = ()):
         self._group: dict[NodeId, int] = {n: _MAIN_GROUP for n in nodes}
         self._next_group = 1
-        self._version = 0
+        #: bumped on every change (half of the reachability table's epoch)
+        self.version = 0
 
     def register(self, node: NodeId) -> None:
         self._group.setdefault(node, _MAIN_GROUP)
-
-    @property
-    def version(self) -> int:
-        """Bumped on every change (used by reachability caches)."""
-        return self._version
 
     # -- queries -----------------------------------------------------------
     def group_of(self, node: NodeId) -> int:
@@ -82,7 +78,7 @@ class PartitionManager:
             self._next_group += 1
             for node in group:
                 self._group[node] = gid
-        self._version += 1
+        self.version += 1
 
     def isolate(self, node: NodeId) -> None:
         """Disconnect one node (the traveling mobile client)."""
@@ -102,7 +98,7 @@ class PartitionManager:
         if node not in self._group:
             raise SimulationError(f"unknown node {node!r}")
         self._group[node] = _MAIN_GROUP
-        self._version += 1
+        self.version += 1
 
     def heal(self, nodes: Optional[Iterable[NodeId]] = None) -> None:
         """Merge everything (or the given nodes) back into the main group."""
@@ -111,7 +107,7 @@ class PartitionManager:
             if node not in self._group:
                 raise SimulationError(f"unknown node {node!r}")
             self._group[node] = _MAIN_GROUP
-        self._version += 1
+        self.version += 1
 
     def __repr__(self) -> str:
         n_groups = len(set(self._group.values()))

@@ -82,9 +82,17 @@ class NetworkStats:
 
     def record_send(self, msg: Message) -> None:
         self.total_sent.value += 1
-        sender = self.node(msg.src.node)
+        # node() makes the entry on a node's first message; every later
+        # one is a subscript, no call.
+        per_node = self.per_node
+        try:
+            sender = per_node[msg.src.node]
+            addressee = per_node[msg.dst.node]
+        except KeyError:
+            sender = self.node(msg.src.node)
+            addressee = self.node(msg.dst.node)
         sender.sent += 1
-        self.node(msg.dst.node).addressed += 1
+        addressee.addressed += 1
         size = msg.wire_size or 0
         if size:
             self.bytes_sent.value += size
@@ -97,7 +105,7 @@ class NetworkStats:
 
     def record_delivery(self, msg: Message) -> None:
         self.total_delivered.value += 1
-        receiver = self.node(msg.dst.node)
+        receiver = self.per_node[msg.dst.node]    # entered when it was sent
         receiver.received += 1
         if not msg.is_reply:
             receiver.requests_handled += 1

@@ -35,7 +35,7 @@ class Topology:
         self._nodes: dict[NodeId, bool] = {}          # node -> is_up
         self._links: dict[frozenset[NodeId], Link] = {}
         self._adjacency: dict[NodeId, set[NodeId]] = {}
-        self._version = 0                              # bumped on any change
+        self.version = 0                               # bumped on any change
         self._route_cache: dict[tuple[NodeId, NodeId], Optional[list[Link]]] = {}
         self._cache_version = -1
 
@@ -99,11 +99,7 @@ class Topology:
             self._touch()
 
     def _touch(self) -> None:
-        self._version += 1
-
-    @property
-    def version(self) -> int:
-        return self._version
+        self.version += 1
 
     # -- routing -----------------------------------------------------------
     def route(self, src: NodeId, dst: NodeId) -> Optional[list[Link]]:
@@ -146,9 +142,9 @@ class Topology:
         return sum(link.latency.expected() for link in path)
 
     def _maybe_flush_cache(self) -> None:
-        if self._cache_version != self._version:
+        if self._cache_version != self.version:
             self._route_cache.clear()
-            self._cache_version = self._version
+            self._cache_version = self.version
 
     def _dijkstra(self, src: NodeId, dst: NodeId) -> Optional[list[Link]]:
         dist: dict[NodeId, float] = {src: 0.0}

@@ -17,6 +17,7 @@ once per question.
 from __future__ import annotations
 
 import types
+from functools import partial
 from typing import TYPE_CHECKING, Optional, Union
 
 from ..errors import (
@@ -110,11 +111,15 @@ class Transport:
         the up route within one partition group, or the ``(failure
         class, message)`` saying why there is none."""
         routes = self._table().routes
-        key = (src, dst)
         try:
-            return routes[key]
+            return routes[src, dst]
         except KeyError:
-            pass
+            return self._find_connection(routes, src, dst)
+
+    def _find_connection(self, routes: dict, src: NodeId, dst: NodeId
+                         ) -> Union[list[Link], tuple[type, str]]:
+        """Work out the answer ``routes`` (the current epoch's) does not
+        hold yet, and keep it there."""
         if not self.partitions.same_partition(src, dst):
             found = (PartitionFailure,
                      f"{src} and {dst} are in different partitions")
@@ -122,7 +127,7 @@ class Transport:
             found = self.topology.route(src, dst)
             if found is None:
                 found = (LinkDownFailure, f"no up path from {src} to {dst}")
-        routes[key] = found
+        routes[src, dst] = found
         return found
 
     def _route_or_reason(self, src: NodeId, dst: NodeId
@@ -135,12 +140,24 @@ class Transport:
         caller that raises one builds its own exception (a shared
         instance would drag one ``__traceback__`` through every raise).
         """
-        dst_node = self.nodes.get(dst)
-        if dst_node is None:
-            raise SimulationError(f"unknown destination node {dst!r}")
-        if not dst_node.up:
+        try:
+            dst_up = self.nodes[dst].up
+        except KeyError:
+            raise SimulationError(f"unknown destination node {dst!r}") from None
+        if not dst_up:
             return NodeCrashFailure, f"node {dst} is crashed"
-        return self._connection(src, dst)
+        # Every message asks this two or three times and connectivity
+        # stands still for most of a run: while the table stands, the
+        # answer is one epoch test and one dictionary hit, here (a moved
+        # epoch goes through _table(), which alone replaces the table).
+        table = self._reachability
+        if table.epoch != (self.topology.version, self.partitions.version):
+            table = self._table()
+        routes = table.routes
+        try:
+            return routes[src, dst]
+        except KeyError:
+            return self._find_connection(routes, src, dst)
 
     def unreachable_reason(self, src: NodeId, dst: NodeId) -> Optional[FailureException]:
         """Why ``dst`` cannot be reached from ``src`` (None if it can).
@@ -239,7 +256,8 @@ class Transport:
         self.stats.record_send(msg)
         # Message.__str__ is three nested formats: only pay for it when
         # the trace log will keep the record.
-        trace = self.kernel.trace
+        kernel = self.kernel
+        trace = kernel.trace
         route = self._route_or_reason(msg.src.node, msg.dst.node)
         if type(route) is tuple:
             self.stats.record_drop(msg)
@@ -253,7 +271,7 @@ class Transport:
                     trace.record("drop", msg=str(msg), at="loss",
                                  link=f"{link.a}<->{link.b}")
                 return False
-        now = self.kernel.now
+        now = kernel.clock.now
         t = now + self.wire.serialize_delay(msg.wire_size)
         queue_wait = 0.0
         hop = msg.src.node
@@ -269,19 +287,22 @@ class Transport:
             family = method_family(msg.method)
             hist = self._queue_delay_by_family.get(family)
             if hist is None:
-                hist = self.kernel.obs.metrics.histogram(
+                hist = kernel.obs.metrics.histogram(
                     f"net.link.queue_delay.{family}")
                 self._queue_delay_by_family[family] = hist
             hist.observe(queue_wait)
         if trace.enabled:
             trace.record("send", msg=str(msg), delay=round(delay, 6),
                          size=msg.wire_size)
-        self.kernel.call_soon(lambda: self._deliver(msg), delay=delay)
+        # Straight onto the kernel's queue: a delivery is never cancelled
+        # (so no cancel handle), and a partial is called without a frame
+        # of its own.
+        kernel._schedule(delay, partial(self._deliver, msg))
         return True
 
     def _deliver(self, msg: Message) -> None:
         trace = self.kernel.trace
-        if not self.can_reach(msg.src.node, msg.dst.node):
+        if type(self._route_or_reason(msg.src.node, msg.dst.node)) is tuple:
             self.stats.record_drop(msg)
             if trace.enabled:
                 trace.record("drop", msg=str(msg), at="delivery")
@@ -296,7 +317,10 @@ class Transport:
 
     # -- RPC bookkeeping ----------------------------------------------------
     def register_reply(self, request: Message) -> Signal:
-        sig = Signal(name=f"reply#{request.msg_id}")
+        # Not named after ``msg_id``: that counts per host process, and
+        # the only text that would show it (a timed-out wait's) is
+        # replaced by the caller's own.
+        sig = Signal(name="reply")
         self._pending_replies[request.msg_id] = sig
         return sig
 
@@ -309,7 +333,7 @@ class Transport:
         if msg.reply_to is None:
             return
         sig = self._pending_replies.pop(msg.reply_to, None)
-        if sig is None or sig.fired:
+        if sig is None or sig._fired:
             return  # caller gave up (timeout) before the reply landed
         if msg.method.endswith("!error"):
             error = msg.payload
@@ -394,8 +418,8 @@ class Transport:
     def _run_handler(self, node: Node, msg: Message, gen: types.GeneratorType,
                      release=None) -> None:
         proc = self.kernel.spawn(
-            gen, name=f"{msg.dst}.{msg.method}#{msg.msg_id}", daemon=True
-        )
+            gen, daemon=True,
+            name=lambda: f"{msg.dst}.{msg.method}#{msg.msg_id}")
         node.track_handler(proc)
 
         def on_done(sig: Signal) -> None:
@@ -403,8 +427,8 @@ class Transport:
                 release()
             if not node.up:
                 return  # crashed while handling: reply is lost
-            if sig.error is not None:
-                self.send(msg.reply(sig.error, error=True))
+            if sig._error is not None:
+                self.send(msg.reply(sig._error, error=True))
             else:
                 self.send(msg.reply(sig._value))
 

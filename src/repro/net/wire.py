@@ -310,9 +310,9 @@ class CompactCodec:
     producer of bytes, ``message_size``/``payload_size`` sum the sizes
     those bytes would have without building them — what every
     ``Transport.send`` pays.  The per-message string-intern table lives
-    on the stack of each call.  The one piece of instance state is the
-    sizer's per-``Element`` memo, so an instance (and the elements it
-    has sized) lives and dies with the transport that owns it.
+    on the stack of each call.  The instance state is the sizer's two
+    memos, per ``Element`` and per member listing, so an instance (and
+    what it has sized) lives and dies with the transport that owns it.
     """
 
     name = "compact"
@@ -324,6 +324,13 @@ class CompactCodec:
         # identity because Element equality ignores replicas; the entry
         # holds its element, so the id cannot be reused while it is here.
         self._element_sizes: dict[int, tuple] = {}
+        # id(listing) -> the same triple for a tuple made only of
+        # elements: its header plus its elements' fixed bytes, and their
+        # strings end to end in wire order — a server replies with the
+        # same member tuple until the collection is written.  Tuples
+        # only (a list can change under its id), oldest entry out at
+        # _LISTING_ENTRIES (a soak writes 10**4 listing versions).
+        self._listing_sizes: dict[int, tuple] = {}
 
     # -- public API ------------------------------------------------------
     def message_size(self, msg: Message) -> int:
@@ -791,11 +798,15 @@ class CompactCodec:
             n = len(obj)
             return 1 + _uvarint_len(n) + n
         if cls is tuple or cls is list:
-            total = 1 + _uvarint_len(len(obj))
-            for item in obj:
-                total += self._size_value(item, interns)
-            return total
-        if cls is dict:
+            entry = None
+            if cls is tuple and obj and obj[0].__class__ not in _WALKED:
+                entry = self._listing_entry(obj)
+            if entry is None:
+                total = 1 + _uvarint_len(len(obj))
+                for item in obj:
+                    total += self._size_value(item, interns)
+                return total
+        elif cls is dict:
             if obj.keys() == _DELTA_KEYS and _delta_shaped(obj):
                 return self._size_delta(obj, interns)
             total = 1 + _uvarint_len(len(obj))
@@ -803,33 +814,64 @@ class CompactCodec:
                 total += self._size_value(key, interns)
                 total += self._size_value(value, interns)
             return total
-        if cls is set or cls is frozenset:
+        elif cls is set or cls is frozenset:
             total = 1 + _uvarint_len(len(obj))
             for item in _stable_order(obj):
                 total += self._size_value(item, interns)
             return total
-        # A memo hit is an element: entries are only made below, after
-        # the Blob test failed for that very object.
-        key = id(obj)
-        if key in self._element_sizes:
-            entry = self._element_sizes[key]
-        elif isinstance(obj, Blob):
-            # The declared body dominates; no padding is allocated.
-            return (1 + _uvarint_len(max(0, obj.size))
-                    + max(obj.size, self._size_value(obj.value, interns)))
-        elif _is_element(obj):
-            entry = self._element_sizes[key] = _element_entry(obj)
         else:
-            return self._size_fallback(obj, interns)
-        _element, total, strings = entry
+            # A memo hit is an element: entries are only made below,
+            # after the Blob test failed for that very object.
+            key = id(obj)
+            if key in self._element_sizes:
+                entry = self._element_sizes[key]
+            elif isinstance(obj, Blob):
+                # The declared body dominates; no padding is allocated.
+                return (1 + _uvarint_len(max(0, obj.size))
+                        + max(obj.size, self._size_value(obj.value, interns)))
+            elif _is_element(obj):
+                entry = self._element_sizes[key] = _element_entry(obj)
+            else:
+                return self._size_fallback(obj, interns)
+        # An element's entry or a listing's: the fixed bytes, and per
+        # string a back-reference or, where this is the message's first
+        # use of it, its first-use cost.
+        _held, total, strings = entry
+        interned = len(interns)
         for s, first_use in strings:
             if s in interns:
                 index = interns[s]
                 total += 2 if index < 128 else 1 + _uvarint_len(index)
             else:
-                interns[s] = len(interns)
+                interns[s] = interned
+                interned += 1
                 total += first_use
         return total
+
+    def _listing_entry(self, listing: tuple) -> Optional[tuple]:
+        """The memo entry of a tuple made only of elements (None, and no
+        entry, if any item is something else)."""
+        entry = self._listing_sizes.get(id(listing))
+        if entry is not None:
+            return entry
+        element_sizes = self._element_sizes
+        fixed = 1 + _uvarint_len(len(listing))
+        strings: list = []
+        for item in listing:
+            key = id(item)
+            if key in element_sizes:
+                _element, size, own = element_sizes[key]
+            elif _is_element(item):
+                _element, size, own = element_sizes[key] = _element_entry(item)
+            else:
+                return None
+            fixed += size
+            strings += own
+        if len(self._listing_sizes) >= _LISTING_ENTRIES:
+            del self._listing_sizes[next(iter(self._listing_sizes))]
+        entry = self._listing_sizes[id(listing)] = (
+            listing, fixed, tuple(strings))
+        return entry
 
     def _size_delta(self, delta: dict, interns: dict[str, int]) -> int:
         flags = _delta_flags(delta)
@@ -882,6 +924,15 @@ class CompactCodec:
         if flags & _XF_INVOCATION:
             total += _uvarint_len(invocation)
         return total
+
+
+#: how many member listings a codec remembers the size of
+_LISTING_ENTRIES = 64
+
+#: the classes ``_size_value`` walks itself: a tuple that starts with
+#: one of these is not a member listing
+_WALKED = frozenset({type(None), bool, int, float, str, bytes, tuple, list,
+                     dict, set, frozenset})
 
 
 def _element_entry(element: Any) -> tuple:

@@ -21,6 +21,7 @@ Design constraints, in order:
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Iterator, Optional, Sequence
 
 __all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry",
@@ -111,19 +112,15 @@ class Histogram:
     def observe(self, value: float) -> None:
         if value != value:  # NaN would poison every aggregate silently
             raise ValueError(f"histogram {self.name} cannot observe NaN")
-        self.counts[self._bucket_index(value)] += 1
+        # The first bound >= value (bounds are inclusive upper edges);
+        # past the last one, the +Inf bucket.
+        self.counts[bisect_left(self.bounds, value)] += 1
         self.total += value
         self.count += 1
         if self.vmin is None or value < self.vmin:
             self.vmin = value
         if self.vmax is None or value > self.vmax:
             self.vmax = value
-
-    def _bucket_index(self, value: float) -> int:
-        for i, bound in enumerate(self.bounds):
-            if value <= bound:
-                return i
-        return len(self.bounds)
 
     @property
     def mean(self) -> float:

@@ -118,12 +118,15 @@ class Tracer:
             span.end = self._clock.now
         stack = self._stacks.get(span._ctx)
         if stack is not None:
-            # Normally a pop; remove by identity to survive out-of-order
-            # finishes (a killed process's children, say).
-            for i in range(len(stack) - 1, -1, -1):
-                if stack[i] is span:
-                    del stack[i]
-                    break
+            if stack[-1] is span:
+                stack.pop()
+            else:
+                # Out-of-order finish (a killed process's children,
+                # say): remove by identity.
+                for i in range(len(stack) - 2, -1, -1):
+                    if stack[i] is span:
+                        del stack[i]
+                        break
             if not stack:
                 del self._stacks[span._ctx]
         return span

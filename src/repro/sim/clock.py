@@ -14,27 +14,24 @@ __all__ = ["Clock"]
 class Clock:
     """A monotonically non-decreasing virtual clock.
 
-    Only the kernel advances the clock; user code reads it via
-    :attr:`now` (or ``kernel.now``).
+    Only the kernel advances the clock (through :meth:`advance_to`);
+    user code reads :attr:`now` (or ``kernel.now``).
     """
 
     def __init__(self, start: float = 0.0):
         if start < 0:
             raise SimulationError(f"clock cannot start at negative time {start}")
-        self._now = float(start)
-
-    @property
-    def now(self) -> float:
-        """Current virtual time in seconds."""
-        return self._now
+        #: current virtual time in seconds — a plain attribute, read on
+        #: every event and every message; written by :meth:`advance_to`
+        self.now = float(start)
 
     def advance_to(self, t: float) -> None:
         """Move the clock forward to ``t``.  Moving backwards is a bug."""
-        if t < self._now:
+        if t < self.now:
             raise SimulationError(
-                f"clock would move backwards: {self._now} -> {t}"
+                f"clock would move backwards: {self.now} -> {t}"
             )
-        self._now = t
+        self.now = t
 
     def __repr__(self) -> str:
-        return f"Clock(now={self._now:.6f})"
+        return f"Clock(now={self.now:.6f})"

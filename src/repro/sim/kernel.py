@@ -38,7 +38,7 @@ from ..errors import SimulationError, TimeoutFailure
 from ..obs import Observability
 from .clock import Clock
 from .events import Fork, Join, Now, Signal, Sleep, Wait
-from .process import Process, ProcessState
+from .process import Process, ProcessName, ProcessState
 from .rng import RandomRouter, Stream
 from .sched import WheelScheduler, _Scheduled
 from .tracing import TraceLog
@@ -59,6 +59,7 @@ class Kernel:
         self.trace = TraceLog(enabled=trace, clock=self.clock)
         self._sched = WheelScheduler()
         self._seq = itertools.count()
+        self._pids = 0
         self._processes: list[Process] = []
         self._running: Optional[Process] = None
         # Live batch state: while run() drains an instant, zero-delay
@@ -93,9 +94,13 @@ class Kernel:
         """Named deterministic random stream (see :mod:`repro.sim.rng`)."""
         return self.random.stream(name)
 
-    def spawn(self, generator: Generator, name: str = "", daemon: bool = False,
-              transient: bool = False) -> Process:
+    def spawn(self, generator: Generator, name: ProcessName = "",
+              daemon: bool = False, transient: bool = False) -> Process:
         """Create a process from ``generator`` and schedule its first step.
+
+        ``name`` is the process's name or a callable that formats it;
+        either way the text is built when something reads ``proc.name``
+        (a trace record, a ``repr``, an error), not here.
 
         ``transient`` processes are not retained in the kernel's process
         table: once finished they are garbage-collected with their
@@ -110,7 +115,8 @@ class Kernel:
                 f"spawn() needs a generator, got {type(generator).__name__} "
                 "(did you forget to call the generator function?)"
             )
-        proc = Process(generator, name=name, daemon=daemon)
+        self._pids += 1
+        proc = Process(generator, self._pids, name, daemon)
         if not transient:
             self._processes.append(proc)
         if self.trace.enabled:
@@ -130,10 +136,11 @@ class Kernel:
             stop_when: Optional[Callable[[], bool]] = None) -> None:
         """Run scheduled actions until the queue empties (or ``until``,
         or ``stop_when()`` turns true between actions)."""
-        sim_start = self.clock.now
+        clock = self.clock
+        sim_start = clock.now
         sched = self._sched
         sched_push = sched.push
-        clock = self.clock
+        trace = self.trace
         batch = self._batch
         seq = self._seq
         executed = 0
@@ -182,13 +189,15 @@ class Kernel:
                                 effect = proc.generator.send(None)
                             except StopIteration as stop:
                                 proc._finish(stop.value)
-                                self.trace.record("finish", process=proc.name)
+                                if trace.enabled:
+                                    trace.record("finish", process=proc.name)
                                 self._running = None
                                 continue
                             except BaseException as exc:
                                 proc._fail(exc)
-                                self.trace.record("fail", process=proc.name,
-                                                  error=repr(exc))
+                                if trace.enabled:
+                                    trace.record("fail", process=proc.name,
+                                                 error=repr(exc))
                                 self._running = None
                                 continue
                             self._running = None
@@ -230,7 +239,7 @@ class Kernel:
                 finally:
                     self._dispatching = False
                     del batch[:]
-                self._m_queue_depth.value = len(sched)
+                self._m_queue_depth.value = sched._count
             if until is not None and until > clock.now:
                 clock.advance_to(until)
         finally:
@@ -263,7 +272,8 @@ class Kernel:
         joiner is resumed with :class:`~repro.errors.ProcessKilled`.
         """
         proc.kill()
-        self.trace.record("kill", process=proc.name)
+        if self.trace.enabled:
+            self.trace.record("kill", process=proc.name)
 
     def processes(self) -> list[Process]:
         return list(self._processes)
@@ -314,11 +324,13 @@ class Kernel:
                 effect = proc.generator.send(value)
         except StopIteration as stop:
             proc._finish(stop.value)
-            self.trace.record("finish", process=proc.name)
+            if self.trace.enabled:
+                self.trace.record("finish", process=proc.name)
             return
         except BaseException as exc:
             proc._fail(exc)
-            self.trace.record("fail", process=proc.name, error=repr(exc))
+            if self.trace.enabled:
+                self.trace.record("fail", process=proc.name, error=repr(exc))
             return
         finally:
             self._running = None
@@ -326,7 +338,7 @@ class Kernel:
             # Fast path: Sleep dominates every workload.  Inlines
             # _schedule (Sleep validated duration >= 0 at construction).
             proc.state = _WAITING
-            when = self.clock._now + effect.duration
+            when = self.clock.now + effect.duration
             entry = _Scheduled(when, next(self._seq), proc)
             if self._dispatching and when == self._batch_time:
                 self._batch.append(entry)
@@ -336,11 +348,13 @@ class Kernel:
         self._interpret(proc, effect)
 
     def _interpret(self, proc: Process, effect: Any) -> None:
-        if isinstance(effect, Sleep):
+        # Both callers have taken a plain Sleep already; of the rest,
+        # Wait (every RPC) is the common one.
+        if isinstance(effect, Wait):
+            self._do_wait(proc, effect.signal, effect.timeout)
+        elif isinstance(effect, Sleep):
             proc.state = _WAITING
             self._schedule(effect.duration, proc)
-        elif isinstance(effect, Wait):
-            self._do_wait(proc, effect.signal, effect.timeout)
         elif isinstance(effect, Join):
             self._do_wait(proc, effect.process.done, effect.timeout)
         elif isinstance(effect, Fork):
@@ -363,35 +377,41 @@ class Kernel:
             self._schedule(0.0, lambda: self._step(proc, throw=err))
 
     def _do_wait(self, proc: Process, signal: Signal, timeout: Optional[float]) -> None:
-        proc.state = ProcessState.WAITING
-        settled = {"done": False}
-        timer: list[_Scheduled] = []
+        proc.state = _WAITING
+        timer: Optional[_Scheduled] = None
 
-        def on_fire(sig: Signal) -> None:
-            if settled["done"]:
-                return
-            settled["done"] = True
-            if timer:
-                timer[0].cancelled = True
-            if sig.error is not None:
-                proc._set_resume(error=sig.error)
-            else:
-                proc._set_resume(value=sig._value)
-            self._schedule(0.0, proc)
-
-        signal.add_waiter(on_fire)
-        if timeout is not None and not settled["done"]:
-            def on_timeout() -> None:
-                if settled["done"]:
-                    return
-                settled["done"] = True
-                signal.discard_waiter(on_fire)
+        def wake(sig: Optional[Signal] = None) -> None:
+            # Called with the signal when it fires, and with nothing
+            # by the timer.  Whichever comes first unhooks the other —
+            # a cancelled entry is never dispatched, a discarded waiter
+            # never called — so this runs once per wait.  It then lets
+            # go of itself (it is the timer's action, and is named
+            # through the timer, never by its own name): no cycle is
+            # left behind, so a finished process is freed by reference
+            # count, and a cancelled timer waiting out its instant in
+            # the queue holds nothing.
+            if sig is None:
+                signal.discard_waiter(timer.action)
+                timer.action = None
                 proc._set_resume(error=TimeoutFailure(
                     f"wait on {signal.name or 'signal'} timed out after {timeout}s"
                 ))
                 self._step(proc)
+                return
+            if timer is not None:
+                timer.cancelled = True
+                timer.action = None
+            proc._resume_value = sig._value
+            proc._resume_error = sig._error
+            self._schedule(0.0, proc)
 
-            timer.append(self._schedule(timeout, on_timeout))
+        # Sequence numbers are simulated behaviour (same-instant order):
+        # an already-fired signal takes the resume entry's here and no
+        # timer's; otherwise the timer's is taken now, the resume's when
+        # the signal fires.
+        signal.add_waiter(wake)
+        if timeout is not None and not signal._fired:
+            timer = self._schedule(timeout, wake)
 
     def __repr__(self) -> str:
         return (f"Kernel(now={self.now:.3f}, queued={len(self._sched)}, "

@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import enum
-from typing import Any, Generator, Optional
+from typing import Any, Callable, Generator, Optional, Union
 
 from ..errors import ProcessKilled, SimulationError
 from .events import Signal
 
 __all__ = ["Process", "ProcessState"]
+
+#: a process's name as given: the string, or a callable that formats it
+ProcessName = Union[str, Callable[[], str]]
 
 
 class ProcessState(enum.Enum):
@@ -21,6 +24,37 @@ class ProcessState(enum.Enum):
 
 
 _TERMINAL = {ProcessState.FINISHED, ProcessState.FAILED, ProcessState.KILLED}
+
+
+def _format_name(name: ProcessName, pid: int) -> str:
+    """A process's name, built when something reads it (a ``repr``, a
+    trace record, an error's text) — for most processes, never."""
+    if not isinstance(name, str):
+        name = name()
+    return name or f"proc-{pid}"
+
+
+class _Done(Signal):
+    """A process's completion signal, ``<process name>.done``: ``name``
+    shadows the base class's slot with a property.  It holds what the
+    name is made of and never the process: a back-reference would be a
+    cycle, and a finished process has to die by reference count."""
+
+    __slots__ = ("_process_name", "_pid")
+
+    def __init__(self, process_name: ProcessName, pid: int):
+        self._process_name = process_name
+        self._pid = pid
+        # Signal.__init__ less the name, without a second frame per
+        # process (tests/test_rpc_host_cost.py holds the two equal)
+        self._fired = False
+        self._value = None
+        self._error = None
+        self._waiters = []
+
+    @property
+    def name(self) -> str:
+        return f"{_format_name(self._process_name, self._pid)}.done"
 
 
 class Process:
@@ -36,19 +70,21 @@ class Process:
     the terminal check are hot.
     """
 
-    __slots__ = ("pid", "name", "daemon", "generator", "state", "done",
+    __slots__ = ("pid", "_name", "daemon", "generator", "state", "done",
                  "_terminal", "_resume_value", "_resume_error")
 
-    _counter = 0
-
-    def __init__(self, generator: Generator, name: str = "", daemon: bool = False):
-        Process._counter += 1
-        self.pid = Process._counter
-        self.name = name or f"proc-{self.pid}"
+    def __init__(self, generator: Generator, pid: int,
+                 name: ProcessName = "", daemon: bool = False):
+        #: minted by the kernel that runs it (an anonymous process is
+        #: ``proc-<pid>``, and failure text carrying that name is sized on
+        #: the wire: it may depend on the kernel's history, never on the
+        #: host process's)
+        self.pid = pid
+        self._name = name
         self.daemon = daemon
         self.generator = generator
         self.state = ProcessState.READY
-        self.done = Signal(name=f"{self.name}.done")
+        self.done = _Done(name, pid)
         # Kernel bookkeeping: terminal flag (mirrors ``state``, cheap to
         # poll) and the value/exception to send on next resume.  The
         # kernel schedules the Process object itself as a timer action,
@@ -58,6 +94,12 @@ class Process:
         self._resume_error: Optional[BaseException] = None
 
     # -- status ---------------------------------------------------------
+    @property
+    def name(self) -> str:
+        """The name it was spawned with (a callable is asked now, not at
+        spawn), or ``proc-<pid>``."""
+        return _format_name(self._name, self.pid)
+
     @property
     def finished(self) -> bool:
         return self._terminal

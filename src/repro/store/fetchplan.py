@@ -340,7 +340,7 @@ class FetchPipeline:
                 if cached is not None:
                     self.cache_hits += 1
                     self._m_cache_hits.value += 1
-                    self.repo._m_cache_hits.value += 1
+                    self.repo._m.cache_hits.value += 1
                     self._settle(FetchResult(
                         element, value=cached, fetched_at=self.world.now,
                         issue_epoch=self._epoch, from_cache=True))

@@ -69,6 +69,30 @@ class MembershipView:
                 f"{len(self.members)} members from {self.source}{degraded})")
 
 
+class _Instruments:
+    """The client side's metric instruments, resolved by name once per
+    world (by its first :class:`Repository`) and shared by the rest: a
+    population builds one repository per session."""
+
+    __slots__ = ("fetch_latency", "cache_hits", "membership_reads",
+                 "membership_age", "orphan_cleanups", "stale_served",
+                 "stale_age", "scatter_reads", "scatter_retries",
+                 "fence_rereads", "reroutes")
+
+    def __init__(self, metrics) -> None:
+        self.fetch_latency = metrics.histogram("repo.fetch_latency")
+        self.cache_hits = metrics.counter("repo.cache_hits")
+        self.membership_reads = metrics.counter("repo.membership_reads")
+        self.membership_age = metrics.histogram("repo.membership_age")
+        self.orphan_cleanups = metrics.counter("write.orphan_cleanups")
+        self.stale_served = metrics.counter("offline.stale_served")
+        self.stale_age = metrics.histogram("offline.read_age")
+        self.scatter_reads = metrics.counter("shard.scatter_reads")
+        self.scatter_retries = metrics.counter("shard.scatter_retries")
+        self.fence_rereads = metrics.counter("shard.fence_rereads")
+        self.reroutes = metrics.counter("shard.write_reroutes")
+
+
 class Repository:
     """RPC-only access to collections and objects from one client node."""
 
@@ -88,18 +112,11 @@ class Repository:
         self.limiter = limiter
         self.offline = None               # set by OfflineClient.attach
         self.obs = self.net.kernel.obs
-        metrics = self.obs.metrics
-        self._m_fetch_latency = metrics.histogram("repo.fetch_latency")
-        self._m_cache_hits = metrics.counter("repo.cache_hits")
-        self._m_membership_reads = metrics.counter("repo.membership_reads")
-        self._m_membership_age = metrics.histogram("repo.membership_age")
-        self._m_orphan_cleanups = metrics.counter("write.orphan_cleanups")
-        self._m_stale_served = metrics.counter("offline.stale_served")
-        self._m_stale_age = metrics.histogram("offline.read_age")
-        self._m_scatter_reads = metrics.counter("shard.scatter_reads")
-        self._m_scatter_retries = metrics.counter("shard.scatter_retries")
-        self._m_fence_rereads = metrics.counter("shard.fence_rereads")
-        self._m_reroutes = metrics.counter("shard.write_reroutes")
+        instruments = world.repository_instruments
+        if instruments is None:
+            instruments = world.repository_instruments = _Instruments(
+                self.obs.metrics)
+        self._m = instruments
         #: per-collection, per-shard high-water marks of authoritative
         #: partition versions this client has observed — the fence that
         #: keeps a mirror read from silently travelling backwards.
@@ -151,16 +168,16 @@ class Repository:
         cheap but possibly stale — the optimistic choice), or a specific
         node name.
         """
-        self._m_membership_reads.value += 1
+        self._m.membership_reads.value += 1
         if self.disconnected:
             return self._stale_membership(coll_id)
         if use_cache and self.cache is not None:
             cached = self.cache.get(("membership", coll_id), self.world.now)
             if cached is not None:
-                self._m_cache_hits.value += 1
+                self._m.cache_hits.value += 1
                 # Staleness of the served snapshot: how old the cached
                 # view is at the moment a drain consumes it.
-                self._m_membership_age.observe(self.world.now - cached.read_at)
+                self._m.membership_age.observe(self.world.now - cached.read_at)
                 return cached
         if self.placement(coll_id).is_sharded:
             return (yield from self._read_sharded(coll_id, source))
@@ -219,7 +236,7 @@ class Repository:
           view of any single shard never travels backwards.
         """
         smap = self.placement(coll_id).shard_map
-        self._m_scatter_reads.value += 1
+        self._m.scatter_reads.value += 1
         last_failure: Optional[FailureException] = None
         for _ in range(4):
             generation = smap.generation
@@ -239,7 +256,7 @@ class Repository:
             if smap.generation != generation:
                 # A cutover landed mid-read: per-shard replies straddle
                 # two rings.  Retry against the new map.
-                self._m_scatter_retries.value += 1
+                self._m.scatter_retries.value += 1
                 continue
             failures = [r for r in results.values()
                         if isinstance(r, FailureException)]
@@ -299,7 +316,7 @@ class Repository:
             # The mirror is behind a partition version this client has
             # already seen: re-read authoritatively rather than let the
             # per-shard view travel backwards.
-            self._m_fence_rereads.value += 1
+            self._m.fence_rereads.value += 1
             reply = yield from self._call(shard, "list_members", coll_id)
             version, members, degraded = _unpack_snapshot(reply)
             host = shard
@@ -328,8 +345,8 @@ class Repository:
             return None
         peeked = self.cache.peek(key, self.world.now)
         if peeked is not None:
-            self._m_stale_served.value += 1
-            self._m_stale_age.observe(peeked[1])
+            self._m.stale_served.value += 1
+            self._m.stale_age.observe(peeked[1])
         return peeked
 
     def _stale_membership(self, coll_id: str) -> MembershipView:
@@ -345,7 +362,7 @@ class Repository:
             raise DisconnectedError(
                 f"disconnected and no cached membership for {coll_id!r}")
         view, age = peeked
-        self._m_membership_age.observe(age)
+        self._m.membership_age.observe(age)
         return view
 
     def _stale_object(self, element: Element) -> Any:
@@ -379,7 +396,7 @@ class Repository:
         if use_cache and self.cache is not None:
             cached = self.cache.get(("object", element.oid), self.world.now)
             if cached is not None:
-                self._m_cache_hits.value += 1
+                self._m.cache_hits.value += 1
                 return cached
         tracer = self.obs.tracer
         span = tracer.start("repo.fetch", element=element.name,
@@ -388,10 +405,10 @@ class Repository:
             value = yield from self._fetch_value(element, failover)
         except BaseException as exc:
             tracer.finish(span, outcome=type(exc).__name__)
-            self._m_fetch_latency.observe(span.duration)
+            self._m.fetch_latency.observe(span.duration)
             raise
         tracer.finish(span, outcome="ok")
-        self._m_fetch_latency.observe(span.duration)
+        self._m.fetch_latency.observe(span.duration)
         value = unwrap(value)  # servers reply in wire Blobs
         if self.cache is not None:
             self.cache.put(("object", element.oid), value, self.world.now)
@@ -504,7 +521,7 @@ class Repository:
         daemon's orphan-GC pass reclaims whatever this misses.
         """
         for dest in placed:
-            self._m_orphan_cleanups.value += 1
+            self._m.orphan_cleanups.value += 1
             try:
                 yield from self._call(dest, "delete_object", element.oid,
                                       max_attempts=1)
@@ -529,7 +546,7 @@ class Repository:
             try:
                 return (yield from self._call(owner, method, coll_id, element))
             except WrongShardFailure as exc:
-                self._m_reroutes.value += 1
+                self._m.reroutes.value += 1
                 last = exc
         raise last
 

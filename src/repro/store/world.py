@@ -164,6 +164,9 @@ class World:
         self._iter_counter = itertools.count(1)
         self._lock_owner_counter = itertools.count(1)
         self._listeners: list[Callable[[], None]] = []
+        #: the client side's metric instruments: resolved by this world's
+        #: first Repository, shared by every later one
+        self.repository_instruments = None
         #: shared RPC client for the anti-entropy syncers (its own RNG
         #: stream so sync backoff never perturbs client-facing draws).
         self.sync_client = ResilientClient(
@@ -196,7 +199,7 @@ class World:
 
     @property
     def now(self) -> float:
-        return self.kernel.now
+        return self.kernel.clock.now
 
     # ------------------------------------------------------------------
     # collection management

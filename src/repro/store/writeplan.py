@@ -445,7 +445,7 @@ class WritePipeline:
                     for op in group:
                         self._settle(op, ok=True)
                 elif isinstance(exc, WrongShardFailure):
-                    self.repo._m_reroutes.value += 1
+                    self.repo._m.reroutes.value += 1
                     last_bounce = exc
                     pending.extend(group)
                 else:

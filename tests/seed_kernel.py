@@ -54,6 +54,9 @@ class Kernel:
         self.trace = TraceLog(enabled=trace, clock=self.clock)
         self._queue: list[_Scheduled] = []
         self._seq = itertools.count()
+        # pids are the running kernel's to mint (the one line here newer
+        # than the seed: ``Process`` no longer counts per host process)
+        self._pids = itertools.count(1)
         self._processes: list[Process] = []
         self._running: Optional[Process] = None
         # One observability surface per kernel: metrics + spans, timed by
@@ -91,7 +94,7 @@ class Kernel:
                 f"spawn() needs a generator, got {type(generator).__name__} "
                 "(did you forget to call the generator function?)"
             )
-        proc = Process(generator, name=name, daemon=daemon)
+        proc = Process(generator, next(self._pids), name=name, daemon=daemon)
         self._processes.append(proc)
         self.trace.record("spawn", process=proc.name)
         self._schedule(0.0, lambda: self._step(proc))

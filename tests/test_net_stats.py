@@ -1,5 +1,6 @@
 """NetworkStats accounting."""
 
+import pytest
 
 from repro.net import FixedLatency, Network, full_mesh
 from repro.sim import Kernel
@@ -31,6 +32,18 @@ def test_counts_per_node_and_aggregate():
     assert stats.node("b").requests_handled == 3
     assert stats.node("c").requests_handled == 1
     assert stats.node("a").requests_handled == 0   # replies aren't requests
+
+
+def test_reading_per_node_creates_no_entry():
+    kernel = Kernel()
+    net = Network(kernel, full_mesh(["a", "b", "c"], FixedLatency(0.01)))
+    net.register_service("b", "echo", Echo())
+    kernel.run_process(net.call("a", "b", "echo", "echo", 1))
+    stats = net.transport.stats
+    assert set(stats.per_node) == {"a", "b"}        # c never sent or received
+    with pytest.raises(KeyError):
+        stats.per_node["c"]
+    assert set(stats.per_node) == {"a", "b"}
 
 
 def test_drops_counted():

@@ -1,7 +1,7 @@
 """Lower-level transport behaviours: drops, late replies, counters."""
 
 
-from repro.errors import NodeCrashFailure, TimeoutFailure
+from repro.errors import NodeCrashFailure, ProcessKilled, TimeoutFailure
 from repro.net import Address, FixedLatency, Message, Network, full_mesh
 from repro.sim import Kernel, Sleep
 
@@ -132,3 +132,66 @@ def test_node_crash_hooks_invoked():
     net.recover("a")
     assert events == ["crash", "recover"]
     assert net.node("a").crash_count == 1
+
+
+# -- handler tracking -----------------------------------------------------------
+
+def test_settled_rpc_leaves_no_finished_handler_on_its_node():
+    kernel, net = make_net()
+
+    def proc():
+        return (yield from net.call("a", "b", "echo", "slow", "v", 0.05))
+
+    assert kernel.run_process(proc()) == "v"
+    # not "until that node's next request": the moment it finished
+    assert net.node("b")._handlers == {}
+
+
+def test_crash_kills_live_handlers_in_spawn_order():
+    kernel, net = make_net()
+    node = net.node("b")
+    killed = []
+
+    def handler(tag):
+        try:
+            yield Sleep(10.0)
+        finally:
+            killed.append(tag)
+
+    procs = [kernel.spawn(handler(tag), name=tag, daemon=True)
+             for tag in ("first", "second", "third")]
+    for proc in procs:
+        node.track_handler(proc)
+    quick = kernel.spawn(handler("quick"), daemon=True)
+    quick.kill()                           # finished before it is tracked
+    node.track_handler(quick)
+    kernel.run(until=1.0)
+    assert list(node._handlers.values()) == procs
+    killed.clear()
+    # each kill fires the handler's done signal, which removes it from
+    # the table being walked: the walk must not notice
+    net.crash("b")
+    assert killed == ["first", "second", "third"]
+    assert all(p.finished for p in procs)
+    assert node._handlers == {}
+
+
+def test_handler_killed_from_outside_leaves_its_node():
+    kernel, net = make_net()
+    node = net.node("b")
+
+    def proc():
+        try:
+            yield from net.call("a", "b", "echo", "slow", "v", 5.0)
+        except ProcessKilled as exc:
+            return str(exc)
+
+    caller = kernel.spawn(proc())
+    kernel.run(until=0.1)
+    (handler,) = node._handlers.values()
+    kernel.kill(handler)
+    assert node._handlers == {}
+    kernel.run(stop_when=lambda: caller.finished)
+    # the node is up, so the kill is answered; the handler is named as ever
+    assert caller.result == f"{handler.name} was killed"
+    assert handler.name.startswith("echo@b.slow#")

@@ -24,7 +24,8 @@ from repro.errors import (
 from repro.net import CompactCodec, NaiveCodec, WireFormat
 from repro.net.address import Address
 from repro.net.message import Message
-from repro.net.wire import DELTA_SCHEMA, EXCEPTION_TYPES, METHODS, Blob
+from repro.net.wire import (_LISTING_ENTRIES, DELTA_SCHEMA, EXCEPTION_TYPES,
+                            METHODS, Blob)
 from repro.store import AddSpec
 from repro.store.elements import Element
 from repro.wan import PopulationEngine, PopulationSpec, Stage, default_behaviors
@@ -286,6 +287,114 @@ def test_sized_elements_die_with_their_world():
     del kernel, net, world, members
     gc.collect()
     assert probe() is None
+
+
+# -- the listing memo ---------------------------------------------------------
+
+def listing_reply(members, *, envelope_interns_homes: bool, version=7):
+    """A ``list_members`` reply carrying ``members`` as the server does.
+    The envelope's two node names are strings of the message before the
+    payload is reached: drawn from the elements' own home/replica pool
+    they are pre-interned when an element names them, and ``zz-*`` never
+    is."""
+    src, dst = (("n0.0", "ノード") if envelope_interns_homes
+                else ("zz-server", "zz-client"))
+    return Message(src=Address(src, "store"), dst=Address(dst, "client"),
+                   method="list_members!ok", payload=(version, members),
+                   is_reply=True, reply_to=3)
+
+
+def assert_miss_and_hit_are_exact(codec, msg):
+    encoded = len(codec.encode_message(msg))
+    assert codec.message_size(msg) == encoded          # the miss …
+    assert codec.message_size(msg) == encoded          # … and the hit
+
+
+@settings(max_examples=150)
+@given(st.lists(elements(), min_size=1, max_size=12).map(tuple),
+       st.booleans())
+def test_listing_entry_is_exact_on_miss_and_on_hit(members, interned):
+    codec = CompactCodec()
+    msg = listing_reply(members, envelope_interns_homes=interned)
+    assert_miss_and_hit_are_exact(codec, msg)
+    assert codec._listing_sizes[id(members)][0] is members
+    # the same tuple behind the other envelope: the entry is reused
+    # against a different set of already-interned strings
+    assert_miss_and_hit_are_exact(
+        codec, listing_reply(members, envelope_interns_homes=not interned))
+    assert len(codec._listing_sizes) == 1
+    assert_sized_exactly(msg, WARM)
+
+
+def test_listing_entry_crosses_the_two_byte_backref_edge():
+    # 70 elements x (name, home) = 140 distinct strings, then every one
+    # of them again: back-references on both sides of index 128
+    members = tuple(Element(f"member-{i}", f"member-{i}-{i}", f"host-{i}")
+                    for i in range(70))
+    codec = CompactCodec()
+    msg = listing_reply(members + members, envelope_interns_homes=False)
+    assert_miss_and_hit_are_exact(codec, msg)
+    assert len(codec._listing_sizes[id(msg.payload[1])][2]) == 280
+
+
+def test_listing_memo_is_bounded_and_an_evicted_listing_still_sizes():
+    pool = [Element(f"m{i}", f"m{i}-{i}", NODES[i % len(NODES)],
+                    replicas=(NODES[(i + 1) % len(NODES)],))
+            for i in range(40)]
+    codec = CompactCodec()
+    first = tuple(pool)
+    first_msg = listing_reply(first, envelope_interns_homes=True)
+    assert_miss_and_hit_are_exact(codec, first_msg)
+    kept = []                       # alive, so no id is handed out twice
+    for i in range(1000):
+        listing = tuple(pool[i % 40:] + pool[:i % 40])[:1 + i % 39]
+        kept.append(listing)
+        msg = listing_reply(listing, envelope_interns_homes=bool(i % 2))
+        assert codec.message_size(msg) == len(codec.encode_message(msg))
+        assert len(codec._listing_sizes) <= _LISTING_ENTRIES
+    assert len(codec._listing_sizes) == _LISTING_ENTRIES
+    assert id(first) not in codec._listing_sizes        # pushed out …
+    assert_miss_and_hit_are_exact(codec, first_msg)     # … and re-sent
+    assert codec._listing_sizes[id(first)][0] is first
+    assert len(codec._listing_sizes) == _LISTING_ENTRIES
+
+
+@pytest.mark.parametrize("spoil", [
+    lambda members: list(members),                        # mutable
+    lambda members: members[:2] + ("not-an-element",) + members[2:],
+    lambda members: members[:2] + (Blob(members[2], 4096),) + members[3:],
+    lambda members: (members[0], 3, members[1]),
+    lambda members: (),
+], ids=["list", "str-item", "blob-item", "int-item", "empty"])
+def test_only_a_tuple_of_elements_gets_a_listing_entry(spoil):
+    members = tuple(Element(f"m{i}", f"m{i}-{i}", "n0.0", replicas=("n1.2",))
+                    for i in range(5))
+    codec = CompactCodec()
+    msg = listing_reply(spoil(members), envelope_interns_homes=True)
+    assert_miss_and_hit_are_exact(codec, msg)
+    assert codec._listing_sizes == {}
+    assert_sized_exactly(msg, WARM)
+
+
+def test_a_list_is_sized_as_it_stands_each_time():
+    members = [Element(f"m{i}", f"m{i}-{i}", "n0.0") for i in range(4)]
+    codec = CompactCodec()
+    msg = listing_reply(members, envelope_interns_homes=False)
+    assert_miss_and_hit_are_exact(codec, msg)
+    members.append(Element("late", "late-9", "n1.2"))    # same id, new value
+    assert_miss_and_hit_are_exact(codec, msg)
+
+
+@settings(max_examples=100)
+@given(deltas(elements()))
+def test_sync_delta_elements_inside_triples_still_size_exactly(delta):
+    codec = CompactCodec()
+    msg = call(delta, "sync_delta!ok", is_reply=True, reply_to=9)
+    assert_miss_and_hit_are_exact(codec, msg)
+    # (name, element, version) and (name, version, element) start with a
+    # string: neither is a listing
+    assert codec._listing_sizes == {}
+    assert_sized_exactly(msg, WARM)
 
 
 # -- the send path ------------------------------------------------------------

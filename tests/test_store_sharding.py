@@ -12,8 +12,9 @@ from repro.errors import (
     WrongShardFailure,
 )
 from repro.net import CompactCodec
-from repro.sim.events import Join, Sleep
+from repro.sim.events import Fork, Join, Sleep
 from repro.store import (
+    AddSpec,
     Element,
     HashRing,
     Repository,
@@ -279,6 +280,41 @@ def test_wrong_shard_rejected_and_rerouted():
         return e
 
     kernel.run_process(routed())
+    assert world.check_invariants() == []
+
+
+def test_batched_write_bounced_by_a_ring_swap_is_rerouted():
+    """A membership batch planned against a ring that is swapped while
+    the RPC is in flight bounces with WrongShardFailure; the pipeline
+    re-resolves the live map, re-issues the sub-batch and counts it."""
+    kernel, net, world, _ = sharded_world()
+    repo = Repository(world, CLIENT)
+    smap = world.collections["coll"].shard_map
+    ring = smap.ring
+    names = [n for n in (f"k{i}" for i in range(200))
+             if ring.owner(n) == "s1"][:4]
+
+    def swap():
+        # puts round-trip by 0.02; add_members is on the wire until 0.03
+        yield Sleep(0.025)
+        smap.ring = ring.without_node("s1")
+
+    def proc():
+        yield Fork(swap(), name="swap", daemon=True)
+        return (yield from repo.add_many(
+            "coll", [AddSpec(n, value=1, home="s0") for n in names]))
+
+    elements = kernel.run_process(proc())
+    assert [e.name for e in elements] == names
+    metrics = kernel.obs.metrics
+    assert metrics.value("shard.write_reroutes") == 1
+    assert metrics.value("write.batch.acked") == len(names)
+    assert metrics.value("write.batch.failed") == 0
+    placed = {node: set(state.members)
+              for node, state in world.partition_states("coll")}
+    assert "s1" not in placed
+    for name in names:
+        assert name in placed[smap.ring.owner(name)]
     assert world.check_invariants() == []
 
 
