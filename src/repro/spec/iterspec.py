@@ -209,13 +209,13 @@ class IteratorSpec:
         """
         if not trace.invocations:
             return []
-        # reachable(x_σ), once per distinct (reachable nodes, x) of this
-        # walk: a drain's windows revisit the same few states hundreds
+        # reachable(x_σ), once per distinct (reachable nodes, live
+        # replica copies, x) of this walk: a drain's windows revisit the same few states hundreds
         # of times.  Keyed by value, and gone when the walk returns.
-        memo: dict[tuple[frozenset, Members], Members] = {}
+        memo: dict[tuple[frozenset, frozenset, Members], Members] = {}
 
         def reachable(snap: StateSnapshot, x: Members) -> Members:
-            key = (snap.reachable_nodes, x)
+            key = (snap.reachable_nodes, snap.live_replicas, x)
             found = memo.get(key)
             if found is None:
                 found = memo[key] = snap.reachable_of(x)

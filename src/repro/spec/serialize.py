@@ -69,6 +69,7 @@ def _snapshot_to_dict(snap: StateSnapshot) -> dict:
         "time": snap.time,
         "members": _members_to_list(snap.members),
         "reachable_nodes": sorted(snap.reachable_nodes),
+        "live_replicas": sorted(map(list, snap.live_replicas)),
     }
 
 
@@ -77,6 +78,8 @@ def _snapshot_from_dict(d: dict) -> StateSnapshot:
         time=d["time"],
         members=_members_from_list(d["members"]),
         reachable_nodes=frozenset(d["reachable_nodes"]),
+        # traces stored before live replica copies were recorded have none
+        live_replicas=frozenset(map(tuple, d.get("live_replicas", ()))),
     )
 
 

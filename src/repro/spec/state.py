@@ -15,8 +15,15 @@ about at one state σ:
 
 * ``members`` — the set's value ``s_σ``;
 * ``reachable_nodes`` — which nodes the observing client can currently
-  reach, from which ``reachable(x_σ)`` is computed for any member set
-  (an element is accessible iff its home node is reachable).
+  reach;
+* ``live_replicas`` — which of those nodes hold a live replica copy of
+  a member whose home is *not* among them.
+
+From the two, ``reachable(x_σ)`` is computed for any member set by the
+one rule the world's ground truth (``World.reachable_of``) also follows:
+an element is accessible iff its home is reachable, or a reachable node
+holds a live copy of its data — "the paper's ``reachable`` is about data
+accessibility, not about one distinguished server being up".
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..net.address import NodeId
-from ..store.elements import Element
+from ..store.elements import Element, ObjectId
 from .termination import Outcome
 
 __all__ = ["StateSnapshot", "InvocationRecord"]
@@ -37,10 +44,18 @@ class StateSnapshot:
     time: float
     members: frozenset[Element]
     reachable_nodes: frozenset[NodeId]
+    #: (node, oid) for each reachable node holding a live replica copy of
+    #: a member whose home is unreachable; empty while every home answers
+    live_replicas: frozenset[tuple[NodeId, ObjectId]] = frozenset()
 
     def reachable_of(self, members: frozenset[Element]) -> frozenset[Element]:
-        """The paper's ``reachable``: accessible subset of ``members``."""
-        return frozenset(e for e in members if e.home in self.reachable_nodes)
+        """The paper's ``reachable``: accessible subset of ``members`` —
+        home reachable, or a reachable node holding a live copy."""
+        nodes, live = self.reachable_nodes, self.live_replicas
+        return frozenset(
+            e for e in members
+            if e.home in nodes
+            or (live and any((loc, e.oid) in live for loc in e.replicas)))
 
 
 @dataclass

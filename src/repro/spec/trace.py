@@ -31,7 +31,8 @@ __all__ = ["IterationTrace", "TraceRecorder"]
 
 def _same_state(a: StateSnapshot, b: StateSnapshot) -> bool:
     """Equal up to time: the assertion-relevant content is unchanged."""
-    return a.members == b.members and a.reachable_nodes == b.reachable_nodes
+    return (a.members == b.members and a.reachable_nodes == b.reachable_nodes
+            and a.live_replicas == b.live_replicas)
 
 
 @dataclass
@@ -100,6 +101,11 @@ class TraceRecorder:
         self._t_invoke = 0.0
         self._snapshots: list[StateSnapshot] = []
         self._unsubscribe: Optional[Callable[[], None]] = None
+        # Every replicated member this trace has seen (s_first may name
+        # members since removed), re-scanned only when the world hands
+        # back a new s_σ object.
+        self._scanned: Optional[frozenset[Element]] = None
+        self._replicated: set[Element] = set()
 
     # ------------------------------------------------------------------
     @property
@@ -166,8 +172,17 @@ class TraceRecorder:
         self._snapshots.append(snap)
 
     def _sample(self) -> StateSnapshot:
-        return StateSnapshot(
-            time=self.world.now,
-            members=self.world.true_members(self.trace.coll_id),
-            reachable_nodes=frozenset(self.world.net.reachable_from(self.trace.client)),
-        )
+        world = self.world
+        members = world.true_members(self.trace.coll_id)
+        if members is not self._scanned:
+            self._scanned = members
+            self._replicated.update(e for e in members if e.replicas)
+        nodes = frozenset(world.net.reachable_from(self.trace.client))
+        # Only a member whose home is out of reach asks its replica
+        # hosts whether they still hold the object.
+        live = frozenset(
+            (loc, e.oid) for e in self._replicated if e.home not in nodes
+            for loc in e.replicas
+            if loc in nodes and (server := world.servers.get(loc)) is not None
+            and server.has_object(e.oid))
+        return StateSnapshot(world.now, members, nodes, live)

@@ -257,13 +257,9 @@ def test_memoized_check_reports_the_same_violations(build):
 
 
 # ---------------------------------------------------------------------------
-# one definition of ``reachable`` (pinned defect; fix belongs to the checker PR)
+# one definition of ``reachable``: any reachable live copy, home or replica
 # ---------------------------------------------------------------------------
 
-@pytest.mark.xfail(strict=True, reason=(
-    "the paper's `reachable` has two definitions: World.reachable_of counts "
-    "any reachable live copy, StateSnapshot.reachable_of the home only, so a "
-    "correct failover yield from a replica reads as a fig6 violation"))
 def test_failover_yield_from_replica_conforms_to_fig6():
     from helpers import CLIENT, drain_all, standard_world
     from repro.weaksets import DynamicSet
@@ -278,7 +274,9 @@ def test_failover_yield_from_replica_conforms_to_fig6():
     # reachable through its replica copy, and it is yielded from there.
     assert world.reachable_members("coll", CLIENT) == {element}
     assert result.elements == [element]
-    # The checker's snapshot disagrees ("requires suspends yielding one
-    # of {}"): its reachable set is empty while the home is down.
+    # So does the checker's snapshot: it recorded the live copy on s2.
+    entry = ws.last_trace.invocations[0].entry_snapshot
+    assert entry.live_replicas == {("s2", element.oid)}
+    assert entry.reachable_of(entry.members) == {element}
     report = check_conformance(ws.last_trace, spec_by_id("fig6"), world)
     assert report.conformant, report.counterexample()
