@@ -20,10 +20,9 @@ about at one state σ:
   a member whose home is *not* among them.
 
 From the two, ``reachable(x_σ)`` is computed for any member set by the
-one rule the world's ground truth (``World.reachable_of``) also follows:
-an element is accessible iff its home is reachable, or a reachable node
-holds a live copy of its data — "the paper's ``reachable`` is about data
-accessibility, not about one distinguished server being up".
+rule the world's ground truth (``World.reachable_of``) follows too: an
+element is accessible iff its home is reachable, or a reachable node
+holds a live copy of its data.
 """
 
 from __future__ import annotations

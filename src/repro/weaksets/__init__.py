@@ -8,21 +8,10 @@ map and :mod:`repro.weaksets.factory` for selection by name.
 
 from ..spec.termination import Failed, Outcome, Returned, Yielded
 from .base import WeakSet
-from .dynamic import DynamicIterator, DynamicSet
+from .dynamic import DynamicSet
 from .factory import SEMANTICS, make_weak_set, policy_for, weak_set_class
-from .grow_only import (
-    GrowOnlyIterator,
-    GrowOnlySet,
-    PerRunGrowOnlyIterator,
-    PerRunGrowOnlySet,
-)
-from .immutable import (
-    Figure1Iterator,
-    Figure1Set,
-    ImmutableSet,
-    PerRunImmutableIterator,
-    PerRunImmutableSet,
-)
+from .grow_only import GrowOnlySet, PerRunGrowOnlySet
+from .immutable import Figure1Set, ImmutableSet, PerRunImmutableSet
 from .iterator import DrainResult, ElementsIterator
 from .locking import (
     LockClient,
@@ -32,40 +21,34 @@ from .locking import (
     install_lock_services,
     release_collection_locks,
 )
+from .mechanism import Mechanism
 from .query import QueryIterator, select
-from .quorum import QuorumGrowOnlyIterator, QuorumGrowOnlySet
-from .snapshot import SnapshotIterator, SnapshotSet
+from .quorum import QuorumGrowOnlySet
+from .snapshot import SnapshotSet
 from .stabilize import StableResult, iterate_until_stable
-from .strong import StrongIterator, StrongSet
+from .strong import StrongSet
 from .union import UnionIterator, union
 
 __all__ = [
     "DrainResult",
-    "DynamicIterator",
     "DynamicSet",
     "ElementsIterator",
     "Failed",
-    "Figure1Iterator",
     "Figure1Set",
-    "GrowOnlyIterator",
     "GrowOnlySet",
     "ImmutableSet",
     "LockClient",
     "LockService",
+    "Mechanism",
     "Outcome",
-    "PerRunGrowOnlyIterator",
     "PerRunGrowOnlySet",
-    "PerRunImmutableIterator",
     "PerRunImmutableSet",
     "QueryIterator",
-    "QuorumGrowOnlyIterator",
     "QuorumGrowOnlySet",
     "Returned",
     "SEMANTICS",
-    "SnapshotIterator",
     "StableResult",
     "SnapshotSet",
-    "StrongIterator",
     "StrongSet",
     "UnionIterator",
     "WeakSet",

@@ -21,33 +21,36 @@ one-liner afterwards::
 
 from __future__ import annotations
 
-from typing import Any, Generator, Optional, Type
+from typing import Any, Generator, Optional
 
 from ..net.address import NodeId
 from ..net.resilience import ResilientClient
 from ..spec.checker import ConformanceReport, check_conformance
 from ..spec.figures import spec_by_id
+from ..spec.iterspec import IteratorSpec
 from ..spec.trace import IterationTrace, TraceRecorder
 from ..store.cache import ClientCache
 from ..store.elements import Element
 from ..store.repository import Repository
 from ..store.world import World
 from .iterator import ElementsIterator
+from .mechanism import Mechanism
 
 __all__ = ["WeakSet"]
 
 
 class WeakSet:
-    """Base class for the design points; subclasses pick the iterator."""
+    """Base class for the design points: a row and a mechanism."""
 
     #: what a design point states about itself, once: the ``spec_by_id``
-    #: id of the figure it is judged against, the collection policy its
-    #: environment upholds, and the name its traces, drain metrics and
-    #: experiment rows carry
+    #: id of its row — what ``elements()`` does *and* what ``audit()``
+    #: judges it against — the collection policy its environment
+    #: upholds, the name its traces, drain metrics and experiment rows
+    #: carry, and what enforcing its constraint costs
     semantics = "?"
     expected_policy = "any"
     impl_name = "elements"
-    iterator_cls: Type[ElementsIterator] = ElementsIterator
+    mechanism: type[Mechanism] = Mechanism
 
     def __init__(self, world: World, client: NodeId, coll_id: str, *,
                  cache: Optional[ClientCache] = None,
@@ -64,6 +67,11 @@ class WeakSet:
         self.iterator_kwargs = iterator_kwargs
         self.traces: list[IterationTrace] = []
 
+    @property
+    def spec(self) -> IteratorSpec:
+        """This design point's row: the one place it is resolved."""
+        return spec_by_id(self.semantics)
+
     # -- Figure 1's type interface ------------------------------------------
     def elements(self) -> ElementsIterator:
         """Start a fresh iteration (the membership-defining operation)."""
@@ -74,9 +82,9 @@ class WeakSet:
                 impl_name=self.impl_name,
             )
             self.traces.append(recorder.trace)
-        iterator = self.iterator_cls(
-            self.repo, self.coll_id, recorder=recorder, **self.iterator_kwargs
-        )
+        iterator = ElementsIterator(
+            self.repo, self.coll_id, self.spec, self.mechanism,
+            recorder=recorder, **self.iterator_kwargs)
         iterator.impl_name = self.impl_name
         return iterator
 
@@ -113,9 +121,8 @@ class WeakSet:
 
     def audit(self) -> ConformanceReport:
         """The last recorded iteration, checked against this class's
-        figure: the one audit entry point."""
-        return check_conformance(self.last_trace, spec_by_id(self.semantics),
-                                 self.world)
+        row: the one audit entry point."""
+        return check_conformance(self.last_trace, self.spec, self.world)
 
     def __repr__(self) -> str:
         return (f"{type(self).__name__}({self.coll_id!r} from {self.client!r}, "

@@ -21,9 +21,9 @@ are produced").
 
 :class:`PerRunGrowOnlySet` is §3.3's relaxation: arbitrary mutation
 between runs, growth-only during a run, enforced by the server-side
-ghost protocol (``policy="grow-during-run"``) — "we can create copies
-of any deleted objects and then garbage collect these 'ghost' copies
-upon termination."
+ghost protocol (``policy="grow-during-run"``; :class:`GhostRegistration`
+is the client's half) — "we can create copies of any deleted objects
+and then garbage collect these 'ghost' copies upon termination."
 """
 
 from __future__ import annotations
@@ -31,38 +31,10 @@ from __future__ import annotations
 from typing import Any, Generator, Optional
 
 from ..errors import FailureException
-from ..spec.termination import Outcome
 from .base import WeakSet
-from .iterator import ElementsIterator
+from .mechanism import Mechanism
 
-__all__ = ["GrowOnlyIterator", "GrowOnlySet", "PerRunGrowOnlyIterator",
-           "PerRunGrowOnlySet"]
-
-
-class GrowOnlyIterator(ElementsIterator):
-    """Pre-state iterator, pessimistic on failure.
-
-    Values drain through the shared :class:`FetchPipeline`
-    (``validation="probe"``).  A ``gone`` result here can only be a
-    half-removed zombie (crash mid-remove) or a ghost: still a member,
-    home answering — so its descriptor is yielded with ``value=None``.
-    """
-
-    pipeline_validation = "probe"
-
-    def _read_view(self) -> Generator[Any, Any, frozenset]:
-        # s_pre: the authoritative current membership.  An unreachable
-        # primary is itself a failure (pessimism all the way down).
-        view = yield from self.repo.read_membership(self.coll_id, source="primary")
-        return view.members
-
-    def _step(self) -> Generator[Any, Any, Outcome]:
-        members = yield from self._read_view()
-        # Pre-state semantics: every invocation works from the *current*
-        # remainder, so members added mid-run join the pipeline here.
-        return (yield from self._yield_reachable(
-            members - self.yielded,
-            "{n} member(s) known but unreachable (pessimistic)"))
+__all__ = ["GrowOnlySet", "PerRunGrowOnlySet", "GhostRegistration"]
 
 
 class GrowOnlySet(WeakSet):
@@ -71,33 +43,30 @@ class GrowOnlySet(WeakSet):
     semantics = "fig5"
     expected_policy = "grow-only"
     impl_name = "grow-only"
-    iterator_cls = GrowOnlyIterator
 
 
-class PerRunGrowOnlyIterator(GrowOnlyIterator):
-    """§3.3: registers the run so removals become ghosts until it ends."""
+class GhostRegistration(Mechanism):
+    """§3.3's enforcement: register the run with every partition, so
+    removals become ghosts until it ends.
 
-    def __init__(self, *args: Any, **kwargs: Any):
-        super().__init__(*args, **kwargs)
-        self._token: Optional[str] = None
+    Deregistering falls *after* the terminating invocation completes, so
+    the ghost purge — the set finally shrinking — lies outside the run's
+    [first-state, last-state] window, as §3.3 intends.
+    """
 
-    def _step(self) -> Generator[Any, Any, Outcome]:
-        if self._token is None:
-            self._token = yield from self.repo.begin_iteration(self.coll_id)
-        return (yield from super()._step())
+    ends_in_window = False
+    _token: Optional[str] = None
 
-    def invoke(self) -> Generator[Any, Any, Outcome]:
-        outcome = yield from super().invoke()
-        # Deregister *after* the terminating invocation completes, so the
-        # ghost purge — the set finally shrinking — falls outside the
-        # run's [first-state, last-state] window, as §3.3 intends.
-        if self.terminated and self._token is not None:
-            token, self._token = self._token, None
+    def begin(self, iterator) -> Generator[Any, Any, None]:
+        self._token = yield from self.repo.begin_iteration(self.coll_id)
+
+    def end(self) -> Generator[Any, Any, None]:
+        token, self._token = self._token, None
+        if token is not None:
             try:
                 yield from self.repo.end_iteration(self.coll_id, token)
             except FailureException:
                 pass  # the primary will purge when the next run ends
-        return outcome
 
 
 class PerRunGrowOnlySet(WeakSet):
@@ -106,4 +75,4 @@ class PerRunGrowOnlySet(WeakSet):
     semantics = "fig5"
     expected_policy = "grow-during-run"
     impl_name = "per-run-grow-only"
-    iterator_cls = PerRunGrowOnlyIterator
+    mechanism = GhostRegistration

@@ -5,37 +5,34 @@ ensures clauses of Figures 3 and 4 are textually identical; the figures
 differ only in the ``constraint`` the *environment* upholds (the set
 never mutates).  Accordingly:
 
-* :class:`ImmutableSet` reuses the snapshot iterator against a
-  collection whose policy is ``immutable``, and conforms to Figure 3.
-* :class:`Figure1Iterator` is the failure-blind variant for Figure 1:
-  it yields descriptors straight from the snapshot without testing
-  reachability.  In a failure-free world it conforms to Figure 1 (and
-  3); under failures it may yield unreachable elements — the exact
-  deficiency that motivated adding ``reachable`` to the assertion
-  language.
+* :class:`ImmutableSet` is Figure 3's row; the store's ``immutable``
+  policy upholds the constraint, so no mechanism runs.
+* :class:`Figure1Set` is the failure-blind row: it yields descriptors
+  straight from the snapshot without testing reachability.  In a
+  failure-free world it conforms to Figure 1 (and 3); under failures it
+  may yield unreachable elements — the exact deficiency that motivated
+  adding ``reachable`` to the assertion language.
 * :class:`PerRunImmutableSet` implements §3.1's relaxation ("mutations
   may occur between different uses of the iterator, but not between
   invocations of any one use") by holding a read lock on the collection
-  for the duration of each run — which is why §3.1 warns that "the use
-  of mobile (and possibly) disconnected computers may extend the period
-  a lock is held indefinitely".
+  for the duration of each run (:class:`RunLock`) — which is why §3.1
+  warns that "the use of mobile (and possibly) disconnected computers
+  may extend the period a lock is held indefinitely".
 """
 
 from __future__ import annotations
 
-from typing import Any, Generator, Optional
+from typing import Any, Generator, Optional, Sequence
 
-from ..spec.termination import Outcome, Yielded
 from .base import WeakSet
 from .locking import (
     LockClient,
     acquire_collection_locks,
     release_collection_locks,
 )
-from .snapshot import SnapshotIterator
+from .mechanism import Mechanism
 
-__all__ = ["ImmutableSet", "Figure1Iterator", "Figure1Set", "PerRunImmutableSet",
-           "PerRunImmutableIterator"]
+__all__ = ["ImmutableSet", "Figure1Set", "PerRunImmutableSet", "RunLock"]
 
 
 class ImmutableSet(WeakSet):
@@ -43,23 +40,13 @@ class ImmutableSet(WeakSet):
 
     Intended for collections created with ``policy="immutable"`` and
     sealed after population; the constraint clause is then upheld by the
-    store itself, and the snapshot iterator's behaviour satisfies
+    store itself, and the first-state row's behaviour satisfies
     Figure 3's ensures clause.
     """
 
     semantics = "fig3"
     expected_policy = "immutable"
     impl_name = "immutable"
-    iterator_cls = SnapshotIterator
-
-
-class Figure1Iterator(SnapshotIterator):
-    """Figure 1: failures ignored (yields without reachability checks)."""
-
-    # No reachability check, no failure branch: Figure 1's world has
-    # no failures, so e ∈ s_first − yielded is all that is required —
-    # which is the snapshot iterator's membership-only mode.
-    fetch_values = False
 
 
 class Figure1Set(WeakSet):
@@ -68,28 +55,22 @@ class Figure1Set(WeakSet):
     semantics = "fig1"
     expected_policy = "immutable"
     impl_name = "figure1"
-    iterator_cls = Figure1Iterator
 
 
-class PerRunImmutableIterator(SnapshotIterator):
-    """§3.1 relaxation: read-lock the collection for the run's duration."""
+class RunLock(Mechanism):
+    """§3.1's enforcement: read-lock the collection (every shard of it,
+    in ring order) for the run."""
 
-    def __init__(self, *args: Any, **kwargs: Any):
-        super().__init__(*args, **kwargs)
-        self._locks: Optional[list[LockClient]] = None
+    wait_timeout: Optional[float] = None
+    _locks: Sequence[LockClient] = ()
 
-    def _step(self) -> Generator[Any, Any, Outcome]:
-        if self._locks is None:
-            # One lock per shard for sharded collections, taken in ring
-            # order (same order as every other pessimistic client).
-            self._locks = yield from acquire_collection_locks(
-                self.repo, self.coll_id, "read"
-            )
-        outcome = yield from super()._step()
-        if not isinstance(outcome, Yielded):
-            # returns or fails: the run is over either way — release.
-            yield from release_collection_locks(self._locks, quiet=True)
-        return outcome
+    def begin(self, iterator) -> Generator[Any, Any, None]:
+        self._locks = yield from acquire_collection_locks(
+            self.repo, self.coll_id, "read", wait_timeout=self.wait_timeout)
+
+    def end(self) -> Generator[Any, Any, None]:
+        locks, self._locks = self._locks, ()
+        yield from release_collection_locks(locks)
 
 
 class PerRunImmutableSet(WeakSet):
@@ -103,4 +84,4 @@ class PerRunImmutableSet(WeakSet):
 
     semantics = "fig4"  # ensures clause is Fig 3/4's; constraint is per-run
     impl_name = "per-run-immutable"
-    iterator_cls = PerRunImmutableIterator
+    mechanism = RunLock

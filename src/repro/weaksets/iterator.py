@@ -15,12 +15,19 @@ sub-generator that completes with exactly one
 * ``Returned()``               (the iterator *returns*), or
 * ``Failed(reason)``           (the iterator *fails*).
 
-Subclasses implement :meth:`_step` — the body of one invocation — in
-terms of honest RPC via their :class:`~repro.store.repository.Repository`.
-The base class enforces the protocol (no invocation after termination,
-no duplicate yields) and drives the optional
-:class:`~repro.spec.trace.TraceRecorder` so every run can be checked
-against the figure specifications.
+There is one :class:`ElementsIterator` and no subclasses.  It is built
+with its **row** — the :class:`~repro.spec.iterspec.IteratorSpec` the
+checker judges it against — and its set's **mechanism**
+(:mod:`repro.weaksets.mechanism`).  The row's words choose what an
+invocation does: ``membership_basis`` whether ``s`` is read once or
+every time (:meth:`_basis`); ``guard`` and ``yields`` between the
+optimistic loop, the pessimistic body and its no-fetch form
+(:meth:`_optimistic`, :meth:`_yield_reachable`); ``exhausted`` whether
+the pessimistic body may fail.  The ``constraint`` is the mechanism's to
+enforce.  The class enforces the protocol (no invocation after
+termination, no duplicate yields), owns the run guard and drives the
+optional :class:`~repro.spec.trace.TraceRecorder` so every run can be
+checked against the figure specifications.
 """
 
 from __future__ import annotations
@@ -29,6 +36,8 @@ from typing import Any, Generator, Optional
 
 from ..errors import FailureException, IteratorProtocolError
 from ..net.address import NodeId
+from ..sim.events import Sleep
+from ..spec.iterspec import REACHABLE, S, IteratorSpec
 from ..spec.termination import Failed, Outcome, Returned, Yielded
 from ..spec.trace import TraceRecorder
 from ..store.elements import Element
@@ -98,57 +107,83 @@ def drain_loop(invoke, now, max_yields: Optional[int] = None
     return DrainResult(yields, outcome, started_at, first_yield_at, now())
 
 
+#: why a pessimistic run failed, in its basis state's words
+_UNREACHABLE = {
+    "first": "{n} snapshot element(s) unreachable and none yieldable",
+    "pre": "{n} member(s) known but unreachable (pessimistic)",
+}
+
+
 class ElementsIterator:
-    """Base class: one suspended/resumable iteration over a collection."""
+    """One suspended/resumable iteration over a collection."""
 
     #: the owning weak set's ``impl_name``; ``WeakSet.elements`` sets it
     impl_name = "elements"
 
-    #: Pop-time validation the variant's pipeline uses (see
-    #: :mod:`repro.store.fetchplan`); subclasses override.
-    pipeline_validation = "probe"
-    #: Whether the variant's pipeline falls back to replica copies on
-    #: transport failure at the home.
-    pipeline_failover = False
-    #: ``False`` = membership-only iteration (bare descriptors, no value
-    #: fetch): Figure 1's iterator.
-    fetch_values = True
-
-    def __init__(self, repo: Repository, coll_id: str,
-                 recorder: Optional[TraceRecorder] = None,
+    def __init__(self, repo: Repository, coll_id: str, spec: IteratorSpec,
+                 mechanism: type, recorder: Optional[TraceRecorder] = None,
                  fetch_window: int = 8, fetch_batch: int = 4,
                  fetch_max_bytes: Optional[int] = None,
-                 fetch_size_hint=None):
+                 fetch_size_hint=None, **options: Any):
         self.repo = repo
         self.coll_id = coll_id
         self.client: NodeId = repo.client
+        self.spec = spec
         self.recorder = recorder
         self.yielded: frozenset[Element] = frozenset()
         self.terminated = False
-        self.last_outcome: Optional[Outcome] = None
-        # Shared fetch engine: every variant drains element values
+        # Shared fetch engine: every design point drains element values
         # through one batched, pipelined FetchPipeline (window=1,
-        # batch=1 reproduces the old serial path exactly).
-        self.fetch_window = fetch_window
-        self.fetch_batch = fetch_batch
-        # Byte-aware coalescing dials, passed through to the pipeline:
-        # cap each multi-get's estimated reply bytes (needs a size hint
-        # — a constant or a per-element callable — to be effective).
-        self.fetch_max_bytes = fetch_max_bytes
-        self.fetch_size_hint = fetch_size_hint
+        # batch=1 reproduces the old serial path exactly), built when
+        # first needed with the caller's dials.  The byte-aware pair caps
+        # each multi-get's estimated reply bytes (needs a size hint — a
+        # constant or a per-element callable — to be effective).
+        self._fetch_dials = dict(
+            window=fetch_window, batch_size=fetch_batch,
+            max_batch_bytes=fetch_max_bytes, size_hint=fetch_size_hint)
         self.pipeline: Optional[FetchPipeline] = None
+        # -- the row, read once ------------------------------------------
+        if spec.guard == REACHABLE and spec.yields == S:
+            raise ValueError(f"{spec.spec_id}: no iterator guards on {REACHABLE} "
+                             f"and yields from {S} (it may yield what it cannot reach)")
+        self._first: Optional[frozenset[Element]] = None   # s_first, once read
+        self._body = self._yield_reachable
+        if spec.guard == S and spec.yields == REACHABLE:
+            self._body = self._optimistic
+            # The blocking rule's two numbers; no other body waits.
+            self.retry_interval: float = options.pop("retry_interval", 0.25)
+            self.give_up_after: Optional[float] = options.pop("give_up_after", None)
+        self.retries = 0          # cumulative blocked laps (observability)
+        # Members learned to be removed (tombstoned at their home).
+        # Removed oids never resurrect (a re-add mints a fresh oid), so
+        # this memory is safe across invocations.
+        self.stale_entries: set[Element] = set()
+        # What is left is the mechanism's: a keyword this design point
+        # does not take is a TypeError here.
+        self.mechanism = mechanism(repo, coll_id, **options)
+        self._begun = False
 
     # ------------------------------------------------------------------
     def invoke(self) -> Generator[Any, Any, Outcome]:
-        """One invocation (first call or resumption).  Sub-generator."""
+        """One invocation (first call or resumption).  Sub-generator.
+
+        The run guard is here and nowhere else: the mechanism begins on
+        the first invocation and ends once, however the run terminates —
+        returns, fails, or a transport failure converted below — on the
+        side of ``invocation_completed`` it names.
+        """
         if self.terminated:
             raise IteratorProtocolError(
                 f"{self.impl_name} over {self.coll_id} was invoked after terminating"
             )
         if self.recorder is not None:
             self.recorder.invocation_started()
+        mechanism = self.mechanism
         try:
-            outcome = yield from self._step()
+            if not self._begun:
+                self._begun = True
+                yield from mechanism.begin(self)
+            outcome = yield from self._body()
         except FailureException as exc:
             # Uncaught transport failures terminate the iterator with the
             # paper's ``failure`` exception.
@@ -160,11 +195,14 @@ class ElementsIterator:
                 )
             self.yielded = self.yielded | {outcome.element}
         else:
+            if mechanism.ends_in_window:
+                yield from mechanism.end()
             self.terminated = True
             self._stop_pipeline()
-        self.last_outcome = outcome
         if self.recorder is not None:
             self.recorder.invocation_completed(outcome)
+        if self.terminated and not mechanism.ends_in_window:
+            yield from mechanism.end()
         return outcome
 
     def drain(self, max_yields: Optional[int] = None) -> Generator[Any, Any, DrainResult]:
@@ -211,10 +249,99 @@ class ElementsIterator:
         self.terminated = True
         self._stop_pipeline()
 
-    # ------------------------------------------------------------------
-    def _step(self) -> Generator[Any, Any, Outcome]:
-        """The body of one invocation; implemented per design point."""
-        raise NotImplementedError
+    # -- the bodies a row can name ------------------------------------------
+    def _basis(self) -> Generator[Any, Any, frozenset[Element]]:
+        """``s`` in the row's basis state.  ``first``: the expensive
+        atomic read, once — if it fails the run fails before yielding
+        anything; ``pre``: the recurring cost of pre-state semantics."""
+        if self._first is not None:
+            return self._first
+        members = yield from self.mechanism.read()
+        if self.spec.membership_basis == "first":
+            self._first = members
+        return members
+
+    def _optimistic(self) -> Generator[Any, Any, Outcome]:
+        """``guard = s``, ``yields = reachable(s)``: while a member is
+        known but out of reach the invocation neither fails nor returns
+        — it waits (:meth:`_block`) and plans again."""
+        blocked_since: Optional[float] = None
+        forced_view: Optional[frozenset[Element]] = None
+        pipe = self._ensure_pipeline()
+        while True:
+            if not pipe.pending:
+                # The pipeline has drained: (re)plan from a fresh view.
+                # While it still holds undelivered work we keep consuming
+                # instead — no membership re-read per yield.
+                if forced_view is not None:
+                    view_members, forced_view = forced_view, None
+                else:
+                    try:
+                        view_members = yield from self._basis()
+                    except FailureException:
+                        # No membership host reachable: blocked at the
+                        # view layer.  Optimism waits here too, on the
+                        # same give_up_after budget as blocked fetches.
+                        failed, blocked_since = yield from self._block(blocked_since)
+                        if failed is not None:
+                            return failed
+                        continue
+                pipe.submit(view_members - self.yielded - self.stale_entries)
+            result, unreachable = yield from self._next_from_pipeline()
+            if result is not None:
+                if result.ok:
+                    return Yielded(result.element, result.value)
+                # Tombstoned at its home: the member was removed and
+                # our view is stale.  Skip — do not yield, do not block.
+                self.stale_entries.add(result.element)
+                continue
+            if not unreachable:
+                # Nothing unreachable: every remaining entry (if any) was
+                # stale.  Confirm emptiness against the primary before
+                # returning, in case this view missed recent additions.
+                fresh = yield from self.mechanism.confirm()
+                fresh_remaining = fresh - self.yielded - self.stale_entries
+                if not fresh_remaining:
+                    return Returned()
+                # The primary knows members our view missed: iterate over
+                # the authoritative view next round (no extra replica read).
+                forced_view = fresh_remaining
+                continue
+            # Optimistic blocking: members exist but cannot be reached.
+            # Sleeping with the pipeline empty means the next lap re-reads
+            # a view and resubmits the blocked members — a fresh attempt.
+            failed, blocked_since = yield from self._block(blocked_since)
+            if failed is not None:
+                return failed
+
+    def _block(self, blocked_since: Optional[float]
+               ) -> Generator[Any, Any, tuple[Optional[Failed], Optional[float]]]:
+        """One lap of Figure 6's optimistic blocking — the only place the
+        rule is written.  Returns ``(failure, blocked_since)``: a
+        ``Failed`` outcome when the invocation must stop waiting (the
+        client is DISCONNECTED, or this invocation has been blocked for
+        ``give_up_after``), else ``None`` after sleeping one
+        ``retry_interval``; ``blocked_since`` is when this invocation
+        first blocked, threaded back through the caller's loop."""
+        if self.repo.disconnected:
+            # Fail fast: the network is *known* absent (an explicit client
+            # state, not a suspected fault), so optimistic retrying can
+            # only burn simulated time — no later invocation can reach
+            # anything until reconnect.
+            return Failed("client disconnected: offline read failed fast "
+                          "instead of retrying until give_up_after"), blocked_since
+        now = self.repo.world.now
+        if blocked_since is None:
+            blocked_since = now
+        if (self.give_up_after is not None
+                and now - blocked_since >= self.give_up_after):
+            return Failed(
+                f"gave up after blocking {self.give_up_after}s "
+                "(give_up_after escape hatch; Figure 6 proper never fails)"
+            ), blocked_since
+        self.retries += 1
+        yield Sleep(self.retry_interval)
+        return None, blocked_since
 
     # -- shared helpers ---------------------------------------------------
     def closest_first(self, elements: frozenset[Element]) -> list[Element]:
@@ -225,17 +352,17 @@ class ElementsIterator:
         """
         return order_closest_first(self.repo.net, self.client, elements)
 
-    def _ensure_pipeline(self, *, use_cache: bool = False) -> FetchPipeline:
-        """The variant's shared fetch engine, created lazily per run."""
+    def _ensure_pipeline(self) -> FetchPipeline:
+        """The run's fetch engine, created lazily; what it may trust at
+        pop time, and whether it may divert to replica copies, is what
+        the mechanism's enforcement makes sound."""
         if self.pipeline is None:
+            mechanism = self.mechanism
             self.pipeline = FetchPipeline(
-                self.repo, use_cache=use_cache,
-                window=self.fetch_window, batch_size=self.fetch_batch,
-                max_batch_bytes=self.fetch_max_bytes,
-                size_hint=self.fetch_size_hint,
-                failover=self.pipeline_failover,
-                validation=self.pipeline_validation,
-                name=f"{self.impl_name}-{self.coll_id}")
+                self.repo, use_cache=mechanism.use_cache,
+                failover=mechanism.failover,
+                validation=mechanism.validation,
+                name=f"{self.impl_name}-{self.coll_id}", **self._fetch_dials)
             self.pipeline.start()
         return self.pipeline
 
@@ -243,27 +370,34 @@ class ElementsIterator:
         if self.pipeline is not None:
             self.pipeline.stop()
 
-    def _yield_reachable(self, remaining: frozenset[Element],
-                         unreachable_reason: str) -> Generator[Any, Any, Outcome]:
-        """The pessimistic invocation body Figures 4 and 5 share.
+    def _yield_reachable(self) -> Generator[Any, Any, Outcome]:
+        """The pessimistic invocation body Figures 1, 3, 4 and 5 share.
 
         The figures differ only in their basis state (``s_first`` vs
-        ``s_pre``), which the caller has already read: ``remaining`` is
-        that basis minus ``yielded``.  Nothing left returns; otherwise
-        the remainder is (re)submitted — pending elements deduplicate,
-        previously failed ones get a fresh per-invocation attempt, and
-        under pre-state semantics members added mid-run join here — and
-        the first element whose home answers is yielded.  A ``gone``
-        answer still yields the descriptor (``value=None``): the home
-        answered, so the element is reachable in the basis state.  Only
-        when *every* remaining element stays unreachable after one
-        in-invocation resubmit does the iterator fail, with
-        ``unreachable_reason`` (``{n}`` = size of the remainder).
+        ``s_pre``).  Nothing left of it returns; otherwise the remainder
+        is (re)submitted — pending elements deduplicate, previously
+        failed ones get a fresh per-invocation attempt, and under
+        pre-state semantics members added mid-run join here — and the
+        first element whose home answers is yielded.  A ``gone`` answer
+        still yields the descriptor (``value=None``): the home answered,
+        so the element is reachable in the basis state — removed since a
+        first-state snapshot (Figure 4's "loss of mutations"), or, under
+        pre-state, a half-removed zombie (crash mid-remove) or a ghost.  Only when *every*
+        remaining element stays unreachable after one in-invocation
+        resubmit is the guard set used up, and the row's ``exhausted``
+        decides: fail (``{n}`` = size of the remainder) or return short.
         """
+        remaining = (yield from self._basis()) - self.yielded
         if not remaining:
             return Returned()
-        if not self.fetch_values:
+        if self.spec.yields == S:
+            # Figure 1's world has no failures to test for:
+            # e ∈ s − yielded is all it requires.
             return Yielded(self.closest_first(remaining)[0], None)
+        loaded = self.mechanism.loaded
+        if loaded is not None:
+            # Fetched whole before the first yield: hand out from memory.
+            return Yielded(*loaded.popleft())
         pipe = self._ensure_pipeline()
         pipe.submit(remaining)
         retried = False
@@ -278,7 +412,10 @@ class ElementsIterator:
                 retried = True
                 pipe.submit(unreachable)
                 continue
-            return Failed(unreachable_reason.format(n=len(remaining)))
+            if self.spec.allows_failure:
+                return Failed(_UNREACHABLE[self.spec.membership_basis]
+                              .format(n=len(remaining)))
+            return Returned()
 
     def _next_from_pipeline(
         self,
@@ -302,5 +439,5 @@ class ElementsIterator:
 
     def __repr__(self) -> str:
         state = "terminated" if self.terminated else "active"
-        return (f"{type(self).__name__}({self.coll_id} from {self.client}, "
-                f"{len(self.yielded)} yielded, {state})")
+        return (f"ElementsIterator({self.spec.spec_id} over {self.coll_id} "
+                f"from {self.client}, {len(self.yielded)} yielded, {state})")

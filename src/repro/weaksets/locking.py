@@ -248,13 +248,6 @@ class LockClient:
             self.coll_id, mode, self.owner,
         )
 
-    def release_quietly(self) -> Generator[Any, Any, None]:
-        """Release, swallowing failures (used on iterator teardown)."""
-        try:
-            yield from self.release()
-        except FailureException:
-            pass
-
 
 def acquire_collection_locks(
     repo: Repository, coll_id: str, mode: str,
@@ -279,16 +272,20 @@ def acquire_collection_locks(
                                     rpc_timeout=rpc_timeout)
             held.append(lock)
     except BaseException:
-        yield from release_collection_locks(held, quiet=True)
+        yield from release_collection_locks(held)
         raise
     return held
 
 
-def release_collection_locks(locks, quiet: bool = False) -> Generator[Any, Any, None]:
-    """Release a set of locks in reverse acquisition order."""
-    ordered = list(locks)
-    for lock in reversed(ordered):
-        if quiet:
-            yield from lock.release_quietly()
-        else:
+def release_collection_locks(locks) -> Generator[Any, Any, None]:
+    """Release a set of locks in reverse acquisition order.
+
+    A lock whose node cannot be reached stays held there (with no lease,
+    until its holder returns — §3.1's hazard); the rest are still
+    released.
+    """
+    for lock in reversed(list(locks)):
+        try:
             yield from lock.release()
+        except FailureException:
+            pass

@@ -3,7 +3,7 @@
 "Alternatively, one could easily specify the iterator to use a quorum
 or token-based scheme by changing the last line."
 
-:class:`QuorumGrowOnlyIterator` changes exactly that: instead of
+:class:`QuorumRead` changes exactly that: instead of
 reading ``s_pre`` from the primary (a single point of failure), each
 invocation reads membership from a **majority of the collection's
 hosts** and takes the union of the views (for a grow-only set, the
@@ -24,12 +24,12 @@ from typing import Any, Generator
 from ..errors import FailureException
 from ..store.elements import Element
 from .base import WeakSet
-from .grow_only import GrowOnlyIterator
+from .mechanism import Mechanism
 
-__all__ = ["QuorumGrowOnlyIterator", "QuorumGrowOnlySet"]
+__all__ = ["QuorumGrowOnlySet", "QuorumRead"]
 
 
-class QuorumGrowOnlyIterator(GrowOnlyIterator):
+class QuorumRead(Mechanism):
     """Figure 5 with the last line changed: quorum reads of s_pre.
 
     The fetch pipeline runs with ``failover=True`` (a transport failure
@@ -41,10 +41,10 @@ class QuorumGrowOnlyIterator(GrowOnlyIterator):
     unreachable verdicts for data already in hand.
     """
 
-    pipeline_validation = "none"
-    pipeline_failover = True
+    validation = "none"
+    failover = True
 
-    def _read_view(self) -> Generator[Any, Any, frozenset[Element]]:
+    def read(self) -> Generator[Any, Any, frozenset[Element]]:
         """s_pre as the union of majority reads.
 
         Flat collection: one majority among the collection's hosts.
@@ -109,4 +109,4 @@ class QuorumGrowOnlySet(WeakSet):
     semantics = "fig5"
     expected_policy = "grow-only"
     impl_name = "quorum"
-    iterator_cls = QuorumGrowOnlyIterator
+    mechanism = QuorumRead

@@ -18,47 +18,16 @@ A member removed mid-run is still yielded (descriptor with
 title announces, and Figure 4 *requires* it — the element is still in
 ``s_first`` and its home still answers, so it is in
 ``reachable(s_first)``.
+
+Figure 4's constraint is ``true``, so nothing enforces it: the row is
+the whole design point.
 """
 
 from __future__ import annotations
 
-from typing import Any, Generator, Optional
-
-from ..spec.termination import Outcome
-from ..store.elements import Element
 from .base import WeakSet
-from .iterator import ElementsIterator
 
-__all__ = ["SnapshotIterator", "SnapshotSet"]
-
-
-class SnapshotIterator(ElementsIterator):
-    """Iterator over the set's first-state value.
-
-    Values are drained through the shared :class:`FetchPipeline`
-    (``validation="probe"``: results buffered across a world change are
-    re-validated at the home before being trusted).  A ``gone`` result —
-    removed since the snapshot — is still *yielded* (descriptor with
-    ``value=None``): its home answered, so it is in
-    ``reachable(s_first)``, and Figure 4 says lost mutations may show.
-    """
-
-    pipeline_validation = "probe"
-
-    def __init__(self, *args: Any, **kwargs: Any):
-        super().__init__(*args, **kwargs)
-        self.snapshot: Optional[frozenset[Element]] = None
-
-    def _step(self) -> Generator[Any, Any, Outcome]:
-        if self.snapshot is None:
-            # The atomic first-state snapshot.  If the primary is
-            # unreachable, the FailureException propagates and the
-            # iterator fails before yielding anything.
-            view = yield from self.repo.read_membership(self.coll_id, source="primary")
-            self.snapshot = view.members
-        return (yield from self._yield_reachable(
-            self.snapshot - self.yielded,
-            "{n} snapshot element(s) unreachable and none yieldable"))
+__all__ = ["SnapshotSet"]
 
 
 class SnapshotSet(WeakSet):
@@ -66,4 +35,3 @@ class SnapshotSet(WeakSet):
 
     semantics = "fig4"
     impl_name = "snapshot"
-    iterator_cls = SnapshotIterator

@@ -6,8 +6,8 @@ may [be] too constraining for low-integrity systems, especially
 loosely-coupled ones (e.g., WWW)."
 
 :class:`StrongSet` holds a collection-level read lock for the entire
-run of ``elements`` and requires every element fetch to succeed; any
-unreachable element aborts the run.  Mutators (its ``add``/``remove``)
+run of ``elements`` (:class:`GlobalLock`) and requires every element
+fetch to succeed; any unreachable element aborts the run.  Mutators (its ``add``/``remove``)
 take the write lock.  The result is serializable, first-vintage
 behaviour — and exactly the latency/availability bill the benchmarks
 E2/E4/E6 present.
@@ -15,100 +15,61 @@ E2/E4/E6 present.
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Any, Generator, Optional
 
 from ..errors import FailureException, NoSuchObjectError
-from ..spec.termination import Failed, Outcome, Returned, Yielded
 from ..store.elements import Element
 from .base import WeakSet
-from .iterator import ElementsIterator
-from .locking import (
-    LockClient,
-    acquire_collection_locks,
-    release_collection_locks,
-)
+from .immutable import RunLock
+from .locking import acquire_collection_locks, release_collection_locks
 
-__all__ = ["StrongIterator", "StrongSet"]
+__all__ = ["StrongSet", "GlobalLock"]
 
 
-class StrongIterator(ElementsIterator):
+class GlobalLock(RunLock):
     """Lock, snapshot, prefetch everything, then yield from memory.
 
-    The prefetch runs through the shared :class:`FetchPipeline`, but in
-    its *degenerate* configuration (``window=1, batch=1`` unless the
-    caller overrides): a serializable database streams its scan one
-    record at a time under the lock, and that serial bill is exactly
-    the baseline cost story E2 measures.  Under the lock nothing can
-    change, so pop-time validation is ``"none"``.
+    The read lock(s) are waited for at most ``lock_wait_timeout``; under
+    them the membership is read and every value fetched through the
+    run's pipeline before the first yield — E2's time-to-first bill —
+    and any element that cannot be had aborts the run: all or nothing.
+    Under the lock nothing can change, so pop-time validation is ``"none"``.
     """
 
-    pipeline_validation = "none"
+    validation = "none"
+    _members: frozenset[Element] = frozenset()
 
     def __init__(self, *args: Any, lock_wait_timeout: Optional[float] = None,
                  **kwargs: Any):
-        kwargs.setdefault("fetch_window", 1)
-        kwargs.setdefault("fetch_batch", 1)
         super().__init__(*args, **kwargs)
-        self.lock_wait_timeout = lock_wait_timeout
-        self._locks: list[LockClient] = []
-        self._loaded: Optional[list[tuple[Element, Any]]] = None
-        self._cursor = 0
+        self.wait_timeout = lock_wait_timeout
 
-    def _step(self) -> Generator[Any, Any, Outcome]:
-        if self._loaded is None:
-            outcome = yield from self._load_all()
-            if outcome is not None:
-                return outcome
-        assert self._loaded is not None
-        if self._cursor < len(self._loaded):
-            element, value = self._loaded[self._cursor]
-            self._cursor += 1
-            return Yielded(element, value)
-        if self._locks:
-            locks, self._locks = self._locks, []
-            yield from release_collection_locks(locks, quiet=True)
-        return Returned()
-
-    def _load_all(self) -> Generator[Any, Any, Optional[Outcome]]:
-        """Acquire the read lock(s) and fetch every member, or abort.
-
-        A sharded collection has one lock per shard; they are taken in
-        ring order so concurrent strong writers cannot deadlock us.
-        """
+    def begin(self, iterator) -> Generator[Any, Any, None]:
         try:
-            self._locks = yield from acquire_collection_locks(
-                self.repo, self.coll_id, "read",
-                wait_timeout=self.lock_wait_timeout,
-            )
+            yield from super().begin(iterator)
         except FailureException as exc:
-            self._locks = []
-            return Failed(f"read lock unavailable: {exc}")
-        failure: Optional[str] = None
-        loaded: list[tuple[Element, Any]] = []
+            raise FailureException(f"read lock unavailable: {exc}") from None
+        loaded: deque[tuple[Element, Any]] = deque()
         try:
-            view = yield from self.repo.read_membership(self.coll_id, source="primary")
-            pipe = self._ensure_pipeline()
-            pipe.submit(view.members)
-            while True:
-                result = yield from pipe.next_result()
-                if result is None:
-                    break
-                if result.ok:
-                    loaded.append((result.element, result.value))
-                    continue
-                # Strong semantics: all or nothing.
-                reason = result.detail or f"{result.element} {result.status}"
-                failure = (f"{NoSuchObjectError.__name__}: {reason}"
-                           if result.gone else reason)
-                break
+            self._members = yield from super().read()
+            pipe = iterator._ensure_pipeline()
+            pipe.submit(self._members)
+            while (result := (yield from pipe.next_result())) is not None:
+                if not result.ok:
+                    reason = result.detail or f"{result.element} {result.status}"
+                    raise FailureException(
+                        f"{NoSuchObjectError.__name__}: {reason}"
+                        if result.gone else reason)
+                loaded.append((result.element, result.value))
         except FailureException as exc:
-            failure = str(exc)
-        if failure is not None:
-            locks, self._locks = self._locks, []
-            yield from release_collection_locks(locks, quiet=True)
-            return Failed(f"strong iteration aborted: {failure}")
-        self._loaded = loaded
-        return None
+            raise FailureException(f"strong iteration aborted: {exc}") from None
+        self.loaded = loaded
+
+    def read(self) -> Generator[Any, Any, frozenset[Element]]:
+        """``s_first`` is what was read under the lock."""
+        return self._members
+        yield
 
 
 class StrongSet(WeakSet):
@@ -124,20 +85,28 @@ class StrongSet(WeakSet):
 
     semantics = "fig4"  # a first-state snapshot, taken and drained under the lock
     impl_name = "strong"
-    iterator_cls = StrongIterator
+    mechanism = GlobalLock
+
+    def __init__(self, *args: Any, **kwargs: Any):
+        # The degenerate pipeline, unless the caller overrides: a
+        # serializable database streams its scan one record at a time
+        # under the lock, and that serial bill is exactly the baseline
+        # cost story E2 measures.
+        kwargs.setdefault("fetch_window", 1)
+        kwargs.setdefault("fetch_batch", 1)
+        super().__init__(*args, **kwargs)
+
+    def _write_locked(self, mutation: Generator) -> Generator[Any, Any, Any]:
+        locks = yield from acquire_collection_locks(self.repo, self.coll_id, "write")
+        try:
+            return (yield from mutation)
+        finally:
+            yield from release_collection_locks(locks)
 
     def add(self, name: str, value: Any = None, home: Optional[str] = None,
             size: int = 0) -> Generator[Any, Any, Element]:
-        locks = yield from acquire_collection_locks(self.repo, self.coll_id, "write")
-        try:
-            element = yield from super().add(name, value, home, size)
-        finally:
-            yield from release_collection_locks(locks, quiet=True)
-        return element
+        return (yield from self._write_locked(
+            super().add(name, value, home, size)))
 
     def remove(self, element: Element) -> Generator[Any, Any, None]:
-        locks = yield from acquire_collection_locks(self.repo, self.coll_id, "write")
-        try:
-            yield from super().remove(element)
-        finally:
-            yield from release_collection_locks(locks, quiet=True)
+        yield from self._write_locked(super().remove(element))

@@ -10,3 +10,10 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("repro")
+
+# The chaos soak job's budget (CI: ``--hypothesis-profile=soak``).  A
+# property that sizes itself from the profile in force — see
+# tests/test_chaos_conformance.py — draws twenty times tier-1's fault
+# schedules under it; nothing else in the suite changes.
+settings.register_profile(
+    "soak", parent=settings.get_profile("repro"), max_examples=2000)

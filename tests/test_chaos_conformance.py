@@ -5,18 +5,30 @@ interleaving of crashes, partitions, heals, and mutations (drawn by
 hypothesis), the dynamic iterator's trace satisfies Figure 6 and the
 grow-only iterator's trace satisfies Figure 5.  This is the checker and
 the implementations validating each other under adversarial schedules.
+
+The two *best-effort* rows the paper never draws — a pessimistic
+iterator that returns short instead of failing — are run the same way:
+no class was written for them, only the row changed, and each must
+conform to its own row and never fail.
 """
+
+from dataclasses import replace
 
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import FailureException, StoreError
 from repro.sim import Sleep
-from repro.spec import check_conformance, spec_by_id
+from repro.spec import Failed, check_conformance, spec_by_id
+from repro.spec.iterspec import RETURNS
 from repro.store import Repository
 from repro.wan import ScenarioSpec, build_scenario
-from repro.weaksets import DynamicSet, GrowOnlySet
+from repro.weaksets import DynamicSet, GrowOnlySet, SnapshotSet
 
 CHAOS_NODES = ["n1.0", "n1.1", "n2.0", "n2.1"]
+
+#: schedules drawn per property: a quarter of the profile's budget — 25
+#: in tier-1, 500 in the chaos soak job (``--hypothesis-profile=soak``)
+SCHEDULES = settings(max_examples=settings().max_examples // 4, deadline=None)
 
 chaos_action = st.sampled_from(
     [f"crash:{n}" for n in CHAOS_NODES]
@@ -85,7 +97,7 @@ def run_chaos(impl_cls, policy, actions, seed, forbid=()):
 
 @given(st.integers(min_value=0, max_value=99999),
        st.lists(chaos_action, min_size=1, max_size=12))
-@settings(max_examples=25, deadline=None)
+@SCHEDULES
 def test_dynamic_always_conforms_to_fig6_under_chaos(seed, actions):
     ws, scenario = run_chaos(DynamicSet, "any", actions, seed)
     report = check_conformance(ws.last_trace, spec_by_id("fig6"),
@@ -95,7 +107,7 @@ def test_dynamic_always_conforms_to_fig6_under_chaos(seed, actions):
 
 @given(st.integers(min_value=0, max_value=99999),
        st.lists(chaos_action, min_size=1, max_size=12))
-@settings(max_examples=25, deadline=None)
+@SCHEDULES
 def test_grow_only_always_conforms_to_fig5_under_chaos(seed, actions):
     # removes are rejected by the grow-only policy; chaos still includes
     # them to exercise the rejection path
@@ -105,9 +117,52 @@ def test_grow_only_always_conforms_to_fig5_under_chaos(seed, actions):
     assert report.conformant, report.counterexample()
 
 
+class BestEffortSnapshotSet(SnapshotSet):
+    """(first, reachable(s), reachable(s), returns): Figure 4, returning
+    short where it would fail."""
+
+    spec = replace(spec_by_id("fig4"), spec_id="fig4-best-effort",
+                   exhausted=RETURNS)
+    impl_name = "best-effort-snapshot"
+
+
+class BestEffortGrowOnlySet(GrowOnlySet):
+    """(pre, reachable(s), reachable(s), returns): Figure 5 likewise."""
+
+    spec = replace(spec_by_id("fig5"), spec_id="fig5-best-effort",
+                   exhausted=RETURNS)
+    impl_name = "best-effort-grow-only"
+
+
+def assert_best_effort(ws, scenario):
+    trace = ws.last_trace
+    assert not trace.failed, trace.invocations[-1].outcome
+    assert not any(isinstance(inv.outcome, Failed) for inv in trace.invocations)
+    report = ws.audit()
+    assert report.spec_id == ws.spec.spec_id
+    assert report == check_conformance(trace, ws.spec, scenario.world)
+    assert report.conformant, report.counterexample()
+
+
+@given(st.integers(min_value=0, max_value=99999),
+       st.lists(chaos_action, min_size=1, max_size=12))
+@SCHEDULES
+def test_best_effort_snapshot_conforms_to_its_own_row_under_chaos(seed, actions):
+    ws, scenario = run_chaos(BestEffortSnapshotSet, "any", actions, seed)
+    assert_best_effort(ws, scenario)
+
+
+@given(st.integers(min_value=0, max_value=99999),
+       st.lists(chaos_action, min_size=1, max_size=12))
+@SCHEDULES
+def test_best_effort_grow_only_conforms_to_its_own_row_under_chaos(seed, actions):
+    ws, scenario = run_chaos(BestEffortGrowOnlySet, "grow-only", actions, seed)
+    assert_best_effort(ws, scenario)
+
+
 @given(st.integers(min_value=0, max_value=99999),
        st.floats(min_value=0.0, max_value=0.3))
-@settings(max_examples=15, deadline=None)
+@SCHEDULES
 def test_dynamic_conforms_over_lossy_links_too(seed, loss_rate):
     """Message loss (not just partitions) cannot break Figure 6."""
     spec = ScenarioSpec(n_clusters=2, cluster_size=2, n_members=6,

@@ -5,8 +5,14 @@
 * `check_trace` and `explain_trace` are two views of one walk, and both
   agree with the reference recomputation in `helpers`;
 * every weak set names a figure `spec_by_id` resolves, and `audit()` is
-  `check_conformance` against it.
+  `check_conformance` against it;
+* the row a weak set names is the row its one iterator class *reads*,
+  and what each invocation did and when — `Failed` text and timing no
+  table prints — is what the eight hand-written iterator classes did.
 """
+
+import json
+import os
 
 import pytest
 
@@ -23,9 +29,16 @@ from repro.spec import (
     structural_violations,
 )
 from repro import weaksets
-from repro.weaksets import WeakSet
+from repro.weaksets import (
+    DynamicSet,
+    ElementsIterator,
+    QuorumGrowOnlySet,
+    SnapshotSet,
+    StrongSet,
+    WeakSet,
+)
 
-from helpers import check_trace_without_memo
+from helpers import CLIENT, check_trace_without_memo, drain_all, standard_world
 
 SPECS = ALL_FIGURES + RELAXED_VARIANTS
 
@@ -185,3 +198,87 @@ def test_every_weak_set_names_its_figure_and_audits_against_it(cls):
 def test_impl_names_are_distinct():
     names = [cls.impl_name for cls in weak_set_classes()]
     assert len(set(names)) == len(names) == 9
+
+
+# ---------------------------------------------------------------------------
+# the row is the iterator
+# ---------------------------------------------------------------------------
+
+def test_there_is_one_iterator_class():
+    assert ElementsIterator.__subclasses__() == []
+
+
+@pytest.mark.parametrize("cls", weak_set_classes(), ids=lambda c: c.__name__)
+def test_the_iterator_carries_its_sets_row(cls):
+    kernel, net, world, _ = standard_world(members=2, with_locks=True,
+                                           policy=cls.expected_policy)
+    ws = cls(world, CLIENT, "coll")
+    iterator = ws.elements()
+    assert type(iterator) is ElementsIterator
+    assert iterator.spec is ws.spec is spec_by_id(cls.semantics)
+    assert type(iterator.mechanism) is cls.mechanism
+
+
+# captured from the parent of the one-iterator refactor (PR 21), not from
+# this tree: per trace, per invocation, [str(outcome), t_complete]
+with open(os.path.join(os.path.dirname(__file__), "golden_outcomes.json"),
+          encoding="utf-8") as _golden:
+    GOLDEN_OUTCOMES = json.load(_golden)
+
+GOLDEN_CASES = IMPL_CASES + (ImplCase(StrongSet, "churn", blip=True),
+                             ImplCase(QuorumGrowOnlySet, "grow", blip=True))
+
+
+def outcomes_of(ws):
+    return [[[str(inv.outcome), inv.t_complete] for inv in trace.invocations]
+            for trace in ws.traces]
+
+
+@pytest.mark.parametrize("case", GOLDEN_CASES, ids=lambda c: c.cls.impl_name)
+def test_every_invocation_ends_as_and_when_it_did_before(case):
+    for seed in range(3):
+        ws = run_case(case, E1_WORLD, seed)
+        assert (outcomes_of(ws)
+                == GOLDEN_OUTCOMES["e1"][f"{case.cls.impl_name}@{seed}"]), seed
+
+
+@pytest.mark.parametrize("cls", weak_set_classes(), ids=lambda c: c.__name__)
+def test_every_failure_reads_as_it_did_before(cls):
+    """A home crashed for good: each pessimistic design point fails in
+    its own words, Figure 1 sails through, optimism gives up."""
+    kernel, net, world, _ = standard_world(
+        n_servers=3, members=6, replicas=2, with_locks=True,
+        policy=cls.expected_policy)
+    net.crash("s1")
+    kwargs = {"give_up_after": 1.0} if cls is DynamicSet else {}
+    ws = cls(world, CLIENT, "coll", rpc_timeout=0.5, **kwargs)
+    drain_all(kernel, ws)
+    assert outcomes_of(ws) == GOLDEN_OUTCOMES["crashed-home"][cls.impl_name]
+
+
+def test_a_keyword_a_design_point_does_not_take_is_a_type_error():
+    kernel, net, world, _ = standard_world(members=1, with_locks=True)
+    with pytest.raises(TypeError, match="give_up_after"):
+        SnapshotSet(world, CLIENT, "coll", give_up_after=1.0).elements()
+    with pytest.raises(TypeError, match="lock_wait_timeout"):
+        DynamicSet(world, CLIENT, "coll", lock_wait_timeout=1.0).elements()
+    with pytest.raises(TypeError, match="retry_interval"):
+        StrongSet(world, CLIENT, "coll", retry_interval=0.1).elements()
+    # each design point's own keywords still reach it
+    assert DynamicSet(world, CLIENT, "coll", retry_interval=0.1, use_cache=True,
+                      failover=False, fetch_window=2).elements()
+    assert StrongSet(world, CLIENT, "coll", lock_wait_timeout=1.0).elements()
+
+
+def test_a_row_no_body_serves_is_rejected():
+    from dataclasses import replace
+
+    from repro.spec.iterspec import S
+
+    class Unsound(SnapshotSet):
+        # guards on reachable(s), yields from s: may yield the unreachable
+        spec = replace(spec_by_id("fig4"), spec_id="unsound", yields=S)
+
+    kernel, net, world, _ = standard_world(members=1)
+    with pytest.raises(ValueError, match="unsound"):
+        Unsound(world, CLIENT, "coll").elements()

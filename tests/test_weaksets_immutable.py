@@ -4,9 +4,17 @@
 from repro.errors import MutationNotAllowed
 from repro.sim import Sleep
 from repro.spec import Returned, check_conformance, spec_by_id
-from repro.weaksets import Figure1Set, ImmutableSet, PerRunImmutableSet, StrongSet
+import pytest
 
-from helpers import CLIENT, drain_all, standard_world
+from repro.weaksets import (
+    Figure1Set,
+    ImmutableSet,
+    PerRunImmutableSet,
+    StrongSet,
+    install_lock_services,
+)
+
+from helpers import CLIENT, drain_all, sharded_world, standard_world
 
 
 def immutable_world(**kwargs):
@@ -148,3 +156,30 @@ def test_per_run_immutable_allows_mutation_between_runs():
     kernel.run_process(mutate())
     r2 = drain_all(kernel, ws)
     assert len(r2.elements) == len(r1.elements) + 1
+
+
+@pytest.mark.parametrize("cls", [PerRunImmutableSet, StrongSet],
+                         ids=lambda c: c.impl_name)
+def test_a_failed_first_membership_read_releases_the_reachable_locks(cls):
+    """Both shards grant their read lock, then ``s1`` is cut off before
+    the scatter read answers: the run fails — and must end.  ``s0`` was
+    reachable throughout, so its lock comes back; with no lease a leaked
+    one would park every ``StrongSet`` writer forever.  ``s1``'s cannot
+    be released by a client that cannot reach it (§3.1's hazard, by
+    design)."""
+    kernel, net, world, _ = sharded_world(n_shards=2, members=4)
+    services = install_lock_services(world, "coll")
+    ws = cls(world, CLIENT, "coll", rpc_timeout=0.5)
+    iterator = ws.elements()
+    proc = kernel.spawn(iterator.drain())
+    kernel.run(until=0.045)              # after both grants, read in flight
+    assert [len(services[n].holders("coll")) for n in ("s0", "s1")] == [1, 1]
+    net.isolate("s1")
+    kernel.run(until=5.0)
+    net.rejoin("s1")
+    kernel.run(until=20.0)
+    result = proc.result
+    assert result.failed and not result.yields
+    assert "client and s1 are in different partitions" in str(result.outcome)
+    assert services["s0"].holders("coll") == []
+    assert len(services["s1"].holders("coll")) == 1
