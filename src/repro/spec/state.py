@@ -48,8 +48,7 @@ class StateSnapshot:
     live_replicas: frozenset[tuple[NodeId, ObjectId]] = frozenset()
 
     def reachable_of(self, members: frozenset[Element]) -> frozenset[Element]:
-        """The paper's ``reachable``: accessible subset of ``members`` —
-        home reachable, or a reachable node holding a live copy."""
+        """The paper's ``reachable``: accessible subset of ``members``."""
         nodes, live = self.reachable_nodes, self.live_replicas
         return frozenset(
             e for e in members

@@ -102,10 +102,10 @@ class TraceRecorder:
         self._snapshots: list[StateSnapshot] = []
         self._unsubscribe: Optional[Callable[[], None]] = None
         # Every replicated member this trace has seen (s_first may name
-        # members since removed), re-scanned only when the world hands
-        # back a new s_σ object.
+        # members since removed), by home; re-scanned only when the world
+        # hands back a new s_σ object.
         self._scanned: Optional[frozenset[Element]] = None
-        self._replicated: set[Element] = set()
+        self._replicated: dict[NodeId, set[Element]] = {}
 
     # ------------------------------------------------------------------
     @property
@@ -176,13 +176,15 @@ class TraceRecorder:
         members = world.true_members(self.trace.coll_id)
         if members is not self._scanned:
             self._scanned = members
-            self._replicated.update(e for e in members if e.replicas)
+            for e in members:
+                if e.replicas:
+                    self._replicated.setdefault(e.home, set()).add(e)
         nodes = frozenset(world.net.reachable_from(self.trace.client))
         # Only a member whose home is out of reach asks its replica
         # hosts whether they still hold the object.
         live = frozenset(
-            (loc, e.oid) for e in self._replicated if e.home not in nodes
-            for loc in e.replicas
+            (loc, e.oid) for home in self._replicated.keys() - nodes
+            for e in self._replicated[home] for loc in e.replicas
             if loc in nodes and (server := world.servers.get(loc)) is not None
             and server.has_object(e.oid))
         return StateSnapshot(world.now, members, nodes, live)

@@ -72,7 +72,7 @@ class GhostRegistration(Mechanism):
 class PerRunGrowOnlySet(WeakSet):
     """§3.3 semantics, for collections with ``policy="grow-during-run"``."""
 
-    semantics = "fig5"
+    semantics = "fig5-per-run"  # the ghost registration upholds the constraint
     expected_policy = "grow-during-run"
     impl_name = "per-run-grow-only"
     mechanism = GhostRegistration

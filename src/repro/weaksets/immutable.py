@@ -82,6 +82,6 @@ class PerRunImmutableSet(WeakSet):
     (or otherwise take the write lock).
     """
 
-    semantics = "fig4"  # ensures clause is Fig 3/4's; constraint is per-run
+    semantics = "fig3-per-run"  # the run's read locks uphold the constraint
     impl_name = "per-run-immutable"
     mechanism = RunLock

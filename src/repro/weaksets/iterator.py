@@ -35,7 +35,6 @@ from __future__ import annotations
 from typing import Any, Generator, Optional
 
 from ..errors import FailureException, IteratorProtocolError
-from ..net.address import NodeId
 from ..sim.events import Sleep
 from ..spec.iterspec import REACHABLE, S, IteratorSpec
 from ..spec.termination import Failed, Outcome, Returned, Yielded
@@ -107,7 +106,8 @@ def drain_loop(invoke, now, max_yields: Optional[int] = None
     return DrainResult(yields, outcome, started_at, first_yield_at, now())
 
 
-#: why a pessimistic run failed, in its basis state's words
+#: why a pessimistic run failed, in its basis state's words ({n} = how
+#: many members were left)
 _UNREACHABLE = {
     "first": "{n} snapshot element(s) unreachable and none yieldable",
     "pre": "{n} member(s) known but unreachable (pessimistic)",
@@ -127,7 +127,7 @@ class ElementsIterator:
                  fetch_size_hint=None, **options: Any):
         self.repo = repo
         self.coll_id = coll_id
-        self.client: NodeId = repo.client
+        self.client = repo.client
         self.spec = spec
         self.recorder = recorder
         self.yielded: frozenset[Element] = frozenset()
@@ -147,9 +147,11 @@ class ElementsIterator:
             raise ValueError(f"{spec.spec_id}: no iterator guards on {REACHABLE} "
                              f"and yields from {S} (it may yield what it cannot reach)")
         self._first: Optional[frozenset[Element]] = None   # s_first, once read
-        self._body = self._yield_reachable
+        # The body as a plain function: holding its own bound method
+        # would make every iterator a reference cycle.
+        self._body = ElementsIterator._yield_reachable
         if spec.guard == S and spec.yields == REACHABLE:
-            self._body = self._optimistic
+            self._body = ElementsIterator._optimistic
             # The blocking rule's two numbers; no other body waits.
             self.retry_interval: float = options.pop("retry_interval", 0.25)
             self.give_up_after: Optional[float] = options.pop("give_up_after", None)
@@ -183,7 +185,7 @@ class ElementsIterator:
             if not self._begun:
                 self._begun = True
                 yield from mechanism.begin(self)
-            outcome = yield from self._body()
+            outcome = yield from self._body(self)
         except FailureException as exc:
             # Uncaught transport failures terminate the iterator with the
             # paper's ``failure`` exception.
@@ -371,21 +373,21 @@ class ElementsIterator:
             self.pipeline.stop()
 
     def _yield_reachable(self) -> Generator[Any, Any, Outcome]:
-        """The pessimistic invocation body Figures 1, 3, 4 and 5 share.
+        """The pessimistic invocation body Figures 1, 3, 4 and 5 share;
+        they differ only in their basis state (``s_first`` vs ``s_pre``).
 
-        The figures differ only in their basis state (``s_first`` vs
-        ``s_pre``).  Nothing left of it returns; otherwise the remainder
-        is (re)submitted — pending elements deduplicate, previously
-        failed ones get a fresh per-invocation attempt, and under
-        pre-state semantics members added mid-run join here — and the
-        first element whose home answers is yielded.  A ``gone`` answer
-        still yields the descriptor (``value=None``): the home answered,
-        so the element is reachable in the basis state — removed since a
+        Nothing left of it returns; otherwise the remainder is
+        (re)submitted — pending elements deduplicate, previously failed
+        ones get a fresh per-invocation attempt, and under pre-state
+        semantics members added mid-run join here — and the first
+        element whose home answers is yielded.  A ``gone`` answer still
+        yields the descriptor (``value=None``): the home answered, so
+        the element is reachable in the basis state — removed since a
         first-state snapshot (Figure 4's "loss of mutations"), or, under
-        pre-state, a half-removed zombie (crash mid-remove) or a ghost.  Only when *every*
-        remaining element stays unreachable after one in-invocation
-        resubmit is the guard set used up, and the row's ``exhausted``
-        decides: fail (``{n}`` = size of the remainder) or return short.
+        pre-state, a half-removed zombie (crash mid-remove) or a ghost.
+        Only when *every* remaining element stays unreachable after one
+        in-invocation resubmit is the guard set used up, and the row's
+        ``exhausted`` decides: fail, or return short.
         """
         remaining = (yield from self._basis()) - self.yielded
         if not remaining:

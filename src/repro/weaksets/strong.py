@@ -7,10 +7,10 @@ loosely-coupled ones (e.g., WWW)."
 
 :class:`StrongSet` holds a collection-level read lock for the entire
 run of ``elements`` (:class:`GlobalLock`) and requires every element
-fetch to succeed; any unreachable element aborts the run.  Mutators (its ``add``/``remove``)
-take the write lock.  The result is serializable, first-vintage
-behaviour — and exactly the latency/availability bill the benchmarks
-E2/E4/E6 present.
+fetch to succeed; any unreachable element aborts the run.  Mutators
+(its ``add``/``remove``) take the write lock.  The result is
+serializable, first-vintage behaviour — and exactly the
+latency/availability bill the benchmarks E2/E4/E6 present.
 """
 
 from __future__ import annotations
