@@ -11,7 +11,10 @@ paper's "failures signaled from the lower network and transport layers".
 which host is closest" are all answered from one table that lives as
 long as connectivity stands still (:class:`_ReachabilityTable`): the
 transport asks the topology once per pair per connectivity change, not
-once per question.
+once per question.  A pair's entry holds the route as ``(link, sender)``
+hops — which end of each link transmits, worked out (and each link's
+endpoints checked) when the entry is made — or the ``(failure class,
+message)`` saying why there is no route.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from ..errors import (
 )
 from ..sim.events import Signal
 from .address import NodeId
-from .link import Link
+from .link import FixedLatency, Link
 from .message import Message
 from .node import Node
 from .partitions import PartitionManager
@@ -41,6 +44,10 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..sim.kernel import Kernel
 
 __all__ = ["Transport"]
+
+
+#: one hop of a route: the link, and the endpoint that transmits on it
+_Hop = tuple[Link, NodeId]
 
 
 class _ReachabilityTable:
@@ -60,9 +67,10 @@ class _ReachabilityTable:
 
     def __init__(self, epoch: tuple[int, int]):
         self.epoch = epoch
-        #: (src, dst) -> the up route, or (failure class, message)
+        #: (src, dst) -> the up route as (link, sending endpoint) hops,
+        #: or (failure class, message)
         self.routes: dict[tuple[NodeId, NodeId],
-                          Union[list[Link], tuple[type, str]]] = {}
+                          Union[list[_Hop], tuple[type, str]]] = {}
         #: (src, dst) -> expected latency along that route (None: no route)
         self.latencies: dict[tuple[NodeId, NodeId], Optional[float]] = {}
         #: src -> every node with a route from src (src included)
@@ -106,10 +114,10 @@ class Transport:
         return table
 
     def _connection(self, src: NodeId, dst: NodeId
-                    ) -> Union[list[Link], tuple[type, str]]:
+                    ) -> Union[list[_Hop], tuple[type, str]]:
         """The table's answer for ``src → dst``, node liveness aside:
-        the up route within one partition group, or the ``(failure
-        class, message)`` saying why there is none."""
+        the up route within one partition group as hops, or the
+        ``(failure class, message)`` saying why there is none."""
         routes = self._table().routes
         try:
             return routes[src, dst]
@@ -117,23 +125,32 @@ class Transport:
             return self._find_connection(routes, src, dst)
 
     def _find_connection(self, routes: dict, src: NodeId, dst: NodeId
-                         ) -> Union[list[Link], tuple[type, str]]:
+                         ) -> Union[list[_Hop], tuple[type, str]]:
         """Work out the answer ``routes`` (the current epoch's) does not
         hold yet, and keep it there."""
         if not self.partitions.same_partition(src, dst):
             found = (PartitionFailure,
                      f"{src} and {dst} are in different partitions")
         else:
-            found = self.topology.route(src, dst)
-            if found is None:
+            links = self.topology.route(src, dst)
+            if links is None:
                 found = (LinkDownFailure, f"no up path from {src} to {dst}")
+            else:
+                # Who transmits on each link is the route's, not the
+                # message's: walked once here (``Link.other`` rejects a
+                # link the walk is not at an end of), read per message.
+                found = []
+                sender = src
+                for link in links:
+                    found.append((link, sender))
+                    sender = link.other(sender)
         routes[src, dst] = found
         return found
 
     def _route_or_reason(self, src: NodeId, dst: NodeId
-                         ) -> Union[list[Link], tuple[type, str]]:
-        """The up route from ``src`` to ``dst`` — or, when there is
-        none, the reason as ``(failure class, message)``.  One lookup
+                         ) -> Union[list[_Hop], tuple[type, str]]:
+        """The up route from ``src`` to ``dst`` as hops — or, when there
+        is none, the reason as ``(failure class, message)``.  One lookup
         answers both "can it travel" and "along which links".
 
         A reason is kept as its parts, never as an instance, so every
@@ -188,7 +205,7 @@ class Transport:
         if type(route) is not tuple:
             # Summed in route order, as on every question before the
             # table: the same float to the last bit.
-            latency = (sum(link.latency.expected() for link in route)
+            latency = (sum(link.latency.expected() for link, _ in route)
                        if route else 0.0)
         latencies[key] = latency
         return latency
@@ -251,8 +268,11 @@ class Transport:
         propagation latency.  All-infinite-bandwidth routes reduce
         exactly to the seed's latency-only model.
         """
-        if msg.wire_size is None:
-            object.__setattr__(msg, "wire_size", self.wire.measure(msg))
+        size = msg.wire_size
+        if size is None:
+            # Stamped as Message.__init__ fills its fields: the instance
+            # dictionary, not a trip through the frozen __setattr__.
+            size = msg.__dict__["wire_size"] = self.wire.measure(msg)
         self.stats.record_send(msg)
         # Message.__str__ is three nested formats: only pay for it when
         # the trace log will keep the record.
@@ -264,22 +284,30 @@ class Transport:
             if trace.enabled:
                 trace.record("drop", msg=str(msg), at="send")
             return False
-        for link in route:
-            if link.loss_rate > 0.0 and self._latency_stream.bernoulli(link.loss_rate):
+        stream = self._latency_stream
+        for link, _ in route:
+            if link.loss_rate > 0.0 and stream.bernoulli(link.loss_rate):
                 self.stats.record_drop(msg)
                 if trace.enabled:
                     trace.record("drop", msg=str(msg), at="loss",
                                  link=f"{link.a}<->{link.b}")
                 return False
         now = kernel.clock.now
-        t = now + self.wire.serialize_delay(msg.wire_size)
+        t = now + self.wire.serialize_delay(size)
         queue_wait = 0.0
-        hop = msg.src.node
-        for link in route:
-            wait, transfer = link.transmit(hop, msg.wire_size, t)
-            queue_wait += wait
-            t += wait + transfer + link.latency.sample(self._latency_stream)
-            hop = link.other(hop)
+        for link, sender in route:
+            latency = link.latency
+            # A constant needs no call, and an infinite-bandwidth link
+            # charges (0, 0): adding nothing leaves the same float.
+            # Every sampled model keeps its call and its draw order.
+            propagation = (latency.delay if latency.__class__ is FixedLatency
+                           else latency.sample(stream))
+            if link.bandwidth > 0:
+                wait, transfer = link.transmit(sender, size, t)
+                queue_wait += wait
+                t += wait + transfer + propagation
+            else:
+                t += propagation
         delay = t - now
         self._m_delivery_delay.observe(delay)
         if queue_wait > 0.0:
@@ -293,7 +321,7 @@ class Transport:
             hist.observe(queue_wait)
         if trace.enabled:
             trace.record("send", msg=str(msg), delay=round(delay, 6),
-                         size=msg.wire_size)
+                         size=size)
         # Straight onto the kernel's queue: a delivery is never cancelled
         # (so no cancel handle), and a partial is called without a frame
         # of its own.

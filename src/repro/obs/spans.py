@@ -13,7 +13,9 @@ currently running process" — span parentage follows the ``yield from``
 chain of a single process, exactly matching the caller/callee structure
 of the code.  Forked children (hedged RPC attempts) inherit the
 forker's active span as their base parent via :meth:`Tracer.adopt`, so
-a hedge attempt still traces back to the drain that caused it.
+a hedge attempt still traces back to the drain that caused it; the
+kernel releases the borrowed base when the child finishes
+(:meth:`repro.sim.Kernel.adopt`).
 
 Timing comes from the virtual clock: a seeded run yields byte-identical
 span timings, which makes traces diffable CI artifacts rather than
@@ -136,14 +138,25 @@ class Tracer:
         stack = self._stacks.get(self._context_key())
         return stack[-1] if stack else None
 
-    def adopt(self, child_ctx: Hashable, parent_ctx: Hashable) -> None:
+    def adopt(self, child_ctx: Hashable, parent_ctx: Hashable) -> bool:
         """Seed ``child_ctx``'s stack with ``parent_ctx``'s active span,
         so spans in a forked process nest under the forker's work.  The
         borrowed base belongs to (and is finished by) the parent
-        context; the child only parents under it."""
+        context; the child only parents under it, so its stack never
+        drains: whoever adopts a context that ends must :meth:`release`
+        it (``True``: a base was borrowed)."""
         parent_stack = self._stacks.get(parent_ctx)
         if parent_stack and child_ctx not in self._stacks:
             self._stacks[child_ctx] = [parent_stack[-1]]
+            return True
+        return False
+
+    def release(self, ctx: Hashable) -> None:
+        """Forget ``ctx``: it has ended and starts no more spans.  An
+        adopted context's stack still holds the borrowed base, and the
+        stack is what keeps its key — a finished process, and the result
+        its ``done`` holds — among the tracer's."""
+        self._stacks.pop(ctx, None)
 
     # ------------------------------------------------------------------
     # queries

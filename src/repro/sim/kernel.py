@@ -12,12 +12,13 @@ determinism does not depend on container internals.  The scheduler
 structure is the timer-wheel/slotted-heap hybrid of
 :mod:`repro.sim.sched`.
 
-The event loop dispatches same-instant events as one *batch*: the
-scheduler surfaces every entry stamped with the next virtual time at
-once, and actions scheduled for the current instant during the batch
-(zero-delay process steps, message deliveries) append to the live batch
-instead of round-tripping through the scheduler.  Observable order is
-still strict ``(time, seq)``.
+The event loop dispatches same-instant events as one *batch*: one
+scheduler call per instant (``next_instant``, of the three methods the
+kernel drives: ``push``, ``next_instant``, ``requeue``) surfaces every
+entry stamped with the next virtual time, and actions scheduled for
+the current instant during the batch (zero-delay process steps, message
+deliveries) append to the live batch instead of round-tripping through
+the scheduler.  Observable order is still strict ``(time, seq)``.
 
 Two hot-path conventions keep per-event cost down at population scale
 (10⁵+ clients): a scheduled entry's ``action`` is either a plain
@@ -87,7 +88,8 @@ class Kernel:
         """The process whose generator is being stepped right now (the
         tracer's span-parentage context), or ``None`` between steps.
         Lets code that spawns workers directly — rather than via the
-        ``Fork`` effect — adopt the creator's span context."""
+        ``Fork`` effect — :meth:`adopt` them into the creator's span
+        context."""
         return self._running
 
     def stream(self, name: str) -> Stream:
@@ -124,6 +126,17 @@ class Kernel:
         self._schedule(0.0, proc)
         return proc
 
+    def adopt(self, child: Process, parent: Process) -> None:
+        """Nest ``child``'s spans under ``parent``'s active span, for as
+        long as ``child`` lives (a forked hedge attempt or a pipeline
+        worker traces back to the drain that caused it).  A worker
+        starts spans batch after batch, so the borrowed base stays until
+        the process *finishes* — and goes then, or the tracer would keep
+        every finished child, and the result it returned, for good."""
+        tracer = self.obs.tracer
+        if tracer.adopt(child, parent):
+            child.done.add_waiter(lambda _done: tracer.release(child))
+
     def call_soon(self, action: Callable[[], None], delay: float = 0.0) -> Callable[[], None]:
         """Schedule a plain callback ``delay`` seconds from now.
 
@@ -140,6 +153,7 @@ class Kernel:
         sim_start = clock.now
         sched = self._sched
         sched_push = sched.push
+        next_instant = sched.next_instant
         trace = self.trace
         batch = self._batch
         seq = self._seq
@@ -148,13 +162,12 @@ class Kernel:
             while True:
                 if stop_when is not None and stop_when():
                     return
-                next_time = sched.peek_time()
+                next_time = next_instant(batch, until)
                 if next_time is None:
                     break
                 if until is not None and next_time > until:
                     clock.advance_to(until)
                     return
-                sched.pop_batch(batch)
                 clock.advance_to(next_time)
                 self._batch_time = next_time
                 self._dispatching = True
@@ -359,9 +372,7 @@ class Kernel:
             self._do_wait(proc, effect.process.done, effect.timeout)
         elif isinstance(effect, Fork):
             child = self.spawn(effect.generator, name=effect.name, daemon=effect.daemon)
-            # A forked child's spans nest under the forker's active span
-            # (hedged RPC attempts trace back to the drain that fired them).
-            self.obs.tracer.adopt(child, proc)
+            self.adopt(child, proc)
             proc._set_resume(value=child)
             self._schedule(0.0, proc)
         elif isinstance(effect, Now):

@@ -18,12 +18,15 @@ order is that of one global ``(time, seq)``-ordered queue for any
 schedule (property-tested in ``tests/test_sim_sched.py`` against a
 sorted-list reference and the frozen seed kernel's binary heap).
 
-The kernel drives four methods: ``push(entry)``, ``peek_time()`` (drop
-cancelled heads, return the next event time or ``None``),
-``pop_batch(out)`` (move every live entry at exactly that time into
-``out``, in seq order — only valid immediately after a successful
-``peek_time``), and ``requeue(entries)`` (put not-yet-run entries back,
-preserving their stamps, when ``run()`` stops mid-batch).
+The kernel drives three methods: ``push(entry)``, ``next_instant(out,
+until)`` (drop cancelled heads, reach the next slot, and — unless the
+next event lies beyond ``until`` — move every live entry at exactly that
+time into ``out``, in seq order; returns the time, or ``None`` for an
+empty queue) and ``requeue(entries)`` (put not-yet-run entries back,
+preserving their stamps, when ``run()`` stops mid-batch).  One call per
+dispatched instant: most instants of an RPC workload hold one event in a
+slot of its own, so what the loop pays per instant is what it pays per
+event.
 """
 
 from __future__ import annotations
@@ -132,56 +135,48 @@ class WheelScheduler:
         for entry in entries:
             self.push(entry)
 
-    def peek_time(self) -> Optional[float]:
-        while True:
-            active = self._active
-            pos = self._active_pos
-            size = len(active)
-            while pos < size:
-                if active[pos].cancelled:
-                    pos += 1
-                    self._count -= 1
-                else:
-                    break
-            self._active_pos = pos
-            keys = self._keys
-            if pos < size:
-                if keys and keys[0] < self._active_key:
-                    # A run() that stopped early (hit `until`) left this
-                    # slot mid-drain, and later pushes landed in an
-                    # earlier slot.  Shelve the unconsumed tail and let
-                    # the loop activate the earlier slot first.
-                    self._shelve_active_tail(pos)
-                    continue
-                return active[pos].time
-            if not keys:
-                return None
-            self._activate(heapq.heappop(keys))
-
-    def _shelve_active_tail(self, pos: int) -> None:
-        # The tail is (time, seq)-sorted; any append that follows
-        # carries a larger seq, so the stable re-sort at the next
-        # activation still lands in exact order.
-        tail = self._active[pos:]
-        self._buckets[self._active_key] = tail
-        heapq.heappush(self._keys, self._active_key)
-        self._active = []
-        self._active_pos = 0
-        self._active_key = -1
-
-    def _activate(self, key: int) -> None:
-        bucket = self._buckets.pop(key)
-        bucket.sort(key=_TIME_KEY)
-        self._active = bucket
-        self._active_pos = 0
-        self._active_key = key
-
-    def pop_batch(self, out: list) -> None:
+    def next_instant(self, out: list,
+                     until: Optional[float] = None) -> Optional[float]:
+        """The time of the next live entry (``None``: the queue is
+        empty), with every live entry stamped exactly that time appended
+        to ``out`` in seq order — unless that time is beyond ``until``,
+        when nothing is consumed and the caller sees only how far away
+        the next event is."""
         active = self._active
         pos = self._active_pos
-        size = len(active)
-        when = active[pos].time
+        keys = self._keys
+        while True:
+            size = len(active)
+            while pos < size and active[pos].cancelled:
+                pos += 1
+                self._count -= 1
+            if pos < size:
+                if not keys or keys[0] > self._active_key:
+                    break
+                # A run() that stopped early (hit `until`) left this
+                # slot mid-drain, and later pushes landed in an earlier
+                # slot.  Shelve the unconsumed tail and reach the
+                # earlier slot first.
+                self._shelve_active_tail(pos)
+            elif not keys:
+                self._active_pos = pos
+                return None
+            # Reach the next slot.  It is sorted once, here, and a slot
+            # of one entry (nearly every slot of an RPC workload) is
+            # sorted already.
+            key = self._active_key = heapq.heappop(keys)
+            active = self._active = self._buckets.pop(key)
+            if len(active) > 1:
+                active.sort(key=_TIME_KEY)
+            pos = 0
+        entry = active[pos]
+        when = entry.time
+        if until is not None and when > until:
+            self._active_pos = pos
+            return when
+        out.append(entry)
         start = pos
+        pos += 1
         while pos < size:
             entry = active[pos]
             if entry.time != when:
@@ -191,6 +186,14 @@ class WheelScheduler:
                 out.append(entry)
         self._count -= pos - start
         self._active_pos = pos
+        return when
+
+    def _shelve_active_tail(self, pos: int) -> None:
+        # The tail is (time, seq)-sorted; any append that follows
+        # carries a larger seq, so the stable re-sort when the slot is
+        # reached again still lands in exact order.
+        self._buckets[self._active_key] = self._active[pos:]
+        heapq.heappush(self._keys, self._active_key)
 
     def __len__(self) -> int:
         return self._count

@@ -51,7 +51,7 @@ Soundness — why buffering across invocations cannot invent elements:
 
 from __future__ import annotations
 
-from collections import deque
+from collections import OrderedDict, deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Generator, Iterable, Optional
 
@@ -218,7 +218,12 @@ class FetchPipeline:
         self.give_up_after = give_up_after
         self.name = name or f"fetch-{repo.client}"
         # -- work state ------------------------------------------------
-        self._todo: deque[Element] = deque()
+        # Awaiting a batch, in accepted order (oids are unique here: an
+        # element is pending at most once) — and the same elements by
+        # home, each home's in that order too, so coalescing a batch
+        # walks one home's queue, never everything that remains.
+        self._todo: OrderedDict[ObjectId, Element] = OrderedDict()
+        self._todo_by_home: dict[NodeId, deque[Element]] = {}
         self._retry: deque[tuple[float, Element]] = deque()
         self._first_failure: dict[ObjectId, float] = {}
         self._live: dict[ObjectId, Element] = {}      # submitted, undelivered
@@ -283,7 +288,7 @@ class FetchPipeline:
             proc = kernel.spawn(self._worker(), name=f"{self.name}-w{i}",
                                 daemon=True)
             if creator is not None:
-                kernel.obs.tracer.adopt(proc, creator)
+                kernel.adopt(proc, creator)
             self._procs.append(proc)
 
     def stop(self) -> None:
@@ -355,7 +360,12 @@ class FetchPipeline:
                         element, value=peeked[0], fetched_at=self.world.now,
                         issue_epoch=self._epoch, from_cache=True))
                     continue
-            self._todo.append(element)
+            self._todo[element.oid] = element
+            same_home = self._todo_by_home.get(element.home)
+            if same_home is None:
+                self._todo_by_home[element.home] = deque((element,))
+            else:
+                same_home.append(element)
         if accepted:
             self._kick_workers()
         return accepted
@@ -492,39 +502,50 @@ class FetchPipeline:
         budget = window - self._in_flight
         if budget <= 0:
             return None
-        head: Optional[Element] = None
-        if self._todo:
-            head = self._todo.popleft()
-        elif self._retry and self._retry[0][0] <= self.world.now:
-            head = self._retry.popleft()[1]
-        if head is None:
-            return None
         # Slow start: the very first batch is a singleton, so the first
         # yield never waits on coalesced company (time-to-first is the
         # paper's headline number).
-        limit = min(self.batch_size, budget)
-        if self._batches_issued == 0:
-            limit = 1
-        batch = [head]
-        byte_budget = None
-        if self.max_batch_bytes is not None and self.size_hint is not None:
-            byte_budget = self.max_batch_bytes - self._estimate_bytes(head)
-        if limit > 1 and self._todo:
-            rest: deque[Element] = deque()
-            for element in self._todo:
-                if len(batch) < limit and element.home == head.home:
-                    if byte_budget is not None:
-                        cost = self._estimate_bytes(element)
-                        if cost > byte_budget:
-                            rest.append(element)
-                            continue
-                        byte_budget -= cost
-                    batch.append(element)
-                else:
-                    rest.append(element)
-            self._todo = rest
+        limit = 1 if self._batches_issued == 0 else min(self.batch_size, budget)
+        if self._todo:
+            batch = self._take_todo(limit)
+        elif self._retry and self._retry[0][0] <= self.world.now:
+            batch = [self._retry.popleft()[1]]
+        else:
+            return None
         self._in_flight += len(batch)
         self._batches_issued += 1
+        return batch
+
+    def _take_todo(self, limit: int) -> list[Element]:
+        """The head of ``_todo`` and, up to ``limit`` in all, the
+        elements behind it in its home's queue, in order.  Under a byte
+        cap an element the remaining budget cannot take is passed over —
+        it keeps its place — and a later, smaller one may still ride."""
+        todo = self._todo
+        _, head = todo.popitem(last=False)
+        same_home = self._todo_by_home[head.home]
+        same_home.popleft()          # the first of everything is its home's first
+        batch = [head]
+        if self.max_batch_bytes is None or self.size_hint is None:
+            while same_home and len(batch) < limit:
+                element = same_home.popleft()
+                del todo[element.oid]
+                batch.append(element)
+        elif limit > 1:
+            byte_budget = self.max_batch_bytes - self._estimate_bytes(head)
+            passed_over = []
+            while same_home and len(batch) < limit:
+                element = same_home.popleft()
+                cost = self._estimate_bytes(element)
+                if cost > byte_budget:
+                    passed_over.append(element)
+                    continue
+                byte_budget -= cost
+                del todo[element.oid]
+                batch.append(element)
+            same_home.extendleft(reversed(passed_over))
+        if not same_home:
+            del self._todo_by_home[head.home]
         return batch
 
     def _estimate_bytes(self, element: Element) -> int:

@@ -28,6 +28,11 @@ from .writeplan import AddSpec, WritePipeline, WriteResult
 __all__ = ["Repository", "MembershipView"]
 
 
+#: how many member listings a world remembers the set of (as many as a
+#: codec remembers the size of: ``net.wire._LISTING_ENTRIES``)
+_LISTING_SETS = 64
+
+
 def _unpack_snapshot(reply) -> tuple[int, tuple, bool]:
     """Normalize a ``list_members`` reply.
 
@@ -208,9 +213,21 @@ class Repository:
 
     def _membership_view(self, coll_id: str, reply,
                          host: NodeId) -> MembershipView:
-        """Turn one host's ``list_members`` reply into the (cached) view."""
-        version, members, degraded = _unpack_snapshot(reply)
-        view = MembershipView(coll_id, version, frozenset(members), host,
+        """Turn one host's ``list_members`` reply into the (cached) view.
+
+        The view's ``members`` is ``frozenset(listing)``, taken from the
+        world's table when this very tuple was read before (an unwritten
+        collection's reads share one set: hashed once per listing)."""
+        version, listing, degraded = _unpack_snapshot(reply)
+        listings = self.world.listing_sets
+        entry = listings.get(id(listing))
+        if entry is None:
+            entry = (listing, frozenset(listing))
+            if type(listing) is tuple:    # a list can change under its id
+                if len(listings) >= _LISTING_SETS:
+                    del listings[next(iter(listings))]    # oldest out
+                listings[id(listing)] = entry
+        view = MembershipView(coll_id, version, entry[1], host,
                               self.world.now, stale=degraded)
         if self.cache is not None:
             self.cache.put(("membership", coll_id), view, self.world.now)

@@ -167,6 +167,13 @@ class World:
         #: the client side's metric instruments: resolved by this world's
         #: first Repository, shared by every later one
         self.repository_instruments = None
+        #: id(listing) -> (listing, frozenset(listing)) for the member
+        #: tuples ``list_members`` replied with: a server answers with
+        #: the same tuple until the collection is written, so its clients
+        #: hash the members once per listing, not once per read.  Filled
+        #: and bounded by ``Repository._membership_view``; the entry holds
+        #: its tuple, so the id cannot be reused while it is here.
+        self.listing_sets: dict[int, tuple[tuple, frozenset]] = {}
         #: shared RPC client for the anti-entropy syncers (its own RNG
         #: stream so sync backoff never perturbs client-facing draws).
         self.sync_client = ResilientClient(

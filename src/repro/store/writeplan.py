@@ -239,7 +239,7 @@ class WritePipeline:
             proc = kernel.spawn(self._worker(), name=f"{self.name}-w{i}",
                                 daemon=True)
             if creator is not None:
-                kernel.obs.tracer.adopt(proc, creator)
+                kernel.adopt(proc, creator)
             self._procs.append(proc)
 
     def stop(self) -> None:

@@ -33,6 +33,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Callable, Generator, Optional
 
 from ..errors import FailureException, SimulationError, StoreError
@@ -49,6 +50,9 @@ __all__ = ["Behavior", "Stage", "PopulationSpec", "StageResult",
 #: rejections.  Anything else propagates — a population run must not
 #: silently eat programming errors.
 _SESSION_FAILURES = (FailureException, StoreError)
+
+#: every stock session sorts the members it read: a key C can call
+_BY_NAME = attrgetter("name")
 
 
 @dataclass(frozen=True)
@@ -177,7 +181,7 @@ def default_behaviors(scenario: Scenario) -> tuple[Behavior, ...]:
     def reader(sc: Scenario, stream: Stream) -> Generator:
         repo = sc.repo()
         view = yield from repo.read_membership(coll)
-        members = sorted(view.members, key=lambda e: e.name)
+        members = sorted(view.members, key=_BY_NAME)
         if members:
             target = members[stream.randint(0, len(members) - 1)]
             yield from repo.fetch(target, use_cache=True)
@@ -185,7 +189,7 @@ def default_behaviors(scenario: Scenario) -> tuple[Behavior, ...]:
     def scanner(sc: Scenario, stream: Stream) -> Generator:
         repo = sc.repo()
         view = yield from repo.read_membership(coll)
-        members = sorted(view.members, key=lambda e: e.name)
+        members = sorted(view.members, key=_BY_NAME)
         for target in members[:4]:
             yield from repo.fetch(target, use_cache=True)
 

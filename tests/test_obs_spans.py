@@ -1,8 +1,15 @@
 """Tracer: nesting, per-context isolation, adoption, virtual-clock timing."""
 
+import gc
+import weakref
+
 from repro.obs import Span, Tracer
-from repro.sim import Fork, Kernel, Sleep
+from repro.sim import Fork, Join, Kernel, Sleep
 from repro.sim.clock import Clock
+from repro.store import AddSpec, Repository
+from repro.weaksets import DynamicSet
+
+from helpers import CLIENT, drain_all, standard_world
 
 
 def make_tracer(ctx_holder=None):
@@ -199,6 +206,90 @@ def test_kernel_fork_adopts_parents_active_span():
     child_span = tracer.spans("child.work")[0]
     parent_span = tracer.spans("parent.work")[0]
     assert child_span.parent_id == parent_span.span_id
+
+
+def test_an_adopted_context_is_released_when_it_ends():
+    ctx = ["parent"]
+    clock, tracer = make_tracer(ctx)
+    base = tracer.start("drain")
+    assert tracer.adopt("child", "parent") is True
+    assert tracer.adopt("orphan", "nobody") is False    # nothing to borrow
+    ctx[0] = "child"
+    tracer.finish(tracer.start("batch-1"))
+    # drained of its own spans, the child keeps its base: the next batch
+    # is the drain's too
+    assert tracer.active() is base
+    assert tracer.start("batch-2").parent_id == base.span_id
+    tracer.release("child")
+    assert tracer.active() is None
+    tracer.release("child")                             # and again: nothing
+    ctx[0] = "parent"
+    assert tracer.active() is base and not base.finished
+
+
+def test_a_finished_adopted_process_leaves_the_tracer():
+    """The borrowed base never pops, so an adopted child's stack never
+    emptied and ``_stacks`` kept every finished worker and forked child
+    as a key.  The kernel lets the base go when the child finishes —
+    not when its stack drains: a worker parents batch after batch."""
+    kernel, net, world, elements = standard_world(members=10, n_servers=2)
+    tracer = kernel.obs.tracer
+    repo = Repository(world, CLIENT)
+
+    def finished_keys():
+        return [proc for proc in tracer._stacks
+                if proc is not None and proc.finished]
+
+    kernel.run_process(repo.add_many(
+        "coll", [AddSpec(f"b{i}", value=i, home=f"s{i % 2}") for i in range(6)],
+        window=2, batch_size=2))
+    assert tracer.spans("write.batch") and finished_keys() == []
+    result = drain_all(kernel, DynamicSet(world, CLIENT, "coll",
+                                          fetch_window=1, fetch_batch=2))
+    assert len(result.elements) == 16 and finished_keys() == []
+    # one worker, many batches, every one of them the pipeline's
+    (pipeline,) = tracer.spans("fetch.pipeline")
+    batches = tracer.spans("fetch.batch")
+    assert len(batches) >= 8
+    assert {span.parent_id for span in batches} == {pipeline.span_id}
+
+    # a forked child too; and one nothing else names (the kernel keeps
+    # no table of transient processes, and this one starts no span to be
+    # named by) is freed on the spot, generator and all, by reference
+    # count
+    probes = []
+
+    def child():
+        span = tracer.start("child.work")
+        yield Sleep(0.1)
+        tracer.finish(span)
+
+    def spanless():
+        yield Sleep(0.1)
+
+    def parent():
+        span = tracer.start("parent.work")
+        forked = yield Fork(child())
+        generator = spanless()      # a Process takes no weak reference
+        probes.append(weakref.ref(generator))
+        kernel.adopt(kernel.spawn(generator, transient=True),
+                     kernel.current_process)
+        del generator
+        yield Join(forked)
+        yield Sleep(0.5)
+        tracer.finish(span)
+
+    gc.collect()
+    gc.disable()
+    try:
+        kernel.run_process(parent())
+        assert [probe() for probe in probes] == [None]
+    finally:
+        gc.enable()
+    (parent_span,) = tracer.spans("parent.work")
+    assert [span.parent_id for span in tracer.spans("child.work")] == \
+        [parent_span.span_id]
+    assert finished_keys() == []
 
 
 def test_span_ids_are_unique_and_dense():

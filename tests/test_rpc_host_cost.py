@@ -2,13 +2,17 @@
 
 The rule these tests pin: nothing per message is formatted, re-derived,
 allocated or re-walked unless the simulation or an attached reader uses
-the result.  They count calls (exact, seed-free), not seconds; that the
-counts buy time is ``perf/``'s job.  Each mechanism is then held to the
-behaviour it replaced: the same name strings when something does read
-them, the same bucket for every float, the same sequence numbers as the
-frozen seed kernel.
+the result — and what the interpreter does below the call count (a
+slot wrapper per field, a hash per member, a call to add a constant) is
+done once per thing that changes, not once per message.  They count
+calls (exact, seed-free), not seconds; that the counts buy time is
+``perf/``'s job.  Each mechanism is then held to the behaviour it
+replaced: the same name strings when something does read them, the same
+bucket for every float, the same sequence numbers as the frozen seed
+kernel, the same delay to the last bit, the same pickled bytes.
 """
 
+import dataclasses
 import gc
 import math
 import pickle
@@ -17,14 +21,18 @@ import weakref
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import TimeoutFailure
-from repro.net import Address, FixedLatency, Message, Network, full_mesh
+from repro.errors import LinkDownFailure, PartitionFailure, TimeoutFailure
+from repro.net import (Address, FixedLatency, Link, Message, Network,
+                       UniformLatency, full_mesh, line)
 from repro.net.topology import Topology
 from repro.net.transport import Transport
 from repro.obs import DEFAULT_LATENCY_BUCKETS, Histogram, MetricsRegistry
-from repro.sim import Join, Kernel, Signal, Sleep, Wait
+from repro.sim import (Fork, Join, Kernel, Signal, Sleep, Wait,
+                       WheelScheduler)
 from repro.sim import process as sim_process
+from repro.sim.clock import Clock
 from repro.store import Repository
+from repro.store import repository as store_repository
 from repro.store.elements import Element
 
 from helpers import CLIENT, standard_world
@@ -85,6 +93,11 @@ def test_a_settled_rpc_formats_no_name_and_asks_no_route(monkeypatch, method,
         "Transport._table": count_calls(monkeypatch, Transport, "_table"),
         "Transport._find_connection": count_calls(monkeypatch, Transport,
                                                   "_find_connection"),
+        # a free hop (constant latency, infinite bandwidth) is one add
+        "Link.transmit": count_calls(monkeypatch, Link, "transmit"),
+        "Link.other": count_calls(monkeypatch, Link, "other"),
+        "FixedLatency.sample": count_calls(monkeypatch, FixedLatency,
+                                           "sample"),
     }
     sent = net.transport.stats.total_sent.value
     assert kernel.run_process(rpc(net, method, *args), name="") == "v"
@@ -118,6 +131,292 @@ def test_a_network_builds_each_address_once():
                for m in replies)
     assert (requests[0].src, requests[0].dst) == (Address("a", "client"),
                                                   Address("b", "echo"))
+
+
+# -- a hop pays for what it simulates ---------------------------------------------
+
+def relayed(latency, bandwidth=0.0, **kernel_kwargs):
+    """``a - r - b``: every message crosses two links."""
+    kernel = Kernel(**kernel_kwargs)
+    net = Network(kernel, line(["a", "r", "b"], latency, bandwidth=bandwidth))
+    net.register_service("b", "echo", EchoService())
+    return kernel, net
+
+
+def reference_delay(route, src, size, now, serialize, stream):
+    """``Transport.send``'s delay as it was computed before the table
+    held hops: every link asked to transmit, every model asked to
+    sample, the sender walked along with ``Link.other``."""
+    t = now + serialize
+    hop = src
+    for link in route:
+        wait, transfer = link.transmit(hop, size, t)
+        t += wait + transfer + link.latency.sample(stream)
+        hop = link.other(hop)
+    return t - now
+
+
+def sent_delays(kernel):
+    """The delays a traced run recorded (rounded to the microsecond)."""
+    return [rec.fields["delay"] for rec in kernel.trace.records()
+            if rec.kind == "send"]
+
+
+def record_sends(kernel, net):
+    """Every message as ``(src, dst, size, now)`` and, beside it, the
+    delivery delay the transport scheduled for it — the float itself."""
+    sends, delays = [], []
+    send, schedule = net.transport.send, kernel._schedule
+
+    def sending(msg):
+        sent = send(msg)
+        sends.append((msg.src.node, msg.dst.node, msg.wire_size, kernel.now))
+        return sent
+
+    def scheduling(delay, action):
+        if getattr(action, "func", None) == net.transport._deliver:
+            delays.append(delay)
+        return schedule(delay, action)
+
+    net.transport.send = sending
+    kernel._schedule = scheduling
+    return sends, delays
+
+
+def reference_delays(twin_kernel, twin, sends):
+    """What the parent's loop makes of the same messages on a twin
+    network (same seed, so the same latency stream)."""
+    stream = twin_kernel.stream("net.latency")
+    return [reference_delay(twin.topology.route(src, dst), src, size, now,
+                            twin.transport.wire.serialize_delay(size), stream)
+            for src, dst, size, now in sends]
+
+
+def test_a_finite_link_is_still_asked_to_transmit_once_per_hop(monkeypatch):
+    kernel, net = relayed(FixedLatency(0.01), bandwidth=10_000.0)
+    assert kernel.run_process(rpc(net, "echo", "v")) == "v"        # warm
+    transmits = []
+    transmit = Link.transmit
+
+    def recording(link, sender, size, now):
+        transmits.append((link.a, link.b, sender))
+        return transmit(link, sender, size, now)
+
+    monkeypatch.setattr(Link, "transmit", recording)
+    others = count_calls(monkeypatch, Link, "other")
+    samples = count_calls(monkeypatch, FixedLatency, "sample")
+    assert kernel.run_process(rpc(net, "echo", "v"), name="") == "v"
+    # request a->r->b, reply b->r->a: each link in route order, sent
+    # from the end the message enters it by
+    assert transmits == [("a", "r", "a"), ("r", "b", "r"),
+                         ("r", "b", "b"), ("a", "r", "r")]
+    assert (others[0], samples[0]) == (0, 0)
+
+
+def test_a_sampled_latency_still_draws_once_per_hop_in_route_order(monkeypatch):
+    kernel, net = relayed(UniformLatency(0.005, 0.02), seed=5)
+    twin_kernel, twin = relayed(UniformLatency(0.005, 0.02), seed=5)
+    sends, delays = record_sends(kernel, net)
+    draws = []
+    sample = UniformLatency.sample
+
+    def recording(model, stream):
+        drawn = sample(model, stream)
+        if stream is net.transport._latency_stream:
+            draws.append(drawn)
+        return drawn
+
+    monkeypatch.setattr(UniformLatency, "sample", recording)
+    for value in range(3):
+        assert kernel.run_process(rpc(net, "echo", value)) == value
+    assert len(draws) == 3 * 2 * 2          # rpcs x messages x hops
+    # the same draws in the same order as the loop that asked every link
+    # everything, so the same delays to the last bit
+    assert len(delays) == 6
+    assert delays == reference_delays(twin_kernel, twin, sends)
+
+
+def test_a_queued_transfer_adds_up_as_it_did():
+    """Finite links, sampled latency, back-to-back messages that queue
+    behind each other: wait + transfer + propagation per hop, summed in
+    the order it always was."""
+    def build():
+        kernel = Kernel(seed=2)
+        net = Network(kernel, line(["a", "r", "b"], UniformLatency(0.001, 0.004),
+                                   bandwidth=2_000.0))
+        net.register_service("b", "echo", EchoService())
+        return kernel, net
+
+    kernel, net = build()
+    sends, delays = record_sends(kernel, net)
+
+    def burst():
+        children = []
+        for value in range(4):
+            children.append((yield Fork(rpc(net, "echo", "x" * 40 * value))))
+        for child in children:
+            yield Join(child)
+
+    kernel.run_process(burst())
+    assert len(delays) == 8
+    assert delays == reference_delays(*build(), sends)
+    assert kernel.obs.metrics.get("net.link.queue_delay").count > 0
+
+
+def test_a_reroute_or_a_partition_is_seen_by_the_next_message():
+    """The hops are the epoch's: a cut link means new hops (the long way
+    round, and its delay), a partition means none."""
+    def latency_for(x, y):
+        return FixedLatency(0.01 if {x, y} == {"a", "b"} else 0.02)
+
+    kernel = Kernel(trace=True)
+    net = Network(kernel, full_mesh(["a", "r", "b"], latency_for=latency_for))
+    net.register_service("b", "echo", EchoService())
+    assert kernel.run_process(rpc(net, "echo", 1)) == 1
+    net.topology.set_link_up("a", "b", False)        # not through the facade
+    assert kernel.run_process(rpc(net, "echo", 2)) == 2
+    net.partitions.isolate("b")
+    with pytest.raises(PartitionFailure):
+        kernel.run_process(rpc(net, "echo", 3))
+    net.partitions.heal()
+    net.topology.set_link_up("a", "r", False)
+    with pytest.raises(LinkDownFailure):
+        kernel.run_process(rpc(net, "echo", 4))
+    net.topology.set_link_up("a", "b", True)
+    assert kernel.run_process(rpc(net, "echo", 5)) == 5
+    assert sent_delays(kernel) == [0.01, 0.01, 0.04, 0.04, 0.01, 0.01]
+
+
+def test_a_route_through_a_link_it_is_not_at_an_end_of_is_refused(monkeypatch):
+    """``Link.other``'s endpoint test is still made — once per route per
+    epoch, when the table entry is."""
+    kernel, net = relayed(FixedLatency(0.01))
+    stray = Link("x", "y")
+    monkeypatch.setattr(Topology, "route", lambda self, src, dst: [stray])
+    with pytest.raises(Exception) as caught:
+        kernel.run_process(rpc(net, "echo", 1))
+    assert "is not an endpoint of" in str(caught.value)
+
+
+# -- an instant is one scheduler call ---------------------------------------------
+
+def test_the_kernel_asks_the_scheduler_once_per_instant(monkeypatch):
+    kernel = Kernel()
+    log = []
+    for delay in (0.001, 0.001, 0.0015, 0.25, 0.25, 0.25, 7.0):
+        kernel.call_soon(lambda: log.append(kernel.now), delay=delay)
+    cancelled = kernel.call_soon(lambda: log.append("cancelled"), delay=0.3)
+    cancelled()
+    asked = count_calls(monkeypatch, WheelScheduler, "next_instant")
+    advanced = count_calls(monkeypatch, Clock, "advance_to")
+    kernel.run()
+    assert log == [0.001, 0.001, 0.0015, 0.25, 0.25, 0.25, 7.0]
+    # four instants, and the call that found the queue empty; the clock's
+    # own monotonic test still made at each
+    assert (asked[0], advanced[0]) == (4 + 1, 4)
+    assert set(dir(WheelScheduler)) >= {"push", "next_instant", "requeue"}
+    assert not {"peek_time", "pop_batch"} & set(dir(WheelScheduler))
+
+
+# -- a message is built once, and is frozen to everyone else ----------------------
+
+#: ``pickle.dumps(FIXED, protocol=4)`` as the generated ``__init__`` left it
+GOLDEN_MESSAGE = (
+    b'\x80\x04\x95\xf0\x00\x00\x00\x00\x00\x00\x00\x8c\x11repro.net.message'
+    b'\x94\x8c\x07Message\x94\x93\x94)\x81\x94}\x94(\x8c\x03src\x94\x8c\x11'
+    b'repro.net.address\x94\x8c\x07Address\x94\x93\x94)\x81\x94}\x94(\x8c\x04'
+    b'node\x94\x8c\x01a\x94\x8c\x07service\x94\x8c\x06client\x94ub\x8c\x03dst'
+    b'\x94h\x08)\x81\x94}\x94(h\x0b\x8c\x01b\x94h\r\x8c\x04echo\x94ub\x8c\x06'
+    b'method\x94h\x13\x8c\x07payload\x94\x8c\x01v\x94\x85\x94}\x94\x86\x94\x8c'
+    b'\x08is_reply\x94\x89\x8c\x08reply_to\x94N\x8c\x08priority\x94K\x01\x8c\x06'
+    b'msg_id\x94K\x07\x8c\twire_size\x94Nub.')
+
+
+def fixed_message(**changes):
+    fields = dict(src=Address("a", "client"), dst=Address("b", "echo"),
+                  method="echo", payload=(("v",), {}), priority=1, msg_id=7)
+    fields.update(changes)
+    return Message(**fields)
+
+
+def test_a_message_pickles_to_the_bytes_it_always_did():
+    msg = fixed_message()
+    assert pickle.dumps(msg, protocol=4) == GOLDEN_MESSAGE
+    back = pickle.loads(GOLDEN_MESSAGE)
+    assert back == msg and pickle.dumps(back, protocol=4) == GOLDEN_MESSAGE
+    assert list(vars(msg)) == [f.name for f in dataclasses.fields(Message)]
+    # sent: the stamp is a field like the others, in its declared place
+    kernel, net = two_nodes()
+    net.transport.send(msg)
+    assert msg.wire_size == net.transport.wire.measure(msg) > 0
+    assert list(vars(msg)) == [f.name for f in dataclasses.fields(Message)]
+    assert pickle.loads(pickle.dumps(msg)).wire_size == msg.wire_size
+
+
+def test_a_message_is_a_frozen_dataclass_to_its_readers():
+    msg = fixed_message(payload="v")
+    # one constructor, written out (the generated one lives in "<string>")
+    assert Message.__init__.__code__.co_filename.endswith("message.py")
+    assert dataclasses.is_dataclass(msg)
+    for name, value in (("wire_size", 9), ("src", msg.dst), ("extra", 1)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(msg, name, value)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del msg.payload
+    assert dataclasses.replace(msg, msg_id=1) == fixed_message(payload="v",
+                                                               msg_id=1)
+    assert dataclasses.replace(msg, msg_id=1) != msg
+    # wire_size takes no part in equality or the hash
+    stamped = dataclasses.replace(msg, wire_size=46)
+    assert stamped.wire_size == 46 and msg.wire_size is None
+    assert stamped == msg and hash(stamped) == hash(msg)
+    assert repr(msg) == (
+        "Message(src=Address(node='a', service='client'), "
+        "dst=Address(node='b', service='echo'), method='echo', payload='v', "
+        "is_reply=False, reply_to=None, priority=1, msg_id=7, wire_size=None)")
+    # defaults, positional order and fresh, increasing ids
+    first = Message(msg.src, msg.dst, "echo")
+    second = Message(msg.src, msg.dst, "echo")
+    assert second.msg_id == first.msg_id + 1
+    assert (first.payload, first.is_reply, first.reply_to, first.priority,
+            first.wire_size) == (None, False, None, 1, None)
+    reply = first.reply("ok")
+    assert reply.msg_id == second.msg_id + 1
+    assert (reply.src, reply.dst, reply.method, reply.is_reply,
+            reply.reply_to) == (first.dst, first.src, "echo!ok", True,
+                                first.msg_id)
+    assert first.reply(ValueError("no"), error=True).method == "echo!error"
+
+
+# -- a listing is hashed once -----------------------------------------------------
+
+def test_reads_of_an_unwritten_collection_share_one_member_set(monkeypatch):
+    kernel, net, world, elements = standard_world(members=6)
+    readers = [Repository(world, CLIENT) for _ in range(3)]
+    views = [kernel.run_process(repo.read_membership("coll"))
+             for repo in readers]
+    assert views[0].members == frozenset(elements)
+    assert all(view.members is views[0].members for view in views)
+    assert len(world.listing_sets) == 1
+    # written: the next view is the new listing's set, nothing stale
+    added = kernel.run_process(readers[0].add("coll", "late", value="v"))
+    after_add = kernel.run_process(readers[1].read_membership("coll"))
+    assert after_add.members == frozenset(elements + [added])
+    kernel.run_process(readers[0].remove("coll", elements[0]))
+    after_remove = kernel.run_process(readers[2].read_membership("coll"))
+    assert after_remove.members == frozenset(elements[1:] + [added])
+    assert views[0].members == frozenset(elements)      # old views stand
+    # and the table is bounded: oldest listing out
+    bound = store_repository._LISTING_SETS
+    for i in range(bound + 5):
+        kernel.run_process(readers[0].add("coll", f"extra-{i}", value=i))
+        kernel.run_process(readers[1].read_membership("coll"))
+        assert len(world.listing_sets) <= bound
+    assert len(world.listing_sets) == bound
+    assert all(members == frozenset(listing)
+               for listing, members in world.listing_sets.values())
+    # per world, like the instruments: another world starts empty
+    assert standard_world(members=2)[2].listing_sets == {}
 
 
 # -- the strings, when something does read them --------------------------------

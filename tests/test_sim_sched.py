@@ -177,11 +177,8 @@ def test_traces_identical_across_schedulers():
 def _drain(sched):
     """Pop everything in dispatch order via the kernel protocol."""
     order = []
-    batch = []
-    while sched.peek_time() is not None:
-        sched.pop_batch(batch)
-        order.extend(batch)
-        del batch[:]
+    while sched.next_instant(order) is not None:
+        pass
     return order
 
 
@@ -231,16 +228,15 @@ def test_wheel_requeue_into_active_slot_keeps_order():
     entries = [_Scheduled(0.5, i, None) for i in range(6)]
     for e in entries:
         wheel.push(e)
-    assert wheel.peek_time() == 0.5
     batch = []
-    wheel.pop_batch(batch)
+    assert wheel.next_instant(batch) == 0.5
     assert [e.seq for e in batch] == [0, 1, 2, 3, 4, 5]
     wheel.requeue(batch[3:])                 # stop_when interrupted us
     wheel.push(_Scheduled(0.5, 6, None))     # and new work arrived
-    assert wheel.peek_time() == 0.5
     batch2 = []
-    wheel.pop_batch(batch2)
+    assert wheel.next_instant(batch2) == 0.5
     assert [e.seq for e in batch2] == [3, 4, 5, 6]
+    assert len(wheel) == 0
 
 
 def test_wheel_shelves_half_drained_slot_when_earlier_work_arrives():
@@ -249,23 +245,25 @@ def test_wheel_shelves_half_drained_slot_when_earlier_work_arrives():
     b = _Scheduled(10.75, 1, None)
     wheel.push(a)
     wheel.push(b)
-    assert wheel.peek_time() == 10.25
     batch = []
-    wheel.pop_batch(batch)                   # 10.25 consumed; 10.75 pending
+    assert wheel.next_instant(batch) == 10.25    # consumed; 10.75 pending
     assert batch == [a]
+    # `until` short of the next event: its time is reported, nothing is
+    # consumed, and the slot stays half-drained.
+    assert wheel.next_instant(batch, until=10.3) == 10.75
+    assert batch == [a] and len(wheel) == 1
     # Later work lands in an *earlier* slot (a run(until=10.3) resumed
     # with a shorter timer): the active tail must not mask it.
     c = _Scheduled(5.5, 2, None)
     wheel.push(c)
-    assert wheel.peek_time() == 5.5
     batch2 = []
-    wheel.pop_batch(batch2)
+    assert wheel.next_instant(batch2) == 5.5
     assert batch2 == [c]
-    assert wheel.peek_time() == 10.75
     batch3 = []
-    wheel.pop_batch(batch3)
+    assert wheel.next_instant(batch3, until=10.75) == 10.75
     assert batch3 == [b]
-    assert wheel.peek_time() is None
+    assert wheel.next_instant(batch3) is None
+    assert batch3 == [b]
     assert len(wheel) == 0
 
 

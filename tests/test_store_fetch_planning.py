@@ -1,8 +1,9 @@
 """Planning equivalence: ``FetchPipeline.submit`` plans only its new
-candidates, and ``order_closest_first`` asks the network once per home —
-yet both accept and order exactly as "sort everything, then skip the
-pending ones" / "one latency question per element" did.  The references
-are written here.
+candidates, ``order_closest_first`` asks the network once per home, and
+``_form_batch`` coalesces from the head's home's queue — yet they accept,
+order and batch exactly as "sort everything, then skip the pending ones"
+/ "one latency question per element" / "rebuild everything that remains,
+per batch" did.  The references are written here.
 """
 
 from hypothesis import given, settings
@@ -155,3 +156,88 @@ def test_duplicates_within_one_submit_are_accepted_once():
         return got
 
     assert kernel.run_process(drive()) == ref_closest_first(net, elements)
+
+
+# -- batches: coalescing walks one home's queue ------------------------------
+
+def ref_form_batch(todo, state, *, window, batch_size, max_batch_bytes, size_of):
+    """``_form_batch`` as it was: take the head, then rebuild everything
+    that remains, moving its same-home elements into the batch while the
+    item limit and the byte budget allow."""
+    budget = window - state["in_flight"]
+    if budget <= 0 or not todo:
+        return None
+    head = todo.pop(0)
+    limit = min(batch_size, budget)
+    if state["issued"] == 0:
+        limit = 1                        # slow start: a singleton first
+    batch = [head]
+    byte_budget = None
+    if max_batch_bytes is not None:
+        byte_budget = max_batch_bytes - size_of(head)
+    if limit > 1 and todo:
+        rest = []
+        for element in todo:
+            if len(batch) < limit and element.home == head.home:
+                if byte_budget is not None:
+                    cost = size_of(element)
+                    if cost > byte_budget:
+                        rest.append(element)
+                        continue
+                    byte_budget -= cost
+                batch.append(element)
+            else:
+                rest.append(element)
+        todo[:] = rest
+    state["in_flight"] += len(batch)
+    state["issued"] += 1
+    return batch
+
+
+@settings(max_examples=120)
+@given(homes=st.lists(st.sampled_from(SERVERS), min_size=1, max_size=24),
+       window=st.integers(1, 6), batch_size=st.integers(1, 5),
+       max_batch_bytes=st.none() | st.integers(0, 40), data=st.data())
+def test_batches_form_as_when_everything_left_was_rebuilt_per_batch(
+        homes, window, batch_size, max_batch_bytes, data):
+    kernel, net, world, elements = build(homes)
+    size = {e.oid: data.draw(st.integers(1, 20), label=f"size {e.name}")
+            for e in elements}
+    late_n = data.draw(st.integers(0, len(elements)), label="submitted late")
+    early, late = elements[late_n:], elements[:late_n]
+    pipe = FetchPipeline(Repository(world, CLIENT), use_cache=False,
+                         window=window, batch_size=batch_size,
+                         max_batch_bytes=max_batch_bytes,
+                         size_hint=lambda e: size[e.oid])
+    options = dict(window=window, batch_size=batch_size,
+                   max_batch_bytes=max_batch_bytes,
+                   size_of=lambda e: size[e.oid])
+    # no workers: the test forms the batches, and settles them itself
+    assert pipe.submit(early) == len(early)
+    ref_todo = ref_accepted(net, None, [], early)
+    state = {"in_flight": 0, "issued": 0}
+    todo_queue = pipe._todo
+    outstanding, formed = [], 0
+    while ref_todo or late:
+        if late and data.draw(st.booleans(), label="the rest arrives"):
+            ref_todo += ref_accepted(net, None, [e.oid for e in early], late)
+            assert pipe.submit(late) == len(late)
+            late = []
+        expected = ref_form_batch(ref_todo, state, **options)
+        assert pipe._form_batch() == expected
+        if expected is not None:
+            outstanding.append(expected)
+            formed += 1
+        if outstanding and (expected is None or data.draw(
+                st.booleans(), label="the oldest batch settles")):
+            settled = len(outstanding.pop(0))
+            state["in_flight"] -= settled
+            pipe._in_flight -= settled
+        elif expected is None:
+            break                        # nothing due yet, nothing in flight
+    assert pipe._batches_issued == formed
+    if not ref_todo and not late:
+        assert pipe._form_batch() is None
+        assert not pipe._todo and not pipe._todo_by_home
+    # one queue, kept: a batch takes from it, nothing rebuilds it
+    assert pipe._todo is todo_queue
