@@ -2,7 +2,7 @@
 """A sampling profile of one benchmark workload, by ``file:function``.
 
     python3 ci/sample_profile.py pop_ramp             # twenty passes
-    python3 ci/sample_profile.py drain_audit --passes 5 --top 30
+    python3 ci/sample_profile.py drain_audit --passes 5
 
 Why this exists beside ``perf/run.py``'s counted pass: ``cProfile``
 counts *calls*, and charges its own hook to each one.  Work the
@@ -50,6 +50,9 @@ for _path in (os.path.join(ROOT, "src"), os.path.join(ROOT, "perf")):
 #: ITIMER_PROF period up to its tick (4 ms at HZ=250), so the header
 #: line reports the period the samples actually came at
 INTERVAL_S = 0.001
+#: the seed every pass is set up with, and the rows each table prints
+SEED = 0
+TOP = 20
 
 
 def _where(code) -> str:
@@ -91,12 +94,12 @@ class Sampler:
         signal.setitimer(signal.ITIMER_PROF, 0.0)
         signal.signal(signal.SIGPROF, self._previous)
 
-    def table(self, hits: collections.Counter, top: int) -> list[str]:
+    def table(self, hits: collections.Counter) -> list[str]:
         by_name: collections.Counter = collections.Counter()
         for code, count in hits.items():
             by_name[_where(code)] += count
         return [f"  {100.0 * count / self.samples:5.1f}%  {name}"
-                for name, count in by_name.most_common(top)]
+                for name, count in by_name.most_common(TOP)]
 
 
 def main(argv=None) -> int:
@@ -105,8 +108,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("workload", choices=sorted(workloads.WORKLOADS))
     parser.add_argument("--passes", type=int, default=20)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--top", type=int, default=20)
     args = parser.parse_args(argv)
 
     workload = workloads.WORKLOADS[args.workload]
@@ -114,7 +115,7 @@ def main(argv=None) -> int:
     cpu_s = 0.0
     for _ in range(args.passes):
         gc.collect()
-        state = workload.setup(args.seed, 1.0)
+        state = workload.setup(SEED, 1.0)
         cpu0 = time.process_time()
         with sampler:
             outcome = workload.run(state)
@@ -126,13 +127,13 @@ def main(argv=None) -> int:
     if not sampler.samples:
         print("no samples: the passes were shorter than one interval")
         return 1
-    print(f"{args.workload} seed {args.seed}: {sampler.samples} samples "
+    print(f"{args.workload} seed {SEED}: {sampler.samples} samples "
           f"over {args.passes} passes, one per "
           f"{1e3 * cpu_s / sampler.samples:.2f} ms of CPU")
     print("self:")
-    print("\n".join(sampler.table(sampler.self_hits, args.top)))
+    print("\n".join(sampler.table(sampler.self_hits)))
     print("inclusive:")
-    print("\n".join(sampler.table(sampler.inclusive_hits, args.top)))
+    print("\n".join(sampler.table(sampler.inclusive_hits)))
     return 0
 
 

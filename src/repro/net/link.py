@@ -30,7 +30,10 @@ class LatencyModel:
 
 @dataclass(frozen=True)
 class FixedLatency(LatencyModel):
-    """Constant one-way delay."""
+    """Constant one-way delay: ``sample`` is ``delay``, whatever the
+    stream — ``Transport.send`` reads the field instead of calling
+    (exactly this class: a subclass keeps its call), so the two move
+    together."""
 
     delay: float
 
@@ -136,7 +139,9 @@ class Link:
         waits behind earlier transmissions, and how long its own bits
         take on the wire.  Advances the FIFO so the next caller queues
         behind this transmission.  Infinite-bandwidth links return
-        ``(0, 0)``.
+        ``(0, 0)`` and keep no FIFO, which is why ``Transport.send`` only
+        calls this where ``bandwidth > 0`` — the two move together
+        (``tests/test_rpc_host_cost.py`` holds them float for float).
         """
         if self.bandwidth <= 0:
             return 0.0, 0.0

@@ -35,7 +35,8 @@ class Message:
     #: admission-priority class (see :mod:`repro.net.executor`) the
     #: destination's bounded executor queues this request under.
     priority: int = PRIORITY_NORMAL
-    msg_id: int = field(default_factory=_msg_ids.__next__)
+    #: minted by ``__init__`` from the module's counter when not given
+    msg_id: int
     #: bytes this message occupies on the wire, stamped by the
     #: transport's :class:`repro.net.wire.WireFormat` at send time
     #: (``None`` until sent, or when the transport has no wire format).

@@ -300,6 +300,7 @@ class Transport:
             # A constant needs no call, and an infinite-bandwidth link
             # charges (0, 0): adding nothing leaves the same float.
             # Every sampled model keeps its call and its draw order.
+            # (link.py owns both rules, and names this loop at each.)
             propagation = (latency.delay if latency.__class__ is FixedLatency
                            else latency.sample(stream))
             if link.bandwidth > 0:

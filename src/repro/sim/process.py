@@ -38,7 +38,12 @@ class _Done(Signal):
     """A process's completion signal, ``<process name>.done``: ``name``
     shadows the base class's slot with a property.  It holds what the
     name is made of and never the process: a back-reference would be a
-    cycle, and a finished process has to die by reference count."""
+    cycle, and a finished process has to die by reference count.  The
+    one waiter that does capture its process is ``Kernel.adopt``'s
+    release of a borrowed span base: a cycle only while the child lives
+    (completing swaps ``_waiters`` out), so a finished child still dies
+    by count and only an adopted one that never finishes waits for the
+    collector."""
 
     __slots__ = ("_process_name", "_pid")
 

@@ -14,6 +14,7 @@ kernel, the same delay to the last bit, the same pickled bytes.
 
 import dataclasses
 import gc
+import inspect
 import math
 import pickle
 import weakref
@@ -263,6 +264,42 @@ def test_a_queued_transfer_adds_up_as_it_did():
     assert kernel.obs.metrics.get("net.link.queue_delay").count > 0
 
 
+def test_a_free_hop_adds_what_its_link_would_have_answered():
+    """``Transport.send`` reads ``FixedLatency.delay`` and ``bandwidth``
+    itself where ``link.py``'s ``sample`` and ``transmit`` would answer
+    the delay and (0, 0): held to those two methods float for float, on
+    free routes, on a route that mixes a free and a finite hop, and on a
+    link made finite mid-epoch (a ``Link`` is changed in place)."""
+    def build(finite):
+        kernel = Kernel(seed=3)
+        net = Network(kernel, full_mesh(
+            ["a", "r", "b"],
+            latency_for=lambda x, y: FixedLatency(0.1 if "a" in (x, y) else 0.7)))
+        net.register_service("b", "echo", EchoService())
+        net.topology.set_link_up("a", "b", False)          # a - r - b
+        if finite:
+            net.topology.link_between("r", "b").bandwidth = 3_000.0
+        return kernel, net
+
+    for finite in (False, True):
+        kernel, net = build(finite)
+        sends, delays = record_sends(kernel, net)
+        for value in range(3):
+            assert kernel.run_process(rpc(net, "echo", "x" * value)) == "x" * value
+        assert len(delays) == 6
+        assert delays == reference_delays(*build(finite), sends)
+    # the same table, the link changed under it: seen by the next message
+    kernel, net = build(False)
+    assert kernel.run_process(rpc(net, "echo", 1)) == 1
+    sends, delays = record_sends(kernel, net)
+    net.topology.link_between("r", "b").bandwidth = 3_000.0
+    assert kernel.run_process(rpc(net, "echo", 2)) == 2
+    twin_kernel, twin = build(True)
+    twin_kernel.run(until=kernel.now)
+    assert delays == reference_delays(twin_kernel, twin, sends)
+    assert delays[0] > 0.1 + 0.7
+
+
 def test_a_reroute_or_a_partition_is_seen_by_the_next_message():
     """The hops are the epoch's: a cut link means new hops (the long way
     round, and its delay), a partition means none."""
@@ -314,8 +351,10 @@ def test_the_kernel_asks_the_scheduler_once_per_instant(monkeypatch):
     # four instants, and the call that found the queue empty; the clock's
     # own monotonic test still made at each
     assert (asked[0], advanced[0]) == (4 + 1, 4)
-    assert set(dir(WheelScheduler)) >= {"push", "next_instant", "requeue"}
-    assert not {"peek_time", "pop_batch"} & set(dir(WheelScheduler))
+    # the three methods the kernel drives are all the scheduler offers
+    assert {name for name, value in vars(WheelScheduler).items()
+            if callable(value) and not name.startswith("_")} == \
+        {"push", "next_instant", "requeue"}
 
 
 # -- a message is built once, and is frozen to everyone else ----------------------
@@ -374,6 +413,16 @@ def test_a_message_is_a_frozen_dataclass_to_its_readers():
         "Message(src=Address(node='a', service='client'), "
         "dst=Address(node='b', service='echo'), method='echo', payload='v', "
         "is_reply=False, reply_to=None, priority=1, msg_id=7, wire_size=None)")
+    # the written signature is the declared fields: names, order, defaults
+    # (msg_id declares none: None asks __init__ for a fresh one)
+    parameters = list(inspect.signature(Message).parameters.values())
+    assert [(p.name, p.default) for p in parameters] == [
+        (f.name, None if f.name == "msg_id" else
+         inspect.Parameter.empty if f.default is dataclasses.MISSING else
+         f.default)
+        for f in dataclasses.fields(Message)]
+    assert all(f.default_factory is dataclasses.MISSING
+               for f in dataclasses.fields(Message))
     # defaults, positional order and fresh, increasing ids
     first = Message(msg.src, msg.dst, "echo")
     second = Message(msg.src, msg.dst, "echo")
