@@ -43,6 +43,12 @@ def main() -> None:
     for entry in sorted(weak_result.entries, key=lambda e: e.name):
         marker = "  (unreachable tonight)" if entry.kind == "unavailable" else ""
         print(f"  {entry.name}{marker}")
+    # The listing was one recorded Figure 6 run.  Figure 6 never fails,
+    # so giving up on the crashed server is reported, not hidden.
+    report = weak_result.handle.audit()
+    print(f"audit: {report.summary()}")
+    if not report.conformant:
+        print(f"  {weak_result.handle.outcome}")
 
 
 if __name__ == "__main__":

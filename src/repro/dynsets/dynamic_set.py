@@ -14,49 +14,53 @@ file system commands more efficiently by fetching files in parallel,
 fetching 'closer' files first, and fetching all accessible files
 despite network failures."
 
-Semantically this layer implements the paper's weakest design point
-(Figure 6's optimistic behaviour).  The prefetcher is the shared
-:class:`~repro.store.fetchplan.FetchPipeline` in *engine mode*:
-failures retry internally on a timer (until ``give_up_after``, if set)
-and the consumer only ever sees final results, in arrival order — so
-the first yield happens after roughly *one* fetch, not after all of
-them.
+Semantically this layer *is* the paper's weakest design point: the
+handle holds a :class:`~repro.weaksets.DynamicSet` and each
+``setIterate`` is one invocation of its ``elements`` iterator, so
+Figure 6's optimistic blocking is written once (``ElementsIterator``),
+every open set is recorded, and :meth:`DynSetHandle.audit` judges it
+like any other drain.  What this layer adds is traversal only: members
+are delivered in arrival order — the first yield happens after roughly
+*one* fetch, not after all of them.
 """
 
 from __future__ import annotations
 
 from typing import Any, Generator, Optional
 
-from ..errors import SimulationError
+from ..errors import SimulationError, UnreachableObjectFailure
 from ..net.address import NodeId
-from ..store.fetchplan import FetchPipeline, FetchResult
-from ..store.repository import Repository
+from ..spec.checker import ConformanceReport
+from ..spec.termination import Failed, Outcome, Yielded
+from ..store.fetchplan import FetchResult
 from ..store.world import World
+from ..weaksets.dynamic import DynamicSet
+from ..weaksets.iterator import ElementsIterator
 from .filesystem import FileSystem
 
 __all__ = ["DynSetHandle", "set_open", "set_open_dir"]
 
 
 class DynSetHandle:
-    """An open dynamic set.  Create via :func:`set_open`."""
+    """An open dynamic set.  Create via :func:`set_open`.
 
-    def __init__(self, repo: Repository, coll_id: str, *,
-                 parallelism: int = 4, retry_interval: float = 0.5,
-                 give_up_after: Optional[float] = None,
-                 closest_first: bool = True,
-                 batch_size: int = 1, use_cache: bool = False):
-        self.repo = repo
+    ``parallelism`` and ``batch_size`` are the iterator's fetch window
+    and batch (``batch_size=1`` = one RPC per element);
+    ``closest_first=False`` is E3's ordering ablation; every other
+    keyword (``retry_interval``, ``give_up_after``, ``use_cache``,
+    ``failover``, …) is :class:`~repro.weaksets.DynamicSet`'s own.
+    """
+
+    def __init__(self, world: World, client: NodeId, coll_id: str, *,
+                 parallelism: int = 4, batch_size: int = 1,
+                 closest_first: bool = True, **set_kwargs: Any):
         self.coll_id = coll_id
-        self.parallelism = parallelism
-        self.retry_interval = retry_interval
-        self.give_up_after = give_up_after
         self.closest_first = closest_first
-        # Explicit cache/batch policy, threaded through to the shared
-        # fetch pipeline (batch_size=1 = one RPC per element, the
-        # historical behaviour; use_cache is never a default's accident).
-        self.batch_size = batch_size
-        self.use_cache = use_cache
-        self.engine: Optional[FetchPipeline] = None
+        self.set = DynamicSet(world, client, coll_id, fetch_window=parallelism,
+                              fetch_batch=batch_size, **set_kwargs)
+        self.iterator: Optional[ElementsIterator] = None
+        #: how the run ended (``Returned`` / ``Failed``), once it has
+        self.outcome: Optional[Outcome] = None
         self.opened_at: Optional[float] = None
         self.first_result_at: Optional[float] = None
         self.closed = False
@@ -64,50 +68,52 @@ class DynSetHandle:
 
     # ------------------------------------------------------------------
     def open(self) -> Generator[Any, Any, "DynSetHandle"]:
-        """Read the membership and start prefetching (setOpen)."""
-        if self.engine is not None:
+        """Start an iteration (setOpen); the first :meth:`iterate`
+        reads the membership and starts prefetching."""
+        if self.iterator is not None:
             raise SimulationError("dynamic set opened twice")
-        self.opened_at = self.repo.world.now
-        view = yield from self.repo.read_membership(self.coll_id,
-                                                    source="nearest")
-        # name order, not raw frozenset order: the set's iteration order
-        # leaks the process-global oid counter and hash seed, which made
-        # the closest_first=False ablation nondeterministic across runs
-        self.engine = FetchPipeline(
-            self.repo, use_cache=self.use_cache,
-            window=self.parallelism, batch_size=self.batch_size,
-            validation="none", in_order=False,
-            closest_first=self.closest_first,
-            retry_interval=self.retry_interval,
-            give_up_after=self.give_up_after,
-            name=f"prefetch-{self.repo.client}")
-        self.engine.submit(sorted(view.members, key=lambda e: e.name))
-        self.engine.seal()         # fixed work-list: workers exit when done
-        self.engine.start()
+        self.opened_at = self.set.world.now
+        self.iterator = self.set.elements()
+        self.iterator.fetch_dials.update(closest_first=self.closest_first,
+                                         in_order=False)
         return self
+        yield
 
     def iterate(self) -> Generator[Any, Any, Optional[FetchResult]]:
         """Next member as soon as one is available (setIterate).
 
-        Returns None once every member has been fetched, found gone
-        (removed), or given up on.  Gone/unreachable results are
-        filtered out — the caller sees only successfully materialized
-        members (``results`` keeps every :class:`FetchResult`, and
-        ``engine.gone`` / ``engine.gave_up`` the accounting).
+        Returns None once the iteration has terminated: it returned
+        (nothing of the set is left), or — only with ``give_up_after`` —
+        failed, and then the members it was blocked on join ``results``
+        as ``unreachable``.  A run that failed with nothing to show —
+        the set itself never answered — raises the failure instead.
+        The caller sees only successfully materialized members; removed
+        ones are skipped.
         """
-        if self.engine is None:
+        if self.iterator is None:
             raise SimulationError("setIterate before setOpen")
         if self.closed:
             raise SimulationError("setIterate after setClose")
-        while True:
-            result = yield from self.engine.next_result()
-            if result is None:
-                return None
+        if self.outcome is not None:
+            return None
+        outcome = yield from self.iterator.invoke()
+        if isinstance(outcome, Yielded):
+            result = FetchResult(outcome.element, value=outcome.value,
+                                 fetched_at=self.set.world.now)
+            if self.first_result_at is None:
+                self.first_result_at = result.fetched_at
             self.results.append(result)
-            if result.ok:
-                if self.first_result_at is None:
-                    self.first_result_at = self.repo.world.now
-                return result
+            return result
+        self.outcome = outcome
+        if isinstance(outcome, Failed):
+            if not self.results and not self.iterator.blocked_on:
+                raise UnreachableObjectFailure(outcome.reason)
+            self.results.extend(
+                FetchResult(element, status="unreachable",
+                            fetched_at=self.set.world.now,
+                            detail=outcome.reason)
+                for element in self.iterator.blocked_on)
+        return None
 
     def iterate_all(self, limit: Optional[int] = None) -> Generator[Any, Any, list[FetchResult]]:
         """Drain the set (optionally the first ``limit`` members)."""
@@ -125,9 +131,13 @@ class DynSetHandle:
         Closing early is cheap and expected — e.g. the user found the
         restaurant they wanted after three menus.
         """
-        if self.engine is not None:
-            self.engine.stop()
+        if self.iterator is not None:
+            self.iterator.abandon()
         self.closed = True
+
+    def audit(self) -> ConformanceReport:
+        """The open set's recorded run, judged against Figure 6."""
+        return self.set.audit()
 
     # -- statistics ------------------------------------------------------
     @property
@@ -137,14 +147,14 @@ class DynSetHandle:
         return self.first_result_at - self.opened_at
 
     def __repr__(self) -> str:
-        state = "closed" if self.closed else ("open" if self.engine else "new")
+        state = "closed" if self.closed else ("open" if self.iterator else "new")
         return f"DynSetHandle({self.coll_id}, {state}, {len(self.results)} results)"
 
 
 def set_open(world: World, client: NodeId, coll_id: str,
              **kwargs: Any) -> Generator[Any, Any, DynSetHandle]:
     """setOpen over an arbitrary collection."""
-    handle = DynSetHandle(Repository(world, client), coll_id, **kwargs)
+    handle = DynSetHandle(world, client, coll_id, **kwargs)
     return (yield from handle.open())
 
 

@@ -19,7 +19,7 @@ from typing import Any, Callable, Generator, Optional
 
 from ..errors import FailureException
 from ..net.address import NodeId
-from .dynamic_set import set_open_dir
+from .dynamic_set import DynSetHandle, set_open_dir
 from .filesystem import FileMeta, FileSystem
 from . import namespace as ns
 
@@ -46,6 +46,9 @@ class FindResult:
     unreachable: list[str] = field(default_factory=list)
     started_at: float = 0.0
     finished_at: float = 0.0
+    #: one (closed) dynamic set per directory opened, each a recorded
+    #: Figure 6 run (``handle.audit()``)
+    handles: list[DynSetHandle] = field(default_factory=list, repr=False)
 
     @property
     def paths(self) -> list[str]:
@@ -72,14 +75,10 @@ def weak_find(fs: FileSystem, client: NodeId, root: str,
     queue: deque[str] = deque([result.root])
     while queue:
         dir_path = queue.popleft()
-        try:
-            handle = yield from set_open_dir(
-                fs, client, dir_path, parallelism=parallelism,
-                give_up_after=give_up_after, **set_kwargs)
-        except FailureException:
-            result.unreachable.append(dir_path)
-            continue
-        result.directories_visited += 1
+        handle = yield from set_open_dir(
+            fs, client, dir_path, parallelism=parallelism,
+            give_up_after=give_up_after, **set_kwargs)
+        result.handles.append(handle)
         try:
             while True:
                 item = yield from handle.iterate()
@@ -97,10 +96,13 @@ def weak_find(fs: FileSystem, client: NodeId, root: str,
                             and len(result.matches) >= max_matches):
                         queue.clear()
                         break
+            result.directories_visited += 1
             for r in handle.results:
                 if r.unreachable:
                     result.unreachable.append(
                         ns.join(dir_path, r.element.name))
+        except FailureException:
+            result.unreachable.append(dir_path)   # the directory never answered
         finally:
             handle.close()
     result.finished_at = fs.world.now

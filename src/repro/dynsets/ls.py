@@ -15,7 +15,8 @@ anything is unreachable.
 :func:`weak_ls` is the dynamic-sets version: entries stream back as the
 parallel prefetcher materializes them, unreachable entries are retried
 (or eventually reported as unavailable), and partial output is useful
-immediately.
+immediately.  Each listing is one recorded Figure 6 run
+(``result.handle.audit()``).
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import Any, Generator, Optional
 from ..errors import FailureException, NoSuchObjectError
 from ..net.address import NodeId
 from ..store.repository import Repository
-from .dynamic_set import set_open_dir
+from .dynamic_set import DynSetHandle, set_open_dir
 from .filesystem import FileSystem
 
 __all__ = ["LsEntry", "LsResult", "strict_ls", "weak_ls"]
@@ -47,6 +48,9 @@ class LsResult:
     error: str = ""
     started_at: float = 0.0
     finished_at: float = 0.0
+    #: the (closed) dynamic set a weak listing drained: ``handle.audit()``
+    #: judges the listing against Figure 6
+    handle: Optional[DynSetHandle] = field(default=None, repr=False)
 
     @property
     def names(self) -> list[str]:
@@ -97,6 +101,7 @@ def weak_ls(fs: FileSystem, client: NodeId, path: str, *,
         fs, client, path, parallelism=parallelism,
         give_up_after=give_up_after, **kwargs
     )
+    result.handle = handle
     try:
         fetched = yield from handle.iterate_all(limit=limit)
         for r in fetched:

@@ -106,7 +106,8 @@ class DisconnectedError(UnreachableObjectFailure):
 
     A distinct subclass of :class:`UnreachableObjectFailure` so offline
     reads fail fast — no object is reachable by construction, so there
-    is nothing to gain from retrying until ``give_up_after``.  Raised
+    is nothing to gain from blocking until ``give_up_after`` (the one
+    blocking rule, ``ElementsIterator._block``, checks for it).  Raised
     synchronously (zero simulated time) by the repository's RPC funnel
     while its :class:`~repro.store.offline.OfflineClient` is offline.
     """

@@ -7,7 +7,10 @@ cost the paper's weak semantics exist to avoid.  This module factors the
 argued for by Agarwal et al.'s linearizable iterators and Krishna et
 al.'s visibility-based specifications): iterators keep deciding *what*
 may be yielded; the :class:`FetchPipeline` decides *how* the bytes get
-here.
+here.  It has no retry policy: a fetch that fails is an ``unreachable``
+result, and whether to block, fail or return short is the iterator's
+row's to say (``weaksets/iterator.py`` builds every pipeline in
+``src/``, the dynamic-sets prefetcher's included).
 
 Two pieces:
 
@@ -53,14 +56,15 @@ from __future__ import annotations
 
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import TYPE_CHECKING, Any, Callable, Generator, Iterable, Optional
 
-from ..errors import (CircuitOpenFailure, DisconnectedError, FailureException,
+from ..errors import (CircuitOpenFailure, FailureException,
                       NoSuchObjectError, ServerBusyFailure)
 from ..net.address import NodeId
 from ..net.resilience import TRANSPORT_FAILURES
 from ..net.wire import unwrap
-from ..sim.events import Signal, Sleep, Wait
+from ..sim.events import Signal, Wait
 from .elements import Element, ObjectId
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -124,7 +128,9 @@ class FetchPlanner:
             return sorted(elements, key=lambda e: (self.priority(e), e.name))
         if self.closest_first:
             return order_closest_first(self.repo.net, self.repo.client, elements)
-        return list(elements)
+        # name order, not the caller's: a frozenset's iteration order
+        # leaks the process-global oid counter and hash seed
+        return sorted(elements, key=attrgetter("name"))
 
     def rank_replicas(self, element: Element) -> tuple[NodeId, ...]:
         return rank_hosts(self.repo.net, self.repo.client, element.replicas)
@@ -137,7 +143,7 @@ class FetchResult:
     ``status`` is ``"ok"`` (value fetched), ``"gone"`` (the home's
     authoritative "removed" — or a give-up-free zombie), or
     ``"unreachable"`` (transport failure after home *and* replica
-    attempts; in engine mode, only after ``give_up_after`` elapsed).
+    attempts).
     """
 
     element: Element
@@ -169,15 +175,10 @@ class FetchPipeline:
     ``batch_size=1`` the pipeline degenerates to pure parallel
     pipelining — the dynamic-sets prefetcher's default.
 
-    Two consumption modes:
-
-    * ``retry_interval=None`` (iterator mode): transport failures are
-      delivered immediately as ``unreachable`` results; the iterator
-      owns the retry policy (per-invocation resubmission, optimistic
-      blocking, pessimistic failing — whatever its figure requires).
-    * ``retry_interval`` set (engine mode): failures re-queue
-      internally and retry until ``give_up_after``; the consumer only
-      ever sees final results.  This is the dynamic-sets contract.
+    Transport failures are delivered immediately as ``unreachable``
+    results: the iterator owns the retry policy (per-invocation
+    resubmission, optimistic blocking, pessimistic failing — whatever
+    its figure requires), the pipeline has none.
 
     ``use_cache`` is deliberately a required keyword: cache policy is
     the caller's semantic choice, never an accident of a default.
@@ -190,8 +191,6 @@ class FetchPipeline:
                  failover: bool = False, validation: str = "none",
                  priority: Optional[Callable[[Element], Any]] = None,
                  closest_first: bool = True, in_order: bool = True,
-                 retry_interval: Optional[float] = None,
-                 give_up_after: Optional[float] = None,
                  name: str = ""):
         if validation not in VALIDATION_MODES:
             raise ValueError(
@@ -214,8 +213,6 @@ class FetchPipeline:
         self.failover = failover
         self.validation = validation
         self.in_order = in_order
-        self.retry_interval = retry_interval
-        self.give_up_after = give_up_after
         self.name = name or f"fetch-{repo.client}"
         # -- work state ------------------------------------------------
         # Awaiting a batch, in accepted order (oids are unique here: an
@@ -224,15 +221,12 @@ class FetchPipeline:
         # walks one home's queue, never everything that remains.
         self._todo: OrderedDict[ObjectId, Element] = OrderedDict()
         self._todo_by_home: dict[NodeId, deque[Element]] = {}
-        self._retry: deque[tuple[float, Element]] = deque()
-        self._first_failure: dict[ObjectId, float] = {}
         self._live: dict[ObjectId, Element] = {}      # submitted, undelivered
         self._settled: dict[ObjectId, FetchResult] = {}
         self._order: deque[ObjectId] = deque()        # delivery order
         self._arrivals: deque[ObjectId] = deque()     # settle order
         self._in_flight = 0
         self._batches_issued = 0
-        self._sealed = False
         self._stopped = False
         self._procs: list = []
         self._waiters: list[Signal] = []              # blocked consumers
@@ -244,8 +238,6 @@ class FetchPipeline:
         # -- counters ---------------------------------------------------
         self.fetched = 0
         self.gone = 0
-        self.gave_up = 0
-        self.retries = 0
         self.cache_hits = 0
         # -- observability (instruments pre-resolved, hot-path idiom) ---
         obs = repo.obs
@@ -260,7 +252,6 @@ class FetchPipeline:
         self._m_failovers = metrics.counter("fetch.batch.failovers")
         self._m_cache_hits = metrics.counter("fetch.batch.cache_hits")
         self._m_probes = metrics.counter("fetch.batch.probes")
-        self._m_retries = metrics.counter("fetch.batch.retries")
         self._m_size = metrics.histogram("fetch.batch.size")
         self._m_latency = metrics.histogram("fetch.batch.latency")
         self._m_fetch_latency = metrics.histogram("repo.fetch_latency")
@@ -304,13 +295,8 @@ class FetchPipeline:
             self._unsubscribe = None
         if self._span is not None:
             self._tracer.finish(self._span, fetched=self.fetched,
-                                gone=self.gone, gave_up=self.gave_up)
+                                gone=self.gone)
             self._span = None
-
-    def seal(self) -> None:
-        """Promise no further :meth:`submit`; lets engine-mode workers
-        exit once everything has settled (the dynamic-sets contract)."""
-        self._sealed = True
 
     def _on_world_change(self) -> None:
         self._epoch += 1
@@ -479,20 +465,15 @@ class FetchPipeline:
         while not self._stopped:
             batch = self._form_batch()
             if batch is None:
-                if (self._sealed and not self._todo and not self._retry
-                        and self._in_flight == 0):
-                    return
-                if self.retry_interval is not None:
-                    # Engine mode polls (retries are time-based).
-                    yield Sleep(self.retry_interval / 2)
-                else:
-                    signal = Signal(name="fetch-work")
-                    self._idle.append(signal)
-                    yield Wait(signal)
+                signal = Signal(name="fetch-work")
+                self._idle.append(signal)
+                yield Wait(signal)
                 continue
             yield from self._execute(batch)
 
     def _form_batch(self) -> Optional[list[Element]]:
+        if not self._todo:
+            return None
         window = self.window
         limiter = self.repo.limiter
         if limiter is not None:
@@ -506,12 +487,7 @@ class FetchPipeline:
         # yield never waits on coalesced company (time-to-first is the
         # paper's headline number).
         limit = 1 if self._batches_issued == 0 else min(self.batch_size, budget)
-        if self._todo:
-            batch = self._take_todo(limit)
-        elif self._retry and self._retry[0][0] <= self.world.now:
-            batch = [self._retry.popleft()[1]]
-        else:
-            return None
+        batch = self._take_todo(limit)
         self._in_flight += len(batch)
         self._batches_issued += 1
         return batch
@@ -617,7 +593,7 @@ class FetchPipeline:
             self._tracer.finish(span, outcome=type(exc).__name__)
             self.repo._feed_limiter(exc, span.duration)
             # Every racer lost to a fault, not to latency: the patient
-            # failover sweep / retry bookkeeping takes over.
+            # failover sweep takes over.
             yield from self._batch_failed([element], exc, issue_epoch,
                                           issued_at)
             return
@@ -629,14 +605,16 @@ class FetchPipeline:
 
     def _batch_failed(self, batch: list[Element], exc: FailureException,
                       issue_epoch: int, issued_at: float) -> Generator:
-        """Whole-batch transport failure: replica failover, then retry
-        bookkeeping (engine mode) or immediate delivery (iterator mode)."""
+        """Whole-batch transport failure: replica failover, then
+        ``unreachable`` for what no copy answered for."""
         remaining = list(batch)
         if self.failover and isinstance(exc, _DIVERTABLE):
             remaining = yield from self._failover(remaining, issue_epoch,
                                                   issued_at)
         for element in remaining:
-            self._element_failed(element, exc)
+            self._settle(FetchResult(
+                element, status="unreachable", fetched_at=self.world.now,
+                issue_epoch=self._epoch, detail=str(exc)))
 
     def _failover(self, batch: list[Element], issue_epoch: int,
                   issued_at: float) -> Generator[Any, Any, list[Element]]:
@@ -678,40 +656,6 @@ class FetchPipeline:
                 remaining = still
             unresolved.extend(remaining)
         return unresolved
-
-    def _element_failed(self, element: Element, exc: FailureException) -> None:
-        if self.retry_interval is None:
-            # Iterator mode: the iterator owns the retry policy.
-            self._settle_unreachable(element, str(exc))
-            return
-        now = self.world.now
-        if isinstance(exc, DisconnectedError):
-            # Engine mode, but the client is DISCONNECTED: no amount of
-            # retrying reaches anything until reconnect, so don't burn
-            # the give_up_after budget in simulated retry time.
-            self.gave_up += 1
-            self._settle_unreachable(element, f"disconnected: {exc}")
-            return
-        first = self._first_failure.setdefault(element.oid, now)
-        if (self.give_up_after is not None
-                and now - first >= self.give_up_after):
-            self.gave_up += 1
-            self._settle_unreachable(element, f"gave up: {exc}")
-        else:
-            self.retries += 1
-            self._m_retries.value += 1
-            # Back in the queue, no longer in flight: release its slot
-            # of the window so other work can proceed meanwhile.  A
-            # shedding server's retry_after floors the comeback time.
-            self._in_flight -= 1
-            wait = max(self.retry_interval,
-                       getattr(exc, "retry_after", 0.0) or 0.0)
-            self._retry.append((now + wait, element))
-
-    def _settle_unreachable(self, element: Element, detail: str) -> None:
-        self._settle(FetchResult(
-            element, status="unreachable", fetched_at=self.world.now,
-            issue_epoch=self._epoch, detail=detail))
 
     # ------------------------------------------------------------------
     def _settle_ok(self, element: Element, value: Any, issue_epoch: int) -> None:

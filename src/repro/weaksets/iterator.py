@@ -137,8 +137,11 @@ class ElementsIterator:
         # batch=1 reproduces the old serial path exactly), built when
         # first needed with the caller's dials.  The byte-aware pair caps
         # each multi-get's estimated reply bytes (needs a size hint — a
-        # constant or a per-element callable — to be effective).
-        self._fetch_dials = dict(
+        # constant or a per-element callable — to be effective).  Read
+        # when the pipeline is built, so a client with more to say about
+        # traversal (dynsets: arrival order, the unordered ablation) adds
+        # the pipeline's own keywords here before the first invocation.
+        self.fetch_dials: dict[str, Any] = dict(
             window=fetch_window, batch_size=fetch_batch,
             max_batch_bytes=fetch_max_bytes, size_hint=fetch_size_hint)
         self.pipeline: Optional[FetchPipeline] = None
@@ -155,6 +158,9 @@ class ElementsIterator:
             # The blocking rule's two numbers; no other body waits.
             self.retry_interval: float = options.pop("retry_interval", 0.25)
             self.give_up_after: Optional[float] = options.pop("give_up_after", None)
+            # The members the run last blocked on: what it could not
+            # reach, if giving up is how it ends.
+            self.blocked_on: list[Element] = []
         self.retries = 0          # cumulative blocked laps (observability)
         # Members learned to be removed (tombstoned at their home).
         # Removed oids never resurrect (a re-add mints a fresh oid), so
@@ -312,6 +318,7 @@ class ElementsIterator:
             # Optimistic blocking: members exist but cannot be reached.
             # Sleeping with the pipeline empty means the next lap re-reads
             # a view and resubmits the blocked members — a fresh attempt.
+            self.blocked_on = unreachable
             failed, blocked_since = yield from self._block(blocked_since)
             if failed is not None:
                 return failed
@@ -364,7 +371,7 @@ class ElementsIterator:
                 self.repo, use_cache=mechanism.use_cache,
                 failover=mechanism.failover,
                 validation=mechanism.validation,
-                name=f"{self.impl_name}-{self.coll_id}", **self._fetch_dials)
+                name=f"{self.impl_name}-{self.coll_id}", **self.fetch_dials)
             self.pipeline.start()
         return self.pipeline
 

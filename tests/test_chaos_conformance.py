@@ -10,12 +10,16 @@ The two *best-effort* rows the paper never draws — a pessimistic
 iterator that returns short instead of failing — are run the same way:
 no class was written for them, only the row changed, and each must
 conform to its own row and never fail.
+
+A dynamic-sets handle (``setOpen`` / ``setIterate`` / ``setClose``) is
+Figure 6's second client, so the same schedules drain one too.
 """
 
 from dataclasses import replace
 
 from hypothesis import given, settings, strategies as st
 
+from repro.dynsets import DynSetHandle
 from repro.errors import FailureException, StoreError
 from repro.sim import Sleep
 from repro.spec import Failed, check_conformance, spec_by_id
@@ -62,14 +66,25 @@ def apply_action(scenario, repo, action, counter):
     yield Sleep(0.15)
 
 
-def run_chaos(impl_cls, policy, actions, seed, forbid=()):
+def drain(ws):
+    return ws.elements().drain()     # the iterator exists before the chaos does
+
+
+def open_iterate_close(handle):
+    yield from handle.open()
+    yield from handle.iterate_all()
+    handle.close()
+
+
+def run_chaos(impl_cls, policy, actions, seed, forbid=(), query=drain):
     spec = ScenarioSpec(n_clusters=3, cluster_size=2, n_members=8,
                         policy=policy, coll_id="coll")
     scenario = build_scenario(spec, seed=seed)
     repo = Repository(scenario.world, spec.primary)
     ws = impl_cls(scenario.world, scenario.client, "coll",
-                  **({"retry_interval": 0.2} if impl_cls is DynamicSet else {}))
-    iterator = ws.elements()
+                  **({"retry_interval": 0.2}
+                     if impl_cls in (DynamicSet, DynSetHandle) else {}))
+    run = query(ws)
     counter = [0]
 
     def chaos():
@@ -85,11 +100,8 @@ def run_chaos(impl_cls, policy, actions, seed, forbid=()):
         for node in CHAOS_NODES:
             scenario.net.recover(node)
 
-    def query():
-        return (yield from iterator.drain())
-
     scenario.kernel.spawn(chaos(), daemon=True)
-    proc = scenario.kernel.spawn(query(), name="query")
+    proc = scenario.kernel.spawn(run, name="query")
     scenario.kernel.run(until=600.0)
     assert proc.finished, "query did not finish even after full heal"
     return ws, scenario
@@ -115,6 +127,22 @@ def test_grow_only_always_conforms_to_fig5_under_chaos(seed, actions):
     report = check_conformance(ws.last_trace, spec_by_id("fig5"),
                                scenario.world)
     assert report.conformant, report.counterexample()
+
+
+@given(st.integers(min_value=0, max_value=99999),
+       st.lists(chaos_action, min_size=1, max_size=12))
+@SCHEDULES
+def test_an_open_dynamic_set_conforms_to_fig6_under_chaos(seed, actions):
+    handle, scenario = run_chaos(DynSetHandle, "any", actions, seed,
+                                 query=open_iterate_close)
+    report = handle.audit()
+    assert report.spec_id == "fig6"
+    assert report.conformant, report.counterexample()
+    # what setIterate handed out was a member in some state of the run
+    window = frozenset().union(*(
+        snap.members for inv in handle.set.last_trace.invocations
+        for snap in inv.snapshots))
+    assert {r.element for r in handle.results if r.ok} <= window
 
 
 class BestEffortSnapshotSet(SnapshotSet):

@@ -37,6 +37,9 @@ def test_find_by_extension():
     assert sorted(result.paths) == ["/src/core/engine.py", "/src/main.py"]
     assert result.directories_visited == 4   # /, /src, /src/core, /docs
     assert result.unreachable == []
+    # each directory was one recorded fig6 run
+    assert len(result.handles) == 4
+    assert all(h.audit().conformant for h in result.handles)
 
 
 def test_find_directories_match_too():
@@ -66,6 +69,15 @@ def test_find_skips_unreachable_subtree():
     # main.py found; engine.py's directory was unreachable
     assert result.paths == ["/src/main.py"]
     assert "/src/core" in result.unreachable
+
+
+def test_find_reports_a_directory_that_never_answers():
+    kernel, net, world, fs = make_tree()
+    net.crash("root")       # nothing lists "/"
+    result = run_find(kernel, fs, lambda p, m: True, give_up_after=0.5)
+    assert result.paths == []
+    assert result.unreachable == ["/"]
+    assert result.directories_visited == 0
 
 
 def test_find_reports_unreachable_files():

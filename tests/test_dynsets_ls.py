@@ -115,3 +115,4 @@ def test_weak_ls_blocks_then_completes_after_heal_without_give_up():
     assert not result.failed
     assert len(result.entries) == 6
     assert all(e.kind == "file" for e in result.entries)
+    assert result.handle.audit().conformant       # one recorded fig6 run

@@ -1,61 +1,54 @@
-"""Tests for the dynamic-sets prefetcher — the shared ``FetchPipeline`` in
-engine mode — and the setOpen/setIterate/setClose API on top of it."""
+"""Tests for the dynamic-sets prefetcher: the setOpen/setIterate/setClose
+API over ``DynamicSet.elements()``, whose pipeline does the fetching."""
 
 
 from repro.dynsets import set_open
 from repro.net import FixedLatency, Network, wan_clusters
 from repro.sim import Kernel, Sleep
+from repro.spec import Failed
 from repro.store import FetchPipeline, Repository, World
 
 from helpers import CLIENT, standard_world
 
 
-def prefetcher(repo, elements, *, parallelism=4, retry_interval=0.5, **kwargs):
-    """A started engine-mode pipeline over a fixed work-list, configured
-    the way ``DynSetHandle.open`` configures its own (plus any extra
-    pipeline keyword, e.g. the ``priority`` hint)."""
+def drain_set(kernel, world, client=CLIENT, coll_id="coll", **kwargs):
+    """Open, drain and close a dynamic set; returns (handle, delivered)."""
+    def proc():
+        handle = yield from set_open(world, client, coll_id, **kwargs)
+        delivered = yield from handle.iterate_all()
+        handle.close()
+        return handle, delivered
+
+    return kernel.run_process(proc())
+
+
+def prefetcher(repo, elements, *, parallelism=4, **kwargs):
+    """A started pipeline over a fixed work-list, configured the way an
+    open dynamic set configures its iterator's (plus any extra pipeline
+    keyword, e.g. the ``priority`` hint)."""
     pipe = FetchPipeline(repo, use_cache=False, window=parallelism,
                          batch_size=1, validation="none", in_order=False,
-                         retry_interval=retry_interval, **kwargs)
+                         **kwargs)
     pipe.submit(elements)
-    pipe.seal()
     pipe.start()
     return pipe
 
 
 def test_prefetch_fetches_everything():
     kernel, net, world, elements = standard_world(members=8)
-    repo = Repository(world, CLIENT)
-    engine = prefetcher(repo, elements, parallelism=4)
-
-    def consume():
-        out = []
-        while True:
-            r = yield from engine.next_result()
-            if r is None:
-                return out
-            out.append(r)
-
-    results = kernel.run_process(consume())
+    handle, results = drain_set(kernel, world, parallelism=4)
     assert len(results) == len(elements)
     assert all(r.ok for r in results)
     assert {r.element for r in results} == set(elements)
+    assert handle.audit().conformant
 
 
 def test_parallelism_speeds_up_fetching():
     def run(parallelism):
         kernel, net, world, elements = standard_world(
             members=12, service_time=0.05)
-        repo = Repository(world, CLIENT)
-        engine = prefetcher(repo, elements, parallelism=parallelism)
-
-        def consume():
-            while True:
-                r = yield from engine.next_result()
-                if r is None:
-                    return kernel.now
-
-        return kernel.run_process(consume())
+        drain_set(kernel, world, parallelism=parallelism)
+        return kernel.now
 
     sequential = run(1)
     parallel = run(6)
@@ -68,67 +61,42 @@ def test_closest_first_ordering():
     net = Network(kernel, topo)
     world = World(net)
     world.create_collection("c", primary="n0.0")
-    near = world.seed_member("c", "near", value=1, home="n0.1")
     far = world.seed_member("c", "far", value=2, home="n1.1")
-    repo = Repository(world, "n0.2")
-    engine = prefetcher(repo, [far, near], parallelism=1)
-
-    def consume():
-        first = yield from engine.next_result()
-        second = yield from engine.next_result()
-        return first.element, second.element
-
-    first, second = kernel.run_process(consume())
-    assert first == near and second == far
+    near = world.seed_member("c", "near", value=1, home="n0.1")
+    _, results = drain_set(kernel, world, "n0.2", "c", parallelism=1)
+    assert [r.element for r in results] == [near, far]
 
 
 def test_retry_recovers_after_heal():
     kernel, net, world, elements = standard_world(n_servers=3, members=6)
     net.isolate("s1")
-    repo = Repository(world, CLIENT)
-    engine = prefetcher(repo, elements, parallelism=3, retry_interval=0.2)
 
     def healer():
         yield Sleep(2.0)
         net.heal()
 
-    def consume():
-        out = []
-        while True:
-            r = yield from engine.next_result()
-            if r is None:
-                return out
-            out.append(r)
-
     kernel.spawn(healer(), daemon=True)
-    results = kernel.run_process(consume())
+    handle, results = drain_set(kernel, world, parallelism=3,
+                                retry_interval=0.2)
     assert all(r.ok for r in results)
     assert len(results) == 6
-    assert engine.retries > 0
+    assert kernel.now >= 2.0
+    assert handle.iterator.retries > 0           # it blocked, then resumed
+    assert handle.audit().conformant
 
 
 def test_give_up_reports_unreachable():
     kernel, net, world, elements = standard_world(n_servers=3, members=6)
     net.crash("s1")
-    repo = Repository(world, CLIENT)
-    engine = prefetcher(repo, elements, parallelism=3,
-                        retry_interval=0.2, give_up_after=1.5)
-
-    def consume():
-        out = []
-        while True:
-            r = yield from engine.next_result()
-            if r is None:
-                return out
-            out.append(r)
-
-    results = kernel.run_process(consume())
+    handle, delivered = drain_set(kernel, world, parallelism=3,
+                                  retry_interval=0.2, give_up_after=1.5)
+    results = handle.results
     assert len(results) == 6
     ok = [r for r in results if r.ok]
     gave_up = [r for r in results if r.unreachable]
     assert {r.element.home for r in gave_up} == {"s1"}
-    assert len(ok) == 4
-    assert engine.gave_up == 2
+    assert len(ok) == 4 and ok == delivered
+    assert isinstance(handle.outcome, Failed)
 
 
 def test_skipped_for_removed_members():
@@ -136,20 +104,53 @@ def test_skipped_for_removed_members():
     repo = Repository(world, CLIENT)
 
     def proc():
-        # remove one member, then prefetch from the (now stale) list
-        yield from repo.remove("coll", elements[0])
-        engine = prefetcher(repo, elements, parallelism=2)
-        out = []
-        while True:
-            r = yield from engine.next_result()
-            if r is None:
-                return out, engine
-            out.append(r)
+        handle = yield from set_open(world, CLIENT, "coll", parallelism=1)
+        first = yield from handle.iterate()
+        # the set's view is now stale: m003 goes before its fetch is issued
+        yield from repo.remove("coll", elements[3])
+        rest = yield from handle.iterate_all()
+        handle.close()
+        return handle, [first, *rest]
 
-    results, engine = kernel.run_process(proc())
-    skipped = [r for r in results if r.gone]
-    assert [r.element for r in skipped] == [elements[0]]
-    assert engine.gone == 1
+    handle, results = kernel.run_process(proc())
+    assert [r.element for r in results] == elements[:3]
+    assert handle.iterator.stale_entries == {elements[3]}
+    assert handle.iterator.pipeline.gone == 1
+    assert handle.audit().conformant
+
+
+def test_a_member_added_while_the_set_is_open_is_delivered():
+    """Figure 6 returns only when nothing of s_pre is left."""
+    kernel, net, world, elements = standard_world(members=6, service_time=0.05)
+
+    def writer():
+        yield Sleep(0.03)
+        yield from Repository(world, "s0").add("coll", "late", "v", "s1")
+
+    kernel.spawn(writer(), daemon=True)
+    handle, results = drain_set(kernel, world, parallelism=1)
+    assert sorted(r.element.name for r in results) == [
+        "late", *(e.name for e in elements)]
+    assert handle.audit().conformant
+
+
+def test_a_member_removed_while_buffered_is_not_delivered():
+    """A yield is in reachable(s_pre): a prefetched value does not
+    outlive its member."""
+    kernel, net, world, elements = standard_world(members=4)
+
+    def proc():
+        handle = yield from set_open(world, CLIENT, "coll", parallelism=4)
+        first = yield from handle.iterate()
+        yield Sleep(1.0)
+        yield from Repository(world, CLIENT).remove("coll", elements[3])
+        rest = yield from handle.iterate_all()
+        handle.close()
+        return handle, [first, *rest]
+
+    handle, results = kernel.run_process(proc())
+    assert [r.element.name for r in results] == ["m000", "m001", "m002"]
+    assert handle.audit().conformant
 
 
 # ---------------------------------------------------------------------------
@@ -216,6 +217,23 @@ def test_iterate_after_close_is_error():
             return "rejected"
 
     assert kernel.run_process(proc()) == "rejected"
+
+
+def test_a_set_that_never_answers_fails_the_iteration():
+    from repro.errors import FailureException
+    kernel, net, world, elements = standard_world(members=2)
+    net.crash("s0")          # the only host of the membership
+
+    def proc():
+        handle = yield from set_open(world, CLIENT, "coll", give_up_after=1.0)
+        try:
+            yield from handle.iterate()
+        except FailureException:
+            return handle, kernel.now
+
+    handle, failed_at = kernel.run_process(proc())
+    assert failed_at >= 1.0 and isinstance(handle.outcome, Failed)
+    assert handle.results == []
 
 
 def test_streaming_first_result_before_total_completion():

@@ -208,6 +208,22 @@ def test_there_is_one_iterator_class():
     assert ElementsIterator.__subclasses__() == []
 
 
+def test_figure_6_is_written_once():
+    """Dynamic sets are ``DynamicSet``'s second client, not a second
+    implementation: no module of ``repro.dynsets`` names a pipeline, and
+    a pipeline has no retry policy for one to select."""
+    import inspect
+    import pathlib
+
+    from repro import dynsets
+    from repro.store import FetchPipeline
+
+    for path in sorted(pathlib.Path(dynsets.__file__).parent.glob("*.py")):
+        assert "FetchPipeline" not in path.read_text("utf-8"), path.name
+    assert not {"retry_interval", "give_up_after"} & set(
+        inspect.signature(FetchPipeline).parameters)
+
+
 @pytest.mark.parametrize("cls", weak_set_classes(), ids=lambda c: c.__name__)
 def test_the_iterator_carries_its_sets_row(cls):
     kernel, net, world, _ = standard_world(members=2, with_locks=True,

@@ -1,9 +1,12 @@
 """FetchPlanner + FetchPipeline: the batched read path, unit-tested."""
 
+from repro.dynsets import set_open
 from repro.sim import Sleep
+from repro.spec import Failed
 from repro.store import (
     ClientCache,
     FetchPipeline,
+    FetchPlanner,
     Repository,
     order_closest_first,
     rank_hosts,
@@ -13,14 +16,13 @@ from helpers import CLIENT, standard_world
 
 
 def drain_pipe(kernel, repo, elements, **kw):
-    """Submit, seal, and drain a pipeline inside one process."""
+    """Submit and drain a pipeline inside one process."""
     results = []
 
     def proc():
         pipe = FetchPipeline(repo, **kw)
         pipe.start()
         pipe.submit(elements)
-        pipe.seal()
         while True:
             result = yield from pipe.next_result()
             if result is None:
@@ -52,6 +54,16 @@ def test_order_closest_first_puts_unreachable_homes_last():
     assert ordered[-1] == elements[0]
 
 
+def test_unordered_plan_is_name_order_whatever_the_caller_passed():
+    """``closest_first=False`` means "no latency ranking", not "the
+    caller's order": iterators submit frozensets, whose order leaks the
+    process-global oid counter and hash seed."""
+    kernel, net, world, elements = standard_world(n_servers=4, members=12)
+    planner = FetchPlanner(Repository(world, CLIENT), closest_first=False)
+    assert planner.order(frozenset(elements)) == elements
+    assert planner.order(reversed(elements)) == elements
+
+
 # ---------------------------------------------------------------------------
 # batching + coalescing
 # ---------------------------------------------------------------------------
@@ -80,7 +92,6 @@ def test_first_batch_is_a_singleton_slow_start():
         pipe = FetchPipeline(repo, use_cache=False, window=4, batch_size=4)
         pipe.start()
         pipe.submit(elements)
-        pipe.seal()
         first = yield from pipe.next_result()
         pipe.stop()
         return first
@@ -112,7 +123,6 @@ def test_wider_window_is_strictly_faster():
                                  window=window, batch_size=1)
             pipe.start()
             pipe.submit(elements)
-            pipe.seal()
             while (yield from pipe.next_result()) is not None:
                 pass
             pipe.stop()
@@ -146,7 +156,6 @@ def test_removed_member_comes_back_gone_not_ok():
         pipe = FetchPipeline(repo, use_cache=False, window=4, batch_size=2)
         pipe.start()
         pipe.submit(elements)
-        pipe.seal()
         out = []
         while True:
             result = yield from pipe.next_result()
@@ -254,7 +263,6 @@ def test_probe_validation_reclassifies_buffered_removal_as_gone():
                              validation="probe")
         pipe.start()
         pipe.submit(elements)
-        pipe.seal()
         yield Sleep(1.0)               # everything fetched and buffered
         yield from repo.remove("coll", victim)   # epoch moves, object gone
         out = []
@@ -274,12 +282,11 @@ def test_probe_validation_reclassifies_buffered_removal_as_gone():
 
 
 # ---------------------------------------------------------------------------
-# engine mode (the prefetch-engine contract)
+# the dynamic-sets contract (retrying is the iterator's; driven via set_open)
 # ---------------------------------------------------------------------------
 
 def test_engine_mode_retries_through_a_heal():
     kernel, net, world, elements = standard_world(n_servers=2, members=2)
-    repo = Repository(world, CLIENT)
     net.isolate("s0")
 
     def healer():
@@ -288,36 +295,38 @@ def test_engine_mode_retries_through_a_heal():
 
     def proc():
         kernel.spawn(healer(), daemon=True)
-        pipe = FetchPipeline(repo, use_cache=False, window=2, batch_size=1,
-                             retry_interval=0.2, give_up_after=5.0)
-        pipe.start()
-        pipe.submit(elements)
-        pipe.seal()
-        out = []
-        while True:
-            result = yield from pipe.next_result()
-            if result is None:
-                break
-            out.append(result)
-        pipe.stop()
-        return (pipe, out)
+        handle = yield from set_open(world, CLIENT, "coll", parallelism=2,
+                                     retry_interval=0.2, give_up_after=5.0)
+        results = yield from handle.iterate_all()
+        handle.close()
+        return handle, results
 
-    pipe, results = kernel.run_process(proc())
+    handle, results = kernel.run_process(proc())
+    assert {r.element for r in results} == set(elements)
     assert all(r.ok for r in results)
-    assert pipe.retries > 0
+    assert kernel.now >= 0.6
+    assert handle.iterator.retries > 0
+    assert handle.audit().conformant
 
 
 def test_engine_mode_gives_up_after_budget():
-    kernel, net, world, elements = standard_world(n_servers=2, members=2)
-    repo = Repository(world, CLIENT)
+    # a replica of the membership on s1, so the set opens while s0 is cut off
+    kernel, net, world, elements = standard_world(n_servers=2, members=2,
+                                                  replicas=1)
     net.isolate("s0")                  # element m000 never reachable
-    pipe, results = drain_pipe(kernel, repo, elements,
-                               use_cache=False, window=2, batch_size=1,
-                               retry_interval=0.2, give_up_after=1.0)
-    statuses = {r.element.name: r.status for r in results}
-    assert statuses["m000"] == "unreachable"
-    assert statuses["m001"] == "ok"
-    assert pipe.gave_up == 1
+
+    def proc():
+        handle = yield from set_open(world, CLIENT, "coll", parallelism=2,
+                                     retry_interval=0.2, give_up_after=1.0)
+        yield from handle.iterate_all()
+        handle.close()
+        return handle
+
+    handle = kernel.run_process(proc())
+    statuses = {r.element.name: r.status for r in handle.results}
+    assert statuses == {"m000": "unreachable", "m001": "ok"}
+    assert isinstance(handle.outcome, Failed)
+    assert 1.0 <= kernel.now < 1.5
 
 
 # ---------------------------------------------------------------------------
