@@ -3,9 +3,8 @@
 Asserts the invariants the CI acceptance gate relies on: spans nest
 (every ``rpc.attempt`` traces back to a workload *root* span — the
 client's ``drain``, or a background protocol's ``sync.round`` /
-``repair.scrub`` / ``recovery.replay``), the registry agrees with the
-legacy ``NetworkStats`` facade by construction, and the exported JSONL
-trace round-trips.
+``repair.scrub`` / ``recovery.replay``), the recovery layer's counters
+reach the registry, and the exported JSONL trace round-trips.
 
 Setting ``REPRO_TRACE_JSONL`` makes the run export one full seeded
 trace — the second artifact the CI bench-smoke job uploads.
@@ -29,8 +28,8 @@ def test_e17_observability():
     assert by_metric["kernel.events"]["value"] > 0
     assert by_metric["net.messages_sent"]["value"] > 0
     assert by_metric["rpc.attempts"]["value"] > 0
-    # Faults engaged the resilience machinery, and the registry-backed
-    # counters (the old NetworkStats names) recorded it.
+    # Faults engaged the resilience machinery, and the client's registry
+    # counters recorded it.
     assert by_metric["rpc.retries"]["value"] > 0
     assert by_metric["drain.yields"]["value"] > 0
 

@@ -90,10 +90,10 @@ def main() -> None:
     got = sorted(y.element.name for y in result.yields)
     print(f"  [{kernel.now:5.2f}s] yielded {len(got)}/{ARTICLES}: {got}")
     print(f"  outcome: {result.outcome}")
-    stats = net.transport.stats
-    print(f"  recovery effort: retries={stats.retries.value} "
-          f"failovers={stats.failovers.value} hedges={stats.hedges.value} "
-          f"(wins: {stats.hedge_wins.value})")
+    counter = kernel.obs.metrics.value
+    print(f"  recovery effort: retries={counter('rpc.retries')} "
+          f"failovers={counter('rpc.failovers')} hedges={counter('rpc.hedges')} "
+          f"(wins: {counter('rpc.hedge_wins')})")
     print("  every lost article was served by its shelf2 mirror — here the "
           "hedged\n  replica read won the race outright; a mirror is never "
           "believed about\n  removal, so nothing stale can sneak in\n")
@@ -115,13 +115,15 @@ def main() -> None:
                 pass
         return shed
 
-    before = stats.node("shelf1").addressed
+    # A fast-fail raises before Network.call, so every attempt the
+    # network counts is a probe that reached the wire.
+    before = counter("rpc.attempts")
     shed = kernel.run_process(storm())
-    sent = stats.node("shelf1").addressed - before
+    sent = counter("rpc.attempts") - before
     print(f"  10 probes at the dead shelf: {sent} reached the wire, "
           f"{shed} failed fast\n  (the breaker already tripped during the "
-          f"search — trips={stats.breaker_trips.value}, fast-fails so far: "
-          f"{stats.breaker_fast_fails.value})")
+          f"search — trips={counter('rpc.breaker_trips')}, fast-fails so far: "
+          f"{counter('rpc.breaker_fast_fails')})")
 
 
 if __name__ == "__main__":

@@ -42,7 +42,7 @@ from .exp_wire import run_wire
 from .exp_writepipe import run_writepipe
 from .exp_static import PAPER_TAXONOMY, run_reachability, run_taxonomy
 from .metrics import Summary, rate, summarize
-from .report import ExperimentResult, format_kv, format_table
+from .report import ExperimentResult, format_table
 
 __all__ = [
     "ExperimentResult",
@@ -50,7 +50,6 @@ __all__ = [
     "PAPER_TAXONOMY",
     "Summary",
     "build_scattered_fs",
-    "format_kv",
     "format_table",
     "rate",
     "run_availability",

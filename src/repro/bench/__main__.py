@@ -5,7 +5,6 @@ Usage::
     python -m repro.bench                     # all experiments, ASCII tables
                                               # (stdout is experiments_output.txt)
     python -m repro.bench E1 e4a              # a subset (ids in any case)
-    python -m repro.bench --markdown E8       # markdown tables (EXPERIMENTS.md)
     python -m repro.bench --obs BENCH_obs.json
                                               # also write the BENCH_obs artifact
                                               # (all ids: ci/bench_baseline.json)
@@ -27,14 +26,11 @@ from .report import ExperimentResult
 def main(argv: list[str]) -> int:
     if argv and argv[0] == "compare":
         return compare_main(argv[1:])
-    markdown = False
     obs_path: Optional[str] = None
     ids: list[str] = []
     it = iter(argv)
     for arg in it:
-        if arg in ("--markdown", "-m"):
-            markdown = True
-        elif arg == "--obs":
+        if arg == "--obs":
             obs_path = next(it, None)
             if obs_path is None:
                 print("--obs needs a path", file=sys.stderr)
@@ -59,7 +55,7 @@ def main(argv: list[str]) -> int:
     records: list[dict] = []
     for eid in wanted:
         result: ExperimentResult = ALL_EXPERIMENTS[eid]()
-        print(result.to_markdown() if markdown else result)
+        print(result)
         print()
         records.append(result.to_obs())
     if obs_path is not None:

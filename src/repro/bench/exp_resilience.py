@@ -21,7 +21,7 @@ same seeded worlds:
 Reported per point: completion rate (drains that Returned), coverage
 (fraction of members yielded), conformance against Figure 6 (must stay
 100% — resilience may never invent elements), and the recovery-effort
-counters from :class:`~repro.net.stats.NetworkStats`.
+``rpc.*`` counters from the kernel's metrics registry.
 """
 
 from __future__ import annotations
@@ -110,16 +110,16 @@ def one_run(make_resilience: MakeClient, failover: bool, crash_rate: float,
     # runs, so blocked drains report as incomplete, not as unsound.)
     violations = weak_guarantee_violations(
         ws.last_trace, scenario.world.membership_history(scenario.coll_id))
-    stats = scenario.net.transport.stats
+    counter = scenario.kernel.obs.metrics.value
     return {
         "success": isinstance(drained.outcome, Returned),
         "coverage": len(drained.yields) / members,
         "latency": drained.total_time,
         "sound": not violations,
-        "retries": stats.retries.value,
-        "hedges": stats.hedges.value,
-        "failovers": stats.failovers.value,
-        "breaker_trips": stats.breaker_trips.value,
+        "retries": counter("rpc.retries"),
+        "hedges": counter("rpc.hedges"),
+        "failovers": counter("rpc.failovers"),
+        "breaker_trips": counter("rpc.breaker_trips"),
     }
 
 

@@ -47,7 +47,7 @@ def run_scale(sizes: Iterable[int] = (20, 80, 320),
             ws = cls(scenario.world, scenario.client, spec.coll_id,
                      record=False)
             drained = drain(scenario, ws.elements())
-            messages = scenario.net.transport.stats.total_sent.value
+            messages = scenario.kernel.obs.metrics.value("net.messages_sent")
             result.add(
                 members=size,
                 impl=impl_name,

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from typing import Any, Mapping, Optional, Sequence
 
-__all__ = ["format_table", "format_kv", "ExperimentResult"]
+__all__ = ["format_table", "ExperimentResult"]
 
 
 def _fmt(value: Any) -> str:
@@ -47,27 +47,6 @@ def format_table(rows: Sequence[Mapping[str, Any]],
     return "\n".join(lines)
 
 
-def format_kv(pairs: Mapping[str, Any], title: str = "") -> str:
-    width = max(len(k) for k in pairs) if pairs else 0
-    lines = [title] if title else []
-    for k, v in pairs.items():
-        lines.append(f"  {k.ljust(width)} : {_fmt(v)}")
-    return "\n".join(lines)
-
-
-def format_markdown(rows: Sequence[Mapping[str, Any]],
-                    columns: Optional[Sequence[str]] = None) -> str:
-    """Render rows as a GitHub-flavoured markdown table."""
-    if not rows:
-        return "*(empty)*"
-    cols = list(columns) if columns else list(rows[0].keys())
-    lines = ["| " + " | ".join(cols) + " |",
-             "|" + "|".join("---" for _ in cols) + "|"]
-    for row in rows:
-        lines.append("| " + " | ".join(_fmt(row.get(c)) for c in cols) + " |")
-    return "\n".join(lines)
-
-
 class ExperimentResult:
     """Rows + metadata for one experiment, printable as the paper table.
 
@@ -89,14 +68,6 @@ class ExperimentResult:
 
     def add(self, **fields: Any) -> None:
         self.rows.append(fields)
-
-    def to_markdown(self) -> str:
-        """The table as markdown, for pasting into EXPERIMENTS.md."""
-        out = f"### {self.experiment_id} — {self.title}\n\n"
-        out += format_markdown(self.rows, self.columns)
-        if self.notes:
-            out += f"\n\n*{self.notes}*"
-        return out
 
     def to_obs(self) -> dict:
         """The experiment as a BENCH_obs record (JSON-safe; see

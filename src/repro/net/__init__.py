@@ -34,7 +34,6 @@ from .resilience import (
     RetryPolicy,
     TRANSPORT_FAILURES,
 )
-from .stats import NetworkStats, NodeStats
 from .topology import (Topology, datacenter_groups, full_mesh, line,
                        multi_datacenter, random_graph, ring, star, wan_clusters)
 from .transport import Transport
@@ -78,9 +77,7 @@ __all__ = [
     "Link",
     "Message",
     "Network",
-    "NetworkStats",
     "Node",
-    "NodeStats",
     "NodeId",
     "PRIORITY_HIGH",
     "PRIORITY_LOW",

@@ -30,13 +30,13 @@ from ..errors import (
     PartitionFailure,
     SimulationError,
 )
+from ..obs.metrics import Counter
 from ..sim.events import Signal
 from .address import NodeId
 from .link import FixedLatency, Link
 from .message import Message
 from .node import Node
 from .partitions import PartitionManager
-from .stats import NetworkStats
 from .topology import Topology
 from .wire import WireFormat, method_family
 
@@ -93,13 +93,22 @@ class Transport:
         self.wire = wire if wire is not None else WireFormat()
         self._pending_replies: dict[int, Signal] = {}
         self._latency_stream = kernel.stream("net.latency")
-        # Counters live on the kernel's metrics registry, so the stats
-        # object and any exported artifact are the same numbers.
-        self.stats = NetworkStats(registry=kernel.obs.metrics)
-        self._m_delivery_delay = kernel.obs.metrics.histogram("net.delivery_delay")
-        self._m_queue_delay = kernel.obs.metrics.histogram("net.link.queue_delay")
+        metrics = kernel.obs.metrics
+        # Message accounting: registry counters, bumped inline per message.
+        self._m_sent = metrics.counter("net.messages_sent")
+        self._m_delivered = metrics.counter("net.messages_delivered")
+        self._m_dropped = metrics.counter("net.messages_dropped")
+        self._m_bytes_sent = metrics.counter("net.bytes_sent")
+        self._m_bytes_received = metrics.counter("net.bytes_received")
+        # Per-method-family byte counters (``net.bytes_sent.object``, …),
+        # registered on a family's first byte and held per *method*, so a
+        # message pays one dictionary hit.
+        self._bytes_sent_by_method: dict[str, Counter] = {}
+        self._bytes_received_by_method: dict[str, Counter] = {}
+        self._m_delivery_delay = metrics.histogram("net.delivery_delay")
+        self._m_queue_delay = metrics.histogram("net.link.queue_delay")
         self._queue_delay_by_family: dict[str, object] = {}
-        self._m_rank_hits = kernel.obs.metrics.counter("fetch.rank_cache_hits")
+        self._m_rank_hits = metrics.counter("fetch.rank_cache_hits")
         self._reachability = _ReachabilityTable(
             (topology.version, partitions.version))
 
@@ -273,21 +282,28 @@ class Transport:
             # Stamped as Message.__init__ fills its fields: the instance
             # dictionary, not a trip through the frozen __setattr__.
             size = msg.__dict__["wire_size"] = self.wire.measure(msg)
-        self.stats.record_send(msg)
+        self._m_sent.value += 1
+        if size:
+            self._m_bytes_sent.value += size
+            family = self._bytes_sent_by_method.get(msg.method)
+            if family is None:
+                family = self._family_counter(
+                    self._bytes_sent_by_method, "net.bytes_sent", msg.method)
+            family.value += size
         # Message.__str__ is three nested formats: only pay for it when
         # the trace log will keep the record.
         kernel = self.kernel
         trace = kernel.trace
         route = self._route_or_reason(msg.src.node, msg.dst.node)
         if type(route) is tuple:
-            self.stats.record_drop(msg)
+            self._m_dropped.value += 1
             if trace.enabled:
                 trace.record("drop", msg=str(msg), at="send")
             return False
         stream = self._latency_stream
         for link, _ in route:
             if link.loss_rate > 0.0 and stream.bernoulli(link.loss_rate):
-                self.stats.record_drop(msg)
+                self._m_dropped.value += 1
                 if trace.enabled:
                     trace.record("drop", msg=str(msg), at="loss",
                                  link=f"{link.a}<->{link.b}")
@@ -332,17 +348,34 @@ class Transport:
     def _deliver(self, msg: Message) -> None:
         trace = self.kernel.trace
         if type(self._route_or_reason(msg.src.node, msg.dst.node)) is tuple:
-            self.stats.record_drop(msg)
+            self._m_dropped.value += 1
             if trace.enabled:
                 trace.record("drop", msg=str(msg), at="delivery")
             return
-        self.stats.record_delivery(msg)
+        self._m_delivered.value += 1
+        size = msg.wire_size
+        if size:
+            self._m_bytes_received.value += size
+            family = self._bytes_received_by_method.get(msg.method)
+            if family is None:
+                family = self._family_counter(
+                    self._bytes_received_by_method, "net.bytes_received",
+                    msg.method)
+            family.value += size
         if trace.enabled:
             trace.record("recv", msg=str(msg))
         if msg.is_reply:
             self._complete_reply(msg)
         else:
             self._dispatch_request(msg)
+
+    def _family_counter(self, by_method: dict[str, Counter], base: str,
+                        method: str) -> Counter:
+        """First message of ``method``: resolve its family's byte counter
+        in the registry and hold it under the method name."""
+        counter = by_method[method] = self.kernel.obs.metrics.counter(
+            f"{base}.{method_family(method)}")
+        return counter
 
     # -- RPC bookkeeping ----------------------------------------------------
     def register_reply(self, request: Message) -> Signal:

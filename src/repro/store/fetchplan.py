@@ -647,7 +647,7 @@ class FetchPipeline:
                 still: list[Element] = []
                 for element, (status, value) in zip(remaining, outcomes):
                     if status == "ok":
-                        self.repo.net.transport.stats.failovers.value += 1
+                        self.repo._m.failovers.value += 1
                         self._m_failovers.value += 1
                         self._m_fetch_latency.observe(self.world.now - issued_at)
                         self._settle_ok(element, value, issue_epoch)

@@ -82,7 +82,7 @@ class _Instruments:
     __slots__ = ("fetch_latency", "cache_hits", "membership_reads",
                  "membership_age", "orphan_cleanups", "stale_served",
                  "stale_age", "scatter_reads", "scatter_retries",
-                 "fence_rereads", "reroutes")
+                 "fence_rereads", "reroutes", "failovers")
 
     def __init__(self, metrics) -> None:
         self.fetch_latency = metrics.histogram("repo.fetch_latency")
@@ -96,6 +96,7 @@ class _Instruments:
         self.scatter_retries = metrics.counter("shard.scatter_retries")
         self.fence_rereads = metrics.counter("shard.fence_rereads")
         self.reroutes = metrics.counter("shard.write_reroutes")
+        self.failovers = metrics.counter("rpc.failovers")
 
 
 class Repository:
@@ -484,7 +485,7 @@ class Repository:
                     replica, "get_object_replica", element.oid, max_attempts=1)
             except FailureException:
                 continue
-            self.net.transport.stats.failovers.value += 1
+            self._m.failovers.value += 1
             return value
         raise home_exc
 

@@ -64,30 +64,11 @@ def test_registry_covers_all_documented_experiments():
     assert {run.__name__ for run in ALL_EXPERIMENTS.values()} <= called
 
 
-def test_cli_markdown_mode(capsys):
-    assert main(["--markdown", "E8"]) == 0
-    out = capsys.readouterr().out
-    assert "### E8" in out
-    assert "| spec |" in out or "| spec " in out
-    assert "|---|" in out
-
-
 def test_cli_help(capsys):
     assert main(["--help"]) == 0
     out = capsys.readouterr().out
     assert "experiments:" in out
-
-
-def test_markdown_formatting_unit():
-    from repro.bench.report import format_markdown
-    rows = [{"a": 1, "b": True}, {"a": 2.5, "b": None}]
-    text = format_markdown(rows)
-    lines = text.splitlines()
-    assert lines[0] == "| a | b |"
-    assert lines[1] == "|---|---|"
-    assert "| 1 | yes |" in text
-    assert "| 2.5000 | - |" in text
-    assert format_markdown([]) == "*(empty)*"
+    assert "--markdown" not in out         # tables print one way: ASCII
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.bench import ExperimentResult, format_kv, format_table, rate, summarize
+from repro.bench import ExperimentResult, format_table, rate, summarize
 
 
 # ---------------------------------------------------------------------------
@@ -91,12 +91,6 @@ def test_format_table_none_and_nan():
     rows = [{"x": None, "y": float("nan")}]
     text = format_table(rows)
     assert text.splitlines()[-1].count("-") >= 2
-
-
-def test_format_kv():
-    text = format_kv({"alpha": 1, "beta-longer": 2.5}, title="t")
-    assert text.splitlines()[0] == "t"
-    assert "alpha" in text and "beta-longer" in text
 
 
 def test_experiment_result_add_and_str():

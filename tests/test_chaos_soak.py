@@ -63,10 +63,10 @@ def soak_once(seed, rounds=3):
     history = scenario.world.membership_history(spec.coll_id)
     violations = [v for trace in ws.traces
                   for v in weak_guarantee_violations(trace, history)]
-    stats = scenario.net.transport.stats
-    counters = (stats.retries.value, stats.hedges.value, stats.failovers.value,
-                stats.breaker_trips.value, stats.breaker_fast_fails.value,
-                stats.total_sent.value, stats.total_dropped.value)
+    counter = scenario.kernel.obs.metrics.value
+    counters = tuple(counter(name) for name in (
+        "rpc.retries", "rpc.hedges", "rpc.failovers", "rpc.breaker_trips",
+        "rpc.breaker_fast_fails", "net.messages_sent", "net.messages_dropped"))
     return rounds_out, counters, violations, completions
 
 

@@ -33,3 +33,13 @@ def test_quickstart_output_shape():
     )
     assert "yielded 6 articles" in proc.stdout
     assert "CONFORMS" in proc.stdout
+
+
+def test_resilient_search_breaker_line():
+    proc = subprocess.run(
+        [sys.executable, str(EXAMPLES_DIR / "resilient_search.py")],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert ("10 probes at the dead shelf: 0 reached the wire, "
+            "10 failed fast") in proc.stdout
+    assert "recovery effort: retries=" in proc.stdout

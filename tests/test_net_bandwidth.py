@@ -170,8 +170,11 @@ def test_byte_counters_and_families_populate():
     assert families == total
     assert metrics.value("net.bytes_sent.object") > 0
     assert metrics.value("net.bytes_sent.membership") > 0
-    # per-node accounting flows through the same stamp
-    assert net.transport.stats.node(CLIENT).bytes_sent > 0
+    # the receiving side is counted from the same stamp
+    received = sum(metrics.value(f"net.bytes_received.{family}")
+                   for family in ("object", "membership", "sync", "shard",
+                                  "lock", "control", "other"))
+    assert received == metrics.value("net.bytes_received")
 
 
 def test_queue_delay_observed_under_contention():
@@ -207,13 +210,14 @@ def test_queue_delay_observed_under_contention():
 def test_wire_size_stamped_once():
     kernel, net, world, _ = standard_world()
     sent = []
-    original = net.transport.stats.record_send
+    original = net.transport.send
 
     def spy(msg):
+        delivered = original(msg)
         sent.append(msg)
-        original(msg)
+        return delivered
 
-    net.transport.stats.record_send = spy
+    net.transport.send = spy
 
     def proc():
         return (yield from net.call(CLIENT, PRIMARY, "store",

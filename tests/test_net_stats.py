@@ -1,6 +1,4 @@
-"""NetworkStats accounting."""
-
-import pytest
+"""Message accounting: the transport's registry counters."""
 
 from repro.net import FixedLatency, Network, full_mesh
 from repro.sim import Kernel
@@ -23,27 +21,14 @@ def test_counts_per_node_and_aggregate():
         yield from net.call("a", "c", "echo", "echo", 1)
 
     kernel.run_process(proc())
-    stats = net.transport.stats
-    assert stats.total_sent.value == 8              # 4 requests + 4 replies
-    assert stats.total_delivered.value == 8
-    assert stats.total_dropped.value == 0
-    assert stats.delivery_rate == 1.0
-    assert stats.node("a").sent == 4
-    assert stats.node("b").requests_handled == 3
-    assert stats.node("c").requests_handled == 1
-    assert stats.node("a").requests_handled == 0   # replies aren't requests
-
-
-def test_reading_per_node_creates_no_entry():
-    kernel = Kernel()
-    net = Network(kernel, full_mesh(["a", "b", "c"], FixedLatency(0.01)))
-    net.register_service("b", "echo", Echo())
-    kernel.run_process(net.call("a", "b", "echo", "echo", 1))
-    stats = net.transport.stats
-    assert set(stats.per_node) == {"a", "b"}        # c never sent or received
-    with pytest.raises(KeyError):
-        stats.per_node["c"]
-    assert set(stats.per_node) == {"a", "b"}
+    registry = kernel.obs.metrics
+    assert registry.value("net.messages_sent") == 8       # 4 requests + 4 replies
+    assert registry.value("net.messages_delivered") == 8
+    assert registry.value("net.messages_dropped") == 0
+    # Who was asked what is the trace's: one rpc.attempt span per request.
+    attempts = kernel.obs.tracer.spans("rpc.attempt")
+    assert [span.attrs["dst"] for span in attempts] == ["b", "b", "b", "c"]
+    assert {span.attrs["src"] for span in attempts} == {"a"}
 
 
 def test_drops_counted():
@@ -61,31 +46,7 @@ def test_drops_counted():
             pass
 
     kernel.run_process(proc())
-    stats = net.transport.stats
-    assert stats.total_dropped.value == 1
-    assert stats.delivery_rate == 0.0
-
-
-def test_busiest_nodes_ranking():
-    kernel = Kernel()
-    net = Network(kernel, full_mesh(["a", "b", "c"], FixedLatency(0.01)))
-    net.register_service("b", "echo", Echo())
-    net.register_service("c", "echo", Echo())
-
-    def proc():
-        for _ in range(5):
-            yield from net.call("a", "b", "echo", "echo", 1)
-        yield from net.call("a", "c", "echo", "echo", 1)
-
-    kernel.run_process(proc())
-    ranking = net.transport.stats.busiest_nodes(k=2)
-    assert ranking[0] == ("b", 5)
-    assert ranking[1] == ("c", 1)
-
-
-def test_str_representations():
-    kernel = Kernel()
-    net = Network(kernel, full_mesh(["a", "b"], FixedLatency(0.01)))
-    stats = net.transport.stats
-    assert "sent=0" in str(stats)
-    assert "handled=0" in str(stats.node("a"))
+    registry = kernel.obs.metrics
+    assert registry.value("net.messages_sent") == 1
+    assert registry.value("net.messages_dropped") == 1
+    assert registry.value("net.messages_delivered") == 0

@@ -49,9 +49,9 @@ def test_counters_track_sends_and_drops():
             yield from net.call("a", "b", "echo", "echo", i)
 
     kernel.run_process(proc())
-    sent_before_failures = net.transport.stats.total_sent.value
+    sent_before_failures = net.kernel.obs.metrics.value("net.messages_sent")
     assert sent_before_failures == 1000     # 500 requests + 500 replies
-    assert net.transport.stats.total_dropped.value == 0
+    assert net.kernel.obs.metrics.value("net.messages_dropped") == 0
 
     net.crash("b")
 
@@ -63,7 +63,7 @@ def test_counters_track_sends_and_drops():
 
     kernel.run_process(proc2())
     # fail-fast means the request is never sent; counters unchanged
-    assert net.transport.stats.total_sent.value == sent_before_failures
+    assert net.kernel.obs.metrics.value("net.messages_sent") == sent_before_failures
 
 
 def test_drop_at_send_when_not_fail_fast():
@@ -78,7 +78,7 @@ def test_drop_at_send_when_not_fail_fast():
 
     # the timeout gets classified using current transport knowledge
     assert kernel.run_process(proc()) == "classified"
-    assert net.transport.stats.total_dropped.value >= 1
+    assert net.kernel.obs.metrics.value("net.messages_dropped") >= 1
 
 
 def test_late_reply_after_caller_timeout_is_harmless():
@@ -112,7 +112,7 @@ def test_crash_mid_flight_drops_at_delivery():
 
     kernel.spawn(crasher(), daemon=True)
     assert kernel.run_process(proc()) == "failed"
-    assert net.transport.stats.total_dropped.value >= 1
+    assert net.kernel.obs.metrics.value("net.messages_dropped") >= 1
 
 
 def test_node_crash_hooks_invoked():

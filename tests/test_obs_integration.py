@@ -1,14 +1,16 @@
 """The obs layer wired through the stack: registry agreement and nesting."""
 
 from repro.net import BreakerPolicy, ResilientClient, RetryPolicy
-from repro.net.stats import NetworkStats
 from repro.obs import export_jsonl, read_jsonl, spans_from_records
 from repro.spec import Returned
+from repro.weaksets import DynamicSet
 
 from helpers import CLIENT, drain_all, standard_world
 
 
-def resilient_drain(crash=None, members=6, give_up_after=3.0):
+def resilient_stack(crash=None, members=6, give_up_after=3.0):
+    """A replicated world and a fig6 set behind a retrying, breaker-gated
+    client; returns (kernel, net, world, resilience, ws), not yet run."""
     kernel, net, world, elements = standard_world(
         n_servers=3, members=members, replicas=1)
     resilience = ResilientClient(
@@ -16,67 +18,66 @@ def resilient_drain(crash=None, members=6, give_up_after=3.0):
         policy=RetryPolicy(max_attempts=4, base_delay=0.05, multiplier=2.0,
                            max_delay=0.5, jitter=0.5),
         breaker=BreakerPolicy(failure_threshold=3, cooldown=1.0))
-    from repro.weaksets import DynamicSet
     ws = DynamicSet(world, CLIENT, "coll", resilience=resilience,
                     rpc_timeout=0.5, retry_interval=0.25,
                     give_up_after=give_up_after, failover=True)
     if crash:
         net.crash(crash)
-    result = drain_all(kernel, ws)
-    return kernel, net, result
+    return kernel, net, world, resilience, ws
+
+
+def resilient_drain(crash=None, members=6, give_up_after=3.0):
+    kernel, net, _, _, ws = resilient_stack(crash, members, give_up_after)
+    return kernel, net, drain_all(kernel, ws)
 
 
 # ---------------------------------------------------------------------------
-# one surface: NetworkStats attributes *are* the registry's counters
+# one ledger: each count is the registry counter its one owner bumps
 # ---------------------------------------------------------------------------
 
-#: attribute -> registry name (the names docs/observability.md documents
-#: and perf/workloads.py reads)
-STATS_METRICS = {
-    "total_sent": "net.messages_sent",
-    "total_delivered": "net.messages_delivered",
-    "total_dropped": "net.messages_dropped",
-    "retries": "rpc.retries",
-    "hedges": "rpc.hedges",
-    "hedge_wins": "rpc.hedge_wins",
-    "breaker_trips": "rpc.breaker_trips",
-    "breaker_fast_fails": "rpc.breaker_fast_fails",
-    "failovers": "rpc.failovers",
-    "retry_budget_exhausted": "overload.retry_budget_exhausted",
-    "bytes_sent": "net.bytes_sent",
-    "bytes_received": "net.bytes_received",
-}
+def owned_counters(net, world, resilience) -> dict:
+    """Registry name -> the instrument its owning layer holds (the names
+    docs/observability.md documents and perf/workloads.py reads)."""
+    transport = net.transport
+    return {
+        "net.messages_sent": transport._m_sent,
+        "net.messages_delivered": transport._m_delivered,
+        "net.messages_dropped": transport._m_dropped,
+        "net.bytes_sent": transport._m_bytes_sent,
+        "net.bytes_received": transport._m_bytes_received,
+        "rpc.retries": resilience._m_retries,
+        "rpc.hedges": resilience._m_hedges,
+        "rpc.hedge_wins": resilience._m_hedge_wins,
+        "rpc.breaker_trips": resilience._m_breaker_trips,
+        "rpc.breaker_fast_fails": resilience._m_breaker_fast_fails,
+        "overload.retry_budget_exhausted": resilience._m_budget_exhausted,
+        "rpc.failovers": world.repository_instruments.failovers,
+    }
 
 
 def test_network_stats_facade_reads_registry_counters():
-    kernel, net, result = resilient_drain()
+    kernel, net, world, resilience, ws = resilient_stack()
+    result = drain_all(kernel, ws)
     registry = kernel.obs.metrics
-    stats = net.transport.stats
-    assert isinstance(stats, NetworkStats)
-    for attr, metric in STATS_METRICS.items():
-        assert getattr(stats, attr) is registry.counter(metric), (attr, metric)
-    assert stats.total_sent.value > 0
+    owned = owned_counters(net, world, resilience)
+    assert len(owned) == 12
+    for name, instrument in owned.items():
+        assert instrument is registry.counter(name), name
+    assert registry.value("net.messages_sent") > 0
     assert isinstance(result.outcome, Returned)
 
 
 def test_facade_agreement_survives_faults_and_retries():
-    kernel, net, result = resilient_drain(crash="s2")
+    kernel, net, world, resilience, ws = resilient_stack(crash="s2")
+    drain_all(kernel, ws)
     registry = kernel.obs.metrics
-    stats = net.transport.stats
-    # the crash engaged the retry machinery; both views saw it
-    assert stats.retries.value > 0
-    assert stats.retries.value == registry.value("rpc.retries")
-    assert stats.total_dropped.value == registry.value("net.messages_dropped")
-    for attr, metric in STATS_METRICS.items():
-        assert getattr(stats, attr).value == registry.value(metric), (attr, metric)
-
-
-def test_facade_writes_reach_the_registry():
-    kernel, net, _ = resilient_drain()
-    registry = kernel.obs.metrics
-    before = registry.value("rpc.retries")
-    net.transport.stats.retries.value += 3
-    assert registry.value("rpc.retries") == before + 3
+    snapshot = registry.snapshot()
+    # the crash engaged the retry machinery, and the snapshot (what the
+    # JSONL export writes) reports every owner's count
+    assert registry.value("rpc.retries") > 0
+    for name, instrument in owned_counters(net, world, resilience).items():
+        assert instrument is registry.counter(name), name
+        assert snapshot[name]["value"] == instrument.value, name
 
 
 # ---------------------------------------------------------------------------

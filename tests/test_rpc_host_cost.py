@@ -17,6 +17,7 @@ import gc
 import inspect
 import math
 import pickle
+import sys
 import weakref
 
 import pytest
@@ -100,11 +101,58 @@ def test_a_settled_rpc_formats_no_name_and_asks_no_route(monkeypatch, method,
         "FixedLatency.sample": count_calls(monkeypatch, FixedLatency,
                                            "sample"),
     }
-    sent = net.transport.stats.total_sent.value
+    sent = net.kernel.obs.metrics.value("net.messages_sent")
     assert kernel.run_process(rpc(net, method, *args), name="") == "v"
-    assert net.transport.stats.total_sent.value == sent + 2
+    assert net.kernel.obs.metrics.value("net.messages_sent") == sent + 2
     assert {what: calls[0] for what, calls in counted.items()} == \
         dict.fromkeys(counted, 0)
+
+
+def test_a_settled_rpc_is_counted_inline_in_the_registry():
+    kernel, net = two_nodes()
+    assert kernel.run_process(rpc(net, "echo", "v")) == "v"        # warm
+    registry = kernel.obs.metrics
+    counters = ("net.messages_sent", "net.messages_delivered",
+                "net.bytes_sent", "net.bytes_received")
+    before = {name: registry.value(name) for name in counters}
+    families = [instrument for instrument in registry
+                if instrument.name.startswith(("net.bytes_sent.",
+                                               "net.bytes_received."))]
+    family_before = sum(instrument.value for instrument in families)
+    captured, callees = [], []
+    send = net.transport.send
+    net.transport.send = lambda msg: (captured.append(msg), send(msg))[1]
+
+    def profile(frame, event, arg):
+        # every Python call the transport makes on a message's way through
+        caller = frame.f_back
+        if (event == "call" and caller is not None
+                and caller.f_code.co_filename == transport_file
+                and caller.f_code.co_name in ("send", "_deliver")):
+            callees.append((caller.f_code.co_name, frame.f_code.co_qualname))
+
+    transport_file = Transport.send.__code__.co_filename
+    sys.setprofile(profile)
+    try:
+        assert kernel.run_process(rpc(net, "echo", "v"), name="") == "v"
+    finally:
+        sys.setprofile(None)
+    request, reply = captured
+    size = request.wire_size + reply.wire_size
+    moved = {name: registry.value(name) - before[name] for name in counters}
+    assert moved == {"net.messages_sent": 2, "net.messages_delivered": 2,
+                     "net.bytes_sent": size, "net.bytes_received": size}
+    assert sum(instrument.value for instrument in families) - family_before \
+        == 2 * size
+    # what a message costs the transport is what it simulates: no call
+    # is made to count it
+    sent = [("send", "WireFormat.measure"), ("send", "Transport._route_or_reason"),
+            ("send", "WireFormat.serialize_delay"), ("send", "Histogram.observe"),
+            ("send", "Kernel._schedule")]
+    assert callees == (sent + [("_deliver", "Transport._route_or_reason"),
+                               ("_deliver", "Transport._dispatch_request")]
+                       + sent + [("_deliver", "Transport._route_or_reason"),
+                                 ("_deliver", "Transport._complete_reply")])
 
 
 def test_a_connectivity_change_is_still_seen_by_the_next_message():

@@ -198,7 +198,7 @@ def test_batch_failover_serves_from_replica_copies():
                                failover=True)
     assert all(r.ok for r in results)
     assert {r.value for r in results} == {f"V{i}" for i in range(4)}
-    assert net.transport.stats.failovers.value >= 4
+    assert net.kernel.obs.metrics.value("rpc.failovers") >= 4
 
 
 def test_failover_exhausted_replicas_still_unreachable():
