@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from ..errors import FailureException, MutationNotAllowed, StoreError
 from ..sim.events import Sleep
-from ..spec import per_run_grow_only
+from ..spec import check_conformance, spec_by_id
 from ..store.repository import Repository
 from ..wan.workload import ScenarioSpec, build_scenario
 from ..weaksets import DynamicSet, PerRunGrowOnlySet
@@ -64,10 +64,9 @@ def _one_run(policy: str, cls, seed: int = 0, members: int = 10,
     # let deferred purges complete
     scenario.kernel.run(until=scenario.kernel.now + 1.0)
     final = scenario.world.true_members(spec.coll_id)
-    history = scenario.world.membership_history(spec.coll_id)
-    window = ws.last_trace.window()
-    grow_only_ok = (per_run_grow_only().check_windows(history, [window]) == []
-                    if window else True)
+    grow_only_ok = check_conformance(
+        ws.last_trace, spec_by_id("fig5-per-run"),
+        scenario.world).constraint_violations == []
     return {
         "yields": len(yields),
         "initial": members,

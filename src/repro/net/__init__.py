@@ -34,8 +34,7 @@ from .resilience import (
     RetryPolicy,
     TRANSPORT_FAILURES,
 )
-from .topology import (Topology, datacenter_groups, full_mesh, line,
-                       multi_datacenter, random_graph, ring, star, wan_clusters)
+from .topology import Topology, full_mesh, line, ring, wan_clusters
 from .transport import Transport
 from .wire import (
     BANDWIDTH_PRESETS,
@@ -93,12 +92,8 @@ __all__ = [
     "Topology",
     "Transport",
     "UniformLatency",
-    "datacenter_groups",
     "full_mesh",
     "line",
-    "multi_datacenter",
-    "random_graph",
     "ring",
-    "star",
     "wan_clusters",
 ]

@@ -20,12 +20,10 @@ import heapq
 from typing import Callable, Iterable, Optional
 
 from ..errors import SimulationError
-from ..sim.rng import Stream
 from .address import NodeId
 from .link import FixedLatency, LatencyModel, Link
 
-__all__ = ["Topology", "full_mesh", "star", "line", "ring", "random_graph",
-           "wan_clusters", "multi_datacenter", "datacenter_groups"]
+__all__ = ["Topology", "full_mesh", "line", "ring", "wan_clusters"]
 
 
 class Topology:
@@ -123,24 +121,6 @@ class Topology:
         self._route_cache[(dst, src)] = list(reversed(path)) if path else path
         return path
 
-    def connected(self, src: NodeId, dst: NodeId) -> bool:
-        """True iff a message can physically travel from src to dst."""
-        return self.route(src, dst) is not None
-
-    def path_latency(self, src: NodeId, dst: NodeId, stream: Optional[Stream] = None) -> Optional[float]:
-        """Sampled end-to-end delay along the current route (None if cut)."""
-        path = self.route(src, dst)
-        if path is None:
-            return None
-        return sum(link.latency.sample(stream) for link in path)
-
-    def expected_latency(self, src: NodeId, dst: NodeId) -> Optional[float]:
-        """Deterministic latency estimate (the closest-first metric)."""
-        path = self.route(src, dst)
-        if path is None:
-            return None
-        return sum(link.latency.expected() for link in path)
-
     def _maybe_flush_cache(self) -> None:
         if self._cache_version != self.version:
             self._route_cache.clear()
@@ -204,18 +184,6 @@ def full_mesh(names: Iterable[NodeId],
     return topo
 
 
-def star(center: NodeId, leaves: Iterable[NodeId],
-         latency: Optional[LatencyModel] = None,
-         bandwidth: float = 0.0) -> Topology:
-    """A hub-and-spoke topology (the classic client/servers shape)."""
-    topo = Topology()
-    topo.add_node(center)
-    for leaf in leaves:
-        topo.add_node(leaf)
-        topo.add_link(center, leaf, latency or FixedLatency(0.01), bandwidth=bandwidth)
-    return topo
-
-
 def line(names: Iterable[NodeId], latency: Optional[LatencyModel] = None,
          bandwidth: float = 0.0) -> Topology:
     """Nodes in a chain; cutting any link partitions the network."""
@@ -241,34 +209,6 @@ def ring(names: Iterable[NodeId], latency: Optional[LatencyModel] = None,
     for a, b in zip(nodes, nodes[1:]):
         topo.add_link(a, b, latency or FixedLatency(0.01), bandwidth=bandwidth)
     topo.add_link(nodes[-1], nodes[0], latency or FixedLatency(0.01), bandwidth=bandwidth)
-    return topo
-
-
-def random_graph(names: Iterable[NodeId], stream: "Stream",
-                 edge_probability: float = 0.4,
-                 latency: Optional[LatencyModel] = None,
-                 ensure_connected: bool = True,
-                 bandwidth: float = 0.0) -> Topology:
-    """An Erdős–Rényi-style graph, optionally patched to be connected.
-
-    Connectivity is ensured by threading a chain through any isolated
-    components after the random draw — the standard trick for generating
-    usable random testbeds.
-    """
-    topo = Topology()
-    nodes = list(names)
-    for n in nodes:
-        topo.add_node(n)
-    model = latency or FixedLatency(0.01)
-    for i, a in enumerate(nodes):
-        for b in nodes[i + 1:]:
-            if stream.bernoulli(edge_probability):
-                topo.add_link(a, b, model, bandwidth=bandwidth)
-    if ensure_connected and len(nodes) > 1:
-        for a, b in zip(nodes, nodes[1:]):
-            if not topo.connected(a, b):
-                if topo.link_between(a, b) is None:
-                    topo.add_link(a, b, model, bandwidth=bandwidth)
     return topo
 
 
@@ -304,50 +244,3 @@ def wan_clusters(cluster_sizes: list[int],
         for b in heads[i + 1:]:
             topo.add_link(a, b, inter, bandwidth=inter_bandwidth)
     return topo
-
-
-def multi_datacenter(dc_sizes: list[int],
-                     intra_latency: Optional[LatencyModel] = None,
-                     inter_latency: Optional[LatencyModel] = None,
-                     prefix: str = "dc",
-                     gateways: int = 2,
-                     intra_bandwidth: float = 0.0,
-                     inter_bandwidth: float = 0.0) -> Topology:
-    """Geo-replicated datacenters: fast inside, slow between, redundant.
-
-    The geo variant of :func:`wan_clusters` for the disconnected-
-    operation experiments.  Each datacenter is a full mesh of fast
-    links; each *pair* of datacenters is joined by up to ``gateways``
-    parallel slow links (gateway ``k`` of one DC to gateway ``k`` of
-    the other), so a single gateway crash degrades inter-DC latency
-    paths without partitioning — only a correlated whole-DC fault (the
-    :class:`~repro.net.failures.FaultPlan` ``dc_partition_rate`` dial)
-    splits the world.  Node names are ``{prefix}{d}.{i}``.
-    """
-    intra = intra_latency or FixedLatency(0.002)
-    inter = inter_latency or FixedLatency(0.080)
-    topo = Topology()
-    dcs: list[list[NodeId]] = []
-    for d, size in enumerate(dc_sizes):
-        members = [f"{prefix}{d}.{i}" for i in range(size)]
-        for m in members:
-            topo.add_node(m)
-        for i, a in enumerate(members):
-            for b in members[i + 1:]:
-                topo.add_link(a, b, intra, bandwidth=intra_bandwidth)
-        dcs.append(members)
-    for i, dc_a in enumerate(dcs):
-        for dc_b in dcs[i + 1:]:
-            for k in range(min(gateways, len(dc_a), len(dc_b))):
-                topo.add_link(dc_a[k], dc_b[k], inter, bandwidth=inter_bandwidth)
-    return topo
-
-
-def datacenter_groups(dc_sizes: list[int], prefix: str = "dc"
-                      ) -> tuple[tuple[NodeId, ...], ...]:
-    """The node groups of a :func:`multi_datacenter` build, one tuple
-    per DC — the ``dc_groups`` a correlated-partition fault plan wants."""
-    return tuple(
-        tuple(f"{prefix}{d}.{i}" for i in range(size))
-        for d, size in enumerate(dc_sizes)
-    )

@@ -19,7 +19,6 @@ Quick example::
 from .clock import Clock
 from .events import Fork, Join, Now, Signal, Sleep, Wait
 from .kernel import Kernel
-from .mailbox import CLOSED, Mailbox
 from .process import Process, ProcessState
 from .rng import RandomRouter, Stream
 from .sched import WheelScheduler
@@ -29,10 +28,8 @@ __all__ = [
     "Clock",
     "Fork",
     "Join",
-    "CLOSED",
     "Kernel",
     "WheelScheduler",
-    "Mailbox",
     "Now",
     "Process",
     "ProcessState",

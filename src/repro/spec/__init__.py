@@ -10,7 +10,7 @@ construct-to-module map.
 """
 
 from .explain import InvocationExplanation, explain_trace
-from .checker import ConformanceReport, check_conformance, weak_guarantee_violations
+from .checker import ConformanceReport, check_conformance
 from .constraints import (
     Constraint,
     GrowOnlyConstraint,
@@ -28,7 +28,6 @@ from .iterspec import (
     structural_violations,
 )
 from .mathset import FunctionalSet
-from .minimize import minimal_violating_prefix, prefix_of
 from .procedures import CheckedProcedures, ProcedureViolation
 from .render import render_all, render_spec
 from .serialize import trace_from_dict, trace_from_json, trace_to_dict, trace_to_json
@@ -65,8 +64,6 @@ __all__ = [
     "check_conformance",
     "classify",
     "explain_trace",
-    "minimal_violating_prefix",
-    "prefix_of",
     "per_run_grow_only",
     "per_run_immutable",
     "render_all",
@@ -78,5 +75,4 @@ __all__ = [
     "trace_from_json",
     "trace_to_dict",
     "trace_to_json",
-    "weak_guarantee_violations",
 ]

@@ -13,12 +13,11 @@ from typing import Optional, Sequence
 
 from ..store.elements import Element
 from ..store.world import World
-from .constraints import ConstraintViolationDetail, PerRunConstraint, clip_history
+from .constraints import ConstraintViolationDetail, clip_history
 from .iterspec import IteratorSpec, SpecViolationDetail
-from .termination import Yielded
 from .trace import IterationTrace
 
-__all__ = ["ConformanceReport", "check_conformance", "weak_guarantee_violations"]
+__all__ = ["ConformanceReport", "check_conformance"]
 
 History = Sequence[tuple[float, frozenset[Element]]]
 
@@ -31,7 +30,6 @@ class ConformanceReport:
     impl_name: str
     ensures_violations: list[SpecViolationDetail] = field(default_factory=list)
     constraint_violations: list[ConstraintViolationDetail] = field(default_factory=list)
-    complete: bool = True     # did the iterator actually terminate?
 
     @property
     def conformant(self) -> bool:
@@ -68,49 +66,19 @@ def check_conformance(trace: IterationTrace, spec: IteratorSpec,
     observed.  (The paper's constraint quantifies over whole
     computations; restricting to the window is what makes per-trace
     verdicts meaningful when several iterations with different
-    tolerances share one world.)
+    tolerances share one world.)  A trace with no invocations has no
+    window: nothing ran, so its constraint is judged over no history.
     """
     if history is None:
         if world is None:
             raise ValueError("check_conformance needs a world or an explicit history")
         history = world.membership_history(trace.coll_id)
     window = trace.window()
-    if window is not None:
-        history = clip_history(history, *window)
-    constraint = spec.constraint
-    if isinstance(constraint, PerRunConstraint):
-        constraint_violations = constraint.check_windows(
-            history, [window] if window else [])
-    else:
-        constraint_violations = constraint.check(list(history))
+    history = clip_history(history, *window) if window is not None else []
     return ConformanceReport(
         spec_id=spec.spec_id,
         impl_name=trace.impl_name,
         ensures_violations=spec.check_trace(trace),
-        constraint_violations=constraint_violations,
-        complete=trace.terminated,
+        constraint_violations=spec.constraint.check(history),
     )
 
-
-def weak_guarantee_violations(trace: IterationTrace, history: History) -> list[str]:
-    """§3.4's global weak guarantee, checked directly.
-
-    "The specification we give requires that any element yielded must
-    actually be in the set, for some state of the set between the
-    first-state and last-state."
-    """
-    window = trace.window()
-    if window is None:
-        return []
-    clipped = clip_history(history, *window)
-    union: set[Element] = set()
-    for _, value in clipped:
-        union |= value
-    problems = []
-    for inv in trace.invocations:
-        if isinstance(inv.outcome, Yielded) and inv.outcome.element not in union:
-            problems.append(
-                f"invocation #{inv.index} yielded {inv.outcome.element}, which was "
-                "never a member between the first-state and last-state"
-            )
-    return problems

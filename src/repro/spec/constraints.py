@@ -14,7 +14,8 @@ reduction on demand (the property tests exercise it).
 
 Section 3.1/3.3 also sketch *per-run* relaxations ("mutations may occur
 between different uses of the iterator, but not between invocations of
-any one use"); those take the iterator windows as extra input.
+any one use"); such a constraint is its inner constraint over the one
+run's window that the checker clips the history to.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ __all__ = [
 ]
 
 History = Sequence[tuple[float, frozenset[Element]]]
-Window = tuple[float, float]
 
 
 def clip_history(history: History, t_first: float,
@@ -146,20 +146,11 @@ class PerRunConstraint(Constraint):
         self.name = f"per-run {inner.name}"
         self.formula = f"during any run: {inner.formula}"
 
-    def holds_pair(self, s_i, s_j) -> bool:  # pragma: no cover - not pairwise
-        raise NotImplementedError("PerRunConstraint needs windows; use check_windows")
-
     def check(self, history: History) -> list[ConstraintViolationDetail]:
-        raise NotImplementedError("PerRunConstraint needs windows; use check_windows")
-
-    def check_windows(self, history: History,
-                      windows: Sequence[Window]) -> list[ConstraintViolationDetail]:
-        """Apply the inner constraint to each [t_first, t_last] window."""
-        violations = []
-        for (t_first, t_last) in windows:
-            violations.extend(self.inner.check(
-                clip_history(history, t_first, t_last)))
-        return violations
+        """The inner constraint over ``history``, which is one run's
+        window: :func:`~repro.spec.checker.check_conformance` clips every
+        history to its trace's [first-state, last-state] before judging."""
+        return self.inner.check(history)
 
 
 def per_run_immutable() -> PerRunConstraint:

@@ -8,7 +8,6 @@ built scenario.
 """
 
 from .library import CatalogEntry, LibraryWorkload, build_library
-from .mirror import CATEGORIES, MirrorWorkload, build_mirror
 from .population import (
     Behavior,
     PopulationEngine,
@@ -23,14 +22,12 @@ from .workload import Mutator, Scenario, ScenarioSpec, build_scenario
 
 __all__ = [
     "Behavior",
-    "CATEGORIES",
     "CUISINES",
     "CatalogEntry",
     "FaceRecord",
     "FacesWorkload",
     "LibraryWorkload",
     "Menu",
-    "MirrorWorkload",
     "Mutator",
     "PopulationEngine",
     "PopulationSpec",
@@ -41,7 +38,6 @@ __all__ = [
     "StageResult",
     "build_faces",
     "build_library",
-    "build_mirror",
     "build_restaurants",
     "build_scenario",
     "default_behaviors",

@@ -63,7 +63,6 @@ def test_partial_trace_is_checkable():
     assert not trace.terminated
     report = check_conformance(trace, spec_by_id("fig6"), world)
     assert report.conformant, report.counterexample()
-    assert not report.complete
 
 
 # ---------------------------------------------------------------------------

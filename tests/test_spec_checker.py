@@ -8,7 +8,6 @@ from repro.spec import (
     Yielded,
     check_conformance,
     spec_by_id,
-    weak_guarantee_violations,
 )
 from repro.spec.constraints import clip_history
 from repro.spec.iterspec import SpecViolationDetail
@@ -90,7 +89,9 @@ def test_clip_empty_before_history():
 
 
 # ---------------------------------------------------------------------------
-# weak guarantee
+# weak guarantee: §3.4's "any element yielded must actually be in the set,
+# for some state of the set between the first-state and last-state" is
+# implied by Figure 6's ensures clause, so the fig6 audit is its judge
 # ---------------------------------------------------------------------------
 
 def test_weak_guarantee_accepts_members_of_any_window_state():
@@ -100,7 +101,8 @@ def test_weak_guarantee_accepts_members_of_any_window_state():
         (frozenset({A, B}), Returned(), {B}),
     ])
     history = [(0.0, frozenset({A})), (0.9, frozenset({B}))]
-    assert weak_guarantee_violations(trace, history) == []
+    report = check_conformance(trace, spec_by_id("fig6"), history=history)
+    assert report.conformant, report.counterexample()
 
 
 def test_weak_guarantee_flags_never_members():
@@ -110,14 +112,27 @@ def test_weak_guarantee_flags_never_members():
         (frozenset({ghost}), Returned(), {A}),
     ])
     history = [(0.0, frozenset({A}))]
-    problems = weak_guarantee_violations(trace, history)
-    assert len(problems) == 1
-    assert "never a member" in problems[0]
+    report = check_conformance(trace, spec_by_id("fig6"), history=history)
+    assert not report.conformant
+    assert report.ensures_violations[0].invocation == 0
 
 
 def test_weak_guarantee_empty_trace():
     trace = IterationTrace(coll_id="c", client="client")
-    assert weak_guarantee_violations(trace, []) == []
+    report = check_conformance(trace, spec_by_id("fig6"), history=[])
+    assert report.conformant
+
+
+def test_trace_with_no_invocations_conforms_to_every_row():
+    # No invocation, no window: nothing ran, so nothing is judged — not
+    # even under an immutable row over a history that mutates.
+    from repro.spec import ALL_FIGURES, RELAXED_VARIANTS
+    trace = IterationTrace(coll_id="c", client="client")
+    history = [(0.0, frozenset({A})), (1.0, frozenset({B})),
+               (2.0, frozenset({A, B})), (3.0, frozenset())]
+    for spec in ALL_FIGURES + RELAXED_VARIANTS:
+        report = check_conformance(trace, spec, history=history)
+        assert report.conformant, (spec.spec_id, report.counterexample())
 
 
 # ---------------------------------------------------------------------------
@@ -200,42 +215,6 @@ def test_failing_violates_fig6_but_not_fig5():
     assert fig5.conformant, fig5.counterexample()
     fig6 = check_conformance(trace, spec_by_id("fig6"), history=history)
     assert not fig6.conformant
-
-
-# ---------------------------------------------------------------------------
-# counterexample minimization
-# ---------------------------------------------------------------------------
-
-def test_minimal_prefix_of_conformant_trace_is_none():
-    from repro.spec import minimal_violating_prefix
-    trace = simple_trace([
-        (frozenset(), Yielded(A), {A}),
-        (frozenset({A}), Returned(), {A}),
-    ])
-    history = [(0.0, frozenset({A}))]
-    assert minimal_violating_prefix(trace, spec_by_id("fig6"), history) is None
-
-
-def test_minimal_prefix_finds_first_bad_invocation():
-    from repro.spec import minimal_violating_prefix
-    # invocation 1 returns early (B unyielded) — the violation
-    trace = returns_early()
-    history = [(0.0, frozenset({A, B}))]
-    minimal = minimal_violating_prefix(trace, spec_by_id("fig6"), history)
-    assert minimal is not None
-    assert len(minimal.invocations) == 2
-
-
-def test_minimal_prefix_shrinks_long_traces():
-    from repro.spec import minimal_violating_prefix
-    # minimization cuts off everything after the failure
-    trace = fails_then_junk()
-    history = [(0.0, frozenset({A, B}))]
-    minimal = minimal_violating_prefix(trace, spec_by_id("fig6"), history)
-    assert minimal is not None
-    assert len(minimal.invocations) == 2          # up to the failure only
-    from repro.spec import check_conformance as cc
-    assert not cc(minimal, spec_by_id("fig6"), history=history).conformant
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 
 from repro.errors import MutationNotAllowed
-from repro.spec import Failed, Returned, check_conformance, per_run_grow_only, spec_by_id
+from repro.spec import Failed, Returned, check_conformance, spec_by_id
 from repro.weaksets import GrowOnlySet, PerRunGrowOnlySet
 
 from helpers import CLIENT, PRIMARY, drain_all, standard_world
@@ -149,9 +149,8 @@ def test_per_run_grow_only_constraint_holds_during_runs():
         yield from iterator.drain()
 
     kernel.run_process(proc())
-    history = world.membership_history("coll")
-    window = ws.last_trace.window()
-    assert per_run_grow_only().check_windows(history, [window]) == []
+    report = check_conformance(ws.last_trace, spec_by_id("fig5-per-run"), world)
+    assert report.constraint_violations == []
 
 
 def test_removal_between_runs_is_immediate():
