@@ -48,6 +48,8 @@ __all__ = ["Transport"]
 
 #: one hop of a route: the link, and the endpoint that transmits on it
 _Hop = tuple[Link, NodeId]
+#: what a down node reaches
+_NOWHERE: frozenset[NodeId] = frozenset()
 
 
 class _ReachabilityTable:
@@ -60,7 +62,9 @@ class _ReachabilityTable:
     and the next question starts an empty table.  ``Node.up`` is not
     part of the epoch (a crashing node is marked down before its
     topology entry is), so no entry depends on it: each answer applies
-    the ``up`` test itself, in front of the table.
+    the ``up`` test itself, in front of the table.  The one entry
+    derived from liveness, a source's reachable view, keeps the flags
+    it was taken under and is checked against them on every ask.
     """
 
     __slots__ = ("epoch", "routes", "latencies", "reachable", "rankings")
@@ -73,8 +77,11 @@ class _ReachabilityTable:
                           Union[list[_Hop], tuple[type, str]]] = {}
         #: (src, dst) -> expected latency along that route (None: no route)
         self.latencies: dict[tuple[NodeId, NodeId], Optional[float]] = {}
-        #: src -> every node with a route from src (src included)
-        self.reachable: dict[NodeId, frozenset[NodeId]] = {}
+        #: src -> (the nodes with a route from src, src included; their
+        #: ``up`` flags when the view was taken; the view: the up ones,
+        #: or none while src is down)
+        self.reachable: dict[NodeId, tuple[tuple[Node, ...], list[bool],
+                                           frozenset[NodeId]]] = {}
         #: (origin, hosts) -> the routable hosts, closest first
         self.rankings: dict[tuple[NodeId, tuple[NodeId, ...]],
                             tuple[NodeId, ...]] = {}
@@ -228,19 +235,36 @@ class Transport:
     def reachable_from(self, src: NodeId) -> set[NodeId]:
         """All nodes currently reachable from ``src`` (including itself);
         a new set each time, the caller's to keep or change."""
-        nodes = self.nodes
-        src_node = nodes.get(src)
-        if src_node is None:
-            raise SimulationError(f"unknown node {src!r}")
-        if not src_node.up:
-            return set()
-        reachable = self._table().reachable
-        connected = reachable.get(src)
-        if connected is None:
-            connected = reachable[src] = frozenset({
-                n for n in nodes
-                if n == src or type(self._connection(src, n)) is not tuple})
-        return {n for n in connected if nodes[n].up}
+        return set(self.reachable_view(src))
+
+    def reachable_view(self, src: NodeId) -> frozenset[NodeId]:
+        """All nodes currently reachable from ``src`` (including itself)
+        as one frozen set, shared: the same object while the epoch and
+        the ``up`` flags of the nodes connected to ``src`` stand still.
+
+        Liveness is not part of the epoch, so every ask compares those
+        flags with the ones the view was taken under, and only a
+        difference rebuilds it."""
+        table = self._table()
+        entry = table.reachable.get(src)
+        if entry is not None:
+            connected, flags, view = entry
+            if [node.up for node in connected] == flags:
+                return view
+        else:
+            src_node = self.nodes.get(src)
+            if src_node is None:
+                raise SimulationError(f"unknown node {src!r}")
+            if not src_node.up:
+                return _NOWHERE
+            connected = tuple([
+                node for n, node in self.nodes.items()
+                if n == src or type(self._connection(src, n)) is not tuple])
+        flags = [node.up for node in connected]
+        view = (frozenset([node.name for node in connected if node.up])
+                if self.nodes[src].up else _NOWHERE)
+        table.reachable[src] = (connected, flags, view)
+        return view
 
     def rank(self, origin: NodeId, hosts: tuple[NodeId, ...]) -> tuple[NodeId, ...]:
         """Reachable ``hosts`` by expected latency from ``origin``, then

@@ -81,23 +81,29 @@ def structural_violations(trace: IterationTrace) -> list[SpecViolationDetail]:
         if terminated:
             violations.append(SpecViolationDetail(
                 inv.index, "invocation after the iterator terminated"))
-        if inv.yielded_pre != expected:
+        if inv.yielded_pre is not expected and inv.yielded_pre != expected:
             violations.append(SpecViolationDetail(
                 inv.index,
                 f"yielded_pre {names_of(inv.yielded_pre)} does not continue the "
                 f"history object (expected {names_of(expected)})"))
         if isinstance(inv.outcome, Yielded):
             e = inv.outcome.element
-            if e in inv.yielded_pre:
+            pre, post = inv.yielded_pre, inv.yielded_post
+            duplicate = e in pre
+            if duplicate:
                 violations.append(SpecViolationDetail(
                     inv.index, f"duplicate yield of {e}"))
-            if inv.yielded_post != inv.yielded_pre | {e}:
+            # post = pre ∪ {e}, without building the union: as large as
+            # it, holding e, and holding all of pre
+            if not (len(post) == len(pre) + (not duplicate) and e in post
+                    and pre <= post):
                 violations.append(SpecViolationDetail(
                     inv.index,
                     "yielded_post ≠ yielded_pre ∪ {e}"))
         else:
             terminated = True
-            if inv.yielded_post != inv.yielded_pre:
+            if (inv.yielded_post is not inv.yielded_pre
+                    and inv.yielded_post != inv.yielded_pre):
                 violations.append(SpecViolationDetail(
                     inv.index, "yielded changed on a non-yielding invocation"))
         expected = inv.yielded_post
@@ -167,21 +173,30 @@ class IteratorSpec:
         # satisfiable branch once a yielded element's home later becomes
         # unreachable, so the element-wise reading is the only checkable
         # one.
-        if (s if self.guard == S else reach) - yielded_pre:
+        if not (s if self.guard == S else reach) <= yielded_pre:
             return "suspends", (s if self.yields == S else reach) - yielded_pre
+        return self._exhausted_kind(s, yielded_pre), frozenset()
+
+    def _exhausted_kind(self, s: Members, yielded_pre: Members) -> str:
+        """What the clause requires once the guard set is used up."""
         if self.exhausted == FAILS_IF_SHORT and yielded_pre < s:
-            return "fails", frozenset()
+            return "fails"
         if self.exhausted == RETURNS_IF_ALL and yielded_pre != s:
-            return "fails", frozenset()
-        return "returns", frozenset()
+            return "fails"
+        return "returns"
 
     def permits(self, inv: InvocationRecord, s: Members, reach: Members) -> bool:
-        """Does the clause, evaluated at (s, reach), allow ``inv``'s outcome?"""
-        kind, allowed = self.required_outcome(s, reach, inv.yielded_pre)
-        outcome = inv.outcome
-        if kind == "suspends":
-            return isinstance(outcome, Yielded) and outcome.element in allowed
-        if kind == "returns":
+        """Does the clause, evaluated at (s, reach), allow ``inv``'s outcome?
+
+        :meth:`required_outcome` read without building its sets: the
+        guard set not inside ``yielded_pre`` means suspends, and the
+        element must then be new and in the yields set."""
+        yielded_pre, outcome = inv.yielded_pre, inv.outcome
+        if not (s if self.guard == S else reach) <= yielded_pre:
+            return (isinstance(outcome, Yielded)
+                    and outcome.element not in yielded_pre
+                    and outcome.element in (s if self.yields == S else reach))
+        if self._exhausted_kind(s, yielded_pre) == "returns":
             return isinstance(outcome, Returned)
         return isinstance(outcome, Failed)
 

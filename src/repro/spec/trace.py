@@ -5,9 +5,21 @@ The :class:`TraceRecorder` is the bridge between an *implementation*
 checker* (which reasons over the paper's atomic state model).  The
 weak-set iterator machinery calls :meth:`TraceRecorder.invocation_started`
 / :meth:`invocation_completed` around each invocation; in between, the
-recorder listens for world changes and samples ground truth at every
-one, building the invocation's candidate-state window (see
-:mod:`repro.spec.state`).
+recorder listens for world changes, building the invocation's
+candidate-state window (see :mod:`repro.spec.state`).
+
+Ground truth is asked at both brackets and at every announced change,
+but only what can have moved is re-derived.  ``s_σ``
+(``World.true_members``) and the observer's reachable nodes (the
+transport's ``reachable_view``) are objects their owners keep until a
+write, or a connectivity or liveness change, so an unchanged part costs
+an identity test; the replicated members are re-scanned only when
+``s_σ`` is a new object, and the live replica copies — which can die
+unannounced — are looked for at every sample, but only while some
+replicated home is out of reach.  A completion or change sample whose
+three parts are the last snapshot's own objects builds nothing; an
+invocation's entry state is always one new snapshot stamped
+``t_invoke``, sharing the last snapshot's sets where they stand.
 
 The recorder holds the God's-eye :class:`~repro.store.world.World`
 reference.  Implementations never see it — they only trigger the
@@ -21,7 +33,7 @@ from typing import Callable, Optional
 
 from ..errors import IteratorProtocolError, SpecificationError
 from ..net.address import NodeId
-from ..store.elements import Element
+from ..store.elements import Element, ObjectId
 from ..store.world import World
 from .state import InvocationRecord, StateSnapshot
 from .termination import Failed, Outcome, Yielded
@@ -29,10 +41,17 @@ from .termination import Failed, Outcome, Yielded
 __all__ = ["IterationTrace", "TraceRecorder"]
 
 
+#: the live replica copies while every replicated home answers
+_NO_COPIES: frozenset[tuple[NodeId, ObjectId]] = frozenset()
+
+
 def _same_state(a: StateSnapshot, b: StateSnapshot) -> bool:
     """Equal up to time: the assertion-relevant content is unchanged."""
-    return (a.members == b.members and a.reachable_nodes == b.reachable_nodes
-            and a.live_replicas == b.live_replicas)
+    return ((a.members is b.members or a.members == b.members)
+            and (a.reachable_nodes is b.reachable_nodes
+                 or a.reachable_nodes == b.reachable_nodes)
+            and (a.live_replicas is b.live_replicas
+                 or a.live_replicas == b.live_replicas))
 
 
 @dataclass
@@ -106,6 +125,11 @@ class TraceRecorder:
         # hands back a new s_σ object.
         self._scanned: Optional[frozenset[Element]] = None
         self._replicated: dict[NodeId, set[Element]] = {}
+        # The replicated homes out of reach, for the reachable-node view
+        # they were worked out against; None when the homes must be
+        # looked at again.
+        self._away_from: Optional[frozenset[NodeId]] = None
+        self._away: list[NodeId] = []
 
     # ------------------------------------------------------------------
     @property
@@ -119,8 +143,8 @@ class TraceRecorder:
         if self.trace.terminated:
             raise IteratorProtocolError("iterator already terminated")
         self._open = True
-        self._t_invoke = self.world.now
-        self._snapshots = [self._sample()]
+        self._t_invoke = now = self.world.now
+        self._snapshots = [StateSnapshot(now, *self._state())]
         self._unsubscribe = self.world.on_change(self._on_change)
 
     def invocation_completed(self, outcome: Outcome) -> InvocationRecord:
@@ -130,9 +154,7 @@ class TraceRecorder:
         if self._unsubscribe is not None:
             self._unsubscribe()
             self._unsubscribe = None
-        final = self._sample()
-        if not self._snapshots or not _same_state(self._snapshots[-1], final):
-            self._snapshots.append(final)
+        self._on_change()
         yielded_pre = self._yielded
         if isinstance(outcome, Yielded):
             if outcome.element in self._yielded:
@@ -166,12 +188,26 @@ class TraceRecorder:
 
     # ------------------------------------------------------------------
     def _on_change(self) -> None:
-        snap = self._sample()
-        if self._snapshots and _same_state(self._snapshots[-1], snap):
+        """Sample now; keep the sample only if the state moved."""
+        last = self._snapshots[-1]
+        members, nodes, live = self._state()
+        if (members is last.members and nodes is last.reachable_nodes
+                and live is last.live_replicas):
             return
-        self._snapshots.append(snap)
+        snap = StateSnapshot(self.world.now, members, nodes, live)
+        if not _same_state(last, snap):
+            self._snapshots.append(snap)
 
-    def _sample(self) -> StateSnapshot:
+    def _state(self) -> tuple[frozenset[Element], frozenset[NodeId],
+                              frozenset[tuple[NodeId, ObjectId]]]:
+        """Ground truth now, as (s_σ, reachable nodes, live replica
+        copies) — each part the last snapshot's own object while it
+        has not moved.
+
+        s_σ and the reachable nodes are objects their owners keep until
+        a write or a connectivity / liveness change.  A replica copy can
+        die unannounced, so the live copies are looked for at every
+        sample — but only while some replicated home is out of reach."""
         world = self.world
         members = world.true_members(self.trace.coll_id)
         if members is not self._scanned:
@@ -179,12 +215,21 @@ class TraceRecorder:
             for e in members:
                 if e.replicas:
                     self._replicated.setdefault(e.home, set()).add(e)
-        nodes = frozenset(world.net.reachable_from(self.trace.client))
+            self._away_from = None
+        nodes = world.net.transport.reachable_view(self.trace.client)
+        if nodes is not self._away_from:
+            self._away_from = nodes
+            self._away = [home for home in self._replicated
+                          if home not in nodes]
+        if not self._away:
+            return members, nodes, _NO_COPIES
         # Only a member whose home is out of reach asks its replica
         # hosts whether they still hold the object.
         live = frozenset(
-            (loc, e.oid) for home in self._replicated.keys() - nodes
+            (loc, e.oid) for home in self._away
             for e in self._replicated[home] for loc in e.replicas
             if loc in nodes and (server := world.servers.get(loc)) is not None
             and server.has_object(e.oid))
-        return StateSnapshot(world.now, members, nodes, live)
+        if self._snapshots and live == (last := self._snapshots[-1].live_replicas):
+            return members, nodes, last
+        return members, nodes, live

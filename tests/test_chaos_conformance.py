@@ -13,20 +13,29 @@ conform to its own row and never fail.
 
 A dynamic-sets handle (``setOpen`` / ``setIterate`` / ``setClose``) is
 Figure 6's second client, so the same schedules drain one too.
+
+Last, the recorder is held to what it records: re-deriving only what
+moved must write down, state for state and time for time, what asking
+everything at every bracket writes — on the same schedules, plus the
+two changes no ``on_change`` announces.
 """
 
 from dataclasses import replace
+from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
 from repro.dynsets import DynSetHandle
 from repro.errors import FailureException, StoreError
 from repro.sim import Sleep
-from repro.spec import Failed, check_conformance, spec_by_id
+from repro.spec import Failed, Yielded, check_conformance, spec_by_id
 from repro.spec.iterspec import RETURNS
-from repro.store import Repository
+from repro.spec.state import InvocationRecord, StateSnapshot
+from repro.spec.trace import TraceRecorder
+from repro.store import Element, Repository
 from repro.wan import ScenarioSpec, build_scenario
 from repro.weaksets import DynamicSet, GrowOnlySet, SnapshotSet
+from repro.weaksets import base as weaksets_base
 
 CHAOS_NODES = ["n1.0", "n1.1", "n2.0", "n2.1"]
 
@@ -211,3 +220,126 @@ def test_dynamic_conforms_over_lossy_links_too(seed, loss_rate):
     report = check_conformance(ws.last_trace, spec_by_id("fig6"),
                                scenario.world)
     assert report.conformant, report.counterexample()
+
+
+# -- the recorder records what asking everything at every bracket records -----
+
+class AskEverythingRecorder(TraceRecorder):
+    """The reference: every bracket and every announced change asks the
+    world for all of s_σ, the reachable nodes and the live replica
+    copies, builds a snapshot, and keeps it unless it equals the last."""
+
+    def invocation_started(self):
+        self._open = True
+        self._t_invoke = self.world.now
+        self._snapshots = [self._sample()]
+        self._unsubscribe = self.world.on_change(self._on_change)
+
+    def invocation_completed(self, outcome):
+        self._open = False
+        self._unsubscribe()
+        self._unsubscribe = None
+        self._on_change()
+        yielded_pre = self._yielded
+        if isinstance(outcome, Yielded):
+            self._yielded = self._yielded | {outcome.element}
+        record = InvocationRecord(
+            index=len(self.trace.invocations), t_invoke=self._t_invoke,
+            t_complete=self.world.now, yielded_pre=yielded_pre,
+            yielded_post=self._yielded, outcome=outcome,
+            snapshots=tuple(self._snapshots))
+        self.trace.invocations.append(record)
+        if record.index == 0:
+            self.trace.first_candidates = record.snapshots
+        return record
+
+    def _on_change(self):
+        snap, last = self._sample(), self._snapshots[-1]
+        if (snap.members, snap.reachable_nodes, snap.live_replicas) != (
+                last.members, last.reachable_nodes, last.live_replicas):
+            self._snapshots.append(snap)
+
+    def _sample(self):
+        world = self.world
+        members = world.true_members(self.trace.coll_id)
+        for e in members:
+            if e.replicas:
+                self._replicated.setdefault(e.home, set()).add(e)
+        # reachable_from's answer, asked pair by pair: not from the
+        # view the recorder under test reads
+        client, net = self.trace.client, world.net
+        nodes = frozenset(
+            n for n in net.nodes if net.node(client).up
+            and (n == client or net.can_reach(client, n)))
+        live = frozenset(
+            (loc, e.oid) for home in self._replicated.keys() - nodes
+            for e in self._replicated[home] for loc in e.replicas
+            if loc in nodes and (server := world.servers.get(loc)) is not None
+            and server.has_object(e.oid))
+        return StateSnapshot(world.now, members, nodes, live)
+
+
+#: the two changes no ``on_change`` announces: a crash behind the
+#: facade's back, and a raw write to the primary's member map (a new
+#: name over an existing member's object)
+unannounced_action = st.sampled_from(
+    [f"raw-crash:{n}" for n in CHAOS_NODES] + ["raw-write"])
+
+
+def record_chaos(actions, seed):
+    """One fault schedule under a recorded Fig 6 drain over members with
+    a replica copy each; returns the drain's trace."""
+    spec = ScenarioSpec(n_clusters=3, cluster_size=2, n_members=12,
+                        object_replicas=1, inter_latency=0.2, coll_id="coll")
+    scenario = build_scenario(spec, seed=seed)
+    world, net = scenario.world, scenario.net
+    repo = Repository(world, spec.primary)
+    ws = DynamicSet(world, scenario.client, "coll", retry_interval=0.2)
+    counter = [0]
+
+    def chaos():
+        for action in actions:
+            kind, _, target = action.partition(":")
+            if kind == "raw-crash":
+                net.node(target).crash()
+            elif kind == "raw-write":
+                counter[0] += 1
+                state = world.servers[spec.primary].collections["coll"]
+                if state.members:
+                    e = min(state.members.values(), key=lambda e: e.name)
+                    name = f"raw-{counter[0]}"
+                    state.members[name] = Element(name, e.oid, e.home,
+                                                  e.replicas)
+            else:
+                try:
+                    yield from apply_action(scenario, repo, action, counter)
+                except (FailureException, StoreError):
+                    pass
+            yield Sleep(0.02)
+        net.heal()
+        for node in CHAOS_NODES:
+            net.recover(node)
+
+    scenario.kernel.spawn(chaos(), daemon=True)
+    scenario.kernel.spawn(drain(ws), name="query")
+    scenario.kernel.run(until=600.0)
+    return ws.last_trace
+
+
+@given(st.integers(min_value=0, max_value=99999),
+       st.lists(st.one_of(chaos_action, unannounced_action),
+                min_size=1, max_size=12))
+@SCHEDULES
+def test_the_recorder_records_what_asking_everything_records(seed, actions):
+    recorded = record_chaos(actions, seed)
+    with mock.patch.object(weaksets_base, "TraceRecorder",
+                           AskEverythingRecorder):
+        reference = record_chaos(actions, seed)
+    assert recorded.invocations
+    assert len(recorded.invocations) == len(reference.invocations)
+    for got, want in zip(recorded.invocations, reference.invocations):
+        assert (got.t_invoke, got.t_complete, got.outcome) == (
+            want.t_invoke, want.t_complete, want.outcome)
+        # value and time: StateSnapshot equality is field by field
+        assert got.snapshots == want.snapshots
+    assert recorded.first_candidates == reference.first_candidates

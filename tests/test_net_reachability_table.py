@@ -190,6 +190,12 @@ class ConnectivityMachine(RuleBasedStateMachine):
     def ask_reachable_from(self, src):
         assert self.net.reachable_from(src) == ref_reachable(self.net, src)
 
+    @rule(src=nodes)
+    def ask_reachable_view(self, src):
+        view = self.net.transport.reachable_view(src)
+        assert view == frozenset(ref_reachable(self.net, src))
+        assert self.net.transport.reachable_view(src) is view
+
     @rule(origin=nodes, hosts=st.lists(nodes, max_size=4))
     def ask_rank(self, origin, hosts):
         assert rank_hosts(self.net, origin, hosts) == ref_rank(
@@ -236,6 +242,25 @@ def test_reachable_from_hands_back_the_callers_own_set():
     got.add("nowhere")
     assert net.reachable_from("a") == set(NODES)
     assert net.reachable_from("a") is not net.reachable_from("a")
+
+
+def test_the_reachable_view_is_one_object_while_nothing_moves():
+    net = build()
+    view = net.transport.reachable_view("a")
+    assert type(view) is frozenset and view == set(NODES)
+    assert net.transport.reachable_view("a") is view
+    assert net.reachable_from("a") == view
+    # a crash behind the facade moves no epoch, yet a new view is taken
+    net.node("b").crash()
+    crashed = net.transport.reachable_view("a")
+    assert crashed == view - {"b"}
+    assert net.transport.reachable_view("a") is crashed
+    net.node("b").recover()
+    assert net.transport.reachable_view("a") == view
+    # a down source reaches nothing
+    net.node("a").crash()
+    assert net.transport.reachable_view("a") == frozenset()
+    assert net.reachable_from("a") == set()
 
 
 def test_node_liveness_is_tested_in_front_of_the_table():
