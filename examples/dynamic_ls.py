@@ -3,13 +3,15 @@
 
 Builds a directory whose files are scattered over WAN clusters, crashes
 one file server, and runs both listings — the traditional all-or-nothing
-`ls` and the streaming, parallel, failure-tolerant weak one.
+`ls` and the streaming, parallel, failure-tolerant weak one — then a
+weak `find` for the files that satisfy a predicate, with the server
+still down.
 
 Run:  python examples/dynamic_ls.py
 """
 
 from repro.bench import build_scattered_fs
-from repro.dynsets import strict_ls, weak_ls
+from repro.dynsets import strict_ls, weak_find, weak_ls
 
 
 def main() -> None:
@@ -49,6 +51,21 @@ def main() -> None:
     print(f"audit: {report.summary()}")
     if not report.conformant:
         print(f"  {weak_result.handle.outcome}")
+    print()
+
+    # "finding all files that satisfy a given predicate": every directory
+    # the walk opens is a dynamic set, so the query is weak too.
+    def run_find():
+        return (yield from weak_find(
+            fs, "client", "/pub", lambda path, meta: path.startswith("/pub/f01"),
+            parallelism=6, give_up_after=2.0))
+
+    found = kernel.run_process(run_find())
+    print("--- weak find /pub -name 'f01*' ---")
+    print(f"{len(found.matches)} matches in {found.total_time:.2f}s "
+          f"({found.entries_examined} entries examined): "
+          f"{', '.join(found.paths)}")
+    print(f"unreachable: {', '.join(found.unreachable) or 'none'}")
 
 
 if __name__ == "__main__":

@@ -14,7 +14,7 @@ from repro.net import FixedLatency, Network, full_mesh
 from repro.sim import Kernel
 from repro.store import World
 from repro.wan.library import CatalogEntry
-from repro.weaksets import DynamicSet, select, union
+from repro.weaksets import DynamicSet, union
 from repro.weaksets.query import QueryIterator
 
 

@@ -11,7 +11,7 @@ Run:  python examples/spec_playground.py
 
 from repro import check_conformance, spec_by_id
 from repro.sim import Sleep
-from repro.spec import ALL_FIGURES
+from repro.spec import ALL_FIGURES, explain_trace
 from repro.wan import ScenarioSpec, build_scenario
 from repro.weaksets import DynamicSet
 
@@ -50,6 +50,13 @@ def main() -> None:
         print(f"  verdict: {verdict}")
         if not report.conformant:
             print(f"  counterexample: {report.counterexample()}")
+            explanations = explain_trace(trace, figure)
+            unjustified = [e for e in explanations if not e.justified]
+            if unjustified:
+                print(f"  explained: {len(explanations) - len(unjustified)} of "
+                      f"{len(explanations)} invocations justified; the first "
+                      f"that is not:")
+                print(f"  {unjustified[0]}")
         print()
 
     fig6 = check_conformance(trace, spec_by_id("fig6"), world)

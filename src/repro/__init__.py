@@ -28,7 +28,6 @@ from .net import FixedLatency, Network, ParetoLatency, UniformLatency, full_mesh
 from .store import Element, Repository, World, figure2_world
 from .spec import (
     ALL_FIGURES,
-    FunctionalSet,
     check_conformance,
     spec_by_id,
     taxonomy_table,
@@ -52,7 +51,6 @@ __all__ = [
     "Element",
     "FailureException",
     "FixedLatency",
-    "FunctionalSet",
     "GrowOnlySet",
     "ImmutableSet",
     "Kernel",

@@ -8,7 +8,6 @@ closest-first, optimistically-retrying prefetcher; ``weak_ls`` and
 
 from . import namespace
 from .dynamic_set import DynSetHandle, set_open, set_open_dir
-from .fileops import StatResult, read_file, stat
 from .filesystem import FileMeta, FileSystem, dir_collection_id
 from .find import FindMatch, FindResult, weak_find
 from .ls import LsEntry, LsResult, strict_ls, weak_ls
@@ -21,13 +20,10 @@ __all__ = [
     "FileSystem",
     "LsEntry",
     "LsResult",
-    "StatResult",
     "dir_collection_id",
     "namespace",
     "set_open",
     "set_open_dir",
-    "read_file",
-    "stat",
     "strict_ls",
     "weak_find",
     "weak_ls",

@@ -27,7 +27,7 @@ Every recovery action is counted on the kernel's metrics registry
 (``rpc.retries``, ``rpc.hedges``, ``rpc.hedge_wins``,
 ``rpc.breaker_trips``, ``rpc.breaker_fast_fails``,
 ``overload.retry_budget_exhausted``; registered by the client that bumps
-them, replica failovers by the repository as ``rpc.failovers``) so
+them, replica failovers by the fetch pipeline as ``rpc.failovers``) so
 experiments can report recovery cost next to recovery benefit (E16).
 """
 

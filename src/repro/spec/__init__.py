@@ -27,10 +27,7 @@ from .iterspec import (
     SpecViolationDetail,
     structural_violations,
 )
-from .mathset import FunctionalSet
-from .procedures import CheckedProcedures, ProcedureViolation
 from .render import render_all, render_spec
-from .serialize import trace_from_dict, trace_from_json, trace_to_dict, trace_to_json
 from .state import InvocationRecord, StateSnapshot
 from .taxonomy import Classification, classify, taxonomy_table
 from .termination import Failed, Outcome, Returned, Yielded
@@ -42,9 +39,7 @@ __all__ = [
     "Classification",
     "ConformanceReport",
     "Constraint",
-    "CheckedProcedures",
     "Failed",
-    "FunctionalSet",
     "GrowOnlyConstraint",
     "ImmutableConstraint",
     "InvocationExplanation",
@@ -54,7 +49,6 @@ __all__ = [
     "Justification",
     "Outcome",
     "PerRunConstraint",
-    "ProcedureViolation",
     "Returned",
     "SpecViolationDetail",
     "StateSnapshot",
@@ -71,8 +65,4 @@ __all__ = [
     "spec_by_id",
     "structural_violations",
     "taxonomy_table",
-    "trace_from_dict",
-    "trace_from_json",
-    "trace_to_dict",
-    "trace_to_json",
 ]

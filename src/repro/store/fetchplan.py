@@ -45,9 +45,10 @@ Soundness — why buffering across invocations cannot invent elements:
   buffered value is still its value); ``False`` is the home's
   authoritative "removed" and the result is reclassified ``gone``; a
   transport failure reclassifies it ``unreachable``.
-* ``validation="locations"`` (grow-only quorum reads) needs no RPC at
-  all: copies of a grow-only member are never deleted, so any locally
-  reachable location keeps the buffered result justified.
+* ``validation="none"`` (grow-only quorum reads, reads under the
+  strong set's lock) skips the pop-time check: a member of a grow-only
+  or locked collection is never removed, so no buffered value goes
+  stale.
 * Cache hits bypass validation by design — client-cache staleness is a
   measured, intended weakness (E5a), not an accident of buffering.
 """
@@ -74,7 +75,7 @@ __all__ = ["FetchPlanner", "FetchPipeline", "FetchResult", "rank_hosts",
            "order_closest_first", "VALIDATION_MODES"]
 
 #: Pop-time validation policies (see module docstring).
-VALIDATION_MODES = ("none", "locations", "probe")
+VALIDATION_MODES = ("none", "probe")
 
 #: Failures that may divert a batch to replica copies — transport
 #: faults, tripped breakers, and admission sheds (an overloaded home's
@@ -412,27 +413,13 @@ class FetchPipeline:
         if (self.validation == "none" or result.from_cache
                 or result.unreachable):
             return result
-        net = self.repo.net
-        client = self.repo.client
-        if self.validation == "locations":
-            # Grow-only copies are never deleted: any locally reachable
-            # location keeps the buffered result justified, no RPC.
-            if result.gone:
-                return result
-            if any(net.expected_latency(client, loc) is not None
-                   for loc in result.element.locations):
-                return result
-            return FetchResult(result.element, status="unreachable",
-                               fetched_at=self.world.now,
-                               issue_epoch=result.issue_epoch,
-                               detail="no location reachable at pop time")
         # validation == "probe"
         if result.issue_epoch == self._epoch:
             # World constant over [issue, pop]: the fetched fact still
             # holds at this very instant.  Free pop.
             return result
         element = result.element
-        if net.expected_latency(client, element.home) is None:
+        if self.repo.net.expected_latency(self.repo.client, element.home) is None:
             return FetchResult(element, status="unreachable",
                                fetched_at=self.world.now,
                                issue_epoch=result.issue_epoch,
@@ -570,9 +557,9 @@ class FetchPipeline:
                         issued_at: float) -> Generator:
         """Tail-latency insurance for singleton batches: race the home's
         authoritative read against the element's replica copies
-        (``Repository._hedged_get``, the race point lookups run too).
-        A replica can win only with a live copy (the safe direction),
-        while the home's "removed" answer settles the race as gone."""
+        (``Repository._hedged_get``).  A replica can win only with a
+        live copy (the safe direction), while the home's "removed"
+        answer settles the race as gone."""
         ranked = self.planner.rank_replicas(element)
         self._m_calls.value += 1
         self._m_elements.value += 1

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 from typing import Any, Generator, Iterable, Optional
 
-from ..errors import (CircuitOpenFailure, DisconnectedError, FailureException,
-                      ServerBusyFailure, TimeoutFailure,
-                      UnreachableObjectFailure, WrongShardFailure)
+from ..errors import (DisconnectedError, FailureException, ServerBusyFailure,
+                      TimeoutFailure, UnreachableObjectFailure,
+                      WrongShardFailure)
 from ..net.address import NodeId
-from ..net.resilience import TRANSPORT_FAILURES, AdaptiveLimiter, ResilientClient
+from ..net.resilience import AdaptiveLimiter, ResilientClient
 from ..net.wire import Blob, unwrap
 from ..sim.events import Fork, Join
 from .cache import ClientCache
@@ -158,8 +158,8 @@ class Repository:
         return self._rank(self.hosts_of(coll_id))
 
     def _rank(self, hosts) -> tuple[NodeId, ...]:
-        # Shared with the FetchPlanner and the failover sweep: one
-        # ranking policy for every host-selection decision.
+        # Shared with the FetchPlanner: one ranking policy for every
+        # host-selection decision.
         return rank_hosts(self.net, self.client, hosts)
 
     # ------------------------------------------------------------------
@@ -390,9 +390,9 @@ class Repository:
                 f"disconnected and no cached value for {element.name!r}")
         return peeked[0]
 
-    def fetch(self, element: Element, *, use_cache: bool = False,
-              failover: bool = False) -> Generator[Any, Any, Any]:
-        """Fetch an element's data object, preferring its home node.
+    def fetch(self, element: Element, *,
+              use_cache: bool = False) -> Generator[Any, Any, Any]:
+        """Fetch an element's data object from its home node.
 
         Single-element point lookup.  Bulk reads (iterators, prefetch)
         go through :class:`~repro.store.fetchplan.FetchPipeline`, where
@@ -402,12 +402,8 @@ class Repository:
         Raises a :class:`FailureException` if the home is unreachable and
         :class:`~repro.errors.NoSuchObjectError` if the object has been
         deleted (i.e., the element was removed from the collection).
-
-        With ``failover=True`` a *transport* failure at the home falls
-        back to the element's replica copies, closest first.  Only
-        transport failures divert: ``NoSuchObjectError`` is the home's
-        authoritative "removed" answer and must propagate, or the
-        iterator would resurrect deleted members from stale replicas.
+        Replica failover and hedging are the fetch pipeline's
+        (``FetchPipeline(failover=True)``): a point lookup asks the home.
         """
         if self.disconnected:
             return self._stale_object(element)
@@ -420,7 +416,8 @@ class Repository:
         span = tracer.start("repo.fetch", element=element.name,
                             home=str(element.home))
         try:
-            value = yield from self._fetch_value(element, failover)
+            value = yield from self._call(element.home, "get_object",
+                                          element.oid)
         except BaseException as exc:
             tracer.finish(span, outcome=type(exc).__name__)
             self._m.fetch_latency.observe(span.duration)
@@ -432,62 +429,18 @@ class Repository:
             self.cache.put(("object", element.oid), value, self.world.now)
         return value
 
-    def _fetch_value(self, element: Element, failover: bool) -> Generator[Any, Any, Any]:
-        divertable = TRANSPORT_FAILURES + (CircuitOpenFailure,)
-        if (failover and self.resilience is not None
-                and self.resilience.hedge_delay is not None):
-            ranked = self._rank(element.replicas)
-            if ranked:
-                # Tail-latency insurance: race the home's authoritative
-                # read against replica copies.  A replica can win only
-                # with a live copy — the safe direction — while the
-                # home's "removed" answer (NoSuchObjectError) settles the
-                # race immediately and still propagates.
-                try:
-                    return (yield from self._hedged_get(element, ranked))
-                except FailureException as exc:
-                    if not isinstance(exc, divertable):
-                        raise
-                    # Every racer lost to a fault, not to latency: fall
-                    # through to the patient retrying path below.
-        try:
-            return (yield from self._call(element.home, "get_object", element.oid))
-        except FailureException as exc:
-            if (not failover or not element.replicas
-                    or not isinstance(exc, divertable)):
-                raise
-            return (yield from self._fetch_from_replicas(element, exc))
-
     def _hedged_get(self, element: Element,
                     ranked: tuple[NodeId, ...]) -> Generator[Any, Any, Any]:
-        """The hedged read of one element — stated once, for point
-        lookups here and the fetch pipeline's singleton batches: the
-        home's authoritative ``get_object`` first, then each ``ranked``
-        replica's non-authoritative ``get_object_replica`` as the hedge
-        delay expires; first reply wins."""
+        """The hedged read of one element, for the fetch pipeline's
+        singleton batches: the home's authoritative ``get_object`` first,
+        then each ``ranked`` replica's non-authoritative
+        ``get_object_replica`` as the hedge delay expires; first reply
+        wins."""
         return (yield from self.resilience.hedged_call(
             self.client, (element.home,) + ranked,
             ObjectServer.SERVICE, "get_object", element.oid,
             timeout=self.rpc_timeout,
             method_for={r: "get_object_replica" for r in ranked}))
-
-    def _fetch_from_replicas(self, element: Element,
-                             home_exc: FailureException) -> Generator[Any, Any, Any]:
-        """Closest-first sweep of replica copies; re-raise ``home_exc`` if
-        every one fails.  Replica answers are never authoritative about
-        removal (they raise ``UnreachableObjectFailure``, a failure, not
-        ``NoSuchObjectError``), so a success here can only ever *restore*
-        visibility of a still-live member — the safe direction for a
-        weak set, which may omit but must never invent."""
-        for replica in self._rank(element.replicas):
-            try:
-                value = yield from self._call(
-                    replica, "get_object_replica", element.oid, max_attempts=1)
-            except FailureException:
-                continue
-            self._m.failovers.value += 1
-            return value
-        raise home_exc
 
     def probe(self, element: Element) -> Generator[Any, Any, bool]:
         """Cheaply ask the element's home whether its object still exists."""
@@ -693,9 +646,10 @@ class Repository:
     def _call(self, host: NodeId, method: str, *args: Any,
               max_attempts: Optional[int] = None) -> Generator[Any, Any, Any]:
         """The one RPC funnel.  ``max_attempts=1`` is the single-attempt
-        form failover sweeps and best-effort cleanups use: their
-        alternates *are* the retry, and backing off between replicas
-        would burn the budget (``None`` = the resilience policy's count)."""
+        form the fetch pipeline's failover sweep and best-effort cleanups
+        use: their alternates *are* the retry, and backing off between
+        replicas would burn the budget (``None`` = the resilience
+        policy's count)."""
         if self.disconnected:
             # Fail fast in zero simulated time: while DISCONNECTED, no
             # retry/backoff budget is worth burning — the client *chose*

@@ -69,6 +69,8 @@ class UnionIterator:
                 self.failed_sources.append((source, outcome))
                 if self.on_failure == "fail":
                     self.terminated = True
+                    for other in self._active:
+                        other.abandon()     # stop its pipeline and recorder
                     return Failed(f"source {source.impl_name} over "
                                   f"{source.coll_id} failed: {outcome.reason}")
         self.terminated = True

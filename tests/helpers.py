@@ -8,7 +8,7 @@ from typing import Optional
 
 from repro.net import CompactCodec, FixedLatency, Network, WireFormat, full_mesh
 from repro.sim import Kernel
-from repro.store import World
+from repro.store import FetchPipeline, World
 from repro.weaksets import install_lock_service
 
 CLIENT = "client"
@@ -101,6 +101,19 @@ def drain_all(kernel, weakset, max_yields: Optional[int] = None):
         return (yield from iterator.drain(max_yields=max_yields))
 
     return kernel.run_process(proc())
+
+
+def failover_fetch(repo, element):
+    """Read one element through ``FetchPipeline(failover=True)``, the one
+    read path that falls back to replica copies; returns its
+    ``FetchResult`` (ok, gone or unreachable)."""
+    pipe = FetchPipeline(repo, use_cache=False, failover=True)
+    pipe.start()
+    pipe.submit([element])
+    try:
+        return (yield from pipe.next_result())
+    finally:
+        pipe.stop()
 
 
 def assert_sized_exactly(msg, codec: Optional[CompactCodec] = None) -> None:

@@ -4,7 +4,6 @@ import pytest
 
 from repro.errors import (
     CircuitOpenFailure,
-    NoSuchObjectError,
     NodeCrashFailure,
     TimeoutFailure,
     UnreachableObjectFailure,
@@ -25,7 +24,7 @@ from repro.spec import Returned
 from repro.store import Repository
 from repro.weaksets import DynamicSet
 
-from helpers import CLIENT, drain_all, standard_world
+from helpers import CLIENT, drain_all, failover_fetch, standard_world
 
 
 class EchoService:
@@ -364,11 +363,8 @@ def test_fetch_fails_over_to_replica_when_home_crashes():
     kernel, net, world, elements = failover_world()
     net.crash("s2")
     repo = Repository(world, CLIENT, rpc_timeout=1.0)
-
-    def proc():
-        return (yield from repo.fetch(elements[0], failover=True))
-
-    assert kernel.run_process(proc()) == "v0"
+    result = kernel.run_process(failover_fetch(repo, elements[0]))
+    assert result.ok and result.value == "v0"
     assert net.kernel.obs.metrics.value("rpc.failovers") == 1
 
 
@@ -395,11 +391,9 @@ def test_failover_never_resurrects_removed_member():
         # Both the home and the replica copy are tombstoned now; with the
         # home up the answer is the authoritative "removed" and failover
         # must not be consulted at all.
-        with pytest.raises(NoSuchObjectError):
-            yield from repo.fetch(victim, failover=True)
-        return True
+        return (yield from failover_fetch(repo, victim))
 
-    assert kernel.run_process(remove_then_fetch())
+    assert kernel.run_process(remove_then_fetch()).gone
     assert net.kernel.obs.metrics.value("rpc.failovers") == 0
 
 
@@ -413,14 +407,14 @@ def test_tombstoned_replica_is_unreachable_not_removed():
     def proc():
         yield from repo.remove("coll", victim)
         net.crash("s2")                       # authoritative answer gone
-        with pytest.raises(NodeCrashFailure):
-            # replica raises UnreachableObjectFailure internally, so the
-            # failover loop re-raises the *home's* failure: the caller
-            # sees "unreachable", not a false "removed".
-            yield from repo.fetch(victim, failover=True)
-        return True
+        return (yield from failover_fetch(repo, victim))
 
-    assert kernel.run_process(proc())
+    # the replica answers "no live copy", so the sweep settles on the
+    # *home's* failure: the caller sees "unreachable", not a false
+    # "removed".
+    result = kernel.run_process(proc())
+    assert result.unreachable and not result.gone
+    assert "s2" in result.detail
 
 
 def test_dynamic_iterator_completes_via_failover():

@@ -20,6 +20,7 @@ from repro.bench.exp_conformance import E1_WORLD, IMPL_CASES, ImplCase, run_case
 from repro.spec import (
     ALL_FIGURES,
     RELAXED_VARIANTS,
+    IterationTrace,
     IteratorSpec,
     check_conformance,
     explain_trace,
@@ -174,6 +175,49 @@ def test_check_and_explain_are_two_views_of_one_walk(case):
             violating += bool(violations)
     # every implementation's churn breaks some figure, or its stillness none
     assert violating or case.mutate in ("none", "between-runs")
+
+
+def test_explain_conformant_trace_all_justified():
+    kernel, net, world, elements = standard_world(members=4)
+    ws = DynamicSet(world, CLIENT, "coll")
+    drain_all(kernel, ws)
+    explanations = explain_trace(ws.last_trace, spec_by_id("fig6"))
+    assert len(explanations) == 5           # 4 yields + returns
+    assert all(e.justified for e in explanations)
+    assert all("justified by σ@" in e.detail for e in explanations)
+    assert "✓" in str(explanations[0])
+
+
+def test_explain_violating_trace_points_at_the_bad_invocation():
+    kernel, net, world, elements = standard_world(members=3)
+    ws = SnapshotSet(world, CLIENT, "coll")
+    iterator = ws.elements()
+
+    def proc():
+        yield from iterator.invoke()
+        yield from ws.repo.add("coll", "zz-missed", value="M")
+        yield from iterator.drain()
+
+    kernel.run_process(proc())
+    # fig6 demands the addition be yielded; the snapshot returns without it
+    explanations = explain_trace(ws.last_trace, spec_by_id("fig6"))
+    bad = [e for e in explanations if not e.justified]
+    assert bad
+    assert bad[-1].outcome == "returns"
+    assert "requires suspends" in bad[-1].detail
+
+
+def test_explain_first_basis_picks_working_candidate():
+    kernel, net, world, elements = standard_world(members=4)
+    ws = SnapshotSet(world, CLIENT, "coll")
+    drain_all(kernel, ws)
+    explanations = explain_trace(ws.last_trace, spec_by_id("fig4"))
+    assert all(e.justified for e in explanations)
+
+
+def test_explain_empty_trace():
+    trace = IterationTrace(coll_id="c", client="x")
+    assert explain_trace(trace, spec_by_id("fig6")) == []
 
 
 def weak_set_classes():

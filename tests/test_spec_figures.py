@@ -4,6 +4,8 @@ import pytest
 
 from repro.spec import (
     ALL_FIGURES,
+    render_all,
+    render_spec,
     spec_by_id,
 )
 from repro.store import Element
@@ -157,3 +159,33 @@ def test_all_figures_have_unique_ids():
 def test_spec_by_id_unknown():
     with pytest.raises(KeyError):
         spec_by_id("fig99")
+
+
+# ---------------------------------------------------------------------------
+# rendering: the Larch text each row prints
+# ---------------------------------------------------------------------------
+
+def test_render_fig3_mentions_reachable_and_failure():
+    text = render_spec(spec_by_id("fig3"))
+    assert "constraint s_i = s_j" in text
+    assert "signals (failure)" in text
+    assert "reachable(s_first)" in text
+    assert "fails" in text
+
+
+def test_render_fig6_has_no_failure_signal():
+    text = render_spec(spec_by_id("fig6"))
+    assert "signals" not in text
+    assert "∃ e ∈ s_pre" in text
+    assert "fails" not in text
+
+
+def test_render_fig1_ignores_reachability():
+    text = render_spec(spec_by_id("fig1"))
+    assert "reachable" not in text
+
+
+def test_render_all_covers_five_figures():
+    text = render_all()
+    for fig in ["Figure 1", "Figure 3", "Figure 4", "Figure 5", "Figure 6"]:
+        assert fig in text

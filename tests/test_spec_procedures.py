@@ -3,9 +3,9 @@
 import pytest
 
 from repro.errors import SpecViolation
-from repro.spec import CheckedProcedures
 from repro.store import Repository
 
+from checked_procedures import CheckedProcedures
 from helpers import CLIENT, standard_world
 
 

@@ -134,9 +134,10 @@ TestReachableAgreement = ReachableAgreementMachine.TestCase
 
 
 def test_a_copy_behind_an_unreachable_home_is_recorded_and_round_trips():
-    """The deterministic case, through serialization: home down, one
-    replica up, one replica down too."""
-    from repro.spec import trace_from_json, trace_to_json
+    """The deterministic case, through pickling: home down, one replica
+    up, one replica down too."""
+    import pickle
+
     from repro.spec.termination import Returned
 
     kernel, net, world, _ = standard_world(n_servers=len(SERVERS))
@@ -150,6 +151,6 @@ def test_a_copy_behind_an_unreachable_home_is_recorded_and_round_trips():
     [snap] = recorder.trace.invocations[0].snapshots
     assert snap.live_replicas == {("s2", element.oid)}
     assert snap.reachable_of(snap.members) == {element}
-    rebuilt = trace_from_json(trace_to_json(recorder.trace))
+    rebuilt = pickle.loads(pickle.dumps(recorder.trace))
     assert rebuilt.invocations[0].snapshots == (snap,)
     assert rebuilt.first_candidates[0].live_replicas == snap.live_replicas

@@ -1,38 +1,26 @@
 """``src/`` is what runs: every module under ``src/repro`` is reached from
 the code that runs (``src/``, ``examples/``, ``benchmarks/``, ``perf/``,
-``ci/``), not only from its own tests; and a recorded run has one judge,
-``check_conformance``, with no second checker beside it."""
+``ci/``), not only from its own tests, with no module exempt — an oracle
+only tests use lives under ``tests/`` (``seed_kernel.py``,
+``checked_procedures.py``); a recorded run has one judge,
+``check_conformance``, with no second checker beside it; and a point
+lookup has one path, with replica failover only in the fetch pipeline."""
 
 import ast
+import inspect
 from dataclasses import fields
 from pathlib import Path
 
 import repro
+import repro.dynsets
 import repro.spec
 from repro.net import Topology
 from repro.spec import ConformanceReport, PerRunConstraint
+from repro.store import Repository
 
 SRC = Path(repro.__file__).parent
 ROOT = SRC.parent.parent
 RUNNING = [SRC] + [ROOT / d for d in ("examples", "benchmarks", "perf", "ci")]
-
-#: modules nothing that runs reaches yet, each kept for a named later change
-NOT_YET_REACHED = {
-    "repro.dynsets.fileops": "ROADMAP item 6: the dynamic-sets file API "
-                             "(stat, read_file) that no example drives yet",
-    "repro.dynsets.find": "ROADMAP item 6: the dynamic-sets file API "
-                          "(weak_find) that no example drives yet",
-    "repro.spec.explain": "ROADMAP item 3 builds its sibling beside it",
-    "repro.spec.lsl": "ROADMAP item 2(c) wires it into the whole-history "
-                      "checker or moves it",
-    "repro.spec.mathset": "ROADMAP item 2(c) wires it into the whole-history "
-                          "checker or moves it",
-    "repro.spec.procedures": "ROADMAP item 2(c) wires it into the whole-history "
-                             "checker or moves it",
-    "repro.spec.serialize": "ROADMAP item 2(c)'s counterexamples need this "
-                            "offline trace format",
-}
-
 
 def _module_name(path: Path) -> str:
     if SRC not in path.parents:
@@ -134,7 +122,30 @@ def _unreached_modules() -> list[str]:
 
 
 def test_every_module_is_reached_by_what_runs():
-    assert _unreached_modules() == sorted(NOT_YET_REACHED)
+    assert _unreached_modules() == []
+
+
+def test_no_tested_only_name_is_exported():
+    gone = {"FunctionalSet", "CheckedProcedures", "ProcedureViolation",
+            "trace_to_json", "trace_from_json", "trace_to_dict",
+            "trace_from_dict", "StatResult", "stat", "read_file"}
+    for package in (repro, repro.spec, repro.dynsets):
+        assert not gone & set(package.__all__)
+        assert not any(hasattr(package, name) for name in gone)
+
+
+def test_a_point_lookup_has_one_path():
+    """Replica failover and hedging are the fetch pipeline's; no running
+    file asks ``Repository.fetch`` for a second copy of them."""
+    assert list(inspect.signature(Repository.fetch).parameters) == [
+        "self", "element", "use_cache"]
+    assert not hasattr(Repository, "_fetch_from_replicas")
+    for root in RUNNING:
+        for path in sorted(root.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if (isinstance(node, ast.Call)
+                        and getattr(node.func, "attr", None) == "fetch"):
+                    assert "failover" not in {k.arg for k in node.keywords}, path
 
 
 def test_the_checker_has_no_second_judge_beside_it():

@@ -1,13 +1,14 @@
-"""Repository.probe and replica-failover fetch under network partitions."""
+"""Repository.probe, and the fetch pipeline's replica failover, under
+network partitions."""
 
 import pytest
 
-from repro.errors import FailureException, NoSuchObjectError
+from repro.errors import FailureException
 from repro.sim import Sleep
 from repro.store import Repository
 from repro.weaksets import DynamicSet, QuorumGrowOnlySet
 
-from helpers import CLIENT, standard_world
+from helpers import CLIENT, failover_fetch, standard_world
 
 
 # ---------------------------------------------------------------------------
@@ -60,11 +61,8 @@ def partitioned_world():
 def test_fetch_fails_over_to_replica_across_partition():
     kernel, net, world, element = partitioned_world()
     repo = Repository(world, CLIENT)
-
-    def proc():
-        return (yield from repo.fetch(element, failover=True))
-
-    assert kernel.run_process(proc()) == "payload"
+    result = kernel.run_process(failover_fetch(repo, element))
+    assert result.ok and result.value == "payload"
     assert net.kernel.obs.metrics.value("rpc.failovers") == 1
 
 
@@ -73,7 +71,7 @@ def test_fetch_without_failover_respects_the_partition():
     repo = Repository(world, CLIENT)
 
     def proc():
-        return (yield from repo.fetch(element, failover=False))
+        return (yield from repo.fetch(element))
 
     with pytest.raises(FailureException):
         kernel.run_process(proc())
@@ -89,10 +87,10 @@ def test_failover_propagates_authoritative_removal():
 
     def proc():
         yield from repo.remove("coll", element)
-        return (yield from repo.fetch(element, failover=True))
+        return (yield from failover_fetch(repo, element))
 
-    with pytest.raises(NoSuchObjectError):
-        kernel.run_process(proc())
+    assert kernel.run_process(proc()).gone
+    assert net.kernel.obs.metrics.value("rpc.failovers") == 0
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """FetchPlanner + FetchPipeline: the batched read path, unit-tested."""
 
+import pytest
+
 from repro.dynsets import set_open
 from repro.sim import Sleep
 from repro.spec import Failed
@@ -279,6 +281,13 @@ def test_probe_validation_reclassifies_buffered_removal_as_gone():
     assert by_name[victim.name].gone
     assert sum(r.ok for r in results) == 2
     assert kernel.obs.metrics.counter("fetch.batch.probes").value > 0
+
+
+def test_locations_is_not_a_validation_mode():
+    kernel, net, world, elements = standard_world(n_servers=2)
+    with pytest.raises(ValueError, match="validation"):
+        FetchPipeline(Repository(world, CLIENT), use_cache=False,
+                      validation="locations")
 
 
 # ---------------------------------------------------------------------------

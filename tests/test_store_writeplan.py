@@ -4,7 +4,6 @@ import pytest
 
 from repro.errors import FailureException, MutationNotAllowed
 from repro.net.failures import FaultSchedule
-from repro.sim.events import Sleep
 from repro.store import AddSpec, Repository
 from repro.store.wal import APPLIED, PENDING
 from repro.weaksets import DynamicSet

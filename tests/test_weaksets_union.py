@@ -118,6 +118,25 @@ def test_union_fail_policy_propagates():
     assert isinstance(result.outcome, Failed)
 
 
+def test_a_failed_union_leaves_no_source_running():
+    """The sources still active when a ``fail`` union fails are abandoned:
+    their iterators terminate and their fetch pipelines stop, leaving no
+    worker alive and no listener on the world."""
+    kernel, net, world, a_members, b_members = two_repositories()
+    net.crash("b0")
+    u = union(DynamicSet(world, "client", "repo-a"),
+              SnapshotSet(world, "client", "repo-b"), on_failure="fail")
+
+    def proc():
+        return (yield from u.drain())
+
+    result = kernel.run_process(proc())
+    assert isinstance(result.outcome, Failed)
+    assert all(source.terminated for source in u.sources)
+    assert not any("fetch" in p.name for p in kernel.processes())
+    assert world._listeners == []
+
+
 def test_union_of_nothing_returns_immediately():
     u = UnionIterator([])
 
