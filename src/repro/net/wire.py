@@ -19,7 +19,10 @@ message an honest size:
     anything the schema does not know falls back to a length-prefixed
     pickle so encoding stays total.  Sizing never encodes: a size-only
     walk of the same grammar sums what the encoder would append, which
-    is all ``Transport.send`` needs of the codec.
+    is all ``Transport.send`` needs of the codec.  What depends only on
+    a message's shape is sized once per shape: an envelope once per
+    address pair, method and direction, a member listing once per
+    intern table it follows; only the rest is walked per message.
 
 :class:`NaiveCodec`
     The honesty baseline: a pickle-size estimator standing in for
@@ -50,6 +53,7 @@ from __future__ import annotations
 import pickle
 import struct
 from dataclasses import dataclass, field, replace
+from itertools import count
 from typing import Any, Optional
 
 from ..errors import (
@@ -310,26 +314,40 @@ class CompactCodec:
     producer of bytes, ``message_size``/``payload_size`` sum the sizes
     those bytes would have without building them — what every
     ``Transport.send`` pays.  The per-message string-intern table lives
-    on the stack of each call.  The instance state is the sizer's two
-    memos, per ``Element`` and per member listing, so an instance (and
-    what it has sized) lives and dies with the transport that owns it.
+    on the stack of each call.  The instance state is the sizer's three
+    memos — per envelope shape, per ``Element`` and per member listing,
+    each listing's result kept per intern table it followed — so an
+    instance (and what it has sized) lives and dies with the transport
+    that owns it.  Every memo is bounded, oldest entry out.
     """
 
     name = "compact"
 
     def __init__(self) -> None:
+        # (id(src), id(dst), method, is_reply) -> (src, dst, bytes,
+        # intern table): an envelope's flags byte, four address strings
+        # and method, and the table they leave for the payload — every
+        # field those bytes read, except ``priority``, which stays per
+        # message.  The entry holds both addresses, so their ids cannot
+        # be reused while it is here; oldest entry out at
+        # _ENVELOPE_ENTRIES (tests and decode_message build fresh
+        # addresses).
+        self._envelopes: dict[tuple, tuple] = {}
         # id(element) -> (element, fixed bytes, ((string, first-use
-        # cost), ...)): the part of an element's size that does not
-        # depend on what the message interned before it.  Keyed by
+        # cost), ...), None): the part of an element's size that does
+        # not depend on what the message interned before it.  Keyed by
         # identity because Element equality ignores replicas; the entry
         # holds its element, so the id cannot be reused while it is here.
         self._element_sizes: dict[int, tuple] = {}
-        # id(listing) -> the same triple for a tuple made only of
-        # elements: its header plus its elements' fixed bytes, and their
-        # strings end to end in wire order — a server replies with the
-        # same member tuple until the collection is written.  Tuples
-        # only (a list can change under its id), oldest entry out at
-        # _LISTING_ENTRIES (a soak writes 10**4 listing versions).
+        # id(listing) -> the same for a tuple made only of elements: its
+        # header plus its elements' fixed bytes, and their strings end
+        # to end in wire order — a server replies with the same member
+        # tuple until the collection is written.  Its last slot is what
+        # it came to after each intern table it was sized after:
+        # (strings already interned) -> (bytes, strings it added), the
+        # oldest out at _LISTING_CONTEXTS.  Tuples only (a list can
+        # change under its id), oldest entry out at _LISTING_ENTRIES (a
+        # soak writes 10**4 listing versions).
         self._listing_sizes: dict[int, tuple] = {}
 
     # -- public API ------------------------------------------------------
@@ -756,8 +774,23 @@ class CompactCodec:
     # than shared: a helper call per message and per element cost the
     # encoder 3-6%.  The rare shapes (delta flags, failure extras) are
     # shared.  tests/test_net_wire_sizing.py holds the two walks equal.
+    # Per message, the envelope is a memo entry and only the payload is
+    # walked, over a copy of the intern table the envelope left.
     def _size_sans_ids(self, msg: Message) -> int:
         """The message's bytes other than its ``msg_id``/``reply_to``."""
+        key = (id(msg.src), id(msg.dst), msg.method, msg.is_reply)
+        entry = self._envelopes.get(key)
+        if entry is None:
+            entry = self._envelope_entry(key, msg)
+        total = entry[2]
+        if msg.priority != PRIORITY_NORMAL:
+            total += _uvarint_len(msg.priority)
+        return total + self._size_value(msg.payload, entry[3].copy())
+
+    def _envelope_entry(self, key: tuple, msg: Message) -> tuple:
+        """The memo entry of ``msg``'s envelope shape: its addresses,
+        its bytes bar ids and priority, and the intern table it leaves
+        (never written once entered: each message walks a copy)."""
         interns: dict[str, int] = {}
         base = msg.method
         if msg.is_reply:
@@ -767,8 +800,6 @@ class CompactCodec:
                 base = base[:-6]
         method_id = _METHOD_IDS.get(base)
         total = 1                          # the flags byte
-        if msg.priority != PRIORITY_NORMAL:
-            total += _uvarint_len(msg.priority)
         for part in (msg.src.node, msg.src.service,
                      msg.dst.node, msg.dst.service):
             total += self._size_str(part, interns)
@@ -776,7 +807,11 @@ class CompactCodec:
             total += _uvarint_len(method_id)
         else:
             total += self._size_str(base, interns)
-        return total + self._size_value(msg.payload, interns)
+        envelopes = self._envelopes
+        if len(envelopes) >= _ENVELOPE_ENTRIES:
+            del envelopes[next(iter(envelopes))]
+        entry = envelopes[key] = (msg.src, msg.dst, total, interns)
+        return entry
 
     def _size_str(self, s: str, interns: dict[str, int]) -> int:
         if s in interns:
@@ -833,19 +868,22 @@ class CompactCodec:
                 entry = self._element_sizes[key] = _element_entry(obj)
             else:
                 return self._size_fallback(obj, interns)
-        # An element's entry or a listing's: the fixed bytes, and per
-        # string a back-reference or, where this is the message's first
-        # use of it, its first-use cost.
-        _held, total, strings = entry
-        interned = len(interns)
-        for s, first_use in strings:
-            if s in interns:
-                index = interns[s]
-                total += 2 if index < 128 else 1 + _uvarint_len(index)
-            else:
-                interns[s] = interned
-                interned += 1
-                total += first_use
+        _held, total, strings, contexts = entry
+        if contexts is None:               # an element's
+            return _size_strings(total, strings, interns)
+        # A listing's: the intern table so far fixes every index, so
+        # after a table it was sized after it adds the same strings for
+        # the same bytes.
+        context = tuple(interns)
+        known = contexts.get(context)
+        if known is not None:
+            total, added = known
+            interns.update(zip(added, count(len(context))))
+            return total
+        total = _size_strings(total, strings, interns)
+        if len(contexts) >= _LISTING_CONTEXTS:
+            del contexts[next(iter(contexts))]
+        contexts[context] = (total, tuple(interns)[len(context):])
         return total
 
     def _listing_entry(self, listing: tuple) -> Optional[tuple]:
@@ -860,9 +898,10 @@ class CompactCodec:
         for item in listing:
             key = id(item)
             if key in element_sizes:
-                _element, size, own = element_sizes[key]
+                _element, size, own, _ = element_sizes[key]
             elif _is_element(item):
-                _element, size, own = element_sizes[key] = _element_entry(item)
+                _element, size, own, _ = element_sizes[key] = \
+                    _element_entry(item)
             else:
                 return None
             fixed += size
@@ -870,7 +909,7 @@ class CompactCodec:
         if len(self._listing_sizes) >= _LISTING_ENTRIES:
             del self._listing_sizes[next(iter(self._listing_sizes))]
         entry = self._listing_sizes[id(listing)] = (
-            listing, fixed, tuple(strings))
+            listing, fixed, tuple(strings), {})
         return entry
 
     def _size_delta(self, delta: dict, interns: dict[str, int]) -> int:
@@ -926,8 +965,14 @@ class CompactCodec:
         return total
 
 
+#: how many envelope shapes a codec remembers the size of
+_ENVELOPE_ENTRIES = 256
+
 #: how many member listings a codec remembers the size of
 _LISTING_ENTRIES = 64
+
+#: how many intern tables a listing remembers its size after
+_LISTING_CONTEXTS = 8
 
 #: the classes ``_size_value`` walks itself: a tuple that starts with
 #: one of these is not a member listing
@@ -937,8 +982,9 @@ _WALKED = frozenset({type(None), bool, int, float, str, bytes, tuple, list,
 
 def _element_entry(element: Any) -> tuple:
     """An element's memo entry: itself, its bytes that are the same in
-    every message, and its strings in wire order with what each costs
-    where it is the message's first use of that string."""
+    every message, its strings in wire order with what each costs where
+    it is the message's first use of that string, and None (it keeps no
+    result per intern table, as a listing does)."""
     fixed = 2                              # tag + flags
     strings = [element.name]
     prefix = element.name + "-"
@@ -952,7 +998,23 @@ def _element_entry(element: Any) -> tuple:
     if element.replicas:
         fixed += _uvarint_len(len(element.replicas))
         strings.extend(element.replicas)
-    return element, fixed, tuple((s, _str_cost(s)) for s in strings)
+    return element, fixed, tuple((s, _str_cost(s)) for s in strings), None
+
+
+def _size_strings(total: int, strings: tuple, interns: dict[str, int]) -> int:
+    """``total`` plus, per string of a memo entry, a back-reference or,
+    where this is the message's first use of it, its first-use cost
+    (and the string is interned)."""
+    interned = len(interns)
+    for s, first_use in strings:
+        if s in interns:
+            index = interns[s]
+            total += 2 if index < 128 else 1 + _uvarint_len(index)
+        else:
+            interns[s] = interned
+            interned += 1
+            total += first_use
+    return total
 
 
 def _delta_flags(delta: dict) -> int:

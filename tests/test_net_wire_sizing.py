@@ -6,7 +6,12 @@ size-only walk; ``encode_message`` is the only thing that builds bytes
 and is the oracle here.  The walk's one context dependence is the
 per-message string-intern table (a string costs its bytes once and an
 index afterwards, and the index grows a byte at 128 entries), so the
-generated cases are steered across exactly those edges.
+generated cases are steered across exactly those edges.  What depends
+only on a message's shape is remembered per codec: the envelope per
+(addresses by identity, method, direction), a listing's result per
+intern table it follows.  So envelopes are drawn from one fixed pool of
+addresses — a transport interns one per endpoint — and the cases below
+are built to catch a memo that is keyed on too little.
 """
 
 import gc
@@ -24,7 +29,8 @@ from repro.errors import (
 from repro.net import CompactCodec, NaiveCodec, WireFormat
 from repro.net.address import Address
 from repro.net.message import Message
-from repro.net.wire import (_LISTING_ENTRIES, DELTA_SCHEMA, EXCEPTION_TYPES,
+from repro.net.wire import (_ENVELOPE_ENTRIES, _LISTING_CONTEXTS,
+                            _LISTING_ENTRIES, DELTA_SCHEMA, EXCEPTION_TYPES,
                             METHODS, Blob)
 from repro.store import AddSpec
 from repro.store.elements import Element
@@ -42,6 +48,13 @@ WARM = CompactCodec()
 
 NODES = ("client", "n0.0", "n0.1", "n1.2", "ノード")
 
+#: The envelopes' addresses, built once as ``Network`` builds them: every
+#: node is some element's home or replica, and one service is a node's
+#: name, so an envelope can pre-intern a payload's strings.
+POOL = tuple(Address(node, service) for node in NODES
+             for service in ("app", "store", "client", "n0.1"))
+CLIENT_APP, N00_STORE = Address("client", "app"), Address("n0.0", "store")
+
 
 class Odd:
     """Schema-less: only the pickle fallback can carry it."""
@@ -51,8 +64,8 @@ class Odd:
 
 
 def call(payload, method="get_objects", **envelope):
-    return Message(src=Address("client", "app"), dst=Address("n0.0", "store"),
-                   method=method, payload=payload, **envelope)
+    return Message(src=CLIENT_APP, dst=N00_STORE, method=method,
+                   payload=payload, **envelope)
 
 
 # -- the payload grammar ------------------------------------------------------
@@ -133,10 +146,13 @@ def containers(children):
 payloads = st.recursive(leaves | deltas(elements()), containers,
                         max_leaves=25)
 
+addresses = st.sampled_from(POOL) | st.builds(Address, st.sampled_from(NODES),
+                                             names)
+
 messages = st.builds(
     Message,
-    src=st.builds(Address, st.sampled_from(NODES), names),
-    dst=st.builds(Address, st.sampled_from(NODES), names),
+    src=addresses,
+    dst=addresses,
     method=st.builds(lambda base, suffix: base + suffix,
                      st.sampled_from(METHODS + ("frobnicate", "名前")),
                      st.sampled_from(["", "!ok", "!error"])),
@@ -282,11 +298,77 @@ def test_memo_tells_equal_elements_with_different_replicas_apart():
 def test_sized_elements_die_with_their_world():
     kernel, net, world, members = standard_world(members=6)
     drain_all(kernel, DynamicSet(world, CLIENT, "coll"))
-    assert net.transport.wire.codec._element_sizes      # they were sized
-    probe = weakref.ref(members[0])
-    del kernel, net, world, members
+    codec = net.transport.wire.codec
+    assert codec._element_sizes                         # they were sized
+    assert codec._envelopes                             # and so were these
+    probes = [weakref.ref(members[0])] + [
+        weakref.ref(address) for src, dst, _bytes, _interns
+        in codec._envelopes.values() for address in (src, dst)]
+    del kernel, net, world, members, codec
     gc.collect()
-    assert probe() is None
+    assert [probe() for probe in probes] == [None] * len(probes)
+
+
+# -- the envelope memo --------------------------------------------------------
+
+def test_envelope_memo_tells_a_reply_from_a_request_with_the_same_method():
+    # "get_object!ok" as a reply is method 0 plus the ok bit; as a
+    # request it is an unknown method, spelled out
+    codec = CompactCodec()
+    reply, request = (call(Blob("v", 12), "get_object!ok", is_reply=flag,
+                           reply_to=4) for flag in (True, False))
+    for msg in (reply, request, reply, request):
+        assert codec.message_size(msg) == len(codec.encode_message(msg))
+    assert codec.message_size(request) > codec.message_size(reply)
+    assert len(codec._envelopes) == 2
+
+
+def test_envelope_memo_keeps_each_method_of_one_address_pair_apart():
+    # a one-byte method id, another id, and two names spelled out — one
+    # of them a string the envelope has already interned
+    codec = CompactCodec()
+    for method in ("get_object", "ping", "frobnicate", "n0.0") * 2:
+        msg = call(("n0.0",), method)
+        assert codec.message_size(msg) == len(codec.encode_message(msg))
+    assert len(codec._envelopes) == 4
+
+
+def test_envelope_memo_keeps_priority_and_ids_per_message():
+    codec = CompactCodec()
+    for priority, msg_id, reply_to in ((5, 1, None), (300, 2**40, 7),
+                                       (5, 3, 2**20), (0, 1, None)):
+        msg = call(("coll", "n0.0"), "list_members", priority=priority,
+                   msg_id=msg_id, reply_to=reply_to)
+        assert codec.message_size(msg) == len(codec.encode_message(msg))
+    assert len(codec._envelopes) == 1
+
+
+def test_envelope_memo_is_by_identity_and_holds_its_addresses():
+    codec = CompactCodec()
+    twin = Address("client", "app")          # equal, not the same object
+    for src in (CLIENT_APP, twin, CLIENT_APP):
+        msg = Message(src=src, dst=N00_STORE, method="ping", payload=())
+        assert codec.message_size(msg) == len(codec.encode_message(msg))
+    assert len(codec._envelopes) == 2
+    assert {entry[0] for entry in codec._envelopes.values()} == {CLIENT_APP}
+    assert any(entry[0] is twin for entry in codec._envelopes.values())
+
+
+def test_envelope_memo_is_bounded_and_an_evicted_shape_still_sizes():
+    codec = CompactCodec()
+    kept = [Address(f"node-{i}", "store") for i in range(2 * _ENVELOPE_ENTRIES)]
+    first = Message(src=kept[0], dst=N00_STORE, method="put_object",
+                    payload=(kept[0].node, "store"))
+    assert_miss_and_hit_are_exact(codec, first)
+    for src in kept[1:]:
+        msg = Message(src=src, dst=N00_STORE, method="put_object",
+                      payload=(src.node, "store"))
+        assert codec.message_size(msg) == len(codec.encode_message(msg))
+        assert len(codec._envelopes) <= _ENVELOPE_ENTRIES
+    assert len(codec._envelopes) == _ENVELOPE_ENTRIES
+    assert all(entry[0] is not kept[0] for entry in codec._envelopes.values())
+    assert_miss_and_hit_are_exact(codec, first)         # pushed out, re-sent
+    assert len(codec._envelopes) == _ENVELOPE_ENTRIES
 
 
 # -- the listing memo ---------------------------------------------------------
@@ -297,11 +379,15 @@ def listing_reply(members, *, envelope_interns_homes: bool, version=7):
     payload is reached: drawn from the elements' own home/replica pool
     they are pre-interned when an element names them, and ``zz-*`` never
     is."""
-    src, dst = (("n0.0", "ノード") if envelope_interns_homes
-                else ("zz-server", "zz-client"))
-    return Message(src=Address(src, "store"), dst=Address(dst, "client"),
-                   method="list_members!ok", payload=(version, members),
-                   is_reply=True, reply_to=3)
+    src, dst = ((HOMES_SERVER, HOMES_CLIENT) if envelope_interns_homes
+                else (ZZ_SERVER, ZZ_CLIENT))
+    return Message(src=src, dst=dst, method="list_members!ok",
+                   payload=(version, members), is_reply=True, reply_to=3)
+
+
+HOMES_SERVER, HOMES_CLIENT = Address("n0.0", "store"), Address("ノード", "client")
+ZZ_SERVER, ZZ_CLIENT = Address("zz-server", "store"), Address("zz-client",
+                                                              "client")
 
 
 def assert_miss_and_hit_are_exact(codec, msg):
@@ -319,11 +405,64 @@ def test_listing_entry_is_exact_on_miss_and_on_hit(members, interned):
     assert_miss_and_hit_are_exact(codec, msg)
     assert codec._listing_sizes[id(members)][0] is members
     # the same tuple behind the other envelope: the entry is reused
-    # against a different set of already-interned strings
-    assert_miss_and_hit_are_exact(
-        codec, listing_reply(members, envelope_interns_homes=not interned))
+    # against a different set of already-interned strings, and each
+    # table gets its own result
+    other = listing_reply(members, envelope_interns_homes=not interned)
+    assert_miss_and_hit_are_exact(codec, other)
     assert len(codec._listing_sizes) == 1
+    assert len(codec._listing_sizes[id(members)][3]) == 2
+    for again in (msg, other, msg):                     # hits under each
+        assert codec.message_size(again) == len(codec.encode_message(again))
     assert_sized_exactly(msg, WARM)
+
+
+def test_a_string_after_a_remembered_listing_refers_back_into_it():
+    members = tuple(Element(f"m{i}", f"m{i}-{i}", NODES[i % 3],
+                            replicas=("n1.2",)) for i in range(6))
+    codec = CompactCodec()
+    for interned in (False, True, False, True):
+        # the reply's members, then strings the listing interned (a name,
+        # a home, a replica), one it did not, and that one again
+        msg = listing_reply((members, "m4", "n0.1", "n1.2", "fresh", "fresh"),
+                            envelope_interns_homes=interned)
+        assert codec.message_size(msg) == len(codec.encode_message(msg))
+    assert len(codec._listing_sizes[id(members)][3]) == 2
+
+
+def test_the_two_byte_backref_edge_is_crossed_right_after_a_listing_hit():
+    # four envelope strings, then 122 names and one home: the listing
+    # leaves 127 strings interned, so the next new string is index 127
+    # and the one after it the first index that takes two bytes
+    members = tuple(Element(f"m{i}", f"m{i}-{i}", "zz-home")
+                    for i in range(122))
+    payload = (members, "after-0", "after-1", "after-0", "after-1", "m121",
+               "zz-home")
+    codec = CompactCodec()
+    msg = listing_reply(payload, envelope_interns_homes=False)
+    assert_miss_and_hit_are_exact(codec, msg)
+    context = next(iter(codec._listing_sizes[id(members)][3]))
+    assert len(context) == 4
+    assert len(codec._listing_sizes[id(members)][3][context][1]) == 123
+
+
+def test_listing_results_per_table_are_bounded_and_an_evicted_one_sizes():
+    members = tuple(Element(f"m{i}", f"m{i}-{i}", NODES[i % len(NODES)])
+                    for i in range(8))
+    servers = [Address(f"server-{i}", "store")
+               for i in range(2 * _LISTING_CONTEXTS)]
+    replies = [Message(src=server, dst=HOMES_CLIENT, method="list_members!ok",
+                       payload=(1, members), is_reply=True, reply_to=3)
+               for server in servers]
+    codec = CompactCodec()
+    for msg in replies:
+        assert_miss_and_hit_are_exact(codec, msg)
+        assert len(codec._listing_sizes[id(members)][3]) <= _LISTING_CONTEXTS
+    contexts = codec._listing_sizes[id(members)][3]
+    assert len(contexts) == _LISTING_CONTEXTS
+    assert all(context[0] != "server-0" for context in contexts)
+    assert_miss_and_hit_are_exact(codec, replies[0])    # pushed out, re-sent
+    assert any(context[0] == "server-0" for context in contexts)
+    assert len(contexts) == _LISTING_CONTEXTS
 
 
 def test_listing_entry_crosses_the_two_byte_backref_edge():

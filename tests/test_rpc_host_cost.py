@@ -24,8 +24,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import LinkDownFailure, PartitionFailure, TimeoutFailure
-from repro.net import (Address, FixedLatency, Link, Message, Network,
-                       UniformLatency, full_mesh, line)
+from repro.net import (Address, CompactCodec, FixedLatency, Link, Message,
+                       Network, UniformLatency, full_mesh, line)
+from repro.net import wire
 from repro.net.topology import Topology
 from repro.net.transport import Transport
 from repro.obs import DEFAULT_LATENCY_BUCKETS, Histogram, MetricsRegistry
@@ -180,6 +181,42 @@ def test_a_network_builds_each_address_once():
                for m in replies)
     assert (requests[0].src, requests[0].dst) == (Address("a", "client"),
                                                   Address("b", "echo"))
+
+
+# -- a message's bytes are paid per shape ----------------------------------------
+
+def test_settled_rpcs_derive_each_envelope_once(monkeypatch):
+    kernel, net = two_nodes()
+    derived = count_calls(monkeypatch, CompactCodec, "_envelope_entry")
+    for i in range(5):
+        assert kernel.run_process(rpc(net, "echo", i)) == i
+    # the request shape a -> b and the reply shape b -> a
+    assert derived[0] == 2
+    assert len(net.transport.wire.codec._envelopes) == 2
+
+
+def test_a_repeated_listing_reply_walks_its_strings_once_per_table(monkeypatch):
+    kernel, net, world, elements = standard_world(members=6)
+    walked = []
+    size_strings = wire._size_strings
+
+    def walking(total, strings, interns):
+        walked.append(strings)
+        return size_strings(total, strings, interns)
+
+    monkeypatch.setattr(wire, "_size_strings", walking)
+    readers = [Repository(world, CLIENT), Repository(world, "s1")]
+    for _ in range(4):
+        for repo in readers:
+            view = kernel.run_process(repo.read_membership("coll",
+                                                           source="primary"))
+            assert view.members == frozenset(elements)
+    (listing_entry,) = net.transport.wire.codec._listing_sizes.values()
+    assert frozenset(listing_entry[0]) == frozenset(elements)
+    # sized eight times, after two intern tables (one per reader's
+    # envelope): its strings are walked once for each table
+    assert sum(strings is listing_entry[2] for strings in walked) == 2
+    assert len(listing_entry[3]) == 2
 
 
 # -- a hop pays for what it simulates ---------------------------------------------
