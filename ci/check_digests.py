@@ -70,6 +70,26 @@ def measure(workload: str, seed: int) -> dict[str, str]:
     return row
 
 
+def compare(expected: dict, measured: dict,
+            calls_bound: float) -> tuple[list[str], list[str]]:
+    """``(moved, crept)``: a line per exact value that differs from the
+    committed one (and per committed run not measured), and a line per
+    run whose call count is over its committed ceiling by more than
+    ``calls_bound``.  A run with no committed count has no ceiling to be
+    under: it is reported moved, never crept."""
+    moved = [f"{run} {key}: {expected.get(run, {}).get(key)} -> {row[key]}"
+             for run, row in measured.items() for key in KEYS
+             if expected.get(run, {}).get(key) != row[key]]
+    moved += [f"{run}: in ci/sim_digests.json but not run"
+              for run in expected if run not in measured]
+    crept = [f"{run} {CALLS}: {ceiling} -> {row[CALLS]} "
+             f"(ceiling +{calls_bound:.0%})"
+             for run, row in measured.items()
+             if (ceiling := expected.get(run, {}).get(CALLS)) is not None
+             and float(row[CALLS]) > float(ceiling) * (1 + calls_bound)]
+    return moved, crept
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--update", action="store_true",
@@ -92,11 +112,7 @@ def main() -> int:
             print(f"{run} {row['sim_digest']} "
                   f"{expected.get(run, {}).get(CALLS, '?')} -> {row[CALLS]} "
                   "calls/op", flush=True)
-    moved = [f"{run} {key}: {expected.get(run, {}).get(key)} -> {row[key]}"
-             for run, row in measured.items() for key in KEYS
-             if expected.get(run, {}).get(key) != row[key]]
-    moved += [f"{run}: in ci/sim_digests.json but not run"
-              for run in expected if run not in measured]
+    moved, crept = compare(expected, measured, calls_bound)
     for line in moved:
         print(f"MOVED {line}")
     if args.update:
@@ -113,12 +129,6 @@ def main() -> int:
             fh.write("\n")
         print(f"wrote {os.path.relpath(DIGESTS, ROOT)}")
         return 0
-    # a run with no committed count has no ceiling to be under
-    crept = [f"{run} {CALLS}: {expected.get(run, {}).get(CALLS)} -> {row[CALLS]} "
-             f"(ceiling +{calls_bound:.0%})"
-             for run, row in measured.items()
-             if float(row[CALLS]) > float(expected.get(run, {}).get(CALLS, 0))
-             * (1 + calls_bound)]
     for line in crept:
         print(f"CREPT {line}")
     print("simulated behaviour " + ("MOVED" if moved else "unchanged")

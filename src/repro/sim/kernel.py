@@ -24,10 +24,10 @@ Two hot-path conventions keep per-event cost down at population scale
 (10⁵+ clients): a scheduled entry's ``action`` is either a plain
 callable *or the Process itself* (meaning "advance this process"), so
 resuming a process costs no closure or ``partial`` allocation; and the
-no-``stop_when`` dispatch loop steps generators inline — the common
-``yield Sleep(...)`` never leaves the loop frame.  Every slow or
-re-entrant path still funnels through :meth:`Kernel._step`, which is
-the semantic reference for what one step means.
+one dispatch loop steps generators inline — the common ``yield
+Sleep(...)`` never leaves the loop frame.  Every slow or re-entrant path
+still funnels through :meth:`Kernel._step`, which is the semantic
+reference for what one step means.
 """
 
 from __future__ import annotations
@@ -68,6 +68,9 @@ class Kernel:
         self._batch: list[_Scheduled] = []
         self._batch_time = -1.0
         self._dispatching = False
+        # Non-empty once the process run_process is running for has
+        # finished: run() stops before its next action.
+        self._stop: list = []
         # One observability surface per kernel: metrics + spans, timed by
         # the virtual clock, span parentage keyed by the running process.
         self.obs = Observability(self.clock, context_key=lambda: self._running)
@@ -145,10 +148,12 @@ class Kernel:
         """
         return self._schedule(delay, action).cancel
 
-    def run(self, until: Optional[float] = None,
-            stop_when: Optional[Callable[[], bool]] = None) -> None:
-        """Run scheduled actions until the queue empties (or ``until``,
-        or ``stop_when()`` turns true between actions)."""
+    def run(self, until: Optional[float] = None) -> None:
+        """Run scheduled actions until the queue empties (or ``until``).
+
+        A :meth:`run_process` run also stops between two actions once
+        its process has finished: the rest of that instant is requeued
+        in order, for the next run."""
         clock = self.clock
         sim_start = clock.now
         sched = self._sched
@@ -157,10 +162,11 @@ class Kernel:
         trace = self.trace
         batch = self._batch
         seq = self._seq
+        stop = self._stop
         executed = 0
         try:
             while True:
-                if stop_when is not None and stop_when():
+                if stop:
                     return
                 next_time = next_instant(batch, until)
                 if next_time is None:
@@ -173,77 +179,63 @@ class Kernel:
                 self._dispatching = True
                 index = 0
                 try:
-                    if stop_when is None:
-                        # Hot loop: `for` picks up entries appended to
-                        # the live batch mid-dispatch, and the common
-                        # case — resume a process whose generator
-                        # yields another Sleep — is stepped inline
-                        # (no _step frame, no closure, no re-entry
-                        # into the scheduler for same-instant wakes).
-                        for entry in batch:
-                            index += 1
-                            if entry.cancelled:
-                                continue
-                            executed += 1
-                            action = entry.action
-                            if action.__class__ is not Process:
-                                action()
-                                continue
-                            proc = action
-                            if proc._terminal:
-                                continue
-                            if (proc._resume_value is not None
-                                    or proc._resume_error is not None):
-                                self._step(proc)
-                                continue
-                            proc.state = _RUNNING
-                            self._running = proc
-                            try:
-                                effect = proc.generator.send(None)
-                            except StopIteration as stop:
-                                proc._finish(stop.value)
-                                if trace.enabled:
-                                    trace.record("finish", process=proc.name)
-                                self._running = None
-                                continue
-                            except BaseException as exc:
-                                proc._fail(exc)
-                                if trace.enabled:
-                                    trace.record("fail", process=proc.name,
-                                                 error=repr(exc))
-                                self._running = None
-                                continue
+                    # Hot loop: `for` picks up entries appended to the
+                    # live batch mid-dispatch, and the common case —
+                    # resume a process whose generator yields another
+                    # Sleep — is stepped inline (no _step frame, no
+                    # closure, no re-entry into the scheduler for
+                    # same-instant wakes).
+                    for entry in batch:
+                        index += 1
+                        if entry.cancelled:
+                            continue
+                        if stop:
+                            sched.requeue(batch[index - 1:])
+                            return
+                        executed += 1
+                        action = entry.action
+                        if action.__class__ is not Process:
+                            action()
+                            continue
+                        proc = action
+                        if proc._terminal:
+                            continue
+                        if (proc._resume_value is not None
+                                or proc._resume_error is not None):
+                            self._step(proc)
+                            continue
+                        proc.state = _RUNNING
+                        self._running = proc
+                        try:
+                            effect = proc.generator.send(None)
+                        except StopIteration as stop_iteration:
+                            proc._finish(stop_iteration.value)
+                            if trace.enabled:
+                                trace.record("finish", process=proc.name)
                             self._running = None
-                            if effect.__class__ is Sleep:
-                                proc.state = _WAITING
-                                # The entry that woke us is dead (fired,
-                                # never cancellable from outside): reuse
-                                # it for the next sleep — zero
-                                # allocation per steady-state event.
-                                entry.time = when = next_time + effect.duration
-                                entry.seq = next(seq)
-                                if when == next_time:
-                                    batch.append(entry)
-                                else:
-                                    sched_push(entry)
-                                continue
-                            self._interpret(proc, effect)
-                    else:
-                        fresh_check = True   # stop_when was just evaluated
-                        for entry in batch:
-                            index += 1
-                            if entry.cancelled:
-                                continue
-                            if not fresh_check and stop_when():
-                                sched.requeue(batch[index - 1:])
-                                return
-                            fresh_check = False
-                            executed += 1
-                            action = entry.action
-                            if action.__class__ is Process:
-                                self._step(action)
+                            continue
+                        except BaseException as exc:
+                            proc._fail(exc)
+                            if trace.enabled:
+                                trace.record("fail", process=proc.name,
+                                             error=repr(exc))
+                            self._running = None
+                            continue
+                        self._running = None
+                        if effect.__class__ is Sleep:
+                            proc.state = _WAITING
+                            # The entry that woke us is dead (fired,
+                            # never cancellable from outside): reuse it
+                            # for the next sleep — zero allocation per
+                            # steady-state event.
+                            entry.time = when = next_time + effect.duration
+                            entry.seq = next(seq)
+                            if when == next_time:
+                                batch.append(entry)
                             else:
-                                action()
+                                sched_push(entry)
+                            continue
+                        self._interpret(proc, effect)
                 except BaseException:
                     # A raising action is dropped (it was underway), the
                     # rest of the instant survives for the next run().
@@ -262,15 +254,25 @@ class Kernel:
     def run_process(self, generator: Generator, name: str = "main", until: Optional[float] = None) -> Any:
         """Spawn ``generator``, run until it finishes, return its result.
 
-        The common entry point for tests and examples.  Stops as soon as
-        the process completes (background daemons — replication,
-        fault injectors — may still have work queued; they simply stop
-        here and resume on the next ``run``).  Raises the process's
-        exception if it failed, and ``SimulationError`` if the simulation
-        ran out of events or hit ``until`` before the process finished.
+        The common entry point for tests and examples, and the one way
+        to run until a process finishes.  Stops as soon as the process
+        completes (background daemons — replication, fault injectors —
+        may still have work queued; they simply stop here and resume on
+        the next ``run``): its completion sets the flag :meth:`run`
+        tests before each action, so the loop polls nothing else.
+        Raises the process's exception if it failed, and
+        ``SimulationError`` if the simulation ran out of events or hit
+        ``until`` before the process finished.
         """
         proc = self.spawn(generator, name=name)
-        self.run(until=until, stop_when=lambda: proc.finished)
+        stop = self._stop
+        done = stop.append
+        proc.done.add_waiter(done)
+        try:
+            self.run(until=until)
+        finally:
+            proc.done.discard_waiter(done)
+            stop.clear()
         if not proc.finished:
             raise SimulationError(
                 f"simulation ended at t={self.now:.3f} before {name!r} finished "

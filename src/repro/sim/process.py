@@ -70,9 +70,9 @@ class Process:
     Join(proc)`` is sugar for waiting on it.
 
     ``__slots__`` and the ``_terminal`` flag are deliberate: population
-    workloads hold 10⁵+ live processes, and ``finished`` is polled once
-    per kernel event by ``run_process``, so both memory-per-process and
-    the terminal check are hot.
+    workloads hold 10⁵+ live processes, and the kernel checks
+    ``_terminal`` before every step, so both memory-per-process and the
+    terminal check are hot.
     """
 
     __slots__ = ("pid", "_name", "daemon", "generator", "state", "done",

@@ -69,12 +69,17 @@ def check_conformance(trace: IterationTrace, spec: IteratorSpec,
     tolerances share one world.)  A trace with no invocations has no
     window: nothing ran, so its constraint is judged over no history.
     """
-    if history is None:
-        if world is None:
-            raise ValueError("check_conformance needs a world or an explicit history")
-        history = world.membership_history(trace.coll_id)
     window = trace.window()
-    history = clip_history(history, *window) if window is not None else []
+    if history is not None:
+        history = clip_history(history, *window) if window is not None else []
+    elif world is None:
+        raise ValueError("check_conformance needs a world or an explicit history")
+    elif window is None:
+        history = []
+    else:
+        # clipped before merged: an audit pays for the entries it reads
+        info = world.collection_info(trace.coll_id)
+        history = info.merged_history(clip_history(info.history, *window))
     return ConformanceReport(
         spec_id=spec.spec_id,
         impl_name=trace.impl_name,

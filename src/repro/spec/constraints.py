@@ -21,7 +21,7 @@ run's window that the checker clips the history to.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Sequence, TypeVar
 
 from ..store.elements import Element
 
@@ -37,12 +37,14 @@ __all__ = [
 ]
 
 History = Sequence[tuple[float, frozenset[Element]]]
+Entry = TypeVar("Entry")
 
 
-def clip_history(history: History, t_first: float,
-                 t_last: float) -> list[tuple[float, frozenset[Element]]]:
+def clip_history(history: Sequence[tuple[float, Entry]], t_first: float,
+                 t_last: float) -> list[tuple[float, Entry]]:
     """History entries in force during [t_first, t_last]: the last one at
-    or before ``t_first``, then everything recorded up to ``t_last``."""
+    or before ``t_first``, then everything recorded up to ``t_last``
+    (values, or the partition views a world records them as)."""
     before = [entry for entry in history if entry[0] <= t_first]
     inside = [entry for entry in history if t_first < entry[0] <= t_last]
     return before[-1:] + inside

@@ -95,20 +95,32 @@ def batch_add_step(element: Element) -> str:
 
 
 class MemberMap(dict):
-    """A membership map (name → element) that keeps the three views read
-    from it — the value ``s_σ``, the sorted listing, and the part of the
-    value a hash ring assigns to one shard — until the next write to the
-    map itself.
+    """A membership map (name → element, each element listed under its
+    own name) that keeps the three views read from it — the value
+    ``s_σ``, the sorted listing, and the part of the value a hash ring
+    assigns to one shard — and makes a write pay for the names it wrote.
 
-    Invalidation sits on the container, not on a version compare,
-    because writes do not move ``CollectionState.version`` in step: a
-    batch add writes members and then yields on the WAL before it bumps
-    the version, recovery, anti-entropy and handoff write on their own
+    Freshness sits on the container, not on a version compare, because
+    writes do not move ``CollectionState.version`` in step: a batch add
+    writes members and then yields on the WAL before it bumps the
+    version, recovery, anti-entropy and handoff write on their own
     schedules, and tests write ``state.members[...]`` directly.  Every
-    dict mutator drops the views, so no write site can bypass it.
+    dict mutator is overridden, so no write site can bypass it:
+
+    * while a ``value()`` or ``owned()`` view is held, a write to one
+      name journals the element the name listed before its first write
+      since the views were last brought up to date (``None`` for a name
+      not listed), and the next read patches every held view as
+      ``view.difference(old).union(new)`` — a hash and an ``owner``
+      lookup per name written plus one C-level copy, not one of each
+      per member.  An owned view no written name belongs to stays the
+      same object;
+    * the listing is dropped on every write;
+    * the bulk mutators (``update``, ``|=``, ``clear``, ``popitem``)
+      drop all three views.
     """
 
-    __slots__ = ("_value", "_listing", "_owned")
+    __slots__ = ("_value", "_listing", "_owned", "_journal")
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -116,10 +128,17 @@ class MemberMap(dict):
         self._listing: Optional[tuple[Element, ...]] = None
         self._owned: Optional[
             tuple["HashRing", NodeId, frozenset[Element]]] = None
+        #: name → element listed before the views were last patched;
+        #: None while no view is held (a write then journals nothing)
+        self._journal: Optional[dict[str, Optional[Element]]] = None
 
     def value(self) -> frozenset[Element]:
+        if self._journal:
+            self._patch()
         if self._value is None:
             self._value = frozenset(self.values())
+            if self._journal is None:
+                self._journal = {}
         return self._value
 
     def listing(self) -> tuple[Element, ...]:
@@ -132,37 +151,71 @@ class MemberMap(dict):
         — this partition's share of a sharded ``s_σ`` (a pre-copied or
         not-yet-dropped entry of a migration is listed, never owned).
         Kept per ring *identity*: a cutover swaps the ring object."""
+        if self._journal:
+            self._patch()
         view = self._owned
         if view is None or view[0] is not ring or view[1] != shard:
             owner = ring.owner
             view = self._owned = (ring, shard, frozenset(
                 [e for name, e in self.items() if owner(name) == shard]))
+            if self._journal is None:
+                self._journal = {}
         return view[2]
 
-    # -- every way a dict can be written drops the views ----------------
+    def _patch(self) -> None:
+        """Bring every held view up to date with the journal, and empty it."""
+        journal, self._journal = self._journal, {}
+        get = self.get
+        if self._value is not None:
+            self._value = self._value.difference(
+                [e for e in journal.values() if e is not None]).union(
+                [e for name in journal if (e := get(name)) is not None])
+        if self._owned is not None:
+            ring, shard, view = self._owned
+            owner = ring.owner
+            mine = [name for name in journal if owner(name) == shard]
+            if mine:
+                self._owned = (ring, shard, view.difference(
+                    [e for name in mine if (e := journal[name]) is not None]
+                ).union([e for name in mine if (e := get(name)) is not None]))
+
+    def _wrote(self, name: str) -> None:
+        """Drop the listing, and journal what ``name`` lists if nothing
+        has since the views were last patched."""
+        self._listing = None
+        journal = self._journal
+        if journal is not None and name not in journal:
+            journal[name] = self.get(name)
+
+    def _drop(self) -> None:
+        self._value = self._listing = self._owned = self._journal = None
+
+    # -- every way a dict can be written ------------------------------------
     def __setitem__(self, name, element):
-        self._value = self._listing = self._owned = None
+        self._wrote(name)
         super().__setitem__(name, element)
 
     def __delitem__(self, name):
-        self._value = self._listing = self._owned = None
+        self._wrote(name)
         super().__delitem__(name)
+
+    def pop(self, name, *default):
+        if name in self:
+            self._wrote(name)
+        return super().pop(name, *default)
+
+    def setdefault(self, name, default=None):
+        if name not in self:
+            self._wrote(name)
+        return super().setdefault(name, default)
 
     def __ior__(self, other):
         self.update(other)
         return self
 
-    def pop(self, *args):
-        self._value = self._listing = self._owned = None
-        return super().pop(*args)
-
     def popitem(self):
-        self._value = self._listing = self._owned = None
+        self._drop()
         return super().popitem()
-
-    def setdefault(self, *args):
-        self._value = self._listing = self._owned = None
-        return super().setdefault(*args)
 
     def update(self, *args, **kwargs):
         # ``args`` may be a lazy iterable that reads the views half way
@@ -170,10 +223,10 @@ class MemberMap(dict):
         try:
             super().update(*args, **kwargs)
         finally:
-            self._value = self._listing = self._owned = None
+            self._drop()
 
     def clear(self):
-        self._value = self._listing = self._owned = None
+        self._drop()
         super().clear()
 
 

@@ -14,7 +14,10 @@ exposes the **ground truth** the specification checker needs:
   state sequence σ₀ S₁ σ₁ … advances;
 * ``membership_history(coll)`` — the full value history, used to check
   ``constraint`` clauses and Fig 6's "in the set at some state between
-  the first-state and last-state" guarantee.
+  the first-state and last-state" guarantee.  It is recorded as the
+  partition views each value is the union of, so a write stores the one
+  view it changed and shares the rest with the previous entry; the
+  values are merged when read.
 
 Implementations of weak sets never touch ground truth; they go through
 RPC (:class:`~repro.store.repository.Repository`) like honest clients.
@@ -56,15 +59,34 @@ class CollectionInfo:
     primary: NodeId
     replicas: tuple[NodeId, ...]
     policy: str
-    history: list[tuple[float, frozenset[Element]]] = field(default_factory=list)
+    #: ``s_σ``'s recorded values, one ``(time, views)`` per change: the
+    #: partition views the value was merged from (``World._partition_views``),
+    #: so the views of the partitions a write left alone are the previous
+    #: entry's objects.  ``merged_history`` merges them on read.
+    history: list[tuple[float, tuple[frozenset[Element], ...]]] = field(
+        default_factory=list)
     #: placement of a *sharded* registry (None = classic single home).
     #: The primary of a sharded collection is its first shard — the
     #: rebalance coordinator and the anchor for iteration registration.
     shard_map: Optional[ShardMap] = None
     #: a sharded collection's last merged value, with the per-shard
     #: owned views it was merged from (``World._current_value``)
-    _merged: Optional[tuple[list, frozenset[Element]]] = field(
+    _merged: Optional[tuple[tuple, frozenset[Element]]] = field(
         default=None, init=False, repr=False, compare=False)
+    #: the ring the last history entry's views were cut by (None for a
+    #: single home)
+    _history_ring: Optional[HashRing] = field(
+        default=None, init=False, repr=False, compare=False)
+
+    def merged_history(
+        self, entries: Iterable[tuple[float, tuple[frozenset[Element], ...]]]
+    ) -> list[tuple[float, frozenset[Element]]]:
+        """``history`` entries as ``(time, s_σ)``: a single home's one
+        view is the value, a sharded registry's disjoint views are
+        merged."""
+        if self.shard_map is None:
+            return [(time, value) for time, (value,) in entries]
+        return [(time, frozenset().union(*views)) for time, views in entries]
 
     @property
     def hosts(self) -> tuple[NodeId, ...]:
@@ -257,8 +279,9 @@ class World:
                               shard_map=shard_map)
         for shard in info.shards:
             self.servers[shard].host_collection(coll_id, policy, is_primary=True)
-        info.history.append((self.now, frozenset()))
         self.collections[coll_id] = info
+        info.history.append((self.now, self._partition_views(info)))
+        info._history_ring = shard_map.ring if shard_map is not None else None
         for node in replicas:
             for shard in info.shards:
                 self._host_mirror(info, node, shard)
@@ -513,19 +536,27 @@ class World:
         # registry's is merged owner by owner.
         if not info.is_sharded:
             return self.servers[info.primary].collections[info.coll_id].value()
-        # Each shard's owned view stands until that shard is written or
-        # the ring is swapped, and the views are disjoint (a name has one
-        # owner), so while all of them are the objects last merged, the
-        # merged value is the object last returned.
-        ring = info.shard_map.ring
-        views = [state.members.owned(ring, shard) for shard in ring.nodes
-                 if (state := self.servers[shard].collections.get(
-                     info.coll_id)) is not None]
+        # Each shard's owned view stands until a write changes what that
+        # shard owns or the ring is swapped, and the views are disjoint
+        # (a name has one owner), so while all of them are the objects
+        # last merged, the merged value is the object last returned.
+        views = self._partition_views(info)
         merged = info._merged
         if (merged is None or len(merged[0]) != len(views)
                 or not all(map(is_, merged[0], views))):
             merged = info._merged = (views, frozenset().union(*views))
         return merged[1]
+
+    def _partition_views(
+            self, info: CollectionInfo) -> tuple[frozenset[Element], ...]:
+        """The disjoint views ``s_σ`` is the union of right now: a single
+        home's value, or each ring node's owned view of its partition."""
+        if info.shard_map is None:
+            return (self.servers[info.primary].collections[info.coll_id].value(),)
+        ring = info.shard_map.ring
+        return tuple([state.members.owned(ring, shard) for shard in ring.nodes
+                      if (state := self.servers[shard].collections.get(
+                          info.coll_id)) is not None])
 
     def partition_states(
         self, coll_id: str
@@ -581,7 +612,9 @@ class World:
         return server is not None and server.has_object(element.oid)
 
     def membership_history(self, coll_id: str) -> list[tuple[float, frozenset[Element]]]:
-        return list(self.collection_info(coll_id).history)
+        """``(time, s_σ)`` at every change of the value, oldest first."""
+        info = self.collection_info(coll_id)
+        return info.merged_history(info.history)
 
     # ------------------------------------------------------------------
     # change notification
@@ -600,9 +633,20 @@ class World:
 
     def _membership_changed(self, coll_id: str) -> None:
         info = self.collection_info(coll_id)
-        value = self._current_value(info)
-        if not info.history or info.history[-1][1] != value:
-            info.history.append((self.now, value))
+        views = self._partition_views(info)
+        last = info.history[-1][1]
+        smap = info.shard_map
+        ring = None if smap is None else smap.ring
+        if ring is info._history_ring and len(views) == len(last):
+            # Same partitions: the value moved iff a view did, and the
+            # tuple compare skips every view that is the last entry's
+            # object (C-level, identity first).
+            changed = views != last
+        else:       # a cutover, or a partition hosted since: the values
+            changed = frozenset().union(*views) != frozenset().union(*last)
+        if changed:
+            info.history.append((self.now, views))
+            info._history_ring = ring
         self._notify()
 
     def _notify(self) -> None:
@@ -671,7 +715,7 @@ class World:
                             f"{coll_id}: replica {node} disagrees with {shard} "
                             "at the same version")
             # 4. the recorded history ends at the current truth
-            if info.history and info.history[-1][1] != current:
+            if info.merged_history(info.history[-1:])[0][1] != current:
                 problems.append(
                     f"{coll_id}: membership history is stale")
             # 8. shard placement: every listed member sits at a shard the

@@ -3,7 +3,7 @@
 
 from repro.errors import NodeCrashFailure, ProcessKilled, TimeoutFailure
 from repro.net import Address, FixedLatency, Message, Network, full_mesh
-from repro.sim import Kernel, Sleep
+from repro.sim import Join, Kernel, Sleep
 
 
 class EchoService:
@@ -191,7 +191,11 @@ def test_handler_killed_from_outside_leaves_its_node():
     (handler,) = node._handlers.values()
     kernel.kill(handler)
     assert node._handlers == {}
-    kernel.run(stop_when=lambda: caller.finished)
+
+    def join():
+        return (yield Join(caller))
+
     # the node is up, so the kill is answered; the handler is named as ever
+    assert kernel.run_process(join()) == f"{handler.name} was killed"
     assert caller.result == f"{handler.name} was killed"
     assert handler.name.startswith("echo@b.slow#")

@@ -4,7 +4,8 @@ The rule these tests pin: nothing per message is formatted, re-derived,
 allocated or re-walked unless the simulation or an attached reader uses
 the result — and what the interpreter does below the call count (a
 slot wrapper per field, a hash per member, a call to add a constant) is
-done once per thing that changes, not once per message.  They count
+done once per thing that changes, not once per message, and a
+membership write is paid per name written, not per member.  They count
 calls (exact, seed-free), not seconds; that the counts buy time is
 ``perf/``'s job.  Each mechanism is then held to the behaviour it
 replaced: the same name strings when something does read them, the same
@@ -34,11 +35,11 @@ from repro.sim import (Fork, Join, Kernel, Signal, Sleep, Wait,
                        WheelScheduler)
 from repro.sim import process as sim_process
 from repro.sim.clock import Clock
-from repro.store import Repository
+from repro.store import AddSpec, HashRing, Repository
 from repro.store import repository as store_repository
 from repro.store.elements import Element
 
-from helpers import CLIENT, standard_world
+from helpers import CLIENT, sharded_world, standard_world
 from seed_kernel import Kernel as SeedKernel
 
 
@@ -551,6 +552,32 @@ def test_reads_of_an_unwritten_collection_share_one_member_set(monkeypatch):
                for listing, members in world.listing_sets.values())
     # per world, like the instruments: another world starts empty
     assert standard_world(members=2)[2].listing_sets == {}
+
+
+# -- a write pays for the names it wrote -------------------------------------------
+
+def test_a_small_batch_into_a_large_sharded_collection_hashes_what_it_wrote(
+        monkeypatch):
+    """A shard's owned view and the history entry made from it are
+    patched from the names written, so sixteen adds into a 400-member,
+    four-shard collection hash about sixteen elements and ask the ring
+    about sixteen names a few times each — not once per member of every
+    shard written."""
+    kernel, net, world, _ = sharded_world(n_shards=4, members=400)
+    repo = Repository(world, CLIENT)
+    before = world.true_members("coll")
+    hashes = count_calls(monkeypatch, Element, "__hash__")
+    owners = count_calls(monkeypatch, HashRing, "owner")
+    added = kernel.run_process(repo.add_many(
+        "coll", [AddSpec(f"new{i:02d}", value=i) for i in range(16)],
+        window=4, batch_size=4))
+    after = world.true_members("coll")
+    assert len(added) == 16
+    assert hashes[0] <= 5 * 16 and owners[0] <= 5 * 16
+    # and what was paid for is right
+    monkeypatch.undo()
+    assert after == before | frozenset(added)
+    assert world.check_invariants() == []
 
 
 # -- the strings, when something does read them --------------------------------

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ProcessKilled, SimulationError, TimeoutFailure
-from repro.sim import Fork, Join, Kernel, Now, Signal, Sleep, Wait
+from repro.sim import Fork, Join, Kernel, Now, Process, Signal, Sleep, Wait
 
 
 def test_run_process_returns_value():
@@ -370,3 +370,72 @@ def test_kernel_repr_mentions_time_and_procs():
     k.spawn((Sleep(1.0) for _ in range(1)))
     text = repr(k)
     assert "Kernel(" in text and "procs=1" in text
+
+
+# -- run_process: one dispatch loop, stopped by its process's completion ----
+
+def _ticker(log, n, period=0.5):
+    for i in range(n):
+        yield Sleep(period)
+        log.append(i)
+
+
+def test_run_process_that_hits_until_leaves_no_stop_behind():
+    def slow():
+        yield Sleep(1.0)
+        log.append("slow")
+
+    k = Kernel()
+    log = []
+    k.spawn(_ticker(log, 5))
+    with pytest.raises(SimulationError, match="before 'slow' finished"):
+        k.run_process(slow(), name="slow", until=0.6)
+    assert k.now == 0.6 and log == [0]
+    # slow finishes at 1.0, half way through this run: nothing stops it
+    k.run()
+    assert "slow" in log and log[-1] == 4
+    assert k.now == 2.5 and len(k._sched) == 0
+
+
+def test_run_process_ended_by_an_exception_leaves_no_stop_behind():
+    def quick():
+        yield Sleep(1.0)
+
+    def boom():
+        raise ValueError("boom")
+
+    k = Kernel()
+    log = []
+    k.spawn(_ticker(log, 5))
+    k.call_soon(boom, delay=0.75)
+    with pytest.raises(ValueError, match="boom"):
+        k.run_process(quick())
+    assert k.now == 0.75
+    k.run()
+    assert log == [0, 1, 2, 3, 4] and k.now == 2.5
+
+
+def test_run_process_reads_finished_a_fixed_number_of_times(monkeypatch):
+    """The loop is stopped by a flag the process's completion sets, so
+    ``Process.finished`` is never polled per event."""
+    reads = [0]
+    finished = Process.finished
+
+    def counting(proc):
+        reads[0] += 1
+        return finished.fget(proc)
+
+    monkeypatch.setattr(Process, "finished", property(counting))
+    k = Kernel()
+    log = []
+    for _ in range(10):
+        k.spawn(_ticker(log, 100, period=0.01))
+
+    def main():
+        yield Sleep(0.99)
+        return len(log)
+
+    events = k.obs.metrics.counter("kernel.events")
+    assert k.run_process(main()) > 900
+    assert events.value > 900
+    assert reads[0] <= 2            # run_process's own check and ``result``

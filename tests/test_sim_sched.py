@@ -107,7 +107,7 @@ def _random_program(kernel, rng_seed: int, log: list):
 
 
 def _observe(kernel_factory, rng_seed: int, split: float = None,
-             stop_after: int = None):
+             stop_at: float = None):
     kernel = kernel_factory()
     log = []
     _random_program(kernel, rng_seed, log)
@@ -116,10 +116,17 @@ def _observe(kernel_factory, rng_seed: int, split: float = None,
         # must shelve its half-drained slot correctly.
         kernel.run(until=split)
         log.append((kernel.now, "--split--"))
-    if stop_after is not None:
-        # Stop between two actions (possibly mid-instant), then resume:
-        # the rest of the interrupted batch must be requeued in order.
-        kernel.run(stop_when=lambda: len(log) >= stop_after)
+    if stop_at is not None:
+        # Run a process that finishes at ``stop_at`` with an action
+        # queued behind it at the same instant: run_process stops
+        # between the two, mid-instant, then the rest of the interrupted
+        # batch must be requeued in order.
+        def stopper():
+            yield Sleep(stop_at)
+            kernel.call_soon(lambda: log.append((kernel.now, "behind")))
+            log.append((kernel.now, "stopper"))
+
+        kernel.run_process(stopper(), name="stopper")
         log.append((kernel.now, "--stopped--"))
     kernel.run()
     draws = kernel.stream("after").random()
@@ -135,12 +142,19 @@ def test_wheel_matches_heap_on_randomized_schedules(rng_seed):
 
 @pytest.mark.parametrize("rng_seed", range(4))
 def test_new_kernel_matches_frozen_seed_kernel(rng_seed):
-    """The ``stop_when`` dispatch loop (``run_process``'s) is a second
-    loop in the shipped kernel and the same one in the seed kernel;
-    twelve log entries in, every seed here is stopped mid-instant."""
-    seed_obs = _observe(lambda: SeedKernel(seed=3), rng_seed, stop_after=12)
-    new_obs = _observe(lambda: Kernel(seed=3), rng_seed, stop_after=12)
+    """``run_process`` stops the shipped kernel's one dispatch loop by a
+    flag its process's completion sets, and the seed kernel's by polling
+    ``stop_when``; both stop mid-instant at the same action."""
+    stop_at = 0.005 + 0.004 * rng_seed
+    seed_obs = _observe(lambda: SeedKernel(seed=3), rng_seed, stop_at=stop_at)
+    new_obs = _observe(lambda: Kernel(seed=3), rng_seed, stop_at=stop_at)
     assert seed_obs == new_obs
+    log = new_obs[0]
+    stopped = log.index((stop_at, "--stopped--"))
+    assert log[stopped - 1] == (stop_at, "stopper")
+    # the instant goes on after the stop: at least the queued action
+    assert log[stopped + 1][0] == stop_at
+    assert (stop_at, "behind") in log[stopped + 1:]
 
 
 @pytest.mark.parametrize("rng_seed", range(4))

@@ -1,23 +1,30 @@
 """Ground-truth freshness: ``CollectionState.value()`` / ``.snapshot()``
 and ``members.owned(ring, shard)`` — a partition's share of a sharded
 ``s_σ`` — are remembered views of ``members``, and the ``members``
-container itself drops them on every write.
+container itself keeps them right: a write journals the names it wrote,
+the next read patches the value and owned views from that journal, and
+the listing (and, for the bulk mutators, every view) is dropped.
 
 A ``version`` compare could not do this job — a batch add writes
 ``members`` and then parks on the WAL with ``version`` unmoved, and
 recovery, anti-entropy, handoff and the tests write on their own
 schedules — so each way ``members`` is written, in ``src/`` or by a raw
 dict mutator, is checked here: right after the write the views equal a
-from-scratch recomputation, and between writes they are one object.
+from-scratch recomputation and hold the map's own element objects, and
+between writes they are one object.
 """
 
+import contextlib
+import dataclasses
+
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.net.failures import FaultSchedule
 from repro.sim.events import Sleep
 from repro.store import AddSpec, Element, HashRing, Repository
 from repro.store.antientropy import apply_delta
-from repro.store.server import CollectionState
+from repro.store.server import CollectionState, MemberMap
 from repro.weaksets import DynamicSet
 
 from helpers import CLIENT, PRIMARY, drain_all, sharded_world, standard_world
@@ -45,11 +52,18 @@ def _fill(state: CollectionState, ring: HashRing = RING, shard: str = SHARD):
 def assert_fresh(state: CollectionState, ring: HashRing = RING,
                  shard: str = SHARD) -> None:
     members = dict.values(state.members)        # the raw container, no views
-    assert state.value() == frozenset(members)
+    assert_same_objects(state.value(), members)
     assert state.snapshot() == (state.version, tuple(sorted(members)))
-    assert state.members.owned(ring, shard) == frozenset(
-        e for e in members if ring.owner(e.name) == shard)
+    assert_same_objects(state.members.owned(ring, shard),
+                        [e for e in members if ring.owner(e.name) == shard])
     _fill(state, ring, shard)
+
+
+def assert_same_objects(view, elements) -> None:
+    """``view`` is the set of exactly these element objects (an equal
+    element with other ``replicas`` is not the same member view)."""
+    assert view == frozenset(elements)
+    assert {id(e) for e in view} == {id(e) for e in elements}
 
 
 def _all_states(world):
@@ -207,6 +221,152 @@ def test_a_ring_swap_with_no_member_write_yields_the_new_rings_answer():
         e for node, state in world.partition_states("coll")
         for e in dict.values(state.members) if shrunk.owner(e.name) == node)
     assert after < before and world.true_members("coll") is after
+
+
+# -- patched, not rebuilt ----------------------------------------------------
+
+#: the two placements the property reads owned views under
+RINGS = (RING, HashRing(("s0", "s1", "s2"), seed=1))
+NAMES = "abcdef"
+
+
+def _version(name: str, oid: int, replicas: int) -> Element:
+    return Element(name=name, oid=f"{name}-{oid}", home="s0",
+                   replicas=(("s1",), ("s1", "s2"), ())[replicas])
+
+
+names = st.sampled_from(NAMES)
+#: ``(name, oid, replicas)``: two oids make a re-add a different member,
+#: three replica tuples make an overwrite an equal but different object
+versions = st.builds(_version, names, st.integers(0, 1), st.integers(0, 2))
+#: one step: a kind (the one-name writes and the reads drawn most), the
+#: element a one-name write writes, the elements a bulk write writes, and
+#: the placement an owned read reads under
+KINDS = ("set", "set", "del", "pop", "pop-default", "setdefault",
+         "setdefault", "update", "|=", "popitem", "clear",
+         "value", "value", "owned", "owned")
+steps = st.tuples(st.sampled_from(KINDS), versions,
+                  st.lists(versions, max_size=3),
+                  st.tuples(st.integers(0, 1), st.sampled_from(["s0", "s1", "s2"])))
+
+
+def _apply(members, kind, one, bulk) -> None:
+    with contextlib.suppress(KeyError):
+        if kind == "set":
+            members[one.name] = one
+        elif kind == "del":
+            del members[one.name]
+        elif kind == "pop":
+            members.pop(one.name)
+        elif kind == "pop-default":
+            members.pop(one.name, None)
+        elif kind == "setdefault":
+            members.setdefault(one.name, one)
+        elif kind == "update":
+            members.update((e.name, e) for e in bulk)
+        elif kind == "|=":
+            members |= {e.name: e for e in bulk}
+        elif kind == "popitem":
+            members.popitem()
+        elif kind == "clear":
+            members.clear()
+
+
+def _read_value(members) -> None:
+    assert_same_objects(members.value(), dict.values(members))
+
+
+def _read_owned(members, placement) -> None:
+    ring, shard = RINGS[placement[0]], placement[1]
+    assert_same_objects(members.owned(ring, shard),
+                        [e for e in dict.values(members)
+                         if ring.owner(e.name) == shard])
+
+
+@given(st.lists(versions, max_size=4),
+       st.lists(steps, min_size=8, max_size=40))
+def test_views_read_at_any_point_equal_a_recomputation(initial, script):
+    members = MemberMap({e.name: e for e in initial})
+    held = None                     # the placement of the owned view held
+    for kind, one, bulk, placement in script:
+        if kind == "value":
+            _read_value(members)
+        elif kind == "owned":
+            held = placement
+        else:
+            _apply(members, kind, one, bulk)
+            continue
+        # every read also re-reads the owned view it holds, so a stale
+        # patch is seen before a read under another placement replaces it
+        if held is not None:
+            _read_owned(members, held)
+    # and at the end, under every placement
+    _read_value(members)
+    for ring_index, ring in enumerate(RINGS):
+        for shard in ring.nodes:
+            _read_owned(members, (ring_index, shard))
+
+
+def _held(*elements) -> MemberMap:
+    """A map of ``elements`` with its value and both owned views of
+    ``RING`` held (one per shard: the second replaces the first)."""
+    members = MemberMap({e.name: e for e in elements})
+    assert members.value() == frozenset(elements)
+    members.owned(RING, SHARD)
+    return members
+
+
+def test_a_name_written_twice_between_reads():
+    members = _held(A, B)
+    value, owned = members.value(), members.owned(RING, "s0")
+    members["a"] = a1 = _version("a", 1, 0)
+    members["a"] = a2 = _version("a", 0, 1)     # equal to A, other replicas
+    members["c"] = C
+    del members["c"]
+    assert_same_objects(members.value(), [a2, B])
+    assert_same_objects(members.owned(RING, "s0"),
+                        [e for e in (a2, B) if RING.owner(e.name) == "s0"])
+    assert value == {A, B} and a1 not in members.value()
+    assert owned == frozenset(e for e in (A, B) if RING.owner(e.name) == "s0")
+
+
+def test_delete_then_readd_an_equal_element():
+    members = _held(A, B)
+    del members["a"]
+    assert_same_objects(members.value(), [B])
+    again = Element(name="a", oid="a-oid", home="s0")
+    assert again == A and again is not A
+    members["a"] = again
+    view = members.value()
+    assert_same_objects(view, [again, B])
+    assert any(e is again for e in view) and not any(e is A for e in view)
+
+
+def test_an_overwrite_by_an_equal_element_with_new_replicas_is_seen():
+    # the wire sizes ``replicas`` and the recorder reads them: the view
+    # must hold the new object, not the equal old one
+    members = _held(A, B)
+    shard = RING.owner("a")
+    owned = members.owned(RING, shard)
+    moved = dataclasses.replace(A, replicas=("s1", "s2"))
+    members["a"] = moved
+    assert members.value() == {A, B}
+    (held,) = [e for e in members.value() if e.name == "a"]
+    assert held is moved and held.replicas == ("s1", "s2")
+    (held,) = members.owned(RING, shard)
+    assert held is moved and members.owned(RING, shard) is not owned
+
+
+def test_a_write_the_owned_view_does_not_own_keeps_it():
+    members = _held(A, B)
+    other = RING.owner("a")
+    owned = members.owned(RING, other)
+    assert RING.owner("c") != other
+    members["c"] = C
+    assert members.owned(RING, other) is owned
+    members.setdefault("a", C)                  # listed: writes nothing
+    assert members.owned(RING, other) is owned and members["a"] is A
+    assert_same_objects(members.value(), [A, B, C])
 
 
 # -- the write sites in src/ ------------------------------------------------
