@@ -21,15 +21,15 @@ from .events import Fork, Join, Now, Signal, Sleep, Wait
 from .kernel import Kernel
 from .process import Process, ProcessState
 from .rng import RandomRouter, Stream
-from .sched import WheelScheduler
+from .sched import InstantHeap
 from .tracing import TraceLog, TraceRecord
 
 __all__ = [
     "Clock",
     "Fork",
+    "InstantHeap",
     "Join",
     "Kernel",
-    "WheelScheduler",
     "Now",
     "Process",
     "ProcessState",

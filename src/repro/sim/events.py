@@ -111,8 +111,8 @@ class Sleep:
     __slots__ = ("duration",)
 
     def __init__(self, duration: float):
-        if duration < 0:
-            raise SimulationError(f"cannot sleep for negative time {duration}")
+        if not duration >= 0:               # NaN is refused too
+            raise SimulationError(f"cannot sleep for {duration}s")
         self.duration = duration
 
     def __repr__(self) -> str:
@@ -130,8 +130,8 @@ class Wait:
     __slots__ = ("signal", "timeout")
 
     def __init__(self, signal: Signal, timeout: Optional[float] = None):
-        if timeout is not None and timeout < 0:
-            raise SimulationError(f"negative timeout {timeout}")
+        if timeout is not None and not timeout >= 0:    # or NaN
+            raise SimulationError(f"timeout must be >= 0, got {timeout}")
         self.signal = signal
         self.timeout = timeout
 

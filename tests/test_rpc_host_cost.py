@@ -31,10 +31,11 @@ from repro.net import wire
 from repro.net.topology import Topology
 from repro.net.transport import Transport
 from repro.obs import DEFAULT_LATENCY_BUCKETS, Histogram, MetricsRegistry
-from repro.sim import (Fork, Join, Kernel, Signal, Sleep, Wait,
-                       WheelScheduler)
+from repro.sim import (Fork, InstantHeap, Join, Kernel, Signal, Sleep,
+                       Wait)
 from repro.sim import process as sim_process
 from repro.sim.clock import Clock
+from repro.sim.sched import _Scheduled
 from repro.store import AddSpec, HashRing, Repository
 from repro.store import repository as store_repository
 from repro.store.elements import Element
@@ -430,7 +431,7 @@ def test_the_kernel_asks_the_scheduler_once_per_instant(monkeypatch):
         kernel.call_soon(lambda: log.append(kernel.now), delay=delay)
     cancelled = kernel.call_soon(lambda: log.append("cancelled"), delay=0.3)
     cancelled()
-    asked = count_calls(monkeypatch, WheelScheduler, "next_instant")
+    asked = count_calls(monkeypatch, InstantHeap, "next_instant")
     advanced = count_calls(monkeypatch, Clock, "advance_to")
     kernel.run()
     assert log == [0.001, 0.001, 0.0015, 0.25, 0.25, 0.25, 7.0]
@@ -438,9 +439,36 @@ def test_the_kernel_asks_the_scheduler_once_per_instant(monkeypatch):
     # own monotonic test still made at each
     assert (asked[0], advanced[0]) == (4 + 1, 4)
     # the three methods the kernel drives are all the scheduler offers
-    assert {name for name, value in vars(WheelScheduler).items()
+    assert {name for name, value in vars(InstantHeap).items()
             if callable(value) and not name.startswith("_")} == \
         {"push", "next_instant", "requeue"}
+
+
+def test_sleeps_over_k_instants_are_k_heap_entries_and_no_entry_is_compared(
+        monkeypatch):
+    """The queue orders instants, not entries: a push to a pending
+    instant appends, and no two scheduled entries are ever compared in
+    Python."""
+    compared = [count_calls(monkeypatch, _Scheduled, name)
+                for name in ("__lt__", "__le__", "__gt__", "__ge__")]
+    kernel = Kernel()
+    n, k = 60, 4
+    woke = []
+
+    def sleeper(i):
+        for _ in range(3):
+            yield Sleep(0.0005 * (1 + i % k))
+            woke.append(i)
+
+    for i in range(n):
+        kernel.spawn(sleeper(i))
+    kernel.run(until=0.0)
+    sched = kernel._sched
+    assert len(sched) == n
+    assert len(sched._times) == len(sched._groups) == k
+    kernel.run()
+    assert len(woke) == 3 * n
+    assert [c[0] for c in compared] == [0, 0, 0, 0]
 
 
 # -- a message is built once, and is frozen to everyone else ----------------------

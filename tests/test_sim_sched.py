@@ -1,19 +1,19 @@
-"""Scheduler equivalence: the timer wheel is observably the heap.
+"""Scheduler equivalence: the instant heap is observably the heap.
 
 The kernel's contract is strict ``(time, seq)`` event order.  The
-timer-wheel scheduler reorganises storage (slots, lazy stable sorts,
-batch draining) but must never reorganise *observable order*.  These
-tests are differential: the same randomized schedule runs through the
-shipped kernel and the frozen seed kernel (``tests/seed_kernel.py``: one
-binary heap, one event per loop iteration), and every observable —
-execution order, timestamps, trace records, final RNG draws — must be
-identical.
+instant-heap scheduler reorganises storage (one heap entry per distinct
+time, one seq-ordered list per instant, batch draining) but must never
+reorganise *observable order*.  These tests are differential: the same
+randomized schedule runs through the shipped kernel and the frozen seed
+kernel (``tests/seed_kernel.py``: one binary heap, one event per loop
+iteration), and every observable — execution order, timestamps, trace
+records, final RNG draws — must be identical.
 
-The randomized programs deliberately cover the wheel's hard cases:
-same-instant ties (batch dispatch), cancellations (lazy removal),
-far-future and infinite timers (the clamped far slot), zero-delay
-chains (live-batch appends), and ``run(until=...)`` splits that leave
-a slot half-drained (the shelve-active-tail path).
+The randomized programs deliberately cover the hard cases: same-instant
+ties (batch dispatch), cancellations (lazy removal), far-future and
+infinite timers (instants that stay pending), zero-delay chains
+(live-batch appends), and ``run(until=...)`` splits and mid-instant
+stops (an instant reported but not consumed, a batch requeued).
 """
 
 import math
@@ -24,13 +24,13 @@ import pytest
 from repro.errors import SimulationError
 from repro.sim import (
     Fork,
+    InstantHeap,
     Join,
     Kernel,
     Now,
     Signal,
     Sleep,
     Wait,
-    WheelScheduler,
 )
 from repro.sim.sched import _Scheduled
 
@@ -74,8 +74,8 @@ def _random_program(kernel, rng_seed: int, log: list):
                 except Exception:
                     pass
             else:
-                # Far-future timer that run() never reaches — exercises
-                # the wheel's clamped far slot staying pending.
+                # Far-future timer that run() never reaches: its
+                # instant stays pending, cancelled.
                 cancel = kernel.call_soon(lambda: log.append(("far", wid)),
                                           delay=rng.choice([1e6, math.inf]))
                 cancel()
@@ -112,8 +112,8 @@ def _observe(kernel_factory, rng_seed: int, split: float = None,
     log = []
     _random_program(kernel, rng_seed, log)
     if split is not None:
-        # Stop mid-schedule (possibly mid-slot), then resume: the wheel
-        # must shelve its half-drained slot correctly.
+        # Stop mid-schedule, then resume: the instant beyond `until`
+        # was reported, not consumed.
         kernel.run(until=split)
         log.append((kernel.now, "--split--"))
     if stop_at is not None:
@@ -185,7 +185,7 @@ def test_traces_identical_across_schedulers():
 
 
 # ---------------------------------------------------------------------------
-# wheel mechanics: the hard cases, exercised directly
+# instant-heap mechanics: the hard cases, exercised directly
 # ---------------------------------------------------------------------------
 
 def _drain(sched):
@@ -198,89 +198,154 @@ def _drain(sched):
 
 def test_wheel_orders_ties_and_slots_like_heap():
     rng = random.Random(5)
-    wheel = WheelScheduler()
+    sched = InstantHeap()
     stamps = []
     for seq in range(500):
-        when = rng.choice([0.0, 0.001, 0.0010000001, 0.5, 7.25,
-                           rng.random() * 3.0])
+        when = rng.choice([0.0, 0.001, 0.0010000001, 0.5, 7.25, 1e30,
+                           math.inf, rng.random() * 3.0])
         stamps.append((when, seq))
-        wheel.push(_Scheduled(when, seq, None))
+        sched.push(_Scheduled(when, seq, None))
+    assert len(sched) == 500
     # The ordering contract, written down: one (time, seq)-sorted list.
-    assert [(e.time, e.seq) for e in _drain(wheel)] == sorted(stamps)
+    assert [(e.time, e.seq) for e in _drain(sched)] == sorted(stamps)
+    assert len(sched) == 0
 
 
-def test_wheel_far_future_and_infinite_times_share_the_far_slot():
-    wheel = WheelScheduler()
+def test_far_future_and_infinite_times_are_instants_like_any_other():
+    sched = InstantHeap()
     near = _Scheduled(0.001, 0, None)
     far = _Scheduled(1e30, 1, None)
     farther = _Scheduled(math.inf, 2, None)
     far_low_seq_later_push = _Scheduled(1e29, 3, None)
-    for e in (far, near, farther, far_low_seq_later_push):
-        wheel.push(e)
-    assert len(wheel) == 4
-    got = _drain(wheel)
-    assert [(e.time, e.seq) for e in got] == [
-        (0.001, 0), (1e29, 3), (1e30, 1), (math.inf, 2)]
+    also_infinite = _Scheduled(math.inf, 4, None)
+    for e in (far, near, farther, far_low_seq_later_push, also_infinite):
+        sched.push(e)
+    assert len(sched) == 5
+    batches = []
+    while True:
+        batch = []
+        when = sched.next_instant(batch)
+        if when is None:
+            break
+        batches.append((when, [e.seq for e in batch]))
+    assert batches == [(0.001, [0]), (1e29, [3]), (1e30, [1]),
+                       (math.inf, [2, 4])]
 
 
 def test_wheel_cancellation_is_lazy_but_exact():
-    wheel = WheelScheduler()
+    sched = InstantHeap()
     entries = [_Scheduled(0.001 * i, i, None) for i in range(10)]
     for e in entries:
-        wheel.push(e)
+        sched.push(e)
     entries[0].cancel()
     entries[5].cancel()
     entries[9].cancel()
-    got = _drain(wheel)
+    got = _drain(sched)
     assert [e.seq for e in got] == [1, 2, 3, 4, 6, 7, 8]
-    assert len(wheel) == 0
+    assert len(sched) == 0
+
+
+def test_cancelled_heads_are_dropped_and_later_ones_left_to_the_kernel():
+    sched = InstantHeap()
+    entries = [_Scheduled(0.5, i, None) for i in range(5)]
+    for e in entries:
+        sched.push(e)
+    entries[0].cancel()
+    entries[1].cancel()
+    entries[3].cancel()
+    batch = []
+    assert sched.next_instant(batch) == 0.5
+    assert [e.seq for e in batch] == [2, 3, 4]
+    assert len(sched) == 0
+
+
+def test_an_instant_whose_entries_are_all_cancelled_never_advances_the_clock():
+    kernel = Kernel()
+    log = []
+    kernel.call_soon(lambda: log.append(kernel.now), delay=0.25)
+    dead = [kernel.call_soon(lambda: log.append("dead"), delay=delay)
+            for delay in (0.5, 0.5, 0.75)]
+    for cancel in dead:
+        cancel()
+    kernel.run()
+    assert log == [0.25]
+    assert kernel.now == 0.25
+    assert len(kernel._sched) == 0
 
 
 def test_wheel_requeue_into_active_slot_keeps_order():
-    wheel = WheelScheduler()
-    # Same instant: activate the slot, drain the batch, requeue part.
+    sched = InstantHeap()
     entries = [_Scheduled(0.5, i, None) for i in range(6)]
     for e in entries:
-        wheel.push(e)
+        sched.push(e)
     batch = []
-    assert wheel.next_instant(batch) == 0.5
+    assert sched.next_instant(batch) == 0.5
     assert [e.seq for e in batch] == [0, 1, 2, 3, 4, 5]
-    wheel.requeue(batch[3:])                 # stop_when interrupted us
-    wheel.push(_Scheduled(0.5, 6, None))     # and new work arrived
+    sched.requeue(batch[3:])                 # run_process stopped us
+    sched.push(_Scheduled(0.5, 6, None))     # and new work arrived
     batch2 = []
-    assert wheel.next_instant(batch2) == 0.5
+    assert sched.next_instant(batch2) == 0.5
     assert [e.seq for e in batch2] == [3, 4, 5, 6]
-    assert len(wheel) == 0
+    assert len(sched) == 0
 
 
-def test_wheel_shelves_half_drained_slot_when_earlier_work_arrives():
-    wheel = WheelScheduler(width=1.0)        # one big slot per second
+def test_requeue_into_a_pending_instant_goes_in_by_seq():
+    sched = InstantHeap()
+    newer = [_Scheduled(0.5, seq, None) for seq in (7, 9)]
+    for e in newer:
+        sched.push(e)
+    # Stamps older than what is pending at that instant come back.
+    sched.requeue([_Scheduled(0.5, 3, None), _Scheduled(0.5, 8, None),
+                   _Scheduled(0.25, 4, None)])
+    assert len(sched) == 5
+    assert [(e.time, e.seq) for e in _drain(sched)] == [
+        (0.25, 4), (0.5, 3), (0.5, 7), (0.5, 8), (0.5, 9)]
+
+
+def test_an_until_split_leaves_the_next_instant_pending():
+    sched = InstantHeap()
     a = _Scheduled(10.25, 0, None)
     b = _Scheduled(10.75, 1, None)
-    wheel.push(a)
-    wheel.push(b)
+    sched.push(a)
+    sched.push(b)
     batch = []
-    assert wheel.next_instant(batch) == 10.25    # consumed; 10.75 pending
+    assert sched.next_instant(batch) == 10.25    # consumed; 10.75 pending
     assert batch == [a]
     # `until` short of the next event: its time is reported, nothing is
-    # consumed, and the slot stays half-drained.
-    assert wheel.next_instant(batch, until=10.3) == 10.75
-    assert batch == [a] and len(wheel) == 1
-    # Later work lands in an *earlier* slot (a run(until=10.3) resumed
-    # with a shorter timer): the active tail must not mask it.
+    # consumed.
+    assert sched.next_instant(batch, until=10.3) == 10.75
+    assert batch == [a] and len(sched) == 1
+    # Later work lands *earlier* (a run(until=10.3) resumed with a
+    # shorter timer): it is reached first.
     c = _Scheduled(5.5, 2, None)
-    wheel.push(c)
+    sched.push(c)
     batch2 = []
-    assert wheel.next_instant(batch2) == 5.5
+    assert sched.next_instant(batch2) == 5.5
     assert batch2 == [c]
     batch3 = []
-    assert wheel.next_instant(batch3, until=10.75) == 10.75
+    assert sched.next_instant(batch3, until=10.75) == 10.75
     assert batch3 == [b]
-    assert wheel.next_instant(batch3) is None
+    assert sched.next_instant(batch3) is None
     assert batch3 == [b]
-    assert len(wheel) == 0
+    assert len(sched) == 0
 
 
-def test_wheel_rejects_nonpositive_slot_width():
+# ---------------------------------------------------------------------------
+# NaN is no time: every way in refuses it
+# ---------------------------------------------------------------------------
+
+def test_sleep_refuses_nan():
     with pytest.raises(SimulationError):
-        WheelScheduler(width=0.0)
+        Sleep(math.nan)
+
+
+def test_wait_refuses_a_nan_timeout():
+    with pytest.raises(SimulationError):
+        Wait(Signal(), timeout=math.nan)
+
+
+def test_call_soon_refuses_a_nan_delay():
+    kernel = Kernel()
+    with pytest.raises(SimulationError):
+        kernel.call_soon(lambda: None, delay=math.nan)
+    assert len(kernel._sched) == 0
