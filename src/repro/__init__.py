@@ -24,7 +24,7 @@ from . import errors
 from .errors import FailureException
 from .obs import MetricsRegistry, Observability, Span, Tracer
 from .sim import Kernel, Sleep
-from .net import FixedLatency, Network, ParetoLatency, UniformLatency, full_mesh, wan_clusters
+from .net import FixedLatency, Network, ParetoLatency, full_mesh, wan_clusters
 from .store import Element, Repository, World, figure2_world
 from .spec import (
     ALL_FIGURES,
@@ -64,7 +64,6 @@ __all__ = [
     "Span",
     "StrongSet",
     "Tracer",
-    "UniformLatency",
     "World",
     "check_conformance",
     "errors",

@@ -44,8 +44,7 @@ __all__ = ["VARIANTS", "crash_world", "resilient_set", "run_resilience"]
 #: builds a variant's client stack over a network (None: bare transport)
 MakeClient = Callable[[Network], Optional[ResilientClient]]
 
-_RETRY = RetryPolicy(max_attempts=4, base_delay=0.05, multiplier=2.0,
-                     max_delay=0.5, jitter=0.5)
+_RETRY = RetryPolicy(max_attempts=4, base_delay=0.05, max_delay=0.5)
 
 
 def _bare(net: Network) -> Optional[ResilientClient]:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from ..errors import FileSystemError
 
-__all__ = ["normalize", "split", "join", "parent", "basename", "components"]
+__all__ = ["normalize", "split", "join", "parent", "basename"]
 
 
 def normalize(path: str) -> str:
@@ -16,10 +16,6 @@ def normalize(path: str) -> str:
         if p in (".", ".."):
             raise FileSystemError(f"'.' and '..' are not supported: {path!r}")
     return "/" + "/".join(parts)
-
-
-def components(path: str) -> list[str]:
-    return [p for p in normalize(path).split("/") if p]
 
 
 def split(path: str) -> tuple[str, str]:

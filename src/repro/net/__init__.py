@@ -17,7 +17,7 @@ from .executor import (
 from .fabric import Network
 from .failure_detector import FailureDetector, PingService
 from .failures import FaultInjector, FaultPlan, FaultSchedule
-from .link import FixedLatency, LatencyModel, Link, ParetoLatency, UniformLatency
+from .link import FixedLatency, LatencyModel, Link, ParetoLatency
 from .message import Message
 from .node import Node
 from .partitions import PartitionManager
@@ -27,14 +27,13 @@ from .resilience import (
     BreakerPolicy,
     BreakerState,
     CircuitBreaker,
-    Deadline,
     ResilientClient,
     RetryBudget,
     RetryBudgetPolicy,
     RetryPolicy,
     TRANSPORT_FAILURES,
 )
-from .topology import Topology, full_mesh, line, ring, wan_clusters
+from .topology import Topology, full_mesh, wan_clusters
 from .transport import Transport
 from .wire import (
     BANDWIDTH_PRESETS,
@@ -65,7 +64,6 @@ __all__ = [
     "BreakerPolicy",
     "BreakerState",
     "CircuitBreaker",
-    "Deadline",
     "ExecutorPolicy",
     "FailureDetector",
     "FaultInjector",
@@ -91,9 +89,6 @@ __all__ = [
     "TRANSPORT_FAILURES",
     "Topology",
     "Transport",
-    "UniformLatency",
     "full_mesh",
-    "line",
-    "ring",
     "wan_clusters",
 ]

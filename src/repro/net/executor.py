@@ -7,14 +7,12 @@ capacity finite the way a real server's worker pool does:
 
 * at most ``concurrency`` request handlers run at once;
 * excess requests wait in a bounded admission queue with a pluggable
-  discipline — ``fifo`` (fairness), ``lifo`` (tail-latency: newest
-  requests are the ones whose callers are still waiting), or
-  ``priority`` (classes carried in RPC metadata: interactive reads
-  above background anti-entropy/repair, with aging so low classes
-  cannot starve);
+  discipline — ``fifo`` (fairness) or ``priority`` (classes carried in
+  RPC metadata: interactive reads above background anti-entropy/repair,
+  with aging so low classes cannot starve);
 * when the queue is full the executor *sheds*: the victim — the
-  incoming request under fifo, the oldest under lifo, the least
-  urgent under priority — is answered immediately with
+  incoming request under fifo, the least urgent under priority — is
+  answered immediately with
   :class:`~repro.errors.ServerBusyFailure` carrying a ``retry_after``
   hint derived from observed queue depth x EWMA service time;
 * under a ``brownout`` policy, a deep queue degrades eligible reads
@@ -46,10 +44,18 @@ PRIORITY_HIGH = 0      # failure-detector probes, health checks
 PRIORITY_NORMAL = 1    # interactive client traffic (the default)
 PRIORITY_LOW = 2       # background anti-entropy, repair, scrub
 
-DISCIPLINES = ("fifo", "lifo", "priority")
+DISCIPLINES = ("fifo", "priority")
 
 #: EWMA smoothing for the observed per-request service time.
 _EWMA_ALPHA = 0.2
+
+#: Seconds of queue wait that promote an entry one priority class
+#: (anti-starvation).
+_AGING = 0.5
+
+#: The least ``retry_after`` a shed carries, so clients never spin on a
+#: zero hint; also the service-time estimate before any is observed.
+_RETRY_AFTER_FLOOR = 0.005
 
 
 class ExecutorPolicy:
@@ -59,18 +65,16 @@ class ExecutorPolicy:
     model: unbounded handler spawning); ``queue_limit=None`` bounds
     workers but queues without limit — the classic congestion-collapse
     ablation, where queueing delay grows past every caller's timeout.
+    Brownout starts at half the queue limit (or, unbounded, at the
+    worker count).
     """
 
-    __slots__ = ("concurrency", "queue_limit", "discipline", "brownout",
-                 "brownout_depth", "aging", "retry_after_floor")
+    __slots__ = ("concurrency", "queue_limit", "discipline", "brownout")
 
     def __init__(self, concurrency: Optional[int] = None,
                  queue_limit: Optional[int] = None,
                  discipline: str = "fifo",
-                 brownout: bool = False,
-                 brownout_depth: Optional[int] = None,
-                 aging: float = 0.5,
-                 retry_after_floor: float = 0.005):
+                 brownout: bool = False):
         if discipline not in DISCIPLINES:
             raise SimulationError(
                 f"unknown admission discipline {discipline!r}; "
@@ -83,13 +87,6 @@ class ExecutorPolicy:
         self.queue_limit = queue_limit
         self.discipline = discipline
         self.brownout = brownout
-        #: queue depth at which brownout kicks in; None resolves to
-        #: half the queue limit (or the worker count when unbounded).
-        self.brownout_depth = brownout_depth
-        #: seconds of queue wait that promote an entry one priority
-        #: class (anti-starvation); 0 disables aging.
-        self.aging = aging
-        self.retry_after_floor = retry_after_floor
 
     @property
     def enabled(self) -> bool:
@@ -141,12 +138,9 @@ class BoundedExecutor:
         self._epoch = 0            # bumped by reset(); stales old releases
         #: EWMA of observed handler service time (virtual seconds);
         #: seeds at the floor so the first hints are sane.
-        self.ewma_service_time = policy.retry_after_floor
-        depth = policy.brownout_depth
-        if depth is None:
-            depth = (max(1, policy.queue_limit // 2)
-                     if policy.queue_limit else policy.concurrency)
-        self._brownout_depth = depth
+        self.ewma_service_time = _RETRY_AFTER_FLOOR
+        self._brownout_depth = (max(1, policy.queue_limit // 2)
+                                if policy.queue_limit else policy.concurrency)
         # counters are shared across the fleet (one registry per
         # kernel); the queue-depth gauge tracks the *total* backlog.
         metrics = kernel.obs.metrics
@@ -175,7 +169,7 @@ class BoundedExecutor:
         """
         backlog = len(self._queue) + 1
         estimate = backlog * self.ewma_service_time / self.policy.concurrency
-        return max(self.policy.retry_after_floor, estimate)
+        return max(_RETRY_AFTER_FLOOR, estimate)
 
     # -- admission --------------------------------------------------------
     def submit(self, priority: int, start: Callable, shed: Callable,
@@ -213,14 +207,6 @@ class BoundedExecutor:
             # Fairness: latecomers are rejected, the queue keeps order.
             self._reject(shed)
             return
-        if policy.discipline == "lifo":
-            # Tail-latency: the oldest waiter's caller has likely timed
-            # out already — evict it, keep the fresh request.
-            victim = self._queue.popleft()
-            self._m_depth.add(-1)
-            self._reject(victim.shed)
-            self._enqueue(priority, start, shed)
-            return
         # priority: shed lowest-priority-first (aging-adjusted).  The
         # incoming request competes at age zero.
         victim_i = max(range(len(self._queue)),
@@ -246,10 +232,7 @@ class BoundedExecutor:
     def _urgency(self, entry: _Entry) -> float:
         """Aging-adjusted priority: waiting promotes an entry so low
         classes cannot starve behind a flood of urgent ones."""
-        aging = self.policy.aging
-        if aging <= 0:
-            return float(entry.priority)
-        return entry.priority - (self.kernel.now - entry.enqueued_at) / aging
+        return entry.priority - (self.kernel.now - entry.enqueued_at) / _AGING
 
     # -- dispatch ---------------------------------------------------------
     def _dispatch_now(self, start: Callable) -> None:
@@ -279,11 +262,8 @@ class BoundedExecutor:
             self._dispatch_now(entry.start)
 
     def _pick(self) -> _Entry:
-        discipline = self.policy.discipline
-        if discipline == "fifo":
+        if self.policy.discipline == "fifo":
             return self._queue.popleft()
-        if discipline == "lifo":
-            return self._queue.pop()
         best = min(range(len(self._queue)),
                    key=lambda i: (self._urgency(self._queue[i]),
                                   self._queue[i].seq))

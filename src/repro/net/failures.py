@@ -45,31 +45,6 @@ class FaultSchedule:
     def rejoin_at(self, time: float, node: NodeId) -> "FaultSchedule":
         return self.at(time, lambda net: net.rejoin(node))
 
-    def isolate_group_at(self, time: float, nodes) -> "FaultSchedule":
-        """Correlated partition: a whole group (e.g. one datacenter)
-        splits off together, keeping its intra-group connectivity."""
-        group = tuple(nodes)
-        return self.at(time, lambda net: net.isolate_group(group))
-
-    def rejoin_group_at(self, time: float, nodes) -> "FaultSchedule":
-        group = tuple(nodes)
-        return self.at(time, lambda net: net.rejoin_group(group))
-
-    def cut_link_at(self, time: float, a: NodeId, b: NodeId) -> "FaultSchedule":
-        return self.at(time, lambda net: net.cut_link(a, b))
-
-    def restore_link_at(self, time: float, a: NodeId, b: NodeId) -> "FaultSchedule":
-        return self.at(time, lambda net: net.restore_link(a, b))
-
-    def crash_on_wal_step(self, time: float, node: NodeId,
-                          step: str = "home-deleted") -> "FaultSchedule":
-        """Arm a one-shot crash point: ``node`` crashes the next time an
-        intent in its store's write-ahead log reaches ``step`` —
-        deterministic crash-mid-operation (pair with :meth:`recover_at`)."""
-        def arm(net: Network) -> None:
-            net.node(node).service("store").wal.arm_crash(step)
-        return self.at(time, arm)
-
     def run(self, net: Network) -> Generator:
         """Simulated process executing the schedule (spawn as daemon)."""
         last = 0.0

@@ -14,7 +14,7 @@ from typing import Optional
 from ..errors import SimulationError
 from ..sim.rng import Stream
 
-__all__ = ["LatencyModel", "FixedLatency", "UniformLatency", "ParetoLatency", "Link"]
+__all__ = ["LatencyModel", "FixedLatency", "ParetoLatency", "Link"]
 
 
 class LatencyModel:
@@ -46,26 +46,6 @@ class FixedLatency(LatencyModel):
 
     def expected(self) -> float:
         return self.delay
-
-
-@dataclass(frozen=True)
-class UniformLatency(LatencyModel):
-    """Delay uniform in [low, high]."""
-
-    low: float
-    high: float
-
-    def __post_init__(self) -> None:
-        if self.low < 0 or self.high < self.low:
-            raise SimulationError(f"bad latency range [{self.low}, {self.high}]")
-
-    def sample(self, stream: Optional[Stream]) -> float:
-        if stream is None:
-            return self.expected()
-        return stream.uniform(self.low, self.high)
-
-    def expected(self) -> float:
-        return (self.low + self.high) / 2.0
 
 
 @dataclass(frozen=True)

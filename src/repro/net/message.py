@@ -77,7 +77,3 @@ class Message:
             reply_to=self.msg_id,
             priority=self.priority,
         )
-
-    def __str__(self) -> str:
-        kind = "reply" if self.is_reply else "call"
-        return f"{kind} #{self.msg_id} {self.src} -> {self.dst} {self.method}"

@@ -1,4 +1,4 @@
-"""Client-side RPC resilience: retries, deadlines, breakers, hedging.
+"""Client-side RPC resilience: retries, breakers, hedging.
 
 The paper's environment is one where "failures are assumed to be
 common", yet a bare :meth:`Network.call` gives up on the first drop: a
@@ -12,13 +12,11 @@ the *semantics* under faults rather than the transport's fragility:
   :class:`~repro.errors.FailureException` hierarchy.  Only *transport*
   failures (timeout / crash / link / partition) are retried by default;
   application-level failures raised by a live server are not.
-* :class:`Deadline` — a per-operation budget capping total time across
-  attempts, so retries never turn one slow call into an unbounded one.
 * :class:`CircuitBreaker` — per-(src, dst) closed/open/half-open state
   with cooldown, so clients stop hammering nodes the failure detector
   already suspects; open circuits fail fast without touching the wire.
 * :class:`ResilientClient` — the facade weak-set repositories speak
-  through: :meth:`ResilientClient.call` (retry + deadline + breaker)
+  through: :meth:`ResilientClient.call` (retry + breaker)
   and :meth:`ResilientClient.hedged_call` (after a quantile delay,
   issue a duplicate request to the next replica and take the first
   reply).
@@ -56,7 +54,6 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = [
     "TRANSPORT_FAILURES",
     "RetryPolicy",
-    "Deadline",
     "BreakerState",
     "BreakerPolicy",
     "CircuitBreaker",
@@ -86,14 +83,12 @@ RETRYABLE_FAILURES = TRANSPORT_FAILURES + (CircuitOpenFailure,
 # ---------------------------------------------------------------------------
 @dataclass(frozen=True)
 class RetryPolicy:
-    """Exponential backoff with deterministic jitter, for
+    """Doubling backoff with deterministic full jitter, for
     :data:`RETRYABLE_FAILURES`."""
 
     max_attempts: int = 3
     base_delay: float = 0.05
-    multiplier: float = 2.0
     max_delay: float = 2.0
-    jitter: float = 0.5                  # > 0 enables full jitter
 
     def is_retryable(self, exc: BaseException) -> bool:
         return isinstance(exc, RETRYABLE_FAILURES)
@@ -101,53 +96,19 @@ class RetryPolicy:
     def backoff(self, attempt: int, stream: Stream) -> float:
         """Delay before retry number ``attempt`` (1-based): full jitter.
 
-        Any ``jitter > 0`` draws the whole delay uniformly from
-        ``[0, nominal]`` — the "full jitter" scheme, which decorrelates
-        a cohort of clients whose calls all failed at the same instant
-        (the retry-storm synchronization that additive jitter cannot
-        break up).  ``jitter <= 0`` keeps the exact exponential ladder
-        for tests that need determinism.
+        The whole delay is drawn uniformly from ``[0, nominal]``, where
+        the nominal delay doubles per attempt up to ``max_delay`` — the
+        "full jitter" scheme, which decorrelates a cohort of clients
+        whose calls all failed at the same instant (the retry-storm
+        synchronization that additive jitter cannot break up).
 
         The draw comes from a named simulation stream, so the schedule
         is a pure function of (seed, call order) — reproducible chaos,
         per the repo's determinism rule.
         """
         nominal = min(self.max_delay,
-                      self.base_delay * self.multiplier ** (attempt - 1))
-        if self.jitter <= 0:
-            return nominal
+                      self.base_delay * 2.0 ** (attempt - 1))
         return stream.uniform(0.0, nominal)
-
-
-# ---------------------------------------------------------------------------
-# deadlines
-# ---------------------------------------------------------------------------
-@dataclass(frozen=True)
-class Deadline:
-    """An absolute point in virtual time bounding a whole operation.
-
-    One deadline spans *all* attempts of a resilient call: retries and
-    hedges divide the remaining budget, they never extend it.
-    """
-
-    expires_at: float
-
-    @classmethod
-    def after(cls, now: float, budget: float) -> "Deadline":
-        return cls(expires_at=now + budget)
-
-    def remaining(self, now: float) -> float:
-        return self.expires_at - now
-
-    def expired(self, now: float) -> bool:
-        return now >= self.expires_at
-
-    def clamp(self, timeout: Optional[float], now: float) -> float:
-        """Largest per-attempt timeout that still respects the deadline."""
-        rem = max(0.0, self.remaining(now))
-        if timeout is None or timeout == float("inf"):
-            return rem
-        return min(timeout, rem)
 
 
 # ---------------------------------------------------------------------------
@@ -285,27 +246,30 @@ class RetryBudget:
 # ---------------------------------------------------------------------------
 # AIMD adaptive concurrency
 # ---------------------------------------------------------------------------
+#: The window's fixed shape: it starts at ``_AIMD_INITIAL``, grows by
+#: one full step per window of successes, halves on overload — at most
+#: once per ``_AIMD_COOLDOWN`` seconds, so one burst of sheds from a
+#: single congested instant does not collapse it — and never falls
+#: below ``_AIMD_MIN_WINDOW``.
+_AIMD_MIN_WINDOW = 1
+_AIMD_INITIAL = 8
+_AIMD_INCREASE = 1.0
+_AIMD_BACKOFF = 0.5
+_AIMD_COOLDOWN = 0.05
+
+
 @dataclass(frozen=True)
 class AIMDPolicy:
-    """Dials for an additive-increase / multiplicative-decrease window.
+    """The ceiling of an additive-increase / multiplicative-decrease
+    window.
 
     The TCP congestion-control shape applied to client concurrency:
-    each clean success grows the window by ``increase / window`` (one
-    full step per window of successes); any overload signal — a
-    :class:`~repro.errors.ServerBusyFailure`, a timeout, or a latency
-    above ``latency_threshold`` — halves it (``backoff``), floored at
-    ``min_window``.  ``cooldown`` rate-limits decreases so one burst of
-    sheds from a single congested instant does not collapse the window
-    all the way to the floor.
+    each clean success grows the window by ``1 / window``; an overload
+    signal — a :class:`~repro.errors.ServerBusyFailure` or a timeout —
+    halves it.  The rest of the shape is fixed (``_AIMD_*`` above).
     """
 
-    min_window: int = 1
     max_window: int = 64
-    initial: int = 8
-    backoff: float = 0.5
-    increase: float = 1.0
-    latency_threshold: Optional[float] = None
-    cooldown: float = 0.05
 
 
 class AdaptiveLimiter:
@@ -321,9 +285,8 @@ class AdaptiveLimiter:
 
     def __init__(self, policy: Optional[AIMDPolicy] = None, metrics=None):
         self.policy = policy if policy is not None else AIMDPolicy()
-        p = self.policy
-        self._window = float(min(max(p.initial, p.min_window), p.max_window))
-        self._last_decrease = -p.cooldown
+        self._window = float(min(_AIMD_INITIAL, self.policy.max_window))
+        self._last_decrease = -_AIMD_COOLDOWN
         self._m_window = (metrics.gauge("overload.limiter_window")
                           if metrics is not None else None)
         self._publish()
@@ -332,24 +295,16 @@ class AdaptiveLimiter:
     def window(self) -> int:
         return int(self._window)
 
-    def on_success(self, latency: float, now: float) -> None:
-        p = self.policy
-        if p.latency_threshold is not None and latency > p.latency_threshold:
-            self._decrease(now)
-            return
-        self._window = min(float(p.max_window),
-                           self._window + p.increase / max(1.0, self._window))
+    def on_success(self) -> None:
+        self._window = min(float(self.policy.max_window),
+                           self._window + _AIMD_INCREASE / max(1.0, self._window))
         self._publish()
 
     def on_overload(self, now: float) -> None:
-        self._decrease(now)
-
-    def _decrease(self, now: float) -> None:
-        p = self.policy
-        if now - self._last_decrease < p.cooldown:
+        if now - self._last_decrease < _AIMD_COOLDOWN:
             return
         self._last_decrease = now
-        self._window = max(float(p.min_window), self._window * p.backoff)
+        self._window = max(float(_AIMD_MIN_WINDOW), self._window * _AIMD_BACKOFF)
         self._publish()
 
     def _publish(self) -> None:
@@ -364,7 +319,7 @@ class AdaptiveLimiter:
 # the resilient client
 # ---------------------------------------------------------------------------
 class ResilientClient:
-    """Retry + deadline + breaker + hedging on top of :meth:`Network.call`.
+    """Retry + breaker + hedging on top of :meth:`Network.call`.
 
     One instance serves one logical client (it is keyed by the ``src``
     of each call for breaker purposes, so sharing across clients is
@@ -377,8 +332,6 @@ class ResilientClient:
     * ``hedge_delay`` — enables :meth:`hedged_call`: after this many
       seconds without a reply (a latency-quantile estimate), a duplicate
       request goes to the next candidate and the first reply wins.
-    * ``default_budget`` — a total-time :class:`Deadline` applied to
-      every call that does not bring its own.
     * ``retry_budget`` — a :class:`RetryBudgetPolicy` caps this client's
       retries at a bounded fraction of its first attempts, so a
       saturated server never sees the retry storm that turns overload
@@ -388,14 +341,12 @@ class ResilientClient:
     def __init__(self, net: "Network", policy: Optional[RetryPolicy] = None,
                  breaker: Optional[BreakerPolicy] = None,
                  hedge_delay: Optional[float] = None,
-                 default_budget: Optional[float] = None,
                  retry_budget: Optional[RetryBudgetPolicy] = None,
                  stream_name: str = "net.resilience"):
         self.net = net
         self.policy = policy if policy is not None else RetryPolicy()
         self.breaker_policy = breaker
         self.hedge_delay = hedge_delay
-        self.default_budget = default_budget
         self.retry_budget = (RetryBudget(retry_budget)
                              if retry_budget is not None else None)
         self.stream = net.kernel.stream(stream_name)
@@ -449,18 +400,15 @@ class ResilientClient:
     # -- the retrying call ------------------------------------------------
     def call(self, src: NodeId, dst: NodeId, service: str, method: str,
              *args: Any, timeout: Optional[float] = None,
-             deadline: Optional[Deadline] = None,
              max_attempts: Optional[int] = None,
              **kwargs: Any) -> Generator[Any, Any, Any]:
-        """Blocking RPC with retries, bounded by a per-operation deadline.
+        """Blocking RPC with retries; ``timeout`` bounds each attempt.
 
         ``max_attempts`` overrides the policy's count for this call
         (``1`` = no retry — used by failover loops whose alternates
-        *are* the retry).  Raises the last failure when attempts or the
-        deadline run out.
+        *are* the retry).  Raises the last failure when the attempts run
+        out.
         """
-        if deadline is None and self.default_budget is not None:
-            deadline = Deadline.after(self.net.now, self.default_budget)
         attempts = max_attempts if max_attempts is not None else self.policy.max_attempts
         tracer = self.net.kernel.obs.tracer
         span = tracer.start("rpc.call", dst=str(dst),
@@ -472,25 +420,15 @@ class ResilientClient:
                 attempt += 1
                 if attempt == 1 and self.retry_budget is not None:
                     self.retry_budget.deposit()
-                now = self.net.now
-                if deadline is not None and deadline.expired(now):
-                    raise last_exc if last_exc is not None else TimeoutFailure(
-                        f"deadline exhausted before {service}.{method} {src}->{dst}"
-                    )
                 try:
                     breaker = self._admit(src, dst)
                 except CircuitOpenFailure as exc:
                     last_exc = exc
                 else:
-                    per_attempt = timeout
-                    if deadline is not None:
-                        per_attempt = deadline.clamp(
-                            timeout if timeout is not None else self.net.default_timeout,
-                            now)
                     try:
                         result = yield from self.net.call(
                             src, dst, service, method, *args,
-                            timeout=per_attempt, **kwargs)
+                            timeout=timeout, **kwargs)
                     except FailureException as exc:
                         self._settle(breaker, exc)
                         last_exc = exc
@@ -511,11 +449,6 @@ class ResilientClient:
                 retry_after = getattr(last_exc, "retry_after", 0.0) or 0.0
                 if retry_after > delay:
                     delay = retry_after
-                if deadline is not None:
-                    remaining = deadline.remaining(self.net.now)
-                    if remaining <= 0:
-                        raise last_exc
-                    delay = min(delay, remaining)
                 self._m_retries.value += 1
                 yield Sleep(delay)
         except BaseException as exc:
@@ -526,7 +459,6 @@ class ResilientClient:
     # -- hedged calls -----------------------------------------------------
     def hedged_call(self, src: NodeId, dsts: Sequence[NodeId], service: str,
                     method: str, *args: Any, timeout: Optional[float] = None,
-                    deadline: Optional[Deadline] = None,
                     method_for: Optional[dict[NodeId, str]] = None,
                     **kwargs: Any) -> Generator[Any, Any, Any]:
         """First reply wins over a staggered fan-out of identical requests.
@@ -551,9 +483,7 @@ class ResilientClient:
         if self.hedge_delay is None or len(dsts) == 1:
             return (yield from self.call(
                 src, dsts[0], service, method_for.get(dsts[0], method), *args,
-                timeout=timeout, deadline=deadline, max_attempts=1, **kwargs))
-        if deadline is None and self.default_budget is not None:
-            deadline = Deadline.after(self.net.now, self.default_budget)
+                timeout=timeout, max_attempts=1, **kwargs))
         tracer = self.net.kernel.obs.tracer
         # One span covers the whole race; forked attempts nest under it
         # via the kernel's span adoption at Fork.
@@ -566,14 +496,9 @@ class ResilientClient:
         def attempt(dst: NodeId, breaker: Optional[CircuitBreaker],
                     hedged: bool) -> Generator:
             try:
-                per_attempt = timeout
-                if deadline is not None:
-                    per_attempt = deadline.clamp(
-                        timeout if timeout is not None else self.net.default_timeout,
-                        self.net.now)
                 value = yield from self.net.call(
                     src, dst, service, method_for.get(dst, method), *args,
-                    timeout=per_attempt, **kwargs)
+                    timeout=timeout, **kwargs)
             except FailureException as exc:
                 self._settle(breaker, exc)
                 state["error"] = exc
@@ -613,25 +538,14 @@ class ResilientClient:
                            f"hedge:{method}@{dst}", True)
                 if last:
                     break
-                stagger = self.hedge_delay
-                if deadline is not None:
-                    remaining = deadline.remaining(self.net.now)
-                    if remaining <= 0:
-                        break
-                    stagger = min(stagger, remaining)
+                # ``sig`` fails with a FailureException only once
+                # ``done_launching`` is set, after the last launch: in
+                # here it fires, times out or fails with a non-failure
+                # error, which propagates.
                 try:
-                    value = yield Wait(sig, timeout=stagger)
+                    value = yield Wait(sig, timeout=self.hedge_delay)
                 except TimeoutFailure:
                     continue            # primary is slow: hedge
-                except FailureException:
-                    if state["pending"] > 0:
-                        # A fresh signal would be needed to keep waiting on
-                        # in-flight attempts; simpler and equivalent: the
-                        # remaining candidates are tried by the next loop
-                        # iteration against a new signal.  (Cannot happen:
-                        # sig only fails once done_launching is set.)
-                        raise
-                    continue
                 tracer.finish(span, outcome="ok", launched=launched,
                               winner=str(self.last_winner))
                 return value
@@ -640,10 +554,7 @@ class ResilientClient:
             if state["pending"] == 0:
                 raise state["error"] if state["error"] is not None else \
                     CircuitOpenFailure(f"all circuits {src}->{list(dsts)} open")
-            final_timeout: Optional[float] = None
-            if deadline is not None:
-                final_timeout = max(0.0, deadline.remaining(self.net.now))
-            value = yield Wait(sig, timeout=final_timeout)
+            value = yield Wait(sig)
         except BaseException as exc:
             if not span.finished:
                 tracer.finish(span, outcome=type(exc).__name__)
@@ -658,6 +569,4 @@ class ResilientClient:
             knobs.append("breaker")
         if self.hedge_delay is not None:
             knobs.append(f"hedge={self.hedge_delay}")
-        if self.default_budget is not None:
-            knobs.append(f"budget={self.default_budget}")
         return f"ResilientClient({', '.join(knobs)})"

@@ -23,7 +23,7 @@ from ..errors import SimulationError
 from .address import NodeId
 from .link import FixedLatency, LatencyModel, Link
 
-__all__ = ["Topology", "full_mesh", "line", "ring", "wan_clusters"]
+__all__ = ["Topology", "full_mesh", "wan_clusters"]
 
 
 class Topology:
@@ -67,9 +67,6 @@ class Topology:
 
     def links(self) -> list[Link]:
         return list(self._links.values())
-
-    def has_node(self, node: NodeId) -> bool:
-        return node in self._nodes
 
     def link_between(self, a: NodeId, b: NodeId) -> Optional[Link]:
         return self._links.get(frozenset((a, b)))
@@ -181,34 +178,6 @@ def full_mesh(names: Iterable[NodeId],
         for b in nodes[i + 1:]:
             model = latency_for(a, b) if latency_for else (latency or FixedLatency(0.01))
             topo.add_link(a, b, model, bandwidth=bandwidth)
-    return topo
-
-
-def line(names: Iterable[NodeId], latency: Optional[LatencyModel] = None,
-         bandwidth: float = 0.0) -> Topology:
-    """Nodes in a chain; cutting any link partitions the network."""
-    topo = Topology()
-    nodes = list(names)
-    for n in nodes:
-        topo.add_node(n)
-    for a, b in zip(nodes, nodes[1:]):
-        topo.add_link(a, b, latency or FixedLatency(0.01), bandwidth=bandwidth)
-    return topo
-
-
-def ring(names: Iterable[NodeId], latency: Optional[LatencyModel] = None,
-         bandwidth: float = 0.0) -> Topology:
-    """Nodes in a cycle: any single link cut leaves everyone connected
-    (via the long way around), any two cuts partition."""
-    topo = Topology()
-    nodes = list(names)
-    if len(nodes) < 3:
-        raise SimulationError(f"a ring needs >= 3 nodes, got {len(nodes)}")
-    for n in nodes:
-        topo.add_node(n)
-    for a, b in zip(nodes, nodes[1:]):
-        topo.add_link(a, b, latency or FixedLatency(0.01), bandwidth=bandwidth)
-    topo.add_link(nodes[-1], nodes[0], latency or FixedLatency(0.01), bandwidth=bandwidth)
     return topo
 
 

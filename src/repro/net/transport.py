@@ -314,23 +314,15 @@ class Transport:
                 family = self._family_counter(
                     self._bytes_sent_by_method, "net.bytes_sent", msg.method)
             family.value += size
-        # Message.__str__ is three nested formats: only pay for it when
-        # the trace log will keep the record.
         kernel = self.kernel
-        trace = kernel.trace
         route = self._route_or_reason(msg.src.node, msg.dst.node)
         if type(route) is tuple:
             self._m_dropped.value += 1
-            if trace.enabled:
-                trace.record("drop", msg=str(msg), at="send")
             return False
         stream = self._latency_stream
         for link, _ in route:
             if link.loss_rate > 0.0 and stream.bernoulli(link.loss_rate):
                 self._m_dropped.value += 1
-                if trace.enabled:
-                    trace.record("drop", msg=str(msg), at="loss",
-                                 link=f"{link.a}<->{link.b}")
                 return False
         now = kernel.clock.now
         t = now + self.wire.serialize_delay(size)
@@ -360,9 +352,6 @@ class Transport:
                     f"net.link.queue_delay.{family}")
                 self._queue_delay_by_family[family] = hist
             hist.observe(queue_wait)
-        if trace.enabled:
-            trace.record("send", msg=str(msg), delay=round(delay, 6),
-                         size=size)
         # Straight onto the kernel's queue: a delivery is never cancelled
         # (so no cancel handle), and a partial is called without a frame
         # of its own.
@@ -370,11 +359,8 @@ class Transport:
         return True
 
     def _deliver(self, msg: Message) -> None:
-        trace = self.kernel.trace
         if type(self._route_or_reason(msg.src.node, msg.dst.node)) is tuple:
             self._m_dropped.value += 1
-            if trace.enabled:
-                trace.record("drop", msg=str(msg), at="delivery")
             return
         self._m_delivered.value += 1
         size = msg.wire_size
@@ -386,8 +372,6 @@ class Transport:
                     self._bytes_received_by_method, "net.bytes_received",
                     msg.method)
             family.value += size
-        if trace.enabled:
-            trace.record("recv", msg=str(msg))
         if msg.is_reply:
             self._complete_reply(msg)
         else:

@@ -21,8 +21,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Hashable, Optional, Union
 
-from .export import (export_jsonl, metrics_from_records, read_jsonl,
-                     spans_from_records)
+from .export import export_jsonl, read_jsonl, spans_from_records
 from .metrics import (DEFAULT_LATENCY_BUCKETS, Counter, Gauge, Histogram,
                       MetricsRegistry)
 from .spans import Span, Tracer
@@ -40,7 +39,6 @@ __all__ = [
     "Span",
     "Tracer",
     "export_jsonl",
-    "metrics_from_records",
     "read_jsonl",
     "spans_from_records",
 ]

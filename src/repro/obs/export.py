@@ -7,9 +7,10 @@ One line per record, so artifacts stream, diff, and grep well:
 * ``{"type": "span", "span_id": ..., "parent_id": ..., ...}``.
 
 ``export_jsonl`` / ``read_jsonl`` are the file layer;
-``metrics_from_records`` / ``spans_from_records`` rebuild live objects,
-so a trace round-trips: export a run, re-import it, and query spans or
-histogram quantiles offline exactly as the run saw them.
+``spans_from_records`` rebuilds live spans, so a trace round-trips:
+export a run, re-import it, and query its spans offline exactly as the
+run saw them (metric records are the registry's snapshot rows, read as
+they are).
 """
 
 from __future__ import annotations
@@ -18,11 +19,10 @@ import json
 from pathlib import Path
 from typing import Any, Iterable, Optional, Union
 
-from .metrics import Counter, Gauge, Histogram, MetricsRegistry
+from .metrics import MetricsRegistry
 from .spans import Span, Tracer
 
-__all__ = ["export_jsonl", "read_jsonl", "metrics_from_records",
-           "spans_from_records"]
+__all__ = ["export_jsonl", "read_jsonl", "spans_from_records"]
 
 
 def _metric_records(registry: MetricsRegistry) -> Iterable[dict]:
@@ -71,34 +71,6 @@ def read_jsonl(path: Union[str, Path]) -> list[dict]:
             if line:
                 out.append(json.loads(line))
     return out
-
-
-def metrics_from_records(records: Iterable[dict]) -> MetricsRegistry:
-    """Rebuild a registry from exported records (non-metric rows skipped)."""
-    registry = MetricsRegistry()
-    for record in records:
-        if record.get("type") != "metric":
-            continue
-        kind, name = record["kind"], record["name"]
-        if kind == "counter":
-            counter = Counter(name)
-            counter.value = record["value"]
-            registry._instruments[name] = counter
-        elif kind == "gauge":
-            gauge = Gauge(name)
-            gauge.value = record["value"]
-            registry._instruments[name] = gauge
-        elif kind == "histogram":
-            hist = Histogram(name, bounds=record["bounds"])
-            hist.counts = list(record["counts"])
-            hist.total = record["sum"]
-            hist.count = record["count"]
-            hist.vmin = record.get("min")
-            hist.vmax = record.get("max")
-            registry._instruments[name] = hist
-        else:
-            raise ValueError(f"unknown metric kind {kind!r} for {name!r}")
-    return registry
 
 
 def spans_from_records(records: Iterable[dict]) -> list[Span]:

@@ -22,7 +22,6 @@ from .kernel import Kernel
 from .process import Process, ProcessState
 from .rng import RandomRouter, Stream
 from .sched import InstantHeap
-from .tracing import TraceLog, TraceRecord
 
 __all__ = [
     "Clock",
@@ -37,7 +36,5 @@ __all__ = [
     "Signal",
     "Sleep",
     "Stream",
-    "TraceLog",
-    "TraceRecord",
     "Wait",
 ]

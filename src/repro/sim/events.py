@@ -25,7 +25,7 @@ from ..errors import SimulationError
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .process import Process
 
-__all__ = ["Signal", "Sleep", "Wait", "Fork", "Join", "Now", "Effect"]
+__all__ = ["Signal", "Sleep", "Wait", "Fork", "Join", "Now"]
 
 
 class Signal:
@@ -178,6 +178,3 @@ class Now:
 
     def __repr__(self) -> str:
         return "Now()"
-
-
-Effect = (Sleep, Wait, Fork, Join, Now)

@@ -43,7 +43,6 @@ from .events import Fork, Join, Now, Signal, Sleep, Wait
 from .process import Process, ProcessName, ProcessState
 from .rng import RandomRouter, Stream
 from .sched import InstantHeap, _Scheduled
-from .tracing import TraceLog
 
 __all__ = ["Kernel"]
 
@@ -55,10 +54,9 @@ _WAITING = ProcessState.WAITING
 class Kernel:
     """Discrete-event scheduler driving generator-based processes."""
 
-    def __init__(self, seed: int = 0, trace: bool = False):
+    def __init__(self, seed: int = 0):
         self.clock = Clock()
         self.random = RandomRouter(seed)
-        self.trace = TraceLog(enabled=trace, clock=self.clock)
         self._sched = InstantHeap()
         self._seq = itertools.count()
         self._pids = 0
@@ -106,7 +104,7 @@ class Kernel:
 
         ``name`` is the process's name or a callable that formats it;
         either way the text is built when something reads ``proc.name``
-        (a trace record, a ``repr``, an error), not here.
+        (a ``repr``, an error), not here.
 
         ``transient`` processes are not retained in the kernel's process
         table: once finished they are garbage-collected with their
@@ -127,8 +125,6 @@ class Kernel:
         proc = Process(generator, self._pids, name, daemon)
         if not transient:
             self._processes.append(proc)
-        if self.trace.enabled:
-            self.trace.record("spawn", process=proc.name)
         self._schedule(0.0, proc)
         return proc
 
@@ -162,7 +158,6 @@ class Kernel:
         sched = self._sched
         sched_push = sched.push
         next_instant = sched.next_instant
-        trace = self.trace
         batch = self._batch
         seq = self._seq
         stop = self._stop
@@ -213,15 +208,10 @@ class Kernel:
                             effect = proc.generator.send(None)
                         except StopIteration as stop_iteration:
                             proc._finish(stop_iteration.value)
-                            if trace.enabled:
-                                trace.record("finish", process=proc.name)
                             self._running = None
                             continue
                         except BaseException as exc:
                             proc._fail(exc)
-                            if trace.enabled:
-                                trace.record("fail", process=proc.name,
-                                             error=repr(exc))
                             self._running = None
                             continue
                         self._running = None
@@ -290,8 +280,6 @@ class Kernel:
         joiner is resumed with :class:`~repro.errors.ProcessKilled`.
         """
         proc.kill()
-        if self.trace.enabled:
-            self.trace.record("kill", process=proc.name)
 
     def processes(self) -> list[Process]:
         return list(self._processes)
@@ -326,7 +314,7 @@ class Kernel:
         """Advance ``proc`` by one generator step and interpret its effect."""
         if proc._terminal:
             return
-        # Inlined _take_resume: this runs once per event.
+        # Take the resume value: this runs once per event.
         value = proc._resume_value
         error = proc._resume_error
         if value is not None or error is not None:
@@ -343,13 +331,9 @@ class Kernel:
                 effect = proc.generator.send(value)
         except StopIteration as stop:
             proc._finish(stop.value)
-            if self.trace.enabled:
-                self.trace.record("finish", process=proc.name)
             return
         except BaseException as exc:
             proc._fail(exc)
-            if self.trace.enabled:
-                self.trace.record("fail", process=proc.name, error=repr(exc))
             return
         finally:
             self._running = None

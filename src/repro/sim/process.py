@@ -27,8 +27,8 @@ _TERMINAL = {ProcessState.FINISHED, ProcessState.FAILED, ProcessState.KILLED}
 
 
 def _format_name(name: ProcessName, pid: int) -> str:
-    """A process's name, built when something reads it (a ``repr``, a
-    trace record, an error's text) — for most processes, never."""
+    """A process's name, built when something reads it (a ``repr``,
+    an error's text) — for most processes, never."""
     if not isinstance(name, str):
         name = name()
     return name or f"proc-{pid}"
@@ -124,11 +124,6 @@ class Process:
     def _set_resume(self, value: Any = None, error: Optional[BaseException] = None) -> None:
         self._resume_value = value
         self._resume_error = error
-
-    def _take_resume(self) -> tuple[Any, Optional[BaseException]]:
-        value, error = self._resume_value, self._resume_error
-        self._resume_value, self._resume_error = None, None
-        return value, error
 
     def _finish(self, value: Any) -> None:
         self.state = ProcessState.FINISHED

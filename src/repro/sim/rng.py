@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import math
 import random
-from typing import Iterator, Sequence, TypeVar
+from typing import Sequence, TypeVar
 
 __all__ = ["RandomRouter", "Stream"]
 
@@ -129,9 +129,6 @@ class RandomRouter:
         s = Stream(_derive_seed(self.root_seed, name), name)
         self._streams[name] = s
         return s
-
-    def streams(self) -> Iterator[Stream]:
-        return iter(self._streams.values())
 
     def __repr__(self) -> str:
         return f"RandomRouter(root_seed={self.root_seed}, streams={len(self._streams)})"

@@ -9,8 +9,7 @@ A constraint here checks a *membership history* — the sequence of
 (time, value) pairs the :class:`~repro.store.world.World` records for a
 collection.  Because the figures' predicates are reflexive-transitive
 (equality, ⊆), checking consecutive pairs suffices for the pairwise
-∀ i<j property; :meth:`Constraint.check_pairwise` verifies that
-reduction on demand (the property tests exercise it).
+∀ i<j property (the property tests compare it with an O(n²) oracle).
 
 Section 3.1/3.3 also sketch *per-run* relaxations ("mutations may occur
 between different uses of the iterator, but not between invocations of
@@ -79,19 +78,6 @@ class Constraint:
                 violations.append(ConstraintViolationDetail(
                     t_i, t_j, self._explain(s_i, s_j)
                 ))
-        return violations
-
-    def check_pairwise(self, history: History) -> list[ConstraintViolationDetail]:
-        """Check the full ∀ i<j quantification (O(n²); for validation)."""
-        violations = []
-        for i in range(len(history)):
-            for j in range(i + 1, len(history)):
-                t_i, s_i = history[i]
-                t_j, s_j = history[j]
-                if not self.holds_pair(s_i, s_j):
-                    violations.append(ConstraintViolationDetail(
-                        t_i, t_j, self._explain(s_i, s_j)
-                    ))
         return violations
 
     def _explain(self, s_i: frozenset[Element], s_j: frozenset[Element]) -> str:

@@ -74,13 +74,6 @@ class IterationTrace:
     def failed(self) -> bool:
         return bool(self.invocations) and isinstance(self.invocations[-1].outcome, Failed)
 
-    @property
-    def yielded_last(self) -> frozenset[Element]:
-        """The history object's final value (paper: yielded_last)."""
-        if not self.invocations:
-            return frozenset()
-        return self.invocations[-1].yielded_post
-
     def yielded_elements(self) -> list[Element]:
         """Elements in yield order."""
         return [

@@ -64,9 +64,6 @@ class ClientCache:
         while len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
 
-    def invalidate(self, key: Hashable) -> None:
-        self._entries.pop(key, None)
-
     def clear(self) -> None:
         self._entries.clear()
 

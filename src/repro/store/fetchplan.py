@@ -15,8 +15,8 @@ row's to say (``weaksets/iterator.py`` builds every pipeline in
 Two pieces:
 
 :class:`FetchPlanner`
-    Orders candidate elements (closest-first, or an application
-    priority hint) and ranks hosts by expected latency — the one shared
+    Orders candidate elements (closest-first, else by name) and ranks
+    hosts by expected latency — the one shared
     home/replica-ranking helper.
 
 :class:`FetchPipeline`
@@ -25,7 +25,7 @@ Two pieces:
     batched ``get_objects`` multi-get (one service-time charge and one
     round-trip for the whole batch); transport failures fall back to
     replica copies via batched ``get_objects_replica``, closest replica
-    first.  Per-call resilience (retries, deadlines, circuit breakers)
+    first.  Per-call resilience (retries, circuit breakers)
     applies per *batch* through ``Repository._call``.
 
 Soundness — why buffering across invocations cannot invent elements:
@@ -115,18 +115,11 @@ def order_closest_first(net, origin: NodeId,
 class FetchPlanner:
     """Orders fetch candidates and picks hosts for the pipeline."""
 
-    def __init__(self, repo: "Repository", *, closest_first: bool = True,
-                 priority: Optional[Callable[[Element], Any]] = None):
+    def __init__(self, repo: "Repository", *, closest_first: bool = True):
         self.repo = repo
         self.closest_first = closest_first
-        #: optional application hint — a key function on elements that
-        #: overrides the default ordering (Steere's dynamic sets let
-        #: applications hint the prefetcher, e.g. smallest-file-first).
-        self.priority = priority
 
     def order(self, elements: Iterable[Element]) -> list[Element]:
-        if self.priority is not None:
-            return sorted(elements, key=lambda e: (self.priority(e), e.name))
         if self.closest_first:
             return order_closest_first(self.repo.net, self.repo.client, elements)
         # name order, not the caller's: a frozenset's iteration order
@@ -190,7 +183,6 @@ class FetchPipeline:
                  max_batch_bytes: Optional[int] = None,
                  size_hint: "Optional[int | Callable[[Element], int]]" = None,
                  failover: bool = False, validation: str = "none",
-                 priority: Optional[Callable[[Element], Any]] = None,
                  closest_first: bool = True, in_order: bool = True,
                  name: str = ""):
         if validation not in VALIDATION_MODES:
@@ -199,8 +191,7 @@ class FetchPipeline:
                 f"{VALIDATION_MODES}")
         self.repo = repo
         self.world = repo.world
-        self.planner = FetchPlanner(repo, closest_first=closest_first,
-                                    priority=priority)
+        self.planner = FetchPlanner(repo, closest_first=closest_first)
         self.window = max(1, window)
         self.batch_size = max(1, batch_size)
         # Byte-aware coalescing: cap each multi-get's estimated *reply*
@@ -537,11 +528,11 @@ class FetchPipeline:
             outcomes = yield from self.repo._call(home, "get_objects", oids)
         except FailureException as exc:
             self._tracer.finish(span, outcome=type(exc).__name__)
-            self.repo._feed_limiter(exc, span.duration)
+            self.repo._feed_limiter(exc)
             yield from self._batch_failed(batch, exc, issue_epoch, issued_at)
             return
         self._tracer.finish(span, outcome="ok")
-        self.repo._feed_limiter(None, span.duration)
+        self.repo._feed_limiter(None)
         self._m_latency.observe(span.duration)
         for element, (status, value) in zip(batch, outcomes):
             self._m_fetch_latency.observe(self.world.now - issued_at)
@@ -578,14 +569,14 @@ class FetchPipeline:
             return
         except FailureException as exc:
             self._tracer.finish(span, outcome=type(exc).__name__)
-            self.repo._feed_limiter(exc, span.duration)
+            self.repo._feed_limiter(exc)
             # Every racer lost to a fault, not to latency: the patient
             # failover sweep takes over.
             yield from self._batch_failed([element], exc, issue_epoch,
                                           issued_at)
             return
         self._tracer.finish(span, outcome="ok")
-        self.repo._feed_limiter(None, span.duration)
+        self.repo._feed_limiter(None)
         self._m_latency.observe(span.duration)
         self._m_fetch_latency.observe(self.world.now - issued_at)
         self._settle_ok(element, value, issue_epoch)

@@ -266,11 +266,6 @@ class OfflineClient:
                 members.discard(entry.element)
         return frozenset(members)
 
-    def read_value(self, element: Element) -> Any:
-        """Stale object read; DisconnectedError when never cached."""
-        self._m_reads.inc()
-        return self.repo._stale_object(element)
-
     # ------------------------------------------------------------------
     # offline writes (queue, don't send)
     # ------------------------------------------------------------------

@@ -666,8 +666,7 @@ class Repository:
             timeout=self.rpc_timeout,
         ))
 
-    def _feed_limiter(self, exc: Optional[BaseException],
-                      latency: float) -> None:
+    def _feed_limiter(self, exc: Optional[BaseException]) -> None:
         """Report one batch-RPC outcome of either pipeline to this
         client's AIMD window.
 
@@ -680,7 +679,7 @@ class Repository:
         if limiter is None:
             return
         if exc is None:
-            limiter.on_success(latency, self.world.now)
+            limiter.on_success()
         elif isinstance(exc, (ServerBusyFailure, TimeoutFailure)):
             limiter.on_overload(self.world.now)
 

@@ -146,17 +146,6 @@ class HashRing:
         return HashRing(tuple(n for n in self.nodes if n != node),
                         vnodes=self.vnodes, seed=self.seed)
 
-    def moved_names(self, names: Iterable[str],
-                    successor: "HashRing") -> dict[str, NodeId]:
-        """``{name: new_owner}`` for the names whose owner changes under
-        ``successor`` — the migration plan's unit of work."""
-        moved: dict[str, NodeId] = {}
-        for name in names:
-            new_owner = successor.owner(name)
-            if new_owner != self.owner(name):
-                moved[name] = new_owner
-        return moved
-
     def __contains__(self, node: object) -> bool:
         return node in self.nodes
 

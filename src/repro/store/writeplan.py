@@ -392,14 +392,13 @@ class WritePipeline:
     def _put_child(self, dest: NodeId,
                    entries: list[tuple[ObjectId, Any, int]],
                    outcomes: dict) -> Generator:
-        issued_at = self.world.now
         try:
             yield from self.repo._call(dest, "put_objects", tuple(entries))
         except FailureException as exc:
-            self.repo._feed_limiter(exc, self.world.now - issued_at)
+            self.repo._feed_limiter(exc)
             outcomes[dest] = exc
             return
-        self.repo._feed_limiter(None, self.world.now - issued_at)
+        self.repo._feed_limiter(None)
         outcomes[dest] = None
 
     # -- stage 2: membership registration, group-committed ----------------
@@ -483,11 +482,11 @@ class WritePipeline:
                                        elements)
         except (FailureException, StoreError) as exc:
             self._tracer.finish(span, outcome=type(exc).__name__)
-            self.repo._feed_limiter(exc, span.duration)
+            self.repo._feed_limiter(exc)
             outcomes[owner] = exc
             return
         self._tracer.finish(span, outcome="ok")
-        self.repo._feed_limiter(None, span.duration)
+        self.repo._feed_limiter(None)
         self._m_latency.observe(span.duration)
         outcomes[owner] = None
 

@@ -13,7 +13,7 @@ The canonical query is a predicate select by author.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Generator, Optional
+from typing import Any, Optional
 
 from ..net.failures import FaultPlan
 from ..store.elements import Element
@@ -66,12 +66,6 @@ class LibraryWorkload:
         """The paper's query: all papers by one author."""
         return select(self.catalog(semantics, **kwargs),
                       lambda e, v: v is not None and v.author == author)
-
-    def run_author_query(self, author: str, semantics: str = "grow-only",
-                         **kwargs: Any) -> Generator:
-        query = self.papers_by(author, semantics, **kwargs)
-        result = yield from query.drain()
-        return result
 
 
 def build_library(seed: int = 0, *, n_entries: int = 60, n_sites: int = 5,

@@ -11,10 +11,10 @@ module drives a *population*.  The model follows modern load tools
   duration, with per-stage SLOs (failure-rate ceiling, p95 latency
   bound) judged over the sessions that *arrived* during the stage.
 * Arrivals are **open-loop**: inter-arrival gaps are drawn from a
-  heavy-tailed process (lognormal or Pareto; exponential for a Poisson
-  control) at the stage's current rate, independent of completions —
-  slow responses do not throttle offered load, which is exactly what
-  makes open-loop populations stress a service.
+  heavy-tailed lognormal process at the stage's current rate,
+  independent of completions — slow responses do not throttle offered
+  load, which is exactly what makes open-loop populations stress a
+  service.
 
 Sessions are spawned as *transient* kernel processes, so a run's
 memory tracks the live population, not the arrival count — 10⁵+
@@ -95,9 +95,8 @@ class PopulationSpec:
 
     behaviors: tuple[Behavior, ...]
     stages: tuple[Stage, ...]
-    arrival: str = "lognormal"              # lognormal | pareto | exponential
+    arrival: str = "lognormal"              # the one arrival process
     lognormal_sigma: float = 1.0            # tail weight of lognormal gaps
-    pareto_alpha: float = 1.5               # tail index of Pareto gaps (>1)
     audit_fraction: float = 0.0             # sessions running a recorded,
                                             # conformance-checked iteration
                                             # (a dynamic-set drain vs fig6)
@@ -111,12 +110,9 @@ class PopulationSpec:
             raise SimulationError("population needs at least one stage")
         if any(b.weight <= 0 for b in self.behaviors):
             raise SimulationError("behavior weights must be positive")
-        if self.arrival not in ("lognormal", "pareto", "exponential"):
+        if self.arrival != "lognormal":
             raise SimulationError(
-                f"unknown arrival process {self.arrival!r}; "
-                "known: lognormal, pareto, exponential")
-        if self.pareto_alpha <= 1.0:
-            raise SimulationError("pareto_alpha must exceed 1 (finite mean)")
+                f"unknown arrival process {self.arrival!r}; known: lognormal")
 
     @property
     def total_duration(self) -> float:
@@ -283,21 +279,12 @@ class PopulationEngine:
                     # Ramp still at zero: idle forward a slice.
                     yield Sleep(stage.duration * 0.05)
                     continue
-                yield Sleep(self._gap(1.0 / rate))
+                yield Sleep(self.stream.lognormal(1.0 / rate,
+                                                  spec.lognormal_sigma))
                 if self.kernel.now >= stage_end:
                     break
                 self._arrive(index)
             prev_target = stage.arrival_rate
-
-    def _gap(self, mean: float) -> float:
-        spec = self.spec
-        stream = self.stream
-        if spec.arrival == "lognormal":
-            return stream.lognormal(mean, spec.lognormal_sigma)
-        if spec.arrival == "pareto":
-            alpha = spec.pareto_alpha
-            return stream.pareto_latency(mean * (alpha - 1.0) / alpha, alpha)
-        return stream.exponential(mean)
 
     def _arrive(self, stage_index: int) -> None:
         stream = self.stream

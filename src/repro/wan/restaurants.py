@@ -7,15 +7,15 @@ some (but not all) Chinese restaurants in Pittsburgh."
 
 Menus live on each restaurant's own server; a city guide collection
 indexes them.  Menus "change weekly or seasonally", which the paper
-models as remove-old-add-new; :meth:`RestaurantsWorkload.rotate_menu`
-does exactly that.  The canonical query is a cuisine select with an
-early stop once the tourist has seen enough menus.
+models as remove-old-add-new (``Repository.replace``).  The canonical
+query is a cuisine select with an early stop once the tourist has seen
+enough menus.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Generator, Optional
+from typing import Any, Optional
 
 from ..net.failures import FaultPlan
 from ..store.elements import Element
@@ -67,34 +67,6 @@ class RestaurantsWorkload:
                  **kwargs: Any) -> QueryIterator:
         return select(self.guide(semantics, **kwargs),
                       lambda e, v: v is not None and v.cuisine == cuisine)
-
-    def run_cuisine_query(self, cuisine: str, semantics: str = "dynamic",
-                          max_menus: Optional[int] = None,
-                          **kwargs: Any) -> Generator:
-        query = self.menus_of(cuisine, semantics, **kwargs)
-        result = yield from query.drain(max_yields=max_menus)
-        return result
-
-    def rotate_menu(self, element: Element) -> Generator:
-        """The weekly menu change: delete the old item, add the new one.
-
-        "we could model this by the deletion of an old item from the set
-        followed by the addition of a new item."
-        """
-        from ..store.repository import Repository
-        repo = Repository(self.world, self.scenario.spec.primary)
-        old: Menu = self.world.server(element.home).objects[element.oid].value
-        fresh = Menu(
-            restaurant=old.restaurant,
-            cuisine=old.cuisine,
-            dishes=old.dishes,
-            season=old.season + 1,
-        )
-        return (yield from repo.replace(
-            self.scenario.coll_id, element,
-            f"{old.restaurant}-menu-s{fresh.season}",
-            value=fresh, home=element.home, size=1024,
-        ))
 
 
 def build_restaurants(seed: int = 0, *, n_restaurants: int = 30,

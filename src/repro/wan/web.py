@@ -12,7 +12,7 @@ plain iteration: display faces as they arrive.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Generator, Optional
+from typing import Any, Optional
 
 from ..net.failures import FaultPlan
 from ..store.elements import Element
@@ -59,18 +59,9 @@ class FacesWorkload:
         return make_weak_set(self.world, self.scenario.client,
                              self.scenario.coll_id, semantics, **kwargs)
 
-    def display_all_faces(self, semantics: str = "dynamic",
-                          **kwargs: Any) -> Generator:
-        """The paper's query as a runnable process: drain the iterator."""
-        ws = self.home_page(semantics, **kwargs)
-        iterator = ws.elements()
-        result = yield from iterator.drain()
-        return result
-
 
 def build_faces(seed: int = 0, *, n_people: int = 48, n_orgs: int = 6,
-                fault_plan: Optional[FaultPlan] = None,
-                policy: str = "any") -> FacesWorkload:
+                fault_plan: Optional[FaultPlan] = None) -> FacesWorkload:
     """Build the CMU home-page world.
 
     ``.face`` files are small (1–4 KB) bitmaps; people cluster at a few
@@ -82,7 +73,7 @@ def build_faces(seed: int = 0, *, n_people: int = 48, n_orgs: int = 6,
         n_clusters=n_orgs,
         cluster_size=3,
         n_members=0,                        # we seed people ourselves
-        policy=policy,
+        policy="any",
         heavy_tail=True,
         inter_latency=0.060,
         fault_plan=fault_plan,
@@ -101,7 +92,5 @@ def build_faces(seed: int = 0, *, n_people: int = 48, n_orgs: int = 6,
             spec.coll_id, f"{record.person}.face", value=record,
             home=node, size=size,
         ))
-    if policy == "immutable":
-        scenario.world.seal(spec.coll_id)
     scenario.elements = people
     return FacesWorkload(scenario=scenario, people=people)

@@ -70,14 +70,10 @@ class ScenarioSpec:
                                                 # concurrency)
     # -- the wire (E25) --------------------------------------------------
     codec: str = "compact"                  # wire codec: "compact" | "naive"
-    bandwidth_preset: Optional[str] = None  # "lan" | "wan" | "mobile";
-                                            # sets the client's access
-                                            # link and fills the
-                                            # bandwidth dials below
-                                            # where they are 0
-    intra_bandwidth: float = 0.0            # bytes/s inside a cluster
-    inter_bandwidth: float = 0.0            # bytes/s between cluster heads
-    serialize_rate: float = 0.0             # sender-CPU bytes/s (0 = free)
+    bandwidth_preset: Optional[str] = None  # "lan" | "wan" | "mobile":
+                                            # every link's bandwidth and
+                                            # the sender's serialize rate
+                                            # (None = infinite and free)
     # -- sharded membership (E24) --------------------------------------
     shards: int = 0                         # 0 = classic single-primary
                                             # registry; N>0 partitions the
@@ -91,21 +87,12 @@ class ScenarioSpec:
         return "client"
 
     def bandwidths(self) -> tuple[float, float, float, float]:
-        """Resolved (intra, inter, access, serialize_rate) in bytes/s.
-
-        The named preset fills any dial left at 0; explicit non-zero
-        dials win over the preset.  The client's access link has no
-        dial: it is the preset's, or infinite without one.
-        """
-        intra, inter = self.intra_bandwidth, self.inter_bandwidth
-        access, srate = 0.0, self.serialize_rate
-        if self.bandwidth_preset is not None:
-            preset = BANDWIDTH_PRESETS[self.bandwidth_preset]
-            intra = intra or preset.intra
-            inter = inter or preset.inter
-            access = preset.access
-            srate = srate or preset.serialize_rate
-        return intra, inter, access, srate
+        """(intra, inter, access, serialize_rate) in bytes/s: the
+        preset's, or all 0 (infinite, free) without one."""
+        if self.bandwidth_preset is None:
+            return 0.0, 0.0, 0.0, 0.0
+        preset = BANDWIDTH_PRESETS[self.bandwidth_preset]
+        return preset.intra, preset.inter, preset.access, preset.serialize_rate
 
     @property
     def primary(self) -> NodeId:

@@ -9,7 +9,7 @@ map and :mod:`repro.weaksets.factory` for selection by name.
 from ..spec.termination import Failed, Outcome, Returned, Yielded
 from .base import WeakSet
 from .dynamic import DynamicSet
-from .factory import SEMANTICS, make_weak_set, policy_for, weak_set_class
+from .factory import SEMANTICS, make_weak_set, weak_set_class
 from .grow_only import GrowOnlySet, PerRunGrowOnlySet
 from .immutable import Figure1Set, ImmutableSet, PerRunImmutableSet
 from .iterator import DrainResult, ElementsIterator
@@ -58,7 +58,6 @@ __all__ = [
     "install_lock_services",
     "iterate_until_stable",
     "make_weak_set",
-    "policy_for",
     "release_collection_locks",
     "select",
     "union",

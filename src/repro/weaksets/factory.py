@@ -18,7 +18,7 @@ from .quorum import QuorumGrowOnlySet
 from .snapshot import SnapshotSet
 from .strong import StrongSet
 
-__all__ = ["SEMANTICS", "weak_set_class", "make_weak_set", "policy_for"]
+__all__ = ["SEMANTICS", "weak_set_class", "make_weak_set"]
 
 SEMANTICS: dict[str, Type[WeakSet]] = {
     "fig1": Figure1Set,
@@ -45,12 +45,6 @@ def weak_set_class(semantics: str) -> Type[WeakSet]:
         raise KeyError(
             f"unknown semantics {semantics!r}; known: {sorted(SEMANTICS)}"
         ) from None
-
-
-def policy_for(semantics: str) -> str:
-    """The collection policy a design point expects its world to uphold."""
-    cls = weak_set_class(semantics)
-    return cls.expected_policy
 
 
 def make_weak_set(world: World, client: NodeId, coll_id: str,

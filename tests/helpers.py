@@ -6,9 +6,11 @@ import itertools
 from dataclasses import replace
 from typing import Optional
 
-from repro.net import CompactCodec, FixedLatency, Network, WireFormat, full_mesh
+from repro.net import (CompactCodec, FixedLatency, LatencyModel, Network, Topology,
+                       WireFormat, full_mesh)
 from repro.sim import Kernel
-from repro.store import FetchPipeline, World
+from repro.store import FetchPipeline, Repository, World
+from repro.wan.restaurants import Menu
 from repro.weaksets import install_lock_service
 
 CLIENT = "client"
@@ -22,6 +24,32 @@ def fresh_oid(prefix: str = "obj") -> str:
     simulated code mints through ``World.fresh_oid`` so that oid widths —
     which go on the wire — never depend on process history."""
     return f"{prefix}-{next(_oid_counter)}"
+
+
+def line(names, latency: Optional[LatencyModel] = None,
+         bandwidth: float = 0.0) -> Topology:
+    """Nodes in a chain; cutting any link partitions the network."""
+    topo = Topology()
+    nodes = list(names)
+    for n in nodes:
+        topo.add_node(n)
+    for a, b in zip(nodes, nodes[1:]):
+        topo.add_link(a, b, latency or FixedLatency(0.01), bandwidth=bandwidth)
+    return topo
+
+
+def rotate_menu(wl, element):
+    """The weekly menu change: delete the old item, add the new one
+    ("the deletion of an old item from the set followed by the addition
+    of a new item"), through the primary's repository."""
+    repo = Repository(wl.world, wl.scenario.spec.primary)
+    old = wl.world.server(element.home).objects[element.oid].value
+    fresh = Menu(restaurant=old.restaurant, cuisine=old.cuisine,
+                 dishes=old.dishes, season=old.season + 1)
+    return (yield from repo.replace(
+        wl.scenario.coll_id, element,
+        f"{old.restaurant}-menu-s{fresh.season}",
+        value=fresh, home=element.home, size=1024))
 
 
 def standard_world(n_servers: int = 4, policy: str = "any", seed: int = 0,

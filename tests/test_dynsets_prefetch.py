@@ -6,7 +6,7 @@ from repro.dynsets import set_open
 from repro.net import FixedLatency, Network, wan_clusters
 from repro.sim import Kernel, Sleep
 from repro.spec import Failed
-from repro.store import FetchPipeline, Repository, World
+from repro.store import Repository, World
 
 from helpers import CLIENT, standard_world
 
@@ -20,18 +20,6 @@ def drain_set(kernel, world, client=CLIENT, coll_id="coll", **kwargs):
         return handle, delivered
 
     return kernel.run_process(proc())
-
-
-def prefetcher(repo, elements, *, parallelism=4, **kwargs):
-    """A started pipeline over a fixed work-list, configured the way an
-    open dynamic set configures its iterator's (plus any extra pipeline
-    keyword, e.g. the ``priority`` hint)."""
-    pipe = FetchPipeline(repo, use_cache=False, window=parallelism,
-                         batch_size=1, validation="none", in_order=False,
-                         **kwargs)
-    pipe.submit(elements)
-    pipe.start()
-    return pipe
 
 
 def test_prefetch_fetches_everything():
@@ -249,48 +237,3 @@ def test_streaming_first_result_before_total_completion():
     t_first, t_all, count = kernel.run_process(proc())
     assert count == 10
     assert t_first < t_all / 2.5   # partial info well before completion
-
-
-def test_priority_hint_overrides_ordering():
-    """Application hints (Steere's profiles): fetch by custom key."""
-    kernel, net, world, elements = standard_world(members=6)
-    repo = Repository(world, CLIENT)
-    # hint: reverse-alphabetical
-    engine = prefetcher(repo, elements, parallelism=1,
-                        priority=lambda e: tuple(-ord(c) for c in e.name))
-
-    def consume():
-        out = []
-        while True:
-            r = yield from engine.next_result()
-            if r is None:
-                return out
-            out.append(r.element.name)
-
-    names = kernel.run_process(consume())
-    assert names == sorted(names, reverse=True)
-
-
-def test_priority_hint_smallest_first():
-    kernel, net, world, _ = standard_world(members=0, bandwidth=100_000.0)
-    sizes = {}
-    elements = []
-    for i, size in enumerate([50_000, 1_000, 20_000]):
-        e = world.seed_member("coll", f"f{i}", value=f"v{i}", home="s1",
-                              size=size)
-        sizes[e.oid] = size
-        elements.append(e)
-    repo = Repository(world, CLIENT)
-    engine = prefetcher(repo, elements, parallelism=1,
-                        priority=lambda e: sizes[e.oid])
-
-    def consume():
-        out = []
-        while True:
-            r = yield from engine.next_result()
-            if r is None:
-                return out
-            out.append(sizes[r.element.oid])
-
-    order = kernel.run_process(consume())
-    assert order == sorted(order)   # smallest first => fastest first yield

@@ -15,7 +15,7 @@ from repro.spec.trace import IterationTrace
 from repro.store import Element
 from repro.weaksets import DynamicSet
 
-from helpers import CLIENT, standard_world
+from helpers import CLIENT, rotate_menu, standard_world
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +196,7 @@ def test_menu_seasons_drift_over_time():
         current = sorted(wl.world.true_members("pgh-restaurants"),
                          key=lambda e: e.name)
         for e in current[:k]:
-            yield from wl.rotate_menu(e)
+            yield from rotate_menu(wl, e)
 
     first = wl.kernel.run_process(season_census())
     wl.kernel.run_process(rotate_some(5))

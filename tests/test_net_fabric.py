@@ -9,8 +9,10 @@ from repro.errors import (
     SimulationError,
     TimeoutFailure,
 )
-from repro.net import FixedLatency, Network, full_mesh, line
+from repro.net import FixedLatency, Network, full_mesh
 from repro.sim import Kernel, Sleep
+
+from helpers import line
 
 
 class EchoService:

@@ -102,7 +102,9 @@ def test_fault_schedule_executes_in_order():
 def test_fault_schedule_link_actions():
     kernel = Kernel()
     net = Network(kernel, full_mesh(["a", "b"], FixedLatency(0.01)))
-    sched = FaultSchedule().cut_link_at(1.0, "a", "b").restore_link_at(2.0, "a", "b")
+    sched = (FaultSchedule()
+             .at(1.0, lambda net: net.cut_link("a", "b"))
+             .at(2.0, lambda net: net.restore_link("a", "b")))
     kernel.spawn(sched.run(net), daemon=True)
     kernel.run(until=1.5)
     assert not net.can_reach("a", "b")

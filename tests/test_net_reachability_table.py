@@ -17,9 +17,11 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, rule
 
 from repro.errors import LinkDownFailure, NodeCrashFailure, PartitionFailure
-from repro.net import FixedLatency, Network, Topology, line
+from repro.net import FixedLatency, Network, Topology
 from repro.sim import Kernel
 from repro.store import rank_hosts
+
+from helpers import line
 
 NODES = ["a", "b", "c", "d", "e", "f"]
 #: a ring with two chords; dyadic latencies, so every path sum is exact

@@ -7,12 +7,12 @@ from repro.net import (
     FixedLatency,
     ParetoLatency,
     Topology,
-    UniformLatency,
     full_mesh,
-    line,
     wan_clusters,
 )
 from repro.sim.rng import RandomRouter
+
+from helpers import line
 
 
 def route_latency(t, src, dst):
@@ -125,16 +125,6 @@ def test_fixed_latency_model():
         FixedLatency(-0.1)
 
 
-def test_uniform_latency_model():
-    s = RandomRouter(1).stream("lat")
-    m = UniformLatency(0.01, 0.03)
-    assert m.expected() == pytest.approx(0.02)
-    for _ in range(50):
-        assert 0.01 <= m.sample(s) <= 0.03
-    with pytest.raises(SimulationError):
-        UniformLatency(0.03, 0.01)
-
-
 def test_pareto_latency_model():
     s = RandomRouter(2).stream("lat")
     m = ParetoLatency(0.05, alpha=2.5)
@@ -152,8 +142,9 @@ def test_unknown_endpoint_raises():
 
 
 def test_ring_builder():
-    from repro.net import ring
-    t = ring(["a", "b", "c", "d"], FixedLatency(0.01))
+    """A cycle: one cut routes the long way round, two partition."""
+    t = line(["a", "b", "c", "d"], FixedLatency(0.01))
+    t.add_link("d", "a", FixedLatency(0.01))
     assert len(t.links()) == 4
     # one cut: still connected the long way
     t.set_link_up("a", "b", False)
@@ -162,9 +153,3 @@ def test_ring_builder():
     # two cuts: partitioned
     t.set_link_up("c", "d", False)
     assert t.route("b", "d") is None or t.route("a", "c") is None
-
-
-def test_ring_needs_three_nodes():
-    from repro.net import ring
-    with pytest.raises(SimulationError):
-        ring(["a", "b"])

@@ -15,8 +15,7 @@ def resilient_stack(crash=None, members=6, give_up_after=3.0):
         n_servers=3, members=members, replicas=1)
     resilience = ResilientClient(
         net,
-        policy=RetryPolicy(max_attempts=4, base_delay=0.05, multiplier=2.0,
-                           max_delay=0.5, jitter=0.5),
+        policy=RetryPolicy(max_attempts=4, base_delay=0.05, max_delay=0.5),
         breaker=BreakerPolicy(failure_threshold=3, cooldown=1.0))
     ws = DynamicSet(world, CLIENT, "coll", resilience=resilience,
                     rpc_timeout=0.5, retry_interval=0.25,

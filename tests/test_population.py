@@ -57,8 +57,7 @@ def _behavior():
     dict(behaviors=(_behavior(),), stages=()),
     dict(behaviors=(Behavior("bad", 0.0, napper()),), stages=(_stage(),)),
     dict(behaviors=(_behavior(),), stages=(_stage(),), arrival="uniform"),
-    dict(behaviors=(_behavior(),), stages=(_stage(),), arrival="pareto",
-         pareto_alpha=1.0),
+    dict(behaviors=(_behavior(),), stages=(_stage(),), arrival="pareto"),
 ])
 def test_spec_validation_rejects_bad_dials(kwargs):
     with pytest.raises(SimulationError):
@@ -89,7 +88,7 @@ def test_stream_lognormal_mean_and_degenerate_cases():
 
 # -- arrival accounting ------------------------------------------------
 
-@pytest.mark.parametrize("arrival", ["lognormal", "pareto", "exponential"])
+@pytest.mark.parametrize("arrival", ["lognormal"])
 def test_constant_stage_offers_roughly_rate_times_duration(arrival):
     scenario = small_scenario()
     spec = PopulationSpec(
@@ -100,8 +99,8 @@ def test_constant_stage_offers_roughly_rate_times_duration(arrival):
     )
     engine, results = run_engine(scenario, spec)
     (flat,) = results
-    # Open loop at a constant 25/s for 20s: ~500 arrivals.  Heavy tails
-    # widen the spread, hence the loose band.
+    # Open loop at a constant 25/s for 20s: ~500 arrivals.  The heavy
+    # tail widens the spread, hence the loose band.
     assert 300 <= flat.arrivals <= 700
     assert flat.completions == flat.arrivals
     assert flat.failures == 0

@@ -26,7 +26,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import LinkDownFailure, PartitionFailure, TimeoutFailure
 from repro.net import (Address, CompactCodec, FixedLatency, Link, Message,
-                       Network, UniformLatency, full_mesh, line)
+                       Network, ParetoLatency, full_mesh)
 from repro.net import wire
 from repro.net.topology import Topology
 from repro.net.transport import Transport
@@ -40,7 +40,7 @@ from repro.store import AddSpec, HashRing, Repository
 from repro.store import repository as store_repository
 from repro.store.elements import Element
 
-from helpers import CLIENT, sharded_world, standard_world
+from helpers import CLIENT, line, sharded_world, standard_world
 from seed_kernel import Kernel as SeedKernel
 
 
@@ -53,8 +53,8 @@ class EchoService:
         return value
 
 
-def two_nodes(**kernel_kwargs):
-    kernel = Kernel(**kernel_kwargs)
+def two_nodes():
+    kernel = Kernel()
     net = Network(kernel, full_mesh(["a", "b"], FixedLatency(0.01)))
     net.register_service("b", "echo", EchoService())
     return kernel, net
@@ -244,12 +244,6 @@ def reference_delay(route, src, size, now, serialize, stream):
     return t - now
 
 
-def sent_delays(kernel):
-    """The delays a traced run recorded (rounded to the microsecond)."""
-    return [rec.fields["delay"] for rec in kernel.trace.records()
-            if rec.kind == "send"]
-
-
 def record_sends(kernel, net):
     """Every message as ``(src, dst, size, now)`` and, beside it, the
     delivery delay the transport scheduled for it — the float itself."""
@@ -302,11 +296,11 @@ def test_a_finite_link_is_still_asked_to_transmit_once_per_hop(monkeypatch):
 
 
 def test_a_sampled_latency_still_draws_once_per_hop_in_route_order(monkeypatch):
-    kernel, net = relayed(UniformLatency(0.005, 0.02), seed=5)
-    twin_kernel, twin = relayed(UniformLatency(0.005, 0.02), seed=5)
+    kernel, net = relayed(ParetoLatency(0.005), seed=5)
+    twin_kernel, twin = relayed(ParetoLatency(0.005), seed=5)
     sends, delays = record_sends(kernel, net)
     draws = []
-    sample = UniformLatency.sample
+    sample = ParetoLatency.sample
 
     def recording(model, stream):
         drawn = sample(model, stream)
@@ -314,7 +308,7 @@ def test_a_sampled_latency_still_draws_once_per_hop_in_route_order(monkeypatch):
             draws.append(drawn)
         return drawn
 
-    monkeypatch.setattr(UniformLatency, "sample", recording)
+    monkeypatch.setattr(ParetoLatency, "sample", recording)
     for value in range(3):
         assert kernel.run_process(rpc(net, "echo", value)) == value
     assert len(draws) == 3 * 2 * 2          # rpcs x messages x hops
@@ -330,7 +324,7 @@ def test_a_queued_transfer_adds_up_as_it_did():
     the order it always was."""
     def build():
         kernel = Kernel(seed=2)
-        net = Network(kernel, line(["a", "r", "b"], UniformLatency(0.001, 0.004),
+        net = Network(kernel, line(["a", "r", "b"], ParetoLatency(0.001),
                                    bandwidth=2_000.0))
         net.register_service("b", "echo", EchoService())
         return kernel, net
@@ -393,9 +387,10 @@ def test_a_reroute_or_a_partition_is_seen_by_the_next_message():
     def latency_for(x, y):
         return FixedLatency(0.01 if {x, y} == {"a", "b"} else 0.02)
 
-    kernel = Kernel(trace=True)
+    kernel = Kernel()
     net = Network(kernel, full_mesh(["a", "r", "b"], latency_for=latency_for))
     net.register_service("b", "echo", EchoService())
+    _, delays = record_sends(kernel, net)
     assert kernel.run_process(rpc(net, "echo", 1)) == 1
     net.topology.set_link_up("a", "b", False)        # not through the facade
     assert kernel.run_process(rpc(net, "echo", 2)) == 2
@@ -408,7 +403,7 @@ def test_a_reroute_or_a_partition_is_seen_by_the_next_message():
         kernel.run_process(rpc(net, "echo", 4))
     net.topology.set_link_up("a", "b", True)
     assert kernel.run_process(rpc(net, "echo", 5)) == 5
-    assert sent_delays(kernel) == [0.01, 0.01, 0.04, 0.04, 0.01, 0.01]
+    assert delays == pytest.approx([0.01, 0.01, 0.04, 0.04, 0.01, 0.01])
 
 
 def test_a_route_through_a_link_it_is_not_at_an_end_of_is_refused(monkeypatch):
@@ -651,30 +646,6 @@ def test_a_timed_out_rpc_never_showed_the_reply_signals_name():
     request = Message(src=Address("a", "client"), dst=Address("b", "echo"),
                       method="echo")
     assert net.transport.register_reply(request).name == "reply"
-
-
-def test_a_traced_run_records_the_same_text():
-    kernel, net = two_nodes(trace=True)
-    assert kernel.run_process(rpc(net, "slow", "v", 0.05), name="caller") == "v"
-    records = [(rec.kind, rec.fields) for rec in kernel.trace.records()]
-    (request_id,) = [int(fields["msg"].split()[1][1:])
-                     for kind, fields in records
-                     if kind == "send" and fields["msg"].startswith("call")]
-    reply_id = request_id + 1
-    handler = f"echo@b.slow#{request_id}"
-    call = f"call #{request_id} client@a -> echo@b slow"
-    reply = f"reply #{reply_id} echo@b -> client@a slow!ok"
-    # the parent tree's records, text for text
-    assert records == [
-        ("spawn", {"process": "caller"}),
-        ("send", {"msg": call, "delay": 0.01, "size": 46}),
-        ("recv", {"msg": call}),
-        ("spawn", {"process": handler}),
-        ("send", {"msg": reply, "delay": 0.01, "size": 32}),
-        ("finish", {"process": handler}),
-        ("recv", {"msg": reply}),
-        ("finish", {"process": "caller"}),
-    ]
 
 
 # -- a finished process dies by reference count ---------------------------------

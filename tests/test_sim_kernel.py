@@ -268,17 +268,6 @@ def test_spawn_requires_generator():
         k.spawn(lambda: None)  # type: ignore[arg-type]
 
 
-def test_trace_records_spawn_and_finish():
-    def proc():
-        yield Sleep(1.0)
-
-    k = Kernel(trace=True)
-    k.spawn(proc(), name="worker")
-    k.run()
-    kinds = [r.kind for r in k.trace.records()]
-    assert "spawn" in kinds and "finish" in kinds
-
-
 def test_blocked_processes_reports_waiters():
     sig = Signal()
 

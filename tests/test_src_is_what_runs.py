@@ -3,20 +3,37 @@ the code that runs (``src/``, ``examples/``, ``benchmarks/``, ``perf/``,
 ``ci/``), not only from its own tests, with no module exempt — an oracle
 only tests use lives under ``tests/`` (``seed_kernel.py``,
 ``checked_procedures.py``); a recorded run has one judge,
-``check_conformance``, with no second checker beside it; and a point
-lookup has one path, with replica failover only in the fetch pipeline."""
+``check_conformance``, with no second checker beside it; a point
+lookup has one path, with replica failover only in the fetch pipeline;
+and no name, option or option value is left that only tests reach."""
 
 import ast
+import importlib
 import inspect
 from dataclasses import fields
 from pathlib import Path
 
+import pytest
+
 import repro
 import repro.dynsets
+import repro.dynsets.namespace
+import repro.net
+import repro.obs
+import repro.sim
+import repro.sim.events
 import repro.spec
-from repro.net import Topology
-from repro.spec import ConformanceReport, PerRunConstraint
-from repro.store import Repository
+import repro.weaksets
+from repro.net import (AIMDPolicy, AdaptiveLimiter, ExecutorPolicy,
+                       FaultSchedule, ResilientClient, RetryPolicy, Topology)
+from repro.net.executor import DISCIPLINES
+from repro.sim import Kernel, Process, RandomRouter
+from repro.spec import ConformanceReport, Constraint, PerRunConstraint
+from repro.spec.trace import IterationTrace
+from repro.store import (ClientCache, FetchPipeline, FetchPlanner, HashRing,
+                         OfflineClient, Repository)
+from repro.wan import (FacesWorkload, LibraryWorkload, PopulationSpec,
+                       RestaurantsWorkload, ScenarioSpec, build_faces)
 
 SRC = Path(repro.__file__).parent
 ROOT = SRC.parent.parent
@@ -170,3 +187,52 @@ def test_only_the_checker_clips_histories():
                     getattr(node.func, "id", None), getattr(node.func, "attr", None)):
                 callers.append(path.relative_to(SRC).as_posix())
     assert sorted(set(callers)) == ["spec/checker.py"]
+
+
+def _parameters(function) -> set[str]:
+    return set(inspect.signature(function).parameters)
+
+
+def test_no_name_or_dial_is_left_that_only_tests_reach():
+    """The kernel keeps no trace log, a call carries no deadline, and
+    each dial below is the constant every running caller got."""
+    with pytest.raises(ImportError):
+        importlib.import_module("repro.sim.tracing")
+    gone = {"TraceLog", "TraceRecord", "Deadline", "UniformLatency", "line",
+            "ring", "policy_for", "Effect", "metrics_from_records",
+            "components"}
+    for package in (repro, repro.sim, repro.sim.events, repro.net, repro.obs,
+                    repro.weaksets, repro.dynsets.namespace):
+        assert not gone & set(package.__all__), package.__name__
+        assert not any(hasattr(package, name) for name in gone), package.__name__
+    for owner, names in [
+            (FaultSchedule, {"isolate_group_at", "rejoin_group_at",
+                             "cut_link_at", "restore_link_at",
+                             "crash_on_wal_step"}),
+            (HashRing, {"moved_names"}), (Topology, {"has_node"}),
+            (OfflineClient, {"read_value"}), (ClientCache, {"invalidate"}),
+            (Process, {"_take_resume"}), (RandomRouter, {"streams"}),
+            (IterationTrace, {"yielded_last"}), (Constraint, {"check_pairwise"}),
+            (LibraryWorkload, {"run_author_query"}),
+            (RestaurantsWorkload, {"run_cuisine_query", "rotate_menu"}),
+            (FacesWorkload, {"display_all_faces"})]:
+        assert not any(hasattr(owner, name) for name in names), owner
+    assert str(inspect.signature(Kernel)) == "(seed: 'int' = 0)"
+    assert not hasattr(Kernel(), "trace")
+    assert [f.name for f in fields(AIMDPolicy)] == ["max_window"]
+    assert _parameters(AdaptiveLimiter.on_success) == {"self"}
+    assert _parameters(Repository._feed_limiter) == {"self", "exc"}
+    assert DISCIPLINES == ("fifo", "priority")
+    assert {f.name for f in fields(RetryPolicy)} == {
+        "max_attempts", "base_delay", "max_delay"}
+    assert set(ExecutorPolicy.__slots__) == {
+        "concurrency", "queue_limit", "discipline", "brownout"}
+    assert not {"intra_bandwidth", "inter_bandwidth", "serialize_rate"} & {
+        f.name for f in fields(ScenarioSpec)}
+    assert "pareto_alpha" not in {f.name for f in fields(PopulationSpec)}
+    assert "default_budget" not in _parameters(ResilientClient)
+    assert "deadline" not in _parameters(ResilientClient.call)
+    assert "deadline" not in _parameters(ResilientClient.hedged_call)
+    assert "priority" not in _parameters(FetchPipeline)
+    assert "priority" not in _parameters(FetchPlanner)
+    assert "policy" not in _parameters(build_faces)

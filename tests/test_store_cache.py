@@ -41,14 +41,13 @@ def test_lru_eviction_order():
     assert c.get("c", now=0.3) == 3
 
 
-def test_invalidate_and_clear():
+def test_clear_empties_the_cache():
     c = ClientCache(ttl=10.0)
     c.put("a", 1, now=0.0)
     c.put("b", 2, now=0.0)
-    c.invalidate("a")
-    assert c.get("a", now=0.1) is None
     c.clear()
     assert len(c) == 0
+    assert c.get("a", now=0.1) is None
 
 
 def test_invalid_parameters_rejected():

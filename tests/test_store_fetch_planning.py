@@ -58,16 +58,10 @@ def ref_closest_first(net, elements):
     return sorted(elements, key=key)
 
 
-def ref_plan(net, priority, elements):
-    if priority is not None:
-        return sorted(elements, key=lambda e: (priority(e), e.name))
-    return ref_closest_first(net, elements)
-
-
-def ref_accepted(net, priority, live_oids, elements):
+def ref_accepted(net, live_oids, elements):
     """Sort everything submitted, then skip what is already pending."""
     live, accepted = set(live_oids), []
-    for element in ref_plan(net, priority, elements):
+    for element in ref_closest_first(net, elements):
         if element.oid in live:
             continue
         live.add(element.oid)
@@ -100,13 +94,10 @@ def test_order_closest_first_is_the_per_element_sort(homes, faults, data):
 
 @settings(max_examples=60)
 @given(homes=st.lists(st.sampled_from(SERVERS), min_size=2, max_size=12),
-       faults=faults, use_priority=st.booleans(), data=st.data())
+       faults=faults, data=st.data())
 def test_resubmitting_a_half_delivered_remainder_accepts_as_before(
-        homes, faults, use_priority, data):
+        homes, faults, data):
     kernel, net, world, elements = build(homes)
-    weight = {e.oid: data.draw(st.integers(0, 3), label=f"weight {e.name}")
-              for e in elements}
-    priority = (lambda e: weight[e.oid]) if use_priority else None
     first = data.draw(st.lists(st.sampled_from(elements), min_size=1,
                                unique=True), label="first submission")
     delivered_n = data.draw(st.integers(0, len(first)), label="delivered")
@@ -114,12 +105,11 @@ def test_resubmitting_a_half_delivered_remainder_accepts_as_before(
     again = data.draw(st.lists(st.sampled_from(elements), max_size=20),
                       label="resubmission")
     repo = Repository(world, CLIENT)
-    pipe = FetchPipeline(repo, use_cache=False, window=3, batch_size=2,
-                         priority=priority)
+    pipe = FetchPipeline(repo, use_cache=False, window=3, batch_size=2)
 
     def drive():
         pipe.start()
-        planned = ref_plan(net, priority, first)
+        planned = ref_closest_first(net, first)
         assert pipe.submit(first) == len(first)
         for expected in planned[:delivered_n]:
             result = yield from pipe.next_result()
@@ -127,7 +117,7 @@ def test_resubmitting_a_half_delivered_remainder_accepts_as_before(
         pending = planned[delivered_n:]
         # connectivity moves between the two invocations
         apply_faults(net, faults)
-        accepted = ref_accepted(net, priority, [e.oid for e in pending], again)
+        accepted = ref_accepted(net, [e.oid for e in pending], again)
         assert pipe.submit(again) == len(accepted)
         rest = []
         while pipe.pending:
@@ -214,13 +204,13 @@ def test_batches_form_as_when_everything_left_was_rebuilt_per_batch(
                    size_of=lambda e: size[e.oid])
     # no workers: the test forms the batches, and settles them itself
     assert pipe.submit(early) == len(early)
-    ref_todo = ref_accepted(net, None, [], early)
+    ref_todo = ref_accepted(net, [], early)
     state = {"in_flight": 0, "issued": 0}
     todo_queue = pipe._todo
     outstanding, formed = [], 0
     while ref_todo or late:
         if late and data.draw(st.booleans(), label="the rest arrives"):
-            ref_todo += ref_accepted(net, None, [e.oid for e in early], late)
+            ref_todo += ref_accepted(net, [e.oid for e in early], late)
             assert pipe.submit(late) == len(late)
             late = []
         expected = ref_form_batch(ref_todo, state, **options)

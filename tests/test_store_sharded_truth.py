@@ -22,7 +22,6 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.errors import ReproError
-from repro.net.failures import FaultSchedule
 from repro.store import AddSpec, Element, Repository
 from repro.store.server import MemberMap
 
@@ -155,10 +154,8 @@ class ShardedTruthMachine(RuleBasedStateMachine):
 
     # -- faults and recovery ---------------------------------------------------
     @rule(node=servers, step=st.sampled_from(["begin", "added", "home-deleted"]))
-    def crash_on_wal_step(self, node, step):
-        self.kernel.spawn(
-            FaultSchedule().crash_on_wal_step(0.0, node, step).run(self.net),
-            name="arm", daemon=True)
+    def arm_wal_crash(self, node, step):
+        self.world.server(node).wal.arm_crash(step)
 
     @rule()
     def crash_migration_target(self):

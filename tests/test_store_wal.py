@@ -280,30 +280,6 @@ def test_armed_crash_point_is_one_shot():
     assert world.check_invariants() == []
 
 
-def test_crash_on_wal_step_schedule_helper():
-    kernel, net, world, elements = standard_world(members=4)
-    schedule = (FaultSchedule()
-                .crash_on_wal_step(0.0, PRIMARY, "home-deleted")
-                .recover_at(3.0, PRIMARY))
-    kernel.spawn(schedule.run(net), name="schedule", daemon=True)
-    repo = Repository(world, CLIENT)
-
-    def proc():
-        yield Sleep(0.5)
-        try:
-            yield from repo.remove("coll", elements[0])
-            return "removed"
-        except FailureException:
-            return "crashed"
-
-    outcome = kernel.run_process(proc())
-    assert outcome == "crashed"
-    kernel.run(until=12.0)
-    assert net.node(PRIMARY).up
-    assert elements[0] not in world.true_members("coll")
-    assert world.check_invariants() == []
-
-
 @pytest.mark.parametrize("enabled", [True, False])
 def test_intent_retention_follows_recovery_flag(enabled):
     kernel, net, world, elements = standard_world(members=2,

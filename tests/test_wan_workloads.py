@@ -12,6 +12,8 @@ from repro.wan import (
     build_scenario,
 )
 
+from helpers import rotate_menu
+
 
 # ---------------------------------------------------------------------------
 # generic builder
@@ -67,7 +69,7 @@ def test_faces_query_returns_all_faces():
     wl = build_faces(seed=1, n_people=24)
 
     def proc():
-        return (yield from wl.display_all_faces("dynamic"))
+        return (yield from wl.home_page("dynamic").elements().drain())
 
     result = wl.kernel.run_process(proc())
     assert isinstance(result.outcome, Returned)
@@ -93,7 +95,7 @@ def test_faces_under_failures_still_answers():
     wl = build_faces(seed=3, n_people=24, fault_plan=plan)
 
     def proc():
-        return (yield from wl.display_all_faces("dynamic"))
+        return (yield from wl.home_page("dynamic").elements().drain())
 
     result = wl.kernel.run_process(proc())
     assert isinstance(result.outcome, Returned)
@@ -108,7 +110,7 @@ def test_library_author_query():
     wl = build_library(seed=1, n_entries=40)
 
     def proc():
-        return (yield from wl.run_author_query("wing"))
+        return (yield from wl.papers_by("wing").drain())
 
     result = wl.kernel.run_process(proc())
     expected = {e.oid for e in wl.entries
@@ -148,7 +150,7 @@ def test_restaurant_cuisine_query():
     wl = build_restaurants(seed=1, n_restaurants=30)
 
     def proc():
-        return (yield from wl.run_cuisine_query("chinese"))
+        return (yield from wl.menus_of("chinese").drain())
 
     result = wl.kernel.run_process(proc())
     assert result.elements
@@ -159,7 +161,7 @@ def test_tourist_stops_after_enough_menus():
     wl = build_restaurants(seed=2, n_restaurants=30)
 
     def proc():
-        return (yield from wl.run_cuisine_query("chinese", max_menus=3))
+        return (yield from wl.menus_of("chinese").drain(max_yields=3))
 
     result = wl.kernel.run_process(proc())
     assert len(result.elements) <= 3
@@ -170,7 +172,7 @@ def test_menu_rotation_is_remove_then_add():
     victim = wl.menus[0]
 
     def proc():
-        return (yield from wl.rotate_menu(victim))
+        return (yield from rotate_menu(wl, victim))
 
     fresh = wl.kernel.run_process(proc())
     truth = wl.world.true_members("pgh-restaurants")
