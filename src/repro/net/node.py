@@ -55,11 +55,14 @@ class Node:
         except KeyError:
             raise SimulationError(f"node {self.name}: no service {name!r}") from None
 
-    def track_handler(self, proc: Process) -> None:
+    def track_handler(self, proc: Process) -> Signal:
         """Remember an in-flight handler process so crash can kill it;
-        it is forgotten (and its frame let go) the moment it finishes."""
-        self._handlers[proc.done] = proc
-        proc.done.add_waiter(self._forget_handler)
+        it is forgotten (and its frame let go) the moment it finishes.
+        Returns the completion signal it is keyed by."""
+        done = proc.done
+        self._handlers[done] = proc
+        done.add_waiter(self._forget_handler)
+        return done
 
     def _forget_handler(self, done: Signal) -> None:
         self._handlers.pop(done, None)
@@ -71,12 +74,15 @@ class Node:
             return
         self.up = False
         self.crash_count += 1
-        # A killed handler forgets itself: iterate over a copy.
-        for proc in list(self._handlers.values()):
-            proc._kill()
-        self._handlers.clear()
+        # The executor goes first: a killed handler's release() must
+        # find its epoch stale, or it would admit a queued request onto
+        # the node that is going down.
         if self.executor is not None:
             self.executor.reset()
+        # A killed handler forgets itself: iterate over a copy.
+        for proc in list(self._handlers.values()):
+            proc.kill()
+        self._handlers.clear()
         for service in self.services.values():
             hook = getattr(service, "on_crash", None)
             if hook is not None:

@@ -490,7 +490,7 @@ class Transport:
         proc = self.kernel.spawn(
             gen, daemon=True,
             name=lambda: f"{msg.dst}.{msg.method}#{msg.msg_id}")
-        node.track_handler(proc)
+        done = node.track_handler(proc)
 
         def on_done(sig: Signal) -> None:
             if release is not None:
@@ -502,4 +502,4 @@ class Transport:
             else:
                 self.send(msg.reply(sig._value))
 
-        proc.done.add_waiter(on_done)
+        done.add_waiter(on_done)

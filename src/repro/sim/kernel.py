@@ -285,10 +285,12 @@ class Kernel:
         return list(self._processes)
 
     def blocked_processes(self) -> list[Process]:
-        """Processes suspended with nothing scheduled to wake them."""
+        """The kernel's non-daemon processes that are suspended right
+        now — on a ``Wait`` or ``Join``, or in a ``Sleep`` whose wake is
+        already queued (transient processes are not in the table)."""
         return [
             p for p in self._processes
-            if p.state is ProcessState.WAITING and not p.daemon
+            if p.state is _WAITING and not p.daemon
         ]
 
     # ------------------------------------------------------------------

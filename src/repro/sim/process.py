@@ -23,7 +23,12 @@ class ProcessState(enum.Enum):
     KILLED = "killed"        # killed externally
 
 
-_TERMINAL = {ProcessState.FINISHED, ProcessState.FAILED, ProcessState.KILLED}
+# Hot-path constants, as in ``kernel.py``: an enum attribute load goes
+# through the metaclass, and every spawn, finish and kill writes one.
+_READY = ProcessState.READY
+_FINISHED = ProcessState.FINISHED
+_FAILED = ProcessState.FAILED
+_KILLED = ProcessState.KILLED
 
 
 def _format_name(name: ProcessName, pid: int) -> str:
@@ -67,7 +72,11 @@ class Process:
 
     The completion :class:`Signal` (``proc.done``) fires with the
     generator's return value, or fails with its exception; ``yield
-    Join(proc)`` is sugar for waiting on it.
+    Join(proc)`` is sugar for waiting on it.  It is built the first
+    time something asks for it: most processes are never waited on.
+    The outcome is kept on the process itself (``_value`` / ``_error``,
+    written when it ends), so a ``done`` first asked after the end is
+    born fired with it.
 
     ``__slots__`` and the ``_terminal`` flag are deliberate: population
     workloads hold 10⁵+ live processes, and the kernel checks
@@ -75,8 +84,9 @@ class Process:
     terminal check are hot.
     """
 
-    __slots__ = ("pid", "_name", "daemon", "generator", "state", "done",
-                 "_terminal", "_resume_value", "_resume_error")
+    __slots__ = ("pid", "_name", "daemon", "generator", "state", "_done",
+                 "_terminal", "_resume_value", "_resume_error",
+                 "_value", "_error")
 
     def __init__(self, generator: Generator, pid: int,
                  name: ProcessName = "", daemon: bool = False):
@@ -88,8 +98,8 @@ class Process:
         self._name = name
         self.daemon = daemon
         self.generator = generator
-        self.state = ProcessState.READY
-        self.done = _Done(name, pid)
+        self.state = _READY
+        self._done: Optional[_Done] = None
         # Kernel bookkeeping: terminal flag (mirrors ``state``, cheap to
         # poll) and the value/exception to send on next resume.  The
         # kernel schedules the Process object itself as a timer action,
@@ -97,6 +107,10 @@ class Process:
         self._terminal = False
         self._resume_value: Any = None
         self._resume_error: Optional[BaseException] = None
+        # The outcome, once it ends (``done`` is fired with it too, if
+        # it has been asked for).
+        self._value: Any = None
+        self._error: Optional[BaseException] = None
 
     # -- status ---------------------------------------------------------
     @property
@@ -106,19 +120,34 @@ class Process:
         return _format_name(self._name, self.pid)
 
     @property
+    def done(self) -> Signal:
+        """The completion signal, built on first ask (fired already if
+        the process has ended)."""
+        done = self._done
+        if done is None:
+            done = self._done = _Done(self._name, self.pid)
+            if self._terminal:
+                done._fired = True
+                done._value = self._value
+                done._error = self._error
+        return done
+
+    @property
     def finished(self) -> bool:
         return self._terminal
 
     @property
     def result(self) -> Any:
         """Return value of the process; raises if it failed or is alive."""
-        if not self.finished:
+        if not self._terminal:
             raise SimulationError(f"{self.name} has not finished")
-        return self.done.value
+        if self._error is not None:
+            raise self._error
+        return self._value
 
     @property
     def error(self) -> Optional[BaseException]:
-        return self.done.error
+        return self._error
 
     # -- kernel-internal lifecycle ---------------------------------------
     def _set_resume(self, value: Any = None, error: Optional[BaseException] = None) -> None:
@@ -126,14 +155,20 @@ class Process:
         self._resume_error = error
 
     def _finish(self, value: Any) -> None:
-        self.state = ProcessState.FINISHED
+        self.state = _FINISHED
         self._terminal = True
-        self.done.fire(value)
+        self._value = value
+        done = self._done
+        if done is not None:
+            done.fire(value)
 
     def _fail(self, error: BaseException) -> None:
-        self.state = ProcessState.FAILED
+        self.state = _FAILED
         self._terminal = True
-        self.done.fail(error)
+        self._error = error
+        done = self._done
+        if done is not None:
+            done.fail(error)
 
     def kill(self) -> None:
         """Terminate the process externally (public API).
@@ -144,16 +179,20 @@ class Process:
         """
         if self._terminal:
             return
-        self.state = ProcessState.KILLED
+        self.state = _KILLED
         self._terminal = True
+        # The outcome is set before the ``finally`` blocks run, so a
+        # ``done`` one of them asks for is born failed; a ``done`` asked
+        # earlier fails after them.
+        error = ProcessKilled(f"{self.name} was killed")
+        self._error = error
+        done = self._done
         try:
             self.generator.close()
         except Exception:  # pragma: no cover - close() rarely raises
             pass
-        self.done.fail(ProcessKilled(f"{self.name} was killed"))
-
-    # Kept for kernel-internal call sites and backward compatibility.
-    _kill = kill
+        if done is not None:
+            done.fail(error)
 
     def __repr__(self) -> str:
         return f"Process({self.name!r}, pid={self.pid}, state={self.state.value})"

@@ -280,7 +280,7 @@ class FetchPipeline:
             return
         self._stopped = True
         for proc in self._procs:
-            proc._kill()
+            proc.kill()
         self._procs.clear()
         if self._unsubscribe is not None:
             self._unsubscribe()

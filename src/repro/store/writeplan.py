@@ -248,7 +248,7 @@ class WritePipeline:
             return
         self._stopped = True
         for proc in self._procs:
-            proc._kill()
+            proc.kill()
         self._procs.clear()
         if self._span is not None:
             self._tracer.finish(self._span, added=self.added,

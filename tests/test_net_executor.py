@@ -349,6 +349,57 @@ def test_crash_clears_queue_and_stales_releases():
     assert kernel.obs.metrics.value("overload.queue_depth") == 0
 
 
+class LoggingService(WorkService):
+    """A work service that logs its handlers and its crash hook in
+    one order."""
+
+    def __init__(self):
+        super().__init__(delay=1.0)
+        self.log = []
+
+    def work(self, tag):
+        self.log.append(f"start {tag}")
+        yield Sleep(self.delay)
+        self.log.append(f"end {tag}")
+        return tag
+
+    def on_crash(self):
+        self.log.append("on_crash")
+
+
+def test_a_crash_admits_no_queued_request_onto_the_dead_node():
+    # The running handler's kill releases its slot; were the executor
+    # still on the old epoch then, the queued request would start on a
+    # node that is going down, and run after its crash hook.
+    policy = ExecutorPolicy(concurrency=1, queue_limit=4)
+    kernel, net, service = make_net(policy, LoggingService())
+    executor = net.node("b").executor
+
+    def one(tag):
+        try:
+            yield from net.call("a", "b", "svc", "work", tag, timeout=5.0)
+        except Exception:  # noqa: BLE001 - crash kills these calls
+            pass
+
+    def driver():
+        kernel.spawn(one("r1"), name="r1")
+        kernel.spawn(one("r2"), name="r2")
+        yield Sleep(0.5)               # r1 running, r2 queued
+        assert executor.queue_depth == 1
+        ewma = executor.ewma_service_time
+        net.crash("b")
+        # A killed handler is no completed service: it feeds no sample
+        # into the estimate retry_after() reads.
+        assert executor.ewma_service_time == ewma
+        yield Sleep(5.0)
+
+    kernel.run_process(driver())
+    assert service.log == ["start r1", "on_crash"]
+    assert executor.running == 0
+    assert executor.queue_depth == 0
+    assert net.node("b")._handlers == {}
+
+
 def test_reply_priority_mirrors_request():
     from repro.net import Address, Message
     req = Message(src=Address("a", "client"), dst=Address("b", "svc"),

@@ -24,7 +24,8 @@ import weakref
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import LinkDownFailure, PartitionFailure, TimeoutFailure
+from repro.errors import (LinkDownFailure, PartitionFailure, ProcessKilled,
+                          TimeoutFailure)
 from repro.net import (Address, CompactCodec, FixedLatency, Link, Message,
                        Network, ParetoLatency, full_mesh)
 from repro.net import wire
@@ -673,7 +674,7 @@ def test_a_finished_transient_process_is_freed_without_the_collector():
         except TimeoutFailure:
             pass
         yield Wait(gate, timeout=0.02)                      # the signal does
-        return held                       # kept by ``done`` past the frame
+        return held                       # kept as the process's outcome
 
     def opener():
         yield Sleep(0.025)
@@ -709,6 +710,145 @@ def test_a_done_signal_starts_as_a_plain_signal_does():
         if slot != "name":
             assert getattr(done, slot) == getattr(plain, slot), slot
     assert set(sim_process._Done.__slots__).isdisjoint(Signal.__slots__)
+
+
+# -- a completion signal is built when something asks for it --------------------
+
+def test_a_process_nobody_asks_builds_no_done_signal(monkeypatch):
+    built = count_calls(monkeypatch, sim_process, "_Done")
+    kernel = Kernel()
+
+    def ends(how):
+        yield Sleep(0.1)
+        if how == "fail":
+            raise ValueError("boom")
+        return how
+
+    def sleeps():
+        yield Sleep(5.0)
+
+    procs = [kernel.spawn(ends("finish")), kernel.spawn(ends("fail")),
+             kernel.spawn(sleeps()), kernel.spawn(ends("t"), transient=True)]
+    kernel.run(until=1.0)
+    procs[2].kill()
+    kernel.run()
+    assert [p.finished for p in procs] == [True, True, True, True]
+    assert (procs[0].result, procs[3].result) == ("finish", "t")
+    assert isinstance(procs[1].error, ValueError)
+    assert isinstance(procs[2].error, ProcessKilled)
+    assert built == [0]
+    done = procs[0].done
+    assert procs[0].done is done
+    assert built == [1]
+
+
+def test_a_settled_rpc_asks_its_handler_for_done_once(monkeypatch):
+    kernel, net = two_nodes()
+    asked = []
+    build = sim_process.Process.done.fget
+    monkeypatch.setattr(sim_process.Process, "done", property(
+        lambda proc: asked.append(proc) or build(proc)))
+    client = kernel.spawn(rpc(net, "slow", "v", 0.5))
+    kernel.run()
+    assert client.result == "v"
+    # the transport hooks its reply on the signal the node keyed the
+    # handler by
+    assert len(asked) == 1 and asked[0] is not client
+    assert net.node("b")._handlers == {}
+
+
+@pytest.mark.parametrize("asked", ["before", "after", "never"])
+@pytest.mark.parametrize("ending", ["finish", "fail", "kill"])
+def test_a_done_reads_as_it_always_did_whenever_it_is_asked(ending, asked):
+    kernel = Kernel()
+
+    def worker():
+        yield Sleep(1.0)
+        if ending == "fail":
+            raise ValueError("boom")
+        return "value"
+
+    def joiner():
+        try:
+            return (yield Join(proc))
+        except Exception as exc:  # noqa: BLE001 - the joiner's outcome
+            return exc
+
+    proc = kernel.spawn(worker(), name="worker")
+    if asked == "before":
+        early = proc.done
+        assert repr(early) == "Signal('worker.done', pending)"
+        joined = kernel.spawn(joiner())
+    kernel.run(until=0.5)
+    if ending == "kill":
+        proc.kill()
+    kernel.run()
+
+    assert proc.finished
+    state = {"finish": "finished", "fail": "failed", "kill": "killed"}[ending]
+    assert repr(proc) == f"Process('worker', pid=1, state={state})"
+    if ending == "finish":
+        assert (proc.result, proc.error) == ("value", None)
+    else:
+        with pytest.raises((ValueError, ProcessKilled)) as info:
+            proc.result
+        assert proc.error is info.value
+        assert str(info.value) == \
+            ("boom" if ending == "fail" else "worker was killed")
+        assert isinstance(info.value, ValueError) == (ending == "fail")
+    if asked == "never":
+        assert proc._done is None
+        return
+
+    done = proc.done
+    assert proc.done is done
+    if asked == "before":
+        assert done is early
+    assert (done.name, repr(done)) == ("worker.done",
+                                       "Signal('worker.done', fired)")
+    assert done.error is proc.error
+    if asked == "after":
+        joined = kernel.spawn(joiner())
+        kernel.run()
+    assert joined.result == (proc.error or "value")
+
+
+def test_a_killed_waiter_stays_killed_when_its_signal_fires_later():
+    """The wait's closure outlives the kill and writes the resume slots
+    when the signal fires: the outcome is not kept there."""
+    kernel = Kernel()
+    sig = Signal(name="sig")
+
+    def waiter():
+        yield Wait(sig, timeout=5.0)
+
+    proc = kernel.spawn(waiter())
+    kernel.run(until=1.0)
+    proc.kill()
+    sig.fire("late")
+    kernel.run()
+    assert isinstance(proc.done.error, ProcessKilled)
+    assert str(proc.error) == "proc-1 was killed"
+    with pytest.raises(ProcessKilled):
+        proc.result
+
+
+def test_a_done_asked_while_a_kill_runs_finally_blocks_is_born_killed():
+    kernel = Kernel()
+    seen = []
+
+    def worker():
+        try:
+            yield Sleep(5.0)
+        finally:
+            seen.append(proc.done)
+
+    proc = kernel.spawn(worker())
+    kernel.run(until=1.0)
+    proc.kill()
+    assert seen == [proc.done]
+    assert seen[0].fired and seen[0].error is proc.error
+    assert isinstance(proc.error, ProcessKilled)
 
 
 # -- the bucket a float lands in -------------------------------------------------

@@ -247,7 +247,7 @@ def test_kill_process_runs_finally_blocks():
     k = Kernel()
     p = k.spawn(proc())
     k.run(until=1.0)
-    p._kill()
+    p.kill()
     assert cleaned == [True]
     assert isinstance(p.error, ProcessKilled)
 
@@ -280,10 +280,12 @@ def test_blocked_processes_reports_waiters():
     k = Kernel()
     w = k.spawn(waiter())
     k.spawn(sleeper(), daemon=True)
+    # a sleep with its wake queued is suspended all the same
+    s = k.spawn(sleeper())
+    k.spawn(sleeper(), transient=True)
     k.run(until=1.0)
     blocked = k.blocked_processes()
-    assert w in blocked
-    assert all(not p.daemon for p in blocked)
+    assert blocked == [w, s]
 
 
 def test_process_result_before_finish_raises():
@@ -333,8 +335,8 @@ def test_kill_twice_is_idempotent():
     k = Kernel()
     p = k.spawn(proc())
     k.run(until=0.1)
-    p._kill()
-    p._kill()                  # second kill is a no-op
+    p.kill()
+    p.kill()                  # second kill is a no-op
     assert isinstance(p.error, ProcessKilled)
 
 

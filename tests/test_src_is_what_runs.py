@@ -22,6 +22,7 @@ import repro.net
 import repro.obs
 import repro.sim
 import repro.sim.events
+import repro.sim.process
 import repro.spec
 import repro.weaksets
 from repro.net import (AIMDPolicy, AdaptiveLimiter, ExecutorPolicy,
@@ -211,12 +212,13 @@ def test_no_name_or_dial_is_left_that_only_tests_reach():
                              "crash_on_wal_step"}),
             (HashRing, {"moved_names"}), (Topology, {"has_node"}),
             (OfflineClient, {"read_value"}), (ClientCache, {"invalidate"}),
-            (Process, {"_take_resume"}), (RandomRouter, {"streams"}),
+            (Process, {"_take_resume", "_kill"}), (RandomRouter, {"streams"}),
             (IterationTrace, {"yielded_last"}), (Constraint, {"check_pairwise"}),
             (LibraryWorkload, {"run_author_query"}),
             (RestaurantsWorkload, {"run_cuisine_query", "rotate_menu"}),
             (FacesWorkload, {"display_all_faces"})]:
         assert not any(hasattr(owner, name) for name in names), owner
+    assert not hasattr(repro.sim.process, "_TERMINAL")
     assert str(inspect.signature(Kernel)) == "(seed: 'int' = 0)"
     assert not hasattr(Kernel(), "trace")
     assert [f.name for f in fields(AIMDPolicy)] == ["max_window"]
