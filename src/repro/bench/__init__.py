@@ -2,10 +2,11 @@
 
 Each ``run_*`` function builds its worlds, runs the simulation, and
 returns an :class:`~repro.bench.report.ExperimentResult` whose ``str()``
-is the table recorded in EXPERIMENTS.md.  The ``benchmarks/`` directory
-wraps each one in a pytest test with shape assertions.  Every number an
-experiment reports is a simulated one — host time is measured by
-``perf/`` only — so a table is a pure function of (code, seed).
+is the table recorded in EXPERIMENTS.md.  ``tests/test_experiments.py``
+runs each one from :data:`ALL_EXPERIMENTS` and asserts its claim's
+shape.  Every number an experiment reports is a simulated one — host
+time is measured by ``perf/`` only — so a table is a pure function of
+(code, seed).
 """
 
 from .exp_availability import run_availability, run_availability_ablation
@@ -40,14 +41,13 @@ from .exp_sharding import run_sharding
 from .exp_system import run_system
 from .exp_wire import run_wire
 from .exp_writepipe import run_writepipe
-from .exp_static import PAPER_TAXONOMY, run_reachability, run_taxonomy
+from .exp_static import run_reachability, run_taxonomy
 from .metrics import Summary, rate, summarize
 from .report import ExperimentResult, format_table
 
 __all__ = [
     "ExperimentResult",
     "IMPL_CASES",
-    "PAPER_TAXONOMY",
     "Summary",
     "build_scattered_fs",
     "format_table",

@@ -1,4 +1,4 @@
-"""Run experiments and gate their tables: ``python -m repro.bench``.
+"""Run experiments and print their tables: ``python -m repro.bench``.
 
 Usage::
 
@@ -8,8 +8,6 @@ Usage::
     python -m repro.bench --obs BENCH_obs.json
                                               # also write the BENCH_obs artifact
                                               # (all ids: ci/bench_baseline.json)
-    python -m repro.bench compare old.json new.json
-                                              # the gate: exit 1 unless equal
 """
 
 from __future__ import annotations
@@ -19,13 +17,10 @@ from typing import Optional
 
 from . import ALL_EXPERIMENTS
 from .artifact import write_artifact
-from .compare import main as compare_main
 from .report import ExperimentResult
 
 
 def main(argv: list[str]) -> int:
-    if argv and argv[0] == "compare":
-        return compare_main(argv[1:])
     obs_path: Optional[str] = None
     ids: list[str] = []
     it = iter(argv)

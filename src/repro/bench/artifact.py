@@ -16,8 +16,8 @@ run order.  The schema (version ``repro.bench_obs/1``)::
 
 Rows and metrics are seeded simulation numbers and nothing else, so a
 given (code, seed) produces a byte-identical artifact on any machine.
-That determinism is what lets ``python -m repro.bench compare`` (see
-:mod:`repro.bench.compare`) gate every field by equality.
+That determinism is what lets CI gate a fresh artifact against the
+committed one with a plain ``diff ci/bench_baseline.json BENCH_obs.json``.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import json
 from pathlib import Path
 from typing import Any, Optional, Union
 
-__all__ = ["SCHEMA", "write_artifact", "load_artifact"]
+__all__ = ["SCHEMA", "write_artifact"]
 
 SCHEMA = "repro.bench_obs/1"
 
@@ -41,14 +41,3 @@ def write_artifact(path: Union[str, Path], records: list[dict],
                                default=str) + "\n", encoding="utf-8")
     return path
 
-
-def load_artifact(path: Union[str, Path]) -> dict:
-    artifact = json.loads(Path(path).read_text(encoding="utf-8"))
-    schema = artifact.get("schema")
-    if schema != SCHEMA:
-        raise ValueError(
-            f"{path}: expected schema {SCHEMA!r}, found {schema!r}"
-        )
-    if not isinstance(artifact.get("experiments"), list):
-        raise ValueError(f"{path}: missing 'experiments' list")
-    return artifact

@@ -10,18 +10,15 @@ the tracer promises (every ``rpc.attempt`` inside a drain traces back
 to its ``drain`` span).
 
 All reported numbers come from virtual time and seeded RNG streams, so
-the table is machine-independent — which is what lets CI diff it via
-``python -m repro.bench compare`` against a committed baseline.  The
-run can also export its first seed's full JSONL trace
-(``export_trace=``), the artifact the CI bench-smoke job uploads.
+the table is machine-independent — which is what lets CI ``diff`` it
+against the committed ``ci/bench_baseline.json``.
 """
 
 from __future__ import annotations
 
-from pathlib import Path
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional
 
-from ..obs import Histogram, MetricsRegistry, Observability, export_jsonl
+from ..obs import Histogram, MetricsRegistry, Observability
 from ..wan.workload import build_scenario
 from .exp_resilience import VARIANTS, crash_world, resilient_set
 from .harness import drain
@@ -83,8 +80,7 @@ def _span_depth(obs: Observability) -> int:
 
 
 def run_obs(seeds: Iterable[int] = (0, 1, 2, 3), members: int = 10,
-            crash_rate: float = 0.1,
-            export_trace: Optional[Union[str, Path]] = None) -> ExperimentResult:
+            crash_rate: float = 0.1) -> ExperimentResult:
     """E17: aggregate the obs layer's view of seeded resilient drains."""
     result = ExperimentResult(
         "E17", "Observability of resilient drains "
@@ -100,7 +96,6 @@ def run_obs(seeds: Iterable[int] = (0, 1, 2, 3), members: int = 10,
     histograms: dict[str, Optional[Histogram]] = {name: None for name in _HISTOGRAMS}
     spans_total = drain_spans = attempt_spans = nested_attempts = 0
     max_depth = 0
-    exported = False
     for seed in seeds:
         obs = _one_run(seed, members, crash_rate)
         registry: MetricsRegistry = obs.metrics
@@ -119,10 +114,6 @@ def run_obs(seeds: Iterable[int] = (0, 1, 2, 3), members: int = 10,
             1 for a in attempts
             if any(s.name in ROOT_SPANS for s in tracer.ancestors(a)))
         max_depth = max(max_depth, _span_depth(obs))
-        if export_trace is not None and not exported:
-            export_jsonl(export_trace, metrics=registry, tracer=tracer,
-                         meta={"experiment": "E17", "seed": seed})
-            exported = True
     for name in _COUNTERS:
         result.add(metric=name, kind="counter", value=counters[name],
                    mean=None, p95=None)

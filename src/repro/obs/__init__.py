@@ -12,8 +12,7 @@ artifact::
     kernel.obs.export("run.jsonl", meta={"seed": 42})
 
 Metric names and span conventions are catalogued in
-``docs/observability.md``; the bench regression gate
-(``python -m repro.bench compare``) consumes the same snapshots.
+``docs/observability.md``.
 """
 
 from __future__ import annotations

@@ -190,12 +190,6 @@ class Tracer:
             yield parent
             current = parent
 
-    def children(self, span: Span) -> list[Span]:
-        return [s for s in self._spans if s.parent_id == span.span_id]
-
-    def roots(self) -> list[Span]:
-        return [s for s in self._spans if s.parent_id is None]
-
     def __repr__(self) -> str:
         open_spans = sum(1 for s in self._spans if not s.finished)
         return f"Tracer({len(self._spans)} spans, {open_spans} open)"

@@ -110,9 +110,8 @@ def run_chaos(impl_cls, policy, actions, seed, forbid=(), query=drain):
             scenario.net.recover(node)
 
     scenario.kernel.spawn(chaos(), daemon=True)
-    proc = scenario.kernel.spawn(run, name="query")
-    scenario.kernel.run(until=600.0)
-    assert proc.finished, "query did not finish even after full heal"
+    # stops at the verdict; raises if the query never finishes
+    scenario.kernel.run_process(run, name="query", until=600.0)
     return ws, scenario
 
 
@@ -214,9 +213,7 @@ def test_dynamic_conforms_over_lossy_links_too(seed, loss_rate):
     def query():
         return (yield from iterator.drain())
 
-    proc = scenario.kernel.spawn(query(), name="query")
-    scenario.kernel.run(until=600.0)
-    assert proc.finished
+    scenario.kernel.run_process(query(), name="query", until=600.0)
     report = check_conformance(ws.last_trace, spec_by_id("fig6"),
                                scenario.world)
     assert report.conformant, report.counterexample()
@@ -321,8 +318,7 @@ def record_chaos(actions, seed):
             net.recover(node)
 
     scenario.kernel.spawn(chaos(), daemon=True)
-    scenario.kernel.spawn(drain(ws), name="query")
-    scenario.kernel.run(until=600.0)
+    scenario.kernel.run_process(drain(ws), name="query", until=600.0)
     return ws.last_trace
 
 

@@ -62,8 +62,8 @@ def test_nesting_follows_start_order_within_a_context():
     tracer.finish(inner)
     tracer.finish(outer)
     assert tracer.active() is None
-    assert tracer.roots() == [outer]
-    assert tracer.children(outer) == [inner]
+    assert [s for s in tracer.spans() if s.parent_id is None] == [outer]
+    assert [s for s in tracer.spans() if s.parent_id == outer.span_id] == [inner]
 
 
 def test_out_of_order_finish_keeps_stack_sane():

@@ -3,7 +3,7 @@
 These run *small* populations (hundreds of arrivals, seconds of virtual
 time) so the schedule logic — ramps, weighted mixes, SLO verdicts,
 audits, failure accounting — is exercised quickly; the 10⁵-client gate
-lives in benchmarks/bench_population.py and the cross-seed soak in
+is E22's claim in tests/test_experiments.py and the cross-seed soak in
 tests/test_population_soak.py.
 """
 

@@ -1,6 +1,6 @@
 """``src/`` is what runs: every module under ``src/repro`` is reached from
-the code that runs (``src/``, ``examples/``, ``benchmarks/``, ``perf/``,
-``ci/``), not only from its own tests, with no module exempt — an oracle
+the code that runs (``src/``, ``examples/``, ``perf/``, ``ci/``), not
+only from its own tests, with no module exempt — an oracle
 only tests use lives under ``tests/`` (``seed_kernel.py``,
 ``checked_procedures.py``); a recorded run has one judge,
 ``check_conformance``, with no second checker beside it; a point
@@ -16,6 +16,8 @@ from pathlib import Path
 import pytest
 
 import repro
+import repro.bench
+import repro.bench.artifact
 import repro.dynsets
 import repro.dynsets.namespace
 import repro.net
@@ -27,9 +29,11 @@ import repro.spec
 import repro.weaksets
 from repro.net import (AIMDPolicy, AdaptiveLimiter, ExecutorPolicy,
                        FaultSchedule, ResilientClient, RetryPolicy, Topology)
+from repro.bench import run_obs
 from repro.net.executor import DISCIPLINES
 from repro.sim import Kernel, Process, RandomRouter
 from repro.spec import ConformanceReport, Constraint, PerRunConstraint
+from repro.obs import Tracer
 from repro.spec.trace import IterationTrace
 from repro.store import (ClientCache, FetchPipeline, FetchPlanner, HashRing,
                          OfflineClient, Repository)
@@ -38,7 +42,7 @@ from repro.wan import (FacesWorkload, LibraryWorkload, PopulationSpec,
 
 SRC = Path(repro.__file__).parent
 ROOT = SRC.parent.parent
-RUNNING = [SRC] + [ROOT / d for d in ("examples", "benchmarks", "perf", "ci")]
+RUNNING = [SRC] + [ROOT / d for d in ("examples", "perf", "ci")]
 
 def _module_name(path: Path) -> str:
     if SRC not in path.parents:
@@ -124,13 +128,15 @@ def _unreached_modules() -> list[str]:
             pair = reexports[pair]
         return pair
 
+    # A package ``__init__`` that loads a name in its own code uses it
+    # (``repro.bench.ALL_EXPERIMENTS``, the registry the CLI runs); one
+    # that only re-exports it does not, as ``_uses`` sees no load.
     reached: dict[str, set[str]] = {}
     for path, tree in trees.items():
         user = _module_name(path)
         for pair in _uses(path, tree):
             module, name = origin(pair)
-            package = module.rpartition(".")[0]
-            if user not in (module, package):
+            if user != module:
                 reached.setdefault(module, set()).add(name)
     return sorted(
         _module_name(path) for path, tree in trees.items()
@@ -195,10 +201,16 @@ def _parameters(function) -> set[str]:
 
 
 def test_no_name_or_dial_is_left_that_only_tests_reach():
-    """The kernel keeps no trace log, a call carries no deadline, and
+    """The kernel keeps no trace log, a call carries no deadline, the
+    bench artifact is gated by ``diff`` and E17 exports no trace, and
     each dial below is the constant every running caller got."""
-    with pytest.raises(ImportError):
-        importlib.import_module("repro.sim.tracing")
+    for module in ("repro.sim.tracing", "repro.bench.compare"):
+        with pytest.raises(ImportError):
+            importlib.import_module(module)
+    assert not hasattr(repro.bench.artifact, "load_artifact")
+    assert "PAPER_TAXONOMY" not in repro.bench.__all__
+    assert not hasattr(repro.bench, "PAPER_TAXONOMY")
+    assert "export_trace" not in _parameters(run_obs)
     gone = {"TraceLog", "TraceRecord", "Deadline", "UniformLatency", "line",
             "ring", "policy_for", "Effect", "metrics_from_records",
             "components"}
@@ -214,6 +226,7 @@ def test_no_name_or_dial_is_left_that_only_tests_reach():
             (OfflineClient, {"read_value"}), (ClientCache, {"invalidate"}),
             (Process, {"_take_resume", "_kill"}), (RandomRouter, {"streams"}),
             (IterationTrace, {"yielded_last"}), (Constraint, {"check_pairwise"}),
+            (Tracer, {"roots", "children"}),
             (LibraryWorkload, {"run_author_query"}),
             (RestaurantsWorkload, {"run_cuisine_query", "rotate_menu"}),
             (FacesWorkload, {"display_all_faces"})]:
