@@ -23,7 +23,7 @@ from repro.weaksets import (
     DynamicSet,
     GrowOnlySet,
     StrongSet,
-    install_lock_service,
+    install_lock_services,
 )
 
 LAPTOP = "laptop"
@@ -40,7 +40,7 @@ def build_world(seed=0, policy="any"):
     for i in range(8):
         world.seed_member("papers", f"paper-{i}", value=f"pdf bytes {i}",
                           home=["office", "archive1", "archive2"][i % 3])
-    install_lock_service(world, "office")
+    install_lock_services(world, "papers")
     return kernel, net, world
 
 

@@ -11,14 +11,14 @@ Run:  python examples/www_faces.py
 from repro.net import FaultPlan
 from repro.spec import Returned
 from repro.wan import build_faces
-from repro.weaksets import install_lock_service
+from repro.weaksets import install_lock_services
 
 
 def run_query(semantics: str, seed: int = 7):
     plan = FaultPlan(crash_rate=0.015, isolate_rate=0.015, mean_downtime=1.5,
                      protected=frozenset({"client", "n0.0"}))
     workload = build_faces(seed=seed, n_people=32, fault_plan=plan)
-    install_lock_service(workload.world, "n0.0")
+    install_lock_services(workload.world, workload.scenario.coll_id)
     arrivals = []
 
     ws = workload.home_page(semantics)

@@ -38,7 +38,7 @@ from .weaksets import (
     ImmutableSet,
     SnapshotSet,
     StrongSet,
-    install_lock_service,
+    install_lock_services,
     make_weak_set,
     select,
 )
@@ -69,7 +69,7 @@ __all__ = [
     "errors",
     "figure2_world",
     "full_mesh",
-    "install_lock_service",
+    "install_lock_services",
     "make_weak_set",
     "select",
     "spec_by_id",

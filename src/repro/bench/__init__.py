@@ -1,4 +1,4 @@
-"""The evaluation harness: experiments E1–E25 (see DESIGN.md §5).
+"""The evaluation harness: experiments E1–E25 (indexed in EXPERIMENTS.md).
 
 Each ``run_*`` function builds its worlds, runs the simulation, and
 returns an :class:`~repro.bench.report.ExperimentResult` whose ``str()``

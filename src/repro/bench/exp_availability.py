@@ -22,7 +22,7 @@ from typing import Iterable
 from ..net.failures import FaultPlan
 from ..spec import Returned
 from ..wan.workload import ScenarioSpec, build_scenario
-from ..weaksets import DynamicSet, GrowOnlySet, StrongSet, install_lock_service
+from ..weaksets import DynamicSet, GrowOnlySet, StrongSet, install_lock_services
 from .harness import drain, mean_or_nan
 from .metrics import rate
 from .report import ExperimentResult
@@ -48,7 +48,7 @@ def _one_run(cls, kwargs, isolate_rate, seed, members=12,
                         policy=policy, fault_plan=plan, fail_fast=fail_fast,
                         replicas=replicas, rpc_timeout=2.0)
     scenario = build_scenario(spec, seed=seed)
-    install_lock_service(scenario.world, spec.primary)
+    install_lock_services(scenario.world, spec.coll_id)
     ws = cls(scenario.world, scenario.client, spec.coll_id,
              record=False, **kwargs)
     drained = drain(scenario, ws.elements())

@@ -35,7 +35,7 @@ from ..spec import Returned
 from ..store import ClientCache, OfflineClient, Repository, World
 from ..store.offline import CONNECTED, DISCONNECTED, LOST
 from ..wan.workload import Mutator, ScenarioSpec, build_scenario
-from ..weaksets import DynamicSet, Figure1Set, GrowOnlySet, StrongSet, install_lock_service
+from ..weaksets import DynamicSet, Figure1Set, GrowOnlySet, StrongSet, install_lock_services
 from .harness import drain, heal_and_settle
 from .metrics import rate
 from .report import ExperimentResult
@@ -56,7 +56,7 @@ def _one_drain(cls, kwargs, offline_leg, seed, members=12):
     spec = ScenarioSpec(n_clusters=3, cluster_size=3, n_members=members,
                         policy=cls.expected_policy, rpc_timeout=2.0)
     scenario = build_scenario(spec, seed=seed)
-    install_lock_service(scenario.world, spec.primary)
+    install_lock_services(scenario.world, spec.coll_id)
     cache = ClientCache(ttl=120.0)
     ws = cls(scenario.world, scenario.client, spec.coll_id,
              cache=cache, **kwargs)

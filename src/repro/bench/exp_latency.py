@@ -27,7 +27,7 @@ from ..weaksets import (
     GrowOnlySet,
     SnapshotSet,
     StrongSet,
-    install_lock_service,
+    install_lock_services,
 )
 from .harness import drain
 from .report import ExperimentResult
@@ -58,7 +58,7 @@ def run_time_to_first(sizes: Iterable[int] = (10, 40, 160),
             spec = ScenarioSpec(n_clusters=4, cluster_size=3, n_members=size,
                                 policy=policy, heavy_tail=False)
             scenario = build_scenario(spec, seed=seed)
-            install_lock_service(scenario.world, spec.primary)
+            install_lock_services(scenario.world, spec.coll_id)
             ws = cls(scenario.world, scenario.client, spec.coll_id,
                      record=False, **kwargs)
             drained = drain(scenario, ws.elements())
@@ -93,7 +93,7 @@ def run_early_exit(set_size: int = 60, wanted: Iterable[int] = (1, 3, 10),
         for impl_name, cls in (("strong", StrongSet), ("fig6 dynamic", DynamicSet)):
             spec = ScenarioSpec(n_clusters=4, cluster_size=3, n_members=set_size)
             scenario = build_scenario(spec, seed=seed)
-            install_lock_service(scenario.world, spec.primary)
+            install_lock_services(scenario.world, spec.coll_id)
             ws = cls(scenario.world, scenario.client, spec.coll_id, record=False)
             cost = drain(scenario, ws.elements(), max_yields=k).total_time
             if k is None:

@@ -18,7 +18,7 @@ from typing import Iterable, Optional
 
 from ..sim.events import Sleep
 from ..wan.workload import ScenarioSpec, build_scenario
-from ..weaksets import PerRunImmutableSet, StrongSet, install_lock_service
+from ..weaksets import PerRunImmutableSet, StrongSet, install_lock_services
 from .report import ExperimentResult
 
 __all__ = ["run_lock_cost", "run_disconnection"]
@@ -30,7 +30,7 @@ def _reader_writer_run(think: float, seed: int = 0, members: int = 8,
                        horizon: float = 120.0):
     spec = ScenarioSpec(n_clusters=3, cluster_size=2, n_members=members)
     scenario = build_scenario(spec, seed=seed)
-    install_lock_service(scenario.world, spec.primary, lease=lease)
+    install_lock_services(scenario.world, spec.coll_id, lease=lease)
     reader = PerRunImmutableSet(scenario.world, scenario.client,
                                 spec.coll_id, record=False)
     writer = StrongSet(scenario.world, "n2.0", spec.coll_id, record=False)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from ..net.failures import FaultPlan
 from ..spec import Returned
 from ..wan import build_faces, build_library, build_restaurants
-from ..weaksets import install_lock_service, make_weak_set, select
+from ..weaksets import install_lock_services, make_weak_set, select
 from .harness import drain
 from .report import ExperimentResult
 
@@ -44,7 +44,7 @@ def run_motivating(seed: int = 0) -> ExperimentResult:
     for query_name, build, size, predicate in _QUERIES:
         for semantics in ("dynamic", "strong"):
             scenario = build(seed=seed, fault_plan=_PLAN, **size).scenario
-            install_lock_service(scenario.world, scenario.spec.primary)
+            install_lock_services(scenario.world, scenario.coll_id)
             ws = make_weak_set(scenario.world, scenario.client,
                                scenario.coll_id, semantics, record=False)
             drained = drain(scenario, ws.elements() if predicate is None

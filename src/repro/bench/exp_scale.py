@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from ..wan.workload import ScenarioSpec, build_scenario
-from ..weaksets import DynamicSet, GrowOnlySet, SnapshotSet, StrongSet, install_lock_service
+from ..weaksets import DynamicSet, GrowOnlySet, SnapshotSet, StrongSet, install_lock_services
 from .harness import drain
 from .report import ExperimentResult
 
@@ -43,7 +43,7 @@ def run_scale(sizes: Iterable[int] = (20, 80, 320),
             spec = ScenarioSpec(n_clusters=4, cluster_size=3, n_members=size,
                                 policy=policy)
             scenario = build_scenario(spec, seed=seed)
-            install_lock_service(scenario.world, spec.primary)
+            install_lock_services(scenario.world, spec.coll_id)
             ws = cls(scenario.world, scenario.client, spec.coll_id,
                      record=False)
             drained = drain(scenario, ws.elements())

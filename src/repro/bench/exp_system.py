@@ -13,7 +13,7 @@ from __future__ import annotations
 from ..errors import FailureException, MutationNotAllowed, StoreError
 from ..sim.events import Sleep
 from ..wan.workload import ScenarioSpec, build_scenario
-from ..weaksets import StrongSet, install_lock_service, make_weak_set
+from ..weaksets import StrongSet, install_lock_services, make_weak_set
 from .harness import mean_or_nan
 from .metrics import summarize
 from .report import ExperimentResult
@@ -26,8 +26,8 @@ def _run_population(semantics: str, *, n_users: int, queries_per_user: int,
                     writer_priority: bool = False):
     spec = ScenarioSpec(n_clusters=4, cluster_size=3, n_members=n_members)
     scenario = build_scenario(spec, seed=seed)
-    install_lock_service(scenario.world, spec.primary,
-                         writer_priority=writer_priority)
+    install_lock_services(scenario.world, spec.coll_id,
+                          writer_priority=writer_priority)
     kernel = scenario.kernel
     query_latencies: list[float] = []
     publish_latencies: list[float] = []

@@ -592,22 +592,6 @@ class Repository:
             if not result.ok and result.error is not None:
                 raise result.error
 
-    def replace(self, coll_id: str, element: Element, name: str,
-                value: Any = None, home: Optional[NodeId] = None,
-                size: int = 0) -> Generator[Any, Any, Element]:
-        """Item mutation, the paper's way.
-
-        "we will assume that items in the set do not change; we could
-        model this by the deletion of an old item from the set followed
-        by the addition of a new item."  Removes ``element`` then adds a
-        fresh one (new name or same-name-new-oid is up to the caller's
-        ``name``); returns the new element.
-        """
-        yield from self.remove(coll_id, element)
-        return (yield from self.add(coll_id, name, value,
-                                    home if home is not None else element.home,
-                                    size, replicas=element.replicas))
-
     def seal(self, coll_id: str) -> Generator[Any, Any, None]:
         """Seal the collection — every shard of a sharded one, in ring
         order (one home otherwise)."""

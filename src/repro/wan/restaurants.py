@@ -7,7 +7,8 @@ some (but not all) Chinese restaurants in Pittsburgh."
 
 Menus live on each restaurant's own server; a city guide collection
 indexes them.  Menus "change weekly or seasonally", which the paper
-models as remove-old-add-new (``Repository.replace``).  The canonical
+models as a remove of the old menu followed by an add of the new one
+(``Repository.remove`` then ``Repository.add``).  The canonical
 query is a cuisine select with an early stop once the tourist has seen
 enough menus.
 """

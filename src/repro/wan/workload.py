@@ -43,8 +43,8 @@ class ScenarioSpec:
     member_size: int = 2048                 # bytes per object
     placement_skew: float = 0.8             # Zipf skew over clusters
     policy: str = "any"
-    replicas: int = 0                       # membership replicas (first nodes
-                                            # of other clusters)
+    replicas: int = 0                       # membership replicas (the node
+                                            # slots after the registry's)
     object_replicas: int = 0                # per-object copies on other
                                             # clusters (failover targets)
     intra_latency: float = 0.002
@@ -78,9 +78,16 @@ class ScenarioSpec:
     shards: int = 0                         # 0 = classic single-primary
                                             # registry; N>0 partitions the
                                             # member registry over the
-                                            # first N nodes (slot-major,
-                                            # so shards spread across
-                                            # clusters before doubling up)
+                                            # first N node slots
+
+    def __post_init__(self) -> None:
+        registry = max(self.shards, 1)
+        nodes = self.n_clusters * self.cluster_size
+        if registry + self.replicas > nodes:
+            raise ValueError(
+                f"{registry} registry node(s) and {self.replicas} replica(s) "
+                f"need {registry + self.replicas} nodes; {self.n_clusters} "
+                f"clusters of {self.cluster_size} have {nodes}")
 
     @property
     def client(self) -> NodeId:
@@ -94,25 +101,29 @@ class ScenarioSpec:
         preset = BANDWIDTH_PRESETS[self.bandwidth_preset]
         return preset.intra, preset.inter, preset.access, preset.serialize_rate
 
+    def _slots(self) -> tuple[NodeId, ...]:
+        """Every server, slot-major: n0.0, n1.0, … then n0.1, n1.1, …, so
+        a collection's nodes spread across clusters before any cluster
+        holds two.  The registry takes the first ``max(shards, 1)``
+        slots, the replicas the next ``replicas``."""
+        return tuple(f"n{c}.{i}" for i in range(self.cluster_size)
+                     for c in range(self.n_clusters))
+
     @property
     def primary(self) -> NodeId:
-        return "n0.0"
+        """The first slot: the single home, or the first shard."""
+        return self._slots()[0]
 
     @property
     def shard_nodes(self) -> tuple[NodeId, ...]:
-        """Shard servers, slot-major: n0.0, n1.0, … then n0.1, n1.1, …"""
-        ordered = [f"n{c}.{i}" for i in range(self.cluster_size)
-                   for c in range(self.n_clusters)]
-        return tuple(ordered[:self.shards])
+        """The registry's shards; none for a single home."""
+        return self._slots()[:self.shards]
 
     @property
     def replica_nodes(self) -> tuple[NodeId, ...]:
-        """Membership replicas; disjoint from :attr:`shard_nodes`."""
-        if self.shards > 0:
-            ordered = [f"n{c}.{i}" for i in range(self.cluster_size)
-                       for c in range(self.n_clusters)]
-            return tuple(ordered[self.shards:self.shards + self.replicas])
-        return tuple(f"n{c}.0" for c in range(1, 1 + self.replicas))
+        """Membership replicas; disjoint from the registry's slots."""
+        registry = max(self.shards, 1)
+        return self._slots()[registry:registry + self.replicas]
 
 
 @dataclass
@@ -173,15 +184,9 @@ def build_scenario(spec: ScenarioSpec, seed: int = 0) -> Scenario:
                   recovery_enabled=spec.recovery_enabled,
                   scrub_interval=spec.scrub_interval,
                   executor=spec.executor)
-    replica_nodes = list(spec.replica_nodes)
-    if spec.shards > 0:
-        shard_nodes = spec.shard_nodes
-        world.create_collection(spec.coll_id, primary=shard_nodes[0],
-                                replicas=replica_nodes, policy=spec.policy,
-                                shards=shard_nodes)
-    else:
-        world.create_collection(spec.coll_id, primary=spec.primary,
-                                replicas=replica_nodes, policy=spec.policy)
+    world.create_collection(spec.coll_id, primary=spec.primary,
+                            replicas=spec.replica_nodes, policy=spec.policy,
+                            shards=spec.shard_nodes)
     # God-mode seeding: instant and free, so experiments that measure
     # *other* phases keep their calibrated timings (a benchmark of the
     # write path populates through ``add_many`` itself — see E20).

@@ -17,7 +17,6 @@ from .locking import (
     LockClient,
     LockService,
     acquire_collection_locks,
-    install_lock_service,
     install_lock_services,
     release_collection_locks,
 )
@@ -54,7 +53,6 @@ __all__ = [
     "WeakSet",
     "Yielded",
     "acquire_collection_locks",
-    "install_lock_service",
     "install_lock_services",
     "iterate_until_stable",
     "make_weak_set",

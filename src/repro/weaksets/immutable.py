@@ -76,10 +76,11 @@ class RunLock(Mechanism):
 class PerRunImmutableSet(WeakSet):
     """§3.1 semantics: immutable during a run, mutable between runs.
 
-    Requires a :class:`~repro.weaksets.locking.LockService` on the
-    collection's primary (see :func:`~repro.weaksets.locking.install_lock_service`),
-    and writers that go through :class:`~repro.weaksets.strong.StrongSet`
-    (or otherwise take the write lock).
+    Requires a :class:`~repro.weaksets.locking.LockService` on each of
+    the collection's lock nodes (see
+    :func:`~repro.weaksets.locking.install_lock_services`), and writers
+    that go through :class:`~repro.weaksets.strong.StrongSet` (or
+    otherwise take the write locks).
     """
 
     semantics = "fig3-per-run"  # the run's read locks uphold the constraint

@@ -4,8 +4,8 @@
 efficiently in a distributed system.  For instance, preventing mutation
 requires distributed locking …"
 
-The :class:`LockService` lives on a collection's primary node and hands
-out collection-level read/write locks over RPC.  It is intentionally
+A :class:`LockService` lives on each of a collection's lock nodes (its
+primary, or every shard) and hands out read/write locks over RPC.  It is intentionally
 classical: multiple readers or one writer, wake-all on release, FIFO
 fairness *not* guaranteed, and — by default — **no leases**: a client
 that disconnects while holding a read lock blocks writers until it
@@ -26,7 +26,6 @@ from ..store.world import World
 __all__ = [
     "LockService",
     "LockClient",
-    "install_lock_service",
     "install_lock_services",
     "acquire_collection_locks",
     "release_collection_locks",
@@ -180,15 +179,6 @@ class LockService:
                     state.writer = None
 
 
-def install_lock_service(world: World, node: str,
-                         lease: Optional[float] = None,
-                         writer_priority: bool = False) -> LockService:
-    """Register a :class:`LockService` on ``node`` and return it."""
-    service = LockService(world, lease=lease, writer_priority=writer_priority)
-    world.net.register_service(node, LockService.SERVICE, service)
-    return service
-
-
 def install_lock_services(world: World, coll_id: str,
                           lease: Optional[float] = None,
                           writer_priority: bool = False) -> dict[str, LockService]:
@@ -199,12 +189,12 @@ def install_lock_services(world: World, coll_id: str,
     already expose a lock service are left untouched.
     """
     services: dict[str, LockService] = {}
-    for node in world.collections[coll_id].shards:
+    for node in world.collections[coll_id].lock_nodes():
         existing = world.net.node(node).services.get(LockService.SERVICE)
         if existing is None:
-            existing = install_lock_service(
-                world, node, lease=lease, writer_priority=writer_priority
-            )
+            existing = LockService(world, lease=lease,
+                                   writer_priority=writer_priority)
+            world.net.register_service(node, LockService.SERVICE, existing)
         services[node] = existing
     return services
 
@@ -212,27 +202,21 @@ def install_lock_services(world: World, coll_id: str,
 class LockClient:
     """Client-side handle for one lock on one collection."""
 
-    def __init__(self, repo: Repository, coll_id: str, node: Optional[str] = None):
-        """``node`` pins the lock service host; default is the collection
-        primary (correct for unsharded collections — sharded ones need one
-        lock per shard, see :func:`acquire_collection_locks`)."""
+    def __init__(self, repo: Repository, coll_id: str, node: str):
+        """``node`` is the lock service's host, one of the collection's
+        :meth:`~repro.store.world.CollectionInfo.lock_nodes` (see
+        :func:`acquire_collection_locks`)."""
         self.repo = repo
         self.coll_id = coll_id
         self.node = node
         self.owner = repo.world.fresh_lock_owner(repo.client)
         self.mode: Optional[str] = None
 
-    @property
-    def _lock_node(self) -> str:
-        if self.node is not None:
-            return self.node
-        return self.repo.primary_of(self.coll_id)
-
     def acquire(self, mode: str, wait_timeout: Optional[float] = None,
                 rpc_timeout: Optional[float] = None) -> Generator[Any, Any, float]:
         """Acquire; returns simulated seconds spent waiting for the grant."""
         waited = yield from self.repo.net.call(
-            self.repo.client, self._lock_node, LockService.SERVICE, "acquire",
+            self.repo.client, self.node, LockService.SERVICE, "acquire",
             self.coll_id, mode, self.owner, wait_timeout,
             timeout=rpc_timeout if rpc_timeout is not None else float("inf"),
         )
@@ -244,7 +228,7 @@ class LockClient:
             return
         mode, self.mode = self.mode, None
         yield from self.repo.net.call(
-            self.repo.client, self._lock_node, LockService.SERVICE, "release",
+            self.repo.client, self.node, LockService.SERVICE, "release",
             self.coll_id, mode, self.owner,
         )
 
@@ -267,7 +251,7 @@ def acquire_collection_locks(
     held: list[LockClient] = []
     try:
         for node in repo.placement(coll_id).lock_nodes():
-            lock = LockClient(repo, coll_id, node=node)
+            lock = LockClient(repo, coll_id, node)
             yield from lock.acquire(mode, wait_timeout=wait_timeout,
                                     rpc_timeout=rpc_timeout)
             held.append(lock)

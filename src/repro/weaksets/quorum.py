@@ -45,27 +45,22 @@ class QuorumRead(Mechanism):
     failover = True
 
     def read(self) -> Generator[Any, Any, frozenset[Element]]:
-        """s_pre as the union of majority reads.
+        """s_pre as the union of per-partition majority reads.
 
-        Flat collection: one majority among the collection's hosts.
-        Sharded: each shard owns a disjoint key range, so a *collection*
+        Each partition owns a disjoint key range, so a *collection*
         quorum is meaningless — a majority of all partitions could miss
         one shard entirely and silently drop its range.  Instead every
-        shard must independently assemble a majority among its own
+        partition must independently assemble a majority among its own
         copies (the shard itself plus each mirror replica); the union of
-        per-shard unions is then a lower bound on true membership, by
-        the same grow-only monotonicity argument as the flat case.  If
-        any single shard cannot reach a majority, the whole read fails:
-        a partial union would violate Figure 5's "yields every
+        per-partition unions is then a lower bound on true membership.
+        If any single partition cannot reach a majority, the whole read
+        fails: a partial union would violate Figure 5's "yields every
         pre-existing, reachable member" obligation for the missing range.
+        A classic collection is the one-partition case: one majority
+        among its primary and replicas.
         """
         repo, coll_id = self.repo, self.coll_id
         placement = repo.placement(coll_id)
-        if not placement.is_sharded:
-            return frozenset((yield from self._majority_union(
-                placement.hosts,
-                lambda host: repo.read_membership(coll_id, source=host),
-                f"hosts of {coll_id}")))
         merged: set[Element] = set()
         for shard in placement.shards:
             merged |= yield from self._majority_union(

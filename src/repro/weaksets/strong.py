@@ -75,12 +75,11 @@ class GlobalLock(RunLock):
 class StrongSet(WeakSet):
     """Serializable set: the traditional-database comparison point.
 
-    Requires a lock service on the collection's primary node
-    (:func:`~repro.weaksets.locking.install_lock_service`), or one per
-    shard (:func:`~repro.weaksets.locking.install_lock_services`) when
-    the collection is sharded.  Its ``add``/``remove`` take the write
-    lock(s) in ring order, so they serialize against every reader that
-    plays by the same rules.
+    Requires a lock service on each of the collection's lock nodes —
+    its primary, or every shard of a sharded one — which
+    :func:`~repro.weaksets.locking.install_lock_services` installs.  Its
+    ``add``/``remove`` take the write lock(s) in ring order, so they
+    serialize against every reader that plays by the same rules.
     """
 
     semantics = "fig4"  # a first-state snapshot, taken and drained under the lock

@@ -11,7 +11,7 @@ from repro.net import (CompactCodec, FixedLatency, LatencyModel, Network, Topolo
 from repro.sim import Kernel
 from repro.store import FetchPipeline, Repository, World
 from repro.wan.restaurants import Menu
-from repro.weaksets import install_lock_service
+from repro.weaksets import install_lock_services
 
 CLIENT = "client"
 PRIMARY = "s0"
@@ -38,16 +38,31 @@ def line(names, latency: Optional[LatencyModel] = None,
     return topo
 
 
+def replace_item(repo, coll_id, element, name, value=None, home=None,
+                 size=0):
+    """Item mutation, the paper's way.
+
+    "we will assume that items in the set do not change; we could model
+    this by the deletion of an old item from the set followed by the
+    addition of a new item."  Removes ``element`` then adds a fresh one
+    (new name or same-name-new-oid is up to the caller's ``name``) with
+    ``element``'s replicas; returns the new element.
+    """
+    yield from repo.remove(coll_id, element)
+    return (yield from repo.add(coll_id, name, value,
+                                home if home is not None else element.home,
+                                size, replicas=element.replicas))
+
+
 def rotate_menu(wl, element):
-    """The weekly menu change: delete the old item, add the new one
-    ("the deletion of an old item from the set followed by the addition
-    of a new item"), through the primary's repository."""
+    """The weekly menu change: delete the old item, add the new one,
+    through the primary's repository."""
     repo = Repository(wl.world, wl.scenario.spec.primary)
     old = wl.world.server(element.home).objects[element.oid].value
     fresh = Menu(restaurant=old.restaurant, cuisine=old.cuisine,
                  dishes=old.dishes, season=old.season + 1)
-    return (yield from repo.replace(
-        wl.scenario.coll_id, element,
+    return (yield from replace_item(
+        repo, wl.scenario.coll_id, element,
         f"{old.restaurant}-menu-s{fresh.season}",
         value=fresh, home=element.home, size=1024))
 
@@ -76,7 +91,7 @@ def standard_world(n_servers: int = 4, policy: str = "any", seed: int = 0,
         home = f"s{i % n_servers}"
         elements.append(world.seed_member(coll_id, f"m{i:03d}", value=f"v{i}", home=home))
     if with_locks:
-        install_lock_service(world, PRIMARY)
+        install_lock_services(world, coll_id)
     return kernel, net, world, elements
 
 

@@ -2,7 +2,7 @@
 
 ``CLAIMS`` maps each id of :data:`repro.bench.ALL_EXPERIMENTS` to the
 assertions its :class:`~repro.bench.ExperimentResult` must satisfy: the
-paper's prose claims as result shapes (DESIGN.md §5).  One test runs
+paper's prose claims as result shapes (EXPERIMENTS.md).  One test runs
 each experiment exactly as ``python -m repro.bench`` does, prints its
 table (``pytest tests/test_experiments.py -s`` shows them all) and
 applies that id's claim.  The numbers themselves are held byte for byte

@@ -213,7 +213,7 @@ def test_no_name_or_dial_is_left_that_only_tests_reach():
     assert "export_trace" not in _parameters(run_obs)
     gone = {"TraceLog", "TraceRecord", "Deadline", "UniformLatency", "line",
             "ring", "policy_for", "Effect", "metrics_from_records",
-            "components"}
+            "components", "install_lock_service"}
     for package in (repro, repro.sim, repro.sim.events, repro.net, repro.obs,
                     repro.weaksets, repro.dynsets.namespace):
         assert not gone & set(package.__all__), package.__name__
@@ -229,7 +229,8 @@ def test_no_name_or_dial_is_left_that_only_tests_reach():
             (Tracer, {"roots", "children"}),
             (LibraryWorkload, {"run_author_query"}),
             (RestaurantsWorkload, {"run_cuisine_query", "rotate_menu"}),
-            (FacesWorkload, {"display_all_faces"})]:
+            (FacesWorkload, {"display_all_faces"}),
+            (Repository, {"replace"})]:
         assert not any(hasattr(owner, name) for name in names), owner
     assert not hasattr(repro.sim.process, "_TERMINAL")
     assert str(inspect.signature(Kernel)) == "(seed: 'int' = 0)"

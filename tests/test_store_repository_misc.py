@@ -5,7 +5,7 @@ import pytest
 from repro.errors import NoSuchCollectionError, UnreachableObjectFailure
 from repro.store import MembershipView, Repository
 
-from helpers import CLIENT, PRIMARY, standard_world
+from helpers import CLIENT, PRIMARY, replace_item, standard_world
 
 
 def test_membership_view_fields():
@@ -116,7 +116,7 @@ def test_replace_models_item_mutation():
     old = elements[0]
 
     def proc():
-        return (yield from repo.replace("coll", old, f"{old.name}-v2",
+        return (yield from replace_item(repo, "coll", old, f"{old.name}-v2",
                                         value="updated"))
 
     new = kernel.run_process(proc())
@@ -132,7 +132,7 @@ def test_replace_can_relocate():
     repo = Repository(world, CLIENT)
 
     def proc():
-        return (yield from repo.replace("coll", elements[0], "moved",
+        return (yield from replace_item(repo, "coll", elements[0], "moved",
                                         value="v", home="s3"))
 
     new = kernel.run_process(proc())

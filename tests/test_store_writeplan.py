@@ -8,7 +8,7 @@ from repro.store import AddSpec, Repository
 from repro.store.wal import APPLIED, PENDING
 from repro.weaksets import DynamicSet
 
-from helpers import CLIENT, PRIMARY, standard_world
+from helpers import CLIENT, PRIMARY, replace_item, standard_world
 
 
 def _specs(n, *, home=None, replicas=(), size=0):
@@ -434,7 +434,7 @@ def test_clean_failure_mid_erase_batch_commits_prefix():
 
 
 # ---------------------------------------------------------------------------
-# Repository.replace (remove-then-add, the paper's item mutation)
+# replace_item (remove-then-add, the paper's item mutation)
 # ---------------------------------------------------------------------------
 
 def test_replace_swaps_element_for_fresh_one():
@@ -442,7 +442,7 @@ def test_replace_swaps_element_for_fresh_one():
     old = elements[1]
     repo = Repository(world, CLIENT)
     new = kernel.run_process(
-        repo.replace("coll", old, "m001", value="v2"))
+        replace_item(repo, "coll", old, "m001", value="v2"))
     assert new.name == "m001" and new.oid != old.oid
     assert new.home == old.home             # home carries over by default
     truth = world.true_members("coll")
@@ -457,7 +457,7 @@ def test_replace_carries_replicas_over():
     def proc():
         old = yield from repo.add("coll", "r", value=1, home="s1",
                                   replicas=("s2", "s3"))
-        new = yield from repo.replace("coll", old, "r2", value=2)
+        new = yield from replace_item(repo, "coll", old, "r2", value=2)
         return old, new
 
     old, new = kernel.run_process(proc())
@@ -479,7 +479,7 @@ def test_replace_failure_between_remove_and_add():
 
     def proc():
         try:
-            yield from repo.replace("coll", old, "swapped", home="s3")
+            yield from replace_item(repo, "coll", old, "swapped", home="s3")
             return "replaced"
         except FailureException:
             return "failed"

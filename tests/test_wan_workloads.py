@@ -1,6 +1,8 @@
 """Tests for the motivating workloads and the generic scenario builder."""
 
 
+import pytest
+
 from repro.net import FaultPlan
 from repro.spec import Returned, check_conformance, spec_by_id
 from repro.wan import (
@@ -37,6 +39,37 @@ def test_scenario_client_is_wired_in():
     s = build_scenario(ScenarioSpec(n_members=5), seed=0)
     assert s.net.can_reach(s.client, s.spec.primary)
     assert s.world.true_members(s.coll_id) == frozenset(s.elements)
+
+
+@pytest.mark.parametrize("dials, shards, replicas", [
+    ({"replicas": 2}, (), ("n1.0", "n2.0")),
+    ({"n_clusters": 2, "cluster_size": 2, "replicas": 2}, (), ("n1.0", "n0.1")),
+    ({"shards": 3, "replicas": 2}, ("n0.0", "n1.0", "n2.0"), ("n3.0", "n0.1")),
+    ({"shards": 1, "replicas": 1}, ("n0.0",), ("n1.0",)),
+], ids=["classic", "classic-spills-to-slot-1", "sharded", "one-shard"])
+def test_collection_nodes_follow_one_slot_major_order(dials, shards, replicas):
+    """The registry takes the first ``max(shards, 1)`` slots of n0.0,
+    n1.0, …, n0.1, …, and the replicas the next ones."""
+    info = build_scenario(ScenarioSpec(n_members=4, **dials)).world \
+        .collection_info("collection")
+    assert info.primary == "n0.0"
+    assert info.replicas == replicas
+    assert (info.shard_map.shards if info.shard_map else ()) == shards
+
+
+@pytest.mark.parametrize("dials, message", [
+    ({"replicas": 4}, "1 registry node(s) and 4 replica(s) need 5 nodes; "
+                      "2 clusters of 2 have 4"),
+    ({"shards": 3, "replicas": 2}, "3 registry node(s) and 2 replica(s) need "
+                                   "5 nodes; 2 clusters of 2 have 4"),
+    ({"shards": 5}, "5 registry node(s) and 0 replica(s) need 5 nodes; "
+                    "2 clusters of 2 have 4"),
+], ids=["classic-replicas", "shards-and-replicas", "shards"])
+def test_a_scenario_asking_for_more_nodes_than_it_has_is_refused(dials,
+                                                                message):
+    with pytest.raises(ValueError) as refused:
+        build_scenario(ScenarioSpec(n_clusters=2, cluster_size=2, **dials))
+    assert str(refused.value) == message
 
 
 def test_mutator_adds_and_removes():

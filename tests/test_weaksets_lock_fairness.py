@@ -3,7 +3,7 @@
 
 from repro.sim import Sleep
 from repro.store import Repository
-from repro.weaksets import LockClient, install_lock_service
+from repro.weaksets import LockClient, install_lock_services
 
 from helpers import CLIENT, PRIMARY, standard_world
 
@@ -13,7 +13,7 @@ def reader_stream(kernel, world, nodes, hold=1.0, gap=0.5):
 
     def one_reader(node, start):
         yield Sleep(start)
-        lock = LockClient(Repository(world, node), "coll")
+        lock = LockClient(Repository(world, node), "coll", PRIMARY)
         yield from lock.acquire("read")
         yield Sleep(hold)
         yield from lock.release()
@@ -31,7 +31,7 @@ def run_writer(kernel, world, arrived_at=1.25):
 
     def writer():
         yield Sleep(arrived_at)
-        lock = LockClient(Repository(world, "s3"), "coll")
+        lock = LockClient(Repository(world, "s3"), "coll", PRIMARY)
         waited = yield from lock.acquire("write")
         times["granted"] = world.now
         times["waited"] = waited
@@ -43,7 +43,7 @@ def run_writer(kernel, world, arrived_at=1.25):
 
 def test_writer_starves_under_default_policy():
     kernel, net, world, _ = standard_world()
-    install_lock_service(world, PRIMARY)          # wake-all, no priority
+    install_lock_services(world, "coll")          # wake-all, no priority
     reader_stream(kernel, world, [CLIENT, "s1", "s2"])
     times = run_writer(kernel, world)
     kernel.run(until=19.0)
@@ -53,7 +53,7 @@ def test_writer_starves_under_default_policy():
 
 def test_writer_priority_prevents_starvation():
     kernel, net, world, _ = standard_world()
-    install_lock_service(world, PRIMARY, writer_priority=True)
+    install_lock_services(world, "coll", writer_priority=True)
     reader_stream(kernel, world, [CLIENT, "s1", "s2"])
     times = run_writer(kernel, world)
     kernel.run(until=19.0)
@@ -65,11 +65,11 @@ def test_writer_priority_prevents_starvation():
 
 def test_writer_priority_still_allows_reader_concurrency():
     kernel, net, world, _ = standard_world()
-    install_lock_service(world, PRIMARY, writer_priority=True)
+    install_lock_services(world, "coll", writer_priority=True)
     grants = []
 
     def reader(node):
-        lock = LockClient(Repository(world, node), "coll")
+        lock = LockClient(Repository(world, node), "coll", PRIMARY)
         yield from lock.acquire("read")
         grants.append(world.now)
         yield Sleep(1.0)

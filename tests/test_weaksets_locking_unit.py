@@ -4,19 +4,19 @@
 from repro.errors import LockUnavailableFailure, TimeoutFailure
 from repro.sim import Sleep
 from repro.store import Repository
-from repro.weaksets import LockClient, install_lock_service
+from repro.weaksets import LockClient, install_lock_services
 
 from helpers import CLIENT, PRIMARY, standard_world
 
 
 def setup(lease=None, **kwargs):
     kernel, net, world, elements = standard_world(**kwargs)
-    service = install_lock_service(world, PRIMARY, lease=lease)
+    service = install_lock_services(world, "coll", lease=lease)[PRIMARY]
     return kernel, net, world, service
 
 
 def client(world, node):
-    return LockClient(Repository(world, node), "coll")
+    return LockClient(Repository(world, node), "coll", PRIMARY)
 
 
 def test_holders_and_grants_tracked():
@@ -190,7 +190,7 @@ def test_collection_locks_follow_ring_order():
 
     def proc():
         locks = yield from acquire_collection_locks(repo, "coll", "write")
-        held_at = [lock._lock_node for lock in locks]
+        held_at = [lock.node for lock in locks]
         yield from release_collection_locks(locks)
         return held_at
 
@@ -247,5 +247,5 @@ def test_lock_owner_ids_are_minted_per_world():
     _, _, other_world, _ = standard_world()
     repo = Repository(other_world, CLIENT)
     for _ in range(10 ** 5):
-        LockClient(repo, "coll")
+        LockClient(repo, "coll", PRIMARY)
     assert seeded_drain_bytes() == first

@@ -1,11 +1,14 @@
 """QuorumGrowOnlySet: Figure 5 with quorum reads of s_pre."""
 
 
+import pytest
+
 from repro.sim import Sleep
 from repro.spec import Returned, check_conformance, spec_by_id
+from repro.store import Repository
 from repro.weaksets import GrowOnlySet, QuorumGrowOnlySet
 
-from helpers import CLIENT, PRIMARY, drain_all, standard_world
+from helpers import CLIENT, PRIMARY, drain_all, sharded_world, standard_world
 
 
 def quorum_world(**kwargs):
@@ -95,13 +98,37 @@ def test_sees_growth_during_run():
     assert late in got
 
 
+@pytest.mark.parametrize("build, asked", [
+    (lambda: quorum_world(),
+     [("s0", "coll"), ("s1", "coll"), ("s2", "coll")]),
+    (lambda: sharded_world(n_shards=2, mirrors=2, policy="grow-only"),
+     [("s0", "coll"), ("m0", "coll@s0"), ("m1", "coll@s0"),
+      ("s1", "coll"), ("m0", "coll@s1"), ("m1", "coll@s1")]),
+], ids=["classic-2-replicas", "sharded-2-mirrors"])
+def test_one_read_asks_each_partition_copy_in_order(monkeypatch, build, asked):
+    """One ``list_members`` per copy of each partition, the partition's
+    own node first: a classic collection is the one-partition case."""
+    kernel, net, world, _ = build()
+    calls = []
+    call = Repository._call
+
+    def recording_call(repo, host, method, *args, **kwargs):
+        if method == "list_members":
+            calls.append((host, *args))
+        return call(repo, host, method, *args, **kwargs)
+
+    monkeypatch.setattr(Repository, "_call", recording_call)
+    ws = QuorumGrowOnlySet(world, CLIENT, "coll")
+    outcome = kernel.run_process(ws.elements().invoke())
+    assert isinstance(outcome, Returned)
+    assert calls == asked
+
+
 # ---------------------------------------------------------------------------
 # Sharded collections: per-shard majorities
 # ---------------------------------------------------------------------------
 
 def test_sharded_quorum_reads_union_of_per_shard_majorities():
-    from helpers import sharded_world
-
     # Members homed on mirror-free nodes so crashing a shard server
     # only costs its *registry* copy, not the data objects themselves.
     kernel, net, world, _ = sharded_world(policy="grow-only", mirrors=2)
@@ -119,8 +146,6 @@ def test_sharded_quorum_reads_union_of_per_shard_majorities():
 
 
 def test_sharded_quorum_fails_when_one_range_lacks_majority():
-    from helpers import sharded_world
-
     kernel, net, world, _ = sharded_world(policy="grow-only", mirrors=2)
     for i in range(8):
         world.seed_member("coll", f"q{i}", value=i, home="m0")

@@ -4,7 +4,7 @@
 from repro.errors import LockUnavailableFailure, TimeoutFailure
 from repro.sim import Sleep
 from repro.spec import Returned
-from repro.weaksets import LockClient, StrongSet, install_lock_service
+from repro.weaksets import LockClient, StrongSet, install_lock_services
 from repro.store import Repository
 
 from helpers import CLIENT, PRIMARY, drain_all, standard_world
@@ -119,7 +119,7 @@ def test_disconnected_reader_blocks_writers_indefinitely():
 
 def test_lease_expiry_unblocks_writers():
     kernel, net, world, elements = standard_world(members=3)
-    install_lock_service(world, PRIMARY, lease=5.0)
+    install_lock_services(world, "coll", lease=5.0)
     reader = StrongSet(world, CLIENT, "coll")
     writer = StrongSet(world, "s2", "coll")
     iterator = reader.elements()
@@ -155,7 +155,7 @@ def test_lock_wait_timeout_gives_failed_iteration():
     def writer_then_reader():
         # a writer waits behind the reader, then our reader times out
         # behind... actually reader+reader share; use writer to block
-        lock = LockClient(Repository(world, "s3"), "coll")
+        lock = LockClient(Repository(world, "s3"), "coll", PRIMARY)
         yield from lock.acquire("write", wait_timeout=None)
         return lock
 
@@ -165,7 +165,7 @@ def test_lock_wait_timeout_gives_failed_iteration():
     # a second READER shares the lock fine; to force waiting we grab a
     # write lock slot: simplest observable case is a writer timing out.
     def writer_times_out():
-        lock = LockClient(Repository(world, "s3"), "coll")
+        lock = LockClient(Repository(world, "s3"), "coll", PRIMARY)
         try:
             yield from lock.acquire("write", wait_timeout=1.0)
         except (TimeoutFailure, LockUnavailableFailure):
