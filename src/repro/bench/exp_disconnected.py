@@ -20,15 +20,17 @@ makes that a first-class scenario:
   adds, no double-applies — while the volatile ablation measurably
   leaks.
 * **E21c** — the geo-replicated end-to-end: a flapping mobile client
-  (``disconnect_rate`` / ``offline_duration``) over clusters suffering
-  correlated whole-DC partitions (``dc_partition_rate``), with remote
-  churn; after healing, everything reconciles and the world's
-  invariants hold.
+  (an :class:`OfflineClient` disconnecting at ``disconnect_rate`` for
+  0.8 s stints on average) over clusters suffering correlated whole-DC
+  partitions (``FaultPlan.dc_partition_rate``), with remote churn;
+  after healing, everything reconciles and the world's invariants
+  hold.
 """
 
 from __future__ import annotations
 
-from ..net import FaultSchedule, FixedLatency, Network, full_mesh
+from ..errors import FailureException
+from ..net import FaultPlan, FaultSchedule, FixedLatency, Network, full_mesh
 from ..sim import Kernel
 from ..sim.events import Sleep
 from ..spec import Returned
@@ -41,7 +43,7 @@ from .metrics import rate
 from .report import ExperimentResult
 
 __all__ = ["run_disconnected", "run_reconcile_cost", "run_outbox_crash",
-           "run_geo_flap"]
+           "geo_flap", "run_geo_flap"]
 
 _IMPLS = (
     ("fig1 immutable", Figure1Set, {}),
@@ -238,6 +240,65 @@ def _offline_writer(scenario, offline):
                 offline.queue_remove(stream.choice(current))
 
 
+def _flapper(kernel, offline, disconnect_rate, mean_stint, flaps):
+    """The mobile client's disconnect/reconnect schedule.
+
+    Exponential inter-arrivals at ``disconnect_rate``; each stint is an
+    explicit DISCONNECTED session (stale reads, outbox) lasting an
+    exponential draw with mean ``mean_stint``, ended by a reconnect that
+    reconciles.  Each finished stint appends its end time to ``flaps``.
+    """
+    stream = kernel.stream("workload.flapper")
+    while True:
+        yield Sleep(stream.exponential(1.0 / disconnect_rate))
+        duration = stream.exponential(mean_stint)
+        if offline.state != CONNECTED:
+            continue                 # already offline or reconciling
+        offline.disconnect()
+        yield Sleep(duration)
+        try:
+            yield from offline.reconnect()
+        except FailureException:
+            # Reconcile hit an unreachable primary: entries stay
+            # queued; the next reconnect retries them.
+            pass
+        flaps.append(kernel.now)
+
+
+def geo_flap(seed: int, disconnect_rate: float, dc_rate: float,
+             run_for: float = 30.0):
+    """One E21c leg: the flapping client, DC partitions and remote churn
+    for ``run_for`` simulated seconds, then heal and reconnect.  Returns
+    ``(scenario, offline, flaps)``."""
+    # Correlated whole-cluster partitions: one group per cluster.
+    clusters = tuple(tuple(f"n{c}.{i}" for i in range(2)) for c in range(3))
+    spec = ScenarioSpec(n_clusters=3, cluster_size=2, n_members=12,
+                        fault_plan=FaultPlan(dc_partition_rate=dc_rate,
+                                             dc_groups=clusters),
+                        rpc_timeout=1.0)
+    scenario = build_scenario(spec, seed=seed)
+    kernel = scenario.kernel
+    offline = OfflineClient(scenario.world, scenario.client, spec.coll_id)
+    flaps: list[float] = []
+    kernel.spawn(_flapper(kernel, offline, disconnect_rate, 0.8, flaps),
+                 name="client-flapper", daemon=True)
+    kernel.run_process(
+        offline.repo.read_membership(spec.coll_id, source="primary"))
+    mutator = Mutator(scenario, add_rate=0.2, remove_rate=0.2)
+    mutator.start()
+    kernel.spawn(_offline_writer(scenario, offline),
+                 name="offline-writer", daemon=True)
+    kernel.run(until=run_for)
+    # no settling time: the reconnect below is what settles this world
+    heal_and_settle(scenario, bound=0.0, step=0.0)
+    scenario.net.heal()
+    if offline.state != CONNECTED:
+        kernel.run_process(offline.reconnect())
+    elif offline.outbox.depth() > 0:
+        kernel.run_process(offline.reconcile())
+    return scenario, offline, flaps
+
+
 def run_geo_flap(run_for: float = 30.0) -> ExperimentResult:
     """E21c: flapping mobile client over partitioning geo clusters."""
     result = ExperimentResult(
@@ -252,35 +313,14 @@ def run_geo_flap(run_for: float = 30.0) -> ExperimentResult:
               "and the world settles with zero invariant violations",
     )
     for disconnect_rate, dc_rate in ((0.5, 0.0), (0.5, 0.1)):
-        spec = ScenarioSpec(n_clusters=3, cluster_size=2, n_members=12,
-                            disconnect_rate=disconnect_rate,
-                            offline_duration=0.8, dc_partition_rate=dc_rate,
-                            rpc_timeout=1.0)
-        scenario = build_scenario(spec, seed=7)
-        kernel = scenario.kernel
-        offline = OfflineClient(scenario.world, scenario.client,
-                                spec.coll_id)
-        scenario.offline = offline
-        kernel.run_process(
-            offline.repo.read_membership(spec.coll_id, source="primary"))
-        mutator = Mutator(scenario, add_rate=0.2, remove_rate=0.2)
-        mutator.start()
-        kernel.spawn(_offline_writer(scenario, offline),
-                     name="offline-writer", daemon=True)
-        kernel.run(until=run_for)
-        # no settling time: the reconnect below is what settles this world
-        heal_and_settle(scenario, bound=0.0, step=0.0)
-        scenario.net.heal()
-        if offline.state != CONNECTED:
-            kernel.run_process(offline.reconnect())
-        elif offline.outbox.depth() > 0:
-            kernel.run_process(offline.reconcile())
-        metrics = kernel.obs.metrics
+        scenario, offline, flaps = geo_flap(7, disconnect_rate, dc_rate,
+                                            run_for)
+        metrics = scenario.kernel.obs.metrics
         injected = scenario.injector.injected if scenario.injector else []
         result.add(
             disconnect_rate=disconnect_rate,
             dc_rate=dc_rate,
-            flaps=scenario.flaps,
+            flaps=len(flaps),
             dc_partitions=sum(1 for (_, kind, _) in injected
                               if kind == "dc-partition"),
             sessions=int(metrics.value("offline.sessions")),

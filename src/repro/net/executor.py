@@ -61,17 +61,18 @@ _RETRY_AFTER_FLOOR = 0.005
 class ExecutorPolicy:
     """Dials for one node's bounded executor.
 
-    ``concurrency=None`` disables the executor entirely (the seed
-    model: unbounded handler spawning); ``queue_limit=None`` bounds
-    workers but queues without limit — the classic congestion-collapse
-    ablation, where queueing delay grows past every caller's timeout.
+    ``concurrency`` is the worker-pool width (a world with no executor
+    at all is the seed model: unbounded handler spawning);
+    ``queue_limit=None`` bounds workers but queues without limit — the
+    classic congestion-collapse ablation, where queueing delay grows
+    past every caller's timeout.
     Brownout starts at half the queue limit (or, unbounded, at the
     worker count).
     """
 
     __slots__ = ("concurrency", "queue_limit", "discipline", "brownout")
 
-    def __init__(self, concurrency: Optional[int] = None,
+    def __init__(self, concurrency: int,
                  queue_limit: Optional[int] = None,
                  discipline: str = "fifo",
                  brownout: bool = False):
@@ -79,7 +80,7 @@ class ExecutorPolicy:
             raise SimulationError(
                 f"unknown admission discipline {discipline!r}; "
                 f"known: {DISCIPLINES}")
-        if concurrency is not None and concurrency < 1:
+        if concurrency < 1:
             raise SimulationError("executor concurrency must be >= 1")
         if queue_limit is not None and queue_limit < 0:
             raise SimulationError("executor queue_limit must be >= 0")
@@ -87,10 +88,6 @@ class ExecutorPolicy:
         self.queue_limit = queue_limit
         self.discipline = discipline
         self.brownout = brownout
-
-    @property
-    def enabled(self) -> bool:
-        return self.concurrency is not None
 
     def __repr__(self) -> str:
         return (f"ExecutorPolicy(concurrency={self.concurrency}, "
@@ -125,10 +122,6 @@ class BoundedExecutor:
 
     def __init__(self, kernel: "Kernel", policy: ExecutorPolicy,
                  name: str = ""):
-        if not policy.enabled:
-            raise SimulationError(
-                "BoundedExecutor needs a concurrency limit; use no "
-                "executor at all for the unbounded model")
         self.kernel = kernel
         self.policy = policy
         self.name = name

@@ -60,8 +60,9 @@ from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import TYPE_CHECKING, Any, Callable, Generator, Iterable, Optional
 
-from ..errors import (CircuitOpenFailure, FailureException,
-                      NoSuchObjectError, ServerBusyFailure)
+from ..errors import (CircuitOpenFailure, DisconnectedError,
+                      FailureException, NoSuchObjectError,
+                      ServerBusyFailure)
 from ..net.address import NodeId
 from ..net.resilience import TRANSPORT_FAILURES
 from ..net.wire import unwrap
@@ -309,6 +310,10 @@ class FetchPipeline:
         # whole remainder every invocation, and ordering is a stable
         # sort, so dropping the pending ones first changes no position.
         live = self._live
+        repo = self.repo
+        use_cache = self.use_cache
+        local = repo.offline is not None or (use_cache
+                                             and repo.cache is not None)
         accepted = 0
         for element in self.planner.order(
                 [e for e in elements if e.oid not in live]):
@@ -317,25 +322,20 @@ class FetchPipeline:
             live[element.oid] = element
             self._order.append(element.oid)
             accepted += 1
-            if self.use_cache and self.repo.cache is not None:
-                cached = self.repo.cache.get(("object", element.oid),
-                                             self.world.now)
-                if cached is not None:
-                    self.cache_hits += 1
-                    self._m_cache_hits.value += 1
-                    self.repo._m.cache_hits.value += 1
+            if local:
+                try:
+                    served = repo._local_answer(("object", element.oid),
+                                                use_cache)
+                except DisconnectedError:
+                    # Nothing cached offline: a worker's RPC fails fast
+                    # and delivers the element ``unreachable``.
+                    served = None
+                if served is not None:
+                    if not served[1]:
+                        self.cache_hits += 1
+                        self._m_cache_hits.value += 1
                     self._settle(FetchResult(
-                        element, value=cached, fetched_at=self.world.now,
-                        issue_epoch=self._epoch, from_cache=True))
-                    continue
-            if self.repo.disconnected:
-                # DISCONNECTED client: a stale cached value (past its
-                # TTL, with its age accounted for) beats an RPC that is
-                # known to fail — the only other option offline.
-                peeked = self.repo._serve_stale(("object", element.oid))
-                if peeked is not None:
-                    self._settle(FetchResult(
-                        element, value=peeked[0], fetched_at=self.world.now,
+                        element, value=served[0], fetched_at=self.world.now,
                         issue_epoch=self._epoch, from_cache=True))
                     continue
             self._todo[element.oid] = element

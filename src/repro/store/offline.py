@@ -8,13 +8,13 @@ mode, not just a transient fault:
 
 :class:`OfflineClient`
     One client's disconnected-operation controller for one collection.
-    ``disconnect()`` moves it to DISCONNECTED state (optionally
-    isolating the node in the partition overlay, the traveling
-    laptop); while offline, every attached :class:`Repository` fails
-    RPC fast with :class:`~repro.errors.DisconnectedError` and serves
-    reads stale from the :class:`~repro.store.cache.ClientCache` with
-    staleness accounted for.  Mutations queue into the outbox instead
-    of touching the network.
+    ``disconnect()`` moves it to DISCONNECTED state and isolates the
+    node in the partition overlay (the traveling laptop); while
+    offline, every attached :class:`Repository` fails RPC fast with
+    :class:`~repro.errors.DisconnectedError` and serves reads stale
+    from the :class:`~repro.store.cache.ClientCache` with staleness
+    accounted for (``Repository._local_answer``).  Mutations queue into
+    the outbox instead of touching the network.
 
 :class:`Outbox`
     The durable write-back queue: one :class:`OutboxEntry` per queued
@@ -184,8 +184,6 @@ class OfflineClient:
         self.state = CONNECTED
         self.repo = Repository(world, client, cache=self.cache)
         self.repo.offline = self
-        self._repos: list[Repository] = [self.repo]
-        self._isolated = False          # we put the node in its own group
         self._base_view: Optional[MembershipView] = None
         self.last_report: Optional[ReconcileReport] = None
         self.net.node(client).register_service(f"offline:{coll_id}", self)
@@ -216,18 +214,16 @@ class OfflineClient:
     def attach(self, repo: Repository) -> Repository:
         """Put another repository (e.g. a weak set's) under this gate."""
         repo.offline = self
-        if repo not in self._repos:
-            self._repos.append(repo)
         return repo
 
-    def disconnect(self, *, partition: bool = True) -> None:
+    def disconnect(self) -> None:
         """Enter DISCONNECTED state (the laptop leaves the network).
 
-        ``partition=True`` also isolates the node in the partition
-        overlay, so even code that bypasses the repository gate finds
-        the network honestly gone.  The current cached view is
-        snapshotted as the reconcile baseline: the delta pulled on
-        reconnect covers everything since this version.
+        The node is isolated in the partition overlay too, so even code
+        that bypasses the repository gate finds the network honestly
+        gone.  The current cached view is snapshotted as the reconcile
+        baseline: the delta pulled on reconnect covers everything since
+        this version.
         """
         if self.state == DISCONNECTED:
             return
@@ -235,9 +231,7 @@ class OfflineClient:
             raise DisconnectedError("cannot disconnect mid-reconcile")
         peeked = self.cache.peek(("membership", self.coll_id), self.world.now)
         self._base_view = peeked[0] if peeked is not None else None
-        if partition:
-            self.net.isolate(self.client)
-            self._isolated = True
+        self.net.isolate(self.client)
         self.state = DISCONNECTED
         self._m_sessions.inc()
 
@@ -294,18 +288,13 @@ class OfflineClient:
     # ------------------------------------------------------------------
     # reconnect + reconciliation
     # ------------------------------------------------------------------
-    def reconnect(self, *, reconcile: bool = True
-                  ) -> Generator[Any, Any, Optional[ReconcileReport]]:
-        """Rejoin the network and (by default) drain the outbox."""
+    def reconnect(self) -> Generator[Any, Any, ReconcileReport]:
+        """Rejoin the network and drain the outbox."""
         if self.state == RECONCILING:
             raise DisconnectedError("reconnect while a reconcile is running")
-        if self._isolated:
-            self.net.rejoin(self.client)
-            self._isolated = False
         if self.state == DISCONNECTED:
+            self.net.rejoin(self.client)
             self.state = CONNECTED
-        if not reconcile:
-            return None
         return (yield from self.reconcile())
 
     def start_reconcile(self):
@@ -454,7 +443,9 @@ class OfflineClient:
         if self.state == RECONCILING:
             # The drain died with the node (tracked handlers); what it
             # managed to settle is settled, the rest is still queued.
-            self.state = DISCONNECTED if self._isolated else CONNECTED
+            # A reconcile runs only after the rejoin, so the client is
+            # connected.
+            self.state = CONNECTED
         self._m_depth.set(self.outbox.depth())
 
     def on_recover(self) -> None:

@@ -175,16 +175,14 @@ class Repository:
         node name.
         """
         self._m.membership_reads.value += 1
-        if self.disconnected:
-            return self._stale_membership(coll_id)
-        if use_cache and self.cache is not None:
-            cached = self.cache.get(("membership", coll_id), self.world.now)
-            if cached is not None:
-                self._m.cache_hits.value += 1
+        if self.offline is not None or (use_cache and self.cache is not None):
+            served = self._local_answer(("membership", coll_id), use_cache)
+            if served is not None:
+                view = served[0]
                 # Staleness of the served snapshot: how old the cached
                 # view is at the moment a drain consumes it.
-                self._m.membership_age.observe(self.world.now - cached.read_at)
-                return cached
+                self._m.membership_age.observe(self.world.now - view.read_at)
+                return view
         if self.placement(coll_id).is_sharded:
             return (yield from self._read_sharded(coll_id, source))
         if source == "primary":
@@ -354,41 +352,38 @@ class Repository:
         return MembershipView(coll_id, version, frozenset(members), host,
                               self.world.now, stale=degraded)
 
-    # -- stale-while-offline serving -----------------------------------
-    def _serve_stale(self, key: tuple) -> Optional[tuple[Any, float]]:
-        """DISCONNECTED read of cache entry ``key``, however old it is:
-        ``(value, age)`` with the staleness accounted for, or ``None``
-        when nothing is cached."""
-        if self.cache is None:
-            return None
-        peeked = self.cache.peek(key, self.world.now)
-        if peeked is not None:
+    # -- what a client answers without an RPC ---------------------------
+    def _local_answer(self, key: tuple,
+                      use_cache: bool) -> Optional[tuple[Any, bool]]:
+        """The one rule for answering cache entry ``key`` locally:
+        ``(value, stale)``, or ``None`` when the read must go to the
+        network.
+
+        * DISCONNECTED: the cached value however old it is, its age
+          accounted for (``stale`` is True).  Explicit disconnected
+          operation trumps both the TTL and the caller's ``use_cache``:
+          the network is *known* to be absent, so with nothing cached
+          the answer is an immediate :class:`DisconnectedError`.
+        * Otherwise, with ``use_cache``: a TTL cache hit.
+
+        Callers guard the call inline (``offline`` attached, or
+        ``use_cache`` with a cache) and keep their own counters."""
+        cache = self.cache
+        if self.offline is not None and self.offline.disconnected:
+            peeked = None if cache is None else cache.peek(key, self.world.now)
+            if peeked is None:
+                raise DisconnectedError(
+                    f"{self.client} is disconnected and has no cached "
+                    f"{key[0]} {key[1]!r}")
             self._m.stale_served.value += 1
             self._m.stale_age.observe(peeked[1])
-        return peeked
-
-    def _stale_membership(self, coll_id: str) -> MembershipView:
-        """DISCONNECTED read: serve the cached view however old it is.
-
-        Explicit disconnected operation trumps both TTL and the caller's
-        ``use_cache``/``source`` choice — the network is *known* to be
-        absent, so the only alternatives are a stale answer (with its
-        age accounted for) or an immediate :class:`DisconnectedError`.
-        """
-        peeked = self._serve_stale(("membership", coll_id))
-        if peeked is None:
-            raise DisconnectedError(
-                f"disconnected and no cached membership for {coll_id!r}")
-        view, age = peeked
-        self._m.membership_age.observe(age)
-        return view
-
-    def _stale_object(self, element: Element) -> Any:
-        peeked = self._serve_stale(("object", element.oid))
-        if peeked is None:
-            raise DisconnectedError(
-                f"disconnected and no cached value for {element.name!r}")
-        return peeked[0]
+            return peeked[0], True
+        if use_cache and cache is not None:
+            value = cache.get(key, self.world.now)
+            if value is not None:
+                self._m.cache_hits.value += 1
+                return value, False
+        return None
 
     def fetch(self, element: Element, *,
               use_cache: bool = False) -> Generator[Any, Any, Any]:
@@ -405,13 +400,10 @@ class Repository:
         Replica failover and hedging are the fetch pipeline's
         (``FetchPipeline(failover=True)``): a point lookup asks the home.
         """
-        if self.disconnected:
-            return self._stale_object(element)
-        if use_cache and self.cache is not None:
-            cached = self.cache.get(("object", element.oid), self.world.now)
-            if cached is not None:
-                self._m.cache_hits.value += 1
-                return cached
+        if self.offline is not None or (use_cache and self.cache is not None):
+            served = self._local_answer(("object", element.oid), use_cache)
+            if served is not None:
+                return served[0]
         tracer = self.obs.tracer
         span = tracer.start("repo.fetch", element=element.name,
                             home=str(element.home))
@@ -634,7 +626,7 @@ class Repository:
         use: their alternates *are* the retry, and backing off between
         replicas would burn the budget (``None`` = the resilience
         policy's count)."""
-        if self.disconnected:
+        if self.offline is not None and self.offline.disconnected:
             # Fail fast in zero simulated time: while DISCONNECTED, no
             # retry/backoff budget is worth burning — the client *chose*
             # to be off the network.

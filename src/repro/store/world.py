@@ -209,7 +209,7 @@ class World:
             server = ObjectServer(node, self)
             self.servers[node] = server
             net.register_service(node, ObjectServer.SERVICE, server)
-            if executor is not None and executor.enabled:
+            if executor is not None:
                 net.node(node).executor = BoundedExecutor(
                     self.kernel, executor, name=str(node))
         net.on_connectivity_change(self._notify)

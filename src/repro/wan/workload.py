@@ -11,10 +11,9 @@ other two.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Generator, Optional
 
-from ..errors import FailureException
 from ..net.address import NodeId
 from ..net.fabric import Network
 from ..net.executor import ExecutorPolicy
@@ -24,7 +23,6 @@ from ..net.topology import wan_clusters
 from ..net.wire import BANDWIDTH_PRESETS, WireFormat, codec_by_name
 from ..sim.events import Sleep
 from ..sim.kernel import Kernel
-from ..store.offline import CONNECTED, OfflineClient
 from ..store.repository import Repository
 from ..store.world import World
 from ..store.writeplan import AddSpec
@@ -58,12 +56,6 @@ class ScenarioSpec:
     rpc_timeout: float = 5.0                # the timeout backstop
     recovery_enabled: bool = True           # WAL + replay + scrub (E18 ablation)
     scrub_interval: float = 2.0             # repair daemon period
-    # -- disconnected operation (E21) ----------------------------------
-    disconnect_rate: float = 0.0            # client disconnects per second
-                                            # (the mobile client flapping)
-    offline_duration: float = 1.0           # mean seconds per offline stint
-    dc_partition_rate: float = 0.0          # correlated whole-cluster
-                                            # partitions per group-second
     # -- overload protection (E23) -------------------------------------
     executor: Optional[ExecutorPolicy] = None   # server admission control
                                                 # (None = unbounded seed
@@ -136,11 +128,6 @@ class Scenario:
     world: World
     elements: list = field(default_factory=list)
     injector: Optional[FaultInjector] = None
-    #: when set (e.g. by an experiment), the client flapper drives this
-    #: OfflineClient — explicit DISCONNECTED state, outbox, reconcile —
-    #: instead of raw partition isolate/rejoin.
-    offline: Optional[OfflineClient] = None
-    flaps: int = 0
 
     @property
     def coll_id(self) -> str:
@@ -199,58 +186,11 @@ def build_scenario(spec: ScenarioSpec, seed: int = 0) -> Scenario:
     scenario = Scenario(spec=spec, kernel=kernel, net=net, world=world,
                         elements=elements)
     plan = spec.fault_plan
-    if spec.dc_partition_rate > 0.0:
-        # Correlated whole-cluster partitions: augment (or create) the
-        # fault plan with one group per cluster; groups containing a
-        # protected node are filtered by the injector itself.
-        groups = tuple(
-            tuple(f"n{c}.{i}" for i in range(spec.cluster_size))
-            for c in range(spec.n_clusters)
-        )
-        plan = replace(plan if plan is not None else FaultPlan(),
-                       dc_partition_rate=spec.dc_partition_rate,
-                       dc_groups=groups)
     if plan is not None and plan.total_rate(
             len(net.nodes), len(net.topology.links())) > 0:
         scenario.injector = FaultInjector(net, plan)
         scenario.injector.start()
-    if spec.disconnect_rate > 0.0:
-        kernel.spawn(_client_flapper(scenario), name="client-flapper",
-                     daemon=True)
     return scenario
-
-
-def _client_flapper(scenario: Scenario) -> Generator:
-    """The mobile client's disconnect/reconnect schedule.
-
-    Exponential inter-arrivals at ``disconnect_rate``; each stint lasts
-    an exponential draw with mean ``offline_duration``.  When the
-    scenario carries an :class:`OfflineClient` the flap is an explicit
-    DISCONNECTED session (stale reads, outbox, reconcile-on-reconnect);
-    otherwise it is a raw partition isolate/rejoin of the client node.
-    """
-    spec = scenario.spec
-    stream = scenario.kernel.stream("workload.flapper")
-    while True:
-        yield Sleep(stream.exponential(1.0 / spec.disconnect_rate))
-        duration = stream.exponential(max(spec.offline_duration, 1e-6))
-        offline = scenario.offline
-        if offline is not None:
-            if offline.state != CONNECTED:
-                continue                 # already offline or reconciling
-            offline.disconnect()
-            yield Sleep(duration)
-            try:
-                yield from offline.reconnect()
-            except FailureException:
-                # Reconcile hit an unreachable primary: entries stay
-                # queued; the next reconnect retries them.
-                pass
-        else:
-            scenario.net.isolate(spec.client)
-            yield Sleep(duration)
-            scenario.net.rejoin(spec.client)
-        scenario.flaps += 1
 
 
 def member_plan(spec: ScenarioSpec, kernel: Kernel) -> list[AddSpec]:

@@ -8,10 +8,17 @@ second reconcile must be item-precise: every queued add lands exactly
 once (no double-applies from replaying already-transmitted intents, no
 lost tail), every queued remove lands, and the world's invariants hold.
 The ablation leg (``durable_outbox=False``) must measurably leak.
+
+E21c's flapping leg runs here too, at four seeds and both of its DC
+partition rates: an ``OfflineClient`` flaps for 30 simulated seconds
+while it writes into the outbox and remote churn runs; after heal and
+reconnect the outbox must be empty, something must have replayed, and
+the world's invariants must hold.
 """
 
 import pytest
 
+from repro.bench.exp_disconnected import geo_flap
 from repro.net import FaultSchedule
 from repro.store import ClientCache, OfflineClient, Repository
 from repro.store.offline import LOST
@@ -97,3 +104,15 @@ def test_soak_is_deterministic():
                      [e.status for e in offline.outbox.entries],
                      world.net.kernel.obs.metrics.snapshot()))
     assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("dc_rate", [0.0, 0.1])
+@pytest.mark.parametrize("seed", range(4))
+def test_flapping_client_reconciles_after_heal(seed, dc_rate):
+    scenario, offline, flaps = geo_flap(seed, disconnect_rate=0.5,
+                                        dc_rate=dc_rate)
+    assert flaps, f"seed {seed}: the client never flapped"
+    assert offline.state == "connected"
+    assert offline.outbox.depth() == 0
+    assert scenario.kernel.obs.metrics.value("reconcile.replayed") > 0
+    assert scenario.world.check_invariants() == []

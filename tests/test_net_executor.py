@@ -92,16 +92,11 @@ def test_policy_validates_dials():
         ExecutorPolicy(concurrency=1, queue_limit=-1)
     with pytest.raises(SimulationError):
         ExecutorPolicy(concurrency=1, discipline="random")
-    assert not ExecutorPolicy().enabled
+    with pytest.raises(TypeError):
+        ExecutorPolicy()             # no executor is ``executor=None``
     for discipline in DISCIPLINES:
-        assert ExecutorPolicy(concurrency=1, discipline=discipline).enabled
-
-
-def test_executor_requires_enabled_policy():
-    from repro.errors import SimulationError
-    kernel = Kernel()
-    with pytest.raises(SimulationError):
-        BoundedExecutor(kernel, ExecutorPolicy())
+        assert ExecutorPolicy(concurrency=1,
+                              discipline=discipline).discipline == discipline
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ import pytest
 
 from repro.errors import DisconnectedError
 from repro.spec import Failed, Returned, check_conformance, spec_by_id
-from repro.store import ClientCache, OfflineClient, Repository
+from repro.store import ClientCache, FetchPipeline, OfflineClient, Repository
 from repro.weaksets import DynamicSet, Figure1Set
 
 from helpers import CLIENT, PRIMARY, standard_world, drain_all
@@ -76,6 +76,84 @@ def test_outbox_overlay_gives_read_your_writes():
     # Nothing touched the wire: ground truth is unchanged.
     assert added not in world.true_members("coll")
     assert elements[0] in world.true_members("coll")
+
+
+# ---------------------------------------------------------------------------
+# one rule for what a client answers without an RPC
+# ---------------------------------------------------------------------------
+
+def pipeline_read(kernel, repo, element, use_cache):
+    """One element through a fresh one-worker FetchPipeline."""
+    pipeline = FetchPipeline(repo, use_cache=use_cache, window=1,
+                             batch_size=1)
+
+    def run():
+        pipeline.start()
+        try:
+            pipeline.submit([element])
+            return (yield from pipeline.next_result())
+        finally:
+            pipeline.stop()
+    return kernel.run_process(run())
+
+
+def expired_object_offline(ttl=1.0):
+    """A client whose cached copy of ``elements[0]`` outlived its TTL,
+    then went DISCONNECTED."""
+    kernel, net, world, elements, offline = offline_world(ttl=ttl)
+    kernel.run_process(offline.repo.fetch(elements[0], use_cache=True))
+    kernel.run(until=kernel.now + 5 * ttl)
+    offline.disconnect()
+    return kernel, elements[0], offline
+
+
+def test_disconnected_cached_pipeline_serves_expired_object():
+    kernel, element, offline = expired_object_offline()
+    stale = kernel.obs.metrics.counter("offline.stale_served")
+    result = pipeline_read(kernel, offline.repo, element, use_cache=True)
+    assert (result.value, result.status, result.from_cache) == ("v0", "ok", True)
+    assert stale.value == 1
+    # A stale serve is not a TTL hit.
+    assert kernel.obs.metrics.value("fetch.batch.cache_hits") == 0
+
+
+@pytest.mark.parametrize("use_cache", [False, True])
+def test_fetch_and_pipeline_serve_the_same_stale_value(use_cache):
+    kernel, element, offline = expired_object_offline()
+    metrics = kernel.obs.metrics
+    stale = metrics.counter("offline.stale_served")
+    age = metrics.histogram("offline.read_age")
+    fetched = kernel.run_process(
+        offline.repo.fetch(element, use_cache=use_cache))
+    assert (stale.value, age.count) == (1, 1)
+    result = pipeline_read(kernel, offline.repo, element, use_cache)
+    assert (stale.value, age.count) == (2, 2)
+    assert result.ok and result.from_cache
+    assert result.value == fetched == "v0"
+
+
+def test_crash_mid_reconcile_comes_back_connected_and_can_go_offline_again():
+    kernel, net, world, elements, offline = offline_world()
+    offline.window = offline.batch_size = 1     # a strictly serial drain
+    warm(kernel, offline)
+    offline.disconnect()
+    for i in range(6):
+        offline.queue_add(f"serial-{i}", value=i)
+    offline.start_reconcile()
+    kernel.run(until=kernel.now + 0.05)
+    assert offline.state == "reconciling"
+    net.crash(CLIENT)
+    assert offline.state == "connected"
+    assert offline.outbox.depth() > 0
+    net.recover(CLIENT)
+    assert net.can_reach(CLIENT, PRIMARY)
+    offline.disconnect()
+    assert offline.state == "disconnected"
+    assert not net.can_reach(CLIENT, PRIMARY)
+    report = kernel.run_process(offline.reconnect())
+    assert net.can_reach(CLIENT, PRIMARY)
+    assert report.failed == 0 and offline.outbox.depth() == 0
+    assert world.check_invariants() == []
 
 
 # ---------------------------------------------------------------------------
