@@ -775,7 +775,12 @@ class CompactCodec:
     # encoder 3-6%.  The rare shapes (delta flags, failure extras) are
     # shared.  tests/test_net_wire_sizing.py holds the two walks equal.
     # Per message, the envelope is a memo entry and only the payload is
-    # walked, over a copy of the intern table the envelope left.
+    # walked, over a copy of the intern table the envelope left.  The
+    # walk sizes its common leaves where it finds them, without a call:
+    # a string's back-reference, an int that zigzags below 128, a tuple
+    # or list header under 128 items, an empty dict.  A string's first
+    # use is _str_cost, the one rule elements share; the envelope, delta
+    # names and failure text size their strings through _size_value.
     def _size_sans_ids(self, msg: Message) -> int:
         """The message's bytes other than its ``msg_id``/``reply_to``."""
         key = (id(msg.src), id(msg.dst), msg.method, msg.is_reply)
@@ -802,33 +807,33 @@ class CompactCodec:
         total = 1                          # the flags byte
         for part in (msg.src.node, msg.src.service,
                      msg.dst.node, msg.dst.service):
-            total += self._size_str(part, interns)
+            total += self._size_value(part, interns)
         if method_id is not None:
             total += _uvarint_len(method_id)
         else:
-            total += self._size_str(base, interns)
+            total += self._size_value(base, interns)
         envelopes = self._envelopes
         if len(envelopes) >= _ENVELOPE_ENTRIES:
             del envelopes[next(iter(envelopes))]
         entry = envelopes[key] = (msg.src, msg.dst, total, interns)
         return entry
 
-    def _size_str(self, s: str, interns: dict[str, int]) -> int:
-        if s in interns:
-            return 1 + _uvarint_len(interns[s])
-        interns[s] = len(interns)
-        return _str_cost(s)
-
     def _size_value(self, obj: Any, interns: dict[str, int]) -> int:
         if obj is None or obj is True or obj is False:
             return 1
         cls = type(obj)
         if cls is int:
+            if -64 <= obj < 64:            # zigzags below 128
+                return 2
             return 1 + _uvarint_len(_zigzag(obj))
         if cls is float:
             return 9
         if cls is str:
-            return self._size_str(obj, interns)
+            if obj in interns:
+                index = interns[obj]
+                return 2 if index < 128 else 1 + _uvarint_len(index)
+            interns[obj] = len(interns)
+            return _str_cost(obj)
         if cls is bytes:
             n = len(obj)
             return 1 + _uvarint_len(n) + n
@@ -837,11 +842,14 @@ class CompactCodec:
             if cls is tuple and obj and obj[0].__class__ not in _WALKED:
                 entry = self._listing_entry(obj)
             if entry is None:
-                total = 1 + _uvarint_len(len(obj))
+                n = len(obj)
+                total = 2 if n < 128 else 1 + _uvarint_len(n)
                 for item in obj:
                     total += self._size_value(item, interns)
                 return total
         elif cls is dict:
+            if not obj:                    # every request's kwargs
+                return 2
             if obj.keys() == _DELTA_KEYS and _delta_shaped(obj):
                 return self._size_delta(obj, interns)
             total = 1 + _uvarint_len(len(obj))
@@ -926,17 +934,17 @@ class CompactCodec:
             elif key == "ghosts":
                 total += _uvarint_len(len(value))
                 for ghost in value:
-                    total += self._size_str(ghost, interns)
+                    total += self._size_value(ghost, interns)
             elif key == "adds":
                 total += _uvarint_len(len(value))
                 for name, element, version in value:
-                    total += self._size_str(name, interns)
+                    total += self._size_value(name, interns)
                     total += self._size_value(element, interns)
                     total += _uvarint_len(version)
             elif key == "removes":
                 total += _uvarint_len(len(value))
                 for name, version, element in value:
-                    total += self._size_str(name, interns)
+                    total += self._size_value(name, interns)
                     total += _uvarint_len(version)
                     total += self._size_value(element, interns)
             else:                          # active_iterations
@@ -955,11 +963,11 @@ class CompactCodec:
             return 1 + _uvarint_len(raw) + raw
         flags, _retry_after, owner, invocation = _failure_shape(obj)
         total = 2 + _uvarint_len(index)
-        total += self._size_str(str(obj), interns)
+        total += self._size_value(str(obj), interns)
         if flags & _XF_RETRY_AFTER:
             total += 8
         if flags & _XF_OWNER:
-            total += self._size_str(owner, interns)
+            total += self._size_value(owner, interns)
         if flags & _XF_INVOCATION:
             total += _uvarint_len(invocation)
         return total
@@ -1044,7 +1052,7 @@ def _failure_shape(exc: BaseException) -> tuple[int, Any, Any, Any]:
 def _str_cost(s: str) -> int:
     """Bytes of a string's first use in a message: tag, length, UTF-8."""
     n = len(s) if s.isascii() else len(s.encode("utf-8"))
-    return 1 + _uvarint_len(n) + n
+    return (2 if n < 128 else 1 + _uvarint_len(n)) + n
 
 
 def _is_element(obj: Any) -> bool:

@@ -6,19 +6,20 @@ simulation is single-threaded: concurrency is *simulated* by interleaving
 process steps at their scheduled virtual times, so a run is exactly
 reproducible given (code, seed).
 
-Tie-breaking is by a monotonically increasing sequence number, so two
-actions scheduled for the same instant run in scheduling order —
-determinism does not depend on container internals.  The scheduler
-is the instant heap of :mod:`repro.sim.sched`: a heap of the distinct
-pending times, each holding its entries in seq order.
+Two actions scheduled for the same instant run in scheduling order —
+determinism does not depend on container internals.  No entry is
+stamped for it: the scheduler is the instant heap of
+:mod:`repro.sim.sched`, a heap of the distinct pending times, each
+holding its entries in the order they were pushed.
 
 The event loop dispatches same-instant events as one *batch*: one
 scheduler call per instant (``next_instant``, of the three methods the
 kernel drives: ``push``, ``next_instant``, ``requeue``) surfaces every
-entry stamped with the next virtual time, and actions scheduled for
+entry due at the next virtual time, and actions scheduled for
 the current instant during the batch (zero-delay process steps, message
 deliveries) append to the live batch instead of round-tripping through
-the scheduler.  Observable order is still strict ``(time, seq)``.
+the scheduler.  Observable order is still time order, and within an
+instant scheduling order.
 
 Two hot-path conventions keep per-event cost down at population scale
 (10⁵+ clients): a scheduled entry's ``action`` is either a plain
@@ -32,7 +33,6 @@ reference for what one step means.
 
 from __future__ import annotations
 
-import itertools
 from types import GeneratorType
 from typing import Any, Callable, Generator, Optional, Union
 
@@ -58,7 +58,6 @@ class Kernel:
         self.clock = Clock()
         self.random = RandomRouter(seed)
         self._sched = InstantHeap()
-        self._seq = itertools.count()
         self._pids = 0
         self._processes: list[Process] = []
         self._running: Optional[Process] = None
@@ -159,7 +158,6 @@ class Kernel:
         sched_push = sched.push
         next_instant = sched.next_instant
         batch = self._batch
-        seq = self._seq
         stop = self._stop
         executed = 0
         try:
@@ -222,7 +220,6 @@ class Kernel:
                             # for the next sleep — zero allocation per
                             # steady-state event.
                             entry.time = when = next_time + effect.duration
-                            entry.seq = next(seq)
                             if when == next_time:
                                 batch.append(entry)
                             else:
@@ -303,10 +300,10 @@ class Kernel:
             # NaN fails this too: it would make an instant of its own.
             raise SimulationError(f"cannot schedule {delay}s from now")
         when = self.clock.now + delay
-        entry = _Scheduled(when, next(self._seq), action)
+        entry = _Scheduled(when, action)
         if self._dispatching and when == self._batch_time:
             # Same-instant schedule during dispatch: join the live batch
-            # (appends carry increasing seqs, so order stays exact).
+            # (behind everything already in it, so order stays exact).
             self._batch.append(entry)
         else:
             self._sched.push(entry)
@@ -344,7 +341,7 @@ class Kernel:
             # _schedule (Sleep validated duration >= 0 at construction).
             proc.state = _WAITING
             when = self.clock.now + effect.duration
-            entry = _Scheduled(when, next(self._seq), proc)
+            entry = _Scheduled(when, proc)
             if self._dispatching and when == self._batch_time:
                 self._batch.append(entry)
             else:
@@ -408,10 +405,10 @@ class Kernel:
             proc._resume_error = sig._error
             self._schedule(0.0, proc)
 
-        # Sequence numbers are simulated behaviour (same-instant order):
-        # an already-fired signal takes the resume entry's here and no
-        # timer's; otherwise the timer's is taken now, the resume's when
-        # the signal fires.
+        # Push order is simulated behaviour (same-instant order): an
+        # already-fired signal pushes the resume entry here and no
+        # timer; otherwise the timer is pushed now, the resume when the
+        # signal fires.
         signal.add_waiter(wake)
         if timeout is not None and not signal._fired:
             timer = self._schedule(timeout, wake)

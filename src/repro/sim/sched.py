@@ -1,47 +1,43 @@
 """The event scheduler: the data structure under the kernel's event loop.
 
-The kernel's ordering contract is strict ``(time, seq)`` order — two
-actions scheduled for the same instant run in scheduling order, and
-determinism never depends on container internals.
+The kernel's ordering contract is time order, and within an instant
+scheduling order — two actions scheduled for the same instant run in
+the order they were scheduled, and determinism never depends on
+container internals.  No entry carries a stamp for it: the order of a
+time's list *is* the order its entries were pushed.
 
 :class:`InstantHeap` keys the queue by instant: a heap of the distinct
-pending times, and per time one list of its entries in seq order.  A
+pending times, and per time one list of its entries in push order.  A
 push to a pending instant is one dict hit and one append; a new instant
 is one heap push of a float (C-speed comparisons, no Python ``__lt__``);
 and a whole instant reaches the kernel in one C-level ``extend``.  The
-observable event order is that of one global ``(time, seq)``-ordered
-queue for any schedule (property-tested in ``tests/test_sim_sched.py``
-against a sorted-list reference and the frozen seed kernel's binary
-heap).
+observable event order is that of the frozen seed kernel's
+``(time, seq)``-ordered binary heap for any schedule (property-tested
+in ``tests/test_sim_sched.py``).
 
 The kernel drives three methods: ``push(entry)``, ``next_instant(out,
 until)`` (drop cancelled heads, and — unless the next instant lies
-beyond ``until`` — move its entries into ``out``, in seq order; returns
+beyond ``until`` — move its entries into ``out``, in push order; returns
 the time, or ``None`` for an empty queue) and ``requeue(entries)`` (put
-not-yet-run entries back, preserving their stamps, when ``run()`` stops
-mid-batch).  One call per dispatched instant.
+not-yet-run entries back, in order, when ``run()`` stops mid-batch).
+One call per dispatched instant.
 """
 
 from __future__ import annotations
 
-from bisect import insort
 from heapq import heappop, heappush
-from operator import attrgetter
 from typing import Callable, Iterable, Optional
 
 __all__ = ["_Scheduled", "InstantHeap"]
 
-_SEQ = attrgetter("seq")
-
 
 class _Scheduled:
-    """An action to run at virtual ``time``; ties broken by ``seq``."""
+    """An action to run at virtual ``time``; ties go by push order."""
 
-    __slots__ = ("time", "seq", "action", "cancelled")
+    __slots__ = ("time", "action", "cancelled")
 
-    def __init__(self, time: float, seq: int, action: Callable[[], None]):
+    def __init__(self, time: float, action: Callable[[], None]):
         self.time = time
-        self.seq = seq
         self.action = action
         self.cancelled = False
 
@@ -50,15 +46,14 @@ class _Scheduled:
 
 
 class InstantHeap:
-    """A heap of distinct pending times, each holding one seq-ordered
-    list of entries.
+    """A heap of distinct pending times, each holding its entries in
+    push order.
 
     Ordering invariant: instants pop in time order, and within an
-    instant append order is seq order, because every *new* entry carries
-    a ``seq`` larger than anything pending (the kernel's sequence
-    counter is global and monotonic).  The one path that puts *old*
-    entries back — ``requeue`` of an interrupted batch — inserts them by
-    seq, so the invariant survives it.
+    instant an entry pushed earlier runs earlier.  The one path that
+    puts *old* entries back — ``requeue`` of an interrupted batch —
+    finds no list at their instant (see there), so the invariant
+    survives it.
     """
 
     __slots__ = ("_times", "_groups", "_count")
@@ -79,19 +74,20 @@ class InstantHeap:
         self._count += 1
 
     def requeue(self, entries: Iterable[_Scheduled]) -> None:
+        """Put back, in order, the entries of an interrupted batch.
+
+        A plain push each is exact: while a batch at instant T is
+        dispatched, every schedule at T joins the live batch, so when
+        ``run()`` requeues the rest of it no entry at T is pending here,
+        and the requeued ones go back ahead of anything pushed later."""
         for entry in entries:
-            group = self._groups.get(entry.time)
-            if group is None:
-                self.push(entry)
-            else:
-                insort(group, entry, key=_SEQ)
-                self._count += 1
+            self.push(entry)
 
     def next_instant(self, out: list,
                      until: Optional[float] = None) -> Optional[float]:
         """The time of the next live entry (``None``: the queue is
-        empty), with every entry stamped exactly that time appended to
-        ``out`` in seq order — unless that time is beyond ``until``,
+        empty), with every entry due exactly then appended to ``out``
+        in push order — unless that time is beyond ``until``,
         when nothing is consumed and the caller sees only how far away
         the next event is.  Cancelled entries past the first live one
         go out too: the kernel skips them."""

@@ -177,6 +177,46 @@ def test_size_walk_crosses_the_three_byte_backref_edge():
                                                    "s9"))))
 
 
+# -- the leaves the walk sizes inline: each edge where a byte is added ---------
+
+@pytest.mark.parametrize("text", [
+    "a" * 127, "a" * 128,
+    "ü" * 64,              # 64 characters, 128 UTF-8 bytes
+    "ü" * 63 + "a",        # 64 characters, 127 UTF-8 bytes
+], ids=["ascii-127", "ascii-128", "utf8-128", "utf8-127"])
+def test_a_string_is_sized_inline_across_its_length_byte_edge(text):
+    assert_sized_exactly(call(text))
+    assert_sized_exactly(call((text, text)))
+
+
+def test_a_back_reference_is_sized_inline_across_its_index_edge():
+    # The envelope interns four strings, so in the message these repeat
+    # intern indices 127 and 128 (as a bare payload, 123 and 124); then
+    # the bare payload's own 127 and 128.
+    distinct = [f"s{i}" for i in range(129)]
+    repeats = [distinct[123], distinct[124], distinct[127], distinct[128]]
+    assert_sized_exactly(call(tuple(distinct + repeats)))
+
+
+@pytest.mark.parametrize("n", [-65, -64, -1, 0, 63, 64, 2**62])
+def test_an_int_is_sized_inline_across_its_zigzag_edge(n):
+    assert_sized_exactly(call(n))
+    assert_sized_exactly(call([n, -n]))
+
+
+@pytest.mark.parametrize("size", [127, 128])
+@pytest.mark.parametrize("kind", [tuple, list])
+def test_a_container_header_is_sized_inline_across_its_length_edge(kind,
+                                                                   size):
+    assert_sized_exactly(call(kind(range(size))))
+    assert_sized_exactly(call(kind(["x"] * size)))
+
+
+@pytest.mark.parametrize("kwargs", [{}, {"k": 1}])
+def test_a_requests_kwargs_are_sized_exactly(kwargs):
+    assert_sized_exactly(call((("coll", 3), kwargs)))
+
+
 def test_size_walk_refuses_what_the_encoder_refuses():
     delta = {key: default for key, default in DELTA_SCHEMA}
     negative = call({**delta, "version": -1})

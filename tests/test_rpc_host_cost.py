@@ -9,7 +9,7 @@ membership write is paid per name written, not per member.  They count
 calls (exact, seed-free), not seconds; that the counts buy time is
 ``perf/``'s job.  Each mechanism is then held to the behaviour it
 replaced: the same name strings when something does read them, the same
-bucket for every float, the same sequence numbers as the frozen seed
+bucket for every float, the same order within an instant as the frozen seed
 kernel, the same delay to the last bit, the same pickled bytes.
 """
 
@@ -905,7 +905,7 @@ def test_repositories_after_the_first_resolve_no_instrument(monkeypatch):
     assert kernel.obs.metrics.value("repo.membership_reads") == 1
 
 
-# -- a wait takes the sequence numbers it always took ----------------------------
+# -- a wait orders its wake-ups as it always did ---------------------------------
 
 def _waits(kernel, log):
     """Every shape of wait, with same-instant ties around each."""
@@ -954,7 +954,7 @@ def _waits(kernel, log):
 
 
 @pytest.mark.parametrize("split", [None, 0.010])
-def test_waits_consume_the_seed_kernels_sequence_numbers(split):
+def test_waits_order_like_the_seed_kernel(split):
     observed = []
     for factory in (SeedKernel, Kernel):
         kernel = factory(seed=1)
@@ -962,9 +962,9 @@ def test_waits_consume_the_seed_kernels_sequence_numbers(split):
         _waits(kernel, log)
         if split is not None:
             kernel.run(until=split)
-            log.append((kernel.now, "--split--", next(kernel._seq)))
+            log.append((kernel.now, "--split--"))
         kernel.run()
-        observed.append((log, kernel.now, next(kernel._seq)))
+        observed.append((log, kernel.now))
     assert observed[0] == observed[1]
     log = observed[1][0]
     assert (0.01, "times-out",

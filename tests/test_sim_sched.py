@@ -1,25 +1,28 @@
 """Scheduler equivalence: the instant heap is observably the heap.
 
-The kernel's contract is strict ``(time, seq)`` event order.  The
-instant-heap scheduler reorganises storage (one heap entry per distinct
-time, one seq-ordered list per instant, batch draining) but must never
-reorganise *observable order*.  These tests are differential: the same
-randomized schedule runs through the shipped kernel and the frozen seed
-kernel (``tests/seed_kernel.py``: one binary heap, one event per loop
-iteration), and every observable — execution order, timestamps, final
-RNG draws — must be identical.
+The kernel's contract is time order, and within an instant scheduling
+order — the seed kernel's ``(time, seq)`` order, though the shipped one
+stamps nothing.  The instant-heap scheduler reorganises storage (one
+heap entry per distinct time, one push-ordered list per instant, batch
+draining) but must never reorganise *observable order*.  These tests
+are differential: the same randomized schedule runs through the
+shipped kernel and the frozen seed kernel (``tests/seed_kernel.py``:
+one binary heap, one event per loop iteration), and every observable —
+execution order, timestamps, final RNG draws — must be identical.
 
 The randomized programs deliberately cover the hard cases: same-instant
 ties (batch dispatch), cancellations (lazy removal), far-future and
 infinite timers (instants that stay pending), zero-delay chains
 (live-batch appends), and ``run(until=...)`` splits and mid-instant
-stops (an instant reported but not consumed, a batch requeued).
+stops (an instant reported but not consumed, a batch requeued, twice
+in one instant).
 """
 
 import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import SimulationError
 from repro.sim import (
@@ -94,7 +97,7 @@ def _random_program(kernel, rng_seed: int, log: list):
         kernel.spawn(worker(wid, 12), name=f"w{wid}")
     kernel.spawn(firer(), name="firer")
     # Zero-delay chains: callbacks that schedule more callbacks at the
-    # same instant (live-batch appends must keep seq order).
+    # same instant (live-batch appends must keep push order).
     def chain(depth: int):
         log.append((kernel.now, f"chain{depth}"))
         if depth:
@@ -107,7 +110,7 @@ def _random_program(kernel, rng_seed: int, log: list):
 
 
 def _observe(kernel_factory, rng_seed: int, split: float = None,
-             stop_at: float = None):
+             stop_at: float = None, stop_again: bool = False):
     kernel = kernel_factory()
     log = []
     _random_program(kernel, rng_seed, log)
@@ -128,6 +131,18 @@ def _observe(kernel_factory, rng_seed: int, split: float = None,
 
         kernel.run_process(stopper(), name="stopper")
         log.append((kernel.now, "--stopped--"))
+        if stop_again:
+            # A zero-delay action lands behind the requeued rest, and a
+            # second run_process stops mid-instant again at that instant.
+            kernel.call_soon(lambda: log.append((kernel.now, "between")))
+
+            def restopper():
+                yield Sleep(0.0)
+                kernel.call_soon(lambda: log.append((kernel.now, "behind-2")))
+                log.append((kernel.now, "restopper"))
+
+            kernel.run_process(restopper(), name="restopper")
+            log.append((kernel.now, "--stopped-again--"))
     kernel.run()
     draws = kernel.stream("after").random()
     return log, kernel.now, draws
@@ -172,6 +187,76 @@ def test_until_split_mid_slot_preserves_order(rng_seed, split):
     assert parts == heap_parts
 
 
+@settings(max_examples=50)
+@given(rng_seed=st.integers(0, 2**16),
+       split=st.none() | st.integers(1, 40).map(lambda k: k * 0.0005),
+       stop_at=st.none() | st.integers(0, 30).map(lambda k: k * 0.001),
+       stop_again=st.booleans())
+def test_any_split_and_stops_match_the_seed_kernel(rng_seed, split, stop_at,
+                                                    stop_again):
+    """Same-instant order rests on push order alone: over random
+    programs, an optional ``until`` split, an optional mid-instant stop
+    and a second stop at that same instant, the shipped kernel's log,
+    clock and random draws are the seed kernel's."""
+    stop_again = stop_again and stop_at is not None
+    assert (_observe(lambda: Kernel(seed=3), rng_seed, split, stop_at,
+                     stop_again)
+            == _observe(lambda: SeedKernel(seed=3), rng_seed, split, stop_at,
+                        stop_again))
+
+
+def test_two_stops_in_one_instant_run_it_in_push_order(monkeypatch):
+    """``run_process`` stops mid-instant, a ``call_soon(0)`` lands at
+    that instant, and a second ``run_process`` stops in it again: each
+    ``requeue`` finds nothing pending at its instant, so putting the
+    rest back with a plain push keeps the seed kernel's order."""
+    requeued = []
+    requeue = InstantHeap.requeue
+
+    def checked_requeue(self, entries):
+        entries = list(entries)
+        assert not any(e.time in self._groups for e in entries)
+        requeued.append(len(entries))
+        requeue(self, entries)
+
+    def scenario(kernel):
+        log = []
+
+        def note(tag, then=None):
+            def action():
+                log.append((kernel.now, tag))
+                if then is not None:
+                    kernel.call_soon(note(then))
+            return action
+
+        def stopper(tag, pause):
+            yield Sleep(pause)
+            kernel.call_soon(note(f"behind-{tag}"))
+            log.append((kernel.now, tag))
+
+        kernel.call_soon(note("a"), delay=0.5)
+        # Pushed at 0.25: they land behind the first stopper's wake.
+        kernel.call_soon(lambda: kernel.call_soon(note("b", then="b+0"), 0.25),
+                         delay=0.25)
+        kernel.call_soon(lambda: kernel.call_soon(note("c"), 0.25),
+                         delay=0.25)
+        kernel.run_process(stopper("first", 0.5), name="first")
+        log.append((kernel.now, "--stop--"))
+        kernel.call_soon(note("between"))
+        kernel.run_process(stopper("second", 0.0), name="second")
+        log.append((kernel.now, "--stop--"))
+        kernel.run()
+        return log, kernel.now
+
+    seed = scenario(SeedKernel(seed=3))
+    monkeypatch.setattr(InstantHeap, "requeue", checked_requeue)
+    assert scenario(Kernel(seed=3)) == seed
+    assert requeued == [3, 1]
+    assert seed == ([(0.5, tag) for tag in (
+        "a", "first", "--stop--", "b", "c", "behind-first", "between",
+        "b+0", "second", "--stop--", "behind-second")], 0.5)
+
+
 # ---------------------------------------------------------------------------
 # instant-heap mechanics: the hard cases, exercised directly
 # ---------------------------------------------------------------------------
@@ -188,25 +273,26 @@ def test_wheel_orders_ties_and_slots_like_heap():
     rng = random.Random(5)
     sched = InstantHeap()
     stamps = []
-    for seq in range(500):
+    for label in range(500):
         when = rng.choice([0.0, 0.001, 0.0010000001, 0.5, 7.25, 1e30,
                            math.inf, rng.random() * 3.0])
-        stamps.append((when, seq))
-        sched.push(_Scheduled(when, seq, None))
+        stamps.append((when, label))
+        sched.push(_Scheduled(when, label))
     assert len(sched) == 500
-    # The ordering contract, written down: one (time, seq)-sorted list.
-    assert [(e.time, e.seq) for e in _drain(sched)] == sorted(stamps)
+    # The ordering contract, written down: time order, and push order
+    # within a time.
+    assert [(e.time, e.action) for e in _drain(sched)] == sorted(stamps)
     assert len(sched) == 0
 
 
 def test_far_future_and_infinite_times_are_instants_like_any_other():
     sched = InstantHeap()
-    near = _Scheduled(0.001, 0, None)
-    far = _Scheduled(1e30, 1, None)
-    farther = _Scheduled(math.inf, 2, None)
-    far_low_seq_later_push = _Scheduled(1e29, 3, None)
-    also_infinite = _Scheduled(math.inf, 4, None)
-    for e in (far, near, farther, far_low_seq_later_push, also_infinite):
+    near = _Scheduled(0.001, "near")
+    far = _Scheduled(1e30, "far")
+    farther = _Scheduled(math.inf, "farther")
+    nearer_far_pushed_later = _Scheduled(1e29, "nearer-far")
+    also_infinite = _Scheduled(math.inf, "also-infinite")
+    for e in (far, near, farther, nearer_far_pushed_later, also_infinite):
         sched.push(e)
     assert len(sched) == 5
     batches = []
@@ -215,27 +301,28 @@ def test_far_future_and_infinite_times_are_instants_like_any_other():
         when = sched.next_instant(batch)
         if when is None:
             break
-        batches.append((when, [e.seq for e in batch]))
-    assert batches == [(0.001, [0]), (1e29, [3]), (1e30, [1]),
-                       (math.inf, [2, 4])]
+        batches.append((when, [e.action for e in batch]))
+    assert batches == [(0.001, ["near"]), (1e29, ["nearer-far"]),
+                       (1e30, ["far"]),
+                       (math.inf, ["farther", "also-infinite"])]
 
 
 def test_wheel_cancellation_is_lazy_but_exact():
     sched = InstantHeap()
-    entries = [_Scheduled(0.001 * i, i, None) for i in range(10)]
+    entries = [_Scheduled(0.001 * i, i) for i in range(10)]
     for e in entries:
         sched.push(e)
     entries[0].cancel()
     entries[5].cancel()
     entries[9].cancel()
     got = _drain(sched)
-    assert [e.seq for e in got] == [1, 2, 3, 4, 6, 7, 8]
+    assert [e.action for e in got] == [1, 2, 3, 4, 6, 7, 8]
     assert len(sched) == 0
 
 
 def test_cancelled_heads_are_dropped_and_later_ones_left_to_the_kernel():
     sched = InstantHeap()
-    entries = [_Scheduled(0.5, i, None) for i in range(5)]
+    entries = [_Scheduled(0.5, i) for i in range(5)]
     for e in entries:
         sched.push(e)
     entries[0].cancel()
@@ -243,7 +330,7 @@ def test_cancelled_heads_are_dropped_and_later_ones_left_to_the_kernel():
     entries[3].cancel()
     batch = []
     assert sched.next_instant(batch) == 0.5
-    assert [e.seq for e in batch] == [2, 3, 4]
+    assert [e.action for e in batch] == [2, 3, 4]
     assert len(sched) == 0
 
 
@@ -263,37 +350,24 @@ def test_an_instant_whose_entries_are_all_cancelled_never_advances_the_clock():
 
 def test_wheel_requeue_into_active_slot_keeps_order():
     sched = InstantHeap()
-    entries = [_Scheduled(0.5, i, None) for i in range(6)]
+    entries = [_Scheduled(0.5, i) for i in range(6)]
     for e in entries:
         sched.push(e)
     batch = []
     assert sched.next_instant(batch) == 0.5
-    assert [e.seq for e in batch] == [0, 1, 2, 3, 4, 5]
+    assert [e.action for e in batch] == [0, 1, 2, 3, 4, 5]
     sched.requeue(batch[3:])                 # run_process stopped us
-    sched.push(_Scheduled(0.5, 6, None))     # and new work arrived
+    sched.push(_Scheduled(0.5, 6))           # and new work arrived
     batch2 = []
     assert sched.next_instant(batch2) == 0.5
-    assert [e.seq for e in batch2] == [3, 4, 5, 6]
+    assert [e.action for e in batch2] == [3, 4, 5, 6]
     assert len(sched) == 0
-
-
-def test_requeue_into_a_pending_instant_goes_in_by_seq():
-    sched = InstantHeap()
-    newer = [_Scheduled(0.5, seq, None) for seq in (7, 9)]
-    for e in newer:
-        sched.push(e)
-    # Stamps older than what is pending at that instant come back.
-    sched.requeue([_Scheduled(0.5, 3, None), _Scheduled(0.5, 8, None),
-                   _Scheduled(0.25, 4, None)])
-    assert len(sched) == 5
-    assert [(e.time, e.seq) for e in _drain(sched)] == [
-        (0.25, 4), (0.5, 3), (0.5, 7), (0.5, 8), (0.5, 9)]
 
 
 def test_an_until_split_leaves_the_next_instant_pending():
     sched = InstantHeap()
-    a = _Scheduled(10.25, 0, None)
-    b = _Scheduled(10.75, 1, None)
+    a = _Scheduled(10.25, "a")
+    b = _Scheduled(10.75, "b")
     sched.push(a)
     sched.push(b)
     batch = []
@@ -305,7 +379,7 @@ def test_an_until_split_leaves_the_next_instant_pending():
     assert batch == [a] and len(sched) == 1
     # Later work lands *earlier* (a run(until=10.3) resumed with a
     # shorter timer): it is reached first.
-    c = _Scheduled(5.5, 2, None)
+    c = _Scheduled(5.5, "c")
     sched.push(c)
     batch2 = []
     assert sched.next_instant(batch2) == 5.5
