@@ -19,7 +19,9 @@ capacity finite the way a real server's worker pool does:
   (the service's ``DEGRADED_METHODS`` table) instead of queuing them:
   the server answers from its last committed state with zero service
   time, tagged stale — degrading freshness, never availability, which
-  a weak set's specification explicitly permits.
+  a weak set's specification explicitly permits.  The degraded path is
+  asked for only once the queue is deep; it returns whether it
+  answered, and a request it could not answer queues or sheds.
 
 The executor is generic over "jobs" (callables handed in by the
 transport), so it lives in ``repro.net`` and knows nothing about the
@@ -113,11 +115,12 @@ class _Entry:
 class BoundedExecutor:
     """A worker pool + admission queue for one :class:`~repro.net.Node`.
 
-    The transport submits each inbound request as a pair of callables:
+    The transport submits each inbound request as callables:
     ``start(release)`` begins handler execution and must call
     ``release()`` exactly once when the handler settles; ``shed(exc)``
-    answers the caller with a busy error.  The executor never touches
-    messages or services directly.
+    answers the caller with a busy error; ``degrade()`` answers from the
+    service's degraded path and says whether it could.  The executor
+    never touches messages or services directly.
     """
 
     def __init__(self, kernel: "Kernel", policy: ExecutorPolicy,
@@ -148,10 +151,6 @@ class BoundedExecutor:
     def queue_depth(self) -> int:
         return len(self._queue)
 
-    @property
-    def saturated(self) -> bool:
-        return self.running >= self.policy.concurrency
-
     def retry_after(self) -> float:
         """The shed hint: how long until the backlog likely drains.
 
@@ -166,18 +165,25 @@ class BoundedExecutor:
 
     # -- admission --------------------------------------------------------
     def submit(self, priority: int, start: Callable, shed: Callable,
-               degrade: Optional[Callable] = None) -> None:
-        """Admit, degrade, queue, or shed one inbound request."""
-        if not self.saturated:
+               degrade: Optional[Callable[[], bool]] = None) -> None:
+        """Admit, degrade, queue, or shed one inbound request.
+
+        ``degrade`` is called only under a brownout policy with the
+        queue deep: it answers the request from the service's degraded
+        path and returns True, or returns False when there is none, and
+        the request then queues or sheds like any other.
+        """
+        policy = self.policy
+        if self.running < policy.concurrency:
             self._dispatch_now(start)
             return
-        if (degrade is not None and self.policy.brownout
-                and len(self._queue) >= self._brownout_depth):
-            self._m_brownout.inc()
-            degrade()
+        queue = self._queue
+        if (policy.brownout and degrade is not None
+                and len(queue) >= self._brownout_depth and degrade()):
+            self._m_brownout.value += 1
             return
-        limit = self.policy.queue_limit
-        if limit is not None and len(self._queue) >= limit:
+        limit = policy.queue_limit
+        if limit is not None and len(queue) >= limit:
             self._shed_for(priority, start, shed)
             return
         self._enqueue(priority, start, shed)
@@ -185,33 +191,40 @@ class BoundedExecutor:
     def _enqueue(self, priority: int, start: Callable,
                  shed: Callable) -> None:
         self._seq += 1
-        self._queue.append(_Entry(priority, self.kernel.now, self._seq,
+        self._queue.append(_Entry(priority, self.kernel.clock.now, self._seq,
                                   start, shed))
-        self._m_depth.add(1)
+        self._m_depth.value += 1
 
     def _shed_for(self, priority: int, start: Callable,
                   shed: Callable) -> None:
         """Queue full: pick the victim per discipline and reject it."""
         policy = self.policy
-        if policy.queue_limit == 0 or not self._queue:
+        queue = self._queue
+        if policy.queue_limit == 0 or not queue:
             self._reject(shed)
             return
         if policy.discipline == "fifo":
             # Fairness: latecomers are rejected, the queue keeps order.
             self._reject(shed)
             return
-        # priority: shed lowest-priority-first (aging-adjusted).  The
+        # priority: shed the least urgent first, by the aging-adjusted
+        # key (waiting promotes an entry one class per _AGING seconds,
+        # so low classes cannot starve), the latest on a tie.  The
         # incoming request competes at age zero.
-        victim_i = max(range(len(self._queue)),
-                       key=lambda i: (self._urgency(self._queue[i]),
-                                      self._queue[i].seq))
-        victim = self._queue[victim_i]
-        if self._urgency(victim) <= priority:
+        now = self.kernel.clock.now
+        victim_i, victim_key = 0, None
+        for i, entry in enumerate(queue):
+            key = (entry.priority - (now - entry.enqueued_at) / _AGING,
+                   entry.seq)
+            if victim_key is None or key > victim_key:
+                victim_i, victim_key = i, key
+        if victim_key[0] <= priority:
             # Everything queued is at least as urgent as the newcomer.
             self._reject(shed)
             return
-        del self._queue[victim_i]
-        self._m_depth.add(-1)
+        victim = queue[victim_i]
+        del queue[victim_i]
+        self._m_depth.value -= 1
         self._reject(victim.shed)
         self._enqueue(priority, start, shed)
 
@@ -222,25 +235,22 @@ class BoundedExecutor:
             f"(running={self.running}, queued={len(self._queue)})",
             retry_after=self.retry_after()))
 
-    def _urgency(self, entry: _Entry) -> float:
-        """Aging-adjusted priority: waiting promotes an entry so low
-        classes cannot starve behind a flood of urgent ones."""
-        return entry.priority - (self.kernel.now - entry.enqueued_at) / _AGING
-
     # -- dispatch ---------------------------------------------------------
     def _dispatch_now(self, start: Callable) -> None:
         self.running += 1
-        self._m_admitted.inc()
+        self._m_admitted.value += 1
         epoch = self._epoch
-        started_at = self.kernel.now
-        released = [False]
+        clock = self.kernel.clock
+        started_at = clock.now
+        released = False
 
         def release() -> None:
-            if released[0] or epoch != self._epoch:
+            nonlocal released
+            if released or epoch != self._epoch:
                 return             # double release, or reset() intervened
-            released[0] = True
+            released = True
             self.running -= 1
-            elapsed = self.kernel.now - started_at
+            elapsed = clock.now - started_at
             self.ewma_service_time += _EWMA_ALPHA * (
                 elapsed - self.ewma_service_time)
             self._drain()
@@ -248,20 +258,28 @@ class BoundedExecutor:
         start(release)
 
     def _drain(self) -> None:
-        while self._queue and not self.saturated:
+        queue = self._queue
+        concurrency = self.policy.concurrency
+        while queue and self.running < concurrency:
             entry = self._pick()
-            self._m_depth.add(-1)
-            self._m_wait.observe(self.kernel.now - entry.enqueued_at)
+            self._m_depth.value -= 1
+            self._m_wait.observe(self.kernel.clock.now - entry.enqueued_at)
             self._dispatch_now(entry.start)
 
     def _pick(self) -> _Entry:
+        queue = self._queue
         if self.policy.discipline == "fifo":
-            return self._queue.popleft()
-        best = min(range(len(self._queue)),
-                   key=lambda i: (self._urgency(self._queue[i]),
-                                  self._queue[i].seq))
-        entry = self._queue[best]
-        del self._queue[best]
+            return queue.popleft()
+        # The most urgent by _shed_for's key, the earliest on a tie.
+        now = self.kernel.clock.now
+        best_i, best_key = 0, None
+        for i, entry in enumerate(queue):
+            key = (entry.priority - (now - entry.enqueued_at) / _AGING,
+                   entry.seq)
+            if best_key is None or key < best_key:
+                best_i, best_key = i, key
+        entry = queue[best_i]
+        del queue[best_i]
         return entry
 
     # -- crash ------------------------------------------------------------

@@ -157,15 +157,22 @@ class Network:
         try:
             if timeout is None:
                 timeout = self.default_timeout
-            if not self.node(src).up:
+            try:
+                src_up = self.nodes[src].up
+            except KeyError:
+                raise SimulationError(f"unknown node {src!r}") from None
+            if not src_up:
                 raise SimulationError(f"caller node {src} is crashed")
-            reason = transport.unreachable_reason(src, dst)
-            if reason is not None and self.fail_fast:
+            # A route, or why there is none: one question, and the
+            # failure is built only when it is raised.
+            found = transport._route_or_reason(src, dst)
+            if type(found) is tuple and self.fail_fast:
                 # The transport layer detects and signals the failure
                 # after a short detection delay, instead of burning the
                 # full timeout.
                 yield Sleep(min(DETECTION_DELAY, timeout))
-                raise reason
+                failure, message = found
+                raise failure(message)
             request = Message(
                 src=self._addresses[src, "client"],
                 dst=self._addresses[dst, service],

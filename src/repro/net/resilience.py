@@ -374,19 +374,20 @@ class ResilientClient:
             self._breakers[key] = breaker
         return breaker
 
-    def _admit(self, src: NodeId, dst: NodeId) -> Optional[CircuitBreaker]:
-        """Breaker gate: returns the breaker, or raises CircuitOpenFailure."""
+    def _admit(self, src: NodeId, dst: NodeId) -> CircuitBreaker:
+        """Breaker gate (with a breaker policy): returns the breaker, or
+        raises CircuitOpenFailure."""
         breaker = self.breaker_for(src, dst)
-        if breaker is not None and not breaker.allow(self.net.now):
+        if not breaker.allow(self.net.now):
             self._m_breaker_fast_fails.value += 1
             raise CircuitOpenFailure(f"circuit {src}->{dst} is open")
         return breaker
 
-    def _settle(self, breaker: Optional[CircuitBreaker],
+    def _settle(self, breaker: CircuitBreaker,
                 exc: Optional[FailureException]) -> None:
-        """Feed one attempt's outcome to its breaker (transport failures only)."""
-        if breaker is None:
-            return
+        """Feed one attempt's outcome to its breaker (transport failures
+        only).  Without a breaker policy an attempt has no breaker, and
+        neither this nor :meth:`_admit` is called."""
         if exc is None:
             breaker.record_success()
         elif isinstance(exc, TRANSPORT_FAILURES):
@@ -421,7 +422,8 @@ class ResilientClient:
                 if attempt == 1 and self.retry_budget is not None:
                     self.retry_budget.deposit()
                 try:
-                    breaker = self._admit(src, dst)
+                    breaker = (None if self.breaker_policy is None
+                               else self._admit(src, dst))
                 except CircuitOpenFailure as exc:
                     last_exc = exc
                 else:
@@ -430,10 +432,12 @@ class ResilientClient:
                             src, dst, service, method, *args,
                             timeout=timeout, **kwargs)
                     except FailureException as exc:
-                        self._settle(breaker, exc)
+                        if breaker is not None:
+                            self._settle(breaker, exc)
                         last_exc = exc
                     else:
-                        self._settle(breaker, None)
+                        if breaker is not None:
+                            self._settle(breaker, None)
                         tracer.finish(span, outcome="ok", attempts=attempt)
                         return result
                 if attempt >= attempts or not self.policy.is_retryable(last_exc):
@@ -500,7 +504,8 @@ class ResilientClient:
                     src, dst, service, method_for.get(dst, method), *args,
                     timeout=timeout, **kwargs)
             except FailureException as exc:
-                self._settle(breaker, exc)
+                if breaker is not None:
+                    self._settle(breaker, exc)
                 state["error"] = exc
                 state["pending"] -= 1
                 if (state["pending"] <= 0 and state["done_launching"]
@@ -511,7 +516,8 @@ class ResilientClient:
                 if not sig.fired:
                     sig.fail(exc)
             else:
-                self._settle(breaker, None)
+                if breaker is not None:
+                    self._settle(breaker, None)
                 if not sig.fired:
                     self.last_winner = dst
                     if hedged:
@@ -524,7 +530,8 @@ class ResilientClient:
             for index, dst in enumerate(dsts):
                 last = index == len(dsts) - 1
                 try:
-                    breaker = self._admit(src, dst)
+                    breaker = (None if self.breaker_policy is None
+                               else self._admit(src, dst))
                 except CircuitOpenFailure as exc:
                     state["error"] = exc
                     continue

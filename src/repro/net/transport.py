@@ -301,11 +301,14 @@ class Transport:
         propagation latency.  All-infinite-bandwidth routes reduce
         exactly to the seed's latency-only model.
         """
+        wire = self.wire
         size = msg.wire_size
         if size is None:
-            # Stamped as Message.__init__ fills its fields: the instance
-            # dictionary, not a trip through the frozen __setattr__.
-            size = msg.__dict__["wire_size"] = self.wire.measure(msg)
+            # WireFormat.measure's size (canonical ids), asked of the
+            # codec in one frame.  Stamped as Message.__init__ fills its
+            # fields: the instance dictionary, not a trip through the
+            # frozen __setattr__.
+            size = msg.__dict__["wire_size"] = wire.codec.canonical_size(msg)
         self._m_sent.value += 1
         if size:
             self._m_bytes_sent.value += size
@@ -325,7 +328,9 @@ class Transport:
                 self._m_dropped.value += 1
                 return False
         now = kernel.clock.now
-        t = now + self.wire.serialize_delay(size)
+        t = now
+        if wire.serialize_rate > 0:
+            t += wire.serialize_delay(size)
         queue_wait = 0.0
         for link, sender in route:
             latency = link.latency
@@ -415,6 +420,11 @@ class Transport:
 
     # -- server-side dispatch ------------------------------------------------
     def _dispatch_request(self, msg: Message) -> None:
+        """Hand ``msg`` to its handler, through the destination's
+        executor when it has one: ``start`` runs the handler, ``shed``
+        answers busy, and ``degrade`` — asked only under brownout with
+        the queue deep — answers from the service's degraded method, or
+        says there is none."""
         node = self.nodes[msg.dst.node]
         executor = node.executor
         if executor is None:
@@ -424,9 +434,9 @@ class Transport:
             return
         executor.submit(
             msg.priority,
-            start=lambda release: self._execute_request(node, msg, release),
+            start=partial(self._execute_request, node, msg),
             shed=lambda exc: self.send(msg.reply(exc, error=True)),
-            degrade=self._degraded_runner(node, msg),
+            degrade=partial(self._serve_degraded, node, msg),
         )
 
     def _execute_request(self, node: Node, msg: Message,
@@ -455,35 +465,29 @@ class Transport:
                 release()
             self.send(msg.reply(result))
 
-    def _degraded_runner(self, node: Node, msg: Message):
-        """The brownout fast-path, if the target service offers one.
+    def _serve_degraded(self, node: Node, msg: Message) -> bool:
+        """The brownout fast-path: answer ``msg`` and return True, or
+        return False when the target service offers no fallback for it.
 
         A service may declare ``DEGRADED_METHODS`` mapping an RPC
         method to a zero-cost fallback that answers from committed
-        state (e.g. a stale membership snapshot).  The executor invokes
-        it synchronously when the admission queue is deep — degrading
+        state (e.g. a stale membership snapshot).  The executor calls
+        this synchronously when the admission queue is deep — degrading
         freshness, not availability.
         """
         service = node.services.get(msg.dst.service)
-        if service is None:
-            return None
         table = getattr(service, "DEGRADED_METHODS", None)
-        if not table:
-            return None
-        alt = table.get(msg.method)
+        alt = table.get(msg.method) if table else None
         if alt is None:
-            return None
-
-        def run() -> None:
-            try:
-                args, kwargs = msg.payload
-                result = getattr(service, alt)(*args, **kwargs)
-            except BaseException as exc:  # noqa: BLE001 - forwarded
-                self.send(msg.reply(exc, error=True))
-                return
+            return False
+        try:
+            args, kwargs = msg.payload
+            result = getattr(service, alt)(*args, **kwargs)
+        except BaseException as exc:  # noqa: BLE001 - forwarded
+            self.send(msg.reply(exc, error=True))
+        else:
             self.send(msg.reply(result))
-
-        return run
+        return True
 
     def _run_handler(self, node: Node, msg: Message, gen: types.GeneratorType,
                      release=None) -> None:

@@ -353,15 +353,25 @@ class CompactCodec:
     # -- public API ------------------------------------------------------
     def message_size(self, msg: Message) -> int:
         """Exactly ``len(encode_message(msg))``, without encoding."""
-        ids = _uvarint_len(msg.msg_id)
+        # canonical_size counts each id as one byte
+        extra = _uvarint_len(msg.msg_id) - 1
         if msg.reply_to is not None:
-            ids += _uvarint_len(msg.reply_to)
-        return ids + self._size_sans_ids(msg)
+            extra += _uvarint_len(msg.reply_to) - 1
+        return self.canonical_size(msg) + extra
 
     def canonical_size(self, msg: Message) -> int:
         """``message_size`` as if ``msg_id`` (and ``reply_to``, when
-        present) were 1: each is then a one-byte varint."""
-        return (1 if msg.reply_to is None else 2) + self._size_sans_ids(msg)
+        present) were 1: each is then a one-byte varint.  The one
+        sizing walk: the envelope from its memo entry, the payload
+        over a copy of the intern table the envelope leaves."""
+        key = (id(msg.src), id(msg.dst), msg.method, msg.is_reply)
+        entry = self._envelopes.get(key)
+        if entry is None:
+            entry = self._envelope_entry(key, msg)
+        total = entry[2] + (1 if msg.reply_to is None else 2)
+        if msg.priority != PRIORITY_NORMAL:
+            total += _uvarint_len(msg.priority)
+        return total + self._size_value(msg.payload, entry[3].copy())
 
     def payload_size(self, obj: Any) -> int:
         """Bytes ``obj`` encodes to on its own (empty intern table)."""
@@ -781,17 +791,6 @@ class CompactCodec:
     # or list header under 128 items, an empty dict.  A string's first
     # use is _str_cost, the one rule elements share; the envelope, delta
     # names and failure text size their strings through _size_value.
-    def _size_sans_ids(self, msg: Message) -> int:
-        """The message's bytes other than its ``msg_id``/``reply_to``."""
-        key = (id(msg.src), id(msg.dst), msg.method, msg.is_reply)
-        entry = self._envelopes.get(key)
-        if entry is None:
-            entry = self._envelope_entry(key, msg)
-        total = entry[2]
-        if msg.priority != PRIORITY_NORMAL:
-            total += _uvarint_len(msg.priority)
-        return total + self._size_value(msg.payload, entry[3].copy())
-
     def _envelope_entry(self, key: tuple, msg: Message) -> tuple:
         """The memo entry of ``msg``'s envelope shape: its addresses,
         its bytes bar ids and priority, and the intern table it leaves

@@ -48,12 +48,13 @@ class StateSnapshot:
     live_replicas: frozenset[tuple[NodeId, ObjectId]] = frozenset()
 
     def reachable_of(self, members: frozenset[Element]) -> frozenset[Element]:
-        """The paper's ``reachable``: accessible subset of ``members``."""
+        """The paper's ``reachable``: accessible subset of ``members`` —
+        ``members`` itself when every member is accessible."""
         nodes, live = self.reachable_nodes, self.live_replicas
-        return frozenset(
-            e for e in members
-            if e.home in nodes
-            or (live and any((loc, e.oid) in live for loc in e.replicas)))
+        kept = [e for e in members
+                if e.home in nodes
+                or (live and any((loc, e.oid) in live for loc in e.replicas))]
+        return members if len(kept) == len(members) else frozenset(kept)
 
 
 @dataclass

@@ -261,14 +261,15 @@ class PopulationEngine:
     def _driver(self) -> Generator:
         """The arrival process: one daemon emitting the whole schedule."""
         spec = self.spec
+        clock = self.kernel.clock
         prev_target = 0.0
         for index, stage in enumerate(spec.stages):
             start_rate = (stage.start_rate if stage.start_rate is not None
                           else prev_target)
-            stage_start = self.kernel.now
+            stage_start = clock.now
             stage_end = stage_start + stage.duration
             while True:
-                now = self.kernel.now
+                now = clock.now
                 if now >= stage_end:
                     break
                 # Linear ramp: interpolate the instantaneous rate, then
@@ -281,7 +282,7 @@ class PopulationEngine:
                     continue
                 yield Sleep(self.stream.lognormal(1.0 / rate,
                                                   spec.lognormal_sigma))
-                if self.kernel.now >= stage_end:
+                if clock.now >= stage_end:
                     break
                 self._arrive(index)
             prev_target = stage.arrival_rate
@@ -297,7 +298,7 @@ class PopulationEngine:
             behavior = self.spec.behaviors[-1]
         audited = (self.spec.audit_fraction > 0.0
                    and stream.bernoulli(self.spec.audit_fraction))
-        self._m_arrivals.inc()
+        self._m_arrivals.value += 1
         self.stage_results[stage_index].arrivals += 1
         self.kernel.spawn(self._session(behavior, stage_index, audited),
                           name="", transient=True)
@@ -305,14 +306,14 @@ class PopulationEngine:
     # -- sessions ------------------------------------------------------
     def _session(self, behavior: Behavior, stage_index: int,
                  audited: bool) -> Generator:
-        kernel = self.kernel
+        clock = self.kernel.clock
         result = self.stage_results[stage_index]
         self.active += 1
-        self._m_active.set(self.active)
+        self._m_active.value = self.active
         if self.active > self.peak_active:
             self.peak_active = self.active
-            self._m_peak.set(self.active)
-        started = kernel.now
+            self._m_peak.value = self.active
+        started = clock.now
         failed = False
         try:
             if audited:
@@ -323,16 +324,16 @@ class PopulationEngine:
             failed = True
         finally:
             self.active -= 1
-            self._m_active.set(self.active)
-        elapsed = kernel.now - started
-        self._m_completions.inc()
-        self._b_sessions[behavior.name].inc()
+            self._m_active.value = self.active
+        elapsed = clock.now - started
+        self._m_completions.value += 1
+        self._b_sessions[behavior.name].value += 1
         self._b_latency[behavior.name].observe(elapsed)
         result.completions += 1
         result._latencies.append(elapsed)
         if failed:
-            self._m_failures.inc()
-            self._b_failures[behavior.name].inc()
+            self._m_failures.value += 1
+            self._b_failures[behavior.name].value += 1
             result.failures += 1
         else:
             result._ok_latencies.append(elapsed)

@@ -2,12 +2,13 @@
 disciplines, shedding, brownout, and crash semantics."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import ServerBusyFailure
 from repro.net import (BoundedExecutor, ExecutorPolicy, FixedLatency, Network,
                        PRIORITY_HIGH, PRIORITY_LOW, PRIORITY_NORMAL,
                        full_mesh)
-from repro.net.executor import DISCIPLINES
+from repro.net.executor import _AGING, DISCIPLINES, _Entry
 from repro.sim import Kernel, Sleep
 
 
@@ -263,6 +264,83 @@ def test_aging_prevents_background_starvation():
     # Readers go first while its wait is short; it is promoted
     # mid-flood, not served after the flood drained.
     assert 5 < started.index("bg") < len(started) - 5
+
+
+# ---------------------------------------------------------------------------
+# the priority scan is the choice it replaced
+# ---------------------------------------------------------------------------
+def _queued(entries, now):
+    """A priority executor at ``now`` holding ``entries`` ((priority,
+    enqueued_at) in seq order); returns it and the tags of the entries
+    and newcomers its shed callbacks were handed."""
+    kernel = Kernel(seed=0)
+    kernel.clock.advance_to(now)
+    executor = BoundedExecutor(
+        kernel, ExecutorPolicy(concurrency=1, queue_limit=len(entries),
+                               discipline="priority"), name="b")
+    executor.running = 1                 # saturated: nothing dispatches
+    shed = []
+    for seq, (priority, enqueued_at) in enumerate(entries, start=1):
+        executor._queue.append(_Entry(priority, enqueued_at, seq, None,
+                                      lambda exc, seq=seq: shed.append(seq)))
+    executor._seq = len(entries)
+    return executor, shed
+
+
+def _reference_keys(entries, now):
+    return [(p - (now - t) / 0.5, seq)
+            for seq, (p, t) in enumerate(entries, start=1)]
+
+
+_QUEUES = st.floats(min_value=0.0, max_value=5.0).flatmap(
+    lambda now: st.tuples(
+        st.just(now),
+        st.lists(st.tuples(st.integers(0, 2),
+                           st.floats(min_value=0.0, max_value=now)),
+                 min_size=1, max_size=12)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_QUEUES, st.integers(0, 2))
+def test_the_priority_scan_picks_and_sheds_what_min_and_max_chose(
+        queue, newcomer):
+    now, entries = queue
+    keys = _reference_keys(entries, now)
+    assert _AGING == 0.5
+    # _pick removes the first most urgent entry
+    executor, _ = _queued(entries, now)
+    best = min(range(len(keys)), key=lambda i: keys[i])
+    assert executor._pick().seq == best + 1
+    assert [e.seq for e in executor._queue] == \
+        [seq for seq in range(1, len(entries) + 1) if seq != best + 1]
+    # _shed_for sheds the first least urgent entry, or the newcomer when
+    # everything queued is at least as urgent as it
+    executor, shed = _queued(entries, now)
+    victim = max(range(len(keys)), key=lambda i: keys[i])
+    executor._shed_for(newcomer, None, lambda exc: shed.append("newcomer"))
+    if keys[victim][0] <= newcomer:
+        assert shed == ["newcomer"]
+        assert len(executor._queue) == len(entries)
+    else:
+        assert shed == [victim + 1]
+        assert executor._queue[-1].seq == len(entries) + 1
+        assert executor._queue[-1].priority == newcomer
+
+
+@pytest.mark.parametrize("entries, picked, shed", [
+    # equal keys (1 - 0.5/0.5 == 2 - 1.0/0.5 == 0.0): seq decides
+    ([(1, 0.5), (2, 0.0)], 1, 2),
+    # aging decides: the older normal-class entry outranks a fresh one
+    ([(1, 0.5), (0, 0.0)], 2, 1),
+])
+def test_a_pinned_near_tie_is_decided_as_min_and_max_decided(entries, picked,
+                                                              shed):
+    executor, _ = _queued(entries, 1.0)
+    assert executor._pick().seq == picked
+    executor, rejected = _queued(entries, 1.0)
+    # a newcomer more urgent than any class: a queued entry is the victim
+    executor._shed_for(-1, None, lambda exc: rejected.append("newcomer"))
+    assert rejected == [shed]
 
 
 # ---------------------------------------------------------------------------

@@ -25,9 +25,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import (LinkDownFailure, PartitionFailure, ProcessKilled,
-                          TimeoutFailure)
-from repro.net import (Address, CompactCodec, FixedLatency, Link, Message,
-                       Network, ParetoLatency, full_mesh)
+                          ServerBusyFailure, TimeoutFailure)
+from repro.net import (Address, BoundedExecutor, CompactCodec,
+                       ExecutorPolicy, FixedLatency, Link, Message, Network,
+                       ParetoLatency, ResilientClient, RetryPolicy,
+                       WireFormat, full_mesh)
 from repro.net import wire
 from repro.net.topology import Topology
 from repro.net.transport import Transport
@@ -149,14 +151,32 @@ def test_a_settled_rpc_is_counted_inline_in_the_registry():
     assert sum(instrument.value for instrument in families) - family_before \
         == 2 * size
     # what a message costs the transport is what it simulates: no call
-    # is made to count it
-    sent = [("send", "WireFormat.measure"), ("send", "Transport._route_or_reason"),
-            ("send", "WireFormat.serialize_delay"), ("send", "Histogram.observe"),
-            ("send", "Kernel._schedule")]
+    # is made to count it, the codec is asked for its size in one frame,
+    # and free serialisation (rate 0) asks for no delay
+    sent = [("send", "CompactCodec.canonical_size"),
+            ("send", "Transport._route_or_reason"),
+            ("send", "Histogram.observe"), ("send", "Kernel._schedule")]
     assert callees == (sent + [("_deliver", "Transport._route_or_reason"),
                                ("_deliver", "Transport._dispatch_request")]
                        + sent + [("_deliver", "Transport._route_or_reason"),
                                  ("_deliver", "Transport._complete_reply")])
+
+
+def test_a_finite_serialize_rate_charges_each_message_once_as_it_did(
+        monkeypatch):
+    kernel, net = two_nodes()
+    net.transport.wire = WireFormat(serialize_rate=5_000.0)
+    assert kernel.run_process(rpc(net, "echo", "v")) == "v"        # warm
+    asked = count_calls(monkeypatch, WireFormat, "serialize_delay")
+    measured = count_calls(monkeypatch, WireFormat, "measure")
+    sends, delays = record_sends(kernel, net)
+    assert kernel.run_process(rpc(net, "echo", "v" * 300)) == "v" * 300
+    assert asked[0] == len(sends) == 2
+    assert measured[0] == 0
+    # serialisation first, then the hop: the float the seed computed
+    assert delays == [(now + size / 5_000.0 + 0.01) - now
+                      for _, _, size, now in sends]
+    assert all(size > 0 for _, _, size, _ in sends)
 
 
 def test_a_connectivity_change_is_still_seen_by_the_next_message():
@@ -416,6 +436,133 @@ def test_a_route_through_a_link_it_is_not_at_an_end_of_is_refused(monkeypatch):
     with pytest.raises(Exception) as caught:
         kernel.run_process(rpc(net, "echo", 1))
     assert "is not an endpoint of" in str(caught.value)
+
+
+# -- admission and retry pay for what they decide --------------------------------
+
+class ReadService:
+    """``read`` has a degraded fallback; ``write`` has none."""
+
+    DEGRADED_METHODS = {"read": "read_stale"}
+
+    def read(self, tag):
+        yield Sleep(0.1)
+        return tag
+
+    def read_stale(self, tag):
+        return ("stale", tag)
+
+    def write(self, tag):
+        yield Sleep(0.1)
+        return tag
+
+
+def brownout_net():
+    """One worker, brownout from two queued requests (queue limit 4)."""
+    kernel = Kernel(seed=3)
+    net = Network(kernel, full_mesh(["a", "b"], FixedLatency(0.001)))
+    net.register_service("b", "svc", ReadService())
+    net.node("b").executor = BoundedExecutor(
+        kernel, ExecutorPolicy(concurrency=1, queue_limit=4, brownout=True),
+        name="b")
+    return kernel, net
+
+
+def burst(kernel, net, calls):
+    """Issue ``calls`` ((method, tag)) 0.1 ms apart; return {tag: reply},
+    a shed call's reply being ``"busy"``."""
+    replies = {}
+
+    def one(method, tag):
+        try:
+            replies[tag] = yield from net.call("a", "b", "svc", method, tag,
+                                               timeout=5.0)
+        except ServerBusyFailure:
+            replies[tag] = "busy"
+
+    def driver():
+        for method, tag in calls:
+            kernel.spawn(one(method, tag), name="")
+            yield Sleep(0.0001)
+
+    kernel.spawn(driver(), name="driver")
+    kernel.run(until=kernel.now + 10.0)
+    return replies
+
+
+def test_a_shallow_queue_never_asks_for_the_degraded_path(monkeypatch):
+    kernel, net = brownout_net()
+    asked = count_calls(monkeypatch, Transport, "_serve_degraded")
+    # one running and at most one queued: never deep enough to brown out
+    calls = []
+    for wave in range(5):
+        calls += [("read", f"r{wave}.0"), ("read", f"r{wave}.1")]
+    replies = {}
+    for i in range(0, len(calls), 2):
+        replies.update(burst(kernel, net, calls[i:i + 2]))
+    assert replies == {tag: tag for _, tag in calls}
+    assert asked[0] == 0
+    assert kernel.obs.metrics.value("overload.brownout_served") == 0
+    assert kernel.obs.metrics.value("overload.admitted") == len(calls)
+
+
+def test_a_deep_queue_asks_only_for_what_arrives_deep(monkeypatch):
+    kernel, net = brownout_net()
+    asked = count_calls(monkeypatch, Transport, "_serve_degraded")
+    # w0 runs, w1 and w2 queue: from then on the queue is deep
+    calls = ([("write", f"w{i}") for i in range(3)]
+             + [("read", f"r{i}") for i in range(3)])
+    replies = burst(kernel, net, calls)
+    assert asked[0] == 3
+    assert {tag: replies[tag] for tag in ("r0", "r1", "r2")} == \
+        {f"r{i}": ("stale", f"r{i}") for i in range(3)}
+    assert kernel.obs.metrics.value("overload.brownout_served") == 3
+
+
+def test_a_deep_queue_queues_what_has_no_degraded_path(monkeypatch):
+    kernel, net = brownout_net()
+    asked = count_calls(monkeypatch, Transport, "_serve_degraded")
+    # asked for each write that arrives deep; each answers "none" and
+    # queues (w3) or is shed (w4, w5: the queue holds four)
+    replies = burst(kernel, net, [("write", f"w{i}") for i in range(7)])
+    assert asked[0] == 4
+    assert replies == {"w0": "w0", "w1": "w1", "w2": "w2", "w3": "w3",
+                       "w4": "w4", "w5": "busy", "w6": "busy"}
+    metrics = kernel.obs.metrics
+    assert metrics.value("overload.brownout_served") == 0
+    assert metrics.value("overload.shed") == 2
+
+
+@pytest.mark.parametrize("hedged", [False, True])
+def test_a_client_without_a_breaker_makes_no_breaker_call(monkeypatch, hedged):
+    kernel = Kernel(seed=4)
+    net = Network(kernel, full_mesh(["a", "b", "c"], FixedLatency(0.01)))
+    for node in ("b", "c"):
+        net.register_service(node, "echo", EchoService())
+    client = ResilientClient(net, policy=RetryPolicy(max_attempts=3),
+                             hedge_delay=0.005 if hedged else None)
+    counted = {name: count_calls(monkeypatch, ResilientClient, name)
+               for name in ("_admit", "breaker_for", "_settle")}
+
+    def calls():
+        if hedged:
+            value = yield from client.hedged_call("a", ["b", "c"], "echo",
+                                                  "slow", "v", 0.02,
+                                                  timeout=1.0)
+        else:
+            value = yield from client.call("a", "b", "echo", "echo", "v",
+                                           timeout=1.0)
+        assert value == "v"
+        net.crash("b")
+        with pytest.raises(Exception):
+            yield from client.call("a", "b", "echo", "echo", "v",
+                                   timeout=0.1)
+
+    kernel.run_process(calls())
+    attempts = kernel.obs.metrics.value("rpc.attempts")
+    assert attempts == (2 if hedged else 1) + 3
+    assert {name: calls[0] for name, calls in counted.items()} == \
+        dict.fromkeys(counted, 0)
 
 
 # -- an instant is one scheduler call ---------------------------------------------

@@ -12,11 +12,12 @@ every step compares the two for the current members and for a stale
 ``s_first`` that still names everything the run has ever seen.
 """
 
-from hypothesis import settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.errors import ReproError
+from repro.spec.state import StateSnapshot
 from repro.spec.termination import Yielded
 from repro.spec.trace import TraceRecorder
 from repro.store import Element, Repository
@@ -154,3 +155,27 @@ def test_a_copy_behind_an_unreachable_home_is_recorded_and_round_trips():
     rebuilt = pickle.loads(pickle.dumps(recorder.trace))
     assert rebuilt.invocations[0].snapshots == (snap,)
     assert rebuilt.first_candidates[0].live_replicas == snap.live_replicas
+
+
+_ELEMENTS = st.builds(
+    Element, name=st.sampled_from("abcdef"), oid=st.sampled_from("uvwxyz"),
+    home=servers, replicas=st.lists(servers, max_size=3).map(tuple))
+
+
+@settings(max_examples=200, deadline=None)
+@given(members=st.frozensets(_ELEMENTS, max_size=8),
+       reachable=st.frozensets(nodes),
+       live=st.frozensets(st.tuples(servers, st.sampled_from("uvwxyz")),
+                          max_size=6))
+def test_a_snapshot_filters_as_the_comprehension_did(members, reachable, live):
+    snap = StateSnapshot(0.0, members, reachable, live)
+    expected = frozenset(
+        e for e in members
+        if e.home in reachable
+        or (live and any((loc, e.oid) in live for loc in e.replicas)))
+    found = snap.reachable_of(members)
+    assert found == expected
+    assert type(found) is frozenset
+    if expected == members:
+        # nothing out of reach: the set asked about, not a copy of it
+        assert found is members
