@@ -15,7 +15,7 @@ durable, clears volatile service state via each service's optional
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Optional
+from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from ..errors import SimulationError
 from ..sim.events import Signal
@@ -55,13 +55,19 @@ class Node:
         except KeyError:
             raise SimulationError(f"node {self.name}: no service {name!r}") from None
 
-    def track_handler(self, proc: Process) -> Signal:
+    def track_handler(self, proc: Process,
+                      waiter: Optional[Callable[[Signal], None]] = None
+                      ) -> Signal:
         """Remember an in-flight handler process so crash can kill it;
         it is forgotten (and its frame let go) the moment it finishes.
-        Returns the completion signal it is keyed by."""
+        Returns the completion signal it is keyed by.
+
+        ``waiter`` (the transport's reply callback) is then the one
+        waiter on that signal, in place of the node's own: it must
+        forget the handler first, as :meth:`_forget_handler` does."""
         done = proc.done
         self._handlers[done] = proc
-        done.add_waiter(self._forget_handler)
+        done.add_waiter(self._forget_handler if waiter is None else waiter)
         return done
 
     def _forget_handler(self, done: Signal) -> None:

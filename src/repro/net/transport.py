@@ -19,8 +19,8 @@ message)`` saying why there is no route.
 
 from __future__ import annotations
 
-import types
 from functools import partial
+from types import GeneratorType
 from typing import TYPE_CHECKING, Optional, Union
 
 from ..errors import (
@@ -109,7 +109,7 @@ class Transport:
         self._m_bytes_received = metrics.counter("net.bytes_received")
         # Per-method-family byte counters (``net.bytes_sent.object``, …),
         # registered on a family's first byte and held per *method*, so a
-        # message pays one dictionary hit.
+        # message pays one subscript (a miss is once per method).
         self._bytes_sent_by_method: dict[str, Counter] = {}
         self._bytes_received_by_method: dict[str, Counter] = {}
         self._m_delivery_delay = metrics.histogram("net.delivery_delay")
@@ -312,8 +312,9 @@ class Transport:
         self._m_sent.value += 1
         if size:
             self._m_bytes_sent.value += size
-            family = self._bytes_sent_by_method.get(msg.method)
-            if family is None:
+            try:
+                family = self._bytes_sent_by_method[msg.method]
+            except KeyError:
                 family = self._family_counter(
                     self._bytes_sent_by_method, "net.bytes_sent", msg.method)
             family.value += size
@@ -371,8 +372,9 @@ class Transport:
         size = msg.wire_size
         if size:
             self._m_bytes_received.value += size
-            family = self._bytes_received_by_method.get(msg.method)
-            if family is None:
+            try:
+                family = self._bytes_received_by_method[msg.method]
+            except KeyError:
                 family = self._family_counter(
                     self._bytes_received_by_method, "net.bytes_received",
                     msg.method)
@@ -458,7 +460,8 @@ class Transport:
                 release()
             self.send(msg.reply(exc, error=True))
             return
-        if isinstance(result, types.GeneratorType):
+        # GeneratorType cannot be subclassed: the class test is exact.
+        if result.__class__ is GeneratorType:
             self._run_handler(node, msg, result, release)
         else:
             if release is not None:
@@ -489,14 +492,16 @@ class Transport:
             self.send(msg.reply(result))
         return True
 
-    def _run_handler(self, node: Node, msg: Message, gen: types.GeneratorType,
+    def _run_handler(self, node: Node, msg: Message, gen: GeneratorType,
                      release=None) -> None:
         proc = self.kernel.spawn(
             gen, daemon=True,
             name=lambda: f"{msg.dst}.{msg.method}#{msg.msg_id}")
-        done = node.track_handler(proc)
+        handlers = node._handlers
 
         def on_done(sig: Signal) -> None:
+            # The one waiter on the handler's ``done``: forgets it first.
+            handlers.pop(sig, None)
             if release is not None:
                 release()
             if not node.up:
@@ -506,4 +511,4 @@ class Transport:
             else:
                 self.send(msg.reply(sig._value))
 
-        done.add_waiter(on_done)
+        node.track_handler(proc, on_done)

@@ -365,8 +365,9 @@ class CompactCodec:
         sizing walk: the envelope from its memo entry, the payload
         over a copy of the intern table the envelope leaves."""
         key = (id(msg.src), id(msg.dst), msg.method, msg.is_reply)
-        entry = self._envelopes.get(key)
-        if entry is None:
+        try:
+            entry = self._envelopes[key]
+        except KeyError:
             entry = self._envelope_entry(key, msg)
         total = entry[2] + (1 if msg.reply_to is None else 2)
         if msg.priority != PRIORITY_NORMAL:

@@ -24,7 +24,6 @@ one-off debugging aids.
 
 from __future__ import annotations
 
-import itertools
 from typing import TYPE_CHECKING, Any, Callable, Hashable, Iterator, Optional
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -85,7 +84,7 @@ class Tracer:
                  max_spans: int = 100_000):
         self._clock = clock
         self._context_key = context_key or (lambda: None)
-        self._ids = itertools.count(1)
+        self._last_id = 0
         self._spans: list[Span] = []
         self._stacks: dict[Hashable, list[Span]] = {}
         self.max_spans = max_spans
@@ -100,14 +99,17 @@ class Tracer:
         stack = self._stacks.get(ctx)
         if parent is None and stack:
             parent = stack[-1]
-        span = Span(next(self._ids), name, self._clock.now,
+        self._last_id = span_id = self._last_id + 1
+        span = Span(span_id, name, self._clock.now,
                     parent_id=parent.span_id if parent is not None else None,
                     attrs=attrs, ctx=ctx)
         if stack is None:
-            stack = self._stacks[ctx] = []
-        stack.append(span)
-        if len(self._spans) < self.max_spans:
-            self._spans.append(span)
+            self._stacks[ctx] = [span]
+        else:
+            stack.append(span)
+        spans = self._spans
+        if len(spans) < self.max_spans:
+            spans.append(span)
         else:
             self.dropped += 1
         return span
@@ -115,22 +117,25 @@ class Tracer:
     def finish(self, span: Span, **attrs: Any) -> Span:
         """Close a span at the current virtual time (idempotent)."""
         if attrs:
-            span.attrs.update(attrs)
+            span.attrs |= attrs
         if span.end is None:
             span.end = self._clock.now
-        stack = self._stacks.get(span._ctx)
-        if stack is not None:
-            if stack[-1] is span:
-                stack.pop()
-            else:
-                # Out-of-order finish (a killed process's children,
-                # say): remove by identity.
-                for i in range(len(stack) - 2, -1, -1):
-                    if stack[i] is span:
-                        del stack[i]
-                        break
-            if not stack:
-                del self._stacks[span._ctx]
+        ctx = span._ctx
+        try:
+            stack = self._stacks[ctx]
+        except KeyError:
+            return span              # finished twice, or its context released
+        if stack[-1] is span:
+            del stack[-1]
+        else:
+            # Out-of-order finish (a killed process's children,
+            # say): remove by identity.
+            for i in range(len(stack) - 2, -1, -1):
+                if stack[i] is span:
+                    del stack[i]
+                    break
+        if not stack:
+            del self._stacks[ctx]
         return span
 
     def active(self) -> Optional[Span]:

@@ -351,8 +351,9 @@ class Kernel:
 
     def _interpret(self, proc: Process, effect: Any) -> None:
         # Both callers have taken a plain Sleep already; of the rest,
-        # Wait (every RPC) is the common one.
-        if isinstance(effect, Wait):
+        # Wait (every RPC) is the common one, and a plain one is known
+        # by its class without an isinstance call.
+        if effect.__class__ is Wait or isinstance(effect, Wait):
             self._do_wait(proc, effect.signal, effect.timeout)
         elif isinstance(effect, Sleep):
             proc.state = _WAITING

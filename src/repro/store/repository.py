@@ -183,12 +183,15 @@ class Repository:
                 # view is at the moment a drain consumes it.
                 self._m.membership_age.observe(self.world.now - view.read_at)
                 return view
-        if self.placement(coll_id).is_sharded:
+        # One placement answers all three questions: no yield separates
+        # them, so a cutover cannot land between.
+        info = self.world.collection_info(coll_id)
+        if info.is_sharded:
             return (yield from self._read_sharded(coll_id, source))
         if source == "primary":
-            host = self.primary_of(coll_id)
+            host = info.primary
         elif source == "nearest":
-            ranked = self.ranked_hosts(coll_id)
+            ranked = self._rank(info.hosts)
             if not ranked:
                 raise UnreachableObjectFailure(
                     f"no host of {coll_id!r} is reachable from {self.client}"

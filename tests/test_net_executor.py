@@ -4,11 +4,12 @@ disciplines, shedding, brownout, and crash semantics."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import ServerBusyFailure
+from repro.errors import NodeCrashFailure, ServerBusyFailure
 from repro.net import (BoundedExecutor, ExecutorPolicy, FixedLatency, Network,
                        PRIORITY_HIGH, PRIORITY_LOW, PRIORITY_NORMAL,
                        full_mesh)
 from repro.net.executor import _AGING, DISCIPLINES, _Entry
+from repro.net.transport import Transport
 from repro.sim import Kernel, Sleep
 
 
@@ -471,6 +472,59 @@ def test_a_crash_admits_no_queued_request_onto_the_dead_node():
     assert executor.running == 0
     assert executor.queue_depth == 0
     assert net.node("b")._handlers == {}
+
+
+def test_a_handler_killed_mid_run_releases_once_and_replies_never(
+        monkeypatch):
+    # The reply callback is the killed handler's one waiter: it forgets
+    # the handler, releases its slot once (stale by then: the crash
+    # reset the executor) and sends nothing from the dead node.
+    policy = ExecutorPolicy(concurrency=1, queue_limit=4)
+    kernel, net, service = make_net(policy, WorkService(delay=1.0))
+    node = net.node("b")
+    released, replies, outcomes = [], [], {}
+    execute, send = Transport._execute_request, Transport.send
+
+    def executing(self, node, msg, release=None):
+        def counted():
+            released.append(msg.payload[0][0])
+            release()
+        return execute(self, node, msg, counted)
+
+    def sending(self, msg):
+        if msg.src.node == "b":
+            replies.append(msg.payload)
+        return send(self, msg)
+
+    monkeypatch.setattr(Transport, "_execute_request", executing)
+    monkeypatch.setattr(Transport, "send", sending)
+
+    def one(tag):
+        try:
+            outcomes[tag] = yield from net.call("a", "b", "svc", "work", tag,
+                                                timeout=3.0)
+        except Exception as exc:  # noqa: BLE001 - recorded for assertions
+            outcomes[tag] = exc
+
+    def driver():
+        kernel.spawn(one("r1"), name="r1")
+        yield Sleep(0.5)                   # r1 is half way through
+        assert (node.executor.running, len(node._handlers)) == (1, 1)
+        net.crash("b")
+        assert (released, replies, node._handlers) == (["r1"], [], {})
+        yield Sleep(5.0)
+        net.recover("b")
+        kernel.spawn(one("r2"), name="r2")
+        yield Sleep(5.0)
+
+    kernel.run_process(driver())
+    assert released == ["r1", "r2"]
+    assert replies == ["r2"]
+    assert isinstance(outcomes["r1"], NodeCrashFailure)
+    assert outcomes["r2"] == "r2"
+    assert (service.started, service.finished) == (["r1", "r2"], ["r2"])
+    assert node.executor.running == 0
+    assert node._handlers == {}
 
 
 def test_reply_priority_mirrors_request():

@@ -1,7 +1,10 @@
 """Tracer: nesting, per-context isolation, adoption, virtual-clock timing."""
 
 import gc
+import hashlib
 import weakref
+
+import pytest
 
 from repro.obs import Span, Tracer
 from repro.sim import Fork, Join, Kernel, Sleep
@@ -309,3 +312,43 @@ def test_span_to_dict_shape():
     assert d == {"span_id": span.span_id, "parent_id": None, "name": "x",
                  "start": 0.0, "end": 0.0, "attrs": {"k": "v"}}
     assert isinstance(span, Span)
+
+
+# -- what a seeded run keeps ---------------------------------------------------
+
+#: E17's seed-1 resilient drain, whole and under a 40-span cap: how many
+#: spans are kept and dropped, a digest of every kept span's
+#: ``(span_id, parent_id)`` and one of the ``kernel.obs.export`` bytes.
+#: A tracer that numbers, parents, keeps or drops one span differently
+#: moves one of the four.
+RETAINED = {
+    None: (98, 0,
+           "1fed36999ac974fd084ac0623063b955ce52d9a7671e7158049cb07d8980fd52",
+           "dba5ffaab80f894a4a26cf1c1f975fc3985af78f5b6ff7d389aed0c133358855"),
+    40: (40, 58,
+         "a4b407d83d1e32c651d4f02687006d08ed11028b34fb6aa0304612110500043d",
+         "c5fa54874094239286060ec67f0b0664bbe27685718432b3775137900140bef2"),
+}
+
+
+@pytest.mark.parametrize("max_spans", sorted(RETAINED, key=str))
+def test_a_seeded_run_keeps_numbers_and_exports_the_spans_it_did(
+        tmp_path, max_spans):
+    from repro.bench.exp_resilience import VARIANTS, crash_world, resilient_set
+    from repro.bench.harness import drain
+    from repro.wan.workload import build_scenario
+
+    scenario = build_scenario(crash_world(0.1, 10), seed=1)
+    tracer = scenario.kernel.obs.tracer
+    if max_spans is not None:
+        tracer.max_spans = max_spans
+    _, make_resilience, failover = VARIANTS[-1]
+    drain(scenario, resilient_set(scenario, make_resilience,
+                                  failover).elements())
+    path = tmp_path / "run.jsonl"
+    scenario.kernel.obs.export(path)
+    links = repr([(span.span_id, span.parent_id) for span in tracer])
+    assert (len(tracer), tracer.dropped,
+            hashlib.sha256(links.encode()).hexdigest(),
+            hashlib.sha256(path.read_bytes()).hexdigest()) == \
+        RETAINED[max_spans]

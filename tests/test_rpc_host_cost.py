@@ -39,7 +39,7 @@ from repro.sim import (Fork, InstantHeap, Join, Kernel, Signal, Sleep,
 from repro.sim import process as sim_process
 from repro.sim.clock import Clock
 from repro.sim.sched import _Scheduled
-from repro.store import AddSpec, HashRing, Repository
+from repro.store import AddSpec, HashRing, Repository, World
 from repro.store import repository as store_repository
 from repro.store.elements import Element
 
@@ -902,6 +902,39 @@ def test_a_settled_rpc_asks_its_handler_for_done_once(monkeypatch):
     # handler by
     assert len(asked) == 1 and asked[0] is not client
     assert net.node("b")._handlers == {}
+
+
+def test_a_generator_handler_hangs_one_waiter_on_its_done(monkeypatch):
+    """The transport's reply callback is the one waiter on a handler's
+    ``done``, and it forgets the handler as it runs."""
+    kernel, net = two_nodes()
+    hooked = []
+    add_waiter = Signal.add_waiter
+
+    def hooking(signal, callback):
+        hooked.append(signal)
+        return add_waiter(signal, callback)
+
+    monkeypatch.setattr(Signal, "add_waiter", hooking)
+    client = kernel.spawn(rpc(net, "slow", "v", 0.5))
+    kernel.run(until=0.25)
+    (done,) = net.node("b")._handlers
+    kernel.run()
+    assert client.result == "v"
+    assert [signal for signal in hooked if signal is done] == [done]
+    assert net.node("b")._handlers == {}
+
+
+def test_a_membership_read_resolves_its_placement_once(monkeypatch):
+    kernel, net, world, elements = standard_world(members=4, replicas=1)
+    repo = Repository(world, CLIENT)
+    kernel.run_process(repo.read_membership("coll"))        # warm
+    resolved = count_calls(monkeypatch, World, "collection_info")
+    for source in ("nearest", "primary", "s1"):
+        resolved[0] = 0
+        view = kernel.run_process(repo.read_membership("coll", source=source))
+        assert view.members == frozenset(elements)
+        assert resolved[0] == 1, source
 
 
 @pytest.mark.parametrize("asked", ["before", "after", "never"])

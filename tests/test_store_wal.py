@@ -1,6 +1,7 @@
 """Write-ahead intent log + recovery: crash-consistent multi-step mutations."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import FailureException
 from repro.net.failures import FaultSchedule
@@ -293,3 +294,26 @@ def test_intent_retention_follows_recovery_flag(enabled):
     wal = world.server(PRIMARY).wal
     assert bool(wal.records) is enabled
     assert elements[0] not in world.true_members("coll")
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@settings(max_examples=150, deadline=None)
+@given(ops=st.lists(st.tuples(st.sampled_from(("append", "commit", "abort")),
+                              st.integers(0, 63)), max_size=40))
+def test_the_pending_index_is_a_scan_of_the_records(enabled, ops):
+    """``pending()`` answers from an index append/commit/abort keep; it
+    must equal a scan of ``records`` after any sequence of them."""
+    _, _, world, elements = standard_world(members=2,
+                                           recovery_enabled=enabled)
+    wal = world.server(PRIMARY).wal
+    logged = []
+    for op, pick in ops:
+        if op == "append":
+            logged.append(wal.append("erase", "coll", (elements[0],),
+                                     origin="remove"))
+        elif logged:
+            record = logged[pick % len(logged)]
+            (wal.commit if op == "commit" else wal.abort)(record)
+        assert wal.pending() == [r for r in wal.records
+                                 if r.status is PENDING]
+    assert bool(wal.records) is (enabled and bool(logged))
