@@ -6,10 +6,13 @@ import weakref
 
 import pytest
 
+from repro.bench.exp_resilience import VARIANTS, crash_world, resilient_set
+from repro.bench.harness import drain
 from repro.obs import Span, Tracer
 from repro.sim import Fork, Join, Kernel, Sleep
 from repro.sim.clock import Clock
 from repro.store import AddSpec, Repository
+from repro.wan.workload import build_scenario
 from repro.weaksets import DynamicSet
 
 from helpers import CLIENT, drain_all, standard_world
@@ -334,10 +337,6 @@ RETAINED = {
 @pytest.mark.parametrize("max_spans", sorted(RETAINED, key=str))
 def test_a_seeded_run_keeps_numbers_and_exports_the_spans_it_did(
         tmp_path, max_spans):
-    from repro.bench.exp_resilience import VARIANTS, crash_world, resilient_set
-    from repro.bench.harness import drain
-    from repro.wan.workload import build_scenario
-
     scenario = build_scenario(crash_world(0.1, 10), seed=1)
     tracer = scenario.kernel.obs.tracer
     if max_spans is not None:
