@@ -15,6 +15,7 @@ durable, clears volatile service state via each service's optional
 
 from __future__ import annotations
 
+from functools import partial
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from ..errors import SimulationError
@@ -56,22 +57,25 @@ class Node:
             raise SimulationError(f"node {self.name}: no service {name!r}") from None
 
     def track_handler(self, proc: Process,
-                      waiter: Optional[Callable[[Signal], None]] = None
+                      then: Optional[Callable[[Signal], None]] = None
                       ) -> Signal:
         """Remember an in-flight handler process so crash can kill it;
-        it is forgotten (and its frame let go) the moment it finishes.
-        Returns the completion signal it is keyed by.
-
-        ``waiter`` (the transport's reply callback) is then the one
-        waiter on that signal, in place of the node's own: it must
-        forget the handler first, as :meth:`_forget_handler` does."""
+        it is forgotten (and its frame let go) the moment it finishes,
+        and ``then(done)`` (the transport's reply callback) runs after
+        that, as the same one waiter on ``done``.
+        Returns the completion signal it is keyed by."""
         done = proc.done
         self._handlers[done] = proc
-        done.add_waiter(self._forget_handler if waiter is None else waiter)
+        done.add_waiter(self._forget_handler if then is None
+                        else partial(self._forget_handler, then=then))
         return done
 
-    def _forget_handler(self, done: Signal) -> None:
+    def _forget_handler(self, done: Signal,
+                        then: Optional[Callable[[Signal], None]] = None
+                        ) -> None:
         self._handlers.pop(done, None)
+        if then is not None:
+            then(done)
 
     # -- crash / recovery ------------------------------------------------------
     def crash(self) -> None:

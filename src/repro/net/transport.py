@@ -497,11 +497,9 @@ class Transport:
         proc = self.kernel.spawn(
             gen, daemon=True,
             name=lambda: f"{msg.dst}.{msg.method}#{msg.msg_id}")
-        handlers = node._handlers
 
         def on_done(sig: Signal) -> None:
-            # The one waiter on the handler's ``done``: forgets it first.
-            handlers.pop(sig, None)
+            # Runs once the node has forgotten the handler.
             if release is not None:
                 release()
             if not node.up:

@@ -87,9 +87,9 @@ _DIVERTABLE = TRANSPORT_FAILURES + (CircuitOpenFailure, ServerBusyFailure)
 def rank_hosts(net, origin: NodeId, hosts: Iterable[NodeId]) -> tuple[NodeId, ...]:
     """Reachable ``hosts`` ordered by expected latency from ``origin``.
 
-    The one shared ranking helper: ``Repository.ranked_hosts`` /
-    ``nearest_host``, the replica order of the failover sweep, and the
-    planner all use it (deterministic: latency, then node id).
+    The one shared ranking helper: a ``"nearest"`` membership read,
+    the replica order of the failover sweep, and the planner all use it
+    (deterministic: latency, then node id).
 
     Hot on every membership read, failover sweep, and plan, so the
     answer comes from the transport's reachability table, memoized per

@@ -148,15 +148,6 @@ class Repository:
     def primary_of(self, coll_id: str) -> NodeId:
         return self.world.collection_info(coll_id).primary
 
-    def nearest_host(self, coll_id: str) -> Optional[NodeId]:
-        """The reachable host with the lowest expected latency, if any."""
-        ranked = self.ranked_hosts(coll_id)
-        return ranked[0] if ranked else None
-
-    def ranked_hosts(self, coll_id: str) -> tuple[NodeId, ...]:
-        """Reachable hosts of ``coll_id``, closest first (deterministic)."""
-        return self._rank(self.hosts_of(coll_id))
-
     def _rank(self, hosts) -> tuple[NodeId, ...]:
         # Shared with the FetchPlanner: one ranking policy for every
         # host-selection decision.
@@ -185,7 +176,7 @@ class Repository:
                 return view
         # One placement answers all three questions: no yield separates
         # them, so a cutover cannot land between.
-        info = self.world.collection_info(coll_id)
+        info = self.placement(coll_id)
         if info.is_sharded:
             return (yield from self._read_sharded(coll_id, source))
         if source == "primary":

@@ -87,10 +87,6 @@ class IntentLog:
         self.node_id = node_id
         self.world = world
         self.records: list[IntentRecord] = []
-        #: the pending records of ``records``, by intent id (so in log
-        #: order): kept by append/commit/abort, so a scrub round asks
-        #: nothing of the records that have settled
-        self._pending: dict[int, IntentRecord] = {}
         self._ids = itertools.count(1)
         self._armed: list[tuple[str, Callable[[], None]]] = []
         metrics = world.kernel.obs.metrics
@@ -111,7 +107,6 @@ class IntentLog:
         )
         if self.world.recovery_enabled:
             self.records.append(record)
-            self._pending[record.intent_id] = record
             self._m_intents.inc()
         return record
 
@@ -144,7 +139,6 @@ class IntentLog:
         if record.status is not APPLIED:
             record.status = APPLIED
             record.settled_at = self.world.now
-            self._pending.pop(record.intent_id, None)
             self._m_commits.inc()
 
     def abort(self, record: IntentRecord) -> None:
@@ -154,12 +148,10 @@ class IntentLog:
         if record.status is PENDING:
             record.status = ABORTED
             record.settled_at = self.world.now
-            self._pending.pop(record.intent_id, None)
             self._m_aborts.inc()
 
     def pending(self) -> list[IntentRecord]:
-        """The records still pending, in log order."""
-        return list(self._pending.values())
+        return [r for r in self.records if r.status is PENDING]
 
     # -- crash points -----------------------------------------------------
     def arm_crash(self, step: str, trigger: Optional[Callable[[], None]] = None) -> None:

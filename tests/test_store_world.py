@@ -123,11 +123,13 @@ def test_nearest_host_prefers_low_latency():
     world = World(net)
     world.create_collection("c", primary="p", replicas=["r1"])
     repo = Repository(world, "client")
-    assert repo.nearest_host("c") == "r1"
+    # The one ranking policy a "nearest" membership read takes the
+    # first host of.
+    assert repo._rank(repo.hosts_of("c"))[:1] == ("r1",)
     net.isolate("r1")
-    assert repo.nearest_host("c") == "p"
+    assert repo._rank(repo.hosts_of("c"))[:1] == ("p",)
     net.split(["client"])
-    assert repo.nearest_host("c") is None
+    assert repo._rank(repo.hosts_of("c"))[:1] == ()
 
 
 # ---------------------------------------------------------------------------
