@@ -17,7 +17,7 @@ every rate, with the gap widening as failures become common.
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from ..net.failures import FaultPlan
 from ..spec import Returned
@@ -57,23 +57,23 @@ def _one_run(cls, kwargs, isolate_rate, seed, members=12,
     return success, coverage, drained.total_time
 
 
-def _point(cls, kwargs, isolate_rate, runs_per_point, **world) -> dict:
-    """One table point: ``cls`` at ``isolate_rate`` over the seeds."""
+def _point(cls, kwargs, isolate_rate, seeds: Sequence[int], **world) -> dict:
+    """One table point: ``cls`` at ``isolate_rate`` over ``seeds``."""
     successes, coverages, latencies_ok = 0, [], []
-    for seed in range(runs_per_point):
+    for seed in seeds:
         success, coverage, latency = _one_run(cls, kwargs, isolate_rate, seed,
                                               **world)
         if success:
             successes += 1
             latencies_ok.append(latency)
         coverages.append(coverage)
-    return {"success_rate": rate(successes, runs_per_point),
+    return {"success_rate": rate(successes, len(seeds)),
             "mean_coverage": sum(coverages) / len(coverages),
             "mean_latency_ok": mean_or_nan(latencies_ok)}
 
 
 def run_availability_ablation(isolate_rate: float = 0.1,
-                              runs_per_point: int = 10) -> ExperimentResult:
+                              seeds: Sequence[int] = range(10)) -> ExperimentResult:
     """E4a: two ablations at a fixed failure rate.
 
     * **quorum reads** (§3.3's aside): replicated membership + majority
@@ -107,13 +107,13 @@ def run_availability_ablation(isolate_rate: float = 0.1,
     )
     for name, cls, kwargs, fail_fast, replicas in variants:
         result.add(variant=name,
-                   **_point(cls, kwargs, isolate_rate, runs_per_point,
+                   **_point(cls, kwargs, isolate_rate, seeds,
                             fail_fast=fail_fast, replicas=replicas))
     return result
 
 
 def run_availability(rates: Iterable[float] = (0.0, 0.02, 0.05, 0.1, 0.2),
-                     runs_per_point: int = 10) -> ExperimentResult:
+                     seeds: Sequence[int] = range(10)) -> ExperimentResult:
     """E4: sweep the isolation rate; report success/coverage/latency."""
     result = ExperimentResult(
         "E4", "Availability under partitions "
@@ -126,5 +126,5 @@ def run_availability(rates: Iterable[float] = (0.0, 0.02, 0.05, 0.1, 0.2),
     for isolate_rate in rates:
         for impl_name, cls, kwargs in _IMPLS:
             result.add(isolate_rate=isolate_rate, impl=impl_name,
-                       **_point(cls, kwargs, isolate_rate, runs_per_point))
+                       **_point(cls, kwargs, isolate_rate, seeds))
     return result

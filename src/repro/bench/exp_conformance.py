@@ -10,7 +10,7 @@ the cells mechanically.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterable, Type
+from typing import Sequence, Type
 
 from ..sim.events import Sleep
 from ..spec import ALL_FIGURES, RELAXED_VARIANTS, check_conformance
@@ -99,9 +99,8 @@ def run_case(case: ImplCase, spec: ScenarioSpec, seed: int) -> WeakSet:
     return ws
 
 
-def run_conformance_matrix(seeds: Iterable[int] = range(5)) -> ExperimentResult:
+def run_conformance_matrix(seeds: Sequence[int] = range(5)) -> ExperimentResult:
     """The E1 matrix: conforming runs per (implementation, figure)."""
-    seeds = list(seeds)
     result = ExperimentResult(
         "E1", "Conformance matrix (conforming runs / total runs)",
         columns=["impl"] + [s.spec_id for s in MATRIX_SPECS],

@@ -18,7 +18,7 @@ Metrics per run (slow consumer, think time between invocations):
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from ..sim.events import Sleep
 from ..store.cache import ClientCache
@@ -64,7 +64,7 @@ def _one_run(cls, mutation_rate, seed, members=12, think=0.2):
 
 
 def run_staleness(mutation_rates: Iterable[float] = (0.0, 0.5, 2.0, 8.0),
-                  runs_per_point: int = 5) -> ExperimentResult:
+                  seeds: Sequence[int] = range(5)) -> ExperimentResult:
     """E5: missed additions and stale yields vs mutation rate."""
     result = ExperimentResult(
         "E5", "Consistency cost vs mutation rate (ops/s, slow consumer)",
@@ -76,7 +76,7 @@ def run_staleness(mutation_rates: Iterable[float] = (0.0, 0.5, 2.0, 8.0),
     for mutation_rate in mutation_rates:
         for impl_name, cls in _IMPLS:
             yields_total, missed_total, stale_total = 0, 0, 0
-            for seed in range(runs_per_point):
+            for seed in seeds:
                 y, m, s, _, _ = _one_run(cls, mutation_rate, seed)
                 yields_total += y
                 missed_total += m
@@ -84,9 +84,9 @@ def run_staleness(mutation_rates: Iterable[float] = (0.0, 0.5, 2.0, 8.0),
             result.add(
                 mutation_rate=mutation_rate,
                 impl=impl_name,
-                mean_yields=yields_total / runs_per_point,
-                missed_adds_per_run=missed_total / runs_per_point,
-                stale_yields_per_run=stale_total / runs_per_point,
+                mean_yields=yields_total / len(seeds),
+                missed_adds_per_run=missed_total / len(seeds),
+                stale_yields_per_run=stale_total / len(seeds),
             )
     return result
 

@@ -12,7 +12,7 @@ moving — the quantitative version of "hope".
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from ..wan.workload import Mutator, ScenarioSpec, build_scenario
 from ..weaksets import DynamicSet, iterate_until_stable
@@ -24,7 +24,7 @@ __all__ = ["run_convergence"]
 
 
 def run_convergence(mutation_rates: Iterable[float] = (0.0, 0.2, 1.0, 4.0),
-                    runs_per_point: int = 8,
+                    seeds: Sequence[int] = range(8),
                     max_rounds: int = 6) -> ExperimentResult:
     """E14: rounds until two consecutive answers agree, vs churn."""
     result = ExperimentResult(
@@ -39,7 +39,7 @@ def run_convergence(mutation_rates: Iterable[float] = (0.0, 0.2, 1.0, 4.0),
         stable_counts = []
         rounds_when_stable = []
         final_discrepancies = []
-        for seed in range(runs_per_point):
+        for seed in seeds:
             spec = ScenarioSpec(n_clusters=3, cluster_size=2, n_members=10)
             scenario = build_scenario(spec, seed=seed)
             if mutation_rate > 0:
@@ -55,7 +55,7 @@ def run_convergence(mutation_rates: Iterable[float] = (0.0, 0.2, 1.0, 4.0),
             final_discrepancies.append(len(outcome.discrepancies))
         result.add(
             mutation_rate=mutation_rate,
-            stable_rate=rate(sum(stable_counts), runs_per_point),
+            stable_rate=rate(sum(stable_counts), len(seeds)),
             mean_rounds_when_stable=mean_or_nan(rounds_when_stable),
             mean_final_discrepancy=(sum(final_discrepancies)
                                     / len(final_discrepancies)),

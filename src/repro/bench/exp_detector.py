@@ -11,7 +11,7 @@ nodes; conservative ones are accurate but slow.
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from ..net.fabric import Network
 from ..net.failure_detector import FailureDetector
@@ -76,7 +76,7 @@ def _one_run(suspect_after: float, loss_rate: float, seed: int,
 
 def run_detector(thresholds: Iterable[float] = (0.8, 1.5, 3.0, 6.0),
                  loss_rate: float = 0.15,
-                 runs_per_point: int = 5) -> ExperimentResult:
+                 seeds: Sequence[int] = range(5)) -> ExperimentResult:
     """E15: detection/recovery latency and false suspicions vs threshold."""
     result = ExperimentResult(
         "E15", f"Failure detector characterization (lossy links, "
@@ -89,7 +89,7 @@ def run_detector(thresholds: Iterable[float] = (0.8, 1.5, 3.0, 6.0),
     )
     for threshold in thresholds:
         detects, recovers, false_total = [], [], 0
-        for seed in range(runs_per_point):
+        for seed in seeds:
             d, r, f = _one_run(threshold, loss_rate, seed)
             if d is not None:
                 detects.append(d)

@@ -29,6 +29,8 @@ makes that a first-class scenario:
 
 from __future__ import annotations
 
+from typing import Sequence
+
 from ..errors import FailureException
 from ..net import FaultPlan, FaultSchedule, FixedLatency, Network, full_mesh
 from ..sim import Kernel
@@ -76,7 +78,7 @@ def _one_drain(cls, kwargs, offline_leg, seed, members=12):
     return success, coverage, drained.total_time, ws
 
 
-def run_disconnected(runs_per_point: int = 6) -> ExperimentResult:
+def run_disconnected(seeds: Sequence[int] = range(6)) -> ExperimentResult:
     """E21: availability and conformance while the client is offline."""
     result = ExperimentResult(
         "E21", "Disconnected operation: availability of each semantics "
@@ -94,7 +96,7 @@ def run_disconnected(runs_per_point: int = 6) -> ExperimentResult:
         audited = cls.semantics == "fig1"
         for offline_leg in (False, True):
             successes, coverages, latencies, conformant = 0, [], [], True
-            for seed in range(runs_per_point):
+            for seed in seeds:
                 success, coverage, latency, ws = _one_drain(
                     cls, kwargs, offline_leg, seed)
                 successes += success
@@ -105,7 +107,7 @@ def run_disconnected(runs_per_point: int = 6) -> ExperimentResult:
             result.add(
                 impl=impl_name,
                 state="offline" if offline_leg else "connected",
-                success_rate=rate(successes, runs_per_point),
+                success_rate=rate(successes, len(seeds)),
                 mean_coverage=sum(coverages) / len(coverages),
                 mean_latency=sum(latencies) / len(latencies),
                 fig1_conformant=("yes" if conformant else "NO")
@@ -114,8 +116,9 @@ def run_disconnected(runs_per_point: int = 6) -> ExperimentResult:
     return result
 
 
-def run_reconcile_cost(depths=(4, 16, 48)) -> ExperimentResult:
-    """E21a: reconciliation cost as the offline outbox deepens."""
+def run_reconcile_cost(depths=(4, 16, 48), seed: int = 0) -> ExperimentResult:
+    """E21a: reconciliation cost as the offline outbox deepens; the run
+    at each depth is seeded ``seed + depth``."""
     result = ExperimentResult(
         "E21a", "Reconnect reconciliation vs. outbox depth "
                 "(queued adds + removes, remote churn while offline)",
@@ -130,7 +133,7 @@ def run_reconcile_cost(depths=(4, 16, 48)) -> ExperimentResult:
     for depth in depths:
         spec = ScenarioSpec(n_clusters=3, cluster_size=2, n_members=12,
                             rpc_timeout=2.0)
-        scenario = build_scenario(spec, seed=depth)
+        scenario = build_scenario(spec, seed=seed + depth)
         kernel = scenario.kernel
         offline = OfflineClient(scenario.world, scenario.client,
                                 spec.coll_id, window=4, batch_size=8)
@@ -195,10 +198,10 @@ def _crash_run(seed: int, durable: bool):
     return lost, leaked, doubled, len(world.check_invariants())
 
 
-def run_outbox_crash(n_seeds: int = 24) -> ExperimentResult:
+def run_outbox_crash(seeds: Sequence[int] = range(24)) -> ExperimentResult:
     """E21b: client crash mid-drain — durable outbox vs. the ablation."""
     result = ExperimentResult(
-        "E21b", f"Crash mid-reconcile over {n_seeds} seeded schedules: "
+        "E21b", f"Crash mid-reconcile over {len(seeds)} seeded schedules: "
                 "durable (WAL-modeled) outbox vs. volatile ablation",
         columns=["outbox", "crashes", "lost", "leaked_adds",
                  "double_applied", "violations"],
@@ -209,7 +212,7 @@ def run_outbox_crash(n_seeds: int = 24) -> ExperimentResult:
     )
     for durable in (True, False):
         lost = leaked = doubled = violations = 0
-        for seed in range(n_seeds):
+        for seed in seeds:
             run_lost, run_leaked, run_doubled, run_violations = \
                 _crash_run(seed, durable)
             lost += run_lost
@@ -217,7 +220,7 @@ def run_outbox_crash(n_seeds: int = 24) -> ExperimentResult:
             doubled += run_doubled
             violations += run_violations
         result.add(outbox="durable" if durable else "volatile",
-                   crashes=n_seeds, lost=lost, leaked_adds=leaked,
+                   crashes=len(seeds), lost=lost, leaked_adds=leaked,
                    double_applied=doubled, violations=violations)
     return result
 
@@ -299,7 +302,7 @@ def geo_flap(seed: int, disconnect_rate: float, dc_rate: float,
     return scenario, offline, flaps
 
 
-def run_geo_flap(run_for: float = 30.0) -> ExperimentResult:
+def run_geo_flap(run_for: float = 30.0, seed: int = 7) -> ExperimentResult:
     """E21c: flapping mobile client over partitioning geo clusters."""
     result = ExperimentResult(
         "E21c", "Geo-replicated end-to-end: flapping client "
@@ -313,7 +316,7 @@ def run_geo_flap(run_for: float = 30.0) -> ExperimentResult:
               "and the world settles with zero invariant violations",
     )
     for disconnect_rate, dc_rate in ((0.5, 0.0), (0.5, 0.1)):
-        scenario, offline, flaps = geo_flap(7, disconnect_rate, dc_rate,
+        scenario, offline, flaps = geo_flap(seed, disconnect_rate, dc_rate,
                                             run_for)
         metrics = scenario.kernel.obs.metrics
         injected = scenario.injector.injected if scenario.injector else []

@@ -18,7 +18,7 @@ Two sweeps against the same seeded worlds:
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Sequence
 
 from ..wan.workload import ScenarioSpec, build_scenario
 from ..weaksets import DynamicSet
@@ -40,9 +40,8 @@ def _one_drain(window: int, batch: int, seed: int, members: int):
 
 
 def run_fetchpipe(members: int = 24,
-                  seeds: Iterable[int] = range(3)) -> ExperimentResult:
+                  seeds: Sequence[int] = range(3)) -> ExperimentResult:
     """E19: drain cost vs pipeline window and batch size."""
-    seeds = list(seeds)
     result = ExperimentResult(
         "E19", "Fetch pipeline: batched drain vs serial (fig6, WAN)",
         columns=["mode", "window", "batch", "time_to_first", "total_time",

@@ -16,7 +16,7 @@ against the committed ``ci/bench_baseline.json``.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Optional, Sequence
 
 from ..obs import Histogram, MetricsRegistry, Observability
 from ..wan.workload import build_scenario
@@ -79,12 +79,12 @@ def _span_depth(obs: Observability) -> int:
     return max((1 + sum(1 for _ in tracer.ancestors(s)) for s in tracer), default=0)
 
 
-def run_obs(seeds: Iterable[int] = (0, 1, 2, 3), members: int = 10,
+def run_obs(seeds: Sequence[int] = (0, 1, 2, 3), members: int = 10,
             crash_rate: float = 0.1) -> ExperimentResult:
     """E17: aggregate the obs layer's view of seeded resilient drains."""
     result = ExperimentResult(
         "E17", "Observability of resilient drains "
-               f"(registry + spans over {len(tuple(seeds))} seeded runs, "
+               f"(registry + spans over {len(seeds)} seeded runs, "
                f"crash rate {crash_rate})",
         columns=["metric", "kind", "value", "mean", "p95"],
         notes="every number is virtual-time/seeded (machine-independent); "

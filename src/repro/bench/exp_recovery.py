@@ -27,7 +27,7 @@ visible, not free.
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from ..net.failures import FaultPlan
 from ..wan.workload import Mutator, ScenarioSpec, build_scenario
@@ -81,7 +81,7 @@ def one_run(crash_rate: float, recovery: bool, seed: int) -> dict:
 
 
 def run_recovery(rates: Iterable[float] = (0.0, 0.1, 0.2, 0.4),
-                 runs_per_point: int = 4) -> ExperimentResult:
+                 seeds: Sequence[int] = range(4)) -> ExperimentResult:
     """E18: sweep the mid-erase crash rate, with and without recovery."""
     result = ExperimentResult(
         "E18", "Crash-consistent recovery under mid-erase crash injection "
@@ -90,7 +90,7 @@ def run_recovery(rates: Iterable[float] = (0.0, 0.1, 0.2, 0.4),
                  "replays", "replayed", "mean_replay_latency",
                  "sync_rounds", "messages"],
         notes="violations = invariant breaches at quiescence summed over "
-              f"{runs_per_point} seeded runs; wal=on must stay at 0 at every "
+              f"{len(seeds)} seeded runs; wal=on must stay at 0 at every "
               "rate while the wal=off ablation shows the exposure; "
               "replay latency is virtual seconds; sync_rounds/messages show "
               "that recovery and anti-entropy ride the real RPC fabric",
@@ -98,7 +98,7 @@ def run_recovery(rates: Iterable[float] = (0.0, 0.1, 0.2, 0.4),
     for crash_rate in rates:
         for recovery in (True, False):
             outcomes = [one_run(crash_rate, recovery, seed)
-                        for seed in range(runs_per_point)]
+                        for seed in seeds]
             agg = {k: sum(o[k] for o in outcomes) for k in
                    ("violations", "crashes", "removes", "replays",
                     "replayed", "sync_rounds", "messages")}

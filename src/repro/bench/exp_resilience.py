@@ -27,7 +27,7 @@ recovery-effort ``rpc.*`` counters from the kernel's metrics registry.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Optional, Sequence
 
 from ..net.fabric import Network
 from ..net.failures import FaultPlan
@@ -128,7 +128,7 @@ def one_run(make_resilience: MakeClient, failover: bool, crash_rate: float,
 
 
 def run_resilience(rates: Iterable[float] = (0.0, 0.05, 0.1, 0.2),
-                   runs_per_point: int = 8) -> ExperimentResult:
+                   seeds: Sequence[int] = range(8)) -> ExperimentResult:
     """E16: sweep the crash rate; compare the three client stacks."""
     result = ExperimentResult(
         "E16", "Resilient RPC under crash faults "
@@ -142,14 +142,14 @@ def run_resilience(rates: Iterable[float] = (0.0, 0.05, 0.1, 0.2),
     for crash_rate in rates:
         for name, make, failover in VARIANTS:
             outcomes = [one_run(make, failover, crash_rate, seed)
-                        for seed in range(runs_per_point)]
+                        for seed in seeds]
             result.add(
                 crash_rate=crash_rate,
                 variant=name,
                 completion_rate=rate(sum(o["success"] for o in outcomes),
-                                     runs_per_point),
+                                     len(seeds)),
                 mean_coverage=(sum(o["coverage"] for o in outcomes)
-                               / runs_per_point),
+                               / len(seeds)),
                 spec_ok=all(o["sound"] for o in outcomes),
                 retries=sum(o["retries"] for o in outcomes),
                 hedges=sum(o["hedges"] for o in outcomes),

@@ -28,7 +28,7 @@ All quantities are virtual-time, seed-deterministic; the gates travel.
 
 from __future__ import annotations
 
-from typing import Generator, Iterable
+from typing import Generator, Iterable, Sequence
 
 from ..errors import FailureException
 from ..net.executor import ExecutorPolicy
@@ -229,14 +229,12 @@ def _rebalance_arm(seed: int, crash: bool):
     }
 
 
-def run_sharding(seed: int = 0, shard_counts: Iterable[int] = SHARD_COUNTS,
-                 conf_seeds: Iterable[int] = range(3),
-                 churn_seeds: Iterable[int] = range(3)) -> ExperimentResult:
-    """E24: registration throughput vs ring size, the conformance
-    matrix over scatter-gather reads, and rebalancing under churn."""
+def run_sharding(seeds: Sequence[int] = range(3),
+                 shard_counts: Iterable[int] = SHARD_COUNTS) -> ExperimentResult:
+    """E24: registration throughput vs ring size (at ``seeds[0]``), the
+    conformance matrix over scatter-gather reads, and rebalancing under
+    churn (each over ``seeds``)."""
     shard_counts = list(shard_counts)
-    conf_seeds = list(conf_seeds)
-    churn_seeds = list(churn_seeds)
     result = ExperimentResult(
         "E24",
         "Sharded membership: consistent-hash registry partitioning, "
@@ -254,7 +252,7 @@ def run_sharding(seed: int = 0, shard_counts: Iterable[int] = SHARD_COUNTS,
 
     throughput: dict[int, float] = {}
     for k in shard_counts:
-        adds, elapsed = _throughput_arm(k, seed)
+        adds, elapsed = _throughput_arm(k, seeds[0])
         rate = adds / elapsed if elapsed > 0 else 0.0
         throughput[k] = rate
         metrics[f"throughput.{k}_shard"] = round(rate, 1)
@@ -272,17 +270,17 @@ def run_sharding(seed: int = 0, shard_counts: Iterable[int] = SHARD_COUNTS,
     all_conformant = True
     for case in IMPL_CASES + _CROSS_SHARD_CASES:
         ok = sum(run_case(case, _CONF_WORLD, s).audit().conformant
-                 for s in conf_seeds)
-        all_conformant &= ok == len(conf_seeds)
+                 for s in seeds)
+        all_conformant &= ok == len(seeds)
         metrics[f"conformance.{case.cls.impl_name}"] = ok
         result.add(leg="conformance", arm=case.cls.impl_name,
                    detail=f"vs {case.cls.semantics}, 3 shards + 2 mirrors",
-                   value=f"{ok}/{len(conf_seeds)}")
+                   value=f"{ok}/{len(seeds)}")
     metrics["conformance.all"] = int(all_conformant)
 
     totals = {"violations": 0, "lost": 0, "resurrected": 0, "foreign": 0,
               "scatter_mismatch": 0, "incomplete": 0}
-    for i, s in enumerate(churn_seeds):
+    for i, s in enumerate(seeds):
         crash = i % 2 == 0  # alternate: crash legs and shrink legs
         r = _rebalance_arm(s, crash)
         totals["violations"] += r["violations"]

@@ -33,7 +33,7 @@ exact placement sequence God-mode seeding uses):
 from __future__ import annotations
 
 import dataclasses
-from typing import Iterable, Optional
+from typing import Optional, Sequence
 
 from ..wan.workload import ScenarioSpec, build_scenario, member_plan
 from ..weaksets import DynamicSet, SnapshotSet
@@ -90,7 +90,7 @@ def _conformance(scenario):
     return violations
 
 
-def _sweep_point(replicas: int, members: int, seeds: list[int],
+def _sweep_point(replicas: int, members: int, seeds: Sequence[int],
                  shape: Optional[tuple[int, int]] = None):
     """Averaged population cost + summed conformance checks at one
     pipeline ``shape`` (window, batch); ``None`` is the serial path."""
@@ -129,9 +129,8 @@ def _crash_run(recovery: bool, seed: int, members: int) -> dict:
 
 
 def run_writepipe(members: int = 24,
-                  seeds: Iterable[int] = range(2)) -> ExperimentResult:
+                  seeds: Sequence[int] = range(2)) -> ExperimentResult:
     """E20: bulk-population cost vs pipeline shape, plus crash legs."""
-    seeds = list(seeds)
     result = ExperimentResult(
         "E20", "Write pipeline: batched population vs serial (WAN), with "
                "mid-batch crash injection",

@@ -1,5 +1,6 @@
 """Shared pytest configuration for the test suite."""
 
+import pytest
 from hypothesis import HealthCheck, settings
 
 # Simulation-backed property tests do nontrivial work per example; wall
@@ -17,3 +18,14 @@ settings.load_profile("repro")
 # schedules under it; nothing else in the suite changes.
 settings.register_profile(
     "soak", parent=settings.get_profile("repro"), max_examples=2000)
+
+
+def pytest_collection_modifyitems(config, items):
+    """The ``claims`` soak runs every cheap experiment ten times over:
+    its items are skipped unless ``-m`` names the marker."""
+    if "claims" in config.getoption("markexpr"):
+        return
+    skip = pytest.mark.skip(reason="claims soak: select with -m claims")
+    for item in items:
+        if "claims" in item.keywords:
+            item.add_marker(skip)

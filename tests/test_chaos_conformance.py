@@ -14,12 +14,17 @@ conform to its own row and never fail.
 A dynamic-sets handle (``setOpen`` / ``setIterate`` / ``setClose``) is
 Figure 6's second client, so the same schedules drain one too.
 
-Last, the recorder is held to what it records: re-deriving only what
+The recorder is held to what it records: re-deriving only what
 moved must write down, state for state and time for time, what asking
 everything at every bracket writes — on the same schedules, plus the
 two changes no ``on_change`` announces.
+
+Last, tie order is not a semantic input: a kernel that dispatches each
+instant's entries in a drawn order, not push order, reaches the same
+Figure 6 verdict with the same yields and outcome.
 """
 
+import random
 from dataclasses import replace
 from unittest import mock
 
@@ -28,6 +33,8 @@ from hypothesis import given, settings, strategies as st
 from repro.dynsets import DynSetHandle
 from repro.errors import FailureException, StoreError
 from repro.sim import Sleep
+from repro.sim import kernel as sim_kernel
+from repro.sim.sched import InstantHeap
 from repro.spec import Failed, Yielded, check_conformance, spec_by_id
 from repro.spec.iterspec import RETURNS
 from repro.spec.state import InvocationRecord, StateSnapshot
@@ -339,3 +346,41 @@ def test_the_recorder_records_what_asking_everything_records(seed, actions):
         # value and time: StateSnapshot equality is field by field
         assert got.snapshots == want.snapshots
     assert recorded.first_candidates == reference.first_candidates
+
+
+# -- tie order is not a semantic input -----------------------------------------
+
+class ShuffledInstantHeap(InstantHeap):
+    """Surfaces each instant's entries in a drawn order, not push order.
+    Entries scheduled at the instant being dispatched still join its
+    batch behind them, as the kernel appends those itself."""
+
+    def __init__(self, shuffle_seed):
+        super().__init__()
+        self._rng = random.Random(shuffle_seed)
+
+    def next_instant(self, out, until=None):
+        start = len(out)
+        when = super().next_instant(out, until)
+        surfaced = out[start:]
+        self._rng.shuffle(surfaced)
+        out[start:] = surfaced
+        return when
+
+
+@given(st.integers(min_value=0, max_value=99999),
+       st.lists(chaos_action, min_size=1, max_size=12),
+       st.integers(min_value=0, max_value=2**32 - 1))
+@SCHEDULES
+def test_tie_order_does_not_reach_the_verdict(seed, actions, shuffle_seed):
+    def judged(ws, scenario):
+        trace = ws.last_trace
+        verdict = check_conformance(trace, spec_by_id("fig6"),
+                                    scenario.world).conformant
+        return verdict, [inv.outcome for inv in trace.invocations]
+
+    base = judged(*run_chaos(DynamicSet, "any", actions, seed))
+    with mock.patch.object(sim_kernel, "InstantHeap",
+                           lambda: ShuffledInstantHeap(shuffle_seed)):
+        shuffled = judged(*run_chaos(DynamicSet, "any", actions, seed))
+    assert shuffled == base

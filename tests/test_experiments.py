@@ -9,11 +9,12 @@ applies that id's claim.  The numbers themselves are held byte for byte
 by ``experiments_output.txt`` and ``ci/bench_baseline.json``.
 """
 
+import inspect
 import math
 
 import pytest
 
-from repro.bench import ALL_EXPERIMENTS, run_prefetch
+from repro.bench import ALL_EXPERIMENTS, run_obs, run_prefetch
 from repro.bench.exp_disconnected import _IMPLS
 from repro.bench.exp_static import PAPER_TAXONOMY
 
@@ -974,3 +975,23 @@ def test_e3_rows_repeat_within_one_process():
     planner's unordered branch is name order, so a second run in the
     same process (other oids) reads the same."""
     assert run_prefetch(sizes=(8,)).rows == run_prefetch(sizes=(8,)).rows
+
+
+def test_every_experiment_names_its_runs_one_way():
+    """``seeds: Sequence[int]`` where a point aggregates runs, ``seed:
+    int`` where a point is one run, nothing for the static taxonomy —
+    so the claims soak can hand any experiment another seed window."""
+    for eid, experiment in ALL_EXPERIMENTS.items():
+        named = [p for p in inspect.signature(experiment).parameters
+                 if "seed" in p]
+        if eid == "E8":
+            assert named == [], eid
+        else:
+            assert named in (["seed"], ["seeds"]), (eid, named)
+
+
+def test_a_one_shot_iterable_of_seeds_is_rejected():
+    """``seeds`` is a Sequence: a generator would be used up by the
+    title's count and leave the run loop no seeds."""
+    with pytest.raises(TypeError):
+        run_obs(seeds=(s for s in (0, 1)))
