@@ -21,8 +21,9 @@ message an honest size:
     walk of the same grammar sums what the encoder would append, which
     is all ``Transport.send`` needs of the codec.  What depends only on
     a message's shape is sized once per shape: an envelope once per
-    address pair, method and direction, a member listing once per
-    intern table it follows; only the rest is walked per message.
+    address strings, method and direction, a string's first use once
+    per string, a member listing once per intern table it follows; only
+    the rest is walked per message.
 
 :class:`NaiveCodec`
     The honesty baseline: a pickle-size estimator standing in for
@@ -314,30 +315,36 @@ class CompactCodec:
     producer of bytes, ``message_size``/``payload_size`` sum the sizes
     those bytes would have without building them — what every
     ``Transport.send`` pays.  The per-message string-intern table lives
-    on the stack of each call.  The instance state is the sizer's three
-    memos — per envelope shape, per ``Element`` and per member listing,
-    each listing's result kept per intern table it followed — so an
-    instance (and what it has sized) lives and dies with the transport
-    that owns it.  Every memo is bounded, oldest entry out.
+    on the stack of each call.  The instance state is the sizer's four
+    memos — per envelope shape, per string's first use, per ``Element``
+    and per member listing, each listing's result kept per intern table
+    it followed — so an instance (and what it has sized) lives and dies
+    with the transport that owns it.  Every memo is bounded, oldest
+    entry out.
     """
 
     name = "compact"
 
     def __init__(self) -> None:
-        # (id(src), id(dst), method, is_reply) -> (src, dst, bytes,
-        # intern table): an envelope's flags byte, four address strings
-        # and method, and the table they leave for the payload — every
-        # field those bytes read, except ``priority``, which stays per
-        # message.  The entry holds both addresses, so their ids cannot
-        # be reused while it is here; oldest entry out at
-        # _ENVELOPE_ENTRIES (tests and decode_message build fresh
-        # addresses).
+        # (src.node, src.service, dst.node, dst.service, method,
+        # is_reply) -> (bytes, intern table): an envelope's flags byte,
+        # four address strings and method, and the table they leave for
+        # the payload — every field those bytes read, except
+        # ``priority``, which stays per message.  Keyed by value, so
+        # equal addresses share an entry and none is held; oldest entry
+        # out at _ENVELOPE_ENTRIES.
         self._envelopes: dict[tuple, tuple] = {}
+        # string -> bytes of its first use in a message (tag, length,
+        # UTF-8), oldest entry out at _FIRST_USE_ENTRIES.  Only what is
+        # sized as a string is entered, so a ``str`` subclass that
+        # travels as a pickle never meets it.
+        self._first_uses: dict[str, int] = {}
         # id(element) -> (element, fixed bytes, ((string, first-use
         # cost), ...), None): the part of an element's size that does
         # not depend on what the message interned before it.  Keyed by
         # identity because Element equality ignores replicas; the entry
-        # holds its element, so the id cannot be reused while it is here.
+        # holds its element, so the id cannot be reused while it is
+        # here; oldest entry out at _ELEMENT_ENTRIES.
         self._element_sizes: dict[int, tuple] = {}
         # id(listing) -> the same for a tuple made only of elements: its
         # header plus its elements' fixed bytes, and their strings end
@@ -364,15 +371,17 @@ class CompactCodec:
         present) were 1: each is then a one-byte varint.  The one
         sizing walk: the envelope from its memo entry, the payload
         over a copy of the intern table the envelope leaves."""
-        key = (id(msg.src), id(msg.dst), msg.method, msg.is_reply)
+        src, dst = msg.src, msg.dst
+        key = (src.node, src.service, dst.node, dst.service, msg.method,
+               msg.is_reply)
         try:
-            entry = self._envelopes[key]
+            total, interns = self._envelopes[key]
         except KeyError:
-            entry = self._envelope_entry(key, msg)
-        total = entry[2] + (1 if msg.reply_to is None else 2)
+            total, interns = self._envelope_entry(key)
+        total += 1 if msg.reply_to is None else 2
         if msg.priority != PRIORITY_NORMAL:
             total += _uvarint_len(msg.priority)
-        return total + self._size_value(msg.payload, entry[3].copy())
+        return total + self._size_value(msg.payload, interns.copy())
 
     def payload_size(self, obj: Any) -> int:
         """Bytes ``obj`` encodes to on its own (empty intern table)."""
@@ -788,34 +797,85 @@ class CompactCodec:
     # Per message, the envelope is a memo entry and only the payload is
     # walked, over a copy of the intern table the envelope left.  The
     # walk sizes its common leaves where it finds them, without a call:
-    # a string's back-reference, an int that zigzags below 128, a tuple
-    # or list header under 128 items, an empty dict.  A string's first
-    # use is _str_cost, the one rule elements share; the envelope, delta
-    # names and failure text size their strings through _size_value.
-    def _envelope_entry(self, key: tuple, msg: Message) -> tuple:
-        """The memo entry of ``msg``'s envelope shape: its addresses,
-        its bytes bar ids and priority, and the intern table it leaves
-        (never written once entered: each message walks a copy)."""
-        interns: dict[str, int] = {}
-        base = msg.method
-        if msg.is_reply:
+    # a string's back-reference and its first use from the first-use
+    # table, an int that zigzags below 2**14, a tuple or list header
+    # under 128 items, an empty dict, a Blob's header.  What the encoder
+    # writes as a string whatever its class (address parts, method,
+    # delta names, failure text) is sized by _size_str, never by
+    # _size_value's class dispatch; element strings take their first-use
+    # cost from the same table.
+    def _envelope_entry(self, key: tuple) -> tuple:
+        """The memo entry of an envelope shape: its bytes bar ids and
+        priority, and the intern table it leaves (never written once
+        entered: each message walks a copy)."""
+        *parts, base, is_reply = key
+        if is_reply:
             if base.endswith("!ok"):
                 base = base[:-3]
             elif base.endswith("!error"):
                 base = base[:-6]
-        method_id = _METHOD_IDS.get(base)
+        interns: dict[str, int] = {}
         total = 1                          # the flags byte
-        for part in (msg.src.node, msg.src.service,
-                     msg.dst.node, msg.dst.service):
-            total += self._size_value(part, interns)
+        for part in parts:
+            total += self._size_str(part, interns)
+        method_id = _METHOD_IDS.get(base)
         if method_id is not None:
             total += _uvarint_len(method_id)
         else:
-            total += self._size_value(base, interns)
+            total += self._size_str(base, interns)
         envelopes = self._envelopes
         if len(envelopes) >= _ENVELOPE_ENTRIES:
             del envelopes[next(iter(envelopes))]
-        entry = envelopes[key] = (msg.src, msg.dst, total, interns)
+        entry = envelopes[key] = (total, interns)
+        return entry
+
+    def _size_str(self, s: str, interns: dict[str, int]) -> int:
+        """A string's bytes where the encoder's ``_encode_str`` writes
+        it: a back-reference, or its first use (and it is interned)."""
+        if s in interns:
+            index = interns[s]
+            return 2 if index < 128 else 1 + _uvarint_len(index)
+        interns[s] = len(interns)
+        table = self._first_uses
+        return table[s] if s in table else self._first_use(s)
+
+    def _first_use(self, s: str) -> int:
+        """Bytes of a string's first use in a message (tag, length,
+        UTF-8), entered in the first-use table.  Its callers read the
+        table first: this is the miss."""
+        table = self._first_uses
+        n = len(s) if s.isascii() else len(s.encode("utf-8"))
+        if len(table) >= _FIRST_USE_ENTRIES:
+            del table[next(iter(table))]
+        cost = table[s] = (2 if n < 128 else 1 + _uvarint_len(n)) + n
+        return cost
+
+    def _element_entry(self, key: int, element: Any) -> tuple:
+        """An element's memo entry, entered under ``key`` (its id):
+        itself, its bytes that are the same in every message, its
+        strings in wire order with what each costs where it is the
+        message's first use of that string, and None (it keeps no
+        result per intern table, as a listing does)."""
+        fixed = 2                          # tag + flags
+        strings = [element.name]
+        prefix = element.name + "-"
+        rest = element.oid[len(prefix):]
+        if element.oid.startswith(prefix) and rest.isdigit() \
+                and (rest == "0" or not rest.startswith("0")):
+            fixed += _uvarint_len(int(rest))   # derived oid: the counter
+        else:
+            strings.append(element.oid)
+        strings.append(element.home)
+        if element.replicas:
+            fixed += _uvarint_len(len(element.replicas))
+            strings.extend(element.replicas)
+        table = self._first_uses
+        costs = tuple([(s, table[s] if s in table else self._first_use(s))
+                       for s in strings])
+        sizes = self._element_sizes
+        if len(sizes) >= _ELEMENT_ENTRIES:
+            del sizes[next(iter(sizes))]
+        entry = sizes[key] = (element, fixed, costs, None)
         return entry
 
     def _size_value(self, obj: Any, interns: dict[str, int]) -> int:
@@ -825,6 +885,8 @@ class CompactCodec:
         if cls is int:
             if -64 <= obj < 64:            # zigzags below 128
                 return 2
+            if -8192 <= obj < 8192:        # zigzags below 2**14
+                return 3
             return 1 + _uvarint_len(_zigzag(obj))
         if cls is float:
             return 9
@@ -833,7 +895,8 @@ class CompactCodec:
                 index = interns[obj]
                 return 2 if index < 128 else 1 + _uvarint_len(index)
             interns[obj] = len(interns)
-            return _str_cost(obj)
+            table = self._first_uses
+            return table[obj] if obj in table else self._first_use(obj)
         if cls is bytes:
             n = len(obj)
             return 1 + _uvarint_len(n) + n
@@ -862,18 +925,26 @@ class CompactCodec:
             for item in _stable_order(obj):
                 total += self._size_value(item, interns)
             return total
+        elif cls is Blob:
+            # The declared body dominates; no padding is allocated.  A
+            # negative declared size goes out as 0.
+            size = obj.size
+            body = self._size_value(obj.value, interns)
+            if body < size:
+                body = size
+            if size < 128:
+                return 2 + body
+            return 1 + (size.bit_length() + 6) // 7 + body
         else:
             # A memo hit is an element: entries are only made below,
-            # after the Blob test failed for that very object.
+            # after the Blob tests failed for that very object.
             key = id(obj)
             if key in self._element_sizes:
                 entry = self._element_sizes[key]
-            elif isinstance(obj, Blob):
-                # The declared body dominates; no padding is allocated.
-                return (1 + _uvarint_len(max(0, obj.size))
-                        + max(obj.size, self._size_value(obj.value, interns)))
+            elif isinstance(obj, Blob):    # a subclass: sized as a Blob
+                return self._size_value(Blob(obj.value, obj.size), interns)
             elif _is_element(obj):
-                entry = self._element_sizes[key] = _element_entry(obj)
+                entry = self._element_entry(key, obj)
             else:
                 return self._size_fallback(obj, interns)
         _held, total, strings, contexts = entry
@@ -908,8 +979,7 @@ class CompactCodec:
             if key in element_sizes:
                 _element, size, own, _ = element_sizes[key]
             elif _is_element(item):
-                _element, size, own, _ = element_sizes[key] = \
-                    _element_entry(item)
+                _element, size, own, _ = self._element_entry(key, item)
             else:
                 return None
             fixed += size
@@ -934,17 +1004,17 @@ class CompactCodec:
             elif key == "ghosts":
                 total += _uvarint_len(len(value))
                 for ghost in value:
-                    total += self._size_value(ghost, interns)
+                    total += self._size_str(ghost, interns)
             elif key == "adds":
                 total += _uvarint_len(len(value))
                 for name, element, version in value:
-                    total += self._size_value(name, interns)
+                    total += self._size_str(name, interns)
                     total += self._size_value(element, interns)
                     total += _uvarint_len(version)
             elif key == "removes":
                 total += _uvarint_len(len(value))
                 for name, version, element in value:
-                    total += self._size_value(name, interns)
+                    total += self._size_str(name, interns)
                     total += _uvarint_len(version)
                     total += self._size_value(element, interns)
             else:                          # active_iterations
@@ -963,11 +1033,11 @@ class CompactCodec:
             return 1 + _uvarint_len(raw) + raw
         flags, _retry_after, owner, invocation = _failure_shape(obj)
         total = 2 + _uvarint_len(index)
-        total += self._size_value(str(obj), interns)
+        total += self._size_str(str(obj), interns)
         if flags & _XF_RETRY_AFTER:
             total += 8
         if flags & _XF_OWNER:
-            total += self._size_value(owner, interns)
+            total += self._size_str(owner, interns)
         if flags & _XF_INVOCATION:
             total += _uvarint_len(invocation)
         return total
@@ -975,6 +1045,12 @@ class CompactCodec:
 
 #: how many envelope shapes a codec remembers the size of
 _ENVELOPE_ENTRIES = 256
+
+#: how many strings a codec remembers the first-use bytes of
+_FIRST_USE_ENTRIES = 8192
+
+#: how many elements a codec remembers the size of
+_ELEMENT_ENTRIES = 4096
 
 #: how many member listings a codec remembers the size of
 _LISTING_ENTRIES = 64
@@ -986,27 +1062,6 @@ _LISTING_CONTEXTS = 8
 #: one of these is not a member listing
 _WALKED = frozenset({type(None), bool, int, float, str, bytes, tuple, list,
                      dict, set, frozenset})
-
-
-def _element_entry(element: Any) -> tuple:
-    """An element's memo entry: itself, its bytes that are the same in
-    every message, its strings in wire order with what each costs where
-    it is the message's first use of that string, and None (it keeps no
-    result per intern table, as a listing does)."""
-    fixed = 2                              # tag + flags
-    strings = [element.name]
-    prefix = element.name + "-"
-    rest = element.oid[len(prefix):]
-    if element.oid.startswith(prefix) and rest.isdigit() \
-            and (rest == "0" or not rest.startswith("0")):
-        fixed += _uvarint_len(int(rest))   # derived oid: the counter only
-    else:
-        strings.append(element.oid)
-    strings.append(element.home)
-    if element.replicas:
-        fixed += _uvarint_len(len(element.replicas))
-        strings.extend(element.replicas)
-    return element, fixed, tuple((s, _str_cost(s)) for s in strings), None
 
 
 def _size_strings(total: int, strings: tuple, interns: dict[str, int]) -> int:
@@ -1047,12 +1102,6 @@ def _failure_shape(exc: BaseException) -> tuple[int, Any, Any, Any]:
     if invocation is not None:
         flags |= _XF_INVOCATION
     return flags, retry_after, owner, invocation
-
-
-def _str_cost(s: str) -> int:
-    """Bytes of a string's first use in a message: tag, length, UTF-8."""
-    n = len(s) if s.isascii() else len(s.encode("utf-8"))
-    return (2 if n < 128 else 1 + _uvarint_len(n)) + n
 
 
 def _is_element(obj: Any) -> bool:

@@ -8,10 +8,10 @@ per-message string-intern table (a string costs its bytes once and an
 index afterwards, and the index grows a byte at 128 entries), so the
 generated cases are steered across exactly those edges.  What depends
 only on a message's shape is remembered per codec: the envelope per
-(addresses by identity, method, direction), a listing's result per
-intern table it follows.  So envelopes are drawn from one fixed pool of
-addresses — a transport interns one per endpoint — and the cases below
-are built to catch a memo that is keyed on too little.
+(address strings, method, direction), a string's first-use bytes per
+string, an element's fixed bytes per element, a listing's result per
+intern table it follows.  The cases below are built to catch a memo
+that is keyed on too little.
 """
 
 import gc
@@ -29,7 +29,8 @@ from repro.errors import (
 from repro.net import CompactCodec, NaiveCodec, WireFormat
 from repro.net.address import Address
 from repro.net.message import Message
-from repro.net.wire import (_ENVELOPE_ENTRIES, _LISTING_CONTEXTS,
+from repro.net.wire import (_ELEMENT_ENTRIES, _ENVELOPE_ENTRIES,
+                            _FIRST_USE_ENTRIES, _LISTING_CONTEXTS,
                             _LISTING_ENTRIES, DELTA_SCHEMA, EXCEPTION_TYPES,
                             METHODS, Blob)
 from repro.store import AddSpec
@@ -198,7 +199,8 @@ def test_a_back_reference_is_sized_inline_across_its_index_edge():
     assert_sized_exactly(call(tuple(distinct + repeats)))
 
 
-@pytest.mark.parametrize("n", [-65, -64, -1, 0, 63, 64, 2**62])
+@pytest.mark.parametrize("n", [-65, -64, -1, 0, 63, 64, 2**62,
+                               -8193, -8192, 8191, 8192])
 def test_an_int_is_sized_inline_across_its_zigzag_edge(n):
     assert_sized_exactly(call(n))
     assert_sized_exactly(call([n, -n]))
@@ -215,6 +217,55 @@ def test_a_container_header_is_sized_inline_across_its_length_edge(kind,
 @pytest.mark.parametrize("kwargs", [{}, {"k": 1}])
 def test_a_requests_kwargs_are_sized_exactly(kwargs):
     assert_sized_exactly(call((("coll", 3), kwargs)))
+
+
+@pytest.mark.parametrize("size", [-3, 0, 5, 127, 128, 2048, 2**14])
+def test_a_blob_is_sized_inline_for_any_declared_size(size):
+    # below the stand-in's own bytes, at zero, negative (sent as 0), and
+    # on both sides of the header's one-byte edge
+    for value in ("payload-17", ("v", 300), "x" * 200):
+        assert_sized_exactly(call(Blob(value, size)))
+        assert_sized_exactly(call((Blob(value, size), Blob(value, size))))
+
+
+class Text(str):
+    """A ``str`` subclass: the encoder writes it as a string where it
+    reads one (address parts, method, element fields, delta names) and
+    pickles it as a payload value."""
+
+
+def test_a_str_subclass_is_sized_as_the_encoder_writes_it():
+    codec = CompactCodec()
+    plain = call(("n0.0", "frob", "m"), "frob")
+    subclassed = [
+        Message(src=Address(Text("client"), "app"), dst=N00_STORE,
+                method="ping", payload=("client", Text("client"))),
+        call((Text("n0.0"), "n0.0", Text("zz")), Text("frob")),
+        call((Element(Text("m"), "m-1", Text("n0.0")), "m", Text("m"))),
+        call({**{key: default for key, default in DELTA_SCHEMA},
+              "ghosts": (Text("g"), "g")}, "sync_delta!ok", is_reply=True),
+    ]
+    # each before and after its plain twin, on one codec: no value-keyed
+    # table may hand one the other's bytes
+    for msg in [plain] + subclassed + [plain] + subclassed:
+        assert_sized_exactly(msg, codec)
+    assert_sized_exactly(call(("m", Text("m"), "m")), codec)
+
+
+def test_a_string_met_in_the_envelope_then_payload_then_element():
+    codec = CompactCodec()
+    # "n0.0" and "store" are first used by the envelope; "fresh" by the
+    # payload, then as an element's home; "late" first as an element's
+    # name, then as a bare argument
+    first = call(("n0.0", "fresh", Element("m", "m-1", "fresh"),
+                  Element("late", "late-x", "n0.0", replicas=("store",)),
+                  "late", "fresh"))
+    assert_miss_and_hit_are_exact(codec, first)
+    # the same strings in the other order, now all in the table
+    again = call((Element("fresh", "fresh-2", "late"), "late", "store",
+                  Element("n0.0", "n0.0-0", "m", replicas=("fresh",))))
+    assert_miss_and_hit_are_exact(codec, again)
+    assert {"n0.0", "store", "fresh", "late", "m"} <= set(codec._first_uses)
 
 
 def test_size_walk_refuses_what_the_encoder_refuses():
@@ -335,18 +386,52 @@ def test_memo_tells_equal_elements_with_different_replicas_apart():
     assert_sized_exactly(call((plain, placed, plain)), codec)
 
 
+def test_element_memo_is_bounded_and_an_evicted_element_still_sizes():
+    # every element alive, so no id is handed out twice
+    pool = [Element(f"m{i}", f"m{i}-{i}", NODES[i % len(NODES)])
+            for i in range(_ELEMENT_ENTRIES + 1)]
+    codec = CompactCodec()
+    first = call(pool[0])
+    assert_miss_and_hit_are_exact(codec, first)
+    for element in pool[1:]:
+        codec.payload_size(element)
+    assert len(codec._element_sizes) == _ELEMENT_ENTRIES
+    assert id(pool[0]) not in codec._element_sizes      # pushed out …
+    assert_miss_and_hit_are_exact(codec, first)         # … and re-sent
+    assert codec._element_sizes[id(pool[0])][0] is pool[0]
+    assert len(codec._element_sizes) == _ELEMENT_ENTRIES
+
+
+def test_first_use_table_is_bounded_and_an_evicted_string_still_sizes():
+    codec = CompactCodec()
+    first = call(("s0", "s0"))
+    assert_miss_and_hit_are_exact(codec, first)
+    for i in range(1, _FIRST_USE_ENTRIES + 1):
+        codec.payload_size(f"s{i}")
+    assert len(codec._first_uses) == _FIRST_USE_ENTRIES
+    assert "s0" not in codec._first_uses                # pushed out …
+    assert_miss_and_hit_are_exact(codec, first)         # … and re-sent
+    assert "s0" in codec._first_uses
+    assert len(codec._first_uses) == _FIRST_USE_ENTRIES
+
+
 def test_sized_elements_die_with_their_world():
     kernel, net, world, members = standard_world(members=6)
     drain_all(kernel, DynamicSet(world, CLIENT, "coll"))
     codec = net.transport.wire.codec
     assert codec._element_sizes                         # they were sized
     assert codec._envelopes                             # and so were these
-    probes = [weakref.ref(members[0])] + [
-        weakref.ref(address) for src, dst, _bytes, _interns
-        in codec._envelopes.values() for address in (src, dst)]
+    # an envelope entry is its bytes and the strings it interned: no
+    # entry holds an Address
+    for key, (size, interns) in codec._envelopes.items():
+        assert all(type(part) is str for part in key[:5])
+        assert type(size) is int
+        assert all(type(s) is str and type(i) is int
+                   for s, i in interns.items())
+    probe = weakref.ref(members[0])
     del kernel, net, world, members, codec
     gc.collect()
-    assert [probe() for probe in probes] == [None] * len(probes)
+    assert probe() is None
 
 
 # -- the envelope memo --------------------------------------------------------
@@ -383,15 +468,17 @@ def test_envelope_memo_keeps_priority_and_ids_per_message():
     assert len(codec._envelopes) == 1
 
 
-def test_envelope_memo_is_by_identity_and_holds_its_addresses():
+def test_envelope_memo_is_by_value_and_holds_no_address():
     codec = CompactCodec()
     twin = Address("client", "app")          # equal, not the same object
     for src in (CLIENT_APP, twin, CLIENT_APP):
-        msg = Message(src=src, dst=N00_STORE, method="ping", payload=())
-        assert codec.message_size(msg) == len(codec.encode_message(msg))
-    assert len(codec._envelopes) == 2
-    assert {entry[0] for entry in codec._envelopes.values()} == {CLIENT_APP}
-    assert any(entry[0] is twin for entry in codec._envelopes.values())
+        msg = Message(src=src, dst=N00_STORE, method="ping",
+                      payload=("client", "n0.0"))
+        assert_miss_and_hit_are_exact(codec, msg)
+    assert list(codec._envelopes) == [
+        ("client", "app", "n0.0", "store", "ping", False)]
+    (entry,) = codec._envelopes.values()
+    assert not any(isinstance(part, Address) for part in entry)
 
 
 def test_envelope_memo_is_bounded_and_an_evicted_shape_still_sizes():
@@ -406,7 +493,7 @@ def test_envelope_memo_is_bounded_and_an_evicted_shape_still_sizes():
         assert codec.message_size(msg) == len(codec.encode_message(msg))
         assert len(codec._envelopes) <= _ENVELOPE_ENTRIES
     assert len(codec._envelopes) == _ENVELOPE_ENTRIES
-    assert all(entry[0] is not kept[0] for entry in codec._envelopes.values())
+    assert all(key[0] != "node-0" for key in codec._envelopes)
     assert_miss_and_hit_are_exact(codec, first)         # pushed out, re-sent
     assert len(codec._envelopes) == _ENVELOPE_ENTRIES
 
