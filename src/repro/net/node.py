@@ -19,7 +19,6 @@ from functools import partial
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from ..errors import SimulationError
-from ..sim.events import Signal
 from ..sim.process import Process
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -37,8 +36,8 @@ class Node:
         self.kernel = kernel
         self.up = True
         self.services: dict[str, Any] = {}
-        #: live handlers by completion signal, in spawn order
-        self._handlers: dict[Signal, Process] = {}
+        #: live handlers (each its own key), in spawn order
+        self._handlers: dict[Process, Process] = {}
         self.crash_count = 0
         #: when set, inbound requests pass admission control (bounded
         #: worker pool + queue) instead of spawning unboundedly.
@@ -57,25 +56,32 @@ class Node:
             raise SimulationError(f"node {self.name}: no service {name!r}") from None
 
     def track_handler(self, proc: Process,
-                      then: Optional[Callable[[Signal], None]] = None
-                      ) -> Signal:
+                      then: Optional[Callable[[Process], None]] = None
+                      ) -> None:
         """Remember an in-flight handler process so crash can kill it;
-        it is forgotten (and its frame let go) the moment it finishes,
-        and ``then(done)`` (the transport's reply callback) runs after
-        that, as the same one waiter on ``done``.
-        Returns the completion signal it is keyed by."""
-        done = proc.done
-        self._handlers[done] = proc
-        done.add_waiter(self._forget_handler if then is None
-                        else partial(self._forget_handler, then=then))
-        return done
+        it is forgotten (and its frame let go) the moment it ends, and
+        ``then(proc)`` (the transport's reply callback) runs after that,
+        by the process's one exit callback: after its ``finally``
+        blocks, before its ``done`` fires.  No ``done`` is asked for.
+        A process that has ended already is not remembered at all, and
+        ``then`` runs now."""
+        if proc._terminal:
+            if then is not None:
+                then(proc)
+            return
+        self._handlers[proc] = proc
+        proc._on_exit = (self._forget_handler if then is None
+                         else partial(self._forget_handler, then=then))
 
-    def _forget_handler(self, done: Signal,
-                        then: Optional[Callable[[Signal], None]] = None
+    def _forget_handler(self, proc: Process,
+                        then: Optional[Callable[[Process], None]] = None
                         ) -> None:
-        self._handlers.pop(done, None)
+        # A finished process may stay in the kernel's table: it keeps
+        # no reply callback, and through it no request.
+        proc._on_exit = None
+        self._handlers.pop(proc, None)
         if then is not None:
-            then(done)
+            then(proc)
 
     # -- crash / recovery ------------------------------------------------------
     def crash(self) -> None:

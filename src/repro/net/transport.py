@@ -42,6 +42,7 @@ from .wire import WireFormat, method_family
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..sim.kernel import Kernel
+    from ..sim.process import Process
 
 __all__ = ["Transport"]
 
@@ -498,15 +499,15 @@ class Transport:
             gen, daemon=True,
             name=lambda: f"{msg.dst}.{msg.method}#{msg.msg_id}")
 
-        def on_done(sig: Signal) -> None:
+        def on_exit(proc: Process) -> None:
             # Runs once the node has forgotten the handler.
             if release is not None:
                 release()
             if not node.up:
                 return  # crashed while handling: reply is lost
-            if sig._error is not None:
-                self.send(msg.reply(sig._error, error=True))
+            if proc._error is not None:
+                self.send(msg.reply(proc._error, error=True))
             else:
-                self.send(msg.reply(sig._value))
+                self.send(msg.reply(proc._value))
 
-        node.track_handler(proc, on_done)
+        node.track_handler(proc, on_exit)

@@ -22,13 +22,16 @@ the scheduler.  Observable order is still time order, and within an
 instant scheduling order.
 
 Two hot-path conventions keep per-event cost down at population scale
-(10⁵+ clients): a scheduled entry's ``action`` is either a plain
-callable *or the Process itself* (meaning "advance this process"), so
-resuming a process costs no closure or ``partial`` allocation; and the
-one dispatch loop steps generators inline — the common ``yield
-Sleep(...)`` never leaves the loop frame.  Every slow or re-entrant path
-still funnels through :meth:`Kernel._step`, which is the semantic
-reference for what one step means.
+(10⁵+ clients): an entry is either a :class:`_Scheduled` callable (a
+delivery, a timer, a ``call_soon``) *or the Process itself* (meaning
+"resume this process"), so queueing a process — at spawn, on a wake,
+for every ``Sleep`` — allocates nothing; and the one dispatch loop
+steps generators inline — a process resumed with a value never leaves
+the loop frame, and of what it yields a plain ``Sleep`` is queued there
+and a plain ``Wait`` is known by its class.  A process is never queued
+twice: it is queued once per effect it yields, and resumed once per
+queueing.  What is left to :meth:`Kernel._step` is a resume that throws
+(a failed signal, a timeout, an effect that is none).
 """
 
 from __future__ import annotations
@@ -63,7 +66,7 @@ class Kernel:
         self._running: Optional[Process] = None
         # Live batch state: while run() drains an instant, zero-delay
         # schedules append straight onto the batch being dispatched.
-        self._batch: list[_Scheduled] = []
+        self._batch: list[Union[_Scheduled, Process]] = []
         self._batch_time = -1.0
         self._dispatching = False
         # Non-empty once the process run_process is running for has
@@ -124,7 +127,11 @@ class Kernel:
         proc = Process(generator, self._pids, name, daemon)
         if not transient:
             self._processes.append(proc)
-        self._schedule(0.0, proc)
+        proc.time = now = self.clock.now
+        if self._dispatching and now == self._batch_time:
+            self._batch.append(proc)
+        else:
+            self._sched.push(proc)
         return proc
 
     def adopt(self, child: Process, parent: Process) -> None:
@@ -177,10 +184,10 @@ class Kernel:
                 try:
                     # Hot loop: `for` picks up entries appended to the
                     # live batch mid-dispatch, and the common case —
-                    # resume a process whose generator yields another
-                    # Sleep — is stepped inline (no _step frame, no
-                    # closure, no re-entry into the scheduler for
-                    # same-instant wakes).
+                    # resume a process with a value, and queue it again
+                    # on the Sleep it yields — is stepped inline (no
+                    # _step frame, no entry object, no re-entry into the
+                    # scheduler for same-instant wakes).
                     for entry in batch:
                         index += 1
                         if entry.cancelled:
@@ -189,21 +196,22 @@ class Kernel:
                             sched.requeue(batch[index - 1:])
                             return
                         executed += 1
-                        action = entry.action
-                        if action.__class__ is not Process:
-                            action()
+                        if entry.__class__ is not Process:
+                            entry.action()
                             continue
-                        proc = action
+                        proc = entry
                         if proc._terminal:
                             continue
-                        if (proc._resume_value is not None
-                                or proc._resume_error is not None):
-                            self._step(proc)
+                        if proc._resume_error is not None:
+                            self._step(proc, proc._resume_error)
                             continue
+                        value = proc._resume_value
+                        if value is not None:
+                            proc._resume_value = None
                         proc.state = _RUNNING
                         self._running = proc
                         try:
-                            effect = proc.generator.send(None)
+                            effect = proc.generator.send(value)
                         except StopIteration as stop_iteration:
                             proc._finish(stop_iteration.value)
                             self._running = None
@@ -215,15 +223,14 @@ class Kernel:
                         self._running = None
                         if effect.__class__ is Sleep:
                             proc.state = _WAITING
-                            # The entry that woke us is dead (fired,
-                            # never cancellable from outside): reuse it
-                            # for the next sleep — zero allocation per
-                            # steady-state event.
-                            entry.time = when = next_time + effect.duration
+                            proc.time = when = next_time + effect.duration
                             if when == next_time:
-                                batch.append(entry)
+                                batch.append(proc)
                             else:
-                                sched_push(entry)
+                                sched_push(proc)
+                            continue
+                        if effect.__class__ is Wait:
+                            self._do_wait(proc, effect.signal, effect.timeout)
                             continue
                         self._interpret(proc, effect)
                 except BaseException:
@@ -294,8 +301,7 @@ class Kernel:
     # internals
     # ------------------------------------------------------------------
     def _schedule(self, delay: float,
-                  action: Union[Callable[[], None], Process]) -> _Scheduled:
-        # ``action`` is a callable to invoke, or a Process to advance.
+                  action: Callable[[], None]) -> _Scheduled:
         if not delay >= 0:
             # NaN fails this too: it would make an instant of its own.
             raise SimulationError(f"cannot schedule {delay}s from now")
@@ -309,25 +315,28 @@ class Kernel:
             self._sched.push(entry)
         return entry
 
-    def _step(self, proc: Process, *, throw: Optional[BaseException] = None) -> None:
-        """Advance ``proc`` by one generator step and interpret its effect."""
+    def _queue(self, proc: Process, when: float) -> None:
+        """Queue ``proc`` itself to resume at ``when`` (not before now).
+        The hot sites — spawn, a wake, the run loop's Sleep — write these
+        lines out: inlined there they save ~6 calls per pop_ramp op."""
+        proc.time = when
+        if self._dispatching and when == self._batch_time:
+            self._batch.append(proc)
+        else:
+            self._sched.push(proc)
+
+    def _step(self, proc: Process, error: BaseException) -> None:
+        """Resume ``proc`` by throwing ``error`` into it (a failed
+        signal, a timeout, an effect that is none), and interpret what
+        it yields next."""
         if proc._terminal:
             return
-        # Take the resume value: this runs once per event.
-        value = proc._resume_value
-        error = proc._resume_error
-        if value is not None or error is not None:
-            proc._resume_value = None
-            proc._resume_error = None
-        if throw is not None:
-            error = throw
+        proc._resume_value = None
+        proc._resume_error = None
         proc.state = _RUNNING
         self._running = proc
         try:
-            if error is not None:
-                effect = proc.generator.throw(error)
-            else:
-                effect = proc.generator.send(value)
+            effect = proc.generator.throw(error)
         except StopIteration as stop:
             proc._finish(stop.value)
             return
@@ -336,38 +345,28 @@ class Kernel:
             return
         finally:
             self._running = None
-        if type(effect) is Sleep:
-            # Fast path: Sleep dominates every workload.  Inlines
-            # _schedule (Sleep validated duration >= 0 at construction).
-            proc.state = _WAITING
-            when = self.clock.now + effect.duration
-            entry = _Scheduled(when, proc)
-            if self._dispatching and when == self._batch_time:
-                self._batch.append(entry)
-            else:
-                self._sched.push(entry)
-            return
         self._interpret(proc, effect)
 
     def _interpret(self, proc: Process, effect: Any) -> None:
-        # Both callers have taken a plain Sleep already; of the rest,
-        # Wait (every RPC) is the common one, and a plain one is known
-        # by its class without an isinstance call.
+        # The run loop has taken a plain Sleep and a plain Wait already;
+        # _step has not, and a plain one is known by its class without
+        # an isinstance call.
         if effect.__class__ is Wait or isinstance(effect, Wait):
             self._do_wait(proc, effect.signal, effect.timeout)
         elif isinstance(effect, Sleep):
+            # Sleep validated its duration at construction.
             proc.state = _WAITING
-            self._schedule(effect.duration, proc)
+            self._queue(proc, self.clock.now + effect.duration)
         elif isinstance(effect, Join):
             self._do_wait(proc, effect.process.done, effect.timeout)
         elif isinstance(effect, Fork):
             child = self.spawn(effect.generator, name=effect.name, daemon=effect.daemon)
             self.adopt(child, proc)
-            proc._set_resume(value=child)
-            self._schedule(0.0, proc)
+            proc._resume_value = child
+            self._queue(proc, self.clock.now)
         elif isinstance(effect, Now):
-            proc._set_resume(value=self.clock.now)
-            self._schedule(0.0, proc)
+            proc._resume_value = now = self.clock.now
+            self._queue(proc, now)
         elif isinstance(effect, Signal):
             # Sugar: yielding a bare signal waits on it without timeout.
             self._do_wait(proc, effect, None)
@@ -375,7 +374,7 @@ class Kernel:
             err = SimulationError(
                 f"{proc.name} yielded {effect!r}, which is not a simulation effect"
             )
-            self._schedule(0.0, lambda: self._step(proc, throw=err))
+            self._schedule(0.0, lambda: self._step(proc, err))
 
     def _do_wait(self, proc: Process, signal: Signal, timeout: Optional[float]) -> None:
         proc.state = _WAITING
@@ -394,21 +393,24 @@ class Kernel:
             if sig is None:
                 signal.discard_waiter(timer.action)
                 timer.action = None
-                proc._set_resume(error=TimeoutFailure(
+                self._step(proc, TimeoutFailure(
                     f"wait on {signal.name or 'signal'} timed out after {timeout}s"
                 ))
-                self._step(proc)
                 return
             if timer is not None:
                 timer.cancelled = True
                 timer.action = None
             proc._resume_value = sig._value
             proc._resume_error = sig._error
-            self._schedule(0.0, proc)
+            proc.time = now = self.clock.now
+            if self._dispatching and now == self._batch_time:
+                self._batch.append(proc)
+            else:
+                self._sched.push(proc)
 
         # Push order is simulated behaviour (same-instant order): an
-        # already-fired signal pushes the resume entry here and no
-        # timer; otherwise the timer is pushed now, the resume when the
+        # already-fired signal queues the process here and no timer;
+        # otherwise the timer is pushed now, the process when the
         # signal fires.
         signal.add_waiter(wake)
         if timeout is not None and not signal._fired:

@@ -82,11 +82,18 @@ class Process:
     workloads hold 10⁵+ live processes, and the kernel checks
     ``_terminal`` before every step, so both memory-per-process and the
     terminal check are hot.
+
+    A process is its own scheduler entry: the kernel queues it, not a
+    wrapper, to resume it at ``time`` (written when it is queued; it is
+    never in the queue twice), and no one can cancel it.
     """
 
     __slots__ = ("pid", "_name", "daemon", "generator", "state", "_done",
                  "_terminal", "_resume_value", "_resume_error",
-                 "_value", "_error")
+                 "_value", "_error", "time", "_on_exit")
+
+    #: the scheduler skips cancelled entries; a process never is one
+    cancelled = False
 
     def __init__(self, generator: Generator, pid: int,
                  name: ProcessName = "", daemon: bool = False):
@@ -102,8 +109,8 @@ class Process:
         self._done: Optional[_Done] = None
         # Kernel bookkeeping: terminal flag (mirrors ``state``, cheap to
         # poll) and the value/exception to send on next resume.  The
-        # kernel schedules the Process object itself as a timer action,
-        # so no per-process callback object exists at all.
+        # kernel queues the Process object itself, so no per-process
+        # entry or callback object exists at all.
         self._terminal = False
         self._resume_value: Any = None
         self._resume_error: Optional[BaseException] = None
@@ -111,6 +118,9 @@ class Process:
         # it has been asked for).
         self._value: Any = None
         self._error: Optional[BaseException] = None
+        # One callback, called with the process when it ends, before
+        # ``done`` fires: the node that tracks it as a handler.
+        self._on_exit: Optional[Callable[["Process"], None]] = None
 
     # -- status ---------------------------------------------------------
     @property
@@ -150,6 +160,8 @@ class Process:
         return self._error
 
     # -- kernel-internal lifecycle ---------------------------------------
+    # The frozen seed kernel (the scheduler's test oracle) resumes
+    # through this; the kernel writes the two slots itself.
     def _set_resume(self, value: Any = None, error: Optional[BaseException] = None) -> None:
         self._resume_value = value
         self._resume_error = error
@@ -158,6 +170,8 @@ class Process:
         self.state = _FINISHED
         self._terminal = True
         self._value = value
+        if self._on_exit is not None:
+            self._on_exit(self)
         done = self._done
         if done is not None:
             done.fire(value)
@@ -166,6 +180,8 @@ class Process:
         self.state = _FAILED
         self._terminal = True
         self._error = error
+        if self._on_exit is not None:
+            self._on_exit(self)
         done = self._done
         if done is not None:
             done.fail(error)
@@ -173,9 +189,9 @@ class Process:
     def kill(self) -> None:
         """Terminate the process externally (public API).
 
-        Closes the generator (running its ``finally`` blocks) and fails
-        ``done`` with :class:`ProcessKilled`.  Killing a finished or
-        already-killed process is a no-op.
+        Closes the generator (running its ``finally`` blocks), runs the
+        exit callback, and fails ``done`` with :class:`ProcessKilled`.
+        Killing a finished or already-killed process is a no-op.
         """
         if self._terminal:
             return
@@ -191,6 +207,8 @@ class Process:
             self.generator.close()
         except Exception:  # pragma: no cover - close() rarely raises
             pass
+        if self._on_exit is not None:
+            self._on_exit(self)
         if done is not None:
             done.fail(error)
 

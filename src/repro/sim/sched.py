@@ -15,6 +15,11 @@ observable event order is that of the frozen seed kernel's
 ``(time, seq)``-ordered binary heap for any schedule (property-tested
 in ``tests/test_sim_sched.py``).
 
+An entry is either a :class:`_Scheduled` callable (a delivery, a
+timer, a ``call_soon``) or a :class:`~repro.sim.process.Process`, which
+is its own entry: the heap reads only an entry's ``time`` (at push) and
+``cancelled`` (a process's is the class constant ``False``).
+
 The kernel drives three methods: ``push(entry)``, ``next_instant(out,
 until)`` (drop cancelled heads, and — unless the next instant lies
 beyond ``until`` — move its entries into ``out``, in push order; returns
@@ -32,7 +37,7 @@ __all__ = ["_Scheduled", "InstantHeap"]
 
 
 class _Scheduled:
-    """An action to run at virtual ``time``; ties go by push order."""
+    """A callable to run at virtual ``time``; ties go by push order."""
 
     __slots__ = ("time", "action", "cancelled")
 

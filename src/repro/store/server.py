@@ -46,7 +46,6 @@ from ..errors import (
 )
 from ..net.address import NodeId
 from ..net.wire import Blob, unwrap
-from ..sim.events import Sleep
 from .elements import Element, ObjectId, StoredObject
 from .wal import IntentLog, IntentRecord
 
@@ -322,7 +321,7 @@ class ObjectServer:
         wire (link bandwidth + queueing), not as server service time —
         the server only pays its fixed per-request service time.
         """
-        yield Sleep(self.world.service_time)
+        yield self.world.service_sleep
         obj = self.objects.get(oid)
         if obj is None or obj.deleted:
             raise NoSuchObjectError(f"{oid} not stored on {self.node_id}")
@@ -339,7 +338,7 @@ class ObjectServer:
         distinction the failover path relies on to never invent, and
         never prematurely bury, an element.
         """
-        yield Sleep(self.world.service_time)
+        yield self.world.service_sleep
         obj = self.objects.get(oid)
         if obj is None or obj.deleted:
             raise UnreachableObjectFailure(
@@ -375,7 +374,7 @@ class ObjectServer:
                     ) -> Generator[Any, Any, tuple[tuple[str, Any], ...]]:
         if not oids:
             return ()
-        yield Sleep(self.world.service_time)
+        yield self.world.service_sleep
         outcomes = []
         for oid in oids:
             obj = self.objects.get(oid)
@@ -389,7 +388,7 @@ class ObjectServer:
         # Re-creating a tombstoned object resumes from the tombstone's
         # version: version numbers stay monotonic per oid, so a stale
         # reader can never mistake the reborn object for the old one.
-        yield Sleep(self.world.service_time)
+        yield self.world.service_sleep
         return self._store(oid, value, size)
 
     def put_objects(
@@ -409,7 +408,7 @@ class ObjectServer:
         """
         if not entries:
             return ()
-        yield Sleep(self.world.service_time)
+        yield self.world.service_sleep
         versions = []
         for oid, value, size in entries:
             versions.append(self._store(oid, value, size))
@@ -432,7 +431,7 @@ class ObjectServer:
 
     def delete_object(self, oid: ObjectId) -> Generator[Any, Any, bool]:
         """Tombstone an object; fetching it afterwards is NoSuchObjectError."""
-        yield Sleep(self.world.service_time)
+        yield self.world.service_sleep
         obj = self.objects.get(oid)
         if obj is None or obj.deleted:
             return False
@@ -448,7 +447,7 @@ class ObjectServer:
     # ------------------------------------------------------------------
     def list_members(self, coll_id: str) -> Generator[Any, Any, tuple[int, tuple[Element, ...]]]:
         """Membership snapshot as (version, members); may be stale here."""
-        yield Sleep(self.world.service_time)
+        yield self.world.service_sleep
         return self._coll(coll_id).snapshot()
 
     def list_members_stale(self, coll_id: str) -> tuple[int, tuple[Element, ...], bool]:
@@ -475,7 +474,7 @@ class ObjectServer:
         and sealed flags — a version diff, not a bulk copy, so sync
         traffic is proportional to what actually changed.
         """
-        yield Sleep(self.world.service_time)
+        yield self.world.service_sleep
         state = self._primary(coll_id)
         if since_version > state.version:
             # The replica claims a future version (it never should — see
@@ -561,7 +560,7 @@ class ObjectServer:
 
     def add_member(self, coll_id: str, element: Element) -> Generator[Any, Any, int]:
         """Register one member: a single local step, so no intent."""
-        yield Sleep(self.world.service_time)
+        yield self.world.service_sleep
         state = self._primary(coll_id)
         if self._addable(state, (element,)):
             state.members[element.name] = element
@@ -582,7 +581,7 @@ class ObjectServer:
         visible to ``sync_delta`` as **one** version jump, which is the
         server-side half of what makes batched writes cheap.
         """
-        yield Sleep(self.world.service_time)
+        yield self.world.service_sleep
         state = self._primary(coll_id)
         to_add = self._addable(state, elements)
         if not to_add:
@@ -642,7 +641,7 @@ class ObjectServer:
         §3.3 defers the removal until no iteration is in progress, and
         the member remains visible (the set only grows during a run).
         """
-        yield Sleep(self.world.service_time)
+        yield self.world.service_sleep
         state = self._primary(coll_id)
         self._shard_guard(state, [e.name for e in elements])
         if state.policy == "grow-only":
@@ -742,7 +741,7 @@ class ObjectServer:
 
     def seal_collection(self, coll_id: str) -> Generator[Any, Any, None]:
         """Freeze an ``immutable`` collection after initial population."""
-        yield Sleep(self.world.service_time)
+        yield self.world.service_sleep
         state = self._primary(coll_id)
         record = self.wal.append("seal", coll_id, origin="seal")
         record.in_flight = True
@@ -757,12 +756,12 @@ class ObjectServer:
     # §3.3 iteration registration (ghost protocol)
     # ------------------------------------------------------------------
     def begin_iteration(self, coll_id: str, token: str) -> Generator[Any, Any, None]:
-        yield Sleep(self.world.service_time)
+        yield self.world.service_sleep
         self._primary(coll_id).active_iterations.add(token)
 
     def end_iteration(self, coll_id: str, token: str) -> Generator[Any, Any, int]:
         """Deregister an iteration; purge ghosts when the last one ends."""
-        yield Sleep(self.world.service_time)
+        yield self.world.service_sleep
         state = self._primary(coll_id)
         state.active_iterations.discard(token)
         purged = 0
@@ -802,7 +801,7 @@ class ObjectServer:
         removals across the move.  All absorbed entries share one version
         bump — to the collection's mirrors the handoff is one sync jump.
         """
-        yield Sleep(self.world.service_time)
+        yield self.world.service_sleep
         state = self._primary(coll_id)
         incoming = state.version + 1
         applied = 0
@@ -834,7 +833,7 @@ class ObjectServer:
         ring of an in-flight rebalance): mutations on them answer
         ``ServerBusyFailure`` until cutover, so the final delta the
         coordinator pulls is provably the last word on the moving range."""
-        yield Sleep(self.world.service_time)
+        yield self.world.service_sleep
         state = self._primary(coll_id)
         state.freeze_ring = ring
 
@@ -854,7 +853,7 @@ class ObjectServer:
         ``sync_delta``) to discard their copy and re-pull from scratch —
         the only sound way to shrink a mirror without tombstones.
         """
-        yield Sleep(self.world.service_time)
+        yield self.world.service_sleep
         state = self._primary(coll_id)
         dropped = 0
         for name in [n for n in state.members
@@ -875,7 +874,7 @@ class ObjectServer:
     def pending_intents(self, coll_id: str) -> Generator[Any, Any, int]:
         """How many WAL intents for ``coll_id`` are still pending here —
         the coordinator's quiescence probe before freezing a range."""
-        yield Sleep(self.world.service_time)
+        yield self.world.service_sleep
         return sum(1 for record in self.wal.pending()
                    if record.coll_id == coll_id)
 

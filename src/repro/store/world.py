@@ -172,6 +172,9 @@ class World:
         self.net = net
         self.kernel = net.kernel
         self.service_time = service_time
+        #: the one effect every server handler yields for its service
+        #: delay (read-only: nothing reassigns ``service_time``)
+        self.service_sleep = Sleep(service_time)
         self.replica_lag = replica_lag
         self.recovery_enabled = recovery_enabled
         self.scrub_interval = scrub_interval

@@ -134,6 +134,32 @@ def test_node_crash_hooks_invoked():
     assert net.node("a").crash_count == 1
 
 
+def test_a_one_argument_send_on_the_instance_sees_request_and_reply():
+    """Traffic is captured by wrapping ``send`` on the transport
+    instance with a one-argument function (the benchmark's codec
+    corpus is recorded so): a settled RPC's request and its reply both
+    go through it, each once."""
+    kernel, net = make_net()
+    transport = net.transport
+    original = transport.send
+    seen = []
+
+    def recording_send(msg):
+        seen.append(msg)
+        return original(msg)
+
+    transport.send = recording_send
+
+    def proc():
+        return (yield from net.call("a", "b", "echo", "slow", "v", 0.05,
+                                    timeout=1.0))
+
+    assert kernel.run_process(proc()) == "v"
+    request, reply = seen
+    assert (request.is_reply, reply.is_reply) == (False, True)
+    assert reply.reply_to == request.msg_id
+
+
 # -- handler tracking -----------------------------------------------------------
 
 def test_settled_rpc_leaves_no_finished_handler_on_its_node():

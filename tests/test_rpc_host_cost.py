@@ -24,8 +24,9 @@ import weakref
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import (LinkDownFailure, PartitionFailure, ProcessKilled,
-                          ServerBusyFailure, TimeoutFailure)
+from repro.errors import (LinkDownFailure, NodeCrashFailure,
+                          PartitionFailure, ProcessKilled, ServerBusyFailure,
+                          TimeoutFailure)
 from repro.net import (Address, BoundedExecutor, CompactCodec,
                        ExecutorPolicy, FixedLatency, Link, Message, Network,
                        ParetoLatency, ResilientClient, RetryPolicy,
@@ -889,40 +890,84 @@ def test_a_process_nobody_asks_builds_no_done_signal(monkeypatch):
     assert built == [1]
 
 
-def test_a_settled_rpc_asks_its_handler_for_done_once(monkeypatch):
+def test_a_settled_rpc_asks_its_handler_for_no_done(monkeypatch):
+    """The node hears of a handler's end by the process's one exit
+    callback: no completion signal, and no waiter list, is built."""
     kernel, net = two_nodes()
     asked = []
     build = sim_process.Process.done.fget
     monkeypatch.setattr(sim_process.Process, "done", property(
         lambda proc: asked.append(proc) or build(proc)))
+    built = count_calls(monkeypatch, sim_process, "_Done")
     client = kernel.spawn(rpc(net, "slow", "v", 0.5))
     kernel.run()
     assert client.result == "v"
-    # the transport hooks its reply on the signal the node keyed the
-    # handler by
-    assert len(asked) == 1 and asked[0] is not client
+    assert (asked, built) == ([], [0])
     assert net.node("b")._handlers == {}
 
 
-def test_a_generator_handler_hangs_one_waiter_on_its_done(monkeypatch):
-    """The transport's reply callback is the one waiter on a handler's
-    ``done``, and it forgets the handler as it runs."""
+def test_a_generator_handler_is_keyed_by_its_process_until_it_replies(
+        monkeypatch):
+    """The node's table is keyed by the handler process itself, and the
+    handler has left it by the time its reply is sent."""
     kernel, net = two_nodes()
-    hooked = []
-    add_waiter = Signal.add_waiter
+    node = net.node("b")
+    seen_at_reply = []
+    send = Transport.send
 
-    def hooking(signal, callback):
-        hooked.append(signal)
-        return add_waiter(signal, callback)
+    def sending(self, msg):
+        if msg.src.node == "b":
+            seen_at_reply.append(dict(node._handlers))
+        return send(self, msg)
 
-    monkeypatch.setattr(Signal, "add_waiter", hooking)
+    monkeypatch.setattr(Transport, "send", sending)
     client = kernel.spawn(rpc(net, "slow", "v", 0.5))
     kernel.run(until=0.25)
-    (done,) = net.node("b")._handlers
+    (handler,) = node._handlers
+    assert node._handlers[handler] is handler
+    assert not handler.finished and handler._done is None
     kernel.run()
     assert client.result == "v"
-    assert [signal for signal in hooked if signal is done] == [done]
-    assert net.node("b")._handlers == {}
+    assert handler.result == "v"
+    assert seen_at_reply == [{}]
+    assert node._handlers == {}
+    # the kernel's table still holds the handler: it keeps no callback
+    assert handler in kernel.processes() and handler._on_exit is None
+
+
+def test_a_handler_killed_by_a_crash_sends_no_reply_and_frees_its_slot(
+        monkeypatch):
+    kernel, net = two_nodes()
+    node = net.node("b")
+    node.executor = BoundedExecutor(
+        kernel, ExecutorPolicy(concurrency=1, queue_limit=4), name="b")
+    replies = []
+    send = Transport.send
+
+    def sending(self, msg):
+        if msg.src.node == "b":
+            replies.append(msg)
+        return send(self, msg)
+
+    monkeypatch.setattr(Transport, "send", sending)
+
+    def call():
+        try:
+            return (yield from net.call("a", "b", "echo", "slow", "v", 1.0,
+                                        timeout=3.0))
+        except Exception as exc:  # noqa: BLE001 - asserted on below
+            return exc
+
+    client = kernel.spawn(call())
+    kernel.run(until=0.5)
+    (handler,) = node._handlers
+    assert node.executor.running == 1
+    net.crash("b")
+    assert handler.finished and node._handlers == {}
+    assert node.executor.running == 0
+    kernel.run()
+    assert replies == []
+    assert isinstance(client.result, NodeCrashFailure)
 
 
 def test_a_membership_read_resolves_its_placement_once(monkeypatch):

@@ -35,6 +35,7 @@ from repro.sim import (
     Sleep,
     Wait,
 )
+from repro.sim.process import Process
 from repro.sim.sched import _Scheduled
 
 from seed_kernel import Kernel as SeedKernel
@@ -255,6 +256,151 @@ def test_two_stops_in_one_instant_run_it_in_push_order(monkeypatch):
     assert seed == ([(0.5, tag) for tag in (
         "a", "first", "--stop--", "b", "c", "behind-first", "between",
         "b+0", "second", "--stop--", "behind-second")], 0.5)
+
+
+# ---------------------------------------------------------------------------
+# a process is its own queue entry, and is never queued twice
+# ---------------------------------------------------------------------------
+
+class _OnceQueued(InstantHeap):
+    """An instant heap that holds each process from the moment it is
+    queued — pushed here, or appended to the kernel's live batch — until
+    the run loop takes it from the batch, and fails the moment a process
+    is queued while it is held."""
+
+    def __init__(self, kernel):
+        super().__init__()
+        self.held = set()
+        self.queued = 0
+        kernel._sched = self
+        kernel._batch = _LiveBatch(self)
+
+    def hold(self, entry):
+        if entry.__class__ is Process:
+            assert entry not in self.held, f"{entry!r} queued twice"
+            self.held.add(entry)
+            self.queued += 1
+
+    def push(self, entry):
+        self.hold(entry)
+        super().push(entry)
+
+    def requeue(self, entries):
+        # the rest of an interrupted batch goes back: held again by push
+        entries = list(entries)
+        self.held.difference_update(entries)
+        super().requeue(entries)
+
+
+class _LiveBatch(list):
+    """The kernel's live batch: an append queues, the loop's walk takes."""
+
+    def __init__(self, heap):
+        super().__init__()
+        self.heap = heap
+
+    def append(self, entry):
+        self.heap.hold(entry)
+        super().append(entry)
+
+    def __iter__(self):
+        index = 0
+        while index < len(self):
+            entry = self[index]
+            index += 1
+            self.heap.held.discard(entry)
+            yield entry
+
+
+_EFFECT = st.one_of(
+    st.tuples(st.just("sleep"), st.sampled_from([0.0, 0.001, 0.002, 0.005])),
+    st.tuples(st.just("wait"), st.integers(0, 2),
+              st.sampled_from([None, 0.0, 0.001, 0.004])),
+    st.tuples(st.just("join"), st.integers(0, 7),
+              st.sampled_from([None, 0.0, 0.002])),
+    st.tuples(st.just("fork"), st.sampled_from([0.0, 0.001, 0.003])),
+    st.tuples(st.just("now")),
+    st.tuples(st.just("kill"), st.integers(0, 7)),
+)
+
+
+def _scripted(kernel, scripts, log):
+    """Workers that run ``scripts`` (one list of effects each) on
+    ``kernel``; every outcome is logged with the virtual time."""
+    gates = [Signal(name=f"gate{k}") for k in range(3)]   # gate2 never fires
+    procs = []
+
+    def child(duration):
+        yield Sleep(duration)
+        return duration
+
+    def worker(wid, script):
+        for step, (kind, *args) in enumerate(script):
+            tag = f"w{wid}.{step}.{kind}"
+            try:
+                if kind == "sleep":
+                    yield Sleep(args[0])
+                    outcome = None
+                elif kind == "wait":
+                    outcome = yield Wait(gates[args[0]], timeout=args[1])
+                elif kind == "join":
+                    target = procs[args[0] % len(procs)]
+                    outcome = yield Join(target, timeout=args[1])
+                elif kind == "fork":
+                    forked = yield Fork(child(args[0]), name=f"{tag}.child")
+                    procs.append(forked)
+                    outcome = forked.pid
+                elif kind == "now":
+                    outcome = yield Now()
+                else:
+                    target = procs[args[0] % len(procs)]
+                    if target is not procs[wid]:
+                        kernel.kill(target)
+                    outcome = target.pid
+            except Exception as exc:  # noqa: BLE001 - logged
+                outcome = type(exc).__name__
+            log.append((kernel.now, tag, outcome))
+        return wid
+
+    def firer():
+        yield Sleep(0.002)
+        gates[0].fire("open")
+        yield Sleep(0.001)
+        gates[1].fail(RuntimeError("shut"))
+        log.append((kernel.now, "fired"))
+
+    for wid, script in enumerate(scripts):
+        procs.append(kernel.spawn(worker(wid, script), name=f"w{wid}"))
+    kernel.spawn(firer(), name="firer")
+
+
+def _run_scripts(kernel, scripts, split):
+    log = []
+    _scripted(kernel, scripts, log)
+    if split is not None:
+        kernel.run(until=split)
+        log.append((kernel.now, "--split--"))
+    kernel.run()
+    events = kernel.obs.metrics.value("kernel.events")
+    return log, kernel.now, events, kernel.stream("after").random()
+
+
+@settings(max_examples=60)
+@given(scripts=st.lists(st.lists(_EFFECT, max_size=8), min_size=1,
+                        max_size=4),
+       split=st.none() | st.integers(0, 12).map(lambda k: k * 0.001))
+def test_no_process_is_ever_queued_twice(scripts, split):
+    """Over schedules that mix Sleep, timed Wait, Join, Fork, Now and
+    kill, split by an optional ``run(until=…)``: the order, clock,
+    event count and random draws are the seed kernel's, and no process
+    is queued while it already sits in the queue or the live batch."""
+    kernel = Kernel(seed=3)
+    heap = _OnceQueued(kernel)
+    shipped = _run_scripts(kernel, scripts, split)
+    assert shipped == _run_scripts(SeedKernel(seed=3), scripts, split)
+    # every process queued was taken: the walk saw them all
+    assert heap.held == set()
+    assert heap.queued >= len(scripts) + 1
 
 
 # ---------------------------------------------------------------------------
