@@ -76,8 +76,8 @@ class Node:
     def _forget_handler(self, proc: Process,
                         then: Optional[Callable[[Process], None]] = None
                         ) -> None:
-        # A finished process may stay in the kernel's table: it keeps
-        # no reply callback, and through it no request.
+        # Whoever still holds the finished process (a caller, a test)
+        # holds no reply callback, and through it no request.
         proc._on_exit = None
         self._handlers.pop(proc, None)
         if then is not None:

@@ -497,7 +497,7 @@ class Transport:
                      release=None) -> None:
         proc = self.kernel.spawn(
             gen, daemon=True,
-            name=lambda: f"{msg.dst}.{msg.method}#{msg.msg_id}")
+            name=partial("{}.{}#{}".format, msg.dst, msg.method, msg.msg_id))
 
         def on_exit(proc: Process) -> None:
             # Runs once the node has forgotten the handler.

@@ -31,6 +31,10 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["Span", "Tracer"]
 
+#: a finished span's context: it sits on no stack any more, and keeps
+#: no process (nor the result it returned) alive for the tracer
+_FINISHED = object()
+
 
 class Span:
     """One timed, attributed interval; immutable identity, mutable end."""
@@ -121,6 +125,7 @@ class Tracer:
         if span.end is None:
             span.end = self._clock.now
         ctx = span._ctx
+        span._ctx = _FINISHED
         try:
             stack = self._stacks[ctx]
         except KeyError:

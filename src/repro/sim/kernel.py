@@ -1,7 +1,8 @@
 """The deterministic discrete-event kernel.
 
-One :class:`Kernel` instance owns a virtual clock, a scheduler of
-pending actions, and a set of processes (Python generators).  The whole
+One :class:`Kernel` instance owns a virtual clock and a scheduler of
+pending actions, and drives processes (Python generators) it keeps no
+table of: a process lives as long as something references it.  The whole
 simulation is single-threaded: concurrency is *simulated* by interleaving
 process steps at their scheduled virtual times, so a run is exactly
 reproducible given (code, seed).
@@ -62,7 +63,6 @@ class Kernel:
         self.random = RandomRouter(seed)
         self._sched = InstantHeap()
         self._pids = 0
-        self._processes: list[Process] = []
         self._running: Optional[Process] = None
         # Live batch state: while run() drains an instant, zero-delay
         # schedules append straight onto the batch being dispatched.
@@ -108,13 +108,13 @@ class Kernel:
         either way the text is built when something reads ``proc.name``
         (a ``repr``, an error), not here.
 
-        ``transient`` processes are not retained in the kernel's process
-        table: once finished they are garbage-collected with their
-        generator frames.  Population-scale workloads (10⁵+ short-lived
-        client sessions) spawn transient, so a run's memory stays
-        bounded by the *live* population, not the arrival count.
-        Transient processes do not appear in :meth:`processes` or
-        :meth:`blocked_processes`.
+        The kernel keeps no table of processes: a process lives as long
+        as something references it (the scheduler while it is queued, a
+        signal it waits on, whoever holds the returned handle), and a
+        finished one is freed with its generator frame.  So a run's
+        memory is bounded by the *live* population, not by how many
+        processes it ever spawned.  ``transient`` is accepted and
+        ignored: every process is freed this way.
         """
         # The class test spares a generator the hasattr probe.
         if (generator.__class__ is not GeneratorType
@@ -125,8 +125,6 @@ class Kernel:
             )
         self._pids += 1
         proc = Process(generator, self._pids, name, daemon)
-        if not transient:
-            self._processes.append(proc)
         proc.time = now = self.clock.now
         if self._dispatching and now == self._batch_time:
             self._batch.append(proc)
@@ -285,18 +283,6 @@ class Kernel:
         """
         proc.kill()
 
-    def processes(self) -> list[Process]:
-        return list(self._processes)
-
-    def blocked_processes(self) -> list[Process]:
-        """The kernel's non-daemon processes that are suspended right
-        now — on a ``Wait`` or ``Join``, or in a ``Sleep`` whose wake is
-        already queued (transient processes are not in the table)."""
-        return [
-            p for p in self._processes
-            if p.state is _WAITING and not p.daemon
-        ]
-
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
@@ -417,5 +403,4 @@ class Kernel:
             timer = self._schedule(timeout, wake)
 
     def __repr__(self) -> str:
-        return (f"Kernel(now={self.now:.3f}, queued={len(self._sched)}, "
-                f"procs={len(self._processes)})")
+        return f"Kernel(now={self.now:.3f}, queued={len(self._sched)})"

@@ -16,11 +16,11 @@ module drives a *population*.  The model follows modern load tools
   load, which is exactly what makes open-loop populations stress a
   service.
 
-Sessions are spawned as *transient* kernel processes, so a run's
-memory tracks the live population, not the arrival count — 10⁵+
-arrivals are routine.  A configurable fraction of sessions is
-*audited*: the session runs a recording weak-set iteration and the
-trace is checked against a figure specification on the spot
+The kernel keeps no table of processes, so a finished session is
+freed at once and a run's memory tracks the live population, not the
+arrival count — 10⁵+ arrivals are routine.  A configurable fraction of
+sessions is *audited*: the session runs a recording weak-set iteration
+and the trace is checked against a figure specification on the spot
 (``population.audit_violations`` stays at zero or the run is wrong).
 
 Everything is observable through ``population.*`` metrics on the
@@ -301,7 +301,7 @@ class PopulationEngine:
         self._m_arrivals.value += 1
         self.stage_results[stage_index].arrivals += 1
         self.kernel.spawn(self._session(behavior, stage_index, audited),
-                          name="", transient=True)
+                          name="")
 
     # -- sessions ------------------------------------------------------
     def _session(self, behavior: Behavior, stage_index: int,

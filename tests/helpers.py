@@ -124,6 +124,23 @@ def sharded_world(n_shards: int = 3, mirrors: int = 0, policy: str = "any",
     return kernel, net, world, elements
 
 
+def record_spawns(monkeypatch) -> list:
+    """Every process any :class:`Kernel` spawns from here on, in spawn
+    order.  The kernel keeps no table of its processes (a finished one
+    is freed at once), so a test that asks which are still running
+    records them itself; the list keeps each one alive."""
+    spawned: list = []
+    spawn = Kernel.spawn
+
+    def recording(self, *args, **kwargs):
+        proc = spawn(self, *args, **kwargs)
+        spawned.append(proc)
+        return proc
+
+    monkeypatch.setattr(Kernel, "spawn", recording)
+    return spawned
+
+
 def count_ring_hashes(monkeypatch) -> list[str]:
     """Every token ``sharding._position`` hashes from here on — the
     ring's one expensive step, so its length counts placement work."""

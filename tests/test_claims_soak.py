@@ -30,7 +30,7 @@ WINDOWS = range(1, 11)
 #: Experiments no window varies, with why.
 PINNED = {
     "E8": "a static taxonomy: no seed to vary",
-    "E22": "57 s a run; stays pinned until its run is cheap",
+    "E22": "29 s a run; stays pinned until its run is cheap",
     "E23": "28 s a run; stays pinned until its run is cheap",
 }
 

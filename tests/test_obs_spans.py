@@ -260,9 +260,8 @@ def test_a_finished_adopted_process_leaves_the_tracer():
     assert {span.parent_id for span in batches} == {pipeline.span_id}
 
     # a forked child too; and one nothing else names (the kernel keeps
-    # no table of transient processes, and this one starts no span to be
-    # named by) is freed on the spot, generator and all, by reference
-    # count
+    # no table of processes) is freed on the spot, generator and all, by
+    # reference count
     probes = []
 
     def child():
@@ -278,8 +277,7 @@ def test_a_finished_adopted_process_leaves_the_tracer():
         forked = yield Fork(child())
         generator = spanless()      # a Process takes no weak reference
         probes.append(weakref.ref(generator))
-        kernel.adopt(kernel.spawn(generator, transient=True),
-                     kernel.current_process)
+        kernel.adopt(kernel.spawn(generator), kernel.current_process)
         del generator
         yield Join(forked)
         yield Sleep(0.5)
@@ -317,6 +315,39 @@ def test_span_to_dict_shape():
     assert isinstance(span, Span)
 
 
+def test_a_recorded_span_does_not_keep_the_process_that_opened_it():
+    """A finished span lets go of its context: the process that opened
+    it, and the result that process returned, die by reference count
+    while the span stays recorded."""
+    kernel = Kernel()
+    tracer = kernel.obs.tracer
+
+    class Held:
+        pass
+
+    def worker():
+        outer = tracer.start("outer")
+        inner = tracer.start("inner")
+        yield Sleep(0.1)
+        tracer.finish(inner)
+        tracer.finish(outer)
+        return Held()
+
+    gc.collect()
+    gc.disable()
+    try:
+        proc = kernel.spawn(worker())
+        kernel.run()
+        probes = [weakref.ref(proc.generator), weakref.ref(proc.result)]
+        del proc
+        assert [probe() for probe in probes] == [None, None]
+        assert [(span.name, span.duration) for span in tracer] == \
+            [("outer", 0.1), ("inner", 0.1)]
+        assert tracer._stacks == {}
+    finally:
+        gc.enable()
+
+
 # -- what a seeded run keeps ---------------------------------------------------
 
 #: E17's seed-1 resilient drain, whole and under a 40-span cap: how many
@@ -352,3 +383,20 @@ def test_a_seeded_run_keeps_numbers_and_exports_the_spans_it_did(
             hashlib.sha256(links.encode()).hexdigest(),
             hashlib.sha256(path.read_bytes()).hexdigest()) == \
         RETAINED[max_spans]
+
+
+#: The same drain exported whole by ``kernel.obs.export`` (header, every
+#: metric, every span): what a span records does not depend on when the
+#: tracer lets go of the process that opened it.
+WHOLE_EXPORT = \
+    "dba5ffaab80f894a4a26cf1c1f975fc3985af78f5b6ff7d389aed0c133358855"
+
+
+def test_a_seeded_run_exports_the_same_whole_trace(tmp_path):
+    scenario = build_scenario(crash_world(0.1, 10), seed=1)
+    _, make_resilience, failover = VARIANTS[-1]
+    drain(scenario, resilient_set(scenario, make_resilience,
+                                  failover).elements())
+    path = tmp_path / "run.jsonl"
+    scenario.kernel.obs.export(path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == WHOLE_EXPORT

@@ -921,18 +921,72 @@ def test_a_generator_handler_is_keyed_by_its_process_until_it_replies(
         return send(self, msg)
 
     monkeypatch.setattr(Transport, "send", sending)
-    client = kernel.spawn(rpc(net, "slow", "v", 0.5))
-    kernel.run(until=0.25)
-    (handler,) = node._handlers
-    assert node._handlers[handler] is handler
-    assert not handler.finished and handler._done is None
-    kernel.run()
-    assert client.result == "v"
-    assert handler.result == "v"
-    assert seen_at_reply == [{}]
-    assert node._handlers == {}
-    # the kernel's table still holds the handler: it keeps no callback
-    assert handler in kernel.processes() and handler._on_exit is None
+    requests, ids = [], []
+    run_handler = Transport._run_handler
+
+    def probing(self, node, msg, gen, release=None):
+        requests.append(weakref.ref(msg))
+        ids.append(msg.msg_id)
+        return run_handler(self, node, msg, gen, release)
+
+    monkeypatch.setattr(Transport, "_run_handler", probing)
+    gc.collect()
+    gc.disable()
+    try:
+        client = kernel.spawn(rpc(net, "slow", "v", 0.5))
+        kernel.run(until=0.25)
+        (handler,) = node._handlers
+        assert node._handlers[handler] is handler
+        assert not handler.finished and handler._done is None
+        kernel.run()
+        assert client.result == "v"
+        assert handler.result == "v"
+        assert seen_at_reply == [{}]
+        assert node._handlers == {}
+        # a finished handler still held keeps no callback, and neither
+        # that nor its name keeps the request it served
+        assert handler._on_exit is None
+        assert handler.name == f"echo@b.slow#{ids[0]}"
+        assert [request() for request in requests] == [None]
+        # and nothing but this test holds it: a process holds its
+        # generator for life, so the generator's death is the process's
+        probe = weakref.ref(handler.generator)
+        del handler
+        assert probe() is None
+    finally:
+        gc.enable()
+
+
+def test_settled_rpcs_leave_no_handler_and_no_request_behind(monkeypatch):
+    """A settled call's handler process, and the request it served, die
+    by reference count: the kernel keeps no table of processes, and a
+    handler's name formats the request's fields without holding it."""
+    kernel, net = two_nodes()
+    probes = []
+    run_handler = Transport._run_handler
+
+    def probing(self, node, msg, gen, release=None):
+        probes.append(weakref.ref(msg))
+        probes.append(weakref.ref(gen))   # held by its process for life
+        return run_handler(self, node, msg, gen, release)
+
+    monkeypatch.setattr(Transport, "_run_handler", probing)
+
+    def calls():
+        for i in range(1000):
+            assert (yield from net.call("a", "b", "echo", "slow", i, 0.001,
+                                        timeout=1.0)) == i
+
+    gc.collect()
+    gc.disable()
+    try:
+        kernel.run_process(calls())
+        kernel.run()
+        assert len(probes) == 2000
+        assert [probe for probe in probes if probe() is not None] == []
+        assert net.node("b")._handlers == {}
+    finally:
+        gc.enable()
 
 
 def test_a_handler_killed_by_a_crash_sends_no_reply_and_frees_its_slot(

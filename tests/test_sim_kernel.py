@@ -3,7 +3,10 @@
 import pytest
 
 from repro.errors import ProcessKilled, SimulationError, TimeoutFailure
-from repro.sim import Fork, Join, Kernel, Now, Process, Signal, Sleep, Wait
+from repro.sim import (Fork, Join, Kernel, Now, Process, ProcessState, Signal,
+                       Sleep, Wait)
+
+from helpers import record_spawns
 
 
 def test_run_process_returns_value():
@@ -268,7 +271,11 @@ def test_spawn_requires_generator():
         k.spawn(lambda: None)  # type: ignore[arg-type]
 
 
-def test_blocked_processes_reports_waiters():
+def test_suspended_processes_are_waiting(monkeypatch):
+    """A process on a ``Wait``, or in a ``Sleep`` whose wake is already
+    queued, reads ``WAITING``; ``transient`` is accepted and changes
+    nothing."""
+    spawned = record_spawns(monkeypatch)
     sig = Signal()
 
     def waiter():
@@ -279,13 +286,13 @@ def test_blocked_processes_reports_waiters():
 
     k = Kernel()
     w = k.spawn(waiter())
-    k.spawn(sleeper(), daemon=True)
-    # a sleep with its wake queued is suspended all the same
+    d = k.spawn(sleeper(), daemon=True)
     s = k.spawn(sleeper())
-    k.spawn(sleeper(), transient=True)
+    t = k.spawn(sleeper(), transient=True)
     k.run(until=1.0)
-    blocked = k.blocked_processes()
-    assert blocked == [w, s]
+    assert spawned == [w, d, s, t]
+    assert [p for p in spawned
+            if p.state is ProcessState.WAITING and not p.daemon] == [w, s, t]
 
 
 def test_process_result_before_finish_raises():
@@ -356,11 +363,10 @@ def test_fork_names_and_daemon_flag():
     assert child_proc.daemon
 
 
-def test_kernel_repr_mentions_time_and_procs():
+def test_kernel_repr_mentions_time_and_queue():
     k = Kernel()
     k.spawn((Sleep(1.0) for _ in range(1)))
-    text = repr(k)
-    assert "Kernel(" in text and "procs=1" in text
+    assert repr(k) == "Kernel(now=0.000, queued=1)"
 
 
 # -- run_process: one dispatch loop, stopped by its process's completion ----

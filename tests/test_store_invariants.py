@@ -6,7 +6,7 @@ from repro.errors import FailureException, StoreError
 from repro.store import Repository
 from repro.wan import Mutator, ScenarioSpec, build_scenario
 
-from helpers import CLIENT, standard_world
+from helpers import CLIENT, record_spawns, standard_world
 
 
 def test_invariants_hold_on_fresh_world():
@@ -75,8 +75,9 @@ def test_invariants_hold_under_random_op_sequences(seed, ops):
     assert world.check_invariants() == []
 
 
-def test_invariants_hold_after_churn_with_faults():
+def test_invariants_hold_after_churn_with_faults(monkeypatch):
     from repro.net import FaultPlan
+    spawned = record_spawns(monkeypatch)
     plan = FaultPlan(isolate_rate=0.05, mean_downtime=0.5,
                      protected=frozenset({"client", "n0.0"}))
     spec = ScenarioSpec(n_clusters=3, cluster_size=2, n_members=10,
@@ -90,9 +91,9 @@ def test_invariants_hold_after_churn_with_faults():
     # the repair daemon's orphan-GC grace period (ORPHAN_GRACE_ROUNDS
     # scrub rounds) to elapse and a further round to collect, so a failed
     # add whose cleanup could not reach an isolated home is reclaimed
-    for proc in scenario.kernel.processes():
-        if proc.name == "mutator":
-            proc.kill()
+    (mutator,) = [proc for proc in spawned if proc.name == "mutator"]
+    assert not mutator.finished
+    mutator.kill()
     scenario.net.heal()
     scenario.kernel.run(until=scenario.kernel.now + 12.0)
     assert scenario.world.check_invariants() == []

@@ -8,6 +8,8 @@ from repro.spec import Failed, Returned
 from repro.store import World
 from repro.weaksets import DynamicSet, SnapshotSet, UnionIterator, union
 
+from helpers import record_spawns
+
 
 def two_repositories(shared_names=(), seed=0):
     """Two collections on disjoint server sets, with optional overlap."""
@@ -118,10 +120,11 @@ def test_union_fail_policy_propagates():
     assert isinstance(result.outcome, Failed)
 
 
-def test_a_failed_union_leaves_no_source_running():
+def test_a_failed_union_leaves_no_source_running(monkeypatch):
     """The sources still active when a ``fail`` union fails are abandoned:
     their iterators terminate and their fetch pipelines stop, leaving no
     worker alive and no listener on the world."""
+    spawned = record_spawns(monkeypatch)
     kernel, net, world, a_members, b_members = two_repositories()
     net.crash("b0")
     u = union(DynamicSet(world, "client", "repo-a"),
@@ -133,7 +136,8 @@ def test_a_failed_union_leaves_no_source_running():
     result = kernel.run_process(proc())
     assert isinstance(result.outcome, Failed)
     # asked first: a leaked source's pipeline workers are named by it
-    assert [p.name for p in kernel.processes()
+    assert any(p.name.startswith("dynamic-repo-a-w") for p in spawned)
+    assert [p.name for p in spawned
             if not p.finished and p.name != "repair-scrub"] == []
     assert all(source.terminated for source in u.sources)
     assert world._listeners == []
