@@ -6,8 +6,9 @@ E16 "full stack" client under crash faults) and reports **only what the
 unified observability layer recorded** — kernel event counts, transport
 message totals, RPC attempt/retry/hedge counters, fetch and drain
 latency histograms, and span statistics including the nesting invariant
-the tracer promises (every ``rpc.attempt`` inside a drain traces back
-to its ``drain`` span).
+the recorder promises (every ``rpc.attempt`` inside a drain traces back
+to its ``drain`` span).  It attaches a span recorder to each run; no
+other experiment keeps spans.
 
 All reported numbers come from virtual time and seeded RNG streams, so
 the table is machine-independent — which is what lets CI ``diff`` it
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from ..obs import Histogram, MetricsRegistry, Observability
+from ..obs import Histogram, MetricsRegistry, SpanRecorder
 from ..wan.workload import build_scenario
 from .exp_resilience import VARIANTS, crash_world, resilient_set
 from .harness import drain
@@ -49,14 +50,18 @@ _HISTOGRAMS = (
 )
 
 
-def _one_run(seed: int, members: int, crash_rate: float) -> Observability:
+def _one_run(seed: int, members: int,
+             crash_rate: float) -> tuple[MetricsRegistry, SpanRecorder]:
     """One seeded drain of E16's full stack (``retry+hedge+breaker``) on
-    E16's world, without the churn; returns the kernel's observability."""
+    E16's world, without the churn, with a span recorder attached;
+    returns the kernel's registry and the spans it recorded."""
     scenario = build_scenario(crash_world(crash_rate, members), seed=seed)
     _, make_resilience, failover = VARIANTS[-1]
     ws = resilient_set(scenario, make_resilience, failover)
+    obs = scenario.kernel.obs
+    recorder = obs.tracer.record()
     drain(scenario, ws.elements())
-    return scenario.kernel.obs
+    return obs.metrics, recorder
 
 
 def _merge_histogram(merged: Optional[Histogram], part: Histogram) -> Histogram:
@@ -74,9 +79,9 @@ def _merge_histogram(merged: Optional[Histogram], part: Histogram) -> Histogram:
     return merged
 
 
-def _span_depth(obs: Observability) -> int:
-    tracer = obs.tracer
-    return max((1 + sum(1 for _ in tracer.ancestors(s)) for s in tracer), default=0)
+def _span_depth(recorder: SpanRecorder) -> int:
+    return max((1 + sum(1 for _ in recorder.ancestors(s)) for s in recorder),
+               default=0)
 
 
 def run_obs(seeds: Sequence[int] = (0, 1, 2, 3), members: int = 10,
@@ -97,23 +102,21 @@ def run_obs(seeds: Sequence[int] = (0, 1, 2, 3), members: int = 10,
     spans_total = drain_spans = attempt_spans = nested_attempts = 0
     max_depth = 0
     for seed in seeds:
-        obs = _one_run(seed, members, crash_rate)
-        registry: MetricsRegistry = obs.metrics
+        registry, recorder = _one_run(seed, members, crash_rate)
         for name in _COUNTERS:
             counters[name] += registry.value(name)
         for name in _HISTOGRAMS:
             hist = registry.get(name)
             if isinstance(hist, Histogram):
                 histograms[name] = _merge_histogram(histograms[name], hist)
-        tracer = obs.tracer
-        spans_total += len(tracer)
-        drain_spans += len(tracer.spans("drain"))
-        attempts = tracer.spans("rpc.attempt")
+        spans_total += len(recorder)
+        drain_spans += len(recorder.spans("drain"))
+        attempts = recorder.spans("rpc.attempt")
         attempt_spans += len(attempts)
         nested_attempts += sum(
             1 for a in attempts
-            if any(s.name in ROOT_SPANS for s in tracer.ancestors(a)))
-        max_depth = max(max_depth, _span_depth(obs))
+            if any(s.name in ROOT_SPANS for s in recorder.ancestors(a)))
+        max_depth = max(max_depth, _span_depth(recorder))
     for name in _COUNTERS:
         result.add(metric=name, kind="counter", value=counters[name],
                    mean=None, p95=None)

@@ -150,8 +150,8 @@ class Network:
         wraps these in a ``rpc.call`` span covering all its attempts).
         """
         tracer = self.kernel.obs.tracer
-        span = tracer.start("rpc.attempt", src=str(src), dst=str(dst),
-                            method=f"{service}.{method}")
+        span = tracer.start("rpc.attempt", src=src, dst=dst,
+                            service=service, method=method)
         self._m_attempts.value += 1
         transport = self.transport
         try:
@@ -198,11 +198,10 @@ class Network:
                     f"rpc {service}.{method} {src}->{dst} timed out after {timeout}s"
                 ) from None
         except BaseException as exc:
-            tracer.finish(span, outcome=type(exc).__name__)
-            self._m_attempt_latency.observe(span.end - span.start)
+            self._m_attempt_latency.observe(
+                tracer.finish(span, outcome=type(exc).__name__))
             raise
-        tracer.finish(span, outcome="ok")
-        self._m_attempt_latency.observe(span.end - span.start)
+        self._m_attempt_latency.observe(tracer.finish(span, outcome="ok"))
         return result
 
     # -- fault injection -------------------------------------------------

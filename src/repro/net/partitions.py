@@ -45,12 +45,6 @@ class PartitionManager:
     def same_partition(self, a: NodeId, b: NodeId) -> bool:
         return self.group_of(a) == self.group_of(b)
 
-    def groups(self) -> dict[int, set[NodeId]]:
-        result: dict[int, set[NodeId]] = {}
-        for node, group in self._group.items():
-            result.setdefault(group, set()).add(node)
-        return result
-
     def is_partitioned(self) -> bool:
         return len({g for g in self._group.values()}) > 1
 

@@ -412,8 +412,8 @@ class ResilientClient:
         """
         attempts = max_attempts if max_attempts is not None else self.policy.max_attempts
         tracer = self.net.kernel.obs.tracer
-        span = tracer.start("rpc.call", dst=str(dst),
-                            method=f"{service}.{method}")
+        span = tracer.start("rpc.call", dst=dst, service=service,
+                            method=method)
         last_exc: Optional[FailureException] = None
         attempt = 0
         try:
@@ -456,8 +456,7 @@ class ResilientClient:
                 self._m_retries.value += 1
                 yield Sleep(delay)
         except BaseException as exc:
-            if not span.finished:
-                tracer.finish(span, outcome=type(exc).__name__, attempts=attempt)
+            tracer.finish(span, outcome=type(exc).__name__, attempts=attempt)
             raise
 
     # -- hedged calls -----------------------------------------------------
@@ -491,8 +490,8 @@ class ResilientClient:
         tracer = self.net.kernel.obs.tracer
         # One span covers the whole race; forked attempts nest under it
         # via the kernel's span adoption at Fork.
-        span = tracer.start("rpc.call", dst=",".join(str(d) for d in dsts),
-                            method=f"{service}.{method}", hedged=True)
+        span = tracer.start("rpc.call", dst=dsts, service=service,
+                            method=method, hedged=True)
         sig = Signal(name=f"hedge:{service}.{method}")
         state: dict[str, Any] = {"pending": 0, "done_launching": False,
                                  "error": None}
@@ -554,7 +553,7 @@ class ResilientClient:
                 except TimeoutFailure:
                     continue            # primary is slow: hedge
                 tracer.finish(span, outcome="ok", launched=launched,
-                              winner=str(self.last_winner))
+                              winner=self.last_winner)
                 return value
             # All candidates launched (or skipped): wait for a straggler.
             state["done_launching"] = True
@@ -563,11 +562,10 @@ class ResilientClient:
                     CircuitOpenFailure(f"all circuits {src}->{list(dsts)} open")
             value = yield Wait(sig)
         except BaseException as exc:
-            if not span.finished:
-                tracer.finish(span, outcome=type(exc).__name__)
+            tracer.finish(span, outcome=type(exc).__name__)
             raise
         tracer.finish(span, outcome="ok", launched=launched,
-                      winner=str(self.last_winner))
+                      winner=self.last_winner)
         return value
 
     def __repr__(self) -> str:

@@ -8,8 +8,13 @@ iterators) record into it, so any run can emit one machine-readable
 artifact::
 
     kernel = Kernel(seed=42)
+    ...                                     # build the world
+    kernel.obs.tracer.record()              # keep spans (optional)
     ...                                     # run the simulation
     kernel.obs.export("run.jsonl", meta={"seed": 42})
+
+A run with no recorder attached keeps no span: its tracer only times
+the intervals the latency histograms observe.
 
 Metric names and span conventions are catalogued in
 ``docs/observability.md``.
@@ -23,7 +28,7 @@ from typing import TYPE_CHECKING, Any, Callable, Hashable, Optional, Union
 from .export import export_jsonl, read_jsonl, spans_from_records
 from .metrics import (DEFAULT_LATENCY_BUCKETS, Counter, Gauge, Histogram,
                       MetricsRegistry)
-from .spans import Span, Tracer
+from .spans import Span, SpanRecorder, Tracer
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..sim.clock import Clock
@@ -36,6 +41,7 @@ __all__ = [
     "MetricsRegistry",
     "Observability",
     "Span",
+    "SpanRecorder",
     "Tracer",
     "export_jsonl",
     "read_jsonl",
@@ -44,7 +50,9 @@ __all__ = [
 
 
 class Observability:
-    """One kernel's metric registry + tracer, sharing its clock."""
+    """One kernel's metric registry + tracer, sharing its clock.  The
+    tracer keeps spans only once ``tracer.record()`` has attached its
+    recorder; ``export`` writes those it kept, and none without one."""
 
     __slots__ = ("metrics", "tracer")
 
@@ -55,10 +63,10 @@ class Observability:
 
     def export(self, path: Union[str, Path],
                meta: Optional[dict[str, Any]] = None) -> int:
-        """Write metrics + spans as one JSONL artifact; returns record count."""
-        return export_jsonl(path, metrics=self.metrics, tracer=self.tracer,
-                            meta=meta)
+        """Write metrics + recorded spans as one JSONL artifact; returns
+        the record count."""
+        return export_jsonl(path, metrics=self.metrics,
+                            spans=self.tracer.recorder, meta=meta)
 
     def __repr__(self) -> str:
-        return (f"Observability({len(self.metrics)} metrics, "
-                f"{len(self.tracer)} spans)")
+        return f"Observability({len(self.metrics)} metrics, {self.tracer!r})"

@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Any, Iterable, Optional, Union
 
 from .metrics import MetricsRegistry
-from .spans import Span, Tracer
+from .spans import Span
 
 __all__ = ["export_jsonl", "read_jsonl", "spans_from_records"]
 
@@ -30,16 +30,13 @@ def _metric_records(registry: MetricsRegistry) -> Iterable[dict]:
         yield {"type": "metric", **record}
 
 
-def _span_records(tracer: Tracer) -> Iterable[dict]:
-    for span in tracer.spans():
-        yield {"type": "span", **span.to_dict()}
-
-
 def export_jsonl(path: Union[str, Path], *,
                  metrics: Optional[MetricsRegistry] = None,
-                 tracer: Optional[Tracer] = None,
+                 spans: Optional[Iterable[Span]] = None,
                  meta: Optional[dict[str, Any]] = None) -> int:
-    """Write one JSONL artifact; returns the number of records written."""
+    """Write one JSONL artifact; returns the number of records written.
+    ``spans`` is any iterable of spans: a :class:`~repro.obs.SpanRecorder`
+    or ``spans_from_records``' list."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     records = 0
@@ -47,16 +44,15 @@ def export_jsonl(path: Union[str, Path], *,
         header = {"type": "meta", "schema": "repro.obs/1"}
         if meta:
             header.update(meta)
-        if tracer is not None and tracer.dropped:
-            header["spans_dropped"] = tracer.dropped
         fh.write(json.dumps(header, default=str) + "\n")
         records += 1
         if metrics is not None:
             for record in _metric_records(metrics):
                 fh.write(json.dumps(record, default=str) + "\n")
                 records += 1
-        if tracer is not None:
-            for record in _span_records(tracer):
+        if spans is not None:
+            for span in spans:
+                record = {"type": "span", **span.to_dict()}
                 fh.write(json.dumps(record, default=str) + "\n")
                 records += 1
     return records

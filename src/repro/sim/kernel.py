@@ -133,12 +133,14 @@ class Kernel:
         return proc
 
     def adopt(self, child: Process, parent: Process) -> None:
-        """Nest ``child``'s spans under ``parent``'s active span, for as
-        long as ``child`` lives (a forked hedge attempt or a pipeline
-        worker traces back to the drain that caused it).  A worker
-        starts spans batch after batch, so the borrowed base stays until
-        the process *finishes* — and goes then, or the tracer would keep
-        every finished child, and the result it returned, for good."""
+        """Nest ``child``'s recorded spans under ``parent``'s active
+        span, for as long as ``child`` lives (a forked hedge attempt or a
+        pipeline worker traces back to the drain that caused it).  A
+        worker starts spans batch after batch, so the borrowed base stays
+        until the process *finishes* — and goes then, or the recorder
+        would keep every finished child, and the result it returned, for
+        good.  With no span recorder attached nothing is borrowed, and
+        no waiter is hung on ``child.done``."""
         tracer = self.obs.tracer
         if tracer.adopt(child, parent):
             child.done.add_waiter(lambda _done: tracer.release(child))

@@ -45,7 +45,8 @@ class _Done(Signal):
     name is made of and never the process: a back-reference would be a
     cycle, and a finished process has to die by reference count.  The
     one waiter that does capture its process is ``Kernel.adopt``'s
-    release of a borrowed span base: a cycle only while the child lives
+    release of a borrowed span base, hung only while a span recorder is
+    attached: a cycle only while the child lives
     (completing swaps ``_waiters`` out), so a finished child still dies
     by count and only an adopted one that never finishes waits for the
     collector."""

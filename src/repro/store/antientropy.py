@@ -103,8 +103,7 @@ class AntiEntropySyncer:
                 continue   # a crashed replica cannot pull; it catches up on recovery
             state = server.collections[self.state_id]
             span = tracer.start("sync.round", coll=self.info.coll_id,
-                                replica=str(self.replica),
-                                source=str(self.source))
+                                replica=self.replica, source=self.source)
             delta = yield from self._pull(state.version, span)
             if delta is not None and delta.get("epoch", 0) != state.epoch:
                 # The source dropped a migrated range without tombstones;

@@ -265,7 +265,7 @@ class FetchPipeline:
         kernel = self.world.kernel
         self._span = self._tracer.start(
             "fetch.pipeline", window=self.window, batch=self.batch_size,
-            client=str(self.repo.client))
+            client=self.repo.client)
         self._unsubscribe = self.world.on_change(self._on_world_change)
         creator = kernel.current_process
         for i in range(self.window):
@@ -523,7 +523,7 @@ class FetchPipeline:
         if len(batch) > 1:
             self._m_coalesced.value += len(batch) - 1
         self._m_size.observe(len(batch))
-        span = self._tracer.start("fetch.batch", host=str(home), n=len(batch))
+        span = self._tracer.start("fetch.batch", host=home, n=len(batch))
         try:
             outcomes = yield from self.repo._call(home, "get_objects", oids)
         except FailureException as exc:
@@ -531,9 +531,8 @@ class FetchPipeline:
             self.repo._feed_limiter(exc)
             yield from self._batch_failed(batch, exc, issue_epoch, issued_at)
             return
-        self._tracer.finish(span, outcome="ok")
+        self._m_latency.observe(self._tracer.finish(span, outcome="ok"))
         self.repo._feed_limiter(None)
-        self._m_latency.observe(span.duration)
         for element, (status, value) in zip(batch, outcomes):
             self._m_fetch_latency.observe(self.world.now - issued_at)
             if status == "ok":
@@ -555,7 +554,7 @@ class FetchPipeline:
         self._m_calls.value += 1
         self._m_elements.value += 1
         self._m_size.observe(1)
-        span = self._tracer.start("fetch.batch", host=str(element.home),
+        span = self._tracer.start("fetch.batch", host=element.home,
                                   n=1, hedged=True)
         try:
             value = yield from self.repo._hedged_get(element, ranked)
@@ -575,9 +574,8 @@ class FetchPipeline:
             yield from self._batch_failed([element], exc, issue_epoch,
                                           issued_at)
             return
-        self._tracer.finish(span, outcome="ok")
+        self._m_latency.observe(self._tracer.finish(span, outcome="ok"))
         self.repo._feed_limiter(None)
-        self._m_latency.observe(span.duration)
         self._m_fetch_latency.observe(self.world.now - issued_at)
         self._settle_ok(element, value, issue_epoch)
 
@@ -612,7 +610,7 @@ class FetchPipeline:
                 if not remaining:
                     break
                 oids = [e.oid for e in remaining]
-                span = self._tracer.start("fetch.batch", host=str(replica),
+                span = self._tracer.start("fetch.batch", host=replica,
                                           n=len(oids), failover=True)
                 try:
                     outcomes = yield from self.repo._call(
@@ -620,8 +618,8 @@ class FetchPipeline:
                 except FailureException as failure:
                     self._tracer.finish(span, outcome=type(failure).__name__)
                     continue
-                self._tracer.finish(span, outcome="ok")
-                self._m_latency.observe(span.duration)
+                self._m_latency.observe(
+                    self._tracer.finish(span, outcome="ok"))
                 still: list[Element] = []
                 for element, (status, value) in zip(remaining, outcomes):
                     if status == "ok":

@@ -318,7 +318,7 @@ class OfflineClient:
         started = self.world.now
         report = ReconcileReport()
         span = self._tracer.start(
-            "reconcile.session", client=str(self.client), coll=self.coll_id,
+            "reconcile.session", client=self.client, coll=self.coll_id,
             queued=self.outbox.depth())
         self._m_rec_sessions.inc()
         try:

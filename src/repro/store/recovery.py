@@ -107,7 +107,7 @@ class RecoveryManager:
     def _replay(self, server: ObjectServer) -> Generator:
         started = self.world.now
         tracer = self.world.kernel.obs.tracer
-        span = tracer.start("recovery.replay", node=str(server.node_id))
+        span = tracer.start("recovery.replay", node=server.node_id)
         self._m_replays.inc()
         replayed = blocked = 0
         for record in server.wal.pending():

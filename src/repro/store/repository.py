@@ -400,16 +400,15 @@ class Repository:
                 return served[0]
         tracer = self.obs.tracer
         span = tracer.start("repo.fetch", element=element.name,
-                            home=str(element.home))
+                            home=element.home)
         try:
             value = yield from self._call(element.home, "get_object",
                                           element.oid)
         except BaseException as exc:
-            tracer.finish(span, outcome=type(exc).__name__)
-            self._m.fetch_latency.observe(span.duration)
+            self._m.fetch_latency.observe(
+                tracer.finish(span, outcome=type(exc).__name__))
             raise
-        tracer.finish(span, outcome="ok")
-        self._m.fetch_latency.observe(span.duration)
+        self._m.fetch_latency.observe(tracer.finish(span, outcome="ok"))
         value = unwrap(value)  # servers reply in wire Blobs
         if self.cache is not None:
             self.cache.put(("object", element.oid), value, self.world.now)

@@ -410,7 +410,7 @@ class World:
         metrics = self.kernel.obs.metrics
         tracer = self.kernel.obs.tracer
         span = tracer.start("shard.rebalance", coll=coll_id,
-                            to=",".join(str(n) for n in target.nodes))
+                            to=target.nodes)
         attempt = 0
         while True:
             attempt += 1

@@ -233,7 +233,7 @@ class WritePipeline:
         kernel = self.world.kernel
         self._span = self._tracer.start(
             "write.pipeline", window=self.window, batch=self.batch_size,
-            client=str(self.repo.client), coll=self.coll_id)
+            client=self.repo.client, coll=self.coll_id)
         creator = kernel.current_process
         for i in range(self.window):
             proc = kernel.spawn(self._worker(), name=f"{self.name}-w{i}",
@@ -353,7 +353,6 @@ class WritePipeline:
         with a failed destination settles failed after best-effort
         cleanup of the copies that did land."""
         groups = self.planner.put_groups(ops)
-        issued_at = self.world.now
         self._m_calls.value += len(groups)
         self._m_elements.value += len(ops)
         self._m_size.observe(len(ops))
@@ -375,9 +374,8 @@ class WritePipeline:
                 children.append(child)
             for child in children:        # the barrier
                 yield Join(child)
-        self._tracer.finish(
-            span, failed=sum(1 for e in outcomes.values() if e is not None))
-        self._m_latency.observe(self.world.now - issued_at)
+        self._m_latency.observe(self._tracer.finish(
+            span, failed=sum(1 for e in outcomes.values() if e is not None)))
         for op in ops:
             failures = [(dest, outcomes[dest]) for dest in op.element.locations
                         if outcomes[dest] is not None]
@@ -476,7 +474,7 @@ class WritePipeline:
         self._m_coalesced.value += len(group) - 1
         self._m_size.observe(len(group))
         span = self._tracer.start("write.batch", kind=kind,
-                                  host=str(owner), n=len(group))
+                                  host=owner, n=len(group))
         try:
             yield from self.repo._call(owner, f"{kind}_members", self.coll_id,
                                        elements)
@@ -485,9 +483,8 @@ class WritePipeline:
             self.repo._feed_limiter(exc)
             outcomes[owner] = exc
             return
-        self._tracer.finish(span, outcome="ok")
+        self._m_latency.observe(self._tracer.finish(span, outcome="ok"))
         self.repo._feed_limiter(None)
-        self._m_latency.observe(span.duration)
         outcomes[owner] = None
 
     # ------------------------------------------------------------------

@@ -223,7 +223,7 @@ class ElementsIterator:
         """
         obs = self.repo.obs
         span = obs.tracer.start("drain", impl=self.impl_name,
-                                coll=self.coll_id, client=str(self.client))
+                                coll=self.coll_id, client=self.client)
         try:
             result = yield from drain_loop(
                 self.invoke, lambda: self.repo.world.now, max_yields)

@@ -553,7 +553,7 @@ def claim_e17(result):
     assert by_metric["rpc.retries"]["value"] > 0
     assert by_metric["drain.yields"]["value"] > 0
 
-    # The nesting invariant the tracer promises: every rpc.attempt span
+    # The nesting invariant the recorder promises: every rpc.attempt span
     # reaches a workload root span (drain / sync.round / repair.scrub /
     # recovery.replay) by parent links.
     assert by_metric["spans.drain"]["value"] > 0

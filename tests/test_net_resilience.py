@@ -274,6 +274,7 @@ def test_breaker_sheds_load_to_crashed_node():
         policy=RetryPolicy(max_attempts=1),
         breaker=BreakerPolicy(failure_threshold=3, cooldown=60.0),
     )
+    recorder = kernel.obs.tracer.record()
 
     def proc():
         for _ in range(20):
@@ -287,7 +288,7 @@ def test_breaker_sheds_load_to_crashed_node():
     registry = kernel.obs.metrics
     # Only the pre-trip attempts ever addressed the dead node; the other
     # 17 calls failed fast without touching the wire.
-    attempts = kernel.obs.tracer.spans("rpc.attempt")
+    attempts = recorder.spans("rpc.attempt")
     assert [span.attrs["dst"] for span in attempts] == ["b"] * 3
     assert registry.value("net.messages_sent") == 3
     assert registry.value("rpc.breaker_trips") == 1

@@ -14,6 +14,7 @@ def test_counts_per_node_and_aggregate():
     net = Network(kernel, full_mesh(["a", "b", "c"], FixedLatency(0.01)))
     net.register_service("b", "echo", Echo())
     net.register_service("c", "echo", Echo())
+    recorder = kernel.obs.tracer.record()
 
     def proc():
         for _ in range(3):
@@ -26,7 +27,7 @@ def test_counts_per_node_and_aggregate():
     assert registry.value("net.messages_delivered") == 8
     assert registry.value("net.messages_dropped") == 0
     # Who was asked what is the trace's: one rpc.attempt span per request.
-    attempts = kernel.obs.tracer.spans("rpc.attempt")
+    attempts = recorder.spans("rpc.attempt")
     assert [span.attrs["dst"] for span in attempts] == ["b", "b", "b", "c"]
     assert {span.attrs["src"] for span in attempts} == {"a"}
 

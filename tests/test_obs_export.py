@@ -9,6 +9,7 @@ from repro.obs import (
     read_jsonl,
     spans_from_records,
 )
+from repro.sim import Kernel
 from repro.sim.clock import Clock
 
 
@@ -21,6 +22,7 @@ def populated():
     for v in (0.05, 0.5, 2.0):
         hist.observe(v)
     tracer = Tracer(clock)
+    recorder = tracer.record()
     outer = tracer.start("drain", impl="DynamicSet")
     clock.advance_to(0.25)
     inner = tracer.start("rpc.attempt", dst="s1")
@@ -28,13 +30,13 @@ def populated():
     tracer.finish(inner, outcome="ok")
     clock.advance_to(1.5)
     tracer.finish(outer, outcome="Returned")
-    return registry, tracer
+    return registry, recorder
 
 
 def test_export_writes_meta_header_first(tmp_path):
-    registry, tracer = populated()
+    registry, recorder = populated()
     path = tmp_path / "trace.jsonl"
-    n = export_jsonl(path, metrics=registry, tracer=tracer,
+    n = export_jsonl(path, metrics=registry, spans=recorder,
                      meta={"seed": 42})
     records = read_jsonl(path)
     assert len(records) == n == 1 + 3 + 2       # meta + metrics + spans
@@ -47,7 +49,7 @@ def test_export_writes_meta_header_first(tmp_path):
 
 
 def test_metrics_round_trip(tmp_path):
-    registry, tracer = populated()
+    registry, _ = populated()
     path = tmp_path / "trace.jsonl"
     export_jsonl(path, metrics=registry)
     rows = {record["name"]: record for record in read_jsonl(path)
@@ -62,9 +64,9 @@ def test_metrics_round_trip(tmp_path):
 
 
 def test_spans_round_trip(tmp_path):
-    registry, tracer = populated()
+    _, recorder = populated()
     path = tmp_path / "trace.jsonl"
-    export_jsonl(path, tracer=tracer)
+    export_jsonl(path, spans=recorder)
     spans = spans_from_records(read_jsonl(path))
     assert [s.name for s in spans] == ["drain", "rpc.attempt"]
     drain, attempt = spans
@@ -78,23 +80,12 @@ def test_spans_round_trip(tmp_path):
 def test_unfinished_spans_export_with_null_end(tmp_path):
     clock = Clock()
     tracer = Tracer(clock)
+    recorder = tracer.record()
     tracer.start("open.work")
     path = tmp_path / "trace.jsonl"
-    export_jsonl(path, tracer=tracer)
+    export_jsonl(path, spans=recorder)
     (span,) = spans_from_records(read_jsonl(path))
     assert span.end is None and not span.finished
-
-
-def test_dropped_spans_are_reported_in_meta(tmp_path):
-    clock = Clock()
-    tracer = Tracer(clock, max_spans=1)
-    tracer.start("kept")
-    tracer.start("dropped")
-    path = tmp_path / "trace.jsonl"
-    export_jsonl(path, tracer=tracer)
-    records = read_jsonl(path)
-    assert records[0]["spans_dropped"] == 1
-    assert len(spans_from_records(records)) == 1
 
 
 def test_reader_skips_blank_lines(tmp_path):
@@ -107,7 +98,18 @@ def test_reader_skips_blank_lines(tmp_path):
 
 
 def test_export_creates_parent_directories(tmp_path):
-    registry, tracer = populated()
+    registry, _ = populated()
     path = tmp_path / "deep" / "nested" / "trace.jsonl"
     export_jsonl(path, metrics=registry)
     assert path.exists()
+
+
+def test_an_unrecorded_run_exports_its_metrics_and_no_span(tmp_path):
+    kernel = Kernel()
+    kernel.obs.metrics.counter("rpc.attempts").inc(2)
+    kernel.obs.tracer.finish(kernel.obs.tracer.start("work"))
+    path = tmp_path / "trace.jsonl"
+    assert kernel.obs.export(path) == 1 + len(kernel.obs.metrics)
+    records = read_jsonl(path)
+    assert records[0] == {"type": "meta", "schema": "repro.obs/1"}
+    assert {r["type"] for r in records[1:]} == {"metric"}

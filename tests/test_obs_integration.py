@@ -26,7 +26,10 @@ def resilient_stack(crash=None, members=6, give_up_after=3.0):
 
 
 def resilient_drain(crash=None, members=6, give_up_after=3.0):
+    """The stack's drain with a span recorder attached; returns
+    (kernel, net, result)."""
     kernel, net, _, _, ws = resilient_stack(crash, members, give_up_after)
+    kernel.obs.tracer.record()
     return kernel, net, drain_all(kernel, ws)
 
 
@@ -105,13 +108,13 @@ def test_every_layer_contributes_metrics():
 
 def test_rpc_attempts_nest_under_the_drain_span():
     kernel, net, result = resilient_drain()
-    tracer = kernel.obs.tracer
-    drains = tracer.spans("drain")
-    attempts = tracer.spans("rpc.attempt")
+    recorder = kernel.obs.tracer.recorder
+    drains = recorder.spans("drain")
+    attempts = recorder.spans("rpc.attempt")
     assert len(drains) == 1 and attempts
     (drain,) = drains
     for attempt in attempts:
-        ancestors = list(tracer.ancestors(attempt))
+        ancestors = list(recorder.ancestors(attempt))
         assert any(s is drain for s in ancestors), attempt
         assert any(s.name == "rpc.call" for s in ancestors), attempt
         # containment in virtual time, not just by link
@@ -123,7 +126,8 @@ def test_rpc_attempts_nest_under_the_drain_span():
 def test_trace_exports_and_reimports_with_nesting_intact(tmp_path):
     kernel, net, result = resilient_drain(crash="s2")
     path = tmp_path / "trace.jsonl"
-    export_jsonl(path, metrics=kernel.obs.metrics, tracer=kernel.obs.tracer,
+    export_jsonl(path, metrics=kernel.obs.metrics,
+                 spans=kernel.obs.tracer.recorder,
                  meta={"test": "integration"})
     records = read_jsonl(path)
     spans = spans_from_records(records)
@@ -152,6 +156,6 @@ def test_runs_are_deterministic_functions_of_the_seed():
     kernel1, _, _ = resilient_drain(crash="s2")
     kernel2, _, _ = resilient_drain(crash="s2")
     assert kernel1.obs.metrics.snapshot() == kernel2.obs.metrics.snapshot()
-    spans1 = [s.to_dict() for s in kernel1.obs.tracer]
-    spans2 = [s.to_dict() for s in kernel2.obs.tracer]
+    spans1 = [s.to_dict() for s in kernel1.obs.tracer.recorder]
+    spans2 = [s.to_dict() for s in kernel2.obs.tracer.recorder]
     assert spans1 == spans2

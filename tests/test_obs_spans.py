@@ -1,4 +1,5 @@
-"""Tracer: nesting, per-context isolation, adoption, virtual-clock timing."""
+"""Tracer and SpanRecorder: nesting, per-context isolation, adoption,
+virtual-clock timing — and what a run with no recorder keeps (nothing)."""
 
 import gc
 import hashlib
@@ -8,23 +9,26 @@ import pytest
 
 from repro.bench.exp_resilience import VARIANTS, crash_world, resilient_set
 from repro.bench.harness import drain
+from repro.net import FixedLatency, Network, full_mesh
 from repro.obs import Span, Tracer, export_jsonl
 from repro.sim import Fork, Join, Kernel, Sleep
 from repro.sim.clock import Clock
 from repro.store import AddSpec, Repository
-from repro.wan.workload import build_scenario
+from repro.wan import PopulationEngine, PopulationSpec, Stage, default_behaviors
+from repro.wan.workload import ScenarioSpec, build_scenario
 from repro.weaksets import DynamicSet
 
 from helpers import CLIENT, drain_all, standard_world
 
 
 def make_tracer(ctx_holder=None):
+    """A tracer on a fresh clock with its recorder attached."""
     clock = Clock()
     if ctx_holder is None:
         tracer = Tracer(clock)
     else:
         tracer = Tracer(clock, context_key=lambda: ctx_holder[0])
-    return clock, tracer
+    return clock, tracer, tracer.record()
 
 
 # ---------------------------------------------------------------------------
@@ -32,7 +36,7 @@ def make_tracer(ctx_holder=None):
 # ---------------------------------------------------------------------------
 
 def test_span_times_come_from_the_clock():
-    clock, tracer = make_tracer()
+    clock, tracer, rec = make_tracer()
     clock.advance_to(1.0)
     span = tracer.start("work", color="red")
     clock.advance_to(3.5)
@@ -44,7 +48,7 @@ def test_span_times_come_from_the_clock():
 
 
 def test_finish_is_idempotent():
-    clock, tracer = make_tracer()
+    clock, tracer, rec = make_tracer()
     span = tracer.start("work")
     clock.advance_to(1.0)
     tracer.finish(span)
@@ -55,37 +59,37 @@ def test_finish_is_idempotent():
 
 
 def test_nesting_follows_start_order_within_a_context():
-    clock, tracer = make_tracer()
+    clock, tracer, rec = make_tracer()
     outer = tracer.start("outer")
     inner = tracer.start("inner")
     innermost = tracer.start("innermost")
     assert inner.parent_id == outer.span_id
     assert innermost.parent_id == inner.span_id
-    assert [s.name for s in tracer.ancestors(innermost)] == ["inner", "outer"]
-    assert tracer.active() is innermost
+    assert [s.name for s in rec.ancestors(innermost)] == ["inner", "outer"]
+    assert rec.active() is innermost
     tracer.finish(innermost)
-    assert tracer.active() is inner
+    assert rec.active() is inner
     tracer.finish(inner)
     tracer.finish(outer)
-    assert tracer.active() is None
-    assert [s for s in tracer.spans() if s.parent_id is None] == [outer]
-    assert [s for s in tracer.spans() if s.parent_id == outer.span_id] == [inner]
+    assert rec.active() is None
+    assert [s for s in rec.spans() if s.parent_id is None] == [outer]
+    assert [s for s in rec.spans() if s.parent_id == outer.span_id] == [inner]
 
 
 def test_out_of_order_finish_keeps_stack_sane():
     # A killed process can finish an outer span while an inner one is
     # still open; removal is by identity, not a blind pop.
-    clock, tracer = make_tracer()
+    clock, tracer, rec = make_tracer()
     outer = tracer.start("outer")
     inner = tracer.start("inner")
     tracer.finish(outer)
-    assert tracer.active() is inner             # inner survives
+    assert rec.active() is inner             # inner survives
     tracer.finish(inner)
-    assert tracer.active() is None
+    assert rec.active() is None
 
 
 def test_explicit_parent_overrides_context():
-    clock, tracer = make_tracer()
+    clock, tracer, rec = make_tracer()
     a = tracer.start("a")
     b = tracer.start("b", parent=a)
     orphanless = tracer.start("c", parent=b)
@@ -99,7 +103,7 @@ def test_explicit_parent_overrides_context():
 
 def test_interleaved_contexts_do_not_cross_parent():
     ctx = ["p1"]
-    clock, tracer = make_tracer(ctx)
+    clock, tracer, rec = make_tracer(ctx)
     s1 = tracer.start("p1.work")                # p1 opens a span
     ctx[0] = "p2"                               # "scheduler" switches
     s2 = tracer.start("p2.work")
@@ -109,14 +113,14 @@ def test_interleaved_contexts_do_not_cross_parent():
     ctx[0] = "p1"
     inner1 = tracer.start("p1.inner")
     assert inner1.parent_id == s1.span_id       # p1's stack undisturbed
-    assert tracer.active() is inner1
+    assert rec.active() is inner1
     ctx[0] = "p2"
-    assert tracer.active() is inner2
+    assert rec.active() is inner2
 
 
 def test_adopt_seeds_child_context_with_forkers_span():
     ctx = ["parent"]
-    clock, tracer = make_tracer(ctx)
+    clock, tracer, rec = make_tracer(ctx)
     base = tracer.start("drain")
     tracer.adopt("child", "parent")
     ctx[0] = "child"
@@ -126,13 +130,13 @@ def test_adopt_seeds_child_context_with_forkers_span():
     # span must not close (or pop) the drain span
     tracer.finish(attempt)
     ctx[0] = "parent"
-    assert tracer.active() is base
+    assert rec.active() is base
     assert not base.finished
 
 
 def test_adopt_does_not_clobber_an_existing_context():
     ctx = ["a"]
-    clock, tracer = make_tracer(ctx)
+    clock, tracer, rec = make_tracer(ctx)
     tracer.start("a.work")
     ctx[0] = "b"
     b_span = tracer.start("b.work")
@@ -142,32 +146,13 @@ def test_adopt_does_not_clobber_an_existing_context():
 
 
 # ---------------------------------------------------------------------------
-# retention cap
-# ---------------------------------------------------------------------------
-
-def test_max_spans_caps_retention_but_not_timing():
-    clock, tracer = make_tracer()
-    tracer.max_spans = 2
-    kept1 = tracer.start("a")
-    tracer.finish(kept1)
-    kept2 = tracer.start("b")
-    tracer.finish(kept2)
-    clock.advance_to(1.0)
-    extra = tracer.start("c")
-    clock.advance_to(2.0)
-    tracer.finish(extra)
-    assert len(tracer) == 2
-    assert tracer.dropped == 1
-    assert extra.duration == 1.0                # still timed for its caller
-
-
-# ---------------------------------------------------------------------------
 # under the kernel: real processes, virtual time ordering
 # ---------------------------------------------------------------------------
 
 def test_kernel_processes_get_isolated_span_stacks():
     kernel = Kernel(seed=7)
     tracer = kernel.obs.tracer
+    rec = tracer.record()
 
     def worker(name, delay):
         span = tracer.start(name)
@@ -182,8 +167,8 @@ def test_kernel_processes_get_isolated_span_stacks():
         return a, b
 
     kernel.run_process(root())
-    a_span = tracer.spans("a")[0]
-    b_span = tracer.spans("b")[0]
+    a_span = rec.spans("a")[0]
+    b_span = rec.spans("b")[0]
     # interleaved but isolated: neither parented under the other
     assert a_span.parent_id is None
     assert b_span.parent_id is None
@@ -196,6 +181,7 @@ def test_kernel_processes_get_isolated_span_stacks():
 def test_kernel_fork_adopts_parents_active_span():
     kernel = Kernel(seed=7)
     tracer = kernel.obs.tracer
+    rec = tracer.record()
 
     def child():
         span = tracer.start("child.work")
@@ -209,14 +195,14 @@ def test_kernel_fork_adopts_parents_active_span():
         tracer.finish(span)
 
     kernel.run_process(parent())
-    child_span = tracer.spans("child.work")[0]
-    parent_span = tracer.spans("parent.work")[0]
+    child_span = rec.spans("child.work")[0]
+    parent_span = rec.spans("parent.work")[0]
     assert child_span.parent_id == parent_span.span_id
 
 
 def test_an_adopted_context_is_released_when_it_ends():
     ctx = ["parent"]
-    clock, tracer = make_tracer(ctx)
+    clock, tracer, rec = make_tracer(ctx)
     base = tracer.start("drain")
     assert tracer.adopt("child", "parent") is True
     assert tracer.adopt("orphan", "nobody") is False    # nothing to borrow
@@ -224,13 +210,13 @@ def test_an_adopted_context_is_released_when_it_ends():
     tracer.finish(tracer.start("batch-1"))
     # drained of its own spans, the child keeps its base: the next batch
     # is the drain's too
-    assert tracer.active() is base
+    assert rec.active() is base
     assert tracer.start("batch-2").parent_id == base.span_id
     tracer.release("child")
-    assert tracer.active() is None
+    assert rec.active() is None
     tracer.release("child")                             # and again: nothing
     ctx[0] = "parent"
-    assert tracer.active() is base and not base.finished
+    assert rec.active() is base and not base.finished
 
 
 def test_a_finished_adopted_process_leaves_the_tracer():
@@ -240,22 +226,23 @@ def test_a_finished_adopted_process_leaves_the_tracer():
     not when its stack drains: a worker parents batch after batch."""
     kernel, net, world, elements = standard_world(members=10, n_servers=2)
     tracer = kernel.obs.tracer
+    rec = tracer.record()
     repo = Repository(world, CLIENT)
 
     def finished_keys():
-        return [proc for proc in tracer._stacks
+        return [proc for proc in rec._stacks
                 if proc is not None and proc.finished]
 
     kernel.run_process(repo.add_many(
         "coll", [AddSpec(f"b{i}", value=i, home=f"s{i % 2}") for i in range(6)],
         window=2, batch_size=2))
-    assert tracer.spans("write.batch") and finished_keys() == []
+    assert rec.spans("write.batch") and finished_keys() == []
     result = drain_all(kernel, DynamicSet(world, CLIENT, "coll",
                                           fetch_window=1, fetch_batch=2))
     assert len(result.elements) == 16 and finished_keys() == []
     # one worker, many batches, every one of them the pipeline's
-    (pipeline,) = tracer.spans("fetch.pipeline")
-    batches = tracer.spans("fetch.batch")
+    (pipeline,) = rec.spans("fetch.pipeline")
+    batches = rec.spans("fetch.batch")
     assert len(batches) >= 8
     assert {span.parent_id for span in batches} == {pipeline.span_id}
 
@@ -290,23 +277,23 @@ def test_a_finished_adopted_process_leaves_the_tracer():
         assert [probe() for probe in probes] == [None]
     finally:
         gc.enable()
-    (parent_span,) = tracer.spans("parent.work")
-    assert [span.parent_id for span in tracer.spans("child.work")] == \
+    (parent_span,) = rec.spans("parent.work")
+    assert [span.parent_id for span in rec.spans("child.work")] == \
         [parent_span.span_id]
     assert finished_keys() == []
 
 
 def test_span_ids_are_unique_and_dense():
-    clock, tracer = make_tracer()
+    clock, tracer, rec = make_tracer()
     spans = [tracer.start(f"s{i}") for i in range(5)]
     ids = [s.span_id for s in spans]
     assert len(set(ids)) == 5
-    assert tracer.by_id(ids[3]) is spans[3]
-    assert tracer.by_id(99999) is None
+    assert rec.by_id(ids[3]) is spans[3]
+    assert rec.by_id(99999) is None
 
 
 def test_span_to_dict_shape():
-    clock, tracer = make_tracer()
+    clock, tracer, rec = make_tracer()
     span = tracer.start("x", k="v")
     tracer.finish(span)
     d = span.to_dict()
@@ -321,6 +308,7 @@ def test_a_recorded_span_does_not_keep_the_process_that_opened_it():
     while the span stays recorded."""
     kernel = Kernel()
     tracer = kernel.obs.tracer
+    rec = tracer.record()
 
     class Held:
         pass
@@ -341,62 +329,179 @@ def test_a_recorded_span_does_not_keep_the_process_that_opened_it():
         probes = [weakref.ref(proc.generator), weakref.ref(proc.result)]
         del proc
         assert [probe() for probe in probes] == [None, None]
-        assert [(span.name, span.duration) for span in tracer] == \
+        assert [(span.name, span.duration) for span in rec] == \
             [("outer", 0.1), ("inner", 0.1)]
-        assert tracer._stacks == {}
+        assert rec._stacks == {}
     finally:
         gc.enable()
 
 
 # -- what a seeded run keeps ---------------------------------------------------
 
-#: E17's seed-1 resilient drain, whole and under a 40-span cap: how many
-#: spans are kept and dropped, a digest of every kept span's
-#: ``(span_id, parent_id)`` and one of the tracer's JSONL export (its
-#: header and span records; the registry's metrics are left out, so a
-#: new or renamed metric moves nothing here).  A tracer that numbers,
-#: parents, keeps or drops one span differently moves one of the four.
-RETAINED = {
-    None: (98, 0,
-           "1fed36999ac974fd084ac0623063b955ce52d9a7671e7158049cb07d8980fd52",
-           "6ed687298299d75c16a05dd881a381de0650141d7f752daa2afb7736cc73fdb6"),
-    40: (40, 58,
-         "a4b407d83d1e32c651d4f02687006d08ed11028b34fb6aa0304612110500043d",
-         "7b40a61835913ede3daf5b9034ea57daa01424bb2851735037d3ec9c695ae0a2"),
-}
+#: E17's seed-1 resilient drain with a recorder attached to the built
+#: world: how many spans it keeps, a digest of every span's
+#: ``(span_id, parent_id)`` and one of the span JSONL export (its header
+#: and span records; the registry's metrics are left out, so a new or
+#: renamed metric moves nothing here).  A recorder that numbers, parents
+#: or keeps one span differently, or formats one attribute differently,
+#: moves one of the three.
+RETAINED = (98,
+            "1fed36999ac974fd084ac0623063b955ce52d9a7671e7158049cb07d8980fd52",
+            "6ed687298299d75c16a05dd881a381de0650141d7f752daa2afb7736cc73fdb6")
 
 
-@pytest.mark.parametrize("max_spans", sorted(RETAINED, key=str))
-def test_a_seeded_run_keeps_numbers_and_exports_the_spans_it_did(
-        tmp_path, max_spans):
+def seeded_drain(record: bool):
+    """E17's seed-1 drain, its recorder attached (or not) once the world
+    is built; returns the scenario."""
     scenario = build_scenario(crash_world(0.1, 10), seed=1)
-    tracer = scenario.kernel.obs.tracer
-    if max_spans is not None:
-        tracer.max_spans = max_spans
     _, make_resilience, failover = VARIANTS[-1]
-    drain(scenario, resilient_set(scenario, make_resilience,
-                                  failover).elements())
+    ws = resilient_set(scenario, make_resilience, failover)
+    if record:
+        scenario.kernel.obs.tracer.record()
+    drain(scenario, ws.elements())
+    return scenario
+
+
+def test_a_seeded_run_keeps_numbers_and_exports_the_spans_it_did(tmp_path):
+    rec = seeded_drain(record=True).kernel.obs.tracer.recorder
     path = tmp_path / "spans.jsonl"
-    export_jsonl(path, tracer=tracer)
-    links = repr([(span.span_id, span.parent_id) for span in tracer])
-    assert (len(tracer), tracer.dropped,
-            hashlib.sha256(links.encode()).hexdigest(),
-            hashlib.sha256(path.read_bytes()).hexdigest()) == \
-        RETAINED[max_spans]
+    export_jsonl(path, spans=rec)
+    links = repr([(span.span_id, span.parent_id) for span in rec])
+    assert (len(rec), hashlib.sha256(links.encode()).hexdigest(),
+            hashlib.sha256(path.read_bytes()).hexdigest()) == RETAINED
 
 
 #: The same drain exported whole by ``kernel.obs.export`` (header, every
 #: metric, every span): what a span records does not depend on when the
-#: tracer lets go of the process that opened it.
+#: recorder lets go of the process that opened it, nor on the recorder
+#: being attached after the world was built.
 WHOLE_EXPORT = \
     "dba5ffaab80f894a4a26cf1c1f975fc3985af78f5b6ff7d389aed0c133358855"
 
 
 def test_a_seeded_run_exports_the_same_whole_trace(tmp_path):
-    scenario = build_scenario(crash_world(0.1, 10), seed=1)
-    _, make_resilience, failover = VARIANTS[-1]
-    drain(scenario, resilient_set(scenario, make_resilience,
-                                  failover).elements())
+    scenario = seeded_drain(record=True)
     path = tmp_path / "run.jsonl"
     scenario.kernel.obs.export(path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == WHOLE_EXPORT
+
+
+# -- what a run with no recorder keeps ------------------------------------------
+
+class Echo:
+    def echo(self, x):
+        return x
+
+
+def test_settled_calls_with_no_recorder_leave_the_tracer_nothing(monkeypatch):
+    """Unrecorded, a span is a start time: 1000 settled RPCs build no
+    :class:`Span`, ask no context, leave no stack, hang no waiter on a
+    forked child's ``done`` — and still feed every attempt's latency."""
+    built = []
+    span_init = Span.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args[1])
+        span_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Span, "__init__", counting)
+    asked = []
+    kernel = Kernel(seed=3)
+    kernel.obs.tracer._context_key = lambda: asked.append(1)
+    net = Network(kernel, full_mesh(["a", "b"], FixedLatency(0.01)))
+    net.register_service("b", "echo", Echo())
+    waited, probes = [], []
+
+    def forked():
+        yield from net.call("a", "b", "echo", "echo", 0, timeout=1.0)
+
+    def proc():
+        for i in range(999):
+            assert (yield from net.call("a", "b", "echo", "echo", i,
+                                        timeout=1.0)) == i
+        generator = forked()
+        probes.append(weakref.ref(generator))
+        child = yield Fork(generator)
+        del generator
+        yield Sleep(1.0)
+        assert child.finished
+        waited.append(child._done)
+
+    gc.collect()
+    gc.disable()
+    try:
+        kernel.run_process(proc())
+    finally:
+        gc.enable()
+    tracer = kernel.obs.tracer
+    assert tracer.recorder is None and repr(tracer) == "Tracer(unrecorded)"
+    assert set(Tracer.__slots__) == {"_clock", "_context_key", "recorder"}
+    assert built == [] and asked == []
+    # the finished child had no done built, and died by reference count
+    assert waited == [None] and [probe() for probe in probes] == [None]
+    latency = kernel.obs.metrics.get("rpc.attempt_latency")
+    assert latency.count == 1000
+    assert latency.vmin == pytest.approx(latency.vmax) == pytest.approx(0.02)
+
+
+def test_an_unrecorded_span_is_timed_for_its_caller():
+    clock = Clock()
+    tracer = Tracer(clock)
+    clock.advance_to(1.0)
+    token = tracer.start("work", dst="s1")
+    clock.advance_to(3.5)
+    assert tracer.finish(token, outcome="ok") == 2.5
+    assert tracer.adopt("child", "parent") is False
+    # a span opened before the recorder attached is still timed by it,
+    # and kept by nothing
+    rec = tracer.record()
+    assert tracer.record() is rec                       # attached once
+    clock.advance_to(4.0)
+    assert tracer.finish(token) == 3.0 and len(rec) == 0
+
+
+def test_the_recorder_formats_raw_attributes_as_text():
+    clock, tracer, rec = make_tracer()
+
+    class Node:
+        def __str__(self):
+            return "n7"
+
+    span = tracer.start("rpc.attempt", src=Node(), dst="s1",
+                        service="store", method="get", hops=2, hedged=True)
+    tracer.finish(span, winner=Node(), dsts=("s1", Node()), gone=None)
+    assert span.attrs == {"src": "n7", "dst": "s1", "method": "store.get",
+                          "hops": 2, "hedged": True, "winner": "n7",
+                          "dsts": "s1,n7", "gone": None}
+    assert list(span.attrs)[:3] == ["src", "dst", "method"]
+
+
+def population_run(record: bool):
+    """A seeded 8:1:1 population on 4x4 nodes and 40 members at the
+    ``pop_ramp`` workload's arrival rate (a 20 s ramp-up, 50 s steady,
+    10 s at a quarter); returns the kernel."""
+    scenario = build_scenario(
+        ScenarioSpec(n_clusters=4, cluster_size=4, n_members=40), seed=5)
+    spec = PopulationSpec(
+        behaviors=default_behaviors(scenario),
+        stages=(Stage(duration=20.0, arrival_rate=12.0, name="ramp-up"),
+                Stage(duration=50.0, arrival_rate=12.0, name="steady"),
+                Stage(duration=10.0, arrival_rate=3.0, name="cool-down")),
+        arrival="lognormal", lognormal_sigma=1.0, audit_fraction=0.01)
+    engine = PopulationEngine(scenario, spec)
+    if record:
+        scenario.kernel.obs.tracer.record()
+    engine.run()
+    return scenario.kernel
+
+
+def test_a_population_run_measures_the_same_with_and_without_a_recorder():
+    plain = population_run(record=False)
+    recorded = population_run(record=True)
+    assert plain.obs.tracer.recorder is None
+    spans = recorded.obs.tracer.recorder.spans()
+    assert len(spans) > 1000 and {"drain", "rpc.attempt"} <= \
+        {span.name for span in spans}
+    snapshot = plain.obs.metrics.snapshot()
+    assert snapshot["population.arrivals"]["value"] > 500
+    assert recorded.obs.metrics.snapshot() == snapshot

@@ -97,17 +97,17 @@ def test_sync_uses_rpc_not_direct_mutation():
     """The syncer's calls go through the wire: rpc.attempts from replicas
     to the primary, visible as sync.round spans with rpc children."""
     kernel, net, world, _ = standard_world(replicas=1, replica_lag=0.2)
+    recorder = kernel.obs.tracer.record()
 
     def proc():
         yield Sleep(1.0)
 
     kernel.run_process(proc())
-    tracer = kernel.obs.tracer
-    rounds = tracer.spans("sync.round")
+    rounds = recorder.spans("sync.round")
     assert rounds
-    attempts = tracer.spans("rpc.attempt")
+    attempts = recorder.spans("rpc.attempt")
     synced = [a for a in attempts
-              if any(s.name == "sync.round" for s in tracer.ancestors(a))]
+              if any(s.name == "sync.round" for s in recorder.ancestors(a))]
     assert synced                             # real wire attempts under sync
 
 
